@@ -216,6 +216,45 @@ mod tests {
         }
     }
 
+    /// The measured half of `repro table4|table5|table6` (c = 4 × 24
+    /// instances, seed 42), pinned as printed: a refactor of the engines or
+    /// agents that moves one message between mechanisms — or adds one —
+    /// fails here, not in a reviewer's diff of the tables.
+    #[test]
+    fn tables_4_to_6_measured_counts_are_pinned() {
+        let p = SetupParams {
+            c: 4,
+            ..SetupParams::default()
+        };
+        assert_eq!(p.seed, 42);
+        let (agents, engines) = (p.z, 4);
+        // (architecture, msgs/inst per MECH_LABELS row, mean load, max load)
+        let pinned = [
+            (
+                Architecture::Central { agents },
+                ["72.333", "0.000", "0.000", "2.250", "0.000"],
+                ("5395.8", "5395.8"),
+            ),
+            (
+                Architecture::Parallel { agents, engines },
+                ["71.833", "0.000", "0.000", "2.458", "9.708"],
+                ("1390.6", "2179.2"),
+            ),
+            (
+                Architecture::Distributed { agents },
+                ["45.458", "0.042", "0.000", "16.333", "13.083"],
+                ("201.9", "490.6"),
+            ),
+        ];
+        for (arch, msgs, (mean_load, max_load)) in pinned {
+            let m = measure(arch, &p, 24);
+            assert_eq!(m.msgs.map(|v| format!("{v:.3}")), msgs, "{arch:?}");
+            assert_eq!((m.committed, m.aborted), (24, 0), "{arch:?}");
+            assert_eq!(format!("{:.1}", m.mean_load), mean_load, "{arch:?}");
+            assert_eq!(format!("{:.1}", m.max_load), max_load, "{arch:?}");
+        }
+    }
+
     #[test]
     fn aborts_and_changes_injected() {
         let p = SetupParams {

@@ -16,11 +16,14 @@
 use crate::msg::{CentralMsg, CoordMsg};
 use crate::topology::Topology;
 use bytes::Bytes;
-use crew_exec::{ocr_decide, Deployment, InstanceHistory, OcrDecision, StepState, Weight};
+use crew_exec::{
+    declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, Deployment,
+    FailureVerdict, InstanceHistory, InstanceNav, OcrDecision, StepState, Weight,
+};
 use crew_model::{
     DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, WorkflowSchema,
 };
-use crew_rules::{compile_schema, Action, EventKind, RuleId, RuleSet};
+use crew_rules::{compile_schema, Action, EventKind};
 use crew_simnet::{Ctx, Node, NodeId};
 use crew_storage::{
     recover_for_node, AgentDb, DbOp, Decode, Encode, InstanceStatus, MemStore, StoredStepState, Wal,
@@ -45,22 +48,12 @@ struct CompItem {
     reason: CompReason,
 }
 
-/// Per-instance engine state.
+/// Per-instance engine state: the shared navigator plus what only an
+/// engine needs — dispatches in flight to application agents, the ordered
+/// compensation queue, and steps parked on a coordination guard.
 #[derive(Debug, Default)]
 struct EngineInst {
-    rules: RuleSet,
-    data: DataEnv,
-    history: InstanceHistory,
-    rule_ids: BTreeMap<StepId, Vec<RuleId>>,
-    committed: bool,
-    aborted: bool,
-    terminal_weights: BTreeMap<StepId, Weight>,
-    /// Incoming flow weight per step, keyed by source step (re-executions
-    /// replace their slot instead of double-counting at joins). The
-    /// workflow's initial token uses `StepId(0)`.
-    weight_in: BTreeMap<StepId, BTreeMap<StepId, Weight>>,
-    branch_choice: BTreeMap<StepId, StepId>,
-    rollback_counts: BTreeMap<StepId, u32>,
+    nav: InstanceNav,
     /// Steps whose program execution is in flight: step → attempt.
     pending_exec: BTreeMap<StepId, u32>,
     /// Ordered compensation work; processed one item at a time so
@@ -69,15 +62,9 @@ struct EngineInst {
     comp_active: bool,
     /// Origin to re-execute once the compensation queue drains.
     reexec_after_comp: Option<StepId>,
-    parent: Option<(InstanceId, StepId)>,
-    pending_nested: BTreeMap<StepId, InstanceId>,
     /// Steps deferred on a coordination guard.
     ro_waiting: BTreeSet<StepId>,
     mutex_waiting: BTreeSet<StepId>,
-    /// Steps invalidated by a rollback and not yet revisited — the OCR
-    /// decision applies exactly to these; re-firings outside a rollback
-    /// (loop iterations) always execute fresh.
-    revisit_pending: BTreeSet<StepId>,
 }
 
 /// Relative-order decision as known at an engine.
@@ -257,12 +244,12 @@ impl Engine {
 
     /// The instance's current data table (test introspection).
     pub fn data_of(&self, instance: InstanceId) -> Option<&DataEnv> {
-        self.instances.get(&instance).map(|s| &s.data)
+        self.instances.get(&instance).map(|s| &s.nav.data)
     }
 
     /// The instance's execution history (test introspection).
     pub fn history_of(&self, instance: InstanceId) -> Option<&InstanceHistory> {
-        self.instances.get(&instance).map(|s| &s.history)
+        self.instances.get(&instance).map(|s| &s.nav.history)
     }
 
     /// The persistent WFDB table projection (test introspection).
@@ -402,13 +389,10 @@ impl Engine {
             .clone();
         self.nav_load(ctx);
         self.log(DbOp::InstanceCreated { instance });
-        {
-            let st = self.inst(instance);
-            st.parent = parent;
-            for t in template.iter() {
-                let id = st.rules.add_rule(t.rule.clone());
-                st.rule_ids.entry(t.step).or_default().push(id);
-            }
+        let nav = &mut self.inst(instance).nav;
+        nav.parent = parent;
+        for t in template.iter() {
+            nav.install_rule(t.step, t.rule.clone());
         }
         for (k, v) in inputs {
             self.log(DbOp::DataWritten {
@@ -416,16 +400,11 @@ impl Engine {
                 key: k,
                 value: v.clone(),
             });
-            self.inst(instance).data.set(k, v);
+            self.inst(instance).nav.data.set(k, v);
         }
-        {
-            let st = self.inst(instance);
-            st.rules.add_event(EventKind::WorkflowStart);
-            st.weight_in
-                .entry(schema.start_step())
-                .or_default()
-                .insert(StepId(0), Weight::ONE);
-        }
+        let nav = &mut self.inst(instance).nav;
+        nav.rules.add_event(EventKind::WorkflowStart);
+        nav.accept_weight(&schema, None, schema.start_step(), Weight::ONE);
         self.log(DbOp::EventPosted {
             instance,
             code: EventKind::WorkflowStart.code(),
@@ -437,20 +416,9 @@ impl Engine {
     // ---- rule firing ---------------------------------------------------------
 
     fn fire_rules(&mut self, instance: InstanceId, ctx: &mut Ctx<CentralMsg>) {
-        loop {
-            let firings = {
-                let st = self.inst(instance);
-                if st.aborted {
-                    return;
-                }
-                let data = st.data.clone();
-                st.rules.fire_ready(&data)
-            };
-            if firings.is_empty() {
-                break;
-            }
-            for f in firings {
-                if let Action::StartStep(step) = f.action {
+        while let Some(actions) = self.inst(instance).nav.ready_actions() {
+            for action in actions {
+                if let Action::StartStep(step) = action {
                     self.start_step(instance, step, ctx);
                 }
             }
@@ -470,11 +438,7 @@ impl Engine {
     ) -> Option<(u8, usize, InstanceId, InstanceId)> {
         let (side, steps) = ro_side(r, instance, partner)?;
         let k = steps.iter().position(|&s| s == step)?;
-        let (a, b) = if side == 0 {
-            (instance, partner)
-        } else {
-            (partner, instance)
-        };
+        let (a, b) = ro_canonical(instance, partner, side);
         Some((side, k, a, b))
     }
 
@@ -629,11 +593,8 @@ impl Engine {
         // acquire time: the holder may have migrated while queued.
         match self.route(instance) {
             None => {
-                let terminal = {
-                    let st = self.inst(instance);
-                    st.aborted || st.committed
-                };
-                if terminal {
+                let nav = &self.inst(instance).nav;
+                if nav.aborted || nav.committed {
                     self.mutex_do_release(req, instance, step, ctx);
                     return;
                 }
@@ -730,11 +691,9 @@ impl Engine {
     // ---- step lifecycle -----------------------------------------------------------
 
     fn start_step(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<CentralMsg>) {
-        {
-            let st = self.inst(instance);
-            if st.aborted || st.pending_exec.contains_key(&step) {
-                return;
-            }
+        let st = self.inst(instance);
+        if st.nav.aborted || st.pending_exec.contains_key(&step) {
+            return;
         }
         if self.ro_blocked(instance, step, ctx) {
             self.inst(instance).ro_waiting.insert(step);
@@ -749,18 +708,12 @@ impl Engine {
             self.launch_nested(instance, step, child_schema, ctx);
             return;
         }
-        let def = schema.expect_step(step).clone();
-        let is_revisit = self.inst(instance).revisit_pending.remove(&step);
-        let decision = if is_revisit {
-            let plan = self.deployment.plan.clone();
-            let st = self.inst(instance);
-            ocr_decide(&def, instance, &st.history, &st.data, &plan)
-        } else {
-            OcrDecision::ExecuteFresh
-        };
+        let def = schema.expect_step(step);
+        let nav = &mut self.instances.entry(instance).or_default().nav;
+        let decision = nav.revisit_decision(def, instance, &self.deployment.plan);
         match decision {
             OcrDecision::Reuse => self.after_step_done(instance, step, ctx),
-            OcrDecision::ExecuteFresh => self.dispatch(instance, &def, ctx),
+            OcrDecision::ExecuteFresh => self.dispatch(instance, def, ctx),
             OcrDecision::PartialCompensateIncrementalReexec
             | OcrDecision::CompleteCompensateCompleteReexec => {
                 let partial = decision == OcrDecision::PartialCompensateIncrementalReexec;
@@ -769,24 +722,11 @@ impl Engine {
                 let mut items: Vec<CompItem> = Vec::new();
                 if let Some(set) = schema.compensation_set_of(step) {
                     let members: Vec<StepId> = set.members.iter().copied().collect();
-                    let ordered = {
-                        let st = self.inst(instance);
-                        st.history.members_reverse_order(&members)
-                    };
-                    let my_seq = self
-                        .inst(instance)
-                        .history
-                        .record(step)
-                        .map(|r| r.seq)
-                        .unwrap_or(0);
-                    for m in ordered {
-                        let seq = self
-                            .inst(instance)
-                            .history
-                            .record(m)
-                            .map(|r| r.seq)
-                            .unwrap_or(0);
-                        if m != step && seq > my_seq {
+                    let history = &self.inst(instance).nav.history;
+                    let seq_of = |s| history.record(s).map(|r| r.seq).unwrap_or(0);
+                    let my_seq = seq_of(step);
+                    for m in history.members_reverse_order(&members) {
+                        if m != step && seq_of(m) > my_seq {
                             items.push(CompItem {
                                 step: m,
                                 partial: false,
@@ -800,11 +740,9 @@ impl Engine {
                     partial,
                     reason: CompReason::Failure,
                 });
-                {
-                    let st = self.inst(instance);
-                    st.comp_queue.extend(items);
-                    st.reexec_after_comp = Some(step);
-                }
+                let st = self.inst(instance);
+                st.comp_queue.extend(items);
+                st.reexec_after_comp = Some(step);
                 self.pump_comp_queue(instance, ctx);
             }
         }
@@ -831,22 +769,14 @@ impl Engine {
                 return;
             };
             let schema = self.schema(instance);
-            let def = schema.expect_step(item.step).clone();
-            let done = self.inst(instance).history.state(item.step) == StepState::Done;
+            let def = schema.expect_step(item.step);
+            let done = self.inst(instance).nav.history.state(item.step) == StepState::Done;
             if !done {
                 continue; // not executed: nothing to undo
             }
             self.nav_load(ctx);
             if let Some(program) = def.compensation_program.clone() {
-                let agent = crew_exec::hash::combine(
-                    self.deployment.seed,
-                    &[
-                        instance.schema.0 as u64,
-                        instance.serial as u64,
-                        item.step.0 as u64,
-                    ],
-                ) % def.eligible_agents.len() as u64;
-                let agent = def.eligible_agents[agent as usize];
+                let agent = designated_agent(self.deployment.seed, instance, def);
                 self.inst(instance).comp_active = true;
                 ctx.send(
                     self.topo.agent_node(agent),
@@ -861,42 +791,22 @@ impl Engine {
                 return; // wait for CompensateResult
             }
             // No compensation program: bookkeeping only.
-            self.apply_compensation(instance, item.step, ctx);
+            self.apply_compensation(instance, item.step);
         }
     }
 
     /// Local effects of a completed compensation.
-    fn apply_compensation(
-        &mut self,
-        instance: InstanceId,
-        step: StepId,
-        ctx: &mut Ctx<CentralMsg>,
-    ) {
+    fn apply_compensation(&mut self, instance: InstanceId, step: StepId) {
         let schema = self.schema(instance);
-        let attempt = self
-            .instances
-            .get(&instance)
-            .and_then(|st| st.history.record(step))
-            .map(|r| r.attempt)
-            .unwrap_or(0);
-        {
-            let st = self.inst(instance);
-            st.data.clear_step_outputs(step);
-            st.history.record_compensated(step);
-            st.rules.add_event(EventKind::StepCompensated(step));
-            st.rules.invalidate_event(EventKind::StepDone(step));
-            for arc_to in schema
-                .forward_outgoing(step)
-                .map(|a| a.to)
-                .collect::<Vec<_>>()
-            {
-                if let Some(slots) = st.weight_in.get_mut(&arc_to) {
-                    slots.remove(&step);
-                }
-            }
-            if schema.terminal_steps().contains(&step) {
-                st.terminal_weights.insert(step, Weight::ZERO);
-            }
+        let nav = &mut self.inst(instance).nav;
+        let attempt = nav.history.record(step).map(|r| r.attempt).unwrap_or(0);
+        nav.data.clear_step_outputs(step);
+        nav.history.record_compensated(step);
+        nav.compensated(&schema, step);
+        if schema.terminal_steps().contains(&step) {
+            // Retracted without re-testing commit; only a later terminal
+            // completion re-tests (DESIGN §6g).
+            nav.set_terminal_weight(step, Weight::ZERO);
         }
         self.log(DbOp::StepOutputsCleared { instance, step });
         self.log(DbOp::StepRecorded {
@@ -914,7 +824,6 @@ impl Engine {
             instance,
             code: EventKind::StepDone(step).code(),
         });
-        let _ = ctx;
     }
 
     /// Scatter-gather dispatch of a step's program: `ExecRequest` to the
@@ -927,12 +836,10 @@ impl Engine {
         ctx: &mut Ctx<CentralMsg>,
     ) {
         self.nav_load(ctx);
-        let (attempt, inputs) = {
-            let st = self.inst(instance);
-            let attempt = st.history.begin_attempt(def.id);
-            st.pending_exec.insert(def.id, attempt);
-            (attempt, st.data.project(&def.input_keys()))
-        };
+        let st = self.inst(instance);
+        let attempt = st.nav.history.begin_attempt(def.id);
+        st.pending_exec.insert(def.id, attempt);
+        let inputs = st.nav.data.project(&def.input_keys());
         self.log(DbOp::StepRecorded {
             instance,
             step: def.id,
@@ -940,17 +847,10 @@ impl Engine {
             attempt,
             outputs: vec![],
         });
-        let chosen_idx = crew_exec::hash::combine(
-            self.deployment.seed,
-            &[
-                instance.schema.0 as u64,
-                instance.serial as u64,
-                def.id.0 as u64,
-            ],
-        ) % def.eligible_agents.len() as u64;
-        for (i, agent) in def.eligible_agents.iter().enumerate() {
+        let chosen = designated_agent(self.deployment.seed, instance, def);
+        for agent in &def.eligible_agents {
             let node = self.topo.agent_node(*agent);
-            if i as u64 == chosen_idx {
+            if *agent == chosen {
                 ctx.send(
                     node,
                     CentralMsg::ExecRequest {
@@ -982,14 +882,11 @@ impl Engine {
         outputs: Option<Vec<Value>>,
         ctx: &mut Ctx<CentralMsg>,
     ) {
-        let valid = {
-            let st = self.inst(instance);
-            st.pending_exec.get(&step) == Some(&attempt)
-        };
-        if !valid {
+        let st = self.inst(instance);
+        if st.pending_exec.get(&step) != Some(&attempt) {
             return; // stale result from a rolled-back attempt
         }
-        self.inst(instance).pending_exec.remove(&step);
+        st.pending_exec.remove(&step);
         self.nav_load(ctx);
         let schema = self.schema(instance);
         match outputs {
@@ -1002,35 +899,25 @@ impl Engine {
                     attempt,
                     outputs: outputs.clone(),
                 });
-                for (i, v) in outputs.iter().enumerate() {
-                    let slot = (i + 1) as u16;
-                    if slot <= def.output_slots {
-                        self.log(DbOp::DataWritten {
-                            instance,
-                            key: ItemKey::output(step, slot),
-                            value: v.clone(),
-                        });
-                    }
+                for (key, v) in declared_outputs(def, &outputs) {
+                    self.log(DbOp::DataWritten {
+                        instance,
+                        key,
+                        value: v.clone(),
+                    });
                 }
-                {
-                    let st = self.inst(instance);
-                    let inputs = st.data.project(&def.input_keys());
-                    for (i, v) in outputs.iter().enumerate() {
-                        let slot = (i + 1) as u16;
-                        if slot <= def.output_slots {
-                            st.data.set(ItemKey::output(step, slot), v.clone());
-                        }
-                    }
-                    st.history.record_done(step, attempt, inputs, outputs);
+                let nav = &mut self.inst(instance).nav;
+                let inputs = nav.data.project(&def.input_keys());
+                for (key, v) in declared_outputs(def, &outputs) {
+                    nav.data.set(key, v.clone());
                 }
+                nav.history.record_done(step, attempt, inputs, outputs);
                 self.after_step_done(instance, step, ctx);
             }
             None => {
-                {
-                    let st = self.inst(instance);
-                    st.history.record_failed(step);
-                    st.rules.add_event(EventKind::StepFail(step));
-                }
+                let nav = &mut self.inst(instance).nav;
+                nav.history.record_failed(step);
+                nav.rules.add_event(EventKind::StepFail(step));
                 self.log(DbOp::StepRecorded {
                     instance,
                     step,
@@ -1042,31 +929,24 @@ impl Engine {
                     instance,
                     code: EventKind::StepFail(step).code(),
                 });
-                // Failure-policy retry: re-dispatch in place while the
-                // step's budget lasts; only an exhausted budget falls
-                // through to the paper's rollback machinery.
-                let def = schema.expect_step(step);
-                if def
-                    .policy
-                    .retry
-                    .as_ref()
-                    .is_some_and(|r| r.allows_retry_after(attempt))
-                {
-                    let def = def.clone();
-                    self.dispatch(instance, &def, ctx);
-                    return;
+                let nav = &mut self.inst(instance).nav;
+                match nav.failure_verdict(&schema, step, attempt) {
+                    // Re-dispatch in place; only an exhausted retry budget
+                    // reaches the paper's rollback machinery.
+                    FailureVerdict::Retry => self.dispatch(instance, schema.expect_step(step), ctx),
+                    FailureVerdict::RollbackTo(origin) => {
+                        self.rollback_to(instance, origin, false, ctx)
+                    }
+                    FailureVerdict::Abort => self.abort_instance(instance, ctx),
                 }
-                self.handle_failure(instance, step, ctx);
             }
         }
     }
 
     fn after_step_done(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<CentralMsg>) {
         let schema = self.schema(instance);
-        {
-            let st = self.inst(instance);
-            st.rules.add_event(EventKind::StepDone(step));
-        }
+        let nav = &mut self.inst(instance).nav;
+        nav.rules.add_event(EventKind::StepDone(step));
         self.log(DbOp::EventPosted {
             instance,
             code: EventKind::StepDone(step).code(),
@@ -1085,51 +965,20 @@ impl Engine {
         if schema.split_kind(step) == Some(SplitKind::Xor) {
             self.detect_branch_switch(instance, step, &schema, ctx);
         }
-        // Weight propagation along outgoing arcs (per-source slots so a
-        // re-execution replaces rather than double-counts).
-        let flow = self.flow_weight(instance, step);
-        let forward: Vec<StepId> = schema.forward_outgoing(step).map(|a| a.to).collect();
-        let branch_weight = match schema.split_kind(step) {
-            Some(SplitKind::And) if forward.len() > 1 => flow.split(forward.len() as u64),
-            _ => flow,
-        };
-        {
-            let st = self.inst(instance);
-            for t in &forward {
-                st.weight_in
-                    .entry(*t)
-                    .or_default()
-                    .insert(step, branch_weight);
-            }
-            for arc in schema.outgoing(step).filter(|a| a.loop_back) {
-                // A loop re-enters with the same thread: the back-edge
-                // replaces the head's incoming weight rather than adding a
-                // second slot next to the original entry arc's.
-                st.weight_in.insert(arc.to, BTreeMap::from([(step, flow)]));
-            }
+        // The engine holds both ends of every arc: the weights the step
+        // forwards are accepted on the spot.
+        let nav = &mut self.inst(instance).nav;
+        for (to, weight) in nav.outgoing_weights(&schema, step) {
+            nav.accept_weight(&schema, Some(step), to, weight);
         }
         // Terminal: account completion weight; commit at 1.
         if schema.terminal_steps().contains(&step) {
-            let flow = self.flow_weight(instance, step);
-            let committed = {
-                let st = self.inst(instance);
-                st.terminal_weights.insert(step, flow);
-                let total = st
-                    .terminal_weights
-                    .values()
-                    .fold(Weight::ZERO, |acc, w| acc.plus(*w));
-                if total.is_one() && !st.committed {
-                    st.committed = true;
-                    true
-                } else {
-                    false
-                }
-            };
-            if committed {
+            nav.set_terminal_weight(step, nav.flow_weight(step));
+            if nav.commit_now() {
                 self.set_status(instance, InstanceStatus::Committed);
-                let parent = self.inst(instance).parent;
-                if let Some((p, pstep)) = parent {
-                    let outputs = self.nested_outputs(instance);
+                let nav = &self.inst(instance).nav;
+                if let Some((p, pstep)) = nav.parent {
+                    let outputs = nav.nested_outputs(&schema);
                     match self.route(p) {
                         None => {
                             self.synth(
@@ -1157,29 +1006,6 @@ impl Engine {
         self.fire_rules(instance, ctx);
     }
 
-    /// Thread weight flowing through `step`: sum of the per-source slots,
-    /// defaulting to 1.
-    fn flow_weight(&mut self, instance: InstanceId, step: StepId) -> Weight {
-        let st = self.inst(instance);
-        match st.weight_in.get(&step) {
-            Some(slots) if !slots.is_empty() => {
-                slots.values().fold(Weight::ZERO, |acc, w| acc.plus(*w))
-            }
-            _ => Weight::ONE,
-        }
-    }
-
-    fn nested_outputs(&mut self, instance: InstanceId) -> Vec<Value> {
-        let schema = self.schema(instance);
-        let st = self.inst(instance);
-        schema
-            .terminal_steps()
-            .iter()
-            .rev()
-            .find_map(|t| st.history.record(*t).map(|r| r.outputs.clone()))
-            .unwrap_or_default()
-    }
-
     fn launch_nested(
         &mut self,
         instance: InstanceId,
@@ -1187,28 +1013,12 @@ impl Engine {
         child_schema: crew_model::SchemaId,
         ctx: &mut Ctx<CentralMsg>,
     ) {
-        if self.inst(instance).pending_nested.contains_key(&step) {
-            return;
-        }
         let schema = self.schema(instance);
-        let def = schema.expect_step(step).clone();
-        let child = InstanceId::new(
-            child_schema,
-            instance.serial.wrapping_mul(1009).wrapping_add(step.0) | 0x4000_0000,
-        );
-        self.inst(instance).pending_nested.insert(step, child);
-        let inputs: Vec<(ItemKey, Value)> = {
-            let st = self.inst(instance);
-            def.input_keys()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, k)| {
-                    st.data
-                        .get(k)
-                        .cloned()
-                        .map(|v| (ItemKey::input((i + 1) as u16), v))
-                })
-                .collect()
+        let nav = &mut self.inst(instance).nav;
+        let Some((child, inputs)) =
+            nav.launch_nested(instance, schema.expect_step(step), child_schema)
+        else {
+            return;
         };
         match self.route(child) {
             None => {
@@ -1243,20 +1053,8 @@ impl Engine {
         ctx: &mut Ctx<CentralMsg>,
     ) {
         let schema = self.schema(parent);
-        let def = schema.expect_step(parent_step).clone();
-        {
-            let st = self.inst(parent);
-            st.pending_nested.remove(&parent_step);
-            let attempt = st.history.begin_attempt(parent_step);
-            st.history
-                .record_done(parent_step, attempt, vec![], outputs.clone());
-            for (i, v) in outputs.iter().enumerate() {
-                let slot = (i + 1) as u16;
-                if slot <= def.output_slots {
-                    st.data.set(ItemKey::output(parent_step, slot), v.clone());
-                }
-            }
-        }
+        let nav = &mut self.inst(parent).nav;
+        nav.record_child_done(schema.expect_step(parent_step), outputs);
         self.after_step_done(parent, parent_step, ctx);
     }
 
@@ -1267,74 +1065,24 @@ impl Engine {
         schema: &WorkflowSchema,
         ctx: &mut Ctx<CentralMsg>,
     ) {
-        let data = self.inst(instance).data.clone();
-        let mut chosen: Option<StepId> = None;
-        let mut otherwise: Option<StepId> = None;
-        for arc in schema.forward_outgoing(split) {
-            match &arc.condition {
-                Some(c) => {
-                    if c.eval_bool(&data).unwrap_or(false) && chosen.is_none() {
-                        chosen = Some(arc.to);
-                    }
-                }
-                None => otherwise = Some(arc.to),
-            }
-        }
-        let Some(new_head) = chosen.or(otherwise) else {
+        let st = self.inst(instance);
+        let Some(old_head) = st.nav.switch_branch(schema, split) else {
             return;
         };
-        let prev = self.inst(instance).branch_choice.insert(split, new_head);
-        if let Some(old_head) = prev {
-            if old_head != new_head {
-                // Compensate the executed steps of the abandoned branch in
-                // reverse execution order.
-                let members: Vec<StepId> =
-                    schema.branch_steps(split, old_head).into_iter().collect();
-                let ordered = {
-                    let st = self.inst(instance);
-                    st.history.members_reverse_order(&members)
-                };
-                {
-                    let st = self.inst(instance);
-                    for m in ordered {
-                        st.comp_queue.push_back(CompItem {
-                            step: m,
-                            partial: false,
-                            reason: CompReason::BranchSwitch,
-                        });
-                    }
-                }
-                self.pump_comp_queue(instance, ctx);
-            }
+        // Compensate the executed steps of the abandoned branch in reverse
+        // execution order.
+        let members: Vec<StepId> = schema.branch_steps(split, old_head).into_iter().collect();
+        for m in st.nav.history.members_reverse_order(&members) {
+            st.comp_queue.push_back(CompItem {
+                step: m,
+                partial: false,
+                reason: CompReason::BranchSwitch,
+            });
         }
+        self.pump_comp_queue(instance, ctx);
     }
 
     // ---- failure handling -------------------------------------------------------
-
-    fn handle_failure(&mut self, instance: InstanceId, failed: StepId, ctx: &mut Ctx<CentralMsg>) {
-        let schema = self.schema(instance);
-        let origin = schema
-            .rollback_spec_for(failed)
-            .map(|r| r.origin)
-            .unwrap_or(failed);
-        let max_attempts = schema
-            .rollback_spec_for(failed)
-            .map(|r| r.max_attempts)
-            .unwrap_or(3);
-        {
-            let exhausted = {
-                let st = self.inst(instance);
-                let count = st.rollback_counts.entry(origin).or_default();
-                *count += 1;
-                *count >= max_attempts
-            };
-            if exhausted {
-                self.abort_instance(instance, ctx);
-                return;
-            }
-        }
-        self.rollback_to(instance, origin, false, ctx);
-    }
 
     fn rollback_to(
         &mut self,
@@ -1345,20 +1093,15 @@ impl Engine {
     ) {
         self.nav_load(ctx);
         let schema = self.schema(instance);
-        let invalidated = schema.invalidation_set(origin);
-        {
-            let st = self.inst(instance);
-            for &s in &invalidated {
-                st.rules.invalidate_event(EventKind::StepDone(s));
-                st.weight_in.remove(&s);
-                st.pending_exec.remove(&s);
-            }
-            st.pending_exec.remove(&origin);
-            for id in st.rule_ids.get(&origin).cloned().unwrap_or_default() {
-                st.rules.reset_rule(id);
-            }
-            st.revisit_pending.insert(origin);
-            st.revisit_pending.extend(invalidated.iter().copied());
+        let st = self.inst(instance);
+        let invalidated = st.nav.invalidate_from(&schema, origin);
+        // Only the origin's firing is reset: downstream rules re-fire on
+        // the fresh `step.done` occurrences the re-execution posts. Results
+        // of dispatches still in flight are stale.
+        st.nav.refire([origin]);
+        st.pending_exec.remove(&origin);
+        for s in &invalidated {
+            st.pending_exec.remove(s);
         }
         for &s in &invalidated {
             self.log(DbOp::EventInvalidated {
@@ -1397,15 +1140,12 @@ impl Engine {
     }
 
     fn abort_instance(&mut self, instance: InstanceId, ctx: &mut Ctx<CentralMsg>) {
-        let reject = {
-            let st = self.inst(instance);
-            st.committed || st.aborted
-        };
-        if reject {
+        let nav = &self.inst(instance).nav;
+        if nav.committed || nav.aborted {
             return;
         }
         self.nav_load(ctx);
-        self.inst(instance).aborted = true;
+        self.inst(instance).nav.aborted = true;
         self.set_status(instance, InstanceStatus::Aborted);
         // Hand back (or de-queue) every mutex this instance may be holding
         // or waiting on — a wedged resource would deadlock the contenders.
@@ -1433,24 +1173,18 @@ impl Engine {
         }
         let schema = self.schema(instance);
         // Compensate executed compensatable steps, reverse execution order.
-        let done: Vec<StepId> = {
-            let st = self.inst(instance);
-            st.history.done_steps_reverse_order()
-        };
-        let items: Vec<CompItem> = done
+        let st = self.inst(instance);
+        let done = st.nav.history.done_steps_reverse_order();
+        let items = done
             .into_iter()
             .filter(|s| schema.expect_step(*s).is_compensatable())
             .map(|step| CompItem {
                 step,
                 partial: false,
                 reason: CompReason::Abort,
-            })
-            .collect();
-        {
-            let st = self.inst(instance);
-            st.comp_queue.extend(items);
-            st.reexec_after_comp = None;
-        }
+            });
+        st.comp_queue.extend(items);
+        st.reexec_after_comp = None;
         self.pump_comp_queue(instance, ctx);
     }
 
@@ -1460,34 +1194,16 @@ impl Engine {
         new_inputs: Vec<(ItemKey, Value)>,
         ctx: &mut Ctx<CentralMsg>,
     ) {
-        let reject = {
-            let st = self.inst(instance);
-            st.committed || st.aborted
-        };
-        if reject {
+        let nav = &self.inst(instance).nav;
+        if nav.committed || nav.aborted {
             return;
         }
         self.nav_load(ctx);
-        let schema = self.schema(instance);
-        let changed: BTreeSet<ItemKey> = new_inputs.iter().map(|(k, _)| *k).collect();
-        {
-            let st = self.inst(instance);
-            for (k, v) in new_inputs {
-                st.data.set(k, v);
-            }
+        let origin = input_change_origin(&self.schema(instance), &new_inputs);
+        let nav = &mut self.inst(instance).nav;
+        for (k, v) in new_inputs {
+            nav.data.set(k, v);
         }
-        let origin = schema
-            .topo_order()
-            .iter()
-            .copied()
-            .find(|s| {
-                schema
-                    .expect_step(*s)
-                    .input_keys()
-                    .iter()
-                    .any(|k| changed.contains(k))
-            })
-            .unwrap_or(schema.start_step());
         self.rollback_to(instance, origin, false, ctx);
     }
 
@@ -1594,60 +1310,14 @@ impl Engine {
                 self.resume_all_ro(inst, ctx);
                 // If the leading side already completed later pairs before
                 // the decision landed, emit the pending releases now.
-                let done: Vec<StepId> = self
-                    .instances
-                    .get(&inst)
-                    .map(|st| {
-                        st.history
-                            .iter()
-                            .filter(|r| r.state == StepState::Done)
-                            .map(|r| r.step)
-                            .collect()
-                    })
-                    .unwrap_or_default();
+                let history = &self.inst(inst).nav.history;
+                let done: Vec<StepId> = history
+                    .iter()
+                    .filter(|r| r.state == StepState::Done)
+                    .map(|r| r.step)
+                    .collect();
                 for step in done {
-                    self.ro_after_done_releases_only(inst, step, ctx);
-                }
-            }
-        }
-    }
-
-    /// Re-run only the release half of [`Self::ro_after_done`] (used when a
-    /// decision arrives after the leading side already progressed).
-    fn ro_after_done_releases_only(
-        &mut self,
-        instance: InstanceId,
-        step: StepId,
-        ctx: &mut Ctx<CentralMsg>,
-    ) {
-        let dep = self.deployment.clone();
-        for r in &dep.coordination.relative_orders {
-            for partner in dep.ro_links.partners_of(instance) {
-                let Some((side, k, a, b)) = self.ro_position(r, instance, partner, step) else {
-                    continue;
-                };
-                let decision = self
-                    .ro_decisions
-                    .get(&(r.id, a, b))
-                    .copied()
-                    .unwrap_or(RoState::Undecided);
-                let we_lead = matches!(
-                    (decision, side),
-                    (RoState::SideALeads, 0) | (RoState::SideBLeads, 1)
-                );
-                if we_lead {
-                    let msg = CentralMsg::Coord(CoordMsg::RoRelease {
-                        req: r.id,
-                        k,
-                        lagging: partner,
-                    });
-                    match self.route(partner) {
-                        None => {
-                            self.synth(&msg, ctx);
-                            self.ro_apply_release(r.id, k, partner, ctx);
-                        }
-                        Some(node) => ctx.send(node, msg),
-                    }
+                    self.ro_after_done(inst, step, ctx);
                 }
             }
         }
@@ -1685,11 +1355,7 @@ impl Engine {
                 let Some((side, _)) = ro_side(r, claimant, partner) else {
                     return;
                 };
-                let (a, b) = if side == 0 {
-                    (claimant, partner)
-                } else {
-                    (partner, claimant)
-                };
+                let (a, b) = ro_canonical(claimant, partner, side);
                 self.ro_decide(req, a, b, side, ctx);
             }
             CoordMsg::RoDecision {
@@ -1716,11 +1382,8 @@ impl Engine {
                 instance,
                 step,
             } => {
-                let terminal = {
-                    let st = self.inst(instance);
-                    st.aborted || st.committed
-                };
-                if terminal {
+                let nav = &self.inst(instance).nav;
+                if nav.aborted || nav.committed {
                     // The grant raced a terminal transition: hand it back.
                     self.mutex_release(req, instance, step, ctx);
                 } else {
@@ -1740,30 +1403,7 @@ impl Engine {
             }
         }
     }
-}
 
-/// Side and ordered steps of `mine` under requirement `r` against
-/// `partner` (same contract as the distributed agent's helper).
-fn ro_side(
-    r: &crew_model::RelativeOrder,
-    mine: InstanceId,
-    partner: InstanceId,
-) -> Option<(u8, Vec<StepId>)> {
-    let a_schema = r.pairs.first()?.0.schema;
-    let b_schema = r.pairs.first()?.1.schema;
-    if mine.schema == a_schema && partner.schema == b_schema {
-        if a_schema == b_schema && mine.serial > partner.serial {
-            return Some((1, r.pairs.iter().map(|(_, b)| b.step).collect()));
-        }
-        Some((0, r.pairs.iter().map(|(a, _)| a.step).collect()))
-    } else if mine.schema == b_schema && partner.schema == a_schema {
-        Some((1, r.pairs.iter().map(|(_, b)| b.step).collect()))
-    } else {
-        None
-    }
-}
-
-impl Engine {
     /// The actual message handler. [`Node::on_message`] journals the input
     /// and delegates here; [`Node::on_recover`] replays journalled inputs
     /// through here with a detached context.
@@ -1789,7 +1429,7 @@ impl Engine {
                 ..
             } => self.on_exec_result(instance, step, attempt, outputs, ctx),
             CentralMsg::CompensateResult { instance, step, .. } => {
-                self.apply_compensation(instance, step, ctx);
+                self.apply_compensation(instance, step);
                 self.inst(instance).comp_active = false;
                 self.pump_comp_queue(instance, ctx);
                 self.fire_rules(instance, ctx);

@@ -32,16 +32,17 @@
 
 use crate::msg::{CoordRule, DistMsg, StepStatusKind};
 use crate::packet::{RoTag, WorkflowPacket};
-use crate::runtime::{
-    coordination_agent, designated_agent, nested_instance_serial, SharedCtx, SuccessorSelection,
-};
+use crate::runtime::{coordination_agent, SharedCtx, SuccessorSelection};
 use crate::tags;
 use crate::weight::Weight;
-use crew_exec::{ocr_decide, InstanceHistory, OcrDecision, StepExecutor, StepOutcome, StepState};
+use crew_exec::{
+    declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, FailureVerdict,
+    InstanceHistory, InstanceNav, OcrDecision, StepExecutor, StepOutcome, StepState,
+};
 use crew_model::{
     DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, WorkflowSchema,
 };
-use crew_rules::{compile_schema, Action, EventKind, RuleId, RuleSet};
+use crew_rules::{compile_schema, Action, EventKind};
 use crew_simnet::{Ctx, Node, NodeId, TimerId};
 use crew_storage::{
     recover_for_node, AgentDb, DbOp, InstanceStatus, MemStore, StoredStepState, Wal,
@@ -60,21 +61,17 @@ const ROUTE_MUTEX: u64 = 1 << 32;
 const ROUTE_RO_CLAIM: u64 = 2 << 32;
 
 /// Volatile per-instance state at one agent (rebuilt from the AGDB on
-/// recovery).
+/// recovery): the shared navigator over the slice of the instance this
+/// agent holds, plus what only packet-passing agents need — the rollback
+/// epoch, the channels packets went down, relative-order wiring carried by
+/// packets, and the stall-detection / takeover bookkeeping.
 #[derive(Debug, Default)]
 struct InstState {
+    /// Rules are installed for the locally-designated steps only; the
+    /// terminal-weight account is meaningful at the coordination agent.
+    nav: InstanceNav,
     epoch: u32,
-    rules: RuleSet,
-    data: DataEnv,
-    history: InstanceHistory,
     instantiated: bool,
-    /// Rules per locally-designated step (for `AddPrecondition` routing and
-    /// rollback re-firing).
-    rule_ids: BTreeMap<StepId, Vec<RuleId>>,
-    /// Incoming packet weight per step, keyed by source step (joins sum
-    /// over sources; re-deliveries from the same source replace their slot
-    /// instead of double-counting). The initial packet uses `StepId(0)`.
-    weight_in: BTreeMap<StepId, BTreeMap<StepId, Weight>>,
     /// Successor steps we already forwarded packets toward, per local step
     /// (the halt probes retrace these channels).
     forwarded: BTreeMap<StepId, BTreeSet<StepId>>,
@@ -83,21 +80,9 @@ struct InstState {
     notify_on_done: BTreeMap<StepId, Vec<(u64, InstanceId, StepId)>>,
     /// Preconditions that arrived before the rules were instantiated.
     stashed_preconditions: Vec<(StepId, u64)>,
-    /// Chosen branch head per XOR split, to detect branch switches on
-    /// re-execution (Figure 3).
-    branch_choice: BTreeMap<StepId, StepId>,
-    /// Rollback attempts per origin step (retry budget).
-    rollback_counts: BTreeMap<StepId, u32>,
     /// Steps whose re-execution is deferred until a `CompensateSet` chain
     /// returns.
     awaiting_compset: BTreeSet<StepId>,
-    /// Steps invalidated by a rollback/halt and not yet revisited: the OCR
-    /// decision applies exactly to these. A rule re-firing for a step NOT
-    /// in this set is a fresh occurrence (e.g. a loop iteration) and must
-    /// execute, never "reuse".
-    revisit_pending: BTreeSet<StepId>,
-    /// Pending-rule first-seen times (for the poll timeout).
-    pending_since: BTreeMap<RuleId, u64>,
     /// Steps designated at another agent whose packet we hold but whose
     /// `step.done` has not appeared: step → first-seen time. The alternate
     /// eligible agent is the natural stall detector — it is the only node
@@ -113,17 +98,24 @@ struct InstState {
     overrides: BTreeSet<StepId>,
     /// Load-balanced executor choices received via packets: step → agent.
     chosen_executor: BTreeMap<StepId, crew_model::AgentId>,
-    // ---- coordination-agent role ----
+    /// This agent plays the coordination-agent role for the instance.
     is_coordinator: bool,
-    committed: bool,
-    aborted: bool,
-    /// Weight received per terminal step (replace semantics — idempotent
-    /// under re-execution, retractable on branch switch).
-    terminal_weights: BTreeMap<StepId, Weight>,
-    /// Parent linkage for nested instances.
-    parent: Option<(InstanceId, StepId)>,
-    /// Children pending per nested step (parent side).
-    pending_nested: BTreeMap<StepId, InstanceId>,
+}
+
+impl InstState {
+    /// Require `tag` before `step`'s execution rules (not its coordination
+    /// monitors) may fire.
+    fn guard_execution_rules(&mut self, step: StepId, tag: u64) {
+        for id in self.nav.rules_of(step) {
+            let rules = &mut self.nav.rules;
+            let is_monitor = rules
+                .rule(id)
+                .is_some_and(|r| matches!(r.action, Action::NotifyExternal { .. }));
+            if !is_monitor {
+                rules.add_precondition(id, EventKind::External(tag));
+            }
+        }
+    }
 }
 
 /// Relative-order arbiter decision state (per requirement × linked pair).
@@ -325,19 +317,16 @@ impl DistAgent {
             } else {
                 designated_agent(seed, instance, def) == me
             };
-            if !install {
-                continue;
+            if install {
+                st.nav.install_rule(t.step, t.rule.clone());
             }
-            let id = st.rules.add_rule(t.rule.clone());
-            st.rule_ids.entry(t.step).or_default().push(id);
         }
         // Relative-order claim monitors first: they fire on the raw
         // triggers (claiming costs nothing and must precede the decision).
         for (step, req) in ro_claim_monitors {
-            let ids = st.rule_ids.get(&step).cloned().unwrap_or_default();
             let mut monitors = Vec::new();
-            for id in &ids {
-                if let Some(rule) = st.rules.rule(*id) {
+            for id in st.nav.rules_of(step) {
+                if let Some(rule) = st.nav.rules.rule(id) {
                     if matches!(rule.action, Action::NotifyExternal { .. }) {
                         continue;
                     }
@@ -351,22 +340,13 @@ impl DistAgent {
                 }
             }
             for m in monitors {
-                let id = st.rules.add_rule(m);
-                st.rule_ids.entry(step).or_default().push(id);
+                st.nav.install_rule(step, m);
             }
         }
         // Relative-order guard preconditions on the execution rules (not
         // the claim monitors).
         for (step, tag) in preconditions {
-            for id in st.rule_ids.get(&step).cloned().unwrap_or_default() {
-                let is_monitor = st
-                    .rules
-                    .rule(id)
-                    .is_some_and(|r| matches!(r.action, Action::NotifyExternal { .. }));
-                if !is_monitor {
-                    st.rules.add_precondition(id, EventKind::External(tag));
-                }
-            }
+            st.guard_execution_rules(step, tag);
         }
         // Mutex monitor rules, cloned AFTER the relative-order guards were
         // attached: a lock must only be requested once the ordering
@@ -374,10 +354,9 @@ impl DistAgent {
         // a guard that only the next-in-queue could release (deadlock).
         for (step, req) in mutex_monitors {
             let grant = tags::mutex_grant(req, instance, step);
-            let ids = st.rule_ids.get(&step).cloned().unwrap_or_default();
             let mut monitors = Vec::new();
-            for id in &ids {
-                if let Some(rule) = st.rules.rule(*id) {
+            for id in st.nav.rules_of(step) {
+                if let Some(rule) = st.nav.rules.rule(id) {
                     if matches!(rule.action, Action::NotifyExternal { .. }) {
                         continue;
                     }
@@ -388,18 +367,18 @@ impl DistAgent {
                     };
                     monitor.label = format!("mutex monitor {step} req {req}");
                     monitors.push(monitor);
-                    st.rules.add_precondition(*id, EventKind::External(grant));
+                    let guard = EventKind::External(grant);
+                    st.nav.rules.add_precondition(id, guard);
                 }
             }
             for m in monitors {
-                let id = st.rules.add_rule(m);
-                st.rule_ids.entry(step).or_default().push(id);
+                st.nav.install_rule(step, m);
             }
         }
         let stashed = std::mem::take(&mut st.stashed_preconditions);
         for (step, tag) in stashed {
-            for id in st.rule_ids.get(&step).cloned().unwrap_or_default() {
-                st.rules.add_precondition(id, EventKind::External(tag));
+            for id in st.nav.rules_of(step) {
+                st.nav.rules.add_precondition(id, EventKind::External(tag));
             }
         }
         self.arm_poll(ctx);
@@ -487,12 +466,12 @@ impl DistAgent {
                 key,
                 value: value.clone(),
             });
-            self.inst(instance).data.set(key, value);
+            self.inst(instance).nav.data.set(key, value);
         }
         // Merge events by generation (idempotent across the broadcast,
         // fresh occurrences re-trigger rules).
         for (e, gen) in &packet.events {
-            let fresh = self.inst(instance).rules.merge_event(*e, *gen);
+            let fresh = self.inst(instance).nav.rules.merge_event(*e, *gen);
             if fresh {
                 self.log(DbOp::EventPosted {
                     instance,
@@ -519,31 +498,19 @@ impl DistAgent {
         if !am_executor && self.shared.config.enable_status_polling {
             let now = ctx.now;
             let st = self.inst(instance);
-            if !st.rules.has_event(EventKind::StepDone(packet.target_step)) {
+            let done = EventKind::StepDone(packet.target_step);
+            if !st.nav.rules.has_event(done) {
                 st.awaiting_remote.entry(packet.target_step).or_insert(now);
             }
         }
         if am_executor {
-            let source = packet.source_step.unwrap_or(StepId(0));
-            // A packet along a loop back-edge re-enters with the same
-            // thread: it replaces the head's incoming weight outright.
-            let via_loop_back = packet.source_step.is_some_and(|src| {
-                schema
-                    .outgoing(src)
-                    .any(|a| a.loop_back && a.to == packet.target_step)
-            });
-            let st = self.inst(instance);
-            if via_loop_back {
-                st.weight_in.insert(
-                    packet.target_step,
-                    BTreeMap::from([(source, packet.weight)]),
-                );
-            } else {
-                st.weight_in
-                    .entry(packet.target_step)
-                    .or_default()
-                    .insert(source, packet.weight);
-            }
+            let nav = &mut self.inst(instance).nav;
+            nav.accept_weight(
+                &schema,
+                packet.source_step,
+                packet.target_step,
+                packet.weight,
+            );
         }
         self.fire_rules(instance, ctx);
     }
@@ -554,35 +521,15 @@ impl DistAgent {
             st.stashed_preconditions.push((step, tag));
             return;
         }
-        let ids = st.rule_ids.get(&step).cloned().unwrap_or_default();
-        for id in ids {
-            let is_monitor = st
-                .rules
-                .rule(id)
-                .is_some_and(|r| matches!(r.action, Action::NotifyExternal { .. }));
-            if !is_monitor {
-                st.rules.add_precondition(id, EventKind::External(tag));
-            }
-        }
+        st.guard_execution_rules(step, tag);
     }
 
     /// Fire every ready rule and interpret the actions, repeating until no
     /// rule fires (a step completion can enable further local rules).
     fn fire_rules(&mut self, instance: InstanceId, ctx: &mut Ctx<DistMsg>) {
-        loop {
-            let firings = {
-                let st = self.inst(instance);
-                if st.aborted {
-                    return;
-                }
-                let data = st.data.clone();
-                st.rules.fire_ready(&data)
-            };
-            if firings.is_empty() {
-                break;
-            }
-            for f in firings {
-                match f.action {
+        while let Some(actions) = self.inst(instance).nav.ready_actions() {
+            for action in actions {
+                match action {
                     Action::StartStep(step) => self.start_step(instance, step, ctx),
                     Action::NotifyExternal { route, event } => {
                         let req = (route & 0xFFFF_FFFF) as u32;
@@ -602,7 +549,6 @@ impl DistAgent {
                 }
             }
         }
-        self.refresh_pending_ages(instance, ctx.now);
     }
 
     fn request_mutex(
@@ -627,26 +573,12 @@ impl DistAgent {
         }) else {
             return;
         };
-        let manager = self.mutex_manager_node(m);
-        let msg = DistMsg::AddRule {
-            rule: CoordRule::MutexAcquire {
-                req,
-                instance,
-                step: member.step,
-            },
+        let rule = CoordRule::MutexAcquire {
+            req,
+            instance,
+            step: member.step,
         };
-        if manager == ctx.self_id {
-            self.handle_coord_rule(
-                match msg {
-                    DistMsg::AddRule { rule } => rule,
-                    _ => unreachable!(),
-                },
-                ctx.self_id,
-                ctx,
-            );
-        } else {
-            ctx.send(manager, msg);
-        }
+        self.tell_mutex_manager(m, rule, ctx);
     }
 
     /// Claim relative-order leadership for `instance` at the arbiter of
@@ -721,24 +653,16 @@ impl DistAgent {
             return;
         }
 
-        let def = schema.expect_step(step).clone();
-        // OCR applies to rollback revisits only; a re-firing outside a
-        // rollback (a loop iteration) is a genuinely new execution.
-        let is_revisit = self.inst(instance).revisit_pending.remove(&step);
-        let decision = if is_revisit {
-            let plan = self.executor.plan.clone();
-            let st = self.inst(instance);
-            ocr_decide(&def, instance, &st.history, &st.data, &plan)
-        } else {
-            OcrDecision::ExecuteFresh
-        };
+        let def = schema.expect_step(step);
+        let nav = &mut self.instances.entry(instance).or_default().nav;
+        let decision = nav.revisit_decision(def, instance, &self.executor.plan);
         match decision {
             OcrDecision::Reuse => {
                 // Previous results suffice: re-assert step.done directly.
                 self.after_step_done(instance, step, false, ctx);
             }
             OcrDecision::ExecuteFresh => {
-                self.execute_now(instance, &def, ctx);
+                self.execute_now(instance, def, ctx);
             }
             OcrDecision::PartialCompensateIncrementalReexec
             | OcrDecision::CompleteCompensateCompleteReexec => {
@@ -764,21 +688,21 @@ impl DistAgent {
                             &schema,
                             *members.last().expect("non-empty"),
                         );
-                        let msg = DistMsg::CompensateSet {
-                            instance,
-                            origin: step,
-                            steps: members,
-                        };
                         if target == ctx.self_id {
-                            self.on_compensate_set_msg(msg, ctx);
+                            self.on_compensate_set(instance, step, members, ctx);
                         } else {
+                            let msg = DistMsg::CompensateSet {
+                                instance,
+                                origin: step,
+                                steps: members,
+                            };
                             ctx.send(target, msg);
                         }
                         return;
                     }
                 }
                 self.compensate_local(instance, step, partial, ctx);
-                self.execute_now(instance, &def, ctx);
+                self.execute_now(instance, def, ctx);
             }
         }
     }
@@ -793,7 +717,7 @@ impl DistAgent {
         let outcome = {
             let st = self.instances.get_mut(&instance).expect("instantiated");
             self.executor
-                .execute(def, instance, &mut st.data, &mut st.history)
+                .execute(def, instance, &mut st.nav.data, &mut st.nav.history)
                 .expect("programs are registered at deployment build time")
         };
         match outcome {
@@ -810,15 +734,12 @@ impl DistAgent {
                     attempt,
                     outputs: outputs.clone(),
                 });
-                for (i, v) in outputs.iter().enumerate() {
-                    let slot = (i + 1) as u16;
-                    if slot <= def.output_slots {
-                        self.log(DbOp::DataWritten {
-                            instance,
-                            key: ItemKey::output(def.id, slot),
-                            value: v.clone(),
-                        });
-                    }
+                for (key, v) in declared_outputs(def, &outputs) {
+                    self.log(DbOp::DataWritten {
+                        instance,
+                        key,
+                        value: v.clone(),
+                    });
                 }
                 self.after_step_done(instance, def.id, true, ctx);
             }
@@ -830,32 +751,45 @@ impl DistAgent {
                     attempt,
                     outputs: vec![],
                 });
-                let st = self.inst(instance);
-                st.rules.add_event(EventKind::StepFail(def.id));
+                let nav = &mut self.inst(instance).nav;
+                nav.rules.add_event(EventKind::StepFail(def.id));
                 self.log(DbOp::EventPosted {
                     instance,
                     code: EventKind::StepFail(def.id).code(),
                 });
-                // Failure-policy retry: requeue via a self-send so each
-                // attempt is a fresh delivery (simulated time advances and
-                // unbounded retries cannot recurse), falling back to the
-                // paper's rollback protocol once the budget is exhausted.
-                if def
-                    .policy
-                    .retry
-                    .as_ref()
-                    .is_some_and(|r| r.allows_retry_after(attempt))
-                {
-                    ctx.send(
+                let schema = self.schema(instance);
+                let nav = &mut self.inst(instance).nav;
+                match nav.failure_verdict(&schema, def.id, attempt) {
+                    // Requeue via a self-send so each attempt is a fresh
+                    // delivery (simulated time advances and unbounded
+                    // retries cannot recurse).
+                    FailureVerdict::Retry => ctx.send(
                         ctx.self_id,
                         DistMsg::StepRetry {
                             instance,
                             step: def.id,
                         },
-                    );
-                    return;
+                    ),
+                    // §5.2: only the rollback origin's agent is told —
+                    // "None of the other agents that executed steps of
+                    // that workflow are notified".
+                    FailureVerdict::RollbackTo(origin) => {
+                        let target = self.node_of_step(instance, &schema, origin);
+                        if target == ctx.self_id {
+                            self.on_workflow_rollback(instance, origin, false, ctx);
+                        } else {
+                            ctx.send(target, DistMsg::WorkflowRollback { instance, origin });
+                        }
+                    }
+                    FailureVerdict::Abort => {
+                        let coord = self.coordination_node(instance, &schema);
+                        if coord == ctx.self_id {
+                            self.on_workflow_abort(instance, ctx);
+                        } else {
+                            ctx.send(coord, DistMsg::WorkflowAbort { instance });
+                        }
+                    }
                 }
-                self.initiate_rollback(instance, def.id, ctx);
             }
         }
     }
@@ -871,23 +805,16 @@ impl DistAgent {
         ctx: &mut Ctx<DistMsg>,
     ) {
         let schema = self.schema(instance);
+        let rules = &mut self.inst(instance).nav.rules;
+        // A new execution is a new occurrence. OCR reuse: the previous
+        // completion stands — re-validate without minting a new occurrence,
+        // so downstream rules (whose marks were cleared by the halt) fire
+        // exactly once and re-delivery cascades do not amplify.
+        if freshly_executed
+            || !(rules.revalidate_event(EventKind::StepDone(step))
+                || rules.has_event(EventKind::StepDone(step)))
         {
-            let st = self.inst(instance);
-            if freshly_executed {
-                // A new execution is a new occurrence.
-                st.rules.add_event(EventKind::StepDone(step));
-            } else {
-                // OCR reuse: the previous completion stands — re-validate
-                // without minting a new occurrence, so downstream rules
-                // (whose marks were cleared by the halt) fire exactly once
-                // and re-delivery cascades do not amplify.
-                let st2 = self.instances.get_mut(&instance).expect("instantiated");
-                if !st2.rules.revalidate_event(EventKind::StepDone(step))
-                    && !st2.rules.has_event(EventKind::StepDone(step))
-                {
-                    st2.rules.add_event(EventKind::StepDone(step));
-                }
-            }
+            rules.add_event(EventKind::StepDone(step));
         }
         self.log(DbOp::EventPosted {
             instance,
@@ -910,20 +837,8 @@ impl DistAgent {
         // Terminal step: report completion (weight) to the coordination
         // agent.
         if schema.terminal_steps().contains(&step) {
-            let weight = self.flow_weight(instance, step);
-            let coord = self.coordination_node(instance, &schema);
-            let (num, den) = weight.parts();
-            let msg = DistMsg::StepCompleted {
-                instance,
-                step,
-                weight_num: num,
-                weight_den: den,
-            };
-            if coord == ctx.self_id {
-                self.on_step_completed(instance, step, weight, ctx);
-            } else {
-                ctx.send(coord, msg);
-            }
+            let weight = self.inst(instance).nav.flow_weight(step);
+            self.report_terminal_weight(instance, step, weight, &schema, ctx);
         }
 
         self.forward_packets(instance, step, &schema, ctx);
@@ -931,16 +846,28 @@ impl DistAgent {
         self.fire_rules(instance, ctx);
     }
 
-    /// Thread weight flowing through `step`: the sum of the per-source
-    /// slots (defaulting to 1 when nothing is recorded — the start step's
-    /// initial packet, or takeover paths).
-    fn flow_weight(&mut self, instance: InstanceId, step: StepId) -> Weight {
-        let st = self.inst(instance);
-        match st.weight_in.get(&step) {
-            Some(slots) if !slots.is_empty() => {
-                slots.values().fold(Weight::ZERO, |acc, w| acc.plus(*w))
-            }
-            _ => Weight::ONE,
+    /// Tell the coordination agent the completion weight of terminal
+    /// `step` (`Weight::ZERO` retracts it after a compensation).
+    fn report_terminal_weight(
+        &mut self,
+        instance: InstanceId,
+        step: StepId,
+        weight: Weight,
+        schema: &WorkflowSchema,
+        ctx: &mut Ctx<DistMsg>,
+    ) {
+        let coord = self.coordination_node(instance, schema);
+        if coord == ctx.self_id {
+            self.on_step_completed(instance, step, weight, ctx);
+        } else {
+            let (weight_num, weight_den) = weight.parts();
+            let msg = DistMsg::StepCompleted {
+                instance,
+                step,
+                weight_num,
+                weight_den,
+            };
+            ctx.send(coord, msg);
         }
     }
 
@@ -959,18 +886,7 @@ impl DistAgent {
         schema: &WorkflowSchema,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let split = schema.split_kind(step);
-        let forward: Vec<StepId> = schema.forward_outgoing(step).map(|a| a.to).collect();
-        let loops: Vec<StepId> = schema
-            .outgoing(step)
-            .filter(|a| a.loop_back)
-            .map(|a| a.to)
-            .collect();
-        let flow_weight = self.flow_weight(instance, step);
-        let branch_weight = match split {
-            Some(SplitKind::And) if forward.len() > 1 => flow_weight.split(forward.len() as u64),
-            _ => flow_weight,
-        };
+        let targets = self.inst(instance).nav.outgoing_weights(schema, step);
 
         let piggyback = self.shared.config.piggyback_ro;
         let (ro_leading, ro_lagging) = if piggyback {
@@ -979,11 +895,6 @@ impl DistAgent {
             (Vec::new(), Vec::new())
         };
 
-        let targets: Vec<(StepId, Weight)> = forward
-            .iter()
-            .map(|&t| (t, branch_weight))
-            .chain(loops.iter().map(|&t| (t, flow_weight)))
-            .collect();
         // When not piggybacking, ship the ordering obligations as separate
         // coordinated-execution messages (the §5.1 ablation's cost):
         // lagging tags become explicit AddPrecondition calls at the lagging
@@ -1044,8 +955,8 @@ impl DistAgent {
                 source_step: Some(step),
                 executor: None,
                 epoch: st.epoch,
-                data: st.data.clone(),
-                events: st.rules.present_events_with_gens(),
+                data: st.nav.data.clone(),
+                events: st.nav.rules.present_events_with_gens(),
                 ro_leading: ro_leading.clone(),
                 ro_lagging: ro_lagging.clone(),
                 weight,
@@ -1241,7 +1152,6 @@ impl DistAgent {
     /// Hooks run when `step` of `instance` completes: claim first-done to
     /// the arbiter, decide as arbiter, and emit leading notifications.
     fn ro_on_step_done(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<DistMsg>) {
-        let dep = self.shared.deployment.clone();
         // Leading notifications installed earlier (piggyback or arbiter).
         let notifies = self
             .inst(instance)
@@ -1262,8 +1172,6 @@ impl DistAgent {
                 ctx.send(node, msg);
             }
         }
-
-        let _ = (&dep, step);
     }
 
     /// The arbiter node for requirement `r` between canonical instances
@@ -1274,7 +1182,6 @@ impl DistAgent {
         a: InstanceId,
         b: InstanceId,
     ) -> NodeId {
-        let _ = a;
         let (_, b_pairs) = ro_side(r, b, a).expect("b participates");
         let schema = self.shared.deployment.expect_schema(b.schema);
         let step = *b_pairs.first().expect("pairs non-empty");
@@ -1328,7 +1235,6 @@ impl DistAgent {
         let (_, leader_pairs) = ro_side(r, leader, lagger).expect("leader participates");
         let (_, lagger_pairs) = ro_side(r, lagger, leader).expect("lagger participates");
         let leader_schema = dep.expect_schema(leader.schema).clone();
-        let lagger_schema = dep.expect_schema(lagger.schema).clone();
 
         for (k, (&lead_step, &lag_step)) in leader_pairs.iter().zip(lagger_pairs.iter()).enumerate()
         {
@@ -1368,7 +1274,6 @@ impl DistAgent {
                 );
             }
         }
-        let _ = lagger_schema;
     }
 
     fn install_ro_notify(
@@ -1387,7 +1292,7 @@ impl DistAgent {
             if !entry.contains(&val) {
                 entry.push(val);
             }
-            st.history.state(local_step) == StepState::Done
+            st.nav.history.state(local_step) == StepState::Done
         };
         // If the local step already completed (raced), emit immediately.
         if already_done {
@@ -1420,18 +1325,28 @@ impl DistAgent {
         let dep = self.shared.deployment.clone();
         for m in &dep.coordination.mutual_exclusions {
             if m.members.contains(&SchemaStep::new(instance.schema, step)) {
-                let manager = self.mutex_manager_node(m);
                 let rule = CoordRule::MutexRelease {
                     req: m.id,
                     instance,
                     step,
                 };
-                if manager == ctx.self_id {
-                    self.handle_coord_rule(rule, ctx.self_id, ctx);
-                } else {
-                    ctx.send(manager, DistMsg::AddRule { rule });
-                }
+                self.tell_mutex_manager(m, rule, ctx);
             }
+        }
+    }
+
+    /// Hand `rule` to requirement `m`'s manager agent.
+    fn tell_mutex_manager(
+        &mut self,
+        m: &crew_model::MutualExclusion,
+        rule: CoordRule,
+        ctx: &mut Ctx<DistMsg>,
+    ) {
+        let manager = self.mutex_manager_node(m);
+        if manager == ctx.self_id {
+            self.handle_coord_rule(rule, ctx.self_id, ctx);
+        } else {
+            ctx.send(manager, DistMsg::AddRule { rule });
         }
     }
 
@@ -1531,8 +1446,8 @@ impl DistAgent {
     }
 
     fn on_add_event(&mut self, instance: InstanceId, tag: u64, ctx: &mut Ctx<DistMsg>) {
-        let st = self.inst(instance);
-        st.rules.add_event(EventKind::External(tag));
+        let nav = &mut self.inst(instance).nav;
+        nav.rules.add_event(EventKind::External(tag));
         self.log(DbOp::EventPosted {
             instance,
             code: EventKind::External(tag).code(),
@@ -1561,47 +1476,29 @@ impl DistAgent {
                     mem.schema == instance.schema
                         && tags::mutex_grant(m.id, instance, mem.step) == tag
                 })
-                .map(|mem| (m.id, mem.step))
+                .map(|mem| (m, mem.step))
         });
-        let Some((req, step)) = hit else { return };
+        let Some((m, step)) = hit else { return };
+        let req = m.id;
         let stale = {
-            let st = self.inst(instance);
+            let nav = &self.inst(instance).nav;
             let executed =
-                st.history.state(step) != StepState::NotExecuted || st.committed || st.aborted;
-            let unconsumed = st
-                .rule_ids
-                .get(&step)
-                .map(|ids| {
-                    ids.iter().all(|id| {
-                        st.rules
-                            .trigger_consumed(*id, EventKind::External(tag))
-                            .map(|c| !c)
-                            .unwrap_or(true)
-                    })
-                })
-                .unwrap_or(true);
+                nav.history.state(step) != StepState::NotExecuted || nav.committed || nav.aborted;
+            let unconsumed = nav.rules_of(step).iter().all(|id| {
+                nav.rules
+                    .trigger_consumed(*id, EventKind::External(tag))
+                    .map(|c| !c)
+                    .unwrap_or(true)
+            });
             executed && unconsumed
         };
         if stale {
-            let manager = {
-                let m = dep
-                    .coordination
-                    .mutual_exclusions
-                    .iter()
-                    .find(|m| m.id == req)
-                    .expect("requirement exists");
-                self.mutex_manager_node(m)
-            };
             let rule = CoordRule::MutexRelease {
                 req,
                 instance,
                 step,
             };
-            if manager == ctx.self_id {
-                self.handle_coord_rule(rule, ctx.self_id, ctx);
-            } else {
-                ctx.send(manager, DistMsg::AddRule { rule });
-            }
+            self.tell_mutex_manager(m, rule, ctx);
         }
     }
 
@@ -1614,53 +1511,23 @@ impl DistAgent {
         schema: &WorkflowSchema,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        // Evaluate the branch conditions locally (the agent has the data)
-        // to learn which branch the new flow takes.
-        let data = self.inst(instance).data.clone();
-        let arcs: Vec<(StepId, Option<crew_model::Expr>)> = schema
-            .forward_outgoing(split)
-            .map(|a| (a.to, a.condition.clone()))
+        // The agent has the data, so it evaluates the branch conditions
+        // locally to learn which branch the new flow takes.
+        let Some(old_head) = self.inst(instance).nav.switch_branch(schema, split) else {
+            return;
+        };
+        // Compensate the abandoned branch before the confluence
+        // (CompensateThread, §5.2).
+        let topo_pos: BTreeMap<StepId, usize> = schema
+            .topo_order()
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (s, i))
             .collect();
-        let mut chosen: Option<StepId> = None;
-        let mut otherwise: Option<StepId> = None;
-        for (to, cond) in &arcs {
-            match cond {
-                Some(c) => {
-                    if c.eval_bool(&data).unwrap_or(false) && chosen.is_none() {
-                        chosen = Some(*to);
-                    }
-                }
-                None => otherwise = Some(*to),
-            }
-        }
-        let chosen = chosen.or(otherwise);
-        let Some(new_head) = chosen else { return };
-        let st = self.inst(instance);
-        let prev = st.branch_choice.insert(split, new_head);
-        if let Some(old_head) = prev {
-            if old_head != new_head {
-                // Compensate the abandoned branch before the confluence
-                // (CompensateThread, §5.2).
-                let topo_pos: BTreeMap<StepId, usize> = schema
-                    .topo_order()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| (s, i))
-                    .collect();
-                let mut steps: Vec<StepId> =
-                    schema.branch_steps(split, old_head).into_iter().collect();
-                steps.sort_by_key(|s| topo_pos[s]);
-                if steps.is_empty() {
-                    return;
-                }
-                let target = self.node_of_step(instance, schema, *steps.last().expect("ck"));
-                let msg = DistMsg::CompensateThread { instance, steps };
-                if target == ctx.self_id {
-                    self.on_compensate_thread_msg(msg, ctx);
-                } else {
-                    ctx.send(target, msg);
-                }
-            }
+        let mut steps: Vec<StepId> = schema.branch_steps(split, old_head).into_iter().collect();
+        steps.sort_by_key(|s| topo_pos[s]);
+        if !steps.is_empty() {
+            self.compensate_thread(instance, steps, ctx);
         }
     }
 
@@ -1674,76 +1541,44 @@ impl DistAgent {
         ctx: &mut Ctx<DistMsg>,
     ) -> bool {
         let schema = self.schema(instance);
-        let def = schema.expect_step(step).clone();
-        let done = {
-            let st = self.inst(instance);
-            st.history.state(step) == StepState::Done
-        };
-        if !done {
+        let def = schema.expect_step(step);
+        if self.inst(instance).nav.history.state(step) != StepState::Done {
             return false;
         }
         self.nav_load(ctx);
-        let cost = {
-            let st = self.instances.get_mut(&instance).expect("instantiated");
+        let nav = &mut self.instances.get_mut(&instance).expect("instantiated").nav;
+        let attempt = nav.history.record(step).map_or(0, |r| r.attempt);
+        let cost =
             self.executor
-                .compensate(&def, instance, &mut st.data, &mut st.history, partial)
-        };
+                .compensate(def, instance, &mut nav.data, &mut nav.history, partial);
         ctx.add_load(cost);
-        {
-            let st = self.inst(instance);
-            st.rules.add_event(EventKind::StepCompensated(step));
-            st.rules.invalidate_event(EventKind::StepDone(step));
-        }
+        nav.compensated(&schema, step);
         self.log(DbOp::StepOutputsCleared { instance, step });
         self.log(DbOp::StepRecorded {
             instance,
             step,
             state: StoredStepState::Compensated,
-            attempt: 0,
+            attempt,
             outputs: vec![],
         });
         self.log(DbOp::EventInvalidated {
             instance,
             code: EventKind::StepDone(step).code(),
         });
-        // Weight slots sourced at the compensated step are void (a branch
-        // switch must not leave the old branch's weight at the joins).
-        {
-            let succs: Vec<StepId> = schema.forward_outgoing(step).map(|a| a.to).collect();
-            let st = self.inst(instance);
-            for t in succs {
-                if let Some(slots) = st.weight_in.get_mut(&t) {
-                    slots.remove(&step);
-                }
-            }
-        }
         // A compensated terminal retracts its completion weight.
         if schema.terminal_steps().contains(&step) {
-            let coord = self.coordination_node(instance, &schema);
-            let msg = DistMsg::StepCompleted {
-                instance,
-                step,
-                weight_num: 0,
-                weight_den: 1,
-            };
-            if coord == ctx.self_id {
-                self.on_step_completed(instance, step, Weight::ZERO, ctx);
-            } else {
-                ctx.send(coord, msg);
-            }
+            self.report_terminal_weight(instance, step, Weight::ZERO, &schema, ctx);
         }
         true
     }
 
-    fn on_compensate_set_msg(&mut self, msg: DistMsg, ctx: &mut Ctx<DistMsg>) {
-        let DistMsg::CompensateSet {
-            instance,
-            origin,
-            mut steps,
-        } = msg
-        else {
-            return;
-        };
+    fn on_compensate_set(
+        &mut self,
+        instance: InstanceId,
+        origin: StepId,
+        mut steps: Vec<StepId>,
+        ctx: &mut Ctx<DistMsg>,
+    ) {
         self.ensure_instantiated(instance, ctx);
         self.nav_load(ctx);
         let Some(step) = steps.pop() else { return };
@@ -1760,81 +1595,51 @@ impl DistAgent {
             return;
         }
         let target = self.node_of_step(instance, &schema, *steps.last().expect("non-empty"));
-        let msg = DistMsg::CompensateSet {
-            instance,
-            origin,
-            steps,
-        };
         if target == ctx.self_id {
-            self.on_compensate_set_msg(msg, ctx);
+            self.on_compensate_set(instance, origin, steps, ctx);
         } else {
+            let msg = DistMsg::CompensateSet {
+                instance,
+                origin,
+                steps,
+            };
             ctx.send(target, msg);
         }
     }
 
-    fn on_compensate_thread_msg(&mut self, msg: DistMsg, ctx: &mut Ctx<DistMsg>) {
-        let DistMsg::CompensateThread {
-            instance,
-            mut steps,
-        } = msg
-        else {
-            return;
-        };
+    /// Pass the `CompensateThread` walk over `steps` (non-empty) to the
+    /// agent of its last step.
+    fn compensate_thread(
+        &mut self,
+        instance: InstanceId,
+        steps: Vec<StepId>,
+        ctx: &mut Ctx<DistMsg>,
+    ) {
+        let schema = self.schema(instance);
+        let target = self.node_of_step(instance, &schema, *steps.last().expect("non-empty"));
+        if target == ctx.self_id {
+            self.on_compensate_thread(instance, steps, ctx);
+        } else {
+            ctx.send(target, DistMsg::CompensateThread { instance, steps });
+        }
+    }
+
+    fn on_compensate_thread(
+        &mut self,
+        instance: InstanceId,
+        mut steps: Vec<StepId>,
+        ctx: &mut Ctx<DistMsg>,
+    ) {
         self.ensure_instantiated(instance, ctx);
         self.nav_load(ctx);
         let Some(step) = steps.pop() else { return };
         self.compensate_local(instance, step, false, ctx);
-        if steps.is_empty() {
-            return;
-        }
-        let schema = self.schema(instance);
-        let target = self.node_of_step(instance, &schema, *steps.last().expect("non-empty"));
-        let msg = DistMsg::CompensateThread { instance, steps };
-        if target == ctx.self_id {
-            self.on_compensate_thread_msg(msg, ctx);
-        } else {
-            ctx.send(target, msg);
+        if !steps.is_empty() {
+            self.compensate_thread(instance, steps, ctx);
         }
     }
 
     // ---- rollback --------------------------------------------------------------
-
-    /// Initiated at the agent where a step failed: route `WorkflowRollback`
-    /// to the rollback origin's agent (§5.2 — "None of the other agents
-    /// that executed steps of that workflow are notified").
-    fn initiate_rollback(&mut self, instance: InstanceId, failed: StepId, ctx: &mut Ctx<DistMsg>) {
-        let schema = self.schema(instance);
-        let origin = schema
-            .rollback_spec_for(failed)
-            .map(|r| r.origin)
-            .unwrap_or(failed);
-        let max_attempts = schema
-            .rollback_spec_for(failed)
-            .map(|r| r.max_attempts)
-            .unwrap_or(self.shared.config.default_max_attempts);
-        {
-            let st = self.inst(instance);
-            let count = st.rollback_counts.entry(origin).or_default();
-            *count += 1;
-            if *count >= max_attempts {
-                // Retry budget exhausted: abort the workflow.
-                let coord = self.coordination_node(instance, &schema);
-                let msg = DistMsg::WorkflowAbort { instance };
-                if coord == ctx.self_id {
-                    self.on_workflow_abort(instance, ctx);
-                } else {
-                    ctx.send(coord, msg);
-                }
-                return;
-            }
-        }
-        let target = self.node_of_step(instance, &schema, origin);
-        if target == ctx.self_id {
-            self.on_workflow_rollback(instance, origin, false, ctx);
-        } else {
-            ctx.send(target, DistMsg::WorkflowRollback { instance, origin });
-        }
-    }
 
     /// At the rollback origin's agent: bump the epoch, invalidate the
     /// downstream `step.done` facts, send the halt probes along the
@@ -1850,36 +1655,17 @@ impl DistAgent {
         self.ensure_instantiated(instance, ctx);
         self.nav_load(ctx);
         let schema = self.schema(instance);
-        let invalidated = schema.invalidation_set(origin);
-        let epoch = {
-            let st = self.inst(instance);
-            st.epoch += 1;
-            for &s in &invalidated {
-                st.rules.invalidate_event(EventKind::StepDone(s));
-                st.weight_in.remove(&s);
-            }
-            // Reset the origin's own firing so fire_rules re-executes it.
-            for id in st.rule_ids.get(&origin).cloned().unwrap_or_default() {
-                st.rules.reset_rule(id);
-            }
-            st.revisit_pending.insert(origin);
-            st.revisit_pending.extend(invalidated.iter().copied());
-            st.epoch
-        };
-        for &s in &invalidated {
+        let st = self.inst(instance);
+        st.epoch += 1;
+        let epoch = st.epoch;
+        let invalidated = st.nav.invalidate_from(&schema, origin);
+        // The origin re-executes, and so must every invalidated step held
+        // here: packets re-deliver their triggers with generations the
+        // rules already consumed, so their past firings are voided (monitor
+        // rules included — a mutex monitor must re-acquire).
+        st.nav.refire(invalidated.iter().copied().chain([origin]));
+        for &s in invalidated.iter().chain([&origin]) {
             self.invalidate_step_coordination(instance, s);
-        }
-        self.invalidate_step_coordination(instance, origin);
-        // Every invalidated step must re-run: its rules' past firings are
-        // void, so clear their marks (monitor rules included — a mutex
-        // monitor must re-acquire for the re-execution).
-        {
-            let st = self.inst(instance);
-            for &s in &invalidated {
-                for id in st.rule_ids.get(&s).cloned().unwrap_or_default() {
-                    st.rules.reset_rule(id);
-                }
-            }
         }
         for &s in &invalidated {
             self.log(DbOp::EventInvalidated {
@@ -1934,8 +1720,8 @@ impl DistAgent {
         for m in &dep.coordination.mutual_exclusions {
             if m.members.contains(&SchemaStep::new(instance.schema, step)) {
                 let tag = tags::mutex_grant(m.id, instance, step);
-                let st = self.inst(instance);
-                st.rules.invalidate_event(EventKind::External(tag));
+                let rules = &mut self.inst(instance).nav.rules;
+                rules.invalidate_event(EventKind::External(tag));
             }
         }
     }
@@ -2004,23 +1790,10 @@ impl DistAgent {
         }
         self.nav_load(ctx);
         let schema = self.schema(instance);
-        let invalidated = schema.invalidation_set(origin);
-        {
-            let st = self.inst(instance);
-            for &s in &invalidated {
-                st.rules.invalidate_event(EventKind::StepDone(s));
-                st.weight_in.remove(&s);
-                st.revisit_pending.insert(s);
-            }
-        }
-        {
-            let st = self.inst(instance);
-            for &s in &invalidated {
-                for id in st.rule_ids.get(&s).cloned().unwrap_or_default() {
-                    st.rules.reset_rule(id);
-                }
-            }
-        }
+        let nav = &mut self.inst(instance).nav;
+        let invalidated = nav.invalidate_from(&schema, origin);
+        // Downstream of the origin: only the invalidated steps re-run here.
+        nav.refire(invalidated.iter().copied());
         for &s in &invalidated {
             self.invalidate_step_coordination(instance, s);
             self.log(DbOp::EventInvalidated {
@@ -2046,7 +1819,7 @@ impl DistAgent {
         {
             let st = self.inst(instance);
             st.is_coordinator = true;
-            st.parent = parent;
+            st.nav.parent = parent;
         }
         self.log(DbOp::StatusChanged {
             instance,
@@ -2083,24 +1856,12 @@ impl DistAgent {
         ctx: &mut Ctx<DistMsg>,
     ) {
         self.nav_load(ctx);
-        let (committed_now, parent) = {
-            let st = self.inst(instance);
-            if st.committed || st.aborted {
-                return;
-            }
-            st.terminal_weights.insert(step, weight);
-            let total = st
-                .terminal_weights
-                .values()
-                .fold(Weight::ZERO, |acc, w| acc.plus(*w));
-            if total.is_one() {
-                st.committed = true;
-                (true, st.parent)
-            } else {
-                (false, None)
-            }
-        };
-        if !committed_now {
+        let nav = &mut self.inst(instance).nav;
+        if nav.committed || nav.aborted {
+            return; // the coordinator's verdict stands
+        }
+        nav.set_terminal_weight(step, weight);
+        if !nav.commit_now() {
             return;
         }
         self.log(DbOp::StatusChanged {
@@ -2108,24 +1869,22 @@ impl DistAgent {
             status: InstanceStatus::Committed,
         });
         // Notify the front end (or the parent, for nested instances).
-        match parent {
-            Some((parent_instance, parent_step)) => {
-                let outputs = self.nested_outputs(instance);
-                let pschema = self
-                    .shared
-                    .deployment
-                    .expect_schema(parent_instance.schema)
-                    .clone();
-                let node = self.node_of_step(parent_instance, &pschema, parent_step);
-                let msg = DistMsg::NestedCompleted {
-                    parent: parent_instance,
-                    parent_step,
-                    child: instance,
-                    outputs,
-                };
+        let schema = self.schema(instance);
+        let nav = &self.inst(instance).nav;
+        match nav.parent {
+            Some((parent, parent_step)) => {
+                let outputs = nav.nested_outputs(&schema);
+                let pschema = self.schema(parent);
+                let node = self.node_of_step(parent, &pschema, parent_step);
                 if node == ctx.self_id {
-                    self.on_nested_completed(msg, ctx);
+                    self.on_nested_completed(parent, parent_step, outputs, ctx);
                 } else {
+                    let msg = DistMsg::NestedCompleted {
+                        parent,
+                        parent_step,
+                        child: instance,
+                        outputs,
+                    };
                     ctx.send(node, msg);
                 }
             }
@@ -2145,53 +1904,25 @@ impl DistAgent {
         }
     }
 
-    /// Outputs a committed nested instance hands back to its parent: the
-    /// outputs of its last terminal step (in topo order).
-    fn nested_outputs(&mut self, instance: InstanceId) -> Vec<Value> {
-        let schema = self.schema(instance);
-        let st = self.inst(instance);
-        schema
-            .terminal_steps()
-            .iter()
-            .rev()
-            .find_map(|t| st.history.record(*t).map(|r| r.outputs.clone()))
-            .unwrap_or_default()
-    }
-
-    fn on_nested_completed(&mut self, msg: DistMsg, ctx: &mut Ctx<DistMsg>) {
-        let DistMsg::NestedCompleted {
-            parent,
-            parent_step,
-            child,
-            outputs,
-        } = msg
-        else {
-            return;
-        };
+    fn on_nested_completed(
+        &mut self,
+        parent: InstanceId,
+        parent_step: StepId,
+        outputs: Vec<Value>,
+        ctx: &mut Ctx<DistMsg>,
+    ) {
         self.ensure_instantiated(parent, ctx);
         self.nav_load(ctx);
         let schema = self.schema(parent);
-        let def = schema.expect_step(parent_step).clone();
-        {
-            let st = self.inst(parent);
-            st.pending_nested.remove(&parent_step);
-            let attempt = st.history.begin_attempt(parent_step);
-            st.history
-                .record_done(parent_step, attempt, vec![], outputs.clone());
-            let _ = child;
+        let def = schema.expect_step(parent_step);
+        for (key, v) in declared_outputs(def, &outputs) {
+            self.log(DbOp::DataWritten {
+                instance: parent,
+                key,
+                value: v.clone(),
+            });
         }
-        for (i, v) in outputs.iter().enumerate() {
-            let slot = (i + 1) as u16;
-            if slot <= def.output_slots {
-                let key = ItemKey::output(parent_step, slot);
-                self.log(DbOp::DataWritten {
-                    instance: parent,
-                    key,
-                    value: v.clone(),
-                });
-                self.inst(parent).data.set(key, v.clone());
-            }
-        }
+        self.inst(parent).nav.record_child_done(def, outputs);
         self.after_step_done(parent, parent_step, true, ctx);
     }
 
@@ -2202,48 +1933,26 @@ impl DistAgent {
         child_schema: crew_model::SchemaId,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let already = self.inst(instance).pending_nested.contains_key(&step);
-        if already {
-            return;
-        }
         // Reuse of a completed nested step follows the OCR path upstream of
         // here; launching means we genuinely (re)run the child.
         let schema = self.schema(instance);
-        let def = schema.expect_step(step).clone();
-        let child = InstanceId::new(child_schema, nested_instance_serial(instance, step));
-        self.inst(instance).pending_nested.insert(step, child);
+        let nav = &mut self.inst(instance).nav;
+        let Some((child, inputs)) =
+            nav.launch_nested(instance, schema.expect_step(step), child_schema)
+        else {
+            return;
+        };
         self.nav_load(ctx);
-        let inputs: Vec<(ItemKey, Value)> = {
-            let st = self.inst(instance);
-            def.input_keys()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, k)| {
-                    st.data
-                        .get(k)
-                        .cloned()
-                        .map(|v| (ItemKey::input((i + 1) as u16), v))
-                })
-                .collect()
-        };
-        let cschema = self.shared.deployment.expect_schema(child_schema).clone();
-        let coord = self.coordination_node(child, &cschema);
-        let msg = DistMsg::WorkflowStart {
-            instance: child,
-            inputs,
-            parent: Some((instance, step)),
-        };
+        let parent = Some((instance, step));
+        let coord = self.coordination_node(child, &self.schema(child));
         if coord == ctx.self_id {
-            self.on_workflow_start(
-                child,
-                match msg {
-                    DistMsg::WorkflowStart { inputs, .. } => inputs,
-                    _ => unreachable!(),
-                },
-                Some((instance, step)),
-                ctx,
-            );
+            self.on_workflow_start(child, inputs, parent, ctx);
         } else {
+            let msg = DistMsg::WorkflowStart {
+                instance: child,
+                inputs,
+                parent,
+            };
             ctx.send(coord, msg);
         }
     }
@@ -2251,11 +1960,7 @@ impl DistAgent {
     fn on_workflow_abort(&mut self, instance: InstanceId, ctx: &mut Ctx<DistMsg>) {
         self.ensure_instantiated(instance, ctx);
         self.nav_load(ctx);
-        let reject = {
-            let st = self.inst(instance);
-            st.committed
-        };
-        if reject {
+        if self.inst(instance).nav.committed {
             // "Any request for aborting the workflow ... after a workflow
             // commit will be rejected."
             ctx.send(
@@ -2267,13 +1972,11 @@ impl DistAgent {
             );
             return;
         }
-        {
-            let st = self.inst(instance);
-            if st.aborted {
-                return;
-            }
-            st.aborted = true;
+        let nav = &mut self.inst(instance).nav;
+        if nav.aborted {
+            return;
         }
+        nav.aborted = true;
         self.log(DbOp::StatusChanged {
             instance,
             status: InstanceStatus::Aborted,
@@ -2287,17 +1990,12 @@ impl DistAgent {
                     if member.schema != instance.schema {
                         continue;
                     }
-                    let manager = self.mutex_manager_node(m);
                     let rule = CoordRule::MutexRelease {
                         req: m.id,
                         instance,
                         step: member.step,
                     };
-                    if manager == ctx.self_id {
-                        self.handle_coord_rule(rule, ctx.self_id, ctx);
-                    } else {
-                        ctx.send(manager, DistMsg::AddRule { rule });
-                    }
+                    self.tell_mutex_manager(m, rule, ctx);
                 }
             }
         }
@@ -2316,8 +2014,7 @@ impl DistAgent {
                     step: def.id,
                 };
                 if node == ctx.self_id {
-                    let compensated = self.compensate_local(instance, def.id, false, ctx);
-                    let _ = compensated;
+                    self.compensate_local(instance, def.id, false, ctx);
                 } else {
                     ctx.send(node, msg);
                 }
@@ -2344,11 +2041,8 @@ impl DistAgent {
     ) {
         self.ensure_instantiated(instance, ctx);
         self.nav_load(ctx);
-        let reject = {
-            let st = self.inst(instance);
-            st.committed || st.aborted
-        };
-        if reject {
+        let nav = &self.inst(instance).nav;
+        if nav.committed || nav.aborted {
             ctx.send(
                 self.shared.directory.frontend,
                 DistMsg::WorkflowStatusReply {
@@ -2359,43 +2053,28 @@ impl DistAgent {
             return;
         }
         let schema = self.schema(instance);
-        // The rollback origin: the earliest step (topo order) reading any
-        // changed input.
-        let changed: BTreeSet<ItemKey> = new_inputs.iter().map(|(k, _)| *k).collect();
-        let origin = schema
-            .topo_order()
-            .iter()
-            .copied()
-            .find(|s| {
-                schema
-                    .expect_step(*s)
-                    .input_keys()
-                    .iter()
-                    .any(|k| changed.contains(k))
-            })
-            .unwrap_or(schema.start_step());
+        // The new inputs take effect at the rollback origin's agent.
+        let origin = input_change_origin(&schema, &new_inputs);
         let target = self.node_of_step(instance, &schema, origin);
-        let msg = DistMsg::InputsChanged {
-            instance,
-            origin,
-            new_inputs,
-        };
         if target == ctx.self_id {
-            self.on_inputs_changed(msg, ctx);
+            self.on_inputs_changed(instance, origin, new_inputs, ctx);
         } else {
+            let msg = DistMsg::InputsChanged {
+                instance,
+                origin,
+                new_inputs,
+            };
             ctx.send(target, msg);
         }
     }
 
-    fn on_inputs_changed(&mut self, msg: DistMsg, ctx: &mut Ctx<DistMsg>) {
-        let DistMsg::InputsChanged {
-            instance,
-            origin,
-            new_inputs,
-        } = msg
-        else {
-            return;
-        };
+    fn on_inputs_changed(
+        &mut self,
+        instance: InstanceId,
+        origin: StepId,
+        new_inputs: Vec<(ItemKey, Value)>,
+        ctx: &mut Ctx<DistMsg>,
+    ) {
         self.ensure_instantiated(instance, ctx);
         for (key, value) in new_inputs {
             self.log(DbOp::DataWritten {
@@ -2403,7 +2082,7 @@ impl DistAgent {
                 key,
                 value: value.clone(),
             });
-            self.inst(instance).data.set(key, value);
+            self.inst(instance).nav.data.set(key, value);
         }
         self.on_workflow_rollback(instance, origin, false, ctx);
     }
@@ -2417,16 +2096,6 @@ impl DistAgent {
         }
     }
 
-    fn refresh_pending_ages(&mut self, instance: InstanceId, now: u64) {
-        let st = self.inst(instance);
-        let pending: BTreeMap<RuleId, Vec<EventKind>> =
-            st.rules.pending_rules().into_iter().collect();
-        st.pending_since.retain(|id, _| pending.contains_key(id));
-        for id in pending.keys() {
-            st.pending_since.entry(*id).or_insert(now);
-        }
-    }
-
     fn on_poll_timer(&mut self, ctx: &mut Ctx<DistMsg>) {
         let timeout = self.shared.config.poll_timeout;
         let now = ctx.now;
@@ -2434,15 +2103,15 @@ impl DistAgent {
         let mut takeovers: Vec<(InstanceId, StepId)> = Vec::new();
         let mut live_instances = false;
         for (&instance, st) in &mut self.instances {
-            if st.committed || st.aborted {
+            if st.nav.committed || st.nav.aborted {
                 continue;
             }
             live_instances = true;
             // Drop stall records for steps that completed meanwhile.
             st.awaiting_remote
-                .retain(|&s, _| !st.rules.has_event(EventKind::StepDone(s)));
+                .retain(|&s, _| !st.nav.rules.has_event(EventKind::StepDone(s)));
             st.poll_pending
-                .retain(|&s, _| !st.rules.has_event(EventKind::StepDone(s)));
+                .retain(|&s, _| !st.nav.rules.has_event(EventKind::StepDone(s)));
             // Overdue remote steps → poll their eligible agents.
             for (&step, &since) in &st.awaiting_remote {
                 if now.saturating_sub(since) >= timeout && !st.polled.contains(&step) {
@@ -2517,7 +2186,7 @@ impl DistAgent {
     ) {
         let status = match self.instances.get(&instance) {
             None => StepStatusKind::Unknown,
-            Some(st) => match st.history.state(step) {
+            Some(st) => match st.nav.history.state(step) {
                 StepState::Done => StepStatusKind::Done,
                 StepState::Failed => StepStatusKind::Failed,
                 StepState::Executing => StepStatusKind::Executing,
@@ -2586,7 +2255,7 @@ impl DistAgent {
         let def = schema.expect_step(step).clone();
         {
             let st = self.inst(instance);
-            if st.history.state(step) != StepState::NotExecuted {
+            if st.nav.history.state(step) != StepState::NotExecuted {
                 return; // executed / executing here already
             }
             st.overrides.insert(step);
@@ -2604,7 +2273,7 @@ impl DistAgent {
         let current = self
             .instances
             .get(&instance)
-            .is_some_and(|st| st.history.state(step) == StepState::Failed);
+            .is_some_and(|st| st.nav.history.state(step) == StepState::Failed);
         if !current {
             return;
         }
@@ -2654,12 +2323,12 @@ impl DistAgent {
 
     /// The instance's data table at this agent.
     pub fn data_of(&self, instance: InstanceId) -> Option<&DataEnv> {
-        self.instances.get(&instance).map(|s| &s.data)
+        self.instances.get(&instance).map(|s| &s.nav.data)
     }
 
     /// The instance's execution history at this agent.
     pub fn history_of(&self, instance: InstanceId) -> Option<&InstanceHistory> {
-        self.instances.get(&instance).map(|s| &s.history)
+        self.instances.get(&instance).map(|s| &s.nav.history)
     }
 
     /// Cumulative navigation load.
@@ -2686,8 +2355,9 @@ impl DistAgent {
         let st = self.instances.get(&instance)?;
         Some((
             st.is_coordinator,
-            st.committed,
-            st.terminal_weights
+            st.nav.committed,
+            st.nav
+                .terminal_weights()
                 .iter()
                 .map(|(&s, w)| (s, w.to_string()))
                 .collect(),
@@ -2699,8 +2369,9 @@ impl DistAgent {
     pub fn pending_debug(&self, instance: InstanceId) -> Option<String> {
         let st = self.instances.get(&instance)?;
         let mut out = String::new();
-        for (id, missing) in st.rules.pending_rules() {
+        for (id, missing) in st.nav.rules.pending_rules() {
             let label = st
+                .nav
                 .rules
                 .rule(id)
                 .map(|r| r.label.clone())
@@ -2717,30 +2388,6 @@ impl DistAgent {
     }
 }
 
-/// For requirement `r` and linked pair `(mine, partner)`: which side `mine`
-/// plays (0 = first components, 1 = second) and its ordered conflicting
-/// steps. `None` if `mine` does not participate against `partner`.
-fn ro_side(
-    r: &crew_model::RelativeOrder,
-    mine: InstanceId,
-    partner: InstanceId,
-) -> Option<(u8, Vec<StepId>)> {
-    let a_schema = r.pairs.first()?.0.schema;
-    let b_schema = r.pairs.first()?.1.schema;
-    if mine.schema == a_schema && partner.schema == b_schema {
-        // Same-schema requirements disambiguate by serial: the lower serial
-        // takes side 0.
-        if a_schema == b_schema && mine.serial > partner.serial {
-            return Some((1, r.pairs.iter().map(|(_, b)| b.step).collect()));
-        }
-        Some((0, r.pairs.iter().map(|(a, _)| a.step).collect()))
-    } else if mine.schema == b_schema && partner.schema == a_schema {
-        Some((1, r.pairs.iter().map(|(_, b)| b.step).collect()))
-    } else {
-        None
-    }
-}
-
 /// The partner's ordered steps for the same requirement.
 fn ro_partner_pairs(
     r: &crew_model::RelativeOrder,
@@ -2750,15 +2397,6 @@ fn ro_partner_pairs(
     match ro_side(r, partner, mine) {
         Some((_, steps)) => steps,
         None => Vec::new(),
-    }
-}
-
-/// Canonical (side-0 instance, side-1 instance) ordering for tag stability.
-fn ro_canonical(mine: InstanceId, partner: InstanceId, my_side: u8) -> (InstanceId, InstanceId) {
-    if my_side == 0 {
-        (mine, partner)
-    } else {
-        (partner, mine)
     }
 }
 
@@ -2814,8 +2452,17 @@ impl Node<DistMsg> for DistAgent {
             DistMsg::StateInformationReply { token, load } => {
                 self.on_state_information_reply(token, load, from, ctx)
             }
-            DistMsg::NestedCompleted { .. } => self.on_nested_completed(msg, ctx),
-            DistMsg::InputsChanged { .. } => self.on_inputs_changed(msg, ctx),
+            DistMsg::NestedCompleted {
+                parent,
+                parent_step,
+                outputs,
+                ..
+            } => self.on_nested_completed(parent, parent_step, outputs, ctx),
+            DistMsg::InputsChanged {
+                instance,
+                origin,
+                new_inputs,
+            } => self.on_inputs_changed(instance, origin, new_inputs, ctx),
             DistMsg::WorkflowRollback { instance, origin } => {
                 self.on_workflow_rollback(instance, origin, false, ctx)
             }
@@ -2836,8 +2483,14 @@ impl Node<DistMsg> for DistAgent {
                 );
             }
             DistMsg::StepCompensateAck { .. } => {}
-            DistMsg::CompensateSet { .. } => self.on_compensate_set_msg(msg, ctx),
-            DistMsg::CompensateThread { .. } => self.on_compensate_thread_msg(msg, ctx),
+            DistMsg::CompensateSet {
+                instance,
+                origin,
+                steps,
+            } => self.on_compensate_set(instance, origin, steps, ctx),
+            DistMsg::CompensateThread { instance, steps } => {
+                self.on_compensate_thread(instance, steps, ctx)
+            }
             DistMsg::StepStatus { instance, step } => {
                 self.on_step_status(instance, step, from, ctx)
             }
@@ -2910,33 +2563,30 @@ impl Node<DistMsg> for DistAgent {
             .iter()
         {
             let st = self.instances.entry(instance).or_default();
-            st.data = table.data.clone();
+            st.nav.data = table.data.clone();
+            let history = &mut st.nav.history;
             for (step, (state, attempt, outputs)) in &table.steps {
+                // The journaled attempt is the step's attempt counter: a
+                // recovered agent must neither re-grant spent retries nor
+                // re-fire scripted first-attempt failures.
+                if *state != StoredStepState::Executing {
+                    history.restore_attempts(*step, *attempt);
+                }
                 match state {
-                    StoredStepState::Done => {
-                        for _ in 0..*attempt {
-                            st.history.begin_attempt(*step);
+                    StoredStepState::Done | StoredStepState::Compensated => {
+                        history.record_done(*step, *attempt, vec![], outputs.clone());
+                        if *state == StoredStepState::Compensated {
+                            history.record_compensated(*step);
                         }
-                        st.history
-                            .record_done(*step, *attempt, vec![], outputs.clone());
                     }
-                    StoredStepState::Failed => {
-                        st.history.begin_attempt(*step);
-                        st.history.record_failed(*step);
-                    }
-                    StoredStepState::Compensated => {
-                        st.history.begin_attempt(*step);
-                        st.history
-                            .record_done(*step, *attempt, vec![], outputs.clone());
-                        st.history.record_compensated(*step);
-                    }
+                    StoredStepState::Failed => history.record_failed(*step),
                     StoredStepState::Executing => {}
                 }
             }
             if let Some(status) = self.db.status(instance) {
                 st.is_coordinator = true;
-                st.committed = status == InstanceStatus::Committed;
-                st.aborted = status == InstanceStatus::Aborted;
+                st.nav.committed = status == InstanceStatus::Committed;
+                st.nav.aborted = status == InstanceStatus::Aborted;
             }
         }
     }
@@ -2951,19 +2601,34 @@ mod tests {
     use super::*;
     use crate::runtime::{Directory, SharedCtx};
     use crate::DistConfig;
-    use crew_exec::Deployment;
-    use crew_model::{AgentId, ItemKey, SchemaBuilder, SchemaId, Value};
+    use crew_exec::{Deployment, FailurePlan};
+    use crew_model::{AgentId, ItemKey, RetryPolicy, SchemaBuilder, SchemaId, Value};
 
-    fn agent() -> DistAgent {
+    /// S1 → S2, both on agent 0 with an in-place retry budget; `plan`
+    /// scripts which attempts fail.
+    fn agent_with(plan: FailurePlan) -> DistAgent {
         let mut b = SchemaBuilder::new(SchemaId(1), "wf1").inputs(1);
-        let s = b.add_step("S1", "passthrough");
-        b.configure(s, |d| d.eligible_agents = vec![AgentId(0)]);
+        let s1 = b.add_step("S1", "passthrough");
+        let s2 = b.add_step("S2", "passthrough");
+        b.seq(s1, s2);
+        for s in [s1, s2] {
+            b.configure(s, |d| {
+                d.eligible_agents = vec![AgentId(0)];
+                d.policy.retry = Some(RetryPolicy::bounded(5));
+            });
+        }
+        let mut deployment = Deployment::new([b.build().unwrap()]);
+        deployment.plan = plan;
         let shared = SharedCtx {
-            deployment: Arc::new(Deployment::new([b.build().unwrap()])),
+            deployment: Arc::new(deployment),
             directory: Directory::new(1),
             config: DistConfig::default(),
         };
         DistAgent::new(AgentId(0), shared)
+    }
+
+    fn agent() -> DistAgent {
+        agent_with(FailurePlan::none())
     }
 
     #[test]
@@ -3008,23 +2673,62 @@ mod tests {
 
     #[test]
     fn readable_wal_recovers_projection() {
-        let mut a = agent();
         let instance = InstanceId::new(SchemaId(1), 1);
+        let (s1, s2) = (StepId(1), StepId(2));
+        // S1 fails once, S2 three times; every retry is a self-send the
+        // detached context drops, so the test delivers them by hand.
+        let plan = FailurePlan::none()
+            .fail_step(instance, s1, 1)
+            .fail_step(instance, s2, 1)
+            .fail_step(instance, s2, 2)
+            .fail_step(instance, s2, 3);
+        let mut a = agent_with(plan);
         let mut ctx = Ctx::detached(0, NodeId(0));
-        a.on_message(
-            NodeId::EXTERNAL,
+        let mut deliver = |a: &mut DistAgent, msg| a.on_message(NodeId(0), msg, &mut ctx);
+        deliver(
+            &mut a,
             DistMsg::WorkflowStart {
                 instance,
                 inputs: vec![(ItemKey::input(1), Value::Int(5))],
                 parent: None,
             },
-            &mut ctx,
         );
+        deliver(&mut a, DistMsg::StepRetry { instance, step: s1 });
+        deliver(&mut a, DistMsg::StepRetry { instance, step: s2 });
+        deliver(&mut a, DistMsg::StepRetry { instance, step: s2 });
+        deliver(&mut a, DistMsg::StepCompensate { instance, step: s1 });
+        let history = a.history_of(instance).unwrap();
+        assert_eq!(history.state(s1), StepState::Compensated);
+        assert_eq!(
+            (history.state(s2), history.attempts(s2)),
+            (StepState::Failed, 3)
+        );
+
         a.on_crash();
         assert!(a.instances.is_empty());
         let mut ctx = Ctx::detached(10, NodeId(0));
         a.on_recover(&mut ctx);
         assert!(!a.is_halted());
         assert!(a.db.instance(instance).is_some());
+        // Attempt counters survive the crash for failed and compensated
+        // steps alike: S1 completed on its second attempt, S2 failed thrice.
+        let history = a.history_of(instance).unwrap();
+        assert_eq!(history.state(s1), StepState::Compensated);
+        assert_eq!(history.record(s1).map(|r| r.attempt), Some(2));
+        assert_eq!(history.attempts(s1), 2);
+        assert_eq!(
+            (history.state(s2), history.attempts(s2)),
+            (StepState::Failed, 3)
+        );
+        // So the pending retry is attempt 4 — past the scripted failures —
+        // not a replay of attempt 2.
+        a.on_message(
+            NodeId(0),
+            DistMsg::StepRetry { instance, step: s2 },
+            &mut ctx,
+        );
+        let history = a.history_of(instance).unwrap();
+        assert_eq!(history.state(s2), StepState::Done);
+        assert_eq!(history.record(s2).map(|r| r.attempt), Some(4));
     }
 }

@@ -1,8 +1,9 @@
 //! Deployment-wide runtime knowledge shared by every distributed agent:
 //! the node directory, designated-executor selection, and configuration.
 
-use crew_exec::{hash, Deployment};
-use crew_model::{AgentId, InstanceId, StepDef, StepId, WorkflowSchema};
+use crew_exec::Deployment;
+pub use crew_exec::{designated_agent, nested_instance_serial};
+use crew_model::{AgentId, InstanceId, WorkflowSchema};
 use crew_simnet::NodeId;
 use std::sync::Arc;
 
@@ -72,8 +73,6 @@ pub struct DistConfig {
     /// Piggyback relative-ordering tags on workflow packets (§5.1). The
     /// ablation bench disables this to send them as separate messages.
     pub piggyback_ro: bool,
-    /// Default retry budget for steps without an explicit rollback spec.
-    pub default_max_attempts: u32,
     /// Successor-selection strategy for multi-eligible steps.
     pub successor_selection: SuccessorSelection,
 }
@@ -86,32 +85,9 @@ impl Default for DistConfig {
             poll_timeout: 100,
             purge_period: None,
             piggyback_ro: true,
-            default_max_attempts: 3,
             successor_selection: SuccessorSelection::default(),
         }
     }
-}
-
-/// The designated executor of a step execution: a deterministic rendezvous
-/// hash over the eligible agents, keyed by (deployment seed, instance,
-/// step). Every agent computes the same answer with zero messages; the
-/// workflow packet is broadcast to all eligible agents (the paper sends the
-/// packet to every agent responsible for a succeeding step), and only the
-/// designated one executes. The `StateInformation`-based two-phase/leader
-/// election selection of §4.2 exists as an alternative mode in the
-/// successor-selection ablation.
-pub fn designated_agent(seed: u64, instance: InstanceId, def: &StepDef) -> AgentId {
-    let e = &def.eligible_agents;
-    assert!(!e.is_empty(), "step {} has no eligible agents", def.id);
-    let h = hash::combine(
-        seed,
-        &[
-            instance.schema.0 as u64,
-            instance.serial as u64,
-            def.id.0 as u64,
-        ],
-    );
-    e[(h % e.len() as u64) as usize]
 }
 
 /// The coordination agent of an instance: the designated executor of its
@@ -119,17 +95,6 @@ pub fn designated_agent(seed: u64, instance: InstanceId, def: &StepDef) -> Agent
 /// first step of the workflow").
 pub fn coordination_agent(seed: u64, instance: InstanceId, schema: &WorkflowSchema) -> AgentId {
     designated_agent(seed, instance, schema.expect_step(schema.start_step()))
-}
-
-/// Child instance id for a nested workflow launched by `parent` at
-/// `step`. Deterministic and collision-free for the serial ranges the
-/// harnesses use (serials < 2^20, steps < 2^10).
-pub fn nested_instance_serial(parent: InstanceId, step: StepId) -> u32 {
-    parent
-        .serial
-        .wrapping_mul(1009)
-        .wrapping_add(step.0)
-        .wrapping_add(0x4000_0000)
 }
 
 /// Convenience: all deployment schemas' eligible agents must fit the pool.
@@ -171,21 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn designation_is_deterministic_and_eligible() {
-        let mut def = StepDef::new(StepId(2), "X", "p");
-        def.eligible_agents = vec![AgentId(1), AgentId(4), AgentId(7)];
-        let inst = InstanceId::new(SchemaId(1), 3);
-        let a = designated_agent(9, inst, &def);
-        assert_eq!(a, designated_agent(9, inst, &def));
-        assert!(def.eligible_agents.contains(&a));
-        // Spread: different instances land on different agents eventually.
-        let distinct: std::collections::BTreeSet<AgentId> = (0..50)
-            .map(|n| designated_agent(9, InstanceId::new(SchemaId(1), n), &def))
-            .collect();
-        assert!(distinct.len() > 1);
-    }
-
-    #[test]
     fn coordination_agent_is_start_designee() {
         let mut b = SchemaBuilder::new(SchemaId(1), "x");
         let s1 = b.add_step("A", "p");
@@ -196,17 +146,5 @@ mod tests {
         let schema = b.build().unwrap();
         let inst = InstanceId::new(SchemaId(1), 1);
         assert_eq!(coordination_agent(7, inst, &schema), AgentId(2));
-    }
-
-    #[test]
-    fn nested_serials_distinct() {
-        let p = InstanceId::new(SchemaId(1), 5);
-        let a = nested_instance_serial(p, StepId(2));
-        let b = nested_instance_serial(p, StepId(3));
-        assert_ne!(a, b);
-        assert_ne!(
-            a,
-            nested_instance_serial(InstanceId::new(SchemaId(1), 6), StepId(2))
-        );
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::failure::FailurePlan;
 use crate::history::InstanceHistory;
+use crate::nav::declared_outputs;
 use crate::program::{ProgramCtx, ProgramRegistry, StepFailure};
 use crew_model::{DataEnv, InstanceId, StepDef, Value};
 
@@ -115,13 +116,8 @@ impl StepExecutor {
         };
         match program.run(&ctx) {
             Ok(outputs) => {
-                for (i, v) in outputs.iter().enumerate() {
-                    // Slot numbering is 1-based; extra outputs beyond the
-                    // declared count are dropped.
-                    let slot = (i + 1) as u16;
-                    if slot <= def.output_slots {
-                        env.set(crew_model::ItemKey::output(def.id, slot), v.clone());
-                    }
+                for (key, v) in declared_outputs(def, &outputs) {
+                    env.set(key, v.clone());
                 }
                 history.record_done(def.id, attempt, inputs, outputs.clone());
                 Ok(StepOutcome::Done {

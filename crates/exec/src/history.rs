@@ -72,6 +72,13 @@ impl InstanceHistory {
         *a
     }
 
+    /// Restore `step`'s attempt counter to a journaled value, so a
+    /// recovered node neither re-grants spent retries nor re-fires
+    /// first-attempt failures.
+    pub fn restore_attempts(&mut self, step: StepId, attempts: u32) {
+        self.attempts.insert(step, attempts);
+    }
+
     /// Record a successful completion.
     pub fn record_done(
         &mut self,

@@ -7,9 +7,11 @@
 //! the paper's Figure 5.
 //!
 //! The centralized engine, the parallel engines and the distributed agents
-//! all build on this crate, so OCR behaves identically across
-//! architectures and the performance comparison of §6 measures the
-//! architectures, not divergent recovery semantics.
+//! all build on this crate — and embed its per-instance navigator
+//! ([`InstanceNav`]), which makes every enactment decision once — so
+//! navigation and recovery behave identically across architectures and the
+//! performance comparison of §6 measures the architectures, not divergent
+//! semantics.
 
 #![warn(missing_docs)]
 
@@ -18,6 +20,7 @@ pub mod executor;
 pub mod failure;
 pub mod hash;
 pub mod history;
+pub mod nav;
 pub mod ocr;
 pub mod program;
 pub mod weight;
@@ -26,6 +29,10 @@ pub use deploy::{Deployment, RelOrderLinks};
 pub use executor::{ExecError, StepExecutor, StepOutcome};
 pub use failure::FailurePlan;
 pub use history::{InstanceHistory, StepRecord, StepState};
+pub use nav::{
+    declared_outputs, designated_agent, input_change_origin, nested_instance_serial, ro_canonical,
+    ro_side, FailureVerdict, InstanceNav, DEFAULT_MAX_ROLLBACKS,
+};
 pub use ocr::{decide as ocr_decide, OcrDecision, INCREMENTAL_FRACTION};
 pub use program::{FnProgram, Program, ProgramCtx, ProgramRegistry, StepFailure};
 pub use weight::Weight;

@@ -5,10 +5,15 @@
 //! normal-execution counts match the closed forms exactly for sequential
 //! workloads.
 
+use crew_central::CentralRun;
 use crew_core::{Architecture, Scenario, WorkflowSystem};
-use crew_model::{SchemaId, Value};
+use crew_distributed::{designated_agent, DistConfig, DistRun, Outcome};
+use crew_exec::hash;
+use crew_model::{DataEnv, InstanceId, SchemaId, Value};
 use crew_simnet::Mechanism;
+use crew_storage::InstanceStatus;
 use crew_workload::{build_deployment, SetupParams};
+use std::collections::BTreeMap;
 
 fn run_arch(arch: Architecture, p: &SetupParams, instances: u32) -> crew_core::RunReport {
     let deployment = build_deployment(p, false);
@@ -289,4 +294,119 @@ fn coordination_density_shapes() {
         high > low,
         "coordination messages grow with density: {high} vs {low}"
     );
+}
+
+/// The committed data table of every instance after running `deployment`
+/// under central control (read at the engine) and under distributed control
+/// (read at the agent that executed the instance's terminal step — the one
+/// table every upstream packet flowed into).
+fn committed_data(
+    deployment: &crew_exec::Deployment,
+    agents: u32,
+    starts: &[InstanceId],
+) -> [BTreeMap<InstanceId, DataEnv>; 2] {
+    let inputs = || vec![(1, Value::Int(5)), (2, Value::Int(1))];
+
+    let mut central = CentralRun::new(deployment.clone(), agents, 1);
+    for inst in starts {
+        assert_eq!(central.start_instance(inst.schema, inputs()), *inst);
+    }
+    central.run();
+    let statuses = central.statuses();
+    let engine = central.engine(0);
+
+    let mut dist = DistRun::new(deployment.clone(), agents, DistConfig::default());
+    for inst in starts {
+        assert_eq!(dist.start_instance(inst.schema, inputs()), *inst);
+    }
+    dist.run();
+    let outcomes = dist.outcomes();
+
+    let mut tables = [BTreeMap::new(), BTreeMap::new()];
+    for &inst in starts {
+        assert_eq!(
+            statuses.get(&inst),
+            Some(&InstanceStatus::Committed),
+            "{inst}"
+        );
+        assert_eq!(outcomes.get(&inst), Some(&Outcome::Committed), "{inst}");
+        let schema = deployment.expect_schema(inst.schema);
+        let [terminal] = schema.terminal_steps() else {
+            panic!("sequential schemas end in one step");
+        };
+        let at = designated_agent(deployment.seed, inst, schema.expect_step(*terminal));
+        tables[0].insert(inst, engine.data_of(inst).expect("hosted").clone());
+        tables[1].insert(
+            inst,
+            dist.agent(at).data_of(inst).expect("executed").clone(),
+        );
+    }
+    tables
+}
+
+/// Differential architectures, at the data level: the same
+/// `crew-workload` schemas, seed and `FailurePlan` commit the same data
+/// table per instance under central and distributed control — every step
+/// output is a `step@attempt` stamp, so equality means both architectures
+/// executed, reused and re-executed the same steps the same number of
+/// times. Fault-free, and with 1 and 2 scripted failing steps per instance
+/// (the envelope `benchmark/README.md` "Known stalls" documents for
+/// distributed control). Sequential schemas, like the rest of this file:
+/// under distributed control a generated AND-diamond whose two branches are
+/// designated at one agent runs the second branch off the first branch's
+/// packet, before its own weight arrives, and never commits.
+#[test]
+fn committed_data_matches_between_central_and_distributed() {
+    let p = SetupParams {
+        s: 11,
+        c: 3,
+        z: 8,
+        a: 2,
+        me: 0,
+        ro: 0,
+        rd: 0,
+        r: 2,
+        pf: 0.0,
+        pi: 0.0,
+        pa: 0.0,
+        pr: 0.5,
+        seed: 29,
+    };
+    let base = build_deployment(&p, false);
+    let schemas: Vec<SchemaId> = base.schemas.keys().copied().collect();
+    let starts: Vec<InstanceId> = (0..12u32)
+        .map(|k| InstanceId::new(schemas[k as usize % schemas.len()], k + 1))
+        .collect();
+
+    for failing_steps in 0..=2u64 {
+        let mut deployment = base.clone();
+        for inst in &starts {
+            let order = deployment.expect_schema(inst.schema).topo_order().to_vec();
+            // Distinct steps per instance: a hashed first pick, the second
+            // a fixed stride further along the topo order.
+            let first = hash::combine(p.seed, &[inst.serial as u64]) as usize;
+            for j in 0..failing_steps as usize {
+                let step = order[(first + j * 4) % order.len()];
+                deployment.plan = deployment.plan.fail_step(*inst, step, 1);
+            }
+        }
+        let [central, distributed] = committed_data(&deployment, p.z, &starts);
+        for inst in &starts {
+            assert_eq!(
+                central[inst], distributed[inst],
+                "{inst} with {failing_steps} failing step(s)"
+            );
+        }
+        let reexecuted = |tables: &BTreeMap<InstanceId, DataEnv>| {
+            let stamps = tables.values().flat_map(|t| t.iter());
+            stamps
+                .filter(|(_, v)| matches!(v, Value::Str(s) if !s.ends_with("@1")))
+                .count()
+        };
+        assert_eq!(
+            reexecuted(&central) > 0,
+            failing_steps > 0,
+            "failures, and only failures, force later attempts"
+        );
+    }
 }
