@@ -1,370 +1,57 @@
-//! Binary codec for [`CentralMsg`], so centralized/parallel traffic can
-//! ride the simulator's WAL-backed reliable channels (the durable outbox
-//! needs to persist message payloads across fail-stop crashes).
+//! Wire tables for [`CentralMsg`] and [`CoordMsg`], so centralized/parallel
+//! traffic can ride the simulator's WAL-backed reliable channels (the
+//! durable outbox needs to persist message payloads across fail-stop
+//! crashes) and engines can journal their inputs.
 //!
-//! Wire discriminants are allocated centrally in [`crate::tags`].
+//! The number at the head of a row is the variant's `u8` tag on the wire.
+//! Tags are dense from zero in the order the variants were added; a new
+//! variant takes the next free number and no number is ever reused, because
+//! WALs and channel logs written before the change must still decode.
 
 use crate::msg::{CentralMsg, CoordMsg};
-use crate::tags::{central, coord};
-use bytes::{Bytes, BytesMut};
-use crew_storage::{CodecError, Decode, Encode};
+use crew_storage::wire;
 
-impl Encode for CoordMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            CoordMsg::RoFirstDone {
-                req,
-                claimant,
-                partner,
-            } => {
-                coord::RO_FIRST_DONE.encode(buf);
-                req.encode(buf);
-                claimant.encode(buf);
-                partner.encode(buf);
-            }
-            CoordMsg::RoDecision {
-                req,
-                a,
-                b,
-                leader_side,
-            } => {
-                coord::RO_DECISION.encode(buf);
-                req.encode(buf);
-                a.encode(buf);
-                b.encode(buf);
-                leader_side.encode(buf);
-            }
-            CoordMsg::RoRelease { req, k, lagging } => {
-                coord::RO_RELEASE.encode(buf);
-                req.encode(buf);
-                (*k as u64).encode(buf);
-                lagging.encode(buf);
-            }
-            CoordMsg::MutexAcquire {
-                req,
-                instance,
-                step,
-            } => {
-                coord::MUTEX_ACQUIRE.encode(buf);
-                req.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-            }
-            CoordMsg::MutexGrant {
-                req,
-                instance,
-                step,
-            } => {
-                coord::MUTEX_GRANT.encode(buf);
-                req.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-            }
-            CoordMsg::MutexRelease {
-                req,
-                instance,
-                step,
-            } => {
-                coord::MUTEX_RELEASE.encode(buf);
-                req.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-            }
-            CoordMsg::RollbackDep { instance, origin } => {
-                coord::ROLLBACK_DEP.encode(buf);
-                instance.encode(buf);
-                origin.encode(buf);
-            }
-        }
+wire! {
+    enum CoordMsg {
+        0 => RoFirstDone { req, claimant, partner },
+        1 => RoDecision { req, a, b, leader_side },
+        2 => RoRelease { req, k, lagging },
+        3 => MutexAcquire { req, instance, step },
+        4 => MutexGrant { req, instance, step },
+        5 => MutexRelease { req, instance, step },
+        6 => RollbackDep { instance, origin },
     }
 }
 
-impl Decode for CoordMsg {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(match u8::decode(buf)? {
-            coord::RO_FIRST_DONE => CoordMsg::RoFirstDone {
-                req: Decode::decode(buf)?,
-                claimant: Decode::decode(buf)?,
-                partner: Decode::decode(buf)?,
-            },
-            coord::RO_DECISION => CoordMsg::RoDecision {
-                req: Decode::decode(buf)?,
-                a: Decode::decode(buf)?,
-                b: Decode::decode(buf)?,
-                leader_side: Decode::decode(buf)?,
-            },
-            coord::RO_RELEASE => CoordMsg::RoRelease {
-                req: Decode::decode(buf)?,
-                k: u64::decode(buf)? as usize,
-                lagging: Decode::decode(buf)?,
-            },
-            coord::MUTEX_ACQUIRE => CoordMsg::MutexAcquire {
-                req: Decode::decode(buf)?,
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-            },
-            coord::MUTEX_GRANT => CoordMsg::MutexGrant {
-                req: Decode::decode(buf)?,
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-            },
-            coord::MUTEX_RELEASE => CoordMsg::MutexRelease {
-                req: Decode::decode(buf)?,
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-            },
-            coord::ROLLBACK_DEP => CoordMsg::RollbackDep {
-                instance: Decode::decode(buf)?,
-                origin: Decode::decode(buf)?,
-            },
-            tag => {
-                return Err(CodecError::BadTag {
-                    context: "CoordMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl Encode for CentralMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            CentralMsg::WorkflowStart { instance, inputs } => {
-                central::WORKFLOW_START.encode(buf);
-                instance.encode(buf);
-                inputs.encode(buf);
-            }
-            CentralMsg::WorkflowChangeInputs {
-                instance,
-                new_inputs,
-            } => {
-                central::WORKFLOW_CHANGE_INPUTS.encode(buf);
-                instance.encode(buf);
-                new_inputs.encode(buf);
-            }
-            CentralMsg::WorkflowAbort { instance } => {
-                central::WORKFLOW_ABORT.encode(buf);
-                instance.encode(buf);
-            }
-            CentralMsg::WorkflowStatus { instance } => {
-                central::WORKFLOW_STATUS.encode(buf);
-                instance.encode(buf);
-            }
-            CentralMsg::ExecRequest {
-                instance,
-                step,
-                program,
-                inputs,
-                attempt,
-                cost,
-            } => {
-                central::EXEC_REQUEST.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-                program.encode(buf);
-                inputs.encode(buf);
-                attempt.encode(buf);
-                cost.encode(buf);
-            }
-            CentralMsg::StateProbe { token } => {
-                central::STATE_PROBE.encode(buf);
-                token.encode(buf);
-            }
-            CentralMsg::CompensateRequest {
-                instance,
-                step,
-                program,
-                partial,
-                for_abort,
-            } => {
-                central::COMPENSATE_REQUEST.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-                program.encode(buf);
-                partial.encode(buf);
-                for_abort.encode(buf);
-            }
-            CentralMsg::ExecResult {
-                instance,
-                step,
-                attempt,
-                outputs,
-                error,
-            } => {
-                central::EXEC_RESULT.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-                attempt.encode(buf);
-                outputs.encode(buf);
-                error.encode(buf);
-            }
-            CentralMsg::StateProbeReply { token, load } => {
-                central::STATE_PROBE_REPLY.encode(buf);
-                token.encode(buf);
-                load.encode(buf);
-            }
-            CentralMsg::CompensateResult {
-                instance,
-                step,
-                for_abort,
-            } => {
-                central::COMPENSATE_RESULT.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-                for_abort.encode(buf);
-            }
-            CentralMsg::Coord(c) => {
-                central::COORD.encode(buf);
-                c.encode(buf);
-            }
-            CentralMsg::ChildStart {
-                child,
-                inputs,
-                parent,
-                parent_step,
-            } => {
-                central::CHILD_START.encode(buf);
-                child.encode(buf);
-                inputs.encode(buf);
-                parent.encode(buf);
-                parent_step.encode(buf);
-            }
-            CentralMsg::ChildDone {
-                parent,
-                parent_step,
-                outputs,
-            } => {
-                central::CHILD_DONE.encode(buf);
-                parent.encode(buf);
-                parent_step.encode(buf);
-                outputs.encode(buf);
-            }
-            CentralMsg::MigrateRequest { instance, target } => {
-                central::MIGRATE_REQUEST.encode(buf);
-                instance.encode(buf);
-                target.encode(buf);
-            }
-            CentralMsg::MigrateState { instance, records } => {
-                central::MIGRATE_STATE.encode(buf);
-                instance.encode(buf);
-                (records.len() as u32).encode(buf);
-                for (from, payload) in records {
-                    from.encode(buf);
-                    payload.encode(buf);
-                }
-            }
-            CentralMsg::MigrateAck { instance } => {
-                central::MIGRATE_ACK.encode(buf);
-                instance.encode(buf);
-            }
-            CentralMsg::OwnerChanged { instance, owner } => {
-                central::OWNER_CHANGED.encode(buf);
-                instance.encode(buf);
-                owner.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for CentralMsg {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(match u8::decode(buf)? {
-            central::WORKFLOW_START => CentralMsg::WorkflowStart {
-                instance: Decode::decode(buf)?,
-                inputs: Decode::decode(buf)?,
-            },
-            central::WORKFLOW_CHANGE_INPUTS => CentralMsg::WorkflowChangeInputs {
-                instance: Decode::decode(buf)?,
-                new_inputs: Decode::decode(buf)?,
-            },
-            central::WORKFLOW_ABORT => CentralMsg::WorkflowAbort {
-                instance: Decode::decode(buf)?,
-            },
-            central::WORKFLOW_STATUS => CentralMsg::WorkflowStatus {
-                instance: Decode::decode(buf)?,
-            },
-            central::EXEC_REQUEST => CentralMsg::ExecRequest {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-                program: Decode::decode(buf)?,
-                inputs: Decode::decode(buf)?,
-                attempt: Decode::decode(buf)?,
-                cost: Decode::decode(buf)?,
-            },
-            central::STATE_PROBE => CentralMsg::StateProbe {
-                token: Decode::decode(buf)?,
-            },
-            central::COMPENSATE_REQUEST => CentralMsg::CompensateRequest {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-                program: Decode::decode(buf)?,
-                partial: Decode::decode(buf)?,
-                for_abort: Decode::decode(buf)?,
-            },
-            central::EXEC_RESULT => CentralMsg::ExecResult {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-                attempt: Decode::decode(buf)?,
-                outputs: Decode::decode(buf)?,
-                error: Decode::decode(buf)?,
-            },
-            central::STATE_PROBE_REPLY => CentralMsg::StateProbeReply {
-                token: Decode::decode(buf)?,
-                load: Decode::decode(buf)?,
-            },
-            central::COMPENSATE_RESULT => CentralMsg::CompensateResult {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-                for_abort: Decode::decode(buf)?,
-            },
-            central::COORD => CentralMsg::Coord(CoordMsg::decode(buf)?),
-            central::CHILD_START => CentralMsg::ChildStart {
-                child: Decode::decode(buf)?,
-                inputs: Decode::decode(buf)?,
-                parent: Decode::decode(buf)?,
-                parent_step: Decode::decode(buf)?,
-            },
-            central::CHILD_DONE => CentralMsg::ChildDone {
-                parent: Decode::decode(buf)?,
-                parent_step: Decode::decode(buf)?,
-                outputs: Decode::decode(buf)?,
-            },
-            central::MIGRATE_REQUEST => CentralMsg::MigrateRequest {
-                instance: Decode::decode(buf)?,
-                target: Decode::decode(buf)?,
-            },
-            central::MIGRATE_STATE => {
-                let instance = Decode::decode(buf)?;
-                let n = u32::decode(buf)? as usize;
-                let mut records = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    records.push((u32::decode(buf)?, Vec::<u8>::decode(buf)?));
-                }
-                CentralMsg::MigrateState { instance, records }
-            }
-            central::MIGRATE_ACK => CentralMsg::MigrateAck {
-                instance: Decode::decode(buf)?,
-            },
-            central::OWNER_CHANGED => CentralMsg::OwnerChanged {
-                instance: Decode::decode(buf)?,
-                owner: Decode::decode(buf)?,
-            },
-            tag => {
-                return Err(CodecError::BadTag {
-                    context: "CentralMsg",
-                    tag,
-                })
-            }
-        })
+wire! {
+    enum CentralMsg {
+        0 => WorkflowStart { instance, inputs },
+        1 => WorkflowChangeInputs { instance, new_inputs },
+        2 => WorkflowAbort { instance },
+        3 => WorkflowStatus { instance },
+        4 => ExecRequest { instance, step, program, inputs, attempt, cost },
+        5 => StateProbe { token },
+        6 => CompensateRequest { instance, step, program, partial, for_abort },
+        7 => ExecResult { instance, step, attempt, outputs, error },
+        8 => StateProbeReply { token, load },
+        9 => CompensateResult { instance, step, for_abort },
+        10 => Coord(c),
+        11 => ChildStart { child, inputs, parent, parent_step },
+        12 => ChildDone { parent, parent_step, outputs },
+        // Live-migration protocol (crew-shard).
+        13 => MigrateRequest { instance, target },
+        14 => MigrateState { instance, records },
+        15 => MigrateAck { instance },
+        16 => OwnerChanged { instance, owner },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Buf;
+    use bytes::{Buf, Bytes};
     use crew_model::{InstanceId, ItemKey, SchemaId, StepId, Value};
+    use crew_storage::{CodecError, Decode, Encode};
     use proptest::prelude::*;
 
     fn inst(n: u32) -> InstanceId {

@@ -16,7 +16,6 @@ pub mod builder;
 pub mod codec;
 pub mod engine;
 pub mod msg;
-pub mod tags;
 pub mod topology;
 
 pub use appagent::AppAgent;

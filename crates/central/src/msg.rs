@@ -11,6 +11,7 @@
 
 use crew_model::{InstanceId, ItemKey, StepId, Value};
 use crew_simnet::{Classify, Mechanism};
+use crew_storage::VariantName;
 
 /// Engine↔engine coordination traffic (parallel control only).
 #[derive(Debug, Clone, PartialEq)]
@@ -229,16 +230,6 @@ impl CentralMsg {
 impl Classify for CentralMsg {
     fn kind(&self) -> &'static str {
         match self {
-            CentralMsg::WorkflowStart { .. } => "WorkflowStart",
-            CentralMsg::WorkflowChangeInputs { .. } => "WorkflowChangeInputs",
-            CentralMsg::WorkflowAbort { .. } => "WorkflowAbort",
-            CentralMsg::WorkflowStatus { .. } => "WorkflowStatus",
-            CentralMsg::ExecRequest { .. } => "ExecRequest",
-            CentralMsg::StateProbe { .. } => "StateProbe",
-            CentralMsg::CompensateRequest { .. } => "CompensateRequest",
-            CentralMsg::ExecResult { .. } => "ExecResult",
-            CentralMsg::StateProbeReply { .. } => "StateProbeReply",
-            CentralMsg::CompensateResult { .. } => "CompensateResult",
             CentralMsg::Coord(c) => match c {
                 CoordMsg::RoFirstDone { .. } => "Coord.RoFirstDone",
                 CoordMsg::RoDecision { .. } => "Coord.RoDecision",
@@ -248,12 +239,7 @@ impl Classify for CentralMsg {
                 CoordMsg::MutexRelease { .. } => "Coord.MutexRelease",
                 CoordMsg::RollbackDep { .. } => "Coord.RollbackDep",
             },
-            CentralMsg::ChildStart { .. } => "ChildStart",
-            CentralMsg::ChildDone { .. } => "ChildDone",
-            CentralMsg::MigrateRequest { .. } => "MigrateRequest",
-            CentralMsg::MigrateState { .. } => "MigrateState",
-            CentralMsg::MigrateAck { .. } => "MigrateAck",
-            CentralMsg::OwnerChanged { .. } => "OwnerChanged",
+            other => other.variant_name(),
         }
     }
 
@@ -377,6 +363,30 @@ mod tests {
             })
             .mechanism(),
             Mechanism::FailureHandling
+        );
+    }
+
+    /// `Classify::approx_size` is `size_of_val`, so the benchmark's
+    /// `bytes_per_inst` is a multiple of this in-memory size, not of any
+    /// encoded length: a variant field that grows the enum moves it.
+    #[test]
+    fn in_memory_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<CentralMsg>(), 72);
+    }
+
+    #[test]
+    fn kinds_are_stable_names() {
+        assert_eq!(
+            CentralMsg::WorkflowAbort { instance: inst() }.kind(),
+            "WorkflowAbort"
+        );
+        assert_eq!(
+            CentralMsg::Coord(CoordMsg::RollbackDep {
+                instance: inst(),
+                origin: StepId(1)
+            })
+            .kind(),
+            "Coord.RollbackDep"
         );
     }
 

@@ -1,93 +1,83 @@
-//! Binary codec for [`DistMsg`] and [`WorkflowPacket`], so distributed
+//! Wire tables for [`DistMsg`] and [`WorkflowPacket`], so distributed
 //! traffic can ride the simulator's WAL-backed reliable channels (the
 //! durable outbox persists message payloads across fail-stop crashes).
 //!
-//! Foreign model types without their own codec ([`DataEnv`],
-//! [`EventKind`], [`Weight`]) are encoded through private helpers here
-//! rather than trait impls, keeping `crew-storage` free of rules/exec
-//! dependencies. The `&'static str` status of `WorkflowStatusReply` is a
-//! closed vocabulary and travels as a one-byte tag.
+//! The number at the head of a row is the variant's `u8` tag on the wire;
+//! a new variant takes the next free number and no number is ever reused.
+//!
+//! [`EventKind`] and [`Weight`] belong to other crates and a `&'static str`
+//! is no type of ours, so none of them can implement the codec traits here:
+//! their fields go `via` the function pairs below. The status of
+//! `WorkflowStatusReply` is a closed vocabulary and travels as a one-byte
+//! tag.
 
 use crate::msg::{CoordRule, DistMsg, StepStatusKind};
 use crate::packet::{RoTag, WorkflowPacket};
 use crate::weight::Weight;
 use bytes::{Bytes, BytesMut};
-use crew_model::{DataEnv, ItemKey, Value};
 use crew_rules::EventKind;
-use crew_storage::{CodecError, Decode, Encode};
+use crew_storage::{wire, CodecError, Decode, Encode};
 
-// ---- foreign-type helpers -------------------------------------------------
+// ---- foreign-type fields ---------------------------------------------------
 
-fn encode_data_env(env: &DataEnv, buf: &mut BytesMut) {
-    (env.len() as u32).encode(buf);
-    for (k, v) in env.iter() {
-        k.encode(buf);
-        v.encode(buf);
+fn encode_events(events: &[(EventKind, u32)], buf: &mut BytesMut) {
+    (events.len() as u32).encode(buf);
+    for (e, gen) in events {
+        match e {
+            EventKind::WorkflowStart => 0u8.encode(buf),
+            EventKind::StepDone(s) => {
+                1u8.encode(buf);
+                s.encode(buf);
+            }
+            EventKind::StepFail(s) => {
+                2u8.encode(buf);
+                s.encode(buf);
+            }
+            EventKind::StepCompensated(s) => {
+                3u8.encode(buf);
+                s.encode(buf);
+            }
+            EventKind::WorkflowDone => 4u8.encode(buf),
+            EventKind::WorkflowAbort => 5u8.encode(buf),
+            EventKind::External(t) => {
+                6u8.encode(buf);
+                t.encode(buf);
+            }
+        }
+        gen.encode(buf);
     }
 }
 
-fn decode_data_env(buf: &mut Bytes) -> Result<DataEnv, CodecError> {
+fn decode_events(buf: &mut Bytes) -> Result<Vec<(EventKind, u32)>, CodecError> {
     let n = u32::decode(buf)?;
-    let mut env = DataEnv::new();
+    let mut events = Vec::with_capacity(n.min(4096) as usize);
     for _ in 0..n {
-        let k = ItemKey::decode(buf)?;
-        let v = Value::decode(buf)?;
-        env.set(k, v);
+        let e = match u8::decode(buf)? {
+            0 => EventKind::WorkflowStart,
+            1 => EventKind::StepDone(Decode::decode(buf)?),
+            2 => EventKind::StepFail(Decode::decode(buf)?),
+            3 => EventKind::StepCompensated(Decode::decode(buf)?),
+            4 => EventKind::WorkflowDone,
+            5 => EventKind::WorkflowAbort,
+            6 => EventKind::External(Decode::decode(buf)?),
+            tag => {
+                return Err(CodecError::BadTag {
+                    context: "EventKind",
+                    tag,
+                })
+            }
+        };
+        events.push((e, u32::decode(buf)?));
     }
-    Ok(env)
-}
-
-fn encode_event_kind(e: &EventKind, buf: &mut BytesMut) {
-    match e {
-        EventKind::WorkflowStart => 0u8.encode(buf),
-        EventKind::StepDone(s) => {
-            1u8.encode(buf);
-            s.encode(buf);
-        }
-        EventKind::StepFail(s) => {
-            2u8.encode(buf);
-            s.encode(buf);
-        }
-        EventKind::StepCompensated(s) => {
-            3u8.encode(buf);
-            s.encode(buf);
-        }
-        EventKind::WorkflowDone => 4u8.encode(buf),
-        EventKind::WorkflowAbort => 5u8.encode(buf),
-        EventKind::External(t) => {
-            6u8.encode(buf);
-            t.encode(buf);
-        }
-    }
-}
-
-fn decode_event_kind(buf: &mut Bytes) -> Result<EventKind, CodecError> {
-    Ok(match u8::decode(buf)? {
-        0 => EventKind::WorkflowStart,
-        1 => EventKind::StepDone(Decode::decode(buf)?),
-        2 => EventKind::StepFail(Decode::decode(buf)?),
-        3 => EventKind::StepCompensated(Decode::decode(buf)?),
-        4 => EventKind::WorkflowDone,
-        5 => EventKind::WorkflowAbort,
-        6 => EventKind::External(Decode::decode(buf)?),
-        tag => {
-            return Err(CodecError::BadTag {
-                context: "EventKind",
-                tag,
-            })
-        }
-    })
+    Ok(events)
 }
 
 fn encode_weight(w: &Weight, buf: &mut BytesMut) {
-    let (num, den) = w.parts();
-    num.encode(buf);
-    den.encode(buf);
+    w.parts().encode(buf);
 }
 
 fn decode_weight(buf: &mut Bytes) -> Result<Weight, CodecError> {
-    let num = u64::decode(buf)?;
-    let den = u64::decode(buf)?;
+    let (num, den) = Decode::decode(buf)?;
     // A zero denominator cannot come from Weight::parts(); treat it as
     // corruption rather than panicking inside Weight::new.
     if den == 0 {
@@ -109,7 +99,7 @@ const STATUS_TABLE: [&str; 6] = [
     "change-rejected",
 ];
 
-fn encode_status(status: &'static str, buf: &mut BytesMut) {
+fn encode_status(status: &str, buf: &mut BytesMut) {
     let tag = STATUS_TABLE.iter().position(|&s| s == status).unwrap_or(3) as u8; // any unrecognized status degrades to "unknown"
     tag.encode(buf);
 }
@@ -127,503 +117,70 @@ fn decode_status(buf: &mut Bytes) -> Result<&'static str, CodecError> {
 
 // ---- protocol types -------------------------------------------------------
 
-impl Encode for StepStatusKind {
-    fn encode(&self, buf: &mut BytesMut) {
-        let tag: u8 = match self {
-            StepStatusKind::Unknown => 0,
-            StepStatusKind::Executing => 1,
-            StepStatusKind::Done => 2,
-            StepStatusKind::Failed => 3,
-        };
-        tag.encode(buf);
+wire! {
+    enum StepStatusKind {
+        0 => Unknown,
+        1 => Executing,
+        2 => Done,
+        3 => Failed,
     }
 }
 
-impl Decode for StepStatusKind {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(match u8::decode(buf)? {
-            0 => StepStatusKind::Unknown,
-            1 => StepStatusKind::Executing,
-            2 => StepStatusKind::Done,
-            3 => StepStatusKind::Failed,
-            tag => {
-                return Err(CodecError::BadTag {
-                    context: "StepStatusKind",
-                    tag,
-                })
-            }
-        })
+wire! {
+    enum CoordRule {
+        0 => RoFirstDone { req, claimant, partner },
+        1 => MutexAcquire { req, instance, step },
+        2 => MutexRelease { req, instance, step },
+        3 => RoNotify { req, instance, local_step, tag, target_instance, target_step },
     }
 }
 
-impl Encode for CoordRule {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            CoordRule::RoFirstDone {
-                req,
-                claimant,
-                partner,
-            } => {
-                0u8.encode(buf);
-                req.encode(buf);
-                claimant.encode(buf);
-                partner.encode(buf);
-            }
-            CoordRule::MutexAcquire {
-                req,
-                instance,
-                step,
-            } => {
-                1u8.encode(buf);
-                req.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-            }
-            CoordRule::MutexRelease {
-                req,
-                instance,
-                step,
-            } => {
-                2u8.encode(buf);
-                req.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-            }
-            CoordRule::RoNotify {
-                req,
-                instance,
-                local_step,
-                tag,
-                target_instance,
-                target_step,
-            } => {
-                3u8.encode(buf);
-                req.encode(buf);
-                instance.encode(buf);
-                local_step.encode(buf);
-                tag.encode(buf);
-                target_instance.encode(buf);
-                target_step.encode(buf);
-            }
-        }
+wire! { struct RoTag { local_step, tag, partner, partner_step } }
+
+wire! {
+    struct WorkflowPacket {
+        instance,
+        target_step,
+        source_step,
+        executor,
+        epoch,
+        data,
+        events via (encode_events, decode_events),
+        ro_leading,
+        ro_lagging,
+        weight via (encode_weight, decode_weight),
     }
 }
 
-impl Decode for CoordRule {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(match u8::decode(buf)? {
-            0 => CoordRule::RoFirstDone {
-                req: Decode::decode(buf)?,
-                claimant: Decode::decode(buf)?,
-                partner: Decode::decode(buf)?,
-            },
-            1 => CoordRule::MutexAcquire {
-                req: Decode::decode(buf)?,
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-            },
-            2 => CoordRule::MutexRelease {
-                req: Decode::decode(buf)?,
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-            },
-            3 => CoordRule::RoNotify {
-                req: Decode::decode(buf)?,
-                instance: Decode::decode(buf)?,
-                local_step: Decode::decode(buf)?,
-                tag: Decode::decode(buf)?,
-                target_instance: Decode::decode(buf)?,
-                target_step: Decode::decode(buf)?,
-            },
-            tag => {
-                return Err(CodecError::BadTag {
-                    context: "CoordRule",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl Encode for RoTag {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.local_step.encode(buf);
-        self.tag.encode(buf);
-        self.partner.encode(buf);
-        self.partner_step.encode(buf);
-    }
-}
-
-impl Decode for RoTag {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(RoTag {
-            local_step: Decode::decode(buf)?,
-            tag: Decode::decode(buf)?,
-            partner: Decode::decode(buf)?,
-            partner_step: Decode::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for WorkflowPacket {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.instance.encode(buf);
-        self.target_step.encode(buf);
-        self.source_step.encode(buf);
-        self.executor.encode(buf);
-        self.epoch.encode(buf);
-        encode_data_env(&self.data, buf);
-        (self.events.len() as u32).encode(buf);
-        for (e, gen) in &self.events {
-            encode_event_kind(e, buf);
-            gen.encode(buf);
-        }
-        self.ro_leading.encode(buf);
-        self.ro_lagging.encode(buf);
-        encode_weight(&self.weight, buf);
-    }
-}
-
-impl Decode for WorkflowPacket {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        let instance = Decode::decode(buf)?;
-        let target_step = Decode::decode(buf)?;
-        let source_step = Decode::decode(buf)?;
-        let executor = Decode::decode(buf)?;
-        let epoch = Decode::decode(buf)?;
-        let data = decode_data_env(buf)?;
-        let n = u32::decode(buf)?;
-        let mut events = Vec::with_capacity(n.min(4096) as usize);
-        for _ in 0..n {
-            let e = decode_event_kind(buf)?;
-            let gen = u32::decode(buf)?;
-            events.push((e, gen));
-        }
-        let ro_leading = Decode::decode(buf)?;
-        let ro_lagging = Decode::decode(buf)?;
-        let weight = decode_weight(buf)?;
-        Ok(WorkflowPacket {
-            instance,
-            target_step,
-            source_step,
-            executor,
-            epoch,
-            data,
-            events,
-            ro_leading,
-            ro_lagging,
-            weight,
-        })
-    }
-}
-
-impl Encode for DistMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            DistMsg::WorkflowStart {
-                instance,
-                inputs,
-                parent,
-            } => {
-                0u8.encode(buf);
-                instance.encode(buf);
-                inputs.encode(buf);
-                parent.encode(buf);
-            }
-            DistMsg::WorkflowChangeInputs {
-                instance,
-                new_inputs,
-            } => {
-                1u8.encode(buf);
-                instance.encode(buf);
-                new_inputs.encode(buf);
-            }
-            DistMsg::WorkflowAbort { instance } => {
-                2u8.encode(buf);
-                instance.encode(buf);
-            }
-            DistMsg::WorkflowStatus { instance } => {
-                3u8.encode(buf);
-                instance.encode(buf);
-            }
-            DistMsg::WorkflowStatusReply { instance, status } => {
-                4u8.encode(buf);
-                instance.encode(buf);
-                encode_status(status, buf);
-            }
-            DistMsg::WorkflowCommitted { instance } => {
-                5u8.encode(buf);
-                instance.encode(buf);
-            }
-            DistMsg::WorkflowAborted { instance } => {
-                6u8.encode(buf);
-                instance.encode(buf);
-            }
-            DistMsg::StepExecute { packet } => {
-                7u8.encode(buf);
-                packet.encode(buf);
-            }
-            DistMsg::StepCompleted {
-                instance,
-                step,
-                weight_num,
-                weight_den,
-            } => {
-                8u8.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-                weight_num.encode(buf);
-                weight_den.encode(buf);
-            }
-            DistMsg::StateInformation { token } => {
-                9u8.encode(buf);
-                token.encode(buf);
-            }
-            DistMsg::StateInformationReply { token, load } => {
-                10u8.encode(buf);
-                token.encode(buf);
-                load.encode(buf);
-            }
-            DistMsg::NestedCompleted {
-                parent,
-                parent_step,
-                child,
-                outputs,
-            } => {
-                11u8.encode(buf);
-                parent.encode(buf);
-                parent_step.encode(buf);
-                child.encode(buf);
-                outputs.encode(buf);
-            }
-            DistMsg::InputsChanged {
-                instance,
-                origin,
-                new_inputs,
-            } => {
-                12u8.encode(buf);
-                instance.encode(buf);
-                origin.encode(buf);
-                new_inputs.encode(buf);
-            }
-            DistMsg::WorkflowRollback { instance, origin } => {
-                13u8.encode(buf);
-                instance.encode(buf);
-                origin.encode(buf);
-            }
-            DistMsg::HaltThread {
-                instance,
-                origin,
-                epoch,
-            } => {
-                14u8.encode(buf);
-                instance.encode(buf);
-                origin.encode(buf);
-                epoch.encode(buf);
-            }
-            DistMsg::StepCompensate { instance, step } => {
-                15u8.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-            }
-            DistMsg::StepCompensateAck {
-                instance,
-                step,
-                compensated,
-            } => {
-                16u8.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-                compensated.encode(buf);
-            }
-            DistMsg::CompensateSet {
-                instance,
-                origin,
-                steps,
-            } => {
-                17u8.encode(buf);
-                instance.encode(buf);
-                origin.encode(buf);
-                steps.encode(buf);
-            }
-            DistMsg::CompensateThread { instance, steps } => {
-                18u8.encode(buf);
-                instance.encode(buf);
-                steps.encode(buf);
-            }
-            DistMsg::StepStatus { instance, step } => {
-                19u8.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-            }
-            DistMsg::StepStatusReply {
-                instance,
-                step,
-                status,
-            } => {
-                20u8.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-                status.encode(buf);
-            }
-            DistMsg::ExecuteRequest { instance, step } => {
-                21u8.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-            }
-            DistMsg::AddRule { rule } => {
-                22u8.encode(buf);
-                rule.encode(buf);
-            }
-            DistMsg::AddEvent { instance, tag } => {
-                23u8.encode(buf);
-                instance.encode(buf);
-                tag.encode(buf);
-            }
-            DistMsg::AddPrecondition {
-                instance,
-                step,
-                tag,
-            } => {
-                24u8.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-                tag.encode(buf);
-            }
-            DistMsg::PurgeBroadcast { instances } => {
-                25u8.encode(buf);
-                instances.encode(buf);
-            }
-            DistMsg::StepRetry { instance, step } => {
-                26u8.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for DistMsg {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(match u8::decode(buf)? {
-            0 => DistMsg::WorkflowStart {
-                instance: Decode::decode(buf)?,
-                inputs: Decode::decode(buf)?,
-                parent: Decode::decode(buf)?,
-            },
-            1 => DistMsg::WorkflowChangeInputs {
-                instance: Decode::decode(buf)?,
-                new_inputs: Decode::decode(buf)?,
-            },
-            2 => DistMsg::WorkflowAbort {
-                instance: Decode::decode(buf)?,
-            },
-            3 => DistMsg::WorkflowStatus {
-                instance: Decode::decode(buf)?,
-            },
-            4 => DistMsg::WorkflowStatusReply {
-                instance: Decode::decode(buf)?,
-                status: decode_status(buf)?,
-            },
-            5 => DistMsg::WorkflowCommitted {
-                instance: Decode::decode(buf)?,
-            },
-            6 => DistMsg::WorkflowAborted {
-                instance: Decode::decode(buf)?,
-            },
-            7 => DistMsg::StepExecute {
-                packet: Decode::decode(buf)?,
-            },
-            8 => DistMsg::StepCompleted {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-                weight_num: Decode::decode(buf)?,
-                weight_den: Decode::decode(buf)?,
-            },
-            9 => DistMsg::StateInformation {
-                token: Decode::decode(buf)?,
-            },
-            10 => DistMsg::StateInformationReply {
-                token: Decode::decode(buf)?,
-                load: Decode::decode(buf)?,
-            },
-            11 => DistMsg::NestedCompleted {
-                parent: Decode::decode(buf)?,
-                parent_step: Decode::decode(buf)?,
-                child: Decode::decode(buf)?,
-                outputs: Decode::decode(buf)?,
-            },
-            12 => DistMsg::InputsChanged {
-                instance: Decode::decode(buf)?,
-                origin: Decode::decode(buf)?,
-                new_inputs: Decode::decode(buf)?,
-            },
-            13 => DistMsg::WorkflowRollback {
-                instance: Decode::decode(buf)?,
-                origin: Decode::decode(buf)?,
-            },
-            14 => DistMsg::HaltThread {
-                instance: Decode::decode(buf)?,
-                origin: Decode::decode(buf)?,
-                epoch: Decode::decode(buf)?,
-            },
-            15 => DistMsg::StepCompensate {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-            },
-            16 => DistMsg::StepCompensateAck {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-                compensated: Decode::decode(buf)?,
-            },
-            17 => DistMsg::CompensateSet {
-                instance: Decode::decode(buf)?,
-                origin: Decode::decode(buf)?,
-                steps: Decode::decode(buf)?,
-            },
-            18 => DistMsg::CompensateThread {
-                instance: Decode::decode(buf)?,
-                steps: Decode::decode(buf)?,
-            },
-            19 => DistMsg::StepStatus {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-            },
-            20 => DistMsg::StepStatusReply {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-                status: Decode::decode(buf)?,
-            },
-            21 => DistMsg::ExecuteRequest {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-            },
-            22 => DistMsg::AddRule {
-                rule: Decode::decode(buf)?,
-            },
-            23 => DistMsg::AddEvent {
-                instance: Decode::decode(buf)?,
-                tag: Decode::decode(buf)?,
-            },
-            24 => DistMsg::AddPrecondition {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-                tag: Decode::decode(buf)?,
-            },
-            25 => DistMsg::PurgeBroadcast {
-                instances: Decode::decode(buf)?,
-            },
-            26 => DistMsg::StepRetry {
-                instance: Decode::decode(buf)?,
-                step: Decode::decode(buf)?,
-            },
-            tag => {
-                return Err(CodecError::BadTag {
-                    context: "DistMsg",
-                    tag,
-                })
-            }
-        })
+wire! {
+    enum DistMsg {
+        0 => WorkflowStart { instance, inputs, parent },
+        1 => WorkflowChangeInputs { instance, new_inputs },
+        2 => WorkflowAbort { instance },
+        3 => WorkflowStatus { instance },
+        4 => WorkflowStatusReply { instance, status via (encode_status, decode_status) },
+        5 => WorkflowCommitted { instance },
+        6 => WorkflowAborted { instance },
+        7 => StepExecute { packet },
+        8 => StepCompleted { instance, step, weight_num, weight_den },
+        9 => StateInformation { token },
+        10 => StateInformationReply { token, load },
+        11 => NestedCompleted { parent, parent_step, child, outputs },
+        12 => InputsChanged { instance, origin, new_inputs },
+        13 => WorkflowRollback { instance, origin },
+        14 => HaltThread { instance, origin, epoch },
+        15 => StepCompensate { instance, step },
+        16 => StepCompensateAck { instance, step, compensated },
+        17 => CompensateSet { instance, origin, steps },
+        18 => CompensateThread { instance, steps },
+        19 => StepStatus { instance, step },
+        20 => StepStatusReply { instance, step, status },
+        21 => ExecuteRequest { instance, step },
+        22 => AddRule { rule },
+        23 => AddEvent { instance, tag },
+        24 => AddPrecondition { instance, step, tag },
+        25 => PurgeBroadcast { instances },
+        26 => StepRetry { instance, step },
     }
 }
 
@@ -631,7 +188,7 @@ impl Decode for DistMsg {
 mod tests {
     use super::*;
     use bytes::Buf;
-    use crew_model::{InstanceId, SchemaId, StepId};
+    use crew_model::{DataEnv, InstanceId, ItemKey, SchemaId, StepId, Value};
 
     fn inst(n: u32) -> InstanceId {
         InstanceId::new(SchemaId(2), n)

@@ -13,6 +13,7 @@
 use crate::packet::WorkflowPacket;
 use crew_model::{InstanceId, ItemKey, StepId, Value};
 use crew_simnet::{Classify, Mechanism};
+use crew_storage::VariantName;
 
 /// Reply to a `StepStatus` poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,35 +206,7 @@ pub enum DistMsg {
 
 impl Classify for DistMsg {
     fn kind(&self) -> &'static str {
-        match self {
-            DistMsg::WorkflowStart { .. } => "WorkflowStart",
-            DistMsg::WorkflowChangeInputs { .. } => "WorkflowChangeInputs",
-            DistMsg::WorkflowAbort { .. } => "WorkflowAbort",
-            DistMsg::WorkflowStatus { .. } => "WorkflowStatus",
-            DistMsg::WorkflowStatusReply { .. } => "WorkflowStatusReply",
-            DistMsg::WorkflowCommitted { .. } => "WorkflowCommitted",
-            DistMsg::WorkflowAborted { .. } => "WorkflowAborted",
-            DistMsg::StepExecute { .. } => "StepExecute",
-            DistMsg::StepCompleted { .. } => "StepCompleted",
-            DistMsg::StateInformation { .. } => "StateInformation",
-            DistMsg::StateInformationReply { .. } => "StateInformationReply",
-            DistMsg::NestedCompleted { .. } => "NestedCompleted",
-            DistMsg::InputsChanged { .. } => "InputsChanged",
-            DistMsg::WorkflowRollback { .. } => "WorkflowRollback",
-            DistMsg::StepRetry { .. } => "StepRetry",
-            DistMsg::HaltThread { .. } => "HaltThread",
-            DistMsg::StepCompensate { .. } => "StepCompensate",
-            DistMsg::StepCompensateAck { .. } => "StepCompensateAck",
-            DistMsg::CompensateSet { .. } => "CompensateSet",
-            DistMsg::CompensateThread { .. } => "CompensateThread",
-            DistMsg::StepStatus { .. } => "StepStatus",
-            DistMsg::StepStatusReply { .. } => "StepStatusReply",
-            DistMsg::ExecuteRequest { .. } => "ExecuteRequest",
-            DistMsg::AddRule { .. } => "AddRule",
-            DistMsg::AddEvent { .. } => "AddEvent",
-            DistMsg::AddPrecondition { .. } => "AddPrecondition",
-            DistMsg::PurgeBroadcast { .. } => "PurgeBroadcast",
-        }
+        self.variant_name()
     }
 
     fn mechanism(&self) -> Mechanism {
@@ -447,6 +420,15 @@ mod tests {
             .instance(),
             Some(inst())
         );
+    }
+
+    /// `Classify::approx_size` is `size_of_val` for every message but
+    /// `StepExecute`, so the benchmark's `bytes_per_inst` is built from this
+    /// in-memory size, not from any encoded length: a variant field that
+    /// grows the enum moves it.
+    #[test]
+    fn in_memory_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<DistMsg>(), 144);
     }
 
     #[test]

@@ -23,20 +23,10 @@
 //! owns all scheduling, so runs stay deterministic.
 
 use crate::node::NodeId;
-use bytes::{Bytes, BytesMut};
-use crew_storage::{CodecError, Decode, Encode, MemStore, Wal};
+use crew_storage::{wire, Decode, Encode, MemStore, Wal};
 use std::collections::{BTreeMap, BTreeSet};
 
-impl Encode for NodeId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-}
-impl Decode for NodeId {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(NodeId(u32::decode(buf)?))
-    }
-}
+wire! { struct NodeId(id) }
 
 /// A wire frame of the channel protocol.
 #[derive(Debug, Clone)]
@@ -119,62 +109,12 @@ pub enum ChanRec<M> {
     },
 }
 
-impl<M: Encode> Encode for ChanRec<M> {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ChanRec::Sent { to, seq, payload } => {
-                0u8.encode(buf);
-                to.encode(buf);
-                seq.encode(buf);
-                payload.encode(buf);
-            }
-            ChanRec::Acked { peer, cum } => {
-                1u8.encode(buf);
-                peer.encode(buf);
-                cum.encode(buf);
-            }
-            ChanRec::Delivered { peer, cum } => {
-                2u8.encode(buf);
-                peer.encode(buf);
-                cum.encode(buf);
-            }
-            ChanRec::Checkpoint {
-                next_seq,
-                delivered,
-            } => {
-                3u8.encode(buf);
-                next_seq.encode(buf);
-                delivered.encode(buf);
-            }
-        }
-    }
-}
-
-impl<M: Decode> Decode for ChanRec<M> {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(ChanRec::Sent {
-                to: NodeId::decode(buf)?,
-                seq: u64::decode(buf)?,
-                payload: M::decode(buf)?,
-            }),
-            1 => Ok(ChanRec::Acked {
-                peer: NodeId::decode(buf)?,
-                cum: u64::decode(buf)?,
-            }),
-            2 => Ok(ChanRec::Delivered {
-                peer: NodeId::decode(buf)?,
-                cum: u64::decode(buf)?,
-            }),
-            3 => Ok(ChanRec::Checkpoint {
-                next_seq: Vec::decode(buf)?,
-                delivered: Vec::decode(buf)?,
-            }),
-            tag => Err(CodecError::BadTag {
-                context: "ChanRec",
-                tag,
-            }),
-        }
+wire! {
+    enum ChanRec<M> {
+        0 => Sent { to, seq, payload },
+        1 => Acked { peer, cum },
+        2 => Delivered { peer, cum },
+        3 => Checkpoint { next_seq, delivered },
     }
 }
 
@@ -214,9 +154,9 @@ pub trait OutboxLog<M>: Send {
     fn replay(&mut self) -> PersistedChannelState<M>;
 }
 
-/// No durability: channel state dies with the node. Only sound for runs
-/// without crashes (or message types without a codec); a crashed endpoint
-/// loses its outbox *and* its dedup cursors.
+/// No durability: channel state dies with the node, so a crashed endpoint
+/// loses its outbox *and* its dedup cursors. The fake the endpoint's unit
+/// tests substitute for a [`WalOutbox`]; the simulator never installs it.
 #[derive(Debug, Default)]
 pub struct VolatileOutbox;
 
@@ -352,12 +292,10 @@ impl<M: Encode + Decode> Default for WalOutbox<M> {
 
 impl<M: Encode + Decode + Send> OutboxLog<M> for WalOutbox<M> {
     fn log_send(&mut self, to: NodeId, seq: u64, payload: &M) {
+        // `ChanRec<&M>` encodes as `ChanRec<M>` does, so the borrowed
+        // payload is encoded once and never cloned.
         self.wal
-            .append(&ChanRec::Sent {
-                to,
-                seq,
-                payload: clone_via_codec(payload),
-            })
+            .append_view(&ChanRec::Sent { to, seq, payload })
             .expect("MemStore append cannot fail");
         self.live.entry(to).or_default().insert(seq);
     }
@@ -388,13 +326,6 @@ impl<M: Encode + Decode + Send> OutboxLog<M> for WalOutbox<M> {
         }
         state
     }
-}
-
-/// The WAL stores owned payloads; round-trip through the codec rather than
-/// requiring `M: Clone` on the log trait.
-fn clone_via_codec<M: Encode + Decode>(m: &M) -> M {
-    let mut bytes = m.to_bytes();
-    M::decode(&mut bytes).expect("codec round-trips its own encoding")
 }
 
 #[derive(Debug)]

@@ -23,7 +23,7 @@
 use crate::metrics::{Classify, Metrics};
 use crate::netfault::NetFaultPlan;
 use crate::node::{Ctx, Node, NodeId, TimerId};
-use crate::reliable::{Endpoint, Frame, OutboxLog, RetransmitConfig, VolatileOutbox, WalOutbox};
+use crate::reliable::{Endpoint, Frame, OutboxLog, RetransmitConfig, WalOutbox};
 use crate::trace::{Trace, TraceEntry};
 use crew_storage::{Decode, Encode};
 use std::cmp::Reverse;
@@ -137,8 +137,10 @@ struct Transport<M> {
     /// transmissions (data, retransmissions, and acks) from 1 — the key of
     /// every fault draw.
     wire: std::collections::BTreeMap<(NodeId, NodeId), u64>,
-    /// Factory for each endpoint's durability backend.
-    make: Box<dyn Fn() -> Box<dyn OutboxLog<M>> + Send>,
+    /// Builds each endpoint's durability backend (a fresh `WalOutbox`); a
+    /// function pointer because only `enable_net_faults` knows `M` has a
+    /// codec.
+    make: fn() -> Box<dyn OutboxLog<M>>,
 }
 
 impl<M: Clone> Transport<M> {
@@ -238,35 +240,12 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
     where
         M: Encode + Decode,
     {
-        self.install_transport(plan, RetransmitConfig::default(), || {
-            Box::new(WalOutbox::<M>::new()) as Box<dyn OutboxLog<M>>
-        });
-    }
-
-    /// Like [`Simulation::enable_net_faults`] but without durability: a
-    /// crashed node loses its channel state (outbox *and* dedup cursors),
-    /// so this is only sound for runs without crashes. Exists for message
-    /// types without a codec.
-    pub fn enable_net_faults_volatile(&mut self, plan: NetFaultPlan) {
-        self.install_transport(plan, RetransmitConfig::default(), || {
-            Box::new(VolatileOutbox) as Box<dyn OutboxLog<M>>
-        });
-    }
-
-    /// Install a transport with explicit retransmission tuning and
-    /// durability backend.
-    pub fn install_transport(
-        &mut self,
-        plan: NetFaultPlan,
-        cfg: RetransmitConfig,
-        make: impl Fn() -> Box<dyn OutboxLog<M>> + Send + 'static,
-    ) {
         self.transport = Some(Transport {
             plan,
-            cfg,
+            cfg: RetransmitConfig::default(),
             endpoints: Vec::new(),
             wire: std::collections::BTreeMap::new(),
-            make: Box::new(make),
+            make: || Box::new(WalOutbox::<M>::new()),
         });
     }
 

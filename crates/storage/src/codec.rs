@@ -8,10 +8,12 @@
 //!
 //! Every persisted type implements [`Encode`]/[`Decode`]; decoding is
 //! total (no panics) and reports structured [`CodecError`]s so torn or
-//! corrupt log tails are handled gracefully by recovery.
+//! corrupt log tails are handled gracefully by recovery. Primitives and
+//! containers are written out below; every enum and struct declares its
+//! format as a [`wire!`](crate::wire) table and gets both impls from it.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use crew_model::{AgentId, InstanceId, ItemKey, ItemScope, SchemaId, StepId, Value};
+use crew_model::{AgentId, DataEnv, InstanceId, ItemKey, ItemScope, SchemaId, StepId, Value};
 use std::fmt;
 
 /// Decoding failures.
@@ -50,7 +52,7 @@ const MAX_LEN: u64 = 1 << 20;
 
 /// Serialize into a byte buffer.
 pub trait Encode {
-    /// Wrapped closure.
+    /// Append this value's wire form to `buf`.
     fn encode(&self, buf: &mut BytesMut);
 
     /// Convenience: encode into a fresh buffer.
@@ -63,7 +65,9 @@ pub trait Encode {
 
 /// Deserialize from a byte buffer.
 pub trait Decode: Sized {
-    /// Wrapped closure.
+    /// Read one value off the front of `buf`, consuming exactly the bytes
+    /// [`Encode::encode`] wrote for it. Never panics: input that is short
+    /// or malformed is an `Err`.
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError>;
 }
 
@@ -243,121 +247,198 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
-// ---- model types ----------------------------------------------------------
-
-impl Encode for StepId {
+impl Encode for usize {
     fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
+        (*self as u64).encode(buf);
     }
 }
-impl Decode for StepId {
+impl Decode for usize {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(StepId(u32::decode(buf)?))
+        let n = u64::decode(buf)?;
+        usize::try_from(n).map_err(|_| CodecError::LengthOverflow(n))
     }
 }
 
-impl Encode for AgentId {
+/// A reference encodes as what it points at, so a record can be written
+/// from borrowed parts (`ChanRec<&M>`) without cloning them first.
+impl<T: Encode + ?Sized> Encode for &T {
     fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-}
-impl Decode for AgentId {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(AgentId(u32::decode(buf)?))
+        (**self).encode(buf);
     }
 }
 
-impl Encode for SchemaId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-}
-impl Decode for SchemaId {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(SchemaId(u32::decode(buf)?))
-    }
+// ---- the wire table --------------------------------------------------------
+
+/// The variant's name as written in its [`wire!`](crate::wire) row.
+pub trait VariantName {
+    /// `"StepExecute"` for `DistMsg::StepExecute { .. }`.
+    fn variant_name(&self) -> &'static str;
 }
 
-impl Encode for InstanceId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.schema.encode(buf);
-        self.serial.encode(buf);
-    }
-}
-impl Decode for InstanceId {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        Ok(InstanceId {
-            schema: SchemaId::decode(buf)?,
-            serial: u32::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for ItemKey {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self.scope {
-            ItemScope::WorkflowInput => buf.put_u8(0),
-            ItemScope::StepOutput(s) => {
-                buf.put_u8(1);
-                s.encode(buf);
+/// Declares a type's wire format once and generates [`Encode`] and
+/// [`Decode`] (and, for enums, [`VariantName`]) from the declaration.
+///
+/// An enum takes one row per variant, `tag => Variant { fields }`,
+/// `tag => Variant(x)` or `tag => Variant`: the `u8` tag goes first, then
+/// the fields in the order the row lists them, each through its own
+/// `Encode`/`Decode`. A struct lists its fields, `struct T { a, b }` or
+/// `struct T(x)`, and has no tag. A field whose type cannot implement the
+/// traits where the table stands (a foreign type, a `&'static str`) is
+/// written `field via (encode_fn, decode_fn)` with
+/// `fn(&Field, &mut BytesMut)` and `fn(&mut Bytes) -> Result<Field,
+/// CodecError>`.
+///
+/// ```
+/// # use crew_storage::{wire, Decode, Encode};
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Circle(u32),
+///     Rect { w: u32, h: u32 },
+/// }
+/// wire! {
+///     enum Shape {
+///         0 => Dot,
+///         1 => Circle(r),
+///         2 => Rect { w, h },
+///     }
+/// }
+/// let mut bytes = Shape::Rect { w: 3, h: 4 }.to_bytes();
+/// assert_eq!(&bytes[..], [2, 3, 0, 0, 0, 4, 0, 0, 0]);
+/// assert_eq!(Shape::decode(&mut bytes), Ok(Shape::Rect { w: 3, h: 4 }));
+/// ```
+///
+/// The rows are checked against the type when they compile. A variant
+/// without a row leaves the generated `encode` match non-exhaustive:
+///
+/// ```compile_fail
+/// # use crew_storage::wire;
+/// enum Shape { Dot, Circle(u32) }
+/// wire! { enum Shape { 0 => Dot } }
+/// ```
+///
+/// and a tag used twice makes the second `decode` arm unreachable, which
+/// the generated code denies:
+///
+/// ```compile_fail
+/// # use crew_storage::wire;
+/// enum Shape { Dot, Circle(u32) }
+/// wire! { enum Shape { 0 => Dot, 0 => Circle(r) } }
+/// ```
+#[macro_export]
+macro_rules! wire {
+    (enum $ty:ident $(<$g:ident>)? {
+        $($tag:literal => $var:ident
+            $({ $($f:ident $(via ($enc:path, $dec:path))?),* $(,)? })?
+            $(( $t:ident ))?
+        ),* $(,)?
+    }) => {
+        impl$(<$g: $crate::Encode>)? $crate::Encode for $ty$(<$g>)? {
+            fn encode(&self, buf: &mut $crate::bytes::BytesMut) {
+                match self {
+                    $($ty::$var $({ $($f),* })? $(($t))? => {
+                        <u8 as $crate::Encode>::encode(&$tag, buf);
+                        $($($crate::wire!(@enc buf, $f $(, $enc)?);)*)?
+                        $($crate::wire!(@enc buf, $t);)?
+                    })*
+                }
             }
         }
-        self.slot.encode(buf);
-    }
-}
-impl Decode for ItemKey {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        let scope = match u8::decode(buf)? {
-            0 => ItemScope::WorkflowInput,
-            1 => ItemScope::StepOutput(StepId::decode(buf)?),
-            tag => {
-                return Err(CodecError::BadTag {
-                    context: "ItemScope",
-                    tag,
+        impl$(<$g: $crate::Decode>)? $crate::Decode for $ty$(<$g>)? {
+            #[deny(unreachable_patterns)]
+            fn decode(buf: &mut $crate::bytes::Bytes) -> Result<Self, $crate::CodecError> {
+                Ok(match <u8 as $crate::Decode>::decode(buf)? {
+                    $($tag => $ty::$var
+                        $({ $($f: $crate::wire!(@dec buf, $f $(, $dec)?)),* })?
+                        $(($crate::wire!(@dec buf, $t)))?,)*
+                    tag => {
+                        return Err($crate::CodecError::BadTag {
+                            context: stringify!($ty),
+                            tag,
+                        })
+                    }
                 })
             }
-        };
-        Ok(ItemKey {
-            scope,
-            slot: u16::decode(buf)?,
-        })
+        }
+        impl$(<$g>)? $crate::VariantName for $ty$(<$g>)? {
+            fn variant_name(&self) -> &'static str {
+                match self {
+                    $($ty::$var { .. } => stringify!($var),)*
+                }
+            }
+        }
+    };
+    (struct $ty:ident { $($f:ident $(via ($enc:path, $dec:path))?),* $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, buf: &mut $crate::bytes::BytesMut) {
+                let $ty { $($f),* } = self;
+                $($crate::wire!(@enc buf, $f $(, $enc)?);)*
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(buf: &mut $crate::bytes::Bytes) -> Result<Self, $crate::CodecError> {
+                Ok($ty { $($f: $crate::wire!(@dec buf, $f $(, $dec)?)),* })
+            }
+        }
+    };
+    (struct $ty:ident ( $t:ident )) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, buf: &mut $crate::bytes::BytesMut) {
+                let $ty($t) = self;
+                $crate::wire!(@enc buf, $t);
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(buf: &mut $crate::bytes::Bytes) -> Result<Self, $crate::CodecError> {
+                Ok($ty($crate::wire!(@dec buf, $t)))
+            }
+        }
+    };
+    (@enc $buf:ident, $f:ident) => { $crate::Encode::encode($f, $buf) };
+    (@enc $buf:ident, $f:ident, $enc:path) => { $enc($f, $buf) };
+    (@dec $buf:ident, $f:ident) => { $crate::Decode::decode($buf)? };
+    (@dec $buf:ident, $f:ident, $dec:path) => { $dec($buf)? };
+}
+
+// ---- model types ----------------------------------------------------------
+
+wire! { struct StepId(id) }
+wire! { struct AgentId(id) }
+wire! { struct SchemaId(id) }
+wire! { struct InstanceId { schema, serial } }
+wire! {
+    enum ItemScope {
+        0 => WorkflowInput,
+        1 => StepOutput(step),
+    }
+}
+wire! { struct ItemKey { scope, slot } }
+wire! {
+    enum Value {
+        0 => Int(i),
+        1 => Float(x),
+        2 => Str(s),
+        3 => Bool(b),
     }
 }
 
-impl Encode for Value {
+impl Encode for DataEnv {
     fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Value::Int(i) => {
-                buf.put_u8(0);
-                i.encode(buf);
-            }
-            Value::Float(x) => {
-                buf.put_u8(1);
-                x.encode(buf);
-            }
-            Value::Str(s) => {
-                buf.put_u8(2);
-                s.encode(buf);
-            }
-            Value::Bool(b) => {
-                buf.put_u8(3);
-                b.encode(buf);
-            }
+        (self.len() as u32).encode(buf);
+        for (k, v) in self.iter() {
+            k.encode(buf);
+            v.encode(buf);
         }
     }
 }
-impl Decode for Value {
+impl Decode for DataEnv {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(Value::Int(i64::decode(buf)?)),
-            1 => Ok(Value::Float(f64::decode(buf)?)),
-            2 => Ok(Value::Str(String::decode(buf)?)),
-            3 => Ok(Value::Bool(bool::decode(buf)?)),
-            tag => Err(CodecError::BadTag {
-                context: "Value",
-                tag,
-            }),
+        let n = u32::decode(buf)?;
+        let mut env = DataEnv::new();
+        for _ in 0..n {
+            env.set(ItemKey::decode(buf)?, Value::decode(buf)?);
         }
+        Ok(env)
     }
 }
 

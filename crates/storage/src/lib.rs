@@ -15,7 +15,11 @@ pub mod crc;
 pub mod tables;
 pub mod wal;
 
-pub use codec::{CodecError, Decode, Encode};
+// `wire!` expansions name the buffer types through this path, whatever the
+// calling crate imports.
+#[doc(hidden)]
+pub use bytes;
+pub use codec::{CodecError, Decode, Encode, VariantName};
 pub use crc::crc32;
 pub use tables::{AgentDb, DbOp, InstanceStatus, InstanceTable, StoredStepState};
 pub use wal::{recover_for_node, FileStore, LogStore, MemStore, RecoveryReport, Wal, WalError};

@@ -12,8 +12,7 @@
 //! after a crash: `apply(op)` both mutates and (at the caller's choice)
 //! appends to the log; `replay(ops)` rebuilds from scratch.
 
-use crate::codec::{CodecError, Decode, Encode};
-use bytes::{Bytes, BytesMut};
+use crate::wire;
 use crew_model::{DataEnv, InstanceId, ItemKey, SchemaId, StepId, Value};
 use std::collections::BTreeMap;
 
@@ -28,24 +27,11 @@ pub enum InstanceStatus {
     Aborted,
 }
 
-impl InstanceStatus {
-    fn tag(self) -> u8 {
-        match self {
-            InstanceStatus::Executing => 0,
-            InstanceStatus::Committed => 1,
-            InstanceStatus::Aborted => 2,
-        }
-    }
-    fn from_tag(tag: u8) -> Result<Self, CodecError> {
-        match tag {
-            0 => Ok(InstanceStatus::Executing),
-            1 => Ok(InstanceStatus::Committed),
-            2 => Ok(InstanceStatus::Aborted),
-            tag => Err(CodecError::BadTag {
-                context: "InstanceStatus",
-                tag,
-            }),
-        }
+wire! {
+    enum InstanceStatus {
+        0 => Executing,
+        1 => Committed,
+        2 => Aborted,
     }
 }
 
@@ -64,39 +50,24 @@ pub enum StoredStepState {
     Compensated,
 }
 
-impl StoredStepState {
-    fn tag(self) -> u8 {
-        match self {
-            StoredStepState::Executing => 0,
-            StoredStepState::Done => 1,
-            StoredStepState::Failed => 2,
-            StoredStepState::Compensated => 3,
-        }
-    }
-    fn from_tag(tag: u8) -> Result<Self, CodecError> {
-        match tag {
-            0 => Ok(StoredStepState::Executing),
-            1 => Ok(StoredStepState::Done),
-            2 => Ok(StoredStepState::Failed),
-            3 => Ok(StoredStepState::Compensated),
-            tag => Err(CodecError::BadTag {
-                context: "StoredStepState",
-                tag,
-            }),
-        }
+wire! {
+    enum StoredStepState {
+        0 => Executing,
+        1 => Done,
+        2 => Failed,
+        3 => Compensated,
     }
 }
 
 /// One loggable mutation of the agent database. Variant fields follow
-/// the naming of the tables they touch.
+/// the naming of the tables they touch; every variant but `EngineInput`
+/// names the `instance` whose tables it changes.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbOp {
-    /// Create (or re-register) an instance of `schema`.
-    /// Instancecreated.
+    /// Create (or re-register) the instance's tables.
     InstanceCreated { instance: InstanceId },
     /// Write one data item of an instance.
-    /// Datawritten.
     DataWritten {
         instance: InstanceId,
         key: ItemKey,
@@ -104,35 +75,28 @@ pub enum DbOp {
     },
     /// Remove the outputs of a step from an instance's data table
     /// (compensation).
-    /// Stepoutputscleared.
     StepOutputsCleared { instance: InstanceId, step: StepId },
     /// Record an event occurrence (by its stable code, e.g. "S2.D").
-    /// Eventposted.
     EventPosted { instance: InstanceId, code: String },
     /// Invalidate an event occurrence (rollback).
-    /// Eventinvalidated.
     EventInvalidated { instance: InstanceId, code: String },
-    /// Update a step's persisted state/result.
+    /// Update a step's row in the step table.
     StepRecorded {
-        /// Instance.
         instance: InstanceId,
-        /// Step.
         step: StepId,
-        /// State.
+        /// The status the step reached.
         state: StoredStepState,
-        /// Attempt.
+        /// Which execution of the step this is, counting from 1.
         attempt: u32,
-        /// Outputs.
+        /// What that execution produced (empty unless `state` is `Done`).
         outputs: Vec<Value>,
     },
     /// Update the coordination instance summary table.
-    /// Statuschanged.
     StatusChanged {
         instance: InstanceId,
         status: InstanceStatus,
     },
     /// Drop all state of a committed instance (purge broadcast).
-    /// Instancepurged.
     InstancePurged { instance: InstanceId },
     /// A logical *command* record: one input message delivered to an
     /// engine, stored verbatim (codec-encoded) before it is handled.
@@ -149,116 +113,17 @@ pub enum DbOp {
     },
 }
 
-impl Encode for DbOp {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            DbOp::InstanceCreated { instance } => {
-                0u8.encode(buf);
-                instance.encode(buf);
-            }
-            DbOp::DataWritten {
-                instance,
-                key,
-                value,
-            } => {
-                1u8.encode(buf);
-                instance.encode(buf);
-                key.encode(buf);
-                value.encode(buf);
-            }
-            DbOp::StepOutputsCleared { instance, step } => {
-                2u8.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-            }
-            DbOp::EventPosted { instance, code } => {
-                3u8.encode(buf);
-                instance.encode(buf);
-                code.encode(buf);
-            }
-            DbOp::EventInvalidated { instance, code } => {
-                4u8.encode(buf);
-                instance.encode(buf);
-                code.encode(buf);
-            }
-            DbOp::StepRecorded {
-                instance,
-                step,
-                state,
-                attempt,
-                outputs,
-            } => {
-                5u8.encode(buf);
-                instance.encode(buf);
-                step.encode(buf);
-                state.tag().encode(buf);
-                attempt.encode(buf);
-                outputs.encode(buf);
-            }
-            DbOp::StatusChanged { instance, status } => {
-                6u8.encode(buf);
-                instance.encode(buf);
-                status.tag().encode(buf);
-            }
-            DbOp::InstancePurged { instance } => {
-                7u8.encode(buf);
-                instance.encode(buf);
-            }
-            DbOp::EngineInput { from, payload } => {
-                8u8.encode(buf);
-                from.encode(buf);
-                payload.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for DbOp {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        match u8::decode(buf)? {
-            0 => Ok(DbOp::InstanceCreated {
-                instance: InstanceId::decode(buf)?,
-            }),
-            1 => Ok(DbOp::DataWritten {
-                instance: InstanceId::decode(buf)?,
-                key: ItemKey::decode(buf)?,
-                value: Value::decode(buf)?,
-            }),
-            2 => Ok(DbOp::StepOutputsCleared {
-                instance: InstanceId::decode(buf)?,
-                step: StepId::decode(buf)?,
-            }),
-            3 => Ok(DbOp::EventPosted {
-                instance: InstanceId::decode(buf)?,
-                code: String::decode(buf)?,
-            }),
-            4 => Ok(DbOp::EventInvalidated {
-                instance: InstanceId::decode(buf)?,
-                code: String::decode(buf)?,
-            }),
-            5 => Ok(DbOp::StepRecorded {
-                instance: InstanceId::decode(buf)?,
-                step: StepId::decode(buf)?,
-                state: StoredStepState::from_tag(u8::decode(buf)?)?,
-                attempt: u32::decode(buf)?,
-                outputs: Vec::<Value>::decode(buf)?,
-            }),
-            6 => Ok(DbOp::StatusChanged {
-                instance: InstanceId::decode(buf)?,
-                status: InstanceStatus::from_tag(u8::decode(buf)?)?,
-            }),
-            7 => Ok(DbOp::InstancePurged {
-                instance: InstanceId::decode(buf)?,
-            }),
-            8 => Ok(DbOp::EngineInput {
-                from: u32::decode(buf)?,
-                payload: Vec::<u8>::decode(buf)?,
-            }),
-            tag => Err(CodecError::BadTag {
-                context: "DbOp",
-                tag,
-            }),
-        }
+wire! {
+    enum DbOp {
+        0 => InstanceCreated { instance },
+        1 => DataWritten { instance, key, value },
+        2 => StepOutputsCleared { instance, step },
+        3 => EventPosted { instance, code },
+        4 => EventInvalidated { instance, code },
+        5 => StepRecorded { instance, step, state, attempt, outputs },
+        6 => StatusChanged { instance, status },
+        7 => InstancePurged { instance },
+        8 => EngineInput { from, payload },
     }
 }
 
@@ -388,6 +253,7 @@ impl AgentDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{Decode, Encode};
     use crate::wal::Wal;
 
     fn inst(n: u32) -> InstanceId {

@@ -148,7 +148,7 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
         }
     }
 
-    fn encode_frame(record: &R, frame: &mut BytesMut) {
+    fn encode_frame(record: &impl Encode, frame: &mut BytesMut) {
         let payload = record.to_bytes();
         frame.put_u32_le(payload.len() as u32);
         frame.put_u32_le(crc32(&payload));
@@ -157,7 +157,15 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
 
     /// Append one record durably (one flush per record).
     pub fn append(&mut self, record: &R) -> std::io::Result<()> {
-        self.append_nosync(record)?;
+        self.append_view(record)
+    }
+
+    /// [`Wal::append`] from a borrowed view of the record: `view` must
+    /// encode to exactly the bytes `R::decode` reads back as the record
+    /// meant, as `ChanRec<&M>` does for `ChanRec<M>`. Lets a caller that
+    /// holds only `&M` log a record around it without cloning `M`.
+    pub fn append_view(&mut self, view: &impl Encode) -> std::io::Result<()> {
+        self.stage(view)?;
         self.store.flush()
     }
 
@@ -167,6 +175,10 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
     /// flushes once per delivered message, before its outputs leave the
     /// node.
     pub fn append_nosync(&mut self, record: &R) -> std::io::Result<()> {
+        self.stage(record)
+    }
+
+    fn stage(&mut self, record: &impl Encode) -> std::io::Result<()> {
         let mut frame = BytesMut::new();
         Self::encode_frame(record, &mut frame);
         self.store.append(&frame)?;
@@ -224,30 +236,38 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
     /// acknowledged); a corrupt record *followed by* intact data is still
     /// treated as end-of-log, which is safe because appends are sequential.
     pub fn recover(&mut self) -> std::io::Result<Vec<R>> {
+        Ok(self.scan()?.records)
+    }
+
+    /// The one recovery scan: frames are taken off the front of the log
+    /// while length, CRC and payload decoding all hold.
+    fn scan(&mut self) -> std::io::Result<RecoveryReport<R>> {
         let raw = self.store.read_all()?;
+        let total = raw.len();
+        let mut intact = 0;
         let mut buf = Bytes::from(raw);
-        let mut out = Vec::new();
-        loop {
-            if buf.remaining() < 8 {
-                break;
-            }
+        let mut records = Vec::new();
+        while buf.remaining() >= 8 {
             let len = buf.get_u32_le() as usize;
             let crc = buf.get_u32_le();
             if buf.remaining() < len {
                 break; // torn tail
             }
-            let payload = buf.split_to(len);
+            let mut payload = buf.split_to(len);
             if crc32(&payload) != crc {
                 break; // corrupt record: stop at last consistent prefix
             }
-            let mut p = payload;
-            match R::decode(&mut p) {
-                Ok(rec) => out.push(rec),
+            match R::decode(&mut payload) {
+                Ok(rec) => records.push(rec),
                 Err(_) => break,
             }
+            intact += 8 + len;
         }
-        self.appended = out.len() as u64;
-        Ok(out)
+        self.appended = records.len() as u64;
+        Ok(RecoveryReport {
+            records,
+            truncated: intact != total,
+        })
     }
 
     /// Access the underlying store (tests inject corruption through this).
@@ -269,38 +289,7 @@ pub struct RecoveryReport<R> {
 pub fn recover_with_report<R: Encode + Decode, S: LogStore>(
     wal: &mut Wal<R, S>,
 ) -> std::io::Result<RecoveryReport<R>> {
-    let raw = wal.store.read_all()?;
-    let total_len = raw.len();
-    let mut consumed = 0usize;
-    let mut buf = Bytes::from(raw);
-    let mut records = Vec::new();
-    loop {
-        if buf.remaining() < 8 {
-            break;
-        }
-        let len = buf.get_u32_le() as usize;
-        let crc = buf.get_u32_le();
-        if buf.remaining() < len {
-            break;
-        }
-        let payload = buf.split_to(len);
-        if crc32(&payload) != crc {
-            break;
-        }
-        let mut p = payload;
-        match R::decode(&mut p) {
-            Ok(rec) => {
-                records.push(rec);
-                consumed += 8 + len;
-            }
-            Err(_) => break,
-        }
-    }
-    wal.appended = records.len() as u64;
-    Ok(RecoveryReport {
-        records,
-        truncated: consumed != total_len,
-    })
+    wal.scan()
 }
 
 /// Node-side recovery that degrades instead of panicking: `None` means the
