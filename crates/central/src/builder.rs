@@ -243,17 +243,20 @@ impl CentralRun {
                 break;
             }
             let now = self.engine_loads();
+            // Saturating: a crash zeroes an engine's counters (replay
+            // re-counts only some of them), so a down or just-recovered
+            // engine reports an empty window rather than a wrapped one.
             let window: Vec<EngineLoad> = now
                 .iter()
                 .zip(prev.iter())
                 .map(|(n, o)| EngineLoad {
                     engine: n.engine,
                     live_instances: n.live_instances,
-                    delivered_msgs: n.delivered_msgs - o.delivered_msgs,
-                    wal_appends: n.wal_appends - o.wal_appends,
-                    forwarded_msgs: n.forwarded_msgs - o.forwarded_msgs,
-                    migrations_out: n.migrations_out - o.migrations_out,
-                    migrations_in: n.migrations_in - o.migrations_in,
+                    delivered_msgs: n.delivered_msgs.saturating_sub(o.delivered_msgs),
+                    wal_appends: n.wal_appends.saturating_sub(o.wal_appends),
+                    forwarded_msgs: n.forwarded_msgs.saturating_sub(o.forwarded_msgs),
+                    migrations_out: n.migrations_out.saturating_sub(o.migrations_out),
+                    migrations_in: n.migrations_in.saturating_sub(o.migrations_in),
                 })
                 .collect();
             prev = now;
@@ -282,14 +285,6 @@ impl CentralRun {
             }
         }
         (self.sim.now(), moved)
-    }
-
-    /// The engine owning `instance`.
-    pub fn owner_engine_of(&self, instance: InstanceId) -> &Engine {
-        let owner = self.topo.owner_engine(instance);
-        self.sim
-            .node_as::<Engine>(self.topo.engine_node(owner))
-            .expect("engine node")
     }
 
     /// Engine by index.

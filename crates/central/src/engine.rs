@@ -25,9 +25,7 @@ use crew_model::{
 };
 use crew_rules::{compile_schema, Action, EventKind};
 use crew_simnet::{Ctx, Node, NodeId};
-use crew_storage::{
-    recover_for_node, AgentDb, DbOp, Decode, Encode, InstanceStatus, MemStore, StoredStepState, Wal,
-};
+use crew_storage::{recover_for_node, DbOp, Decode, Encode, InstanceStatus, MemStore, Wal};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -133,19 +131,21 @@ pub struct Engine {
     /// (discarded) sends instead of re-applied to live co-hosted state.
     installing: Option<InstanceId>,
     // ---- WFDB (persistence) ----
-    /// The WFDB write-ahead log. Every delivered message is journaled as a
-    /// [`DbOp::EngineInput`] command *before* it is handled, alongside the
-    /// table mutations it causes: the engine is a deterministic state
-    /// machine over its input stream (it never reads the clock and all its
-    /// hashing is seeded), so re-driving the commands with outputs
-    /// discarded rebuilds every volatile structure — rule firing state,
-    /// flow weights, pending dispatches, compensation queues, OCR
-    /// bookkeeping, and in-flight coordination state.
+    /// The WFDB write-ahead log: one [`DbOp::EngineInput`] command per
+    /// delivered message, journaled *before* it is handled, and nothing
+    /// else. The engine is a deterministic state machine over its input
+    /// stream (it never reads the clock and all its hashing is seeded), so
+    /// re-driving the commands with outputs discarded rebuilds every
+    /// structure — the instance summary (`statuses`), the data, step and
+    /// event tables (`nav.data`, `nav.history`, `nav.rules`), pending
+    /// dispatches, compensation queues, OCR bookkeeping, and in-flight
+    /// coordination state.
     wal: Wal<DbOp, MemStore>,
-    /// WFDB table projection, kept in lockstep with the log.
-    db: AgentDb,
-    /// True while `on_recover` re-drives journaled commands (suppresses
-    /// appends; the replay context's outputs are discarded by the caller).
+    /// True while `on_recover` re-drives journaled commands:
+    /// `terminal_times` is instrumentation of the live run and must not be
+    /// stamped with the replay's clock. (A `MigrateState` install needs no
+    /// such guard: only executing instances migrate, and one that was ever
+    /// terminal never executes again.)
     replaying: bool,
     /// Set when WAL recovery fails: the node goes silent (fail-stop
     /// becomes fail-silent) instead of taking down the run.
@@ -180,7 +180,6 @@ impl Engine {
             migrations_acked: 0,
             installing: None,
             wal: Wal::in_memory(),
-            db: AgentDb::new(),
             replaying: false,
             halted: false,
         }
@@ -200,22 +199,7 @@ impl Engine {
         self.instances.entry(instance).or_default()
     }
 
-    /// Write-ahead: journal one WFDB table mutation and apply it to the
-    /// projection. During replay the record is regenerated from the
-    /// command stream, so only the projection is updated.
-    fn log(&mut self, op: DbOp) {
-        if !self.replaying {
-            // Group commit: records accumulate unsynced and are made
-            // durable by the single flush at the end of `on_message`,
-            // before any handler output leaves the node.
-            self.wal
-                .append_nosync(&op)
-                .expect("in-memory WAL append cannot fail");
-        }
-        self.db.apply(&op);
-    }
-
-    /// Update the instance summary table, journaling the change.
+    /// Update the instance summary table.
     fn set_status(&mut self, instance: InstanceId, status: InstanceStatus) {
         self.statuses.insert(instance, status);
         if status != InstanceStatus::Executing {
@@ -228,7 +212,6 @@ impl Engine {
                 self.terminal_times.entry(instance).or_insert(self.clock);
             }
         }
-        self.log(DbOp::StatusChanged { instance, status });
     }
 
     /// Total navigation load charged so far.
@@ -250,11 +233,6 @@ impl Engine {
     /// The instance's execution history (test introspection).
     pub fn history_of(&self, instance: InstanceId) -> Option<&InstanceHistory> {
         self.instances.get(&instance).map(|s| &s.nav.history)
-    }
-
-    /// The persistent WFDB table projection (test introspection).
-    pub fn db(&self) -> &AgentDb {
-        &self.db
     }
 
     /// Whether WAL recovery failed and this engine went silent.
@@ -388,27 +366,16 @@ impl Engine {
             .or_insert_with(|| Arc::new(compile_schema(&schema)))
             .clone();
         self.nav_load(ctx);
-        self.log(DbOp::InstanceCreated { instance });
         let nav = &mut self.inst(instance).nav;
         nav.parent = parent;
         for t in template.iter() {
             nav.install_rule(t.step, t.rule.clone());
         }
         for (k, v) in inputs {
-            self.log(DbOp::DataWritten {
-                instance,
-                key: k,
-                value: v.clone(),
-            });
-            self.inst(instance).nav.data.set(k, v);
+            nav.data.set(k, v);
         }
-        let nav = &mut self.inst(instance).nav;
         nav.rules.add_event(EventKind::WorkflowStart);
         nav.accept_weight(&schema, None, schema.start_step(), Weight::ONE);
-        self.log(DbOp::EventPosted {
-            instance,
-            code: EventKind::WorkflowStart.code(),
-        });
         self.set_status(instance, InstanceStatus::Executing);
         self.fire_rules(instance, ctx);
     }
@@ -799,7 +766,6 @@ impl Engine {
     fn apply_compensation(&mut self, instance: InstanceId, step: StepId) {
         let schema = self.schema(instance);
         let nav = &mut self.inst(instance).nav;
-        let attempt = nav.history.record(step).map(|r| r.attempt).unwrap_or(0);
         nav.data.clear_step_outputs(step);
         nav.history.record_compensated(step);
         nav.compensated(&schema, step);
@@ -808,22 +774,6 @@ impl Engine {
             // completion re-tests (DESIGN §6g).
             nav.set_terminal_weight(step, Weight::ZERO);
         }
-        self.log(DbOp::StepOutputsCleared { instance, step });
-        self.log(DbOp::StepRecorded {
-            instance,
-            step,
-            state: StoredStepState::Compensated,
-            attempt,
-            outputs: vec![],
-        });
-        self.log(DbOp::EventPosted {
-            instance,
-            code: EventKind::StepCompensated(step).code(),
-        });
-        self.log(DbOp::EventInvalidated {
-            instance,
-            code: EventKind::StepDone(step).code(),
-        });
     }
 
     /// Scatter-gather dispatch of a step's program: `ExecRequest` to the
@@ -840,13 +790,6 @@ impl Engine {
         let attempt = st.nav.history.begin_attempt(def.id);
         st.pending_exec.insert(def.id, attempt);
         let inputs = st.nav.data.project(&def.input_keys());
-        self.log(DbOp::StepRecorded {
-            instance,
-            step: def.id,
-            state: StoredStepState::Executing,
-            attempt,
-            outputs: vec![],
-        });
         let chosen = designated_agent(self.deployment.seed, instance, def);
         for agent in &def.eligible_agents {
             let node = self.topo.agent_node(*agent);
@@ -892,20 +835,6 @@ impl Engine {
         match outputs {
             Some(outputs) => {
                 let def = schema.expect_step(step);
-                self.log(DbOp::StepRecorded {
-                    instance,
-                    step,
-                    state: StoredStepState::Done,
-                    attempt,
-                    outputs: outputs.clone(),
-                });
-                for (key, v) in declared_outputs(def, &outputs) {
-                    self.log(DbOp::DataWritten {
-                        instance,
-                        key,
-                        value: v.clone(),
-                    });
-                }
                 let nav = &mut self.inst(instance).nav;
                 let inputs = nav.data.project(&def.input_keys());
                 for (key, v) in declared_outputs(def, &outputs) {
@@ -918,18 +847,6 @@ impl Engine {
                 let nav = &mut self.inst(instance).nav;
                 nav.history.record_failed(step);
                 nav.rules.add_event(EventKind::StepFail(step));
-                self.log(DbOp::StepRecorded {
-                    instance,
-                    step,
-                    state: StoredStepState::Failed,
-                    attempt,
-                    outputs: vec![],
-                });
-                self.log(DbOp::EventPosted {
-                    instance,
-                    code: EventKind::StepFail(step).code(),
-                });
-                let nav = &mut self.inst(instance).nav;
                 match nav.failure_verdict(&schema, step, attempt) {
                     // Re-dispatch in place; only an exhausted retry budget
                     // reaches the paper's rollback machinery.
@@ -947,10 +864,6 @@ impl Engine {
         let schema = self.schema(instance);
         let nav = &mut self.inst(instance).nav;
         nav.rules.add_event(EventKind::StepDone(step));
-        self.log(DbOp::EventPosted {
-            instance,
-            code: EventKind::StepDone(step).code(),
-        });
         self.ro_after_done(instance, step, ctx);
         // Mutex release.
         let dep = self.deployment.clone();
@@ -1102,12 +1015,6 @@ impl Engine {
         st.pending_exec.remove(&origin);
         for s in &invalidated {
             st.pending_exec.remove(s);
-        }
-        for &s in &invalidated {
-            self.log(DbOp::EventInvalidated {
-                instance,
-                code: EventKind::StepDone(s).code(),
-            });
         }
         // Rollback dependencies (one level, like distributed control).
         if !from_dependency {
@@ -1518,9 +1425,6 @@ impl Engine {
         ctx: &mut Ctx<CentralMsg>,
     ) {
         self.forwards.remove(&instance);
-        let was_replaying = self.replaying;
-        self.replaying = true; // suppress WAL appends: the MigrateState
-                               // input record regenerates all of this
         self.installing = Some(instance);
         for (src, payload) in &records {
             let mut buf = Bytes::from(payload.clone());
@@ -1536,7 +1440,6 @@ impl Engine {
             }
         }
         self.installing = None;
-        self.replaying = was_replaying;
         if self.halted {
             return;
         }
@@ -1594,19 +1497,18 @@ impl Node<CentralMsg> for Engine {
         // Write-ahead command logging: journal the input *before* handling
         // it, so every volatile structure the handler mutates can be
         // re-derived by replaying the journal after a fail-stop crash.
-        // The input record and every table mutation the handler logs are
-        // group-committed: one flush per delivered message, issued before
-        // the simulator releases the handler's buffered sends.
+        // One record and one flush per delivered message, the flush issued
+        // before the simulator releases the handler's buffered sends.
         self.clock = ctx.now;
         self.delivered_msgs += 1;
         let payload = msg.to_bytes().to_vec();
+        self.ingest_cmd(from.0, &msg, &payload);
         self.wal
             .append_nosync(&DbOp::EngineInput {
                 from: from.0,
-                payload: payload.clone(),
+                payload,
             })
             .expect("in-memory WAL append cannot fail");
-        self.ingest_cmd(from.0, &msg, &payload);
         self.handle(from, msg, ctx);
         self.wal.flush().expect("in-memory WAL flush cannot fail");
     }
@@ -1632,7 +1534,6 @@ impl Node<CentralMsg> for Engine {
         self.migrations_acked = 0;
         self.delivered_msgs = 0;
         self.installing = None;
-        self.db = AgentDb::new();
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<CentralMsg>) {
@@ -1643,8 +1544,8 @@ impl Node<CentralMsg> for Engine {
         self.replaying = true;
         for record in records {
             let DbOp::EngineInput { from, payload } = record else {
-                // Table ops are regenerated by the commands themselves
-                // (through `log`, which applies without appending).
+                // An engine journals nothing else; a foreign record
+                // carries no command to re-drive.
                 continue;
             };
             let mut buf = Bytes::from(payload.clone());
@@ -1699,16 +1600,22 @@ mod tests {
     }
 
     #[test]
-    fn replay_rebuilds_projection_and_state() {
+    fn replay_rebuilds_tables_and_state() {
         let mut e = engine();
         let inst = start(&mut e, 1);
         assert!(e.instances[&inst].pending_exec.contains_key(&StepId(1)));
         assert_eq!(e.status_of(inst), Some(InstanceStatus::Executing));
+        let data = e.data_of(inst).cloned();
+        assert_eq!(
+            data.as_ref().and_then(|d| d.get(&ItemKey::input(1))),
+            Some(&Value::Int(5))
+        );
 
         e.on_crash();
         assert!(e.instances.is_empty());
         assert!(e.status_of(inst).is_none());
-        assert!(e.db().instance(inst).is_none());
+        assert!(e.data_of(inst).is_none());
+        assert!(e.history_of(inst).is_none());
 
         let mut ctx = Ctx::detached(10, NodeId(1));
         e.on_recover(&mut ctx);
@@ -1718,8 +1625,44 @@ mod tests {
         // re-dispatched, not dropped).
         assert!(e.instances[&inst].pending_exec.contains_key(&StepId(1)));
         assert_eq!(e.status_of(inst), Some(InstanceStatus::Executing));
-        assert!(e.db().instance(inst).is_some());
-        assert_eq!(e.db().status(inst), Some(InstanceStatus::Executing));
+        assert_eq!(e.data_of(inst).cloned(), data);
+        assert_eq!(e.history_of(inst).unwrap().attempts(StepId(1)), 1);
+    }
+
+    /// ROADMAP's "WAL is a prefix of delivered inputs": the journal holds
+    /// one `EngineInput` per delivered message, in delivery order, each a
+    /// decodable `CentralMsg` — and no other record kind.
+    #[test]
+    fn wal_holds_exactly_the_delivered_inputs() {
+        let mut e = engine();
+        let inst = start(&mut e, 1);
+        let result = CentralMsg::ExecResult {
+            instance: inst,
+            step: StepId(1),
+            attempt: 1,
+            outputs: Some(vec![Value::Int(5)]),
+            error: None,
+        };
+        let mut ctx = Ctx::detached(1, NodeId(1));
+        e.on_message(NodeId(0), result.clone(), &mut ctx);
+        assert_eq!(e.status_of(inst), Some(InstanceStatus::Committed));
+
+        let records = e.wal.recover().unwrap();
+        assert_eq!(records.len() as u64, e.delivered_msgs);
+        assert_eq!(e.wal_appended(), e.delivered_msgs);
+        let inputs: Vec<(u32, CentralMsg)> = records
+            .into_iter()
+            .map(|r| match r {
+                DbOp::EngineInput { from, payload } => {
+                    let mut buf = Bytes::from(payload);
+                    (from, CentralMsg::decode(&mut buf).expect("a CentralMsg"))
+                }
+                other => panic!("engine journaled a non-command record: {other:?}"),
+            })
+            .collect();
+        assert_eq!(inputs[0].0, NodeId::EXTERNAL.0);
+        assert!(matches!(inputs[0].1, CentralMsg::WorkflowStart { .. }));
+        assert_eq!(inputs[1], (0, result));
     }
 
     #[test]

@@ -470,14 +470,9 @@ impl DistAgent {
         }
         // Merge events by generation (idempotent across the broadcast,
         // fresh occurrences re-trigger rules).
+        let rules = &mut self.inst(instance).nav.rules;
         for (e, gen) in &packet.events {
-            let fresh = self.inst(instance).nav.rules.merge_event(*e, *gen);
-            if fresh {
-                self.log(DbOp::EventPosted {
-                    instance,
-                    code: e.code(),
-                });
-            }
+            rules.merge_event(*e, *gen);
         }
         // Relative-order piggyback: lagging tags become preconditions of
         // local steps; leading tags become notify-on-done obligations.
@@ -753,10 +748,6 @@ impl DistAgent {
                 });
                 let nav = &mut self.inst(instance).nav;
                 nav.rules.add_event(EventKind::StepFail(def.id));
-                self.log(DbOp::EventPosted {
-                    instance,
-                    code: EventKind::StepFail(def.id).code(),
-                });
                 let schema = self.schema(instance);
                 let nav = &mut self.inst(instance).nav;
                 match nav.failure_verdict(&schema, def.id, attempt) {
@@ -816,10 +807,6 @@ impl DistAgent {
         {
             rules.add_event(EventKind::StepDone(step));
         }
-        self.log(DbOp::EventPosted {
-            instance,
-            code: EventKind::StepDone(step).code(),
-        });
 
         // Relative ordering: arbiter decision on the partner's first
         // conflicting step, first-done claims, and leading notifications.
@@ -1448,10 +1435,6 @@ impl DistAgent {
     fn on_add_event(&mut self, instance: InstanceId, tag: u64, ctx: &mut Ctx<DistMsg>) {
         let nav = &mut self.inst(instance).nav;
         nav.rules.add_event(EventKind::External(tag));
-        self.log(DbOp::EventPosted {
-            instance,
-            code: EventKind::External(tag).code(),
-        });
         self.fire_rules(instance, ctx);
         self.maybe_release_stale_grant(instance, tag, ctx);
     }
@@ -1561,10 +1544,6 @@ impl DistAgent {
             attempt,
             outputs: vec![],
         });
-        self.log(DbOp::EventInvalidated {
-            instance,
-            code: EventKind::StepDone(step).code(),
-        });
         // A compensated terminal retracts its completion weight.
         if schema.terminal_steps().contains(&step) {
             self.report_terminal_weight(instance, step, Weight::ZERO, &schema, ctx);
@@ -1666,12 +1645,6 @@ impl DistAgent {
         st.nav.refire(invalidated.iter().copied().chain([origin]));
         for &s in invalidated.iter().chain([&origin]) {
             self.invalidate_step_coordination(instance, s);
-        }
-        for &s in &invalidated {
-            self.log(DbOp::EventInvalidated {
-                instance,
-                code: EventKind::StepDone(s).code(),
-            });
         }
         // Halt probes retrace the packet channels (FIFO ⇒ race-free).
         self.propagate_halt(instance, origin, epoch, &schema, ctx);
@@ -1796,10 +1769,6 @@ impl DistAgent {
         nav.refire(invalidated.iter().copied());
         for &s in &invalidated {
             self.invalidate_step_coordination(instance, s);
-            self.log(DbOp::EventInvalidated {
-                instance,
-                code: EventKind::StepDone(s).code(),
-            });
         }
         self.propagate_halt(instance, origin, epoch, &schema, ctx);
     }
@@ -2335,57 +2304,6 @@ impl DistAgent {
     pub fn total_load(&self) -> u64 {
         self.load
     }
-
-    /// Diagnostic: mutex manager state at this agent (req → holder, queue).
-    pub fn mutex_debug(&self) -> Vec<(u32, String)> {
-        self.mutexes
-            .iter()
-            .filter(|(_, st)| st.holder.is_some() || !st.queue.is_empty())
-            .map(|(&req, st)| (req, format!("holder {:?} queue {:?}", st.holder, st.queue)))
-            .collect()
-    }
-
-    /// Diagnostic: coordinator-side commit accounting —
-    /// `(is_coordinator, committed, terminal weights)`.
-    #[allow(clippy::type_complexity)]
-    pub fn coordinator_debug(
-        &self,
-        instance: InstanceId,
-    ) -> Option<(bool, bool, Vec<(StepId, String)>)> {
-        let st = self.instances.get(&instance)?;
-        Some((
-            st.is_coordinator,
-            st.nav.committed,
-            st.nav
-                .terminal_weights()
-                .iter()
-                .map(|(&s, w)| (s, w.to_string()))
-                .collect(),
-        ))
-    }
-
-    /// Diagnostic: the instance's pending rules and their missing events at
-    /// this agent (labels + event codes), for stall debugging.
-    pub fn pending_debug(&self, instance: InstanceId) -> Option<String> {
-        let st = self.instances.get(&instance)?;
-        let mut out = String::new();
-        for (id, missing) in st.nav.rules.pending_rules() {
-            let label = st
-                .nav
-                .rules
-                .rule(id)
-                .map(|r| r.label.clone())
-                .unwrap_or_default();
-            let codes: Vec<String> = missing.iter().map(|e| e.code()).collect();
-            out.push_str(&format!("[{label} misses {codes:?}] "));
-        }
-        Some(out.trim_end().to_owned())
-    }
-
-    /// The persisted AGDB projection.
-    pub fn db(&self) -> &AgentDb {
-        &self.db
-    }
 }
 
 /// The partner's ordered steps for the same requirement.
@@ -2710,6 +2628,22 @@ mod tests {
         a.on_recover(&mut ctx);
         assert!(!a.is_halted());
         assert!(a.db.instance(instance).is_some());
+        // The AGDB journal holds only what the projection above is rebuilt
+        // from. The match is exhaustive so a new record kind has to be
+        // classified here as read by `on_recover` or not an agent's.
+        let journal = a.wal.recover().unwrap();
+        assert!(!journal.is_empty());
+        for op in journal {
+            match op {
+                DbOp::InstanceCreated { .. }
+                | DbOp::DataWritten { .. }
+                | DbOp::StepOutputsCleared { .. }
+                | DbOp::StepRecorded { .. }
+                | DbOp::StatusChanged { .. }
+                | DbOp::InstancePurged { .. } => {}
+                DbOp::EngineInput { .. } => panic!("an agent journals no commands: {op:?}"),
+            }
+        }
         // Attempt counters survive the crash for failed and compensated
         // steps alike: S1 completed on its second attempt, S2 failed thrice.
         let history = a.history_of(instance).unwrap();

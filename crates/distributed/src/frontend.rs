@@ -96,11 +96,6 @@ impl FrontEnd {
         let agent = coordination_agent(self.shared.deployment.seed, instance, schema);
         self.shared.directory.node_of(agent)
     }
-
-    /// Is every tracked instance terminal?
-    pub fn all_done(&self, expected: usize) -> bool {
-        self.outcomes.len() >= expected
-    }
 }
 
 impl Node<DistMsg> for FrontEnd {

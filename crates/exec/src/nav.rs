@@ -184,11 +184,6 @@ impl InstanceNav {
         true
     }
 
-    /// Completion weight recorded per terminal step.
-    pub fn terminal_weights(&self) -> &BTreeMap<StepId, Weight> {
-        &self.terminal_weights
-    }
-
     // ---- branches --------------------------------------------------------
 
     /// Evaluate XOR split `split` over the current data (first true

@@ -164,11 +164,6 @@ impl ProgramRegistry {
         self.programs.insert(name.into(), Arc::new(program));
     }
 
-    /// Register a pre-shared program.
-    pub fn register_arc(&mut self, name: impl Into<String>, program: Arc<dyn Program>) {
-        self.programs.insert(name.into(), program);
-    }
-
     /// Value of `key`, if present.
     pub fn get(&self, name: &str) -> Option<&Arc<dyn Program>> {
         self.programs.get(name)

@@ -77,11 +77,6 @@ impl RuleSet {
             .collect()
     }
 
-    /// Remove a rule outright.
-    pub fn remove_rule(&mut self, id: RuleId) -> Option<Rule> {
-        self.rules.remove(&id)
-    }
-
     /// Clear a rule's firing marks so it can fire again on the events it
     /// already consumed — used when a rollback re-executes the rule's step
     /// without re-delivering its (still valid) trigger events.
@@ -310,11 +305,6 @@ impl RuleSet {
     /// Rules.
     pub fn rules(&self) -> impl Iterator<Item = &Rule> {
         self.rules.values()
-    }
-
-    /// Rule count.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 
     /// Total firings so far (a load indicator).

@@ -4,7 +4,8 @@
 //! interval. The fields mirror the load components of the §6/§7 analysis:
 //! navigation work concentrates where live instances live, message
 //! traffic follows dispatch fan-out, and WFDB write pressure follows the
-//! journaling rate.
+//! journaling rate — which is the delivery rate, because an engine's WAL
+//! is its command log: one record per delivered message.
 
 /// One engine's load sample over an observation window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -15,7 +16,11 @@ pub struct EngineLoad {
     pub live_instances: u64,
     /// Messages delivered to (handled by) the engine so far.
     pub delivered_msgs: u64,
-    /// WAL records appended so far (WFDB write pressure).
+    /// WAL records appended so far (WFDB write pressure). An engine
+    /// journals one command record per delivered message and nothing
+    /// else, so on a live engine this equals `delivered_msgs`; it stays
+    /// its own field because a crash zeroes `delivered_msgs` until replay
+    /// re-counts it while the log's own count survives.
     pub wal_appends: u64,
     /// Messages passed along for migrated-away instances.
     pub forwarded_msgs: u64,

@@ -249,11 +249,6 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
         });
     }
 
-    /// True when traffic is routed through the reliable channel layer.
-    pub fn transport_enabled(&self) -> bool {
-        self.transport.is_some()
-    }
-
     /// Register a node; ids are assigned densely from 0.
     pub fn add_node(&mut self, node: impl Node<M> + 'static) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
@@ -263,11 +258,6 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
             buffered: VecDeque::new(),
         });
         id
-    }
-
-    /// Node count.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Inspect a node's concrete state.
@@ -648,17 +638,14 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
                         let mut ctx = Ctx::new(self.now, node);
                         slot.node.on_recover(&mut ctx);
                         self.flush_ctx(node, ctx);
-                        // Deliver buffered messages in arrival order.
-                        while let Some((from, msg)) = {
-                            let slot = &mut self.nodes[node.index()];
-                            slot.buffered.pop_front()
-                        } {
-                            self.deliver(from, node, msg);
-                        }
                         // Channel recovery: rebuild from the durable log
                         // and retransmit the first burst of unacked frames
                         // per peer; the retry clock armed below drains the
-                        // rest at the normal burst/RTO pace.
+                        // rest at the normal burst/RTO pace. This comes
+                        // before the buffered deliveries: their handlers
+                        // send, and a send staged on the endpoint the
+                        // crash emptied would reuse sequence numbers the
+                        // log still holds.
                         if let Some(mut t) = self.transport.take() {
                             let resend = t.endpoint_mut(node).on_recover(self.now);
                             for (peer, seq, msg) in resend {
@@ -676,6 +663,13 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
                             }
                             self.arm_retry(&mut t, node);
                             self.transport = Some(t);
+                        }
+                        // Deliver buffered messages in arrival order.
+                        while let Some((from, msg)) = {
+                            let slot = &mut self.nodes[node.index()];
+                            slot.buffered.pop_front()
+                        } {
+                            self.deliver(from, node, msg);
                         }
                     }
                 }

@@ -1,19 +1,25 @@
-//! The workflow database tables.
+//! What a node journals: the AGDB tables at agents, the command log at
+//! engines.
 //!
-//! §2 and §4.1 describe the same table layout at the central engine (WFDB)
-//! and at every distributed agent (AGDB): a *workflow class table* per
-//! schema linked to *workflow instance tables* (data + event state per
-//! instance), a *step table* (step status/results), and — at coordination
-//! agents only — the *coordination instance summary table* that serves
-//! front-end status requests.
+//! §2 and §4.1 give the central engine (WFDB) and every distributed agent
+//! (AGDB) a database for one purpose, forward recovery, and [`DbOp`] is
+//! the record type of both logs. Each node journals only what its own
+//! recovery reads back:
 //!
-//! [`AgentDb`] is that store, with every mutation expressed as a loggable
-//! [`DbOp`] so the node's WAL can forward-recover the exact projection
-//! after a crash: `apply(op)` both mutates and (at the caller's choice)
-//! appends to the log; `replay(ops)` rebuilds from scratch.
+//! * A distributed agent keeps the AGDB tables — *workflow instance
+//!   tables* (data per instance), a *step table* (step status/results),
+//!   and, at coordination agents, the *coordination instance summary
+//!   table* that serves front-end status requests. [`AgentDb`] is that
+//!   store: every mutation is a table [`DbOp`] the agent appends to its
+//!   WAL and then `apply`s; after a crash `replay(ops)` rebuilds the
+//!   projection and the agent restores its navigators from it.
+//! * An engine keeps no tables here. Its WFDB is a command log of
+//!   [`DbOp::EngineInput`] records, one per delivered message; replaying
+//!   them through the normal handlers rebuilds the engine's in-memory
+//!   instance, step, event and summary state.
 
 use crate::wire;
-use crew_model::{DataEnv, InstanceId, ItemKey, SchemaId, StepId, Value};
+use crew_model::{DataEnv, InstanceId, ItemKey, StepId, Value};
 use std::collections::BTreeMap;
 
 /// Instance status as tracked in the coordination instance summary table.
@@ -59,9 +65,10 @@ wire! {
     }
 }
 
-/// One loggable mutation of the agent database. Variant fields follow
-/// the naming of the tables they touch; every variant but `EngineInput`
-/// names the `instance` whose tables it changes.
+/// One journal record. The table variants are an agent's AGDB mutations
+/// (fields follow the naming of the tables they touch, and each names the
+/// `instance` whose tables it changes); `EngineInput` is the only record
+/// an engine writes.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbOp {
@@ -76,10 +83,6 @@ pub enum DbOp {
     /// Remove the outputs of a step from an instance's data table
     /// (compensation).
     StepOutputsCleared { instance: InstanceId, step: StepId },
-    /// Record an event occurrence (by its stable code, e.g. "S2.D").
-    EventPosted { instance: InstanceId, code: String },
-    /// Invalidate an event occurrence (rollback).
-    EventInvalidated { instance: InstanceId, code: String },
     /// Update a step's row in the step table.
     StepRecorded {
         instance: InstanceId,
@@ -102,8 +105,8 @@ pub enum DbOp {
     /// engine, stored verbatim (codec-encoded) before it is handled.
     /// Engines are deterministic state machines over their delivered
     /// message stream, so replaying the commands with outputs discarded
-    /// rebuilds every volatile structure the table ops cannot capture
-    /// (rule-set firing state, flow weights, OCR bookkeeping, in-flight
+    /// rebuilds every volatile structure (instance data and history,
+    /// rule-set firing state, flow weights, OCR bookkeeping, in-flight
     /// coordination). Not a table mutation — [`AgentDb::apply`] ignores it.
     EngineInput {
         /// Sending node id (`u32::MAX` = external).
@@ -113,13 +116,14 @@ pub enum DbOp {
     },
 }
 
+// Tags 3 and 4 are retired (`EventPosted` / `EventInvalidated`, an event
+// table no recovery read): left unused and never reused, so a log written
+// with them fails to decode instead of being misread.
 wire! {
     enum DbOp {
         0 => InstanceCreated { instance },
         1 => DataWritten { instance, key, value },
         2 => StepOutputsCleared { instance, step },
-        3 => EventPosted { instance, code },
-        4 => EventInvalidated { instance, code },
         5 => StepRecorded { instance, step, state, attempt, outputs },
         6 => StatusChanged { instance, status },
         7 => InstancePurged { instance },
@@ -132,19 +136,17 @@ wire! {
 pub struct InstanceTable {
     /// The instance data table.
     pub data: DataEnv,
-    /// Present (valid) event codes with occurrence counts.
-    pub events: BTreeMap<String, u32>,
     /// Step table rows: persisted status per step.
     pub steps: BTreeMap<StepId, (StoredStepState, u32, Vec<Value>)>,
 }
 
-/// The agent/engine database: instance tables plus the coordination
-/// instance summary.
+/// A distributed agent's database (AGDB): instance tables plus the
+/// coordination instance summary.
 #[derive(Debug, Clone, Default)]
 pub struct AgentDb {
     instances: BTreeMap<InstanceId, InstanceTable>,
     /// Coordination instance summary table (only populated at nodes acting
-    /// as coordination agents / the central engine).
+    /// as coordination agents).
     summary: BTreeMap<InstanceId, InstanceStatus>,
 }
 
@@ -175,20 +177,6 @@ impl AgentDb {
             DbOp::StepOutputsCleared { instance, step } => {
                 if let Some(t) = self.instances.get_mut(instance) {
                     t.data.clear_step_outputs(*step);
-                }
-            }
-            DbOp::EventPosted { instance, code } => {
-                *self
-                    .instances
-                    .entry(*instance)
-                    .or_default()
-                    .events
-                    .entry(code.clone())
-                    .or_default() += 1;
-            }
-            DbOp::EventInvalidated { instance, code } => {
-                if let Some(t) = self.instances.get_mut(instance) {
-                    t.events.remove(code);
                 }
             }
             DbOp::StepRecorded {
@@ -239,15 +227,6 @@ impl AgentDb {
     pub fn status(&self, id: InstanceId) -> Option<InstanceStatus> {
         self.summary.get(&id).copied()
     }
-
-    /// Instances of `schema` known to this node.
-    pub fn instances_of(&self, schema: SchemaId) -> Vec<InstanceId> {
-        self.instances
-            .keys()
-            .filter(|i| i.schema == schema)
-            .copied()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -255,6 +234,7 @@ mod tests {
     use super::*;
     use crate::codec::{Decode, Encode};
     use crate::wal::Wal;
+    use crew_model::SchemaId;
 
     fn inst(n: u32) -> InstanceId {
         InstanceId::new(SchemaId(1), n)
@@ -272,14 +252,6 @@ mod tests {
             DbOp::StepOutputsCleared {
                 instance: inst(1),
                 step: StepId(2),
-            },
-            DbOp::EventPosted {
-                instance: inst(1),
-                code: "S2.D".into(),
-            },
-            DbOp::EventInvalidated {
-                instance: inst(1),
-                code: "S2.D".into(),
             },
             DbOp::StepRecorded {
                 instance: inst(1),
@@ -313,10 +285,6 @@ mod tests {
             key: ItemKey::input(1),
             value: Value::Int(90),
         });
-        db.apply(&DbOp::EventPosted {
-            instance: inst(1),
-            code: "WF.S".into(),
-        });
         db.apply(&DbOp::StepRecorded {
             instance: inst(1),
             step: StepId(1),
@@ -331,11 +299,8 @@ mod tests {
 
         let t = db.instance(inst(1)).unwrap();
         assert_eq!(t.data.get(&ItemKey::input(1)), Some(&Value::Int(90)));
-        assert_eq!(t.events["WF.S"], 1);
         assert_eq!(t.steps[&StepId(1)].0, StoredStepState::Done);
         assert_eq!(db.status(inst(1)), Some(InstanceStatus::Executing));
-        assert_eq!(db.instances_of(SchemaId(1)), vec![inst(1)]);
-        assert!(db.instances_of(SchemaId(9)).is_empty());
     }
 
     #[test]
@@ -347,13 +312,19 @@ mod tests {
                 key: ItemKey::input(1),
                 value: Value::Int(7),
             },
-            DbOp::EventPosted {
+            DbOp::StepRecorded {
                 instance: inst(1),
-                code: "S1.D".into(),
+                step: StepId(1),
+                state: StoredStepState::Failed,
+                attempt: 1,
+                outputs: vec![],
             },
-            DbOp::EventPosted {
+            DbOp::StepRecorded {
                 instance: inst(1),
-                code: "S1.D".into(),
+                step: StepId(1),
+                state: StoredStepState::Done,
+                attempt: 2,
+                outputs: vec![Value::Int(7)],
             },
         ];
         let mut direct = AgentDb::new();
@@ -365,7 +336,10 @@ mod tests {
             direct.instance(inst(1)).unwrap(),
             replayed.instance(inst(1)).unwrap()
         );
-        assert_eq!(replayed.instance(inst(1)).unwrap().events["S1.D"], 2);
+        assert_eq!(
+            replayed.instance(inst(1)).unwrap().steps[&StepId(1)],
+            (StoredStepState::Done, 2, vec![Value::Int(7)])
+        );
     }
 
     #[test]
@@ -378,9 +352,9 @@ mod tests {
                 key: ItemKey::output(StepId(1), 2),
                 value: Value::Str("Gasket".into()),
             },
-            DbOp::EventPosted {
+            DbOp::StatusChanged {
                 instance: inst(4),
-                code: "S1.D".into(),
+                status: InstanceStatus::Committed,
             },
         ];
         for op in &ops {
@@ -393,6 +367,7 @@ mod tests {
             t.data.get(&ItemKey::output(StepId(1), 2)),
             Some(&Value::Str("Gasket".into()))
         );
+        assert_eq!(db.status(inst(4)), Some(InstanceStatus::Committed));
     }
 
     #[test]
@@ -414,16 +389,13 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_removes_event() {
-        let mut db = AgentDb::new();
-        db.apply(&DbOp::EventPosted {
-            instance: inst(1),
-            code: "S3.D".into(),
-        });
-        db.apply(&DbOp::EventInvalidated {
-            instance: inst(1),
-            code: "S3.D".into(),
-        });
-        assert!(db.instance(inst(1)).unwrap().events.is_empty());
+    fn retired_tags_do_not_decode() {
+        // The parent's bytes for EventPosted / EventInvalidated "S2.D".
+        for tag in [3u8, 4] {
+            let mut bytes = bytes::Bytes::from(vec![
+                tag, 2, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, 0x53, 0x32, 0x2e, 0x44,
+            ]);
+            assert!(DbOp::decode(&mut bytes).is_err());
+        }
     }
 }

@@ -429,7 +429,8 @@ fn parallel_sibling_engine_unaffected_by_crash() {
 }
 
 /// Direct engine-state inspection: run to commit, crash/recover engine 0,
-/// and check the WFDB projection and statuses were rebuilt by WAL replay.
+/// and check the instance's status, data table and step history were
+/// rebuilt by replaying the command log.
 #[test]
 fn engine_recovers_state_from_wal() {
     let log = ExecLog::new();
@@ -439,6 +440,14 @@ fn engine_recovers_state_from_wal() {
     let inst = run.start_instance(SchemaId(1), vec![(1, Value::Int(5))]);
     run.run();
     assert_eq!(run.statuses().get(&inst), Some(&InstanceStatus::Committed));
+    // The engine's data and step tables for the instance.
+    let tables = |run: &crew_central::CentralRun| {
+        let engine = run.engine(0);
+        let steps: Vec<_> = engine.history_of(inst)?.iter().cloned().collect();
+        Some((engine.data_of(inst)?.clone(), steps))
+    };
+    let before = tables(&run).expect("hosted on engine 0");
+    assert_eq!(before.1.len(), 2);
 
     let t = run.sim.now();
     let engine_node = run.topo.engine_node(0);
@@ -449,9 +458,6 @@ fn engine_recovers_state_from_wal() {
         Some(&InstanceStatus::Committed),
         "engine status survived the crash via WFDB replay"
     );
-    assert!(
-        run.engine(0).db().instance(inst).is_some(),
-        "projection rebuilt from the WAL"
-    );
+    assert_eq!(tables(&run), Some(before), "tables rebuilt from the WAL");
     assert!(!run.engine(0).is_halted());
 }

@@ -8,7 +8,10 @@
 //! virtual time, so races the paper itself calls user-visible (abort vs
 //! commit) are exercised elsewhere.
 
-use crew_core::{Architecture, CrashWindow, NetFaultPlan, RunReport, Scenario, WorkflowSystem};
+use crew_core::{
+    Architecture, BalancerConfig, CrashWindow, EngineLoad, NetFaultPlan, RunReport, Scenario,
+    WorkflowSystem,
+};
 use crew_exec::{FnProgram, StepFailure};
 use crew_integration_tests::{linear_logged_schema, ExecLog};
 use crew_model::{AgentId, SchemaBuilder, SchemaId, Value, WorkflowSchema};
@@ -462,6 +465,83 @@ fn migrating_a_mutex_holder_under_chaos_stays_exactly_once() {
         saw_holder_migration,
         "no migration tick caught the instance holding the mutex"
     );
+}
+
+/// The balancer samples per-window counter deltas while an engine is down
+/// and just after it recovers (a crash zeroes the counters, and replay
+/// does not re-count forwards): the run must neither panic on a negative
+/// window nor strand an instance, on a perfect network and on a lossy one.
+#[test]
+fn balancer_migrations_survive_an_engine_crash() {
+    for net in [
+        None,
+        Some(NetFaultPlan::probabilistic(
+            chaos_seed(23),
+            0.04,
+            0.04,
+            0.08,
+        )),
+    ] {
+        let lossy = net.is_some();
+        let mut system = WorkflowSystem::new(
+            [linear_logged_schema(1, 4, 2, "passthrough")],
+            Architecture::Parallel {
+                agents: 2,
+                engines: 4,
+            },
+        )
+        .with_balancer(8, BalancerConfig::default());
+        if let Some(plan) = net {
+            system = system.with_net_faults(plan);
+        }
+        let mut scenario = Scenario::new();
+        for k in 0..40 {
+            scenario.start_at(SchemaId(1), vec![(1, Value::Int(k))], k as u64 * 3);
+        }
+        scenario.crash(CrashWindow::engine(1, 30, Some(40)));
+        let report = system.run(scenario);
+        assert_eq!(report.committed(), 40, "lossy={lossy}");
+    }
+}
+
+/// The journal invariant, stated once: at the end of a run every engine's
+/// WAL holds exactly one record per message delivered to it — after a
+/// fault-free run, after an engine crashed and replayed its log, and after
+/// a live migration (whose install replays a command slice unjournaled,
+/// under the one `MigrateState` record). `engine::tests` checks the record
+/// kind; this checks the count wherever engines run.
+#[test]
+fn engine_journal_is_exactly_the_delivered_inputs() {
+    fn check(name: &str, loads: &[EngineLoad]) {
+        assert!(loads.iter().any(|l| l.delivered_msgs > 0), "{name}");
+        for l in loads {
+            assert_eq!(
+                l.wal_appends, l.delivered_msgs,
+                "{name}: engine {} journaled something other than its inputs",
+                l.engine
+            );
+        }
+    }
+    for arch in [
+        Architecture::Central { agents: 6 },
+        Architecture::Parallel {
+            agents: 6,
+            engines: 2,
+        },
+    ] {
+        let (report, _) = run_mixed(arch, None);
+        check(&format!("{arch:?} fault-free"), &report.engine_loads);
+        let crash = CrashWindow::engine(0, 8, Some(50));
+        let (report, _) = run_mixed_with_crashes(arch, None, &[crash]);
+        assert_eq!(report.committed(), 4, "{arch:?}");
+        check(&format!("{arch:?} engine crash"), &report.engine_loads);
+    }
+    let (run, _, _, _, dst) = run_migration_fleet(None, |_, _| None);
+    assert_eq!(run.engine(dst).migrations_in, 1);
+    check("migration", &run.engine_loads());
+    let (run, _, _, _, dst) = run_migration_fleet(Some((9, 20)), |_, _| None);
+    assert_eq!(run.engine(dst).migrations_in, 1);
+    check("migration + target crash", &run.engine_loads());
 }
 
 /// Same seed, same crash windows ⇒ bit-identical runs, engine crashes

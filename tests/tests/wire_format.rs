@@ -141,20 +141,6 @@ fn db_ops() -> Vec<(&'static str, DbOp)> {
             },
         ),
         (
-            "EventPosted",
-            DbOp::EventPosted {
-                instance: inst(1),
-                code: "S2.D".into(),
-            },
-        ),
-        (
-            "EventInvalidated",
-            DbOp::EventInvalidated {
-                instance: inst(1),
-                code: "S2.D".into(),
-            },
-        ),
-        (
             "StepRecorded",
             DbOp::StepRecorded {
                 instance: inst(1),
