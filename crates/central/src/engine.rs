@@ -15,7 +15,7 @@
 
 use crate::msg::{CentralMsg, CoordMsg};
 use crate::topology::Topology;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use crew_exec::{
     declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, Deployment,
     FailureVerdict, InstanceHistory, InstanceNav, OcrDecision, StepState, Weight,
@@ -340,8 +340,7 @@ impl Engine {
         if self.installing.is_some() {
             return; // the incoming slice already carries these records
         }
-        let payload = msg.to_bytes().to_vec();
-        self.ingest_cmd(ctx.self_id.0, msg, &payload);
+        self.ingest_cmd(ctx.self_id.0, msg, &encode_cmd(msg));
     }
 
     // ---- instantiation -----------------------------------------------------
@@ -1473,6 +1472,14 @@ impl Engine {
     }
 }
 
+/// `msg`'s wire form, encoded once into the buffer the journal record
+/// then owns (commands are a few dozen bytes).
+fn encode_cmd(msg: &CentralMsg) -> Vec<u8> {
+    let mut buf = BytesMut::with_capacity(64);
+    msg.encode(&mut buf);
+    buf.into()
+}
+
 impl Node<CentralMsg> for Engine {
     fn on_message(&mut self, from: NodeId, msg: CentralMsg, ctx: &mut Ctx<CentralMsg>) {
         if self.halted {
@@ -1501,7 +1508,7 @@ impl Node<CentralMsg> for Engine {
         // before the simulator releases the handler's buffered sends.
         self.clock = ctx.now;
         self.delivered_msgs += 1;
-        let payload = msg.to_bytes().to_vec();
+        let payload = encode_cmd(&msg);
         self.ingest_cmd(from.0, &msg, &payload);
         self.wal
             .append_nosync(&DbOp::EngineInput {
@@ -1548,8 +1555,8 @@ impl Node<CentralMsg> for Engine {
                 // carries no command to re-drive.
                 continue;
             };
-            let mut buf = Bytes::from(payload.clone());
-            match CentralMsg::decode(&mut buf) {
+            let payload = Bytes::from(payload);
+            match CentralMsg::decode(&mut payload.clone()) {
                 Ok(msg) => {
                     // Sends, timers and load were already emitted before the
                     // crash; replay must rebuild state without repeating them.

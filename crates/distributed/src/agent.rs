@@ -142,11 +142,15 @@ pub struct DistAgent {
     shared: SharedCtx,
     executor: StepExecutor,
     instances: BTreeMap<InstanceId, InstState>,
-    /// Compiled rule templates per schema (shared, lazily built).
+    /// Compiled rule templates per schema (lazily built): only the rows
+    /// of steps this agent is eligible for, the others it never installs.
     templates: BTreeMap<crew_model::SchemaId, Arc<Vec<crew_rules::TemplateRule>>>,
-    /// AGDB: write-ahead log + recovered projection.
+    /// AGDB: the write-ahead log. Its table projection exists only inside
+    /// `on_recover`; live, the navigators hold the only copy of the data.
     wal: Wal<DbOp, MemStore>,
-    db: AgentDb,
+    /// Coordination instance summary table — the one AGDB table read
+    /// live (`WorkflowStatus`), so it is kept beside the log.
+    statuses: BTreeMap<InstanceId, InstanceStatus>,
     /// Relative-order arbiter decisions at this agent.
     ro_decisions: BTreeMap<(u32, InstanceId, InstanceId), RoDecision>,
     /// Mutex manager state per requirement id.
@@ -188,7 +192,7 @@ impl DistAgent {
             instances: BTreeMap::new(),
             templates: BTreeMap::new(),
             wal: Wal::in_memory(),
-            db: AgentDb::new(),
+            statuses: BTreeMap::new(),
             ro_decisions: BTreeMap::new(),
             mutexes: BTreeMap::new(),
             purge_queue: Vec::new(),
@@ -256,11 +260,31 @@ impl DistAgent {
         ctx.add_load(l);
     }
 
-    fn log(&mut self, op: DbOp) {
+    fn log(&mut self, op: &DbOp) {
         self.wal
-            .append(&op)
+            .append(op)
             .expect("in-memory WAL append cannot fail");
-        self.db.apply(&op);
+    }
+
+    /// Journal one data item and hand the value back, so the navigator
+    /// stores the allocation that was journaled instead of a clone.
+    fn log_write(&mut self, instance: InstanceId, key: ItemKey, value: Value) -> Value {
+        let op = DbOp::DataWritten {
+            instance,
+            key,
+            value,
+        };
+        self.log(&op);
+        match op {
+            DbOp::DataWritten { value, .. } => value,
+            _ => unreachable!("built as DataWritten above"),
+        }
+    }
+
+    /// Journal a summary-table change and apply it.
+    fn set_status(&mut self, instance: InstanceId, status: InstanceStatus) {
+        self.log(&DbOp::StatusChanged { instance, status });
+        self.statuses.insert(instance, status);
     }
 
     /// Instance state, creating an empty shell on first contact.
@@ -281,12 +305,17 @@ impl DistAgent {
             return;
         }
         let schema = self.schema(instance);
+        let me = self.agent_id;
         let template = self
             .templates
             .entry(instance.schema)
-            .or_insert_with(|| Arc::new(compile_schema(&schema)))
+            .or_insert_with(|| {
+                let mut rows = compile_schema(&schema);
+                rows.retain(|t| schema.expect_step(t.step).eligible_agents.contains(&me));
+                Arc::new(rows)
+            })
             .clone();
-        self.log(DbOp::InstanceCreated { instance });
+        self.log(&DbOp::InstanceCreated { instance });
 
         // Coordination pre-wiring computed before borrowing state mutably.
         let mut preconditions: Vec<(StepId, u64)> = Vec::new();
@@ -300,24 +329,17 @@ impl DistAgent {
             &mut ro_claim_monitors,
         );
 
-        let me = self.agent_id;
         let seed = self.seed();
         let load_balanced =
             self.shared.config.successor_selection == SuccessorSelection::LoadBalanced;
         let st = self.instances.entry(instance).or_default();
         st.instantiated = true;
         for t in template.iter() {
-            let def = schema.expect_step(t.step);
             // Under load balancing the executor is chosen dynamically, so
-            // every eligible agent holds the rules and the executor check
-            // happens at firing time; under the rendezvous scheme only the
-            // designee needs them.
-            let install = if load_balanced {
-                def.eligible_agents.contains(&me)
-            } else {
-                designated_agent(seed, instance, def) == me
-            };
-            if install {
+            // every eligible agent holds the rules (the template's rows)
+            // and the executor check happens at firing time; under the
+            // rendezvous scheme only the designee needs them.
+            if load_balanced || designated_agent(seed, instance, schema.expect_step(t.step)) == me {
                 st.nav.install_rule(t.step, t.rule.clone());
             }
         }
@@ -458,14 +480,8 @@ impl DistAgent {
         self.nav_load(ctx);
 
         // Merge data (persisting each write).
-        let writes: Vec<(ItemKey, Value)> =
-            packet.data.iter().map(|(k, v)| (*k, v.clone())).collect();
-        for (key, value) in writes {
-            self.log(DbOp::DataWritten {
-                instance,
-                key,
-                value: value.clone(),
-            });
+        for (key, value) in packet.data {
+            let value = self.log_write(instance, key, value);
             self.inst(instance).nav.data.set(key, value);
         }
         // Merge events by generation (idempotent across the broadcast,
@@ -722,7 +738,7 @@ impl DistAgent {
                 cost,
             } => {
                 ctx.add_load(cost);
-                self.log(DbOp::StepRecorded {
+                self.log(&DbOp::StepRecorded {
                     instance,
                     step: def.id,
                     state: StoredStepState::Done,
@@ -730,16 +746,12 @@ impl DistAgent {
                     outputs: outputs.clone(),
                 });
                 for (key, v) in declared_outputs(def, &outputs) {
-                    self.log(DbOp::DataWritten {
-                        instance,
-                        key,
-                        value: v.clone(),
-                    });
+                    self.log_write(instance, key, v.clone());
                 }
                 self.after_step_done(instance, def.id, true, ctx);
             }
             StepOutcome::Failed { attempt, .. } => {
-                self.log(DbOp::StepRecorded {
+                self.log(&DbOp::StepRecorded {
                     instance,
                     step: def.id,
                     state: StoredStepState::Failed,
@@ -959,18 +971,39 @@ impl DistAgent {
                 self.begin_load_balanced_forward(packet, def_t.eligible_agents.clone(), ctx);
                 continue;
             }
-            let def = schema.expect_step(target);
-            for agent in &def.eligible_agents {
-                let node = self.shared.directory.node_of(*agent);
-                let msg = DistMsg::StepExecute {
-                    packet: packet.clone(),
-                };
-                if node == ctx.self_id {
-                    self.on_packet(packet.clone(), ctx);
-                } else {
-                    ctx.send(node, msg);
-                }
-            }
+            self.broadcast_packet(packet, &def_t.eligible_agents, ctx);
+        }
+    }
+
+    /// Hand `packet` to each of `agents` in order — a direct call where
+    /// the agent is this node, a `StepExecute` otherwise. Every recipient
+    /// but the last gets a clone; the last takes the original.
+    fn broadcast_packet(
+        &mut self,
+        packet: WorkflowPacket,
+        agents: &[crew_model::AgentId],
+        ctx: &mut Ctx<DistMsg>,
+    ) {
+        let Some((last, rest)) = agents.split_last() else {
+            return;
+        };
+        for agent in rest {
+            self.hand_packet(*agent, packet.clone(), ctx);
+        }
+        self.hand_packet(*last, packet, ctx);
+    }
+
+    fn hand_packet(
+        &mut self,
+        agent: crew_model::AgentId,
+        packet: WorkflowPacket,
+        ctx: &mut Ctx<DistMsg>,
+    ) {
+        let node = self.shared.directory.node_of(agent);
+        if node == ctx.self_id {
+            self.on_packet(packet, ctx);
+        } else {
+            ctx.send(node, DistMsg::StepExecute { packet });
         }
     }
 
@@ -1028,30 +1061,17 @@ impl DistAgent {
             .map(|(_, a)| a)
             .expect("candidates non-empty");
         packet.executor = Some(chosen);
-        {
-            // The sender records the choice too (it may itself be
-            // eligible for the target step).
-            let st = self.inst(packet.instance);
-            st.chosen_executor.insert(packet.target_step, chosen);
-        }
-        for agent in &pf.candidates {
-            let node = self.shared.directory.node_of(*agent);
-            if node == ctx.self_id {
-                self.on_packet(packet.clone(), ctx);
-            } else {
-                ctx.send(
-                    node,
-                    DistMsg::StepExecute {
-                        packet: packet.clone(),
-                    },
-                );
-            }
-        }
+        let (instance, target_step) = (packet.instance, packet.target_step);
+        // The sender records the choice too (it may itself be eligible
+        // for the target step).
+        let st = self.inst(instance);
+        st.chosen_executor.insert(target_step, chosen);
+        self.broadcast_packet(packet, &pf.candidates, ctx);
         // If we chose ourselves, the navigation rule already fired (and
         // skipped) while the choice was outstanding — drive the step
         // directly now that the stamp is recorded.
         if chosen == self.agent_id {
-            self.start_step(packet.instance, packet.target_step, ctx);
+            self.start_step(instance, target_step, ctx);
         }
     }
 
@@ -1536,8 +1556,8 @@ impl DistAgent {
                 .compensate(def, instance, &mut nav.data, &mut nav.history, partial);
         ctx.add_load(cost);
         nav.compensated(&schema, step);
-        self.log(DbOp::StepOutputsCleared { instance, step });
-        self.log(DbOp::StepRecorded {
+        self.log(&DbOp::StepOutputsCleared { instance, step });
+        self.log(&DbOp::StepRecorded {
             instance,
             step,
             state: StoredStepState::Compensated,
@@ -1790,10 +1810,7 @@ impl DistAgent {
             st.is_coordinator = true;
             st.nav.parent = parent;
         }
-        self.log(DbOp::StatusChanged {
-            instance,
-            status: InstanceStatus::Executing,
-        });
+        self.set_status(instance, InstanceStatus::Executing);
         let mut data = DataEnv::new();
         for (k, v) in inputs {
             data.set(k, v);
@@ -1833,10 +1850,7 @@ impl DistAgent {
         if !nav.commit_now() {
             return;
         }
-        self.log(DbOp::StatusChanged {
-            instance,
-            status: InstanceStatus::Committed,
-        });
+        self.set_status(instance, InstanceStatus::Committed);
         // Notify the front end (or the parent, for nested instances).
         let schema = self.schema(instance);
         let nav = &self.inst(instance).nav;
@@ -1885,11 +1899,7 @@ impl DistAgent {
         let schema = self.schema(parent);
         let def = schema.expect_step(parent_step);
         for (key, v) in declared_outputs(def, &outputs) {
-            self.log(DbOp::DataWritten {
-                instance: parent,
-                key,
-                value: v.clone(),
-            });
+            self.log_write(parent, key, v.clone());
         }
         self.inst(parent).nav.record_child_done(def, outputs);
         self.after_step_done(parent, parent_step, true, ctx);
@@ -1946,10 +1956,7 @@ impl DistAgent {
             return;
         }
         nav.aborted = true;
-        self.log(DbOp::StatusChanged {
-            instance,
-            status: InstanceStatus::Aborted,
-        });
+        self.set_status(instance, InstanceStatus::Aborted);
         // Hand back (or de-queue) every mutex this instance may hold or
         // await, so contenders are never wedged by the abort.
         {
@@ -2046,11 +2053,7 @@ impl DistAgent {
     ) {
         self.ensure_instantiated(instance, ctx);
         for (key, value) in new_inputs {
-            self.log(DbOp::DataWritten {
-                instance,
-                key,
-                value: value.clone(),
-            });
+            let value = self.log_write(instance, key, value);
             self.inst(instance).nav.data.set(key, value);
         }
         self.on_workflow_rollback(instance, origin, false, ctx);
@@ -2278,7 +2281,7 @@ impl DistAgent {
             let keep = self.instances.get(&i).is_some_and(|s| s.is_coordinator);
             if !keep {
                 self.instances.remove(&i);
-                self.log(DbOp::InstancePurged { instance: i });
+                self.log(&DbOp::InstancePurged { instance: i });
             }
         }
     }
@@ -2287,7 +2290,7 @@ impl DistAgent {
 
     /// Status of an instance as this agent knows it.
     pub fn instance_status(&self, instance: InstanceId) -> Option<InstanceStatus> {
-        self.db.status(instance)
+        self.statuses.get(&instance).copied()
     }
 
     /// The instance's data table at this agent.
@@ -2336,7 +2339,7 @@ impl Node<DistMsg> for DistAgent {
             } => self.on_change_inputs(instance, new_inputs, ctx),
             DistMsg::WorkflowAbort { instance } => self.on_workflow_abort(instance, ctx),
             DistMsg::WorkflowStatus { instance } => {
-                let status = match self.db.status(instance) {
+                let status = match self.instance_status(instance) {
                     Some(InstanceStatus::Committed) => "committed",
                     Some(InstanceStatus::Aborted) => "aborted",
                     Some(InstanceStatus::Executing) => "executing",
@@ -2472,14 +2475,8 @@ impl Node<DistMsg> for DistAgent {
             self.halted = true;
             return;
         };
-        self.db = AgentDb::replay(ops.iter());
-        for (&instance, table) in self
-            .db
-            .instances()
-            .map(|(i, t)| (i, t.clone()))
-            .collect::<Vec<_>>()
-            .iter()
-        {
+        let db = AgentDb::replay(ops.iter());
+        for (&instance, table) in db.instances() {
             let st = self.instances.entry(instance).or_default();
             st.nav.data = table.data.clone();
             let history = &mut st.nav.history;
@@ -2501,12 +2498,13 @@ impl Node<DistMsg> for DistAgent {
                     StoredStepState::Executing => {}
                 }
             }
-            if let Some(status) = self.db.status(instance) {
+            if let Some(status) = db.status(instance) {
                 st.is_coordinator = true;
                 st.nav.committed = status == InstanceStatus::Committed;
                 st.nav.aborted = status == InstanceStatus::Aborted;
             }
         }
+        self.statuses = db.into_summary();
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -2549,6 +2547,41 @@ mod tests {
         agent_with(FailurePlan::none())
     }
 
+    /// Everything a crash must not lose, read through the public
+    /// accessors: the data table; per step its state, its attempt counter
+    /// and, while an execution stands (`Done`), that execution's attempt
+    /// and outputs (a compensated step's outputs are retracted, and
+    /// journaled as such); and the summary row.
+    fn durable_state(
+        a: &DistAgent,
+        instance: InstanceId,
+        steps: &[StepId],
+    ) -> impl PartialEq + std::fmt::Debug {
+        let history = a.history_of(instance).expect("instance known");
+        let rows: Vec<_> = steps
+            .iter()
+            .map(|&s| {
+                let standing = history
+                    .record(s)
+                    .filter(|r| r.state == StepState::Done)
+                    .map(|r| (r.attempt, r.outputs.clone()));
+                (history.state(s), history.attempts(s), standing)
+            })
+            .collect();
+        (
+            a.data_of(instance).cloned(),
+            rows,
+            a.instance_status(instance),
+        )
+    }
+
+    /// The records in `a`'s AGDB log, in order.
+    fn journal(a: &DistAgent) -> Vec<DbOp> {
+        Wal::with_store(a.wal.store().clone())
+            .recover()
+            .expect("in-memory log reads back")
+    }
+
     #[test]
     fn unreadable_wal_halts_recovery_and_silences_the_node() {
         let mut a = agent();
@@ -2585,8 +2618,69 @@ mod tests {
             &mut ctx,
         );
         assert!(a.instances.is_empty());
-        assert!(a.db.status(instance2).is_none());
+        assert!(a.instance_status(instance2).is_none());
         a.on_timer(TIMER_POLL, &mut ctx);
+    }
+
+    /// The AGDB journal of a fault-free run, as numbers: every agent that
+    /// receives a packet journals each item it carries once (the packet
+    /// grows by one output per hop), the executor adds one step row and
+    /// one item per output, the coordination agent two summary rows.
+    #[test]
+    fn fault_free_journal_is_pinned_per_agent() {
+        let mut b = SchemaBuilder::new(SchemaId(1), "wf3").inputs(1);
+        let s1 = b.add_step("S1", "passthrough");
+        let s2 = b.add_step("S2", "passthrough");
+        let s3 = b.add_step("S3", "passthrough");
+        b.seq(s1, s2);
+        b.seq(s2, s3);
+        // Each step copies what it reads into one output; S2's packet is
+        // broadcast to both of its eligible agents.
+        b.read(s1, ItemKey::input(1));
+        b.read(s2, ItemKey::output(s1, 1));
+        b.read(s3, ItemKey::output(s2, 1));
+        for (s, agents) in [(s1, vec![0]), (s2, vec![1, 2]), (s3, vec![0])] {
+            b.configure(s, |d| {
+                d.output_slots = 1;
+                d.eligible_agents = agents.into_iter().map(AgentId).collect();
+            });
+        }
+        let deployment = Deployment::new([b.build().unwrap()]);
+        let mut run = crate::DistRun::new(deployment, 3, DistConfig::default());
+        let instance = run.start_instance(SchemaId(1), vec![(1, Value::Int(5))]);
+        run.run();
+        assert_eq!(
+            run.agent(AgentId(0)).instance_status(instance),
+            Some(InstanceStatus::Committed)
+        );
+
+        let kinds = |agent: u32| {
+            let mut counts = [0usize; 4];
+            for op in journal(run.agent(AgentId(agent))) {
+                let i = match op {
+                    DbOp::InstanceCreated { .. } => 0,
+                    DbOp::DataWritten { .. } => 1,
+                    DbOp::StepRecorded { .. } => 2,
+                    DbOp::StatusChanged { .. } => 3,
+                    other => panic!("unexpected record in a fault-free run: {other:?}"),
+                };
+                counts[i] += 1;
+            }
+            counts
+        };
+        let executor = designated_agent(
+            run.deployment.seed,
+            instance,
+            run.deployment.expect_schema(SchemaId(1)).expect_step(s2),
+        );
+        let standby = if executor == AgentId(1) { 2 } else { 1 };
+        // [created, data, step rows, summary rows]. Agent 0 merges the
+        // start packet (1 item) and S3's packet (3), and writes S1's and
+        // S3's outputs; S2's executor merges 2 items and writes 1; the
+        // standby only merges.
+        assert_eq!(kinds(0), [1, 1 + 3 + 2, 2, 2]);
+        assert_eq!(kinds(executor.0), [1, 2 + 1, 1, 0]);
+        assert_eq!(kinds(standby), [1, 2, 0, 0]);
     }
 
     #[test]
@@ -2621,17 +2715,22 @@ mod tests {
             (history.state(s2), history.attempts(s2)),
             (StepState::Failed, 3)
         );
+        let before = durable_state(&a, instance, &[s1, s2]);
 
         a.on_crash();
         assert!(a.instances.is_empty());
         let mut ctx = Ctx::detached(10, NodeId(0));
         a.on_recover(&mut ctx);
         assert!(!a.is_halted());
-        assert!(a.db.instance(instance).is_some());
-        // The AGDB journal holds only what the projection above is rebuilt
-        // from. The match is exhaustive so a new record kind has to be
+        assert_eq!(
+            durable_state(&a, instance, &[s1, s2]),
+            before,
+            "recovery rebuilds exactly the pre-crash state"
+        );
+        // The AGDB journal holds only what that state is rebuilt from.
+        // The match is exhaustive so a new record kind has to be
         // classified here as read by `on_recover` or not an agent's.
-        let journal = a.wal.recover().unwrap();
+        let journal = journal(&a);
         assert!(!journal.is_empty());
         for op in journal {
             match op {

@@ -219,6 +219,16 @@ impl DataEnv {
     }
 }
 
+impl IntoIterator for DataEnv {
+    type Item = (ItemKey, Value);
+    type IntoIter = std::collections::btree_map::IntoIter<ItemKey, Value>;
+
+    /// The entries by value, in key order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter()
+    }
+}
+
 impl FromIterator<(ItemKey, Value)> for DataEnv {
     fn from_iter<T: IntoIterator<Item = (ItemKey, Value)>>(iter: T) -> Self {
         DataEnv {

@@ -321,6 +321,25 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
         self.queue.push(Reverse(Event { at, seq, kind }));
     }
 
+    /// The one way into the trace: `detail` is rendered only when the
+    /// trace is on, so a perf run never pays for a `Debug` string.
+    fn trace_event(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        kind: &'static str,
+        detail: impl FnOnce() -> String,
+    ) {
+        let at = self.now;
+        self.trace.record_with(|| TraceEntry {
+            at,
+            from,
+            to,
+            kind,
+            detail: detail(),
+        });
+    }
+
     fn flush_ctx(&mut self, from: NodeId, ctx: Ctx<M>) {
         self.metrics.record_load(from, ctx.load);
         if ctx.halted {
@@ -386,15 +405,9 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
         let wf = *wire;
         if t.plan.partitioned(from, to, self.now) {
             self.metrics.transport.partition_drops += 1;
-            if self.trace.is_on() {
-                self.trace.record(TraceEntry {
-                    at: self.now,
-                    from,
-                    to,
-                    kind: crate::trace::NET_CUT,
-                    detail: format!("frame {wf} lost to partition"),
-                });
-            }
+            self.trace_event(from, to, crate::trace::NET_CUT, || {
+                format!("frame {wf} lost to partition")
+            });
             return;
         }
         if t.plan.drops(from, to, wf) {
@@ -402,43 +415,25 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
             if matches!(frame, Frame::Data { .. }) {
                 self.metrics.transport.data_drops_injected += 1;
             }
-            if self.trace.is_on() {
-                self.trace.record(TraceEntry {
-                    at: self.now,
-                    from,
-                    to,
-                    kind: crate::trace::NET_DROP,
-                    detail: format!("frame {wf} dropped"),
-                });
-            }
+            self.trace_event(from, to, crate::trace::NET_DROP, || {
+                format!("frame {wf} dropped")
+            });
             return;
         }
         let extra = t.plan.reorder_delay(from, to, wf);
         if extra > 0 {
             self.metrics.transport.reorders_injected += 1;
-            if self.trace.is_on() {
-                self.trace.record(TraceEntry {
-                    at: self.now,
-                    from,
-                    to,
-                    kind: crate::trace::NET_REORDER,
-                    detail: format!("frame {wf} held back {extra}"),
-                });
-            }
+            self.trace_event(from, to, crate::trace::NET_REORDER, || {
+                format!("frame {wf} held back {extra}")
+            });
         }
         let dup = t.plan.duplicates(from, to, wf);
         let lat = self.latency.sample(self.seed, from, to, self.seq).max(1) + extra;
         if dup {
             self.metrics.transport.dups_injected += 1;
-            if self.trace.is_on() {
-                self.trace.record(TraceEntry {
-                    at: self.now,
-                    from,
-                    to,
-                    kind: crate::trace::NET_DUP,
-                    detail: format!("frame {wf} duplicated"),
-                });
-            }
+            self.trace_event(from, to, crate::trace::NET_DUP, || {
+                format!("frame {wf} duplicated")
+            });
             self.push(
                 self.now + lat,
                 EventKind::Frame {
@@ -497,15 +492,9 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
                 let outcome = t.endpoint_mut(to).on_data(from, seq, payload);
                 if outcome.duplicate {
                     self.metrics.transport.dup_suppressed += 1;
-                    if self.trace.is_on() {
-                        self.trace.record(TraceEntry {
-                            at: self.now,
-                            from,
-                            to,
-                            kind: crate::trace::NET_DUP_SUPPRESSED,
-                            detail: format!("seq {seq} suppressed"),
-                        });
-                    }
+                    self.trace_event(from, to, crate::trace::NET_DUP_SUPPRESSED, || {
+                        format!("seq {seq} suppressed")
+                    });
                 }
                 // Every data frame (fresh or duplicate) is cumulatively
                 // acked so the sender can trim and stop retransmitting.
@@ -535,15 +524,9 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
         let due = t.endpoint_mut(node).due_retransmits(self.now);
         for (peer, seq, msg) in due {
             self.metrics.transport.retransmissions += 1;
-            if self.trace.is_on() {
-                self.trace.record(TraceEntry {
-                    at: self.now,
-                    from: node,
-                    to: peer,
-                    kind: crate::trace::NET_RETRANSMIT,
-                    detail: format!("seq {seq} retransmitted"),
-                });
-            }
+            self.trace_event(node, peer, crate::trace::NET_RETRANSMIT, || {
+                format!("seq {seq} retransmitted")
+            });
             self.transmit(
                 &mut t,
                 node,
@@ -637,15 +620,14 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
                         slot.crashed = false;
                         let mut ctx = Ctx::new(self.now, node);
                         slot.node.on_recover(&mut ctx);
-                        self.flush_ctx(node, ctx);
                         // Channel recovery: rebuild from the durable log
                         // and retransmit the first burst of unacked frames
                         // per peer; the retry clock armed below drains the
                         // rest at the normal burst/RTO pace. This comes
-                        // before the buffered deliveries: their handlers
-                        // send, and a send staged on the endpoint the
-                        // crash emptied would reuse sequence numbers the
-                        // log still holds.
+                        // before the node's own `on_recover` sends and the
+                        // buffered deliveries: a send staged on the
+                        // endpoint the crash emptied would reuse sequence
+                        // numbers the log still holds.
                         if let Some(mut t) = self.transport.take() {
                             let resend = t.endpoint_mut(node).on_recover(self.now);
                             for (peer, seq, msg) in resend {
@@ -664,6 +646,7 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
                             self.arm_retry(&mut t, node);
                             self.transport = Some(t);
                         }
+                        self.flush_ctx(node, ctx);
                         // Deliver buffered messages in arrival order.
                         while let Some((from, msg)) = {
                             let slot = &mut self.nodes[node.index()];
@@ -688,15 +671,9 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
                 // A genuinely out-of-range destination is a deployment
                 // bug: count it and leave a trace instead of vanishing.
                 self.metrics.transport.misaddressed += 1;
-                if self.trace.is_on() {
-                    self.trace.record(TraceEntry {
-                        at: self.now,
-                        from,
-                        to,
-                        kind: crate::trace::NET_MISADDRESSED,
-                        detail: format!("{msg:?}"),
-                    });
-                }
+                self.trace_event(from, to, crate::trace::NET_MISADDRESSED, || {
+                    format!("{msg:?}")
+                });
             }
             return;
         };
@@ -740,13 +717,7 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
                 to,
             );
         }
-        self.trace.record(TraceEntry {
-            at: self.now,
-            from,
-            to,
-            kind: msg.kind(),
-            detail: format!("{msg:?}"),
-        });
+        self.trace_event(from, to, msg.kind(), || format!("{msg:?}"));
         let mut ctx = Ctx::new(self.now, to);
         self.nodes[to.index()].node.on_message(from, msg, &mut ctx);
         self.flush_ctx(to, ctx);
@@ -1159,6 +1130,120 @@ mod tests {
         );
         assert!(sim.metrics.transport.retransmissions >= 2);
         assert_eq!(sim.metrics.total_messages, 2);
+    }
+
+    #[test]
+    fn on_recover_sends_wait_for_channel_recovery() {
+        /// Announces itself on start and again on every recovery.
+        struct Announcer {
+            peer: NodeId,
+            epoch: u32,
+        }
+        impl Node<Ping> for Announcer {
+            fn on_start(&mut self, ctx: &mut Ctx<Ping>) {
+                ctx.send(self.peer, Ping::Ping(self.epoch));
+            }
+            fn on_message(&mut self, _: NodeId, _: Ping, _: &mut Ctx<Ping>) {}
+            fn on_recover(&mut self, ctx: &mut Ctx<Ping>) {
+                self.epoch += 1;
+                ctx.send(self.peer, Ping::Ping(self.epoch));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        struct Collector {
+            got: Vec<u32>,
+        }
+        impl Node<Ping> for Collector {
+            fn on_message(&mut self, _: NodeId, msg: Ping, _: &mut Ctx<Ping>) {
+                if let Ping::Ping(n) = msg {
+                    self.got.push(n);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        for plan in [
+            NetFaultPlan::none(),
+            NetFaultPlan::probabilistic(11, 0.2, 0.2, 0.2),
+        ] {
+            let mut sim = Simulation::new(1);
+            let c = sim.add_node(Collector { got: vec![] });
+            let a = sim.add_node(Announcer { peer: c, epoch: 1 });
+            sim.enable_net_faults(plan);
+            sim.schedule_crash(a, 50, Some(50));
+            sim.schedule_crash(a, 200, Some(50));
+            sim.run();
+            assert!(sim.is_quiescent());
+            // A send staged before the endpoint replayed its log would take
+            // sequence number 1 again and be suppressed as a duplicate.
+            assert_eq!(
+                sim.node_as::<Collector>(c).unwrap().got,
+                vec![1, 2, 3],
+                "each announcement delivered exactly once, in order"
+            );
+            assert_eq!(sim.metrics.total_messages, 3);
+        }
+    }
+
+    #[test]
+    fn messages_are_rendered_only_for_an_enabled_trace() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+
+        /// A message that counts how often it is `Debug`-rendered.
+        #[derive(Clone)]
+        struct Counted(u32, Arc<AtomicU32>);
+        impl std::fmt::Debug for Counted {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                write!(f, "Counted({})", self.0)
+            }
+        }
+        impl Classify for Counted {
+            fn kind(&self) -> &'static str {
+                "Counted"
+            }
+            fn mechanism(&self) -> Mechanism {
+                Mechanism::Normal
+            }
+            fn instance(&self) -> Option<crew_model::InstanceId> {
+                None
+            }
+        }
+        /// Passes the message on to `peer` until its countdown reaches 0.
+        struct Bouncer {
+            peer: NodeId,
+        }
+        impl Node<Counted> for Bouncer {
+            fn on_message(&mut self, _: NodeId, msg: Counted, ctx: &mut Ctx<Counted>) {
+                if msg.0 > 0 {
+                    ctx.send(self.peer, Counted(msg.0 - 1, msg.1));
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        let run = |trace: bool| {
+            let renders = Arc::new(AtomicU32::new(0));
+            let mut sim = Simulation::new(3);
+            let a = sim.add_node(Bouncer { peer: NodeId(1) });
+            sim.add_node(Bouncer { peer: a });
+            if trace {
+                sim.enable_trace();
+            }
+            sim.send_external(a, Counted(6, renders.clone()));
+            sim.run();
+            assert_eq!(sim.metrics.total_messages, 6);
+            (renders.load(Ordering::Relaxed), sim.trace.len())
+        };
+        assert_eq!(run(false), (0, 0), "a disabled trace renders nothing");
+        // The external injection and the six system messages: one entry and
+        // one render each.
+        assert_eq!(run(true), (7, 7));
     }
 
     #[test]

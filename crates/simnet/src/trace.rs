@@ -2,7 +2,8 @@
 //!
 //! The figure reproductions (`repro fig1/fig4/fig6` in `crew-bench`) print
 //! the actual message exchanges of a run. Tracing is off by default since
-//! the performance harnesses deliver millions of messages.
+//! the performance harnesses deliver millions of messages, and it is lazy:
+//! an entry is built (and its message `Debug`-rendered) only when on.
 
 use crate::node::NodeId;
 use std::fmt;
@@ -68,16 +69,11 @@ impl Trace {
         Trace::default()
     }
 
-    /// `true` when recording — lets callers skip building detail strings
-    /// for traces that would be discarded.
-    pub fn is_on(&self) -> bool {
-        self.enabled
-    }
-
-    /// The recorded execution of `step`, if any.
-    pub fn record(&mut self, entry: TraceEntry) {
+    /// Record the entry `build` returns. `build` runs only when the trace
+    /// is on: a disabled trace never renders a detail string.
+    pub fn record_with(&mut self, build: impl FnOnce() -> TraceEntry) {
         if self.enabled {
-            self.entries.push(entry);
+            self.entries.push(build());
         }
     }
 
@@ -119,16 +115,16 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        t.record(entry("X"));
+        t.record_with(|| entry("X"));
         assert!(t.is_empty());
     }
 
     #[test]
     fn enabled_trace_collects_and_filters() {
         let mut t = Trace::enabled();
-        t.record(entry("StepExecute"));
-        t.record(entry("HaltThread"));
-        t.record(entry("StepExecute"));
+        t.record_with(|| entry("StepExecute"));
+        t.record_with(|| entry("HaltThread"));
+        t.record_with(|| entry("StepExecute"));
         assert_eq!(t.len(), 3);
         assert_eq!(t.of_kind("StepExecute").count(), 2);
         assert_eq!(

@@ -9,10 +9,12 @@
 //! * A distributed agent keeps the AGDB tables — *workflow instance
 //!   tables* (data per instance), a *step table* (step status/results),
 //!   and, at coordination agents, the *coordination instance summary
-//!   table* that serves front-end status requests. [`AgentDb`] is that
-//!   store: every mutation is a table [`DbOp`] the agent appends to its
-//!   WAL and then `apply`s; after a crash `replay(ops)` rebuilds the
-//!   projection and the agent restores its navigators from it.
+//!   table* that serves front-end status requests. Every mutation is a
+//!   table [`DbOp`] the agent appends to its WAL. [`AgentDb`] is the
+//!   projection of that log into tables: after a crash `replay(ops)`
+//!   rebuilds it, the agent restores its navigators from the instance
+//!   tables, keeps the summary table and drops the rest — live, the
+//!   navigators hold the only copy of the data.
 //! * An engine keeps no tables here. Its WFDB is a command log of
 //!   [`DbOp::EngineInput`] records, one per delivered message; replaying
 //!   them through the normal handlers rebuilds the engine's in-memory
@@ -140,8 +142,9 @@ pub struct InstanceTable {
     pub steps: BTreeMap<StepId, (StoredStepState, u32, Vec<Value>)>,
 }
 
-/// A distributed agent's database (AGDB): instance tables plus the
-/// coordination instance summary.
+/// A distributed agent's database (AGDB) as tables: instance tables plus
+/// the coordination instance summary, projected from the journal on
+/// recovery.
 #[derive(Debug, Clone, Default)]
 pub struct AgentDb {
     instances: BTreeMap<InstanceId, InstanceTable>,
@@ -156,8 +159,7 @@ impl AgentDb {
         Self::default()
     }
 
-    /// Apply one mutation to the projection. (Appending to the WAL is the
-    /// caller's job — write ahead, then apply.)
+    /// Apply one mutation to the projection.
     pub fn apply(&mut self, op: &DbOp) {
         match op {
             DbOp::InstanceCreated { instance } => {
@@ -226,6 +228,12 @@ impl AgentDb {
     /// Coordination instance summary lookup (front-end `WorkflowStatus`).
     pub fn status(&self, id: InstanceId) -> Option<InstanceStatus> {
         self.summary.get(&id).copied()
+    }
+
+    /// The whole coordination instance summary table: the one table an
+    /// agent keeps live after recovery.
+    pub fn into_summary(self) -> BTreeMap<InstanceId, InstanceStatus> {
+        self.summary
     }
 }
 

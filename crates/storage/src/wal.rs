@@ -6,9 +6,11 @@
 //! recovery in case of failure of the workflow engine").
 //!
 //! Record framing: `len: u32 | crc: u32 | payload: len bytes`, where `crc`
-//! is the CRC-32 of the payload. Recovery scans from the start and stops at
-//! the first torn or corrupt record (the standard ARIES-style torn-tail
-//! rule), returning every intact record in order.
+//! is the CRC-32 of the payload. A frame is built in place in one buffer
+//! the log reuses (header reserved, record encoded behind it, header
+//! patched) and handed to the store in one append. Recovery scans from the
+//! start and stops at the first torn or corrupt record (the standard
+//! ARIES-style torn-tail rule), returning every intact record in order.
 
 use crate::codec::{CodecError, Decode, Encode};
 use crate::crc::crc32;
@@ -128,6 +130,9 @@ pub struct Wal<R, S = MemStore> {
     store: S,
     /// Records appended (monotone; recovery resets it to the scan count).
     appended: u64,
+    /// Reused by every append, so framing a record allocates nothing once
+    /// the buffer has grown to the largest frame seen.
+    frame: BytesMut,
     _marker: std::marker::PhantomData<fn() -> R>,
 }
 
@@ -144,15 +149,22 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
         Wal {
             store,
             appended: 0,
+            frame: BytesMut::new(),
             _marker: std::marker::PhantomData,
         }
     }
 
+    /// Append `record`'s frame to `frame` in one pass: reserve the 8-byte
+    /// header, let the record encode itself in place behind it, then patch
+    /// `len` and `crc` into the header.
     fn encode_frame(record: &impl Encode, frame: &mut BytesMut) {
-        let payload = record.to_bytes();
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u32_le(crc32(&payload));
-        frame.put_slice(&payload);
+        let head = frame.len();
+        frame.put_slice(&[0; 8]);
+        record.encode(frame);
+        let payload = &frame[head + 8..];
+        let (len, crc) = (payload.len() as u32, crc32(payload));
+        frame[head..head + 4].copy_from_slice(&len.to_le_bytes());
+        frame[head + 4..head + 8].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Append one record durably (one flush per record).
@@ -179,9 +191,9 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
     }
 
     fn stage(&mut self, record: &impl Encode) -> std::io::Result<()> {
-        let mut frame = BytesMut::new();
-        Self::encode_frame(record, &mut frame);
-        self.store.append(&frame)?;
+        self.frame.clear();
+        Self::encode_frame(record, &mut self.frame);
+        self.store.append(&self.frame)?;
         self.appended += 1;
         Ok(())
     }
@@ -202,16 +214,16 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
     where
         R: 'a,
     {
-        let mut frame = BytesMut::new();
+        self.frame.clear();
         let mut n = 0usize;
         for record in records {
-            Self::encode_frame(record, &mut frame);
+            Self::encode_frame(record, &mut self.frame);
             n += 1;
         }
         if n == 0 {
             return Ok(0);
         }
-        self.store.append(&frame)?;
+        self.store.append(&self.frame)?;
         self.store.flush()?;
         self.appended += n as u64;
         Ok(n)
@@ -268,6 +280,11 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
             records,
             truncated: intact != total,
         })
+    }
+
+    /// The underlying store (tests read the log image through this).
+    pub fn store(&self) -> &S {
+        &self.store
     }
 
     /// Access the underlying store (tests inject corruption through this).

@@ -131,7 +131,8 @@ fn crashed_predecessor_update_step_waits() {
 }
 
 /// An agent that crashes *after* executing steps recovers its AGDB from
-/// the WAL: committed status and step records survive.
+/// the WAL: what it held before the crash — data table, step states,
+/// attempts and outputs, summary row — is what it holds after.
 #[test]
 fn agent_recovers_state_from_wal() {
     let log = ExecLog::new();
@@ -148,27 +149,40 @@ fn agent_recovers_state_from_wal() {
     let mut run =
         crew_distributed::DistRun::new(deployment, 2, crew_distributed::DistConfig::default());
     let inst = run.start_instance(SchemaId(1), vec![(1, Value::Int(5))]);
-    // Let the run commit, then crash/recover agent 0 (the coordinator).
+    // Let the run commit, then crash/recover both agents (0 coordinates).
     run.run();
-    assert_eq!(
-        run.agent(AgentId(0)).instance_status(inst),
-        Some(InstanceStatus::Committed)
-    );
+    let durable_state = |run: &crew_distributed::DistRun, agent: u32| {
+        let a = run.agent(AgentId(agent));
+        let history = a.history_of(inst).expect("instance known");
+        let rows: Vec<_> = [s1, s2]
+            .iter()
+            .map(|&s| {
+                let execution = history.record(s).map(|r| (r.attempt, r.outputs.clone()));
+                (history.state(s), history.attempts(s), execution)
+            })
+            .collect();
+        (a.data_of(inst).cloned(), rows, a.instance_status(inst))
+    };
+    let before = [durable_state(&run, 0), durable_state(&run, 1)];
+    assert_eq!(before[0].2, Some(InstanceStatus::Committed));
+    assert_eq!(before[0].1[0].0, crew_exec::StepState::Done);
+    assert_eq!(before[1].1[1].0, crew_exec::StepState::Done);
+
     let t = run.sim.now();
-    run.sim
-        .schedule_crash(crew_simnet::NodeId(0), t + 1, Some(5));
+    for node in 0..2 {
+        run.sim
+            .schedule_crash(crew_simnet::NodeId(node), t + 1, Some(5));
+    }
     run.run();
-    // After recovery the status is still known (rebuilt from the WAL).
-    assert_eq!(
-        run.agent(AgentId(0)).instance_status(inst),
-        Some(InstanceStatus::Committed),
-        "status survived the crash via WAL replay"
+    assert!(
+        run.sim.now() >= t + 6,
+        "both agents went down and came back"
     );
-    let history = run
-        .agent(AgentId(0))
-        .history_of(inst)
-        .expect("instance state rebuilt");
-    assert_eq!(history.state(s1), crew_exec::StepState::Done);
+    assert_eq!(
+        [durable_state(&run, 0), durable_state(&run, 1)],
+        before,
+        "WAL replay rebuilds exactly the pre-crash state"
+    );
 }
 
 /// The WAL itself: an interleaved write/crash/replay round trip at the
