@@ -21,7 +21,8 @@ use crew_exec::{
     FailureVerdict, InstanceHistory, InstanceNav, OcrDecision, StepState, Weight,
 };
 use crew_model::{
-    DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, WorkflowSchema,
+    DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, VecMap, VecSet,
+    WorkflowSchema,
 };
 use crew_rules::{compile_schema, Action, EventKind};
 use crew_simnet::{Ctx, Node, NodeId};
@@ -53,7 +54,7 @@ struct CompItem {
 struct EngineInst {
     nav: InstanceNav,
     /// Steps whose program execution is in flight: step → attempt.
-    pending_exec: BTreeMap<StepId, u32>,
+    pending_exec: VecMap<StepId, u32>,
     /// Ordered compensation work; processed one item at a time so
     /// dependent sets compensate in reverse execution order.
     comp_queue: VecDeque<CompItem>,
@@ -61,8 +62,8 @@ struct EngineInst {
     /// Origin to re-execute once the compensation queue drains.
     reexec_after_comp: Option<StepId>,
     /// Steps deferred on a coordination guard.
-    ro_waiting: BTreeSet<StepId>,
-    mutex_waiting: BTreeSet<StepId>,
+    ro_waiting: VecSet<StepId>,
+    mutex_waiting: VecSet<StepId>,
 }
 
 /// Relative-order decision as known at an engine.
@@ -80,7 +81,7 @@ pub struct Engine {
     pub index: u32,
     topo: Topology,
     deployment: Arc<Deployment>,
-    instances: BTreeMap<InstanceId, EngineInst>,
+    instances: BTreeMap<InstanceId, Box<EngineInst>>,
     templates: BTreeMap<crew_model::SchemaId, Arc<Vec<crew_rules::TemplateRule>>>,
     /// Instance status summary (the WFDB instance summary table).
     pub statuses: BTreeMap<InstanceId, InstanceStatus>,

@@ -171,8 +171,7 @@ pub enum CentralMsg {
 
 impl CentralMsg {
     /// Every instance this message is addressed *about* — the owner-routing
-    /// key set. [`Classify::instance`] reports one instance for metrics
-    /// attribution; coordination traffic can concern two (both sides of a
+    /// key set. Coordination traffic can concern two (both sides of a
     /// relative order, a parent and child). Migration control and probe
     /// traffic mention none: they are point-to-point engine messages that
     /// must never be re-routed through forwarding.
@@ -271,35 +270,6 @@ impl Classify for CentralMsg {
             | CentralMsg::OwnerChanged { .. } => Mechanism::Control,
         }
     }
-
-    fn instance(&self) -> Option<InstanceId> {
-        match self {
-            CentralMsg::WorkflowStart { instance, .. }
-            | CentralMsg::WorkflowChangeInputs { instance, .. }
-            | CentralMsg::WorkflowAbort { instance }
-            | CentralMsg::WorkflowStatus { instance }
-            | CentralMsg::ExecRequest { instance, .. }
-            | CentralMsg::CompensateRequest { instance, .. }
-            | CentralMsg::ExecResult { instance, .. }
-            | CentralMsg::CompensateResult { instance, .. } => Some(*instance),
-            CentralMsg::Coord(c) => match c {
-                CoordMsg::RoFirstDone { claimant, .. } => Some(*claimant),
-                CoordMsg::RoDecision { a, .. } => Some(*a),
-                CoordMsg::RoRelease { lagging, .. } => Some(*lagging),
-                CoordMsg::MutexAcquire { instance, .. }
-                | CoordMsg::MutexGrant { instance, .. }
-                | CoordMsg::MutexRelease { instance, .. } => Some(*instance),
-                CoordMsg::RollbackDep { instance, .. } => Some(*instance),
-            },
-            CentralMsg::ChildStart { child, .. } => Some(*child),
-            CentralMsg::ChildDone { parent, .. } => Some(*parent),
-            CentralMsg::MigrateRequest { instance, .. }
-            | CentralMsg::MigrateState { instance, .. }
-            | CentralMsg::MigrateAck { instance }
-            | CentralMsg::OwnerChanged { instance, .. } => Some(*instance),
-            CentralMsg::StateProbe { .. } | CentralMsg::StateProbeReply { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -387,15 +357,6 @@ mod tests {
             })
             .kind(),
             "Coord.RollbackDep"
-        );
-    }
-
-    #[test]
-    fn probe_has_no_instance() {
-        assert_eq!(CentralMsg::StateProbe { token: 1 }.instance(), None);
-        assert_eq!(
-            CentralMsg::WorkflowAbort { instance: inst() }.instance(),
-            Some(inst())
         );
     }
 }

@@ -204,8 +204,8 @@ mod tests {
     fn aggregations() {
         let mut metrics = Metrics::default();
         let i1 = InstanceId::new(SchemaId(1), 1);
-        metrics.record_message("X", Mechanism::Normal, Some(i1), 10, NodeId(0));
-        metrics.record_message("X", Mechanism::Normal, Some(i1), 10, NodeId(0));
+        metrics.record_message("X", Mechanism::Normal, 10, NodeId(0));
+        metrics.record_message("X", Mechanism::Normal, 10, NodeId(0));
         metrics.record_load(NodeId(0), 100);
         metrics.record_load(NodeId(1), 300);
         let report = RunReport {

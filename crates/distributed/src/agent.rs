@@ -40,7 +40,8 @@ use crew_exec::{
     InstanceHistory, InstanceNav, OcrDecision, StepExecutor, StepOutcome, StepState,
 };
 use crew_model::{
-    DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, WorkflowSchema,
+    DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, VecMap, VecSet,
+    WorkflowSchema,
 };
 use crew_rules::{compile_schema, Action, EventKind};
 use crew_simnet::{Ctx, Node, NodeId, TimerId};
@@ -74,30 +75,30 @@ struct InstState {
     instantiated: bool,
     /// Successor steps we already forwarded packets toward, per local step
     /// (the halt probes retrace these channels).
-    forwarded: BTreeMap<StepId, BTreeSet<StepId>>,
+    forwarded: VecMap<StepId, VecSet<StepId>>,
     /// Relative-order notifications to emit when a local step completes:
     /// `(tag, partner instance, partner step)`.
-    notify_on_done: BTreeMap<StepId, Vec<(u64, InstanceId, StepId)>>,
+    notify_on_done: VecMap<StepId, Vec<(u64, InstanceId, StepId)>>,
     /// Preconditions that arrived before the rules were instantiated.
     stashed_preconditions: Vec<(StepId, u64)>,
     /// Steps whose re-execution is deferred until a `CompensateSet` chain
     /// returns.
-    awaiting_compset: BTreeSet<StepId>,
+    awaiting_compset: VecSet<StepId>,
     /// Steps designated at another agent whose packet we hold but whose
     /// `step.done` has not appeared: step → first-seen time. The alternate
     /// eligible agent is the natural stall detector — it is the only node
     /// that already holds the state needed for a takeover.
-    awaiting_remote: BTreeMap<StepId, u64>,
+    awaiting_remote: VecMap<StepId, u64>,
     /// Outstanding `StepStatus` polls: step → sent time. A poll answered
     /// only by silence (the designated executor crashed) escalates to a
     /// takeover after a second timeout.
-    poll_pending: BTreeMap<StepId, u64>,
+    poll_pending: VecMap<StepId, u64>,
     /// Steps already polled/rerouted, to avoid duplicate takeovers.
-    polled: BTreeSet<StepId>,
+    polled: VecSet<StepId>,
     /// Steps this agent executes despite not being designated (takeover).
-    overrides: BTreeSet<StepId>,
+    overrides: VecSet<StepId>,
     /// Load-balanced executor choices received via packets: step → agent.
-    chosen_executor: BTreeMap<StepId, crew_model::AgentId>,
+    chosen_executor: VecMap<StepId, crew_model::AgentId>,
     /// This agent plays the coordination-agent role for the instance.
     is_coordinator: bool,
 }
@@ -141,7 +142,7 @@ pub struct DistAgent {
     pub agent_id: crew_model::AgentId,
     shared: SharedCtx,
     executor: StepExecutor,
-    instances: BTreeMap<InstanceId, InstState>,
+    instances: BTreeMap<InstanceId, Box<InstState>>,
     /// Compiled rule templates per schema (lazily built): only the rows
     /// of steps this agent is eligible for, the others it never installs.
     templates: BTreeMap<crew_model::SchemaId, Arc<Vec<crew_rules::TemplateRule>>>,
@@ -357,7 +358,7 @@ impl DistAgent {
                         route: ROUTE_RO_CLAIM | req as u64,
                         event: step.0 as u64,
                     };
-                    monitor.label = format!("ro claim {step} req {req}");
+                    monitor.label = format!("ro claim {step} req {req}").into();
                     monitors.push(monitor);
                 }
             }
@@ -387,7 +388,7 @@ impl DistAgent {
                         route: ROUTE_MUTEX | req as u64,
                         event: grant,
                     };
-                    monitor.label = format!("mutex monitor {step} req {req}");
+                    monitor.label = format!("mutex monitor {step} req {req}").into();
                     monitors.push(monitor);
                     let guard = EventKind::External(grant);
                     st.nav.rules.add_precondition(id, guard);

@@ -242,43 +242,6 @@ impl Classify for DistMsg {
         }
     }
 
-    fn instance(&self) -> Option<InstanceId> {
-        match self {
-            DistMsg::WorkflowStart { instance, .. }
-            | DistMsg::WorkflowChangeInputs { instance, .. }
-            | DistMsg::WorkflowAbort { instance }
-            | DistMsg::WorkflowStatus { instance }
-            | DistMsg::WorkflowStatusReply { instance, .. }
-            | DistMsg::WorkflowCommitted { instance }
-            | DistMsg::WorkflowAborted { instance }
-            | DistMsg::StepCompleted { instance, .. }
-            | DistMsg::InputsChanged { instance, .. }
-            | DistMsg::WorkflowRollback { instance, .. }
-            | DistMsg::HaltThread { instance, .. }
-            | DistMsg::StepCompensate { instance, .. }
-            | DistMsg::StepCompensateAck { instance, .. }
-            | DistMsg::CompensateSet { instance, .. }
-            | DistMsg::CompensateThread { instance, .. }
-            | DistMsg::StepStatus { instance, .. }
-            | DistMsg::StepStatusReply { instance, .. }
-            | DistMsg::ExecuteRequest { instance, .. }
-            | DistMsg::StepRetry { instance, .. }
-            | DistMsg::AddEvent { instance, .. }
-            | DistMsg::AddPrecondition { instance, .. } => Some(*instance),
-            DistMsg::StepExecute { packet } => Some(packet.instance),
-            DistMsg::NestedCompleted { parent, .. } => Some(*parent),
-            DistMsg::AddRule { rule } => match rule {
-                CoordRule::RoFirstDone { claimant, .. } => Some(*claimant),
-                CoordRule::MutexAcquire { instance, .. }
-                | CoordRule::MutexRelease { instance, .. }
-                | CoordRule::RoNotify { instance, .. } => Some(*instance),
-            },
-            DistMsg::StateInformation { .. }
-            | DistMsg::StateInformationReply { .. }
-            | DistMsg::PurgeBroadcast { .. } => None,
-        }
-    }
-
     fn approx_size(&self) -> usize {
         match self {
             DistMsg::StepExecute { packet } => packet.approx_size(),
@@ -402,24 +365,6 @@ mod tests {
         for (msg, want) in cases {
             assert_eq!(msg.mechanism(), want, "{}", msg.kind());
         }
-    }
-
-    #[test]
-    fn instances_attributed() {
-        let p = crate::packet::WorkflowPacket::initial(inst(), StepId(1), Default::default());
-        assert_eq!(DistMsg::StepExecute { packet: p }.instance(), Some(inst()));
-        assert_eq!(DistMsg::StateInformation { token: 1 }.instance(), None);
-        assert_eq!(
-            DistMsg::AddRule {
-                rule: CoordRule::RoFirstDone {
-                    req: 0,
-                    claimant: inst(),
-                    partner: inst()
-                }
-            }
-            .instance(),
-            Some(inst())
-        );
     }
 
     /// `Classify::approx_size` is `size_of_val` for every message but

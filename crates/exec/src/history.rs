@@ -8,8 +8,7 @@
 //! tables; in distributed control each agent holds the records of the steps
 //! it executed.
 
-use crew_model::{StepId, Value};
-use std::collections::BTreeMap;
+use crew_model::{StepId, Value, VecMap};
 
 /// Current state of one step within an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +48,11 @@ pub struct StepRecord {
 /// of it at a distributed agent).
 #[derive(Debug, Clone, Default)]
 pub struct InstanceHistory {
-    records: BTreeMap<StepId, StepRecord>,
+    records: VecMap<StepId, StepRecord>,
     next_seq: u64,
     /// Attempts per step, including failed ones (drives `pf` first-attempt
     /// semantics and rollback retry budgets).
-    attempts: BTreeMap<StepId, u32>,
+    attempts: VecMap<StepId, u32>,
 }
 
 impl InstanceHistory {

@@ -19,10 +19,10 @@ use crate::ocr::{decide as ocr_decide, OcrDecision};
 use crate::weight::Weight;
 use crew_model::{
     AgentId, DataEnv, InstanceId, ItemKey, RelativeOrder, SchemaId, SplitKind, StepDef, StepId,
-    Value, WorkflowSchema,
+    Value, VecMap, VecSet, WorkflowSchema,
 };
 use crew_rules::{Action, EventKind, Rule, RuleId, RuleSet};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Rollback budget per origin for failing steps without an explicit
 /// rollback spec: the rollback that would be number `DEFAULT_MAX_ROLLBACKS`
@@ -56,24 +56,25 @@ pub struct InstanceNav {
     /// Parent linkage of a nested instance.
     pub parent: Option<(InstanceId, StepId)>,
     /// Installed rules per step (rollback re-firing, precondition routing).
-    rule_ids: BTreeMap<StepId, Vec<RuleId>>,
-    /// Incoming flow weight per step, keyed by source step, so joins sum
-    /// over sources and a re-execution replaces its slot instead of
-    /// double-counting. The workflow's initial token uses `StepId(0)`.
-    weight_in: BTreeMap<StepId, BTreeMap<StepId, Weight>>,
+    rule_ids: VecMap<StepId, Vec<RuleId>>,
+    /// Incoming flow weight, keyed by (target step, source step), so joins
+    /// sum over a target's sources and a re-execution replaces its slot
+    /// instead of double-counting. The workflow's initial token uses
+    /// source `StepId(0)`.
+    weight_in: VecMap<(StepId, StepId), Weight>,
     /// Chosen branch head per XOR split.
-    branch_choice: BTreeMap<StepId, StepId>,
+    branch_choice: VecMap<StepId, StepId>,
     /// Rollbacks so far per origin step.
-    rollback_counts: BTreeMap<StepId, u32>,
+    rollback_counts: VecMap<StepId, u32>,
     /// Steps invalidated by a rollback and not yet revisited: the OCR
     /// decision applies exactly to these. A rule re-firing for a step not
     /// in this set is a fresh occurrence (a loop iteration) and executes.
-    revisit_pending: BTreeSet<StepId>,
+    revisit_pending: VecSet<StepId>,
     /// Completion weight per terminal step (replace semantics: idempotent
     /// under re-execution, retractable by compensation).
-    terminal_weights: BTreeMap<StepId, Weight>,
+    terminal_weights: VecMap<StepId, Weight>,
     /// Children launched and not yet completed, per nested step.
-    pending_nested: BTreeMap<StepId, InstanceId>,
+    pending_nested: VecMap<StepId, InstanceId>,
 }
 
 impl InstanceNav {
@@ -125,9 +126,11 @@ impl InstanceNav {
     /// Thread weight flowing through `step`: the sum of its per-source
     /// slots, 1 when nothing is recorded.
     pub fn flow_weight(&self, step: StepId) -> Weight {
-        match self.weight_in.get(&step) {
-            Some(slots) if !slots.is_empty() => sum(slots.values()),
-            _ => Weight::ONE,
+        let slots = self.weight_in.iter().filter(|((to, _), _)| *to == step);
+        let mut slots = slots.map(|(_, w)| w).peekable();
+        match slots.peek() {
+            Some(_) => sum(slots),
+            None => Weight::ONE,
         }
     }
 
@@ -162,11 +165,11 @@ impl InstanceNav {
     ) {
         let via_loop_back =
             source.is_some_and(|src| schema.outgoing(src).any(|a| a.loop_back && a.to == target));
-        let slots = self.weight_in.entry(target).or_default();
         if via_loop_back {
-            slots.clear();
+            self.weight_in.retain(|(to, _), _| *to != target);
         }
-        slots.insert(source.unwrap_or(StepId(0)), weight);
+        let source = source.unwrap_or(StepId(0));
+        self.weight_in.insert((target, source), weight);
     }
 
     /// Account `weight` as terminal `step`'s completion weight
@@ -247,8 +250,9 @@ impl InstanceNav {
         let invalidated = schema.invalidation_set(origin);
         for &s in &invalidated {
             self.rules.invalidate_event(EventKind::StepDone(s));
-            self.weight_in.remove(&s);
         }
+        self.weight_in
+            .retain(|(to, _), _| !invalidated.contains(to));
         self.revisit_pending.extend(invalidated.iter().copied());
         invalidated
     }
@@ -272,9 +276,7 @@ impl InstanceNav {
         self.rules.add_event(EventKind::StepCompensated(step));
         self.rules.invalidate_event(EventKind::StepDone(step));
         for arc in schema.forward_outgoing(step) {
-            if let Some(slots) = self.weight_in.get_mut(&arc.to) {
-                slots.remove(&step);
-            }
+            self.weight_in.remove(&(arc.to, step));
         }
     }
 

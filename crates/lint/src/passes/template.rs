@@ -107,7 +107,7 @@ pub fn lint_template(schema: &WorkflowSchema, rules: &[TemplateRule]) -> Vec<Dia
     for (i, ri) in rules.iter().enumerate() {
         let Some(ev) = produces(ri) else { continue };
         for (j, rj) in rules.iter().enumerate() {
-            if !rj.rule.trigger.contains(&ev) {
+            if !rj.rule.triggers_on(ev) {
                 continue;
             }
             if let EventKind::StepDone(tail) = ev {

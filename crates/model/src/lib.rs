@@ -9,7 +9,8 @@
 //!
 //! - strongly-typed [`ids`] for schemas, instances, steps, agents and
 //!   engines;
-//! - [data items and values](value) that flow between steps;
+//! - [data items and values](value) that flow between steps, and the
+//!   [sorted-`Vec` tables](vecmap) every per-instance table is stored in;
 //! - the [condition expression language](expr) used on arcs, in rule guards
 //!   and in OCR policies;
 //! - [step definitions](step) including compensation programs and OCR
@@ -35,6 +36,7 @@ pub mod recovery;
 pub mod schema;
 pub mod step;
 pub mod value;
+pub mod vecmap;
 
 pub use coord::{CoordinationSpec, MutualExclusion, RelativeOrder, RollbackDependency, SchemaStep};
 pub use expr::{ArithOp, CmpOp, EvalError, Expr};
@@ -49,3 +51,4 @@ pub use schema::{
 };
 pub use step::{CompensationKind, InputBinding, ReexecPolicy, StepDef, StepKind};
 pub use value::{DataEnv, ItemKey, ItemScope, Value};
+pub use vecmap::{VecMap, VecSet};

@@ -7,7 +7,7 @@
 //! programs as black boxes and only ferries their typed inputs/outputs.
 
 use crate::ids::StepId;
-use std::collections::BTreeMap;
+use crate::vecmap::VecMap;
 use std::fmt;
 
 /// Where a data item lives: workflow-level input, or a step's output slot.
@@ -156,7 +156,7 @@ impl From<bool> for Value {
 /// Ordered map so that packet renderings and log records are deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataEnv {
-    items: BTreeMap<ItemKey, Value>,
+    items: VecMap<ItemKey, Value>,
 }
 
 impl DataEnv {
@@ -221,7 +221,7 @@ impl DataEnv {
 
 impl IntoIterator for DataEnv {
     type Item = (ItemKey, Value);
-    type IntoIter = std::collections::btree_map::IntoIter<ItemKey, Value>;
+    type IntoIter = std::vec::IntoIter<(ItemKey, Value)>;
 
     /// The entries by value, in key order.
     fn into_iter(self) -> Self::IntoIter {

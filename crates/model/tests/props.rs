@@ -1,7 +1,9 @@
-//! Property tests over schema construction and derived structures.
+//! Property tests over schema construction and derived structures, and of
+//! the per-instance table containers against the B-trees they stand in for.
 
-use crew_model::{Expr, ItemKey, SchemaBuilder, SchemaError, SchemaId, StepId};
+use crew_model::{Expr, ItemKey, SchemaBuilder, SchemaError, SchemaId, StepId, VecMap, VecSet};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Build a random layered DAG: `layers` layers of 1..=3 steps; every step
 /// gets one incoming arc from a random step of the previous layer (plus
@@ -95,5 +97,98 @@ proptest! {
             e = Expr::and(e, Expr::gt(Expr::item(ItemKey::input(slot)), Expr::lit(i as i64)));
         }
         prop_assert_eq!(e.referenced_items(), vec![ItemKey::input(slot)]);
+    }
+
+    /// Any sequence of table operations leaves a `VecMap` indistinguishable
+    /// from a `BTreeMap` given the same sequence: same return value at
+    /// every step, same length, same entries in the same order.
+    #[test]
+    fn vecmap_is_a_btreemap(
+        ops in proptest::collection::vec((0u8..9, 0u16..24, any::<u32>()), 0..80),
+    ) {
+        let mut map: VecMap<u16, u32> = VecMap::new();
+        let mut model: BTreeMap<u16, u32> = BTreeMap::new();
+        for (op, k, v) in ops {
+            match op {
+                0 | 1 => prop_assert_eq!(map.insert(k, v), model.insert(k, v)),
+                2 => prop_assert_eq!(map.remove(&k), model.remove(&k)),
+                3 => {
+                    *map.entry(k).or_default() += 1;
+                    *model.entry(k).or_default() += 1;
+                }
+                4 => {
+                    let got = *map.entry(k).and_modify(|x| *x ^= v).or_insert(v);
+                    let want = *model.entry(k).and_modify(|x| *x ^= v).or_insert(v);
+                    prop_assert_eq!(got, want);
+                }
+                5 => {
+                    map.retain(|key, x| { *x = x.wrapping_add(1); (key ^ k) % 3 != 0 });
+                    model.retain(|key, x| { *x = x.wrapping_add(1); (key ^ k) % 3 != 0 });
+                }
+                6 => {
+                    let batch = [(k, v), (k / 2, v / 2), (k + 1, !v)];
+                    map.extend(batch);
+                    model.extend(batch);
+                }
+                7 => {
+                    if let Some(x) = map.get_mut(&k) { *x = v }
+                    if let Some(x) = model.get_mut(&k) { *x = v }
+                    map.values_mut().for_each(|x| *x = x.rotate_left(1));
+                    model.values_mut().for_each(|x| *x = x.rotate_left(1));
+                }
+                _ if v % 8 == 0 => {
+                    map.clear();
+                    model.clear();
+                }
+                _ => {}
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+            prop_assert_eq!(map.get(&k), model.get(&k));
+            prop_assert_eq!(map.contains_key(&k), model.contains_key(&k));
+            prop_assert!(map.iter().eq(model.iter()));
+            prop_assert!(map.keys().eq(model.keys()));
+            prop_assert!(map.values().eq(model.values()));
+            prop_assert!((&map).into_iter().eq(&model));
+        }
+        let rebuilt: VecMap<u16, u32> = model.clone().into_iter().rev().collect();
+        prop_assert_eq!(&rebuilt, &map);
+        prop_assert!(map.into_iter().eq(model));
+    }
+
+    /// The same for `VecSet` against `BTreeSet`.
+    #[test]
+    fn vecset_is_a_btreeset(
+        ops in proptest::collection::vec((0u8..6, 0u16..24), 0..80),
+    ) {
+        let mut set: VecSet<u16> = VecSet::new();
+        let mut model: BTreeSet<u16> = BTreeSet::new();
+        for (op, k) in ops {
+            match op {
+                0 | 1 => prop_assert_eq!(set.insert(k), model.insert(k)),
+                2 => prop_assert_eq!(set.remove(&k), model.remove(&k)),
+                3 => {
+                    set.retain(|x| (x ^ k) % 3 != 0);
+                    model.retain(|x| (x ^ k) % 3 != 0);
+                }
+                4 => {
+                    set.extend([k, k / 2, k + 1]);
+                    model.extend([k, k / 2, k + 1]);
+                }
+                _ if k % 8 == 0 => {
+                    set.clear();
+                    model.clear();
+                }
+                _ => {}
+            }
+            prop_assert_eq!(set.len(), model.len());
+            prop_assert_eq!(set.is_empty(), model.is_empty());
+            prop_assert_eq!(set.contains(&k), model.contains(&k));
+            prop_assert!(set.iter().eq(model.iter()));
+            prop_assert!((&set).into_iter().eq(&model));
+        }
+        let rebuilt: VecSet<u16> = model.iter().rev().copied().collect();
+        prop_assert_eq!(&rebuilt, &set);
+        prop_assert!(set.into_iter().eq(model));
     }
 }

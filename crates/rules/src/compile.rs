@@ -273,7 +273,7 @@ mod tests {
         let schema = b.build().unwrap();
         let template = compile_schema(&schema);
         let c_rule = template.iter().find(|t| t.step == s3).unwrap();
-        assert!(c_rule.rule.trigger.contains(&EventKind::StepDone(s2)));
+        assert!(c_rule.rule.triggers_on(EventKind::StepDone(s2)));
 
         // Behaviourally: C must not fire before B completes.
         let mut rs = RuleSet::new();

@@ -8,8 +8,8 @@
 
 use crate::event::EventKind;
 use crew_model::{Expr, StepId};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a rule within one rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,63 +60,88 @@ impl fmt::Display for Action {
     }
 }
 
+/// One event of a rule's trigger, with the generation of it the rule's
+/// most recent firing consumed (0: none). The rule can fire (again) only
+/// when each trigger event is present with a generation newer than its
+/// mark — which is what lets loop-body rules re-fire on each iteration
+/// without firing twice on one occurrence. The mark sits beside the event
+/// so that a rule is one allocation, not a trigger list plus a mark table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Trigger {
+    pub(crate) event: EventKind,
+    pub(crate) mark: u32,
+}
+
 /// One event-condition-action rule.
+///
+/// The guard and the label never change after the rule is built, so they
+/// are shared: instantiating a template rule for one more workflow
+/// instance copies its trigger and nothing else.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Stable identifier within its collection.
     pub id: RuleId,
     /// Conjunction of events required before the rule may fire. Extended at
     /// run time by `AddPrecondition()`.
-    pub trigger: Vec<EventKind>,
+    pub(crate) trigger: Vec<Trigger>,
     /// Guard evaluated against the instance's data table; the rule fires
     /// only if it holds. `None` = always true. Guard evaluation errors are
     /// treated as `false` (a branch condition over data that is not yet — or
     /// no longer — present must simply not be taken).
-    pub guard: Option<Expr>,
+    pub guard: Option<Arc<Expr>>,
     /// Action taken when the rule fires.
     pub action: Action,
     /// Diagnostic label ("fire S3", "relative-order monitor").
-    pub label: String,
-    /// For every trigger event: the generation consumed by the most recent
-    /// firing. The rule can fire (again) only when each trigger event is
-    /// present with a generation newer than this mark — which is what lets
-    /// loop-body rules re-fire on each iteration without firing twice on
-    /// one occurrence.
-    pub(crate) fired_marks: BTreeMap<EventKind, u32>,
+    pub label: Arc<str>,
 }
 
 impl Rule {
     /// Create a new, empty value.
     pub fn new(id: RuleId, trigger: Vec<EventKind>, action: Action) -> Self {
+        let unfired = |event| Trigger { event, mark: 0 };
         Rule {
             id,
-            trigger,
+            trigger: trigger.into_iter().map(unfired).collect(),
             guard: None,
             action,
-            label: String::new(),
-            fired_marks: BTreeMap::new(),
+            label: Arc::default(),
         }
     }
 
     /// Attach a guard condition.
     pub fn with_guard(mut self, guard: Expr) -> Self {
-        self.guard = Some(guard);
+        self.guard = Some(Arc::new(guard));
         self
     }
 
     /// Attach a diagnostic label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+    pub fn with_label(mut self, label: impl Into<Arc<str>>) -> Self {
         self.label = label.into();
         self
     }
 
-    /// Number of times this rule has fired.
-    pub fn firings(&self) -> u32 {
-        // Every firing marks all triggers; the minimum mark is the count of
-        // complete firings for single-generation flows, but we track an
-        // explicit counter-free definition: max mark works because marks
-        // advance monotonically per firing.
-        self.fired_marks.values().copied().max().unwrap_or(0)
+    /// True if `kind` is one of the events the rule waits for.
+    pub fn triggers_on(&self, kind: EventKind) -> bool {
+        self.trigger.iter().any(|t| t.event == kind)
+    }
+
+    /// Also wait for `kind` (the rule's past firings never consumed it).
+    pub(crate) fn require(&mut self, kind: EventKind) {
+        if !self.triggers_on(kind) {
+            self.trigger.reserve_exact(1);
+            self.trigger.push(Trigger {
+                event: kind,
+                mark: 0,
+            });
+        }
+    }
+
+    /// Forget every firing: the rule fires again on the occurrences it
+    /// already consumed.
+    pub(crate) fn clear_marks(&mut self) {
+        for t in &mut self.trigger {
+            t.mark = 0;
+        }
     }
 }
 
@@ -143,8 +168,9 @@ mod tests {
             Action::StartStep(StepId(1)),
         )
         .with_label("fire start step");
-        assert_eq!(r.label, "fire start step");
+        assert_eq!(&*r.label, "fire start step");
         assert!(r.guard.is_none());
-        assert_eq!(r.firings(), 0);
+        assert!(r.triggers_on(EventKind::WorkflowStart));
+        assert!(!r.triggers_on(EventKind::WorkflowDone));
     }
 }

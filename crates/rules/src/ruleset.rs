@@ -9,9 +9,8 @@
 //! control the engine keeps the complete rule set of each instance.
 
 use crate::event::{EventKind, EventState};
-use crate::rule::{Action, Rule, RuleId};
-use crew_model::DataEnv;
-use std::collections::BTreeMap;
+use crate::rule::{Action, Rule, RuleId, Trigger};
+use crew_model::{DataEnv, Expr, VecMap};
 
 /// Outcome of a [`RuleSet::fire_ready`] sweep: the rules that fired, in
 /// order, with their actions.
@@ -42,11 +41,21 @@ pub struct Firing {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    rules: BTreeMap<RuleId, Rule>,
-    events: BTreeMap<EventKind, EventState>,
+    rules: VecMap<RuleId, Rule>,
+    events: EventTable,
     next_rule: u32,
-    /// Total rule firings — a component of the node's navigation load.
-    firings: u64,
+}
+
+type EventTable = VecMap<EventKind, EventState>;
+
+/// Is `t`'s event present with an occurrence its rule has not consumed?
+fn is_fresh(events: &EventTable, t: &Trigger) -> bool {
+    let st = events.get(&t.event).copied().unwrap_or_default();
+    st.is_present() && st.generation > t.mark
+}
+
+fn is_ready_ignoring_guard(events: &EventTable, rule: &Rule) -> bool {
+    rule.trigger.iter().all(|t| is_fresh(events, t))
 }
 
 impl RuleSet {
@@ -83,7 +92,7 @@ impl RuleSet {
     pub fn reset_rule(&mut self, id: RuleId) -> bool {
         match self.rules.get_mut(&id) {
             Some(r) => {
-                r.fired_marks.clear();
+                r.clear_marks();
                 true
             }
             None => false,
@@ -98,20 +107,6 @@ impl RuleSet {
         let st = self.events.entry(kind).or_default();
         st.generation += 1;
         st.valid = true;
-    }
-
-    /// Post `kind` only if it is not already present — used when folding the
-    /// cumulative event list of an arriving workflow packet into the local
-    /// event table (re-deliveries of the same packet must not double-count).
-    pub fn add_event_if_absent(&mut self, kind: EventKind) -> bool {
-        let st = self.events.entry(kind).or_default();
-        if st.is_present() {
-            false
-        } else {
-            st.generation += 1;
-            st.valid = true;
-            true
-        }
     }
 
     /// Merge an event occurrence carried by a workflow packet: occurrences
@@ -170,9 +165,7 @@ impl RuleSet {
     pub fn add_precondition(&mut self, rule: RuleId, kind: EventKind) -> bool {
         match self.rules.get_mut(&rule) {
             Some(r) => {
-                if !r.trigger.contains(&kind) {
-                    r.trigger.push(kind);
-                }
+                r.require(kind);
                 true
             }
             None => false,
@@ -206,48 +199,13 @@ impl RuleSet {
         // on its other, still-present triggers — e.g. coordination guard
         // events — whose generations were already consumed.)
         for rule in self.rules.values_mut() {
-            if rule.trigger.contains(&kind) {
-                rule.fired_marks.clear();
+            if rule.triggers_on(kind) {
+                rule.clear_marks();
             }
         }
     }
 
-    /// Discard rules whose trigger references `kind` — the paper's "rules in
-    /// the pending rule table from which the invalidated step.done events
-    /// have been deleted are discarded to ensure that incorrect rules will
-    /// not be fired". Returns the removed rule ids.
-    pub fn discard_rules_waiting_on(&mut self, kind: EventKind) -> Vec<RuleId> {
-        let doomed: Vec<RuleId> = self
-            .rules
-            .iter()
-            .filter(|(_, r)| r.trigger.contains(&kind) && !self.rule_is_ready_ignoring_guard(r))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &doomed {
-            self.rules.remove(id);
-        }
-        doomed
-    }
-
-    /// All present (valid, occurred) events — what a workflow packet carries
-    /// onward as its cumulative event list.
-    pub fn present_events(&self) -> Vec<EventKind> {
-        self.events
-            .iter()
-            .filter(|(_, st)| st.is_present())
-            .map(|(&k, _)| k)
-            .collect()
-    }
-
     // ---- firing ----------------------------------------------------------
-
-    fn rule_is_ready_ignoring_guard(&self, rule: &Rule) -> bool {
-        rule.trigger.iter().all(|kind| {
-            let st = self.event_state(*kind);
-            let mark = rule.fired_marks.get(kind).copied().unwrap_or(0);
-            st.is_present() && st.generation > mark
-        })
-    }
 
     /// Fire every rule whose trigger events are all present with fresh
     /// generations and whose guard holds over `env`. Fired rules mark the
@@ -257,40 +215,22 @@ impl RuleSet {
     /// Guard evaluation errors count as `false`: a branch condition over
     /// data that is absent simply does not select that branch.
     pub fn fire_ready(&mut self, env: &DataEnv) -> Vec<Firing> {
+        let events = &self.events;
+        let holds = |guard: &Expr| guard.eval_bool(env).unwrap_or(false);
         let mut fired = Vec::new();
-        // Deterministic order: ascending rule id. Collect first to appease
-        // the borrow checker, then mark.
-        let candidates: Vec<RuleId> = self
-            .rules
-            .values()
-            .filter(|r| self.rule_is_ready_ignoring_guard(r))
-            .filter(|r| match &r.guard {
-                None => true,
-                Some(g) => g.eval_bool(env).unwrap_or(false),
-            })
-            .map(|r| r.id)
-            .collect();
-        for id in candidates {
-            // Re-check readiness: an earlier firing in this sweep cannot
-            // invalidate events, but keep the invariant locally obvious.
-            let Some(rule) = self.rules.get(&id) else {
-                continue;
-            };
-            if !self.rule_is_ready_ignoring_guard(rule) {
+        // A firing posts no event, so no rule's readiness depends on the
+        // rules swept before it.
+        for rule in self.rules.values_mut() {
+            if !is_ready_ignoring_guard(events, rule) || !rule.guard.as_deref().is_none_or(holds) {
                 continue;
             }
-            let marks: Vec<(EventKind, u32)> = rule
-                .trigger
-                .iter()
-                .map(|k| (*k, self.event_state(*k).generation))
-                .collect();
-            let action = rule.action.clone();
-            let rule = self.rules.get_mut(&id).expect("present");
-            for (k, gen) in marks {
-                rule.fired_marks.insert(k, gen);
+            for t in &mut rule.trigger {
+                t.mark = events[&t.event].generation;
             }
-            self.firings += 1;
-            fired.push(Firing { rule: id, action });
+            fired.push(Firing {
+                rule: rule.id,
+                action: rule.action.clone(),
+            });
         }
         fired
     }
@@ -307,11 +247,6 @@ impl RuleSet {
         self.rules.values()
     }
 
-    /// Total firings so far (a load indicator).
-    pub fn total_firings(&self) -> u64 {
-        self.firings
-    }
-
     /// The *pending-rule table*: rules that are not currently ready, with
     /// the events still missing for each. The distributed agent's
     /// predecessor-failure timeout scans this for rules blocked on exactly
@@ -319,19 +254,10 @@ impl RuleSet {
     pub fn pending_rules(&self) -> Vec<(RuleId, Vec<EventKind>)> {
         self.rules
             .values()
-            .filter(|r| !self.rule_is_ready_ignoring_guard(r))
+            .filter(|r| !is_ready_ignoring_guard(&self.events, r))
             .map(|r| {
-                let missing: Vec<EventKind> = r
-                    .trigger
-                    .iter()
-                    .filter(|k| {
-                        let st = self.event_state(**k);
-                        let mark = r.fired_marks.get(k).copied().unwrap_or(0);
-                        !(st.is_present() && st.generation > mark)
-                    })
-                    .copied()
-                    .collect();
-                (r.id, missing)
+                let stale = r.trigger.iter().filter(|t| !is_fresh(&self.events, t));
+                (r.id, stale.map(|t| t.event).collect())
             })
             .collect()
     }
@@ -340,12 +266,8 @@ impl RuleSet {
     /// (`None` if the rule does not exist or does not trigger on `kind`.)
     pub fn trigger_consumed(&self, id: RuleId, kind: EventKind) -> Option<bool> {
         let rule = self.rules.get(&id)?;
-        if !rule.trigger.contains(&kind) {
-            return None;
-        }
-        let st = self.event_state(kind);
-        let mark = rule.fired_marks.get(&kind).copied().unwrap_or(0);
-        Some(mark >= st.generation)
+        let t = rule.trigger.iter().find(|t| t.event == kind)?;
+        Some(t.mark >= self.event_state(kind).generation)
     }
 
     /// Rules currently blocked on exactly one missing event of the given
@@ -364,7 +286,7 @@ impl RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::{Expr, ItemKey, StepId, Value};
+    use crew_model::{ItemKey, StepId, Value};
 
     fn env_with(slot: u16, v: i64) -> DataEnv {
         let mut e = DataEnv::new();
@@ -390,7 +312,6 @@ mod tests {
         // A fresh occurrence (loop) re-fires.
         rs.add_event(EventKind::WorkflowStart);
         assert_eq!(rs.fire_ready(&DataEnv::new()).len(), 1);
-        assert_eq!(rs.total_firings(), 2);
     }
 
     #[test]
@@ -495,40 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn add_event_if_absent_dedupes_packet_merges() {
-        let mut rs = RuleSet::new();
-        assert!(rs.add_event_if_absent(EventKind::StepDone(StepId(1))));
-        assert!(!rs.add_event_if_absent(EventKind::StepDone(StepId(1))));
-        assert_eq!(rs.event_state(EventKind::StepDone(StepId(1))).generation, 1);
-        // After invalidation the merge counts again.
-        rs.invalidate_event(EventKind::StepDone(StepId(1)));
-        assert!(rs.add_event_if_absent(EventKind::StepDone(StepId(1))));
-        assert_eq!(rs.event_state(EventKind::StepDone(StepId(1))).generation, 2);
-    }
-
-    #[test]
-    fn discard_rules_waiting_on_invalidated_events() {
-        let mut rs = RuleSet::new();
-        let pending = rs.add_rule(Rule::new(
-            RuleId(0),
-            vec![
-                EventKind::StepDone(StepId(1)),
-                EventKind::StepDone(StepId(9)),
-            ],
-            Action::StartStep(StepId(3)),
-        ));
-        let satisfied = rs.add_rule(Rule::new(
-            RuleId(0),
-            vec![EventKind::StepDone(StepId(1))],
-            Action::StartStep(StepId(2)),
-        ));
-        rs.add_event(EventKind::StepDone(StepId(1)));
-        let removed = rs.discard_rules_waiting_on(EventKind::StepDone(StepId(9)));
-        assert_eq!(removed, vec![pending]);
-        assert!(rs.rule(satisfied).is_some());
-    }
-
-    #[test]
     fn blocked_on_single_finds_poll_candidates() {
         let mut rs = RuleSet::new();
         rs.add_rule(Rule::new(
@@ -555,6 +442,72 @@ mod tests {
         rs.add_event(EventKind::WorkflowStart);
         rs.add_event(EventKind::StepDone(StepId(1)));
         rs.invalidate_event(EventKind::StepDone(StepId(1)));
-        assert_eq!(rs.present_events(), vec![EventKind::WorkflowStart]);
+        assert_eq!(
+            rs.present_events_with_gens(),
+            vec![(EventKind::WorkflowStart, 1)]
+        );
+    }
+
+    /// The firing marks of a multi-trigger rule through every operation
+    /// that touches them: one firing consumes the current occurrence of
+    /// *every* trigger, a late precondition starts unconsumed, invalidating
+    /// any one trigger voids the whole firing, and `reset_rule` re-arms the
+    /// rule on occurrences it already consumed.
+    #[test]
+    fn three_trigger_rule_fires_on_exactly_the_fresh_occurrences() {
+        let (a, b, x) = (
+            EventKind::StepDone(StepId(1)),
+            EventKind::StepDone(StepId(2)),
+            EventKind::External(7),
+        );
+        let env = DataEnv::new();
+        let mut rs = RuleSet::new();
+        let id = rs.add_rule(Rule::new(
+            RuleId(0),
+            vec![a, b],
+            Action::StartStep(StepId(3)),
+        ));
+        let fires = |rs: &mut RuleSet| rs.fire_ready(&env).len();
+        let consumed = |rs: &RuleSet| [a, b, x].map(|k| rs.trigger_consumed(id, k));
+
+        rs.add_event(a);
+        rs.add_event(a); // two occurrences of a, one of b: one firing
+        rs.add_event(b);
+        assert!(rs.add_precondition(id, x));
+        assert!(rs.add_precondition(id, x), "adding it twice is a no-op");
+        assert_eq!(fires(&mut rs), 0, "the third trigger has not occurred");
+        assert_eq!(rs.pending_rules(), vec![(id, vec![x])]);
+        rs.add_event(x);
+        assert_eq!(consumed(&rs), [Some(false); 3]);
+        assert_eq!(fires(&mut rs), 1);
+        assert_eq!(consumed(&rs), [Some(true); 3]);
+        assert_eq!(fires(&mut rs), 0, "a's second occurrence was consumed too");
+
+        // A fresh occurrence of one trigger is not enough.
+        rs.add_event(a);
+        assert_eq!(consumed(&rs), [Some(false), Some(true), Some(true)]);
+        assert_eq!(fires(&mut rs), 0);
+        assert_eq!(rs.pending_rules(), vec![(id, vec![b, x])]);
+        rs.add_event(b);
+        rs.add_event(x);
+        assert_eq!(fires(&mut rs), 1);
+
+        // Invalidating one trigger voids the firing: once the fact is
+        // re-established (same generation), the rule fires on the other
+        // triggers' already-consumed occurrences.
+        rs.invalidate_event(b);
+        assert_eq!(fires(&mut rs), 0);
+        assert_eq!(rs.pending_rules(), vec![(id, vec![b])]);
+        assert!(rs.revalidate_event(b));
+        assert_eq!(fires(&mut rs), 1);
+        assert_eq!(fires(&mut rs), 0);
+
+        // reset_rule re-arms on what is present, exactly once.
+        assert!(rs.reset_rule(id));
+        assert_eq!(consumed(&rs), [Some(false); 3]);
+        assert_eq!(fires(&mut rs), 1);
+        assert_eq!(fires(&mut rs), 0);
+        assert_eq!(rs.trigger_consumed(id, EventKind::WorkflowStart), None);
+        assert!(!rs.reset_rule(RuleId(9)));
     }
 }

@@ -8,7 +8,6 @@
 //! without knowing the protocols.
 
 use crate::node::NodeId;
-use crew_model::InstanceId;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -64,9 +63,6 @@ pub trait Classify {
     fn kind(&self) -> &'static str;
     /// Which mechanism's budget the message belongs to.
     fn mechanism(&self) -> Mechanism;
-    /// The workflow instance the message concerns, for per-instance
-    /// averages; `None` for broadcast/infrastructure traffic.
-    fn instance(&self) -> Option<InstanceId>;
     /// Approximate payload size in bytes (for the packet-growth ablation).
     fn approx_size(&self) -> usize {
         std::mem::size_of_val(self)
@@ -144,8 +140,6 @@ pub struct Metrics {
     pub by_kind: BTreeMap<(&'static str, Mechanism), u64>,
     /// Messages by mechanism.
     pub by_mechanism: BTreeMap<Mechanism, u64>,
-    /// Messages by (instance, mechanism).
-    pub by_instance: BTreeMap<(InstanceId, Mechanism), u64>,
     /// Abstract instructions charged per node.
     pub load_by_node: BTreeMap<NodeId, u64>,
     /// Messages handled per node.
@@ -164,15 +158,11 @@ impl Metrics {
         &mut self,
         kind: &'static str,
         mechanism: Mechanism,
-        instance: Option<InstanceId>,
         size: usize,
         to: NodeId,
     ) {
         *self.by_kind.entry((kind, mechanism)).or_default() += 1;
         *self.by_mechanism.entry(mechanism).or_default() += 1;
-        if let Some(i) = instance {
-            *self.by_instance.entry((i, mechanism)).or_default() += 1;
-        }
         *self.handled_by_node.entry(to).or_default() += 1;
         self.total_messages += 1;
         self.total_bytes += size as u64;
@@ -227,9 +217,6 @@ impl Metrics {
         for (&k, &v) in &other.by_mechanism {
             *self.by_mechanism.entry(k).or_default() += v;
         }
-        for (&k, &v) in &other.by_instance {
-            *self.by_instance.entry(k).or_default() += v;
-        }
         for (&k, &v) in &other.load_by_node {
             *self.load_by_node.entry(k).or_default() += v;
         }
@@ -245,21 +232,13 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::SchemaId;
 
     #[test]
     fn record_and_query() {
         let mut m = Metrics::default();
-        let inst = InstanceId::new(SchemaId(1), 1);
-        m.record_message("StepExecute", Mechanism::Normal, Some(inst), 64, NodeId(2));
-        m.record_message("StepExecute", Mechanism::Normal, Some(inst), 64, NodeId(3));
-        m.record_message(
-            "HaltThread",
-            Mechanism::FailureHandling,
-            Some(inst),
-            32,
-            NodeId(2),
-        );
+        m.record_message("StepExecute", Mechanism::Normal, 64, NodeId(2));
+        m.record_message("StepExecute", Mechanism::Normal, 64, NodeId(3));
+        m.record_message("HaltThread", Mechanism::FailureHandling, 32, NodeId(2));
         m.record_load(NodeId(2), 100);
         m.record_load(NodeId(3), 40);
         m.record_load(NodeId(3), 0); // no-op
@@ -279,9 +258,9 @@ mod tests {
     #[test]
     fn merge_adds_counters() {
         let mut a = Metrics::default();
-        a.record_message("X", Mechanism::Normal, None, 8, NodeId(1));
+        a.record_message("X", Mechanism::Normal, 8, NodeId(1));
         let mut b = Metrics::default();
-        b.record_message("X", Mechanism::Normal, None, 8, NodeId(1));
+        b.record_message("X", Mechanism::Normal, 8, NodeId(1));
         b.record_load(NodeId(1), 5);
         a.merge(&b);
         assert_eq!(a.total_messages, 2);

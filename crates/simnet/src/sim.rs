@@ -709,13 +709,8 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
         // Injected external traffic (user → front end) is not an
         // inter-node message; the §6 counts cover system messages only.
         if from != NodeId::EXTERNAL {
-            self.metrics.record_message(
-                msg.kind(),
-                msg.mechanism(),
-                msg.instance(),
-                msg.approx_size(),
-                to,
-            );
+            self.metrics
+                .record_message(msg.kind(), msg.mechanism(), msg.approx_size(), to);
         }
         self.trace_event(from, to, msg.kind(), || format!("{msg:?}"));
         let mut ctx = Ctx::new(self.now, to);
@@ -757,9 +752,6 @@ mod tests {
         }
         fn mechanism(&self) -> Mechanism {
             Mechanism::Normal
-        }
-        fn instance(&self) -> Option<crew_model::InstanceId> {
-            None
         }
     }
 
@@ -1208,9 +1200,6 @@ mod tests {
             }
             fn mechanism(&self) -> Mechanism {
                 Mechanism::Normal
-            }
-            fn instance(&self) -> Option<crew_model::InstanceId> {
-                None
             }
         }
         /// Passes the message on to `peer` until its countdown reaches 0.

@@ -231,7 +231,6 @@ impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> ThreadedRuntime<M> 
                                 m.record_message(
                                     msg.kind(),
                                     msg.mechanism(),
-                                    msg.instance(),
                                     msg.approx_size(),
                                     id,
                                 );
@@ -312,9 +311,6 @@ mod tests {
         }
         fn mechanism(&self) -> Mechanism {
             Mechanism::Normal
-        }
-        fn instance(&self) -> Option<crew_model::InstanceId> {
-            None
         }
     }
 

@@ -15,9 +15,6 @@ impl Classify for Seq {
     fn mechanism(&self) -> Mechanism {
         Mechanism::Normal
     }
-    fn instance(&self) -> Option<crew_model::InstanceId> {
-        None
-    }
 }
 
 /// Emits `count` numbered messages to `peer` on start.

@@ -1,0 +1,165 @@
+//! What one workflow instance *holds*, as a budget that fails the build.
+//!
+//! The paper's §4.2 gives every instance its own small tables at the engine
+//! and again at every agent it touches; per-instance state, not per-message
+//! work, is what a long-lived deployment runs out of. This binary has its
+//! own counting allocator and a single test (so nothing else allocates
+//! while it measures): it runs 500 instances of the benchmark's L shape —
+//! the `central_steady` / `dist_steady` inputs — to quiescence under
+//! centralized and distributed control and checks the bytes and heap blocks
+//! still live per instance (navigators, logs, summaries — everything a node
+//! keeps) against a budget of the measured value + 10 %, and that dropping
+//! the run returns every byte. The simulation is single-threaded and
+//! deterministic, so the counts repeat exactly.
+
+use crew_central::CentralRun;
+use crew_distributed::{DistConfig, DistRun, Outcome};
+use crew_model::{SchemaId, Value};
+use crew_storage::InstanceStatus;
+use crew_workload::{build_deployment, SetupParams};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
+
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are statistics and publish no data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as isize, Relaxed);
+        LIVE_BLOCKS.fetch_add(1, Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as isize, Relaxed);
+        LIVE_BLOCKS.fetch_sub(1, Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// (live bytes, live blocks) right now.
+fn live() -> (isize, isize) {
+    (LIVE_BYTES.load(Relaxed), LIVE_BLOCKS.load(Relaxed))
+}
+
+const INSTANCES: u32 = 500;
+const AGENTS: u32 = 12;
+
+/// The benchmark's shape L: 2 sequential schemas × 6 steps, 12 agents, 2
+/// eligible agents per step, no failures, no coordination.
+fn shape_l() -> SetupParams {
+    SetupParams {
+        s: 6,
+        c: 2,
+        z: AGENTS,
+        a: 2,
+        seed: 42,
+        ..SetupParams::small()
+    }
+}
+
+/// Instance `k`'s schema and arrival tick: round-robin over the two
+/// schemas at the steady workloads' 200 arrivals per 1000 ticks.
+fn arrival(k: u32) -> (SchemaId, Vec<(u16, Value)>, u64) {
+    let inputs = vec![(1, Value::Int(5)), (2, Value::Int(1))];
+    (SchemaId(k % 2 + 1), inputs, (k as u64 + 1) * 5)
+}
+
+/// Live (bytes, blocks) per instance once `drive` has started
+/// [`INSTANCES`] arrivals on the system `build` made and run them to
+/// quiescence; `committed` counts the instances that committed.
+fn footprint<R>(
+    build: impl FnOnce() -> R,
+    drive: impl FnOnce(&mut R),
+    committed: impl FnOnce(&R) -> usize,
+) -> (f64, f64) {
+    let before = live();
+    let mut run = build();
+    let built = live();
+    drive(&mut run);
+    let quiescent = live();
+    assert_eq!(committed(&run), INSTANCES as usize);
+    drop(run);
+    assert_eq!(
+        live(),
+        before,
+        "teardown frees everything the run allocated"
+    );
+    let n = INSTANCES as f64;
+    (
+        (quiescent.0 - built.0) as f64 / n,
+        (quiescent.1 - built.1) as f64 / n,
+    )
+}
+
+fn central() -> (f64, f64) {
+    footprint(
+        || CentralRun::new(build_deployment(&shape_l(), false), AGENTS, 1),
+        |run| {
+            for (schema, inputs, at) in (0..INSTANCES).map(arrival) {
+                run.start_instance_at(schema, inputs, at);
+            }
+            run.run();
+        },
+        |run| {
+            let statuses = run.statuses().into_values();
+            statuses.filter(|s| *s == InstanceStatus::Committed).count()
+        },
+    )
+}
+
+fn distributed() -> (f64, f64) {
+    footprint(
+        || {
+            DistRun::new(
+                build_deployment(&shape_l(), false),
+                AGENTS,
+                DistConfig::default(),
+            )
+        },
+        |run| {
+            for (schema, inputs, at) in (0..INSTANCES).map(arrival) {
+                run.start_instance_at(schema, inputs, at);
+            }
+            run.run();
+        },
+        |run| {
+            let outcomes = run.outcomes().into_values();
+            outcomes.filter(|o| *o == Outcome::Committed).count()
+        },
+    )
+}
+
+#[test]
+fn live_state_per_instance_stays_inside_its_budget() {
+    // (control, now, live bytes and live blocks per instance when the
+    // budget was set). The same test on the B-tree tables this layout
+    // replaced read 9 556 B / 57.7 blocks and 36 835 B / 120.0 blocks.
+    let rows = [
+        ("central", central(), (4_096.0, 40.6)),
+        ("distributed", distributed(), (12_641.0, 109.4)),
+    ];
+    for (control, (bytes, blocks), _) in rows {
+        println!("footprint {control:11} {bytes:7.0} live bytes/instance {blocks:6.1} live blocks/instance");
+    }
+    for (control, (bytes, blocks), (set_bytes, set_blocks)) in rows {
+        let (max_bytes, max_blocks) = (set_bytes * 1.10, set_blocks * 1.10);
+        assert!(
+            bytes <= max_bytes && blocks <= max_blocks,
+            "{control}: {bytes:.0} B / {blocks:.1} blocks live per instance, \
+             budget {max_bytes:.0} B / {max_blocks:.1} blocks"
+        );
+    }
+}
