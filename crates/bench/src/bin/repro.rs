@@ -9,6 +9,7 @@
 //! repro fig1 .. fig7      executable reproductions of the figures
 //! repro ablations         OCR/coordination/rollback/packet/selection ablations
 //! repro sweep             parameter sweeps over s, z, a (closed-form series)
+//! repro escale            engine scale-out: static modulo vs ring + balancer
 //! repro all               everything above
 //! ```
 
@@ -16,7 +17,7 @@ use crew_analysis::{
     load, message_expression, messages, rank, table7, Architecture as AArch, Criterion,
     Mechanism as AMech, Params, Profile,
 };
-use crew_bench::{measure, row, to_analysis_params, MECH_LABELS};
+use crew_bench::{escale_spec, measure, row, run_load, to_analysis_params, MECH_LABELS};
 use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_model::{SchemaId, StepId, Value};
 use crew_workload::SetupParams;
@@ -39,6 +40,7 @@ fn main() {
         "fig7" => fig7(),
         "ablations" => ablations(),
         "sweep" => sweep(),
+        "escale" => escale(),
         "all" => {
             table3();
             arch_table(AArch::Central, "Table 4: Centralized Workflow Control");
@@ -54,6 +56,7 @@ fn main() {
             fig7();
             ablations();
             sweep();
+            escale();
         }
         other => {
             eprintln!("unknown subcommand {other:?}; see module docs");
@@ -795,6 +798,58 @@ fn sweep() {
                 &widths
             )
         );
+    }
+}
+
+// ------------------------------------------------------- Engine scale-out
+
+/// The e-scaling sweep of DESIGN §6f: the same skewed, degraded-engine
+/// load point under the paper's static modulo assignment and under
+/// consistent-hash placement with the auto-balancer, in virtual ticks.
+fn escale() {
+    header("Engine scale-out: static modulo vs ring + balancer (800 instances, seed 42)");
+    let widths = [4, 11, 17, 10, 8, 8, 8, 11, 5];
+    println!(
+        "{}",
+        row(
+            &[
+                "e".into(),
+                "rate/ktick".into(),
+                "placement".into(),
+                "committed".into(),
+                "ticks".into(),
+                "p50".into(),
+                "p99".into(),
+                "migrations".into(),
+                "skew".into(),
+            ],
+            &widths
+        )
+    );
+    for engines in [2u32, 4, 8, 16, 32, 64] {
+        for rate in [30.0, 120.0] {
+            for (placement, balanced) in [("modulo-static", false), ("ring + balancer", true)] {
+                let r = run_load(&escale_spec(engines, rate, balanced));
+                let (p50, p99) = r.latency_ticks.map_or((0, 0), |l| (l.p50, l.p99));
+                println!(
+                    "{}",
+                    row(
+                        &[
+                            format!("{engines}"),
+                            format!("{rate}"),
+                            placement.into(),
+                            format!("{}", r.committed),
+                            format!("{}", r.virtual_ticks),
+                            format!("{p50}"),
+                            format!("{p99}"),
+                            format!("{}", r.migrations),
+                            format!("{:.2}", r.engine_skew),
+                        ],
+                        &widths
+                    )
+                );
+            }
+        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! Measurement harness shared by the `repro` binary (table/figure
-//! reproduction) and the Criterion benches.
+//! Measurement harness behind the `repro` binary (table/figure
+//! reproduction).
 //!
 //! [`measure`] runs one architecture over a Table 3 parameter point on the
 //! deterministic simulator and returns per-mechanism, per-instance message
@@ -10,13 +10,9 @@
 
 #![warn(missing_docs)]
 
-pub mod hotpath;
-pub mod json;
 pub mod load;
 
-pub use hotpath::{run_hotpaths, HotpathResult};
-pub use json::{parse, validate_bench, Json, BENCH_SCHEMA_VERSION};
-pub use load::{arrival_ticks, run_load, LoadResult, LoadSpec};
+pub use load::{arrival_ticks, escale_spec, run_load, LoadResult, LoadSpec};
 
 use crew_analysis::Params;
 use crew_core::{Architecture, Scenario, WorkflowSystem};

@@ -15,7 +15,6 @@ use crew_core::{
 };
 use crew_model::{SchemaId, Value};
 use crew_workload::{build_deployment, SetupParams};
-use std::time::Instant;
 
 /// One open-loop load point: which architecture, how hard, how long.
 #[derive(Debug, Clone, Copy)]
@@ -67,11 +66,38 @@ impl LoadSpec {
     }
 }
 
-/// Measured result of one open-loop run.
+/// One point of the `repro escale` sweep (DESIGN §6f): 800 arrivals, 70 %
+/// of them on the hot schema, engines paying 1 tick per message and engine
+/// 0 degraded to 8 — the divergence-from-uniform case the balancer exists
+/// for — over `engines` parallel engines under the paper's static modulo
+/// assignment, or (`balanced`) consistent-hash placement plus the
+/// auto-balancer sampling every 100 ticks.
+pub fn escale_spec(engines: u32, rate_per_ktick: f64, balanced: bool) -> LoadSpec {
+    let setup = SetupParams {
+        z: 12,
+        seed: 42,
+        ..SetupParams::small()
+    };
+    let arch = Architecture::Parallel {
+        agents: setup.z,
+        engines,
+    };
+    let mut spec = LoadSpec::new(arch, rate_per_ktick, 800, setup);
+    if balanced {
+        spec.placement = PlacementStrategy::ConsistentHash { vnodes: 16 };
+        spec.balancer = Some((100, BalancerConfig::default()));
+    }
+    spec.hot_fraction = 0.7;
+    spec.engine_cost = 1;
+    spec.degraded = Some((0, 8));
+    spec
+}
+
+/// Measured result of one open-loop run; every field is in the tick
+/// domain, so the same spec always yields the same result (rates in wall
+/// time are `benchmark/`'s job).
 #[derive(Debug, Clone)]
 pub struct LoadResult {
-    /// The spec that produced it.
-    pub spec: LoadSpec,
     /// Instances committed / aborted / not terminal at quiescence.
     pub committed: usize,
     /// See [`LoadResult::committed`].
@@ -80,12 +106,6 @@ pub struct LoadResult {
     pub stalled: usize,
     /// Virtual time at quiescence.
     pub virtual_ticks: u64,
-    /// Simulator events delivered.
-    pub events: u64,
-    /// Wall-clock duration of the run, milliseconds.
-    pub wall_ms: f64,
-    /// Terminal instances per wall-clock second (the harness throughput).
-    pub instances_per_sec_wall: f64,
     /// Terminal instances per 1000 virtual ticks (the modeled throughput;
     /// compare against `rate_per_ktick` to spot saturation).
     pub instances_per_ktick: f64,
@@ -100,17 +120,6 @@ pub struct LoadResult {
     /// End-of-run per-engine load skew, max/mean pressure (1.0 when
     /// balanced or when the architecture has no engine fleet).
     pub engine_skew: f64,
-}
-
-impl LoadResult {
-    /// Wall-clock microseconds per virtual tick for this run — the factor
-    /// that converts tick latencies to wall-equivalent latencies.
-    pub fn us_per_tick(&self) -> f64 {
-        if self.virtual_ticks == 0 {
-            return 0.0;
-        }
-        self.wall_ms * 1000.0 / self.virtual_ticks as f64
-    }
 }
 
 /// The deterministic Poisson arrival train for `(seed, rate, instances)`:
@@ -174,27 +183,17 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
         scenario.start_at(schema, vec![(1, Value::Int(5)), (2, Value::Int(1))], at);
     }
 
-    let started = Instant::now();
     let report = system.run(scenario);
-    let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
 
     let committed = report.committed();
     let aborted = report.aborted();
     let terminal = (committed + aborted) as f64;
     let stalled = spec.instances as usize - committed - aborted;
     LoadResult {
-        spec: *spec,
         committed,
         aborted,
         stalled,
         virtual_ticks: report.virtual_time,
-        events: report.events,
-        wall_ms,
-        instances_per_sec_wall: if wall_ms > 0.0 {
-            terminal / (wall_ms / 1000.0)
-        } else {
-            0.0
-        },
         instances_per_ktick: if report.virtual_time > 0 {
             terminal * 1000.0 / report.virtual_time as f64
         } else {
@@ -280,6 +279,31 @@ mod tests {
         let again = run_load(&s);
         assert_eq!(r.virtual_ticks, again.virtual_ticks, "deterministic");
         assert_eq!(r.migrations, again.migrations, "deterministic");
+    }
+
+    /// The e = 8 rows of `repro escale` at 120/ktick, pinned as printed:
+    /// the row DESIGN §6f quotes cannot drift unseen.
+    #[test]
+    fn escale_e8_rows_are_pinned() {
+        // (balanced, committed, virtual ticks, p99, migrations, skew)
+        let pinned = [
+            (false, 800, 11_069, 5_225, 0, "1.11"),
+            (true, 800, 7_580, 1_159, 140, "1.25"),
+        ];
+        for (balanced, committed, ticks, p99, migrations, skew) in pinned {
+            let r = run_load(&escale_spec(8, 120.0, balanced));
+            let lat = r.latency_ticks.expect("completions recorded");
+            assert_eq!(
+                (r.committed, r.virtual_ticks, lat.p99, r.migrations),
+                (committed, ticks, p99, migrations),
+                "balanced = {balanced}"
+            );
+            assert_eq!(
+                format!("{:.2}", r.engine_skew),
+                skew,
+                "balanced = {balanced}"
+            );
+        }
     }
 
     #[test]

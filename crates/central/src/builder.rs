@@ -37,6 +37,7 @@ impl CentralRun {
         engines: u32,
         strategy: PlacementStrategy,
     ) -> Self {
+        deployment.validate_pool(agents);
         let deployment = Arc::new(deployment);
         let topo = Topology::with_placement(agents, engines, strategy, deployment.seed);
         let mut sim = Simulation::new(deployment.seed);
@@ -62,23 +63,11 @@ impl CentralRun {
     /// Start an instance through its owner engine's administrative
     /// interface.
     pub fn start_instance(&mut self, schema: SchemaId, inputs: Vec<(u16, Value)>) -> InstanceId {
-        let instance = InstanceId::new(schema, self.next_serial);
-        self.next_serial += 1;
-        let inputs = inputs
-            .into_iter()
-            .map(|(slot, v)| (ItemKey::input(slot), v))
-            .collect();
-        let owner = self.topo.owner_engine(instance);
-        self.sim.send_external(
-            self.topo.engine_node(owner),
-            CentralMsg::WorkflowStart { instance, inputs },
-        );
-        self.started.push(instance);
-        instance
+        self.start_instance_at(schema, inputs, 0)
     }
 
     /// Start an instance at a specific virtual time (open-loop arrival
-    /// processes in the throughput harness).
+    /// processes); a time already past means the next tick.
     pub fn start_instance_at(
         &mut self,
         schema: SchemaId,
@@ -103,11 +92,7 @@ impl CentralRun {
 
     /// Inject a user abort.
     pub fn abort_instance(&mut self, instance: InstanceId) {
-        let owner = self.topo.owner_engine(instance);
-        self.sim.send_external(
-            self.topo.engine_node(owner),
-            CentralMsg::WorkflowAbort { instance },
-        );
+        self.abort_instance_at(instance, 0)
     }
 
     /// Inject a user abort at a specific virtual time (mid-flight).
@@ -118,6 +103,11 @@ impl CentralRun {
             CentralMsg::WorkflowAbort { instance },
             at,
         );
+    }
+
+    /// Inject a user input change.
+    pub fn change_inputs(&mut self, instance: InstanceId, new_inputs: Vec<(u16, Value)>) {
+        self.change_inputs_at(instance, new_inputs, 0)
     }
 
     /// Inject a user input change at a specific virtual time.
@@ -139,22 +129,6 @@ impl CentralRun {
                 new_inputs,
             },
             at,
-        );
-    }
-
-    /// Inject a user input change.
-    pub fn change_inputs(&mut self, instance: InstanceId, new_inputs: Vec<(u16, Value)>) {
-        let owner = self.topo.owner_engine(instance);
-        let new_inputs = new_inputs
-            .into_iter()
-            .map(|(slot, v)| (ItemKey::input(slot), v))
-            .collect();
-        self.sim.send_external(
-            self.topo.engine_node(owner),
-            CentralMsg::WorkflowChangeInputs {
-                instance,
-                new_inputs,
-            },
         );
     }
 

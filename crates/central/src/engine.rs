@@ -332,16 +332,23 @@ impl Engine {
         }
     }
 
-    /// Journal-equivalent of a local shortcut: when a handler takes a
-    /// direct call instead of a self-send, record the message it *would*
-    /// have sent against the hosted instances it mentions, so an export
-    /// replays the interaction at the target. Nothing is sent and nothing
-    /// is charged — non-migrating runs behave identically.
-    fn synth(&mut self, msg: &CentralMsg, ctx: &Ctx<CentralMsg>) {
-        if self.installing.is_some() {
-            return; // the incoming slice already carries these records
+    /// Deliver `msg` to wherever `instance` lives: a send to its engine,
+    /// or — hosted here — a direct call of the handler a self-send would
+    /// reach. The direct call is recorded against the hosted instances the
+    /// message mentions, so an export replays the interaction at the
+    /// target (an incoming slice already carries these records). Nothing is
+    /// sent and nothing is charged for it — non-migrating runs behave
+    /// identically.
+    fn tell(&mut self, instance: InstanceId, msg: CentralMsg, ctx: &mut Ctx<CentralMsg>) {
+        match self.route(instance) {
+            Some(node) => ctx.send(node, msg),
+            None => {
+                if self.installing.is_none() {
+                    self.ingest_cmd(ctx.self_id.0, &msg, &encode_cmd(&msg));
+                }
+                self.handle(ctx.self_id, msg, ctx);
+            }
         }
-        self.ingest_cmd(ctx.self_id.0, msg, &encode_cmd(msg));
     }
 
     // ---- instantiation -----------------------------------------------------
@@ -558,33 +565,15 @@ impl Engine {
     ) {
         // Routed by current hosting, not the owner engine recorded at
         // acquire time: the holder may have migrated while queued.
-        match self.route(instance) {
-            None => {
-                let nav = &self.inst(instance).nav;
-                if nav.aborted || nav.committed {
-                    self.mutex_do_release(req, instance, step, ctx);
-                    return;
-                }
-                self.synth(
-                    &CentralMsg::Coord(CoordMsg::MutexGrant {
-                        req,
-                        instance,
-                        step,
-                    }),
-                    ctx,
-                );
-                self.mutex_held.insert((req, instance, step));
-                self.resume_waiting(instance, step, ctx);
-            }
-            Some(node) => ctx.send(
-                node,
-                CentralMsg::Coord(CoordMsg::MutexGrant {
-                    req,
-                    instance,
-                    step,
-                }),
-            ),
-        }
+        self.tell(
+            instance,
+            CentralMsg::Coord(CoordMsg::MutexGrant {
+                req,
+                instance,
+                step,
+            }),
+            ctx,
+        );
     }
 
     fn mutex_release(
@@ -891,28 +880,12 @@ impl Engine {
                 self.set_status(instance, InstanceStatus::Committed);
                 let nav = &self.inst(instance).nav;
                 if let Some((p, pstep)) = nav.parent {
-                    let outputs = nav.nested_outputs(&schema);
-                    match self.route(p) {
-                        None => {
-                            self.synth(
-                                &CentralMsg::ChildDone {
-                                    parent: p,
-                                    parent_step: pstep,
-                                    outputs: outputs.clone(),
-                                },
-                                ctx,
-                            );
-                            self.on_child_done(p, pstep, outputs, ctx);
-                        }
-                        Some(node) => ctx.send(
-                            node,
-                            CentralMsg::ChildDone {
-                                parent: p,
-                                parent_step: pstep,
-                                outputs,
-                            },
-                        ),
-                    }
+                    let done = CentralMsg::ChildDone {
+                        parent: p,
+                        parent_step: pstep,
+                        outputs: nav.nested_outputs(&schema),
+                    };
+                    self.tell(p, done, ctx);
                 }
             }
         }
@@ -933,29 +906,16 @@ impl Engine {
         else {
             return;
         };
-        match self.route(child) {
-            None => {
-                self.synth(
-                    &CentralMsg::ChildStart {
-                        child,
-                        inputs: inputs.clone(),
-                        parent: instance,
-                        parent_step: step,
-                    },
-                    ctx,
-                );
-                self.start_instance(child, inputs, Some((instance, step)), ctx);
-            }
-            Some(node) => ctx.send(
-                node,
-                CentralMsg::ChildStart {
-                    child,
-                    inputs,
-                    parent: instance,
-                    parent_step: step,
-                },
-            ),
-        }
+        self.tell(
+            child,
+            CentralMsg::ChildStart {
+                child,
+                inputs,
+                parent: instance,
+                parent_step: step,
+            },
+            ctx,
+        );
     }
 
     fn on_child_done(
@@ -1033,13 +993,7 @@ impl Engine {
                         instance: partner,
                         origin: rd.dependent_origin,
                     });
-                    match self.route(partner) {
-                        None => {
-                            self.synth(&msg, ctx);
-                            self.rollback_to(partner, rd.dependent_origin, true, ctx);
-                        }
-                        Some(node) => ctx.send(node, msg),
-                    }
+                    self.tell(partner, msg, ctx);
                 }
             }
         }
@@ -1140,13 +1094,7 @@ impl Engine {
                         k,
                         lagging: partner,
                     });
-                    match self.route(partner) {
-                        None => {
-                            self.synth(&msg, ctx);
-                            self.ro_apply_release(r.id, k, partner, ctx);
-                        }
-                        Some(node) => ctx.send(node, msg),
-                    }
+                    self.tell(partner, msg, ctx);
                 }
             }
         }
@@ -1186,13 +1134,7 @@ impl Engine {
                 b,
                 leader_side: winner_side,
             });
-            match self.route(inst) {
-                None => {
-                    self.synth(&msg, ctx);
-                    self.ro_apply_decision(req, a, b, winner_side, ctx);
-                }
-                Some(node) => ctx.send(node, msg),
-            }
+            self.tell(inst, msg, ctx);
         }
     }
 

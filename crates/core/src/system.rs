@@ -121,9 +121,8 @@ impl CrashWindow {
     }
 }
 
-/// One scheduled instance start: schema, initial inputs, and an optional
-/// arrival tick (`None` = start at time zero).
-type ScheduledStart = (SchemaId, Vec<(u16, Value)>, Option<u64>);
+/// One scheduled instance start: schema, initial inputs, arrival tick.
+type ScheduledStart = (SchemaId, Vec<(u16, Value)>, u64);
 
 /// A declarative run scenario: which instances start (in order — instance
 /// serials are assigned 1, 2, … accordingly), which get linked for
@@ -145,15 +144,14 @@ impl Scenario {
     /// Start an instance of `schema`; returns its index within the
     /// scenario (serials are `index + 1`).
     pub fn start(&mut self, schema: SchemaId, inputs: Vec<(u16, Value)>) -> usize {
-        self.starts.push((schema, inputs, None));
-        self.starts.len() - 1
+        self.start_at(schema, inputs, 0)
     }
 
     /// Start an instance of `schema` at virtual time `at` — open-loop
-    /// arrival processes (the throughput harness) schedule their whole
-    /// arrival train up front with this.
+    /// arrival processes schedule their whole arrival train up front with
+    /// this.
     pub fn start_at(&mut self, schema: SchemaId, inputs: Vec<(u16, Value)>, at: u64) -> usize {
-        self.starts.push((schema, inputs, Some(at)));
+        self.starts.push((schema, inputs, at));
         self.starts.len() - 1
     }
 
@@ -226,15 +224,7 @@ impl WorkflowSystem {
         schemas: impl IntoIterator<Item = WorkflowSchema>,
         architecture: Architecture,
     ) -> Self {
-        WorkflowSystem {
-            deployment: Deployment::new(schemas),
-            architecture,
-            dist_config: DistConfig::default(),
-            net_faults: None,
-            placement: PlacementStrategy::Modulo,
-            balancer: None,
-            engine_service_costs: Vec::new(),
-        }
+        Self::with_deployment(Deployment::new(schemas), architecture)
     }
 
     /// Build from an existing deployment.
@@ -322,11 +312,8 @@ impl WorkflowSystem {
         let mut ids = Vec::new();
         let mut arrival_ticks = BTreeMap::new();
         for (schema, inputs, at) in &scenario.starts {
-            let id = match at {
-                None => run.start_instance(*schema, inputs.clone()),
-                Some(t) => run.start_instance_at(*schema, inputs.clone(), *t),
-            };
-            arrival_ticks.insert(id, at.unwrap_or(0));
+            let id = run.start_instance_at(*schema, inputs.clone(), *at);
+            arrival_ticks.insert(id, *at);
             ids.push(id);
         }
         for action in &scenario.actions {
@@ -403,11 +390,8 @@ impl WorkflowSystem {
         let mut ids = Vec::new();
         let mut arrival_ticks = BTreeMap::new();
         for (schema, inputs, at) in &scenario.starts {
-            let id = match at {
-                None => run.start_instance(*schema, inputs.clone()),
-                Some(t) => run.start_instance_at(*schema, inputs.clone(), *t),
-            };
-            arrival_ticks.insert(id, at.unwrap_or(0));
+            let id = run.start_instance_at(*schema, inputs.clone(), *at);
+            arrival_ticks.insert(id, *at);
             ids.push(id);
         }
         for action in &scenario.actions {
@@ -494,6 +478,37 @@ mod tests {
             assert!(report.all_terminal(), "{arch:?}");
             assert!(report.metrics.total_messages > 0, "{arch:?}");
         }
+    }
+
+    /// `two_step_schema` names agent 1; a pool of one agent must be refused
+    /// before any node is laid out, or the request for step B lands on
+    /// whichever node follows the agents and the run stalls silently.
+    fn run_with_short_pool(arch: Architecture) {
+        let system = WorkflowSystem::new([two_step_schema()], arch);
+        let mut scenario = Scenario::new();
+        scenario.start(SchemaId(1), vec![(1, Value::Int(7))]);
+        system.run(scenario);
+    }
+
+    #[test]
+    #[should_panic(expected = "names agent A1 outside the pool of 1")]
+    fn short_pool_is_refused_under_central() {
+        run_with_short_pool(Architecture::Central { agents: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "names agent A1 outside the pool of 1")]
+    fn short_pool_is_refused_under_parallel() {
+        run_with_short_pool(Architecture::Parallel {
+            agents: 1,
+            engines: 2,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "names agent A1 outside the pool of 1")]
+    fn short_pool_is_refused_under_distributed() {
+        run_with_short_pool(Architecture::Distributed { agents: 1 });
     }
 
     #[test]

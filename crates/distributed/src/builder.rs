@@ -7,7 +7,7 @@
 use crate::agent::DistAgent;
 use crate::frontend::{FrontEnd, Outcome};
 use crate::msg::DistMsg;
-use crate::runtime::{validate_pool, Directory, DistConfig, SharedCtx};
+use crate::runtime::{Directory, DistConfig, SharedCtx};
 use crew_exec::Deployment;
 use crew_model::{AgentId, InstanceId, ItemKey, SchemaId, Value};
 use crew_simnet::{NodeId, Simulation};
@@ -29,9 +29,9 @@ pub struct DistRun {
 impl DistRun {
     /// Lay out `agents` agent nodes plus the front end for `deployment`.
     pub fn new(deployment: Deployment, agents: u32, config: DistConfig) -> Self {
+        deployment.validate_pool(agents);
         let deployment = Arc::new(deployment);
         let directory = Directory::new(agents);
-        validate_pool(&deployment, &directory);
         let shared = SharedCtx {
             deployment: deployment.clone(),
             directory: directory.clone(),
@@ -54,26 +54,11 @@ impl DistRun {
     /// Start a new instance of `schema` with the given workflow inputs,
     /// injected through the front end. Returns the instance id.
     pub fn start_instance(&mut self, schema: SchemaId, inputs: Vec<(u16, Value)>) -> InstanceId {
-        let instance = InstanceId::new(schema, self.next_serial);
-        self.next_serial += 1;
-        let inputs: Vec<(ItemKey, Value)> = inputs
-            .into_iter()
-            .map(|(slot, v)| (ItemKey::input(slot), v))
-            .collect();
-        self.sim.send_external(
-            self.directory.frontend,
-            DistMsg::WorkflowStart {
-                instance,
-                inputs,
-                parent: None,
-            },
-        );
-        self.started.push(instance);
-        instance
+        self.start_instance_at(schema, inputs, 0)
     }
 
     /// Start an instance at a specific virtual time (open-loop arrival
-    /// processes in the throughput harness).
+    /// processes); a time already past means the next tick.
     pub fn start_instance_at(
         &mut self,
         schema: SchemaId,
@@ -101,8 +86,7 @@ impl DistRun {
 
     /// Inject a user abort for `instance`.
     pub fn abort_instance(&mut self, instance: InstanceId) {
-        self.sim
-            .send_external(self.directory.frontend, DistMsg::WorkflowAbort { instance });
+        self.abort_instance_at(instance, 0)
     }
 
     /// Inject a user abort at a specific virtual time (mid-flight).
@@ -112,6 +96,11 @@ impl DistRun {
             DistMsg::WorkflowAbort { instance },
             at,
         );
+    }
+
+    /// Inject a user input change.
+    pub fn change_inputs(&mut self, instance: InstanceId, new_inputs: Vec<(u16, Value)>) {
+        self.change_inputs_at(instance, new_inputs, 0)
     }
 
     /// Inject a user input change at a specific virtual time.
@@ -132,21 +121,6 @@ impl DistRun {
                 new_inputs,
             },
             at,
-        );
-    }
-
-    /// Inject a user input change.
-    pub fn change_inputs(&mut self, instance: InstanceId, new_inputs: Vec<(u16, Value)>) {
-        let new_inputs = new_inputs
-            .into_iter()
-            .map(|(slot, v)| (ItemKey::input(slot), v))
-            .collect();
-        self.sim.send_external(
-            self.directory.frontend,
-            DistMsg::WorkflowChangeInputs {
-                instance,
-                new_inputs,
-            },
         );
     }
 

@@ -72,7 +72,7 @@ pub struct FrontEnd {
     pub outcomes: BTreeMap<InstanceId, Outcome>,
     /// Virtual tick at which each terminal outcome was first observed
     /// (completion as seen from the administrative interface — the
-    /// latency the throughput harness reports).
+    /// latency `RunReport::latency_stats` reports).
     pub outcome_times: BTreeMap<InstanceId, u64>,
     /// Last status reply per instance.
     pub statuses: BTreeMap<InstanceId, &'static str>,

@@ -97,23 +97,6 @@ pub fn coordination_agent(seed: u64, instance: InstanceId, schema: &WorkflowSche
     designated_agent(seed, instance, schema.expect_step(schema.start_step()))
 }
 
-/// Convenience: all deployment schemas' eligible agents must fit the pool.
-pub fn validate_pool(deployment: &Deployment, directory: &Directory) {
-    for schema in deployment.schemas.values() {
-        for def in schema.steps() {
-            for a in &def.eligible_agents {
-                assert!(
-                    a.0 < directory.agents,
-                    "step {} of {} names agent {a} outside the pool of {}",
-                    def.id,
-                    schema.id,
-                    directory.agents
-                );
-            }
-        }
-    }
-}
-
 /// Shared read-only context every agent holds.
 #[derive(Debug, Clone)]
 pub struct SharedCtx {

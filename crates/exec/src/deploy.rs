@@ -116,6 +116,26 @@ impl Deployment {
             .max()
             .unwrap_or(0)
     }
+
+    /// Panic unless every step's eligible agents fit a pool of `agents`.
+    /// Every driver calls this before laying out nodes: agents occupy node
+    /// ids `0..agents`, so an id past the pool would address whichever node
+    /// comes next (an engine, the front end) and the run would stall with
+    /// no diagnostic.
+    pub fn validate_pool(&self, agents: u32) {
+        for schema in self.schemas.values() {
+            for def in schema.steps() {
+                for a in &def.eligible_agents {
+                    assert!(
+                        a.0 < agents,
+                        "step {} of {} names agent {a} outside the pool of {agents}",
+                        def.id,
+                        schema.id,
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
