@@ -279,6 +279,7 @@ impl CentralRun {
     pub fn statuses(&self) -> BTreeMap<InstanceId, InstanceStatus> {
         let mut out = BTreeMap::new();
         for e in 0..self.topo.engines {
+            self.engine(e).check_executing_index();
             for (&i, &s) in &self.engine(e).statuses {
                 out.insert(i, s);
             }

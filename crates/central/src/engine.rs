@@ -85,6 +85,11 @@ pub struct Engine {
     templates: BTreeMap<crew_model::SchemaId, Arc<Vec<crew_rules::TemplateRule>>>,
     /// Instance status summary (the WFDB instance summary table).
     pub statuses: BTreeMap<InstanceId, InstanceStatus>,
+    /// The hosted instances whose status is `Executing`, maintained where
+    /// the status changes (`set_status`, migrate-out, `on_crash`) so the
+    /// balancer's load sample and candidate list cost what is live, not
+    /// what `statuses` has accumulated.
+    executing: BTreeSet<InstanceId>,
     /// Virtual tick at which each instance first reached a terminal status
     /// (measurement instrumentation for the throughput/latency harness —
     /// not part of the recovered state machine, so it survives fail-stop
@@ -162,6 +167,7 @@ impl Engine {
             instances: BTreeMap::new(),
             templates: BTreeMap::new(),
             statuses: BTreeMap::new(),
+            executing: BTreeSet::new(),
             terminal_times: BTreeMap::new(),
             clock: 0,
             ro_decisions: BTreeMap::new(),
@@ -203,7 +209,10 @@ impl Engine {
     /// Update the instance summary table.
     fn set_status(&mut self, instance: InstanceId, status: InstanceStatus) {
         self.statuses.insert(instance, status);
-        if status != InstanceStatus::Executing {
+        if status == InstanceStatus::Executing {
+            self.executing.insert(instance);
+        } else {
+            self.executing.remove(&instance);
             // Terminal instances never migrate, so their command log —
             // kept only to feed a future MigrateState export — can go.
             self.cmd_log.remove(&instance);
@@ -245,10 +254,35 @@ impl Engine {
 
     /// Live (non-terminal) instances currently hosted by this engine.
     pub fn live_instances(&self) -> u64 {
-        self.statuses
-            .values()
-            .filter(|s| **s == InstanceStatus::Executing)
-            .count() as u64
+        self.executing.len() as u64
+    }
+
+    /// Debug builds: the executing set is `statuses` filtered by
+    /// `Executing`, every member is hosted, and exactly the members keep a
+    /// command log. Run-sized, so it is called where runs are read out
+    /// ([`crate::CentralRun::statuses`]), not per message.
+    pub(crate) fn check_executing_index(&self) {
+        debug_assert!(
+            self.statuses
+                .iter()
+                .filter(|(_, s)| **s == InstanceStatus::Executing)
+                .map(|(i, _)| i)
+                .eq(&self.executing),
+            "engine {}: executing set diverged from the status table",
+            self.index
+        );
+        debug_assert!(
+            self.executing
+                .iter()
+                .all(|i| self.instances.contains_key(i)),
+            "engine {}: an executing instance is not hosted",
+            self.index
+        );
+        debug_assert!(
+            self.halted || self.cmd_log.keys().eq(&self.executing),
+            "engine {}: a command log without an executing instance, or the reverse",
+            self.index
+        );
     }
 
     /// WAL records appended so far (a proxy for WFDB write pressure).
@@ -257,13 +291,9 @@ impl Engine {
     }
 
     /// Instances hosted here and still executing — the candidates a
-    /// balancer driver can order moved. Deterministic (BTreeMap) order.
+    /// balancer driver can order moved, in ascending id order.
     pub fn movable_instances(&self) -> Vec<InstanceId> {
-        self.instances
-            .keys()
-            .filter(|i| self.statuses.get(i) == Some(&InstanceStatus::Executing))
-            .copied()
-            .collect()
+        self.executing.iter().copied().collect()
     }
 
     /// Where an instance lives right now, for the local-vs-remote decision
@@ -315,11 +345,19 @@ impl Engine {
             // the instance right back out.
             return;
         }
+        // A duplicate start of a terminal instance creates nothing
+        // (`start_instance` ignores it), and a log opened here would never
+        // be dropped: `set_status` only runs on a transition.
         let creates = match msg {
             CentralMsg::WorkflowStart { instance, .. } => Some(*instance),
             CentralMsg::ChildStart { child, .. } => Some(*child),
             _ => None,
-        };
+        }
+        .filter(|i| {
+            self.statuses
+                .get(i)
+                .is_none_or(|s| *s == InstanceStatus::Executing)
+        });
         for inst in msg.mentions() {
             if creates == Some(inst) {
                 self.cmd_log
@@ -424,8 +462,9 @@ impl Engine {
         ctx: &mut Ctx<CentralMsg>,
     ) -> bool {
         let dep = self.deployment.clone();
+        let partners = dep.ro_links.partners_of(instance);
         for r in &dep.coordination.relative_orders {
-            for partner in dep.ro_links.partners_of(instance) {
+            for partner in partners.clone() {
                 let Some((side, k, a, b)) = self.ro_position(r, instance, partner, step) else {
                     continue;
                 };
@@ -1072,8 +1111,9 @@ impl Engine {
 
     fn ro_after_done(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<CentralMsg>) {
         let dep = self.deployment.clone();
+        let partners = dep.ro_links.partners_of(instance);
         for r in &dep.coordination.relative_orders {
-            for partner in dep.ro_links.partners_of(instance) {
+            for partner in partners.clone() {
                 let Some((side, k, a, b)) = self.ro_position(r, instance, partner, step) else {
                     continue;
                 };
@@ -1343,6 +1383,7 @@ impl Engine {
         let records = self.cmd_log.remove(&instance).unwrap_or_default();
         self.instances.remove(&instance);
         self.statuses.remove(&instance);
+        self.executing.remove(&instance);
         // The local grant mirror travels with the instance (rebuilt from
         // the slice at the target); manager-side holder state stays put —
         // the manager role is placement-independent and never migrates.
@@ -1468,6 +1509,7 @@ impl Node<CentralMsg> for Engine {
         self.instances.clear();
         self.templates.clear();
         self.statuses.clear();
+        self.executing.clear();
         self.ro_decisions.clear();
         self.ro_released.clear();
         self.mutex_holders.clear();
@@ -1613,6 +1655,40 @@ mod tests {
         assert_eq!(inputs[0].0, NodeId::EXTERNAL.0);
         assert!(matches!(inputs[0].1, CentralMsg::WorkflowStart { .. }));
         assert_eq!(inputs[1], (0, result));
+    }
+
+    /// A duplicate `WorkflowStart` for a finished instance (a retried
+    /// front-end request) must not re-open the command log that the
+    /// terminal transition dropped: nothing would ever drop it again.
+    #[test]
+    fn duplicate_start_of_a_finished_instance_leaves_no_command_log() {
+        let mut e = engine();
+        let inst = start(&mut e, 1);
+        assert!(e.cmd_log.contains_key(&inst));
+        assert_eq!(e.movable_instances(), vec![inst]);
+        let mut ctx = Ctx::detached(1, NodeId(1));
+        e.on_message(
+            NodeId(0),
+            CentralMsg::ExecResult {
+                instance: inst,
+                step: StepId(1),
+                attempt: 1,
+                outputs: Some(vec![Value::Int(5)]),
+                error: None,
+            },
+            &mut ctx,
+        );
+        assert_eq!(e.status_of(inst), Some(InstanceStatus::Committed));
+        assert!(!e.cmd_log.contains_key(&inst));
+        let data = e.data_of(inst).cloned();
+
+        assert_eq!(start(&mut e, 1), inst);
+        assert!(!e.cmd_log.contains_key(&inst), "a log nothing will drop");
+        assert_eq!(e.status_of(inst), Some(InstanceStatus::Committed));
+        assert_eq!(e.data_of(inst).cloned(), data);
+        assert!(e.movable_instances().is_empty());
+        assert_eq!(e.live_instances(), 0);
+        e.check_executing_index();
     }
 
     #[test]

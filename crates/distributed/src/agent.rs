@@ -428,8 +428,9 @@ impl DistAgent {
                 }
             }
         }
+        let partners = dep.ro_links.partners_of(instance);
         for r in &dep.coordination.relative_orders {
-            for partner in dep.ro_links.partners_of(instance) {
+            for partner in partners.clone() {
                 let Some((side, pairs)) = ro_side(r, instance, partner) else {
                     continue;
                 };
@@ -1107,8 +1108,9 @@ impl DistAgent {
         let mut leading = Vec::new();
         let mut lagging = Vec::new();
         let dep = &self.shared.deployment;
+        let partners = dep.ro_links.partners_of(instance);
         for r in &dep.coordination.relative_orders {
-            for partner in dep.ro_links.partners_of(instance) {
+            for partner in partners.clone() {
                 let Some((side, my_pairs)) = ro_side(r, instance, partner) else {
                     continue;
                 };

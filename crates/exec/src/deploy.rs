@@ -10,7 +10,7 @@ use crate::failure::FailurePlan;
 use crate::program::ProgramRegistry;
 use crew_model::{CoordinationSpec, InstanceId, SchemaId, WorkflowSchema};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Links between concurrent instances that relative-ordering requirements
 /// apply to (the WF1/WF2 pairing of Figure 2). The run harness declares
@@ -18,6 +18,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct RelOrderLinks {
     pairs: Vec<(InstanceId, InstanceId)>,
+    /// `(instance, partner)` for both directions of every pair, sorted by
+    /// instance (as its [`RelOrderLinks::key`], so the search compares one
+    /// integer per probe). The sort is stable, so one instance's partners
+    /// stay in pair order — exactly what a scan of `pairs` yields. Built by
+    /// the first lookup after the last [`RelOrderLinks::link`], not by
+    /// `link`: linking is set-up, lookups are the per-step path.
+    index: OnceLock<Vec<(u64, InstanceId)>>,
 }
 
 impl RelOrderLinks {
@@ -29,22 +36,35 @@ impl RelOrderLinks {
     /// Declare `a` and `b` as a coordinated pair.
     pub fn link(&mut self, a: InstanceId, b: InstanceId) {
         self.pairs.push((a, b));
+        self.index.take();
     }
 
-    /// All partners linked with `i` (in either position).
-    pub fn partners_of(&self, i: InstanceId) -> Vec<InstanceId> {
-        self.pairs
-            .iter()
-            .filter_map(|&(a, b)| {
-                if a == i {
-                    Some(b)
-                } else if b == i {
-                    Some(a)
-                } else {
-                    None
+    /// `i` as one integer, distinct for distinct instances.
+    fn key(i: InstanceId) -> u64 {
+        (i.schema.0 as u64) << 32 | i.serial as u64
+    }
+
+    /// All partners linked with `i` (in either position), in pair order.
+    /// One lookup; the iterator borrows the index and clones for free, so
+    /// a caller looping over requirements looks up once, outside the loop.
+    pub fn partners_of(&self, i: InstanceId) -> impl Iterator<Item = InstanceId> + Clone + '_ {
+        let index = self.index.get_or_init(|| {
+            let mut index = Vec::with_capacity(2 * self.pairs.len());
+            for &(a, b) in &self.pairs {
+                index.push((Self::key(a), b));
+                if a != b {
+                    index.push((Self::key(b), a));
                 }
-            })
-            .collect()
+            }
+            index.sort_by_key(|&(key, _)| key);
+            index
+        });
+        let key = Self::key(i);
+        let start = index.partition_point(|&(k, _)| k < key);
+        index[start..]
+            .iter()
+            .take_while(move |&&(k, _)| k == key)
+            .map(|&(_, partner)| partner)
     }
 
     /// Iterate over the entries.
@@ -142,6 +162,7 @@ impl Deployment {
 mod tests {
     use super::*;
     use crew_model::{AgentId, SchemaBuilder};
+    use proptest::prelude::*;
 
     fn schema(id: u32, agents: &[u32]) -> WorkflowSchema {
         let mut b = SchemaBuilder::new(SchemaId(id), format!("wf{id}"));
@@ -165,6 +186,26 @@ mod tests {
         assert!(d.schema(SchemaId(9)).is_none());
     }
 
+    /// The scan `partners_of` was before it had an index.
+    fn scan(pairs: &[(InstanceId, InstanceId)], i: InstanceId) -> Vec<InstanceId> {
+        pairs
+            .iter()
+            .filter_map(|&(a, b)| {
+                if a == i {
+                    Some(b)
+                } else if b == i {
+                    Some(a)
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+
+    fn partners(links: &RelOrderLinks, i: InstanceId) -> Vec<InstanceId> {
+        links.partners_of(i).collect()
+    }
+
     #[test]
     fn ro_links_partner_lookup() {
         let mut links = RelOrderLinks::new();
@@ -173,12 +214,53 @@ mod tests {
         let c = InstanceId::new(SchemaId(2), 3);
         links.link(a, b);
         links.link(c, a);
-        assert_eq!(links.partners_of(a), vec![b, c]);
-        assert_eq!(links.partners_of(b), vec![a]);
-        assert!(links
-            .partners_of(InstanceId::new(SchemaId(9), 9))
-            .is_empty());
+        assert_eq!(partners(&links, a), vec![b, c]);
+        assert_eq!(partners(&links, b), vec![a]);
+        assert!(partners(&links, InstanceId::new(SchemaId(9), 9)).is_empty());
         assert_eq!(links.iter().count(), 2);
         assert!(!links.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The index answers exactly as the scan did, in order — over
+        /// duplicates and self-links, after a `link` that follows a lookup,
+        /// and from clones taken before and after the first lookup.
+        #[test]
+        fn partner_index_equals_the_scan(
+            ids in proptest::collection::vec((1u32..4, 0u32..6, 1u32..4, 0u32..6), 0..24),
+            late in 0usize..24,
+        ) {
+            let pairs: Vec<_> = ids
+                .iter()
+                .map(|&(sa, a, sb, b)| {
+                    (InstanceId::new(SchemaId(sa), a), InstanceId::new(SchemaId(sb), b))
+                })
+                .collect();
+            // Schemas 1..4 as linked, plus schema 4, which no pair mentions.
+            let everyone: Vec<_> = (1u32..5)
+                .flat_map(|s| (0u32..6).map(move |n| InstanceId::new(SchemaId(s), n)))
+                .collect();
+            let (early, rest) = pairs.split_at(late.min(pairs.len()));
+
+            let mut links = RelOrderLinks::new();
+            for &(a, b) in early {
+                links.link(a, b);
+            }
+            let never_looked_up = links.clone();
+            for &i in &everyone {
+                prop_assert_eq!(partners(&links, i), scan(early, i));
+            }
+            let looked_up = links.clone();
+            for &(a, b) in rest {
+                links.link(a, b);
+            }
+            for &i in &everyone {
+                prop_assert_eq!(partners(&links, i), scan(&pairs, i), "stale after a late link");
+                prop_assert_eq!(partners(&never_looked_up, i), scan(early, i));
+                prop_assert_eq!(partners(&looked_up, i), scan(early, i));
+            }
+        }
     }
 }

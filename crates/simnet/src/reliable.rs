@@ -23,6 +23,7 @@
 //! owns all scheduling, so runs stay deterministic.
 
 use crate::node::NodeId;
+use bytes::{BufMut, BytesMut};
 use crew_storage::{wire, Decode, Encode, MemStore, Wal};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -207,6 +208,16 @@ fn fold_records<M>(records: Vec<ChanRec<M>>) -> PersistedChannelState<M> {
 /// constant overhead of a rewrite is not worth it for short logs.
 const CHECKPOINT_MIN_RECORDS: u64 = 64;
 
+/// An already-encoded payload: encodes as the bytes it holds, so a
+/// `ChanRec<Encoded>` is byte-for-byte the `ChanRec<M>` it was taken from.
+struct Encoded<'a>(&'a [u8]);
+
+impl Encode for Encoded<'_> {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_slice(self.0);
+    }
+}
+
 /// WAL-backed durability over the in-memory store (simulation durability:
 /// the log outlives the node's volatile state across crash/recover).
 ///
@@ -215,11 +226,22 @@ const CHECKPOINT_MIN_RECORDS: u64 = 64;
 /// [`ChanRec::Checkpoint`] snapshot plus the live outbox, so both log
 /// length and [`OutboxLog::replay`] cost stay O(live outbox) under
 /// sustained fully-acked traffic instead of growing forever.
+///
+/// The state the log describes — what [`fold_records`] would make of it —
+/// is mirrored as it is logged, so compaction writes the snapshot from
+/// memory: the live path never reads the log back or decodes a record.
 pub struct WalOutbox<M: Encode + Decode> {
     wal: Wal<ChanRec<M>, MemStore>,
-    /// Unacked seqs per destination peer, mirrored so compaction can
-    /// decide without scanning the log.
-    live: BTreeMap<NodeId, BTreeSet<u64>>,
+    /// Unacked sends by `(destination peer, seq)`, each with its encoded
+    /// payload (encoded once, for the log and the mirror both).
+    live: BTreeMap<(NodeId, u64), Box<[u8]>>,
+    /// Where `log_send` encodes a payload before copying it out at its
+    /// exact size.
+    scratch: BytesMut,
+    /// Next sequence number per destination peer.
+    next_seq: BTreeMap<NodeId, u64>,
+    /// Delivery cursor per sending peer.
+    delivered: BTreeMap<NodeId, u64>,
     checkpointing: bool,
 }
 
@@ -229,6 +251,9 @@ impl<M: Encode + Decode> WalOutbox<M> {
         WalOutbox {
             wal: Wal::in_memory(),
             live: BTreeMap::new(),
+            scratch: BytesMut::new(),
+            next_seq: BTreeMap::new(),
+            delivered: BTreeMap::new(),
             checkpointing: true,
         }
     }
@@ -247,10 +272,6 @@ impl<M: Encode + Decode> WalOutbox<M> {
         self.wal.appended()
     }
 
-    fn live_count(&self) -> u64 {
-        self.live.values().map(|s| s.len() as u64).sum()
-    }
-
     /// Compact when the log is at least `CHECKPOINT_MIN_RECORDS` long and
     /// mostly dead (less than a quarter of its records still live).
     fn maybe_checkpoint(&mut self) {
@@ -258,28 +279,21 @@ impl<M: Encode + Decode> WalOutbox<M> {
             return;
         }
         let len = self.wal.appended();
-        if len < CHECKPOINT_MIN_RECORDS || len < 4 * self.live_count() {
+        if len < CHECKPOINT_MIN_RECORDS || len < 4 * self.live.len() as u64 {
             return;
         }
-        let state = fold_records(self.wal.recover().expect("MemStore read cannot fail"));
         self.wal.reset().expect("MemStore truncate cannot fail");
-        let mut batch: Vec<ChanRec<M>> = vec![ChanRec::Checkpoint {
-            next_seq: state.next_seq.into_iter().collect(),
-            delivered: state.delivered.into_iter().collect(),
-        }];
-        self.live.clear();
-        for (peer, outbox) in state.outbox {
-            for (seq, payload) in outbox {
-                self.live.entry(peer).or_default().insert(seq);
-                batch.push(ChanRec::Sent {
-                    to: peer,
-                    seq,
-                    payload,
-                });
-            }
-        }
+        let snapshot = ChanRec::Checkpoint {
+            next_seq: self.next_seq.iter().map(|(&p, &s)| (p, s)).collect(),
+            delivered: self.delivered.iter().map(|(&p, &c)| (p, c)).collect(),
+        };
+        let restaged = self.live.iter().map(|(&(to, seq), payload)| ChanRec::Sent {
+            to,
+            seq,
+            payload: Encoded(payload),
+        });
         self.wal
-            .append_batch(batch.iter())
+            .append_batch(std::iter::once(snapshot).chain(restaged))
             .expect("MemStore append cannot fail");
     }
 }
@@ -292,19 +306,26 @@ impl<M: Encode + Decode> Default for WalOutbox<M> {
 
 impl<M: Encode + Decode + Send> OutboxLog<M> for WalOutbox<M> {
     fn log_send(&mut self, to: NodeId, seq: u64, payload: &M) {
-        // `ChanRec<&M>` encodes as `ChanRec<M>` does, so the borrowed
-        // payload is encoded once and never cloned.
+        self.scratch.clear();
+        payload.encode(&mut self.scratch);
+        let payload: Box<[u8]> = self.scratch[..].into();
         self.wal
-            .append_view(&ChanRec::Sent { to, seq, payload })
+            .append_view(&ChanRec::Sent {
+                to,
+                seq,
+                payload: Encoded(&payload),
+            })
             .expect("MemStore append cannot fail");
-        self.live.entry(to).or_default().insert(seq);
+        self.live.insert((to, seq), payload);
+        let next = self.next_seq.entry(to).or_insert(1);
+        *next = (*next).max(seq + 1);
     }
     fn log_ack(&mut self, peer: NodeId, cum: u64) {
         self.wal
             .append(&ChanRec::<M>::Acked { peer, cum })
             .expect("MemStore append cannot fail");
-        if let Some(seqs) = self.live.get_mut(&peer) {
-            seqs.retain(|&s| s > cum);
+        while let Some((&key, _)) = self.live.range((peer, 0)..=(peer, cum)).next() {
+            self.live.remove(&key);
         }
         self.maybe_checkpoint();
     }
@@ -312,18 +333,22 @@ impl<M: Encode + Decode + Send> OutboxLog<M> for WalOutbox<M> {
         self.wal
             .append(&ChanRec::<M>::Delivered { peer, cum })
             .expect("MemStore append cannot fail");
+        let cursor = self.delivered.entry(peer).or_insert(0);
+        *cursor = (*cursor).max(cum);
         self.maybe_checkpoint();
     }
     fn replay(&mut self) -> PersistedChannelState<M> {
         let state = fold_records(self.wal.recover().expect("MemStore read cannot fail"));
-        // Rebuild the live mirror: the log handle itself may be older than
-        // the state it describes (it survives the owning node's crash).
+        // Rebuild the mirror: the log handle itself may be older than the
+        // state it describes (it survives the owning node's crash).
         self.live.clear();
         for (&peer, outbox) in &state.outbox {
-            for &seq in outbox.keys() {
-                self.live.entry(peer).or_default().insert(seq);
+            for (&seq, payload) in outbox {
+                self.live.insert((peer, seq), payload.to_bytes()[..].into());
             }
         }
+        self.next_seq = state.next_seq.clone();
+        self.delivered = state.delivered.clone();
         state
     }
 }

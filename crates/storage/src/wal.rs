@@ -206,18 +206,16 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
     /// Group commit: encode all `records` into one contiguous buffer,
     /// append it with a single store write and make it durable with a
     /// single flush — one `sync_data` per batch instead of per record.
-    /// Returns the number of records appended.
-    pub fn append_batch<'a>(
+    /// Returns the number of records appended. Items are `&R` or, as for
+    /// [`Wal::append_view`], views that encode to a record's exact bytes.
+    pub fn append_batch(
         &mut self,
-        records: impl IntoIterator<Item = &'a R>,
-    ) -> std::io::Result<usize>
-    where
-        R: 'a,
-    {
+        records: impl IntoIterator<Item = impl Encode>,
+    ) -> std::io::Result<usize> {
         self.frame.clear();
         let mut n = 0usize;
         for record in records {
-            Self::encode_frame(record, &mut self.frame);
+            Self::encode_frame(&record, &mut self.frame);
             n += 1;
         }
         if n == 0 {
@@ -475,7 +473,7 @@ mod tests {
         let mut wal: Wal<Rec> = Wal::in_memory();
         let records: Vec<Rec> = (0..5).map(rec).collect();
         assert_eq!(wal.append_batch(&records).unwrap(), 5);
-        assert_eq!(wal.append_batch(std::iter::empty()).unwrap(), 0);
+        assert_eq!(wal.append_batch(std::iter::empty::<&Rec>()).unwrap(), 0);
         assert_eq!(wal.appended(), 5);
         assert_eq!(wal.recover().unwrap(), records);
     }

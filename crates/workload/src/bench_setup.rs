@@ -265,6 +265,6 @@ mod tests {
         let a = InstanceId::new(SchemaId(1), 1);
         let b = InstanceId::new(SchemaId(2), 2);
         link_instances(&mut d, &[a, b]);
-        assert_eq!(d.ro_links.partners_of(a), vec![b]);
+        assert_eq!(d.ro_links.partners_of(a).collect::<Vec<_>>(), vec![b]);
     }
 }
