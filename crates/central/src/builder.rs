@@ -20,7 +20,6 @@ pub struct CentralRun {
     pub topo: Topology,
     pub deployment: Arc<Deployment>,
     next_serial: u32,
-    started: Vec<InstanceId>,
 }
 
 impl CentralRun {
@@ -56,7 +55,6 @@ impl CentralRun {
             topo,
             deployment,
             next_serial: 1,
-            started: Vec::new(),
         }
     }
 
@@ -86,7 +84,6 @@ impl CentralRun {
             CentralMsg::WorkflowStart { instance, inputs },
             at,
         );
-        self.started.push(instance);
         instance
     }
 
@@ -297,10 +294,6 @@ impl CentralRun {
             }
         }
         out
-    }
-
-    pub fn started_instances(&self) -> &[InstanceId] {
-        &self.started
     }
 
     /// Engine node ids (for load aggregation).

@@ -766,8 +766,7 @@ impl DistAgent {
                 let nav = &mut self.inst(instance).nav;
                 match nav.failure_verdict(&schema, def.id, attempt) {
                     // Requeue via a self-send so each attempt is a fresh
-                    // delivery (simulated time advances and unbounded
-                    // retries cannot recurse).
+                    // delivery (simulated time advances, no recursion).
                     FailureVerdict::Retry => ctx.send(
                         ctx.self_id,
                         DistMsg::StepRetry {

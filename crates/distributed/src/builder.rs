@@ -23,7 +23,6 @@ pub struct DistRun {
     /// The shared deployment.
     pub deployment: Arc<Deployment>,
     next_serial: u32,
-    started: Vec<InstanceId>,
 }
 
 impl DistRun {
@@ -47,7 +46,6 @@ impl DistRun {
             directory,
             deployment,
             next_serial: 1,
-            started: Vec::new(),
         }
     }
 
@@ -80,7 +78,6 @@ impl DistRun {
             },
             at,
         );
-        self.started.push(instance);
         instance
     }
 
@@ -160,11 +157,6 @@ impl DistRun {
         self.sim
             .node_as::<DistAgent>(self.directory.node_of(agent))
             .expect("agent node")
-    }
-
-    /// All instances started through this driver.
-    pub fn started_instances(&self) -> &[InstanceId] {
-        &self.started
     }
 
     /// Nodes hosting agents (for load aggregation).

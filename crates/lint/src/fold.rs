@@ -8,7 +8,7 @@
 //! re-evaluated through the real evaluator on constant leaves, so the
 //! lint never disagrees with what the engines would compute.
 
-use crew_model::{ArithOp, BackoffKind, DataEnv, Expr, RetryPolicy, Value};
+use crew_model::{DataEnv, Expr, Value};
 
 /// Fold `expr` to a constant [`Value`] if it does not depend on the data
 /// table. Returns `None` for anything touching an item (or whose constant
@@ -55,129 +55,6 @@ fn fold_junction(l: &Expr, r: &Expr, absorbing: bool) -> Option<Value> {
 /// Evaluate an item-free expression through the runtime evaluator.
 fn eval_const(e: Expr) -> Option<Value> {
     e.eval(&DataEnv::new()).ok()
-}
-
-// ---- backoff-schedule arithmetic -------------------------------------------
-//
-// The policy pass needs the worst-case cumulative delay of a bounded
-// retry schedule twice over: once in exact integer arithmetic (u128,
-// saturating — what the designer *meant*) and once through the runtime's
-// own wrapping i64 tick arithmetic (what the engines would *compute*).
-// The runtime figure is obtained by building the closed form as an
-// [`Expr`] and folding it, so the lint can never disagree with
-// `Expr::eval`. A disagreement between the two figures is precisely a
-// tick-arithmetic wrap.
-
-/// The closed-form worst-case cumulative delay of a bounded retry
-/// schedule, as a constant [`Expr`] under the runtime's wrapping i64
-/// semantics. `None` for unbounded retries (no closed form exists; the
-/// dead-letter rule covers those).
-pub fn backoff_schedule_expr(p: &RetryPolicy) -> Option<Expr> {
-    let max = p.max?;
-    let m = Expr::lit(max as i64);
-    let base = Expr::lit(p.base as i64);
-    let schedule = match p.backoff {
-        // m retries, each waiting `base`.
-        BackoffKind::Fixed => Expr::arith(ArithOp::Mul, base, m.clone()),
-        // Retry k waits base*k: total = base * m*(m+1)/2.
-        BackoffKind::Linear => Expr::arith(
-            ArithOp::Mul,
-            base,
-            Expr::arith(
-                ArithOp::Div,
-                Expr::arith(
-                    ArithOp::Mul,
-                    m.clone(),
-                    Expr::arith(ArithOp::Add, m.clone(), Expr::lit(1)),
-                ),
-                Expr::lit(2),
-            ),
-        ),
-        // Retry k waits base*2^(k-1): total = base * (2^m - 1). The power
-        // is a chain of doublings; beyond 64 the wrapped product is 0
-        // regardless, so the chain caps there.
-        BackoffKind::Exponential => {
-            let mut pow = Expr::lit(1);
-            for _ in 0..max.min(64) {
-                pow = Expr::arith(ArithOp::Mul, Expr::lit(2), pow);
-            }
-            Expr::arith(
-                ArithOp::Mul,
-                base,
-                Expr::arith(ArithOp::Sub, pow, Expr::lit(1)),
-            )
-        }
-    };
-    // Worst case every retry also waits the full jitter.
-    Some(Expr::arith(
-        ArithOp::Add,
-        schedule,
-        Expr::arith(ArithOp::Mul, Expr::lit(p.jitter as i64), m),
-    ))
-}
-
-/// Fold [`backoff_schedule_expr`] to the value the runtime's wrapping
-/// tick arithmetic would produce.
-pub fn backoff_total_runtime(p: &RetryPolicy) -> Option<i64> {
-    match fold(&backoff_schedule_expr(p)?) {
-        Some(Value::Int(v)) => Some(v),
-        _ => None,
-    }
-}
-
-/// The exact worst-case cumulative delay in saturating u128 arithmetic.
-/// `None` for unbounded retries.
-pub fn backoff_total_exact(p: &RetryPolicy) -> Option<u128> {
-    let max = p.max? as u128;
-    let base = p.base as u128;
-    let schedule = match p.backoff {
-        BackoffKind::Fixed => base.saturating_mul(max),
-        BackoffKind::Linear => base.saturating_mul(max.saturating_mul(max + 1) / 2),
-        BackoffKind::Exponential => {
-            let pow = match u32::try_from(max) {
-                Ok(m) if m < 128 => (1u128 << m) - 1,
-                _ => u128::MAX,
-            };
-            base.saturating_mul(pow)
-        }
-    };
-    Some(schedule.saturating_add((p.jitter as u128).saturating_mul(max)))
-}
-
-/// The outcome of checking a retry schedule against the run horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackoffVerdict {
-    /// The worst-case schedule completes within the horizon.
-    Fits,
-    /// The schedule is finite but exceeds the horizon: the run ends
-    /// `Stalled` before the retries can complete.
-    ExceedsHorizon {
-        /// Exact worst-case cumulative delay in ticks.
-        total: u128,
-    },
-    /// The schedule overflows 64-bit tick arithmetic: the runtime's
-    /// folded figure disagrees with the exact one.
-    WrapsTickArithmetic {
-        /// Exact worst-case cumulative delay.
-        exact: u128,
-        /// What the runtime's wrapping arithmetic computes instead.
-        folded: i64,
-    },
-}
-
-/// Check a retry policy's worst-case schedule against `horizon` ticks.
-/// `None` for unbounded retries — those have no finite schedule and are
-/// handled by the dead-letter rule instead.
-pub fn check_backoff(p: &RetryPolicy, horizon: u64) -> Option<BackoffVerdict> {
-    let exact = backoff_total_exact(p)?;
-    let folded = backoff_total_runtime(p)?;
-    Some(if folded < 0 || folded as u128 != exact {
-        BackoffVerdict::WrapsTickArithmetic { exact, folded }
-    } else if exact > horizon as u128 {
-        BackoffVerdict::ExceedsHorizon { total: exact }
-    } else {
-        BackoffVerdict::Fits
-    })
 }
 
 #[cfg(test)]
@@ -271,88 +148,5 @@ mod tests {
         // Division by zero does not fold (surfaces at run time).
         let div0 = Expr::arith(crew_model::ArithOp::Div, Expr::lit(1), Expr::lit(0));
         assert_eq!(fold(&div0), None);
-    }
-
-    fn retry(
-        max: Option<u32>,
-        backoff: crew_model::BackoffKind,
-        base: u64,
-        jitter: u64,
-    ) -> RetryPolicy {
-        RetryPolicy {
-            max,
-            backoff,
-            base,
-            jitter,
-        }
-    }
-
-    #[test]
-    fn backoff_totals_match_closed_forms() {
-        use crew_model::BackoffKind::*;
-        // fixed: 3 retries * 10 ticks + 3 * 2 jitter = 36.
-        let p = retry(Some(3), Fixed, 10, 2);
-        assert_eq!(backoff_total_exact(&p), Some(36));
-        assert_eq!(backoff_total_runtime(&p), Some(36));
-        // linear: 10*(1+2+3) = 60.
-        let p = retry(Some(3), Linear, 10, 0);
-        assert_eq!(backoff_total_exact(&p), Some(60));
-        assert_eq!(backoff_total_runtime(&p), Some(60));
-        // exponential: 10*(1+2+4) = 70.
-        let p = retry(Some(3), Exponential, 10, 0);
-        assert_eq!(backoff_total_exact(&p), Some(70));
-        assert_eq!(backoff_total_runtime(&p), Some(70));
-        // unbounded: no finite schedule.
-        assert_eq!(backoff_total_exact(&retry(None, Fixed, 10, 0)), None);
-        assert_eq!(backoff_total_runtime(&retry(None, Fixed, 10, 0)), None);
-    }
-
-    #[test]
-    fn backoff_horizon_boundary() {
-        use crew_model::BackoffKind::Fixed;
-        let horizon = 1_000_000u64;
-        // Exactly at the horizon: fits.
-        let p = retry(Some(4), Fixed, 250_000, 0);
-        assert_eq!(check_backoff(&p, horizon), Some(BackoffVerdict::Fits));
-        // One tick over: exceeds.
-        let p = retry(Some(4), Fixed, 250_001, 0);
-        assert_eq!(
-            check_backoff(&p, horizon),
-            Some(BackoffVerdict::ExceedsHorizon { total: 1_000_004 })
-        );
-        // Jitter alone can push a fitting schedule over.
-        let p = retry(Some(4), Fixed, 250_000, 1);
-        assert_eq!(
-            check_backoff(&p, horizon),
-            Some(BackoffVerdict::ExceedsHorizon { total: 1_000_004 })
-        );
-        // Unbounded: not this rule's business.
-        assert_eq!(check_backoff(&retry(None, Fixed, 1, 0), horizon), None);
-    }
-
-    #[test]
-    fn backoff_wrapping_vs_saturating() {
-        use crew_model::BackoffKind::Exponential;
-        // 100 exponential retries of base 7: exact is astronomically large
-        // (saturating u128 keeps it finite), while the runtime's wrapping
-        // i64 product is a small wrapped residue. The two disagreeing is
-        // the wrap verdict.
-        let p = retry(Some(100), Exponential, 7, 0);
-        let exact = backoff_total_exact(&p).unwrap();
-        let folded = backoff_total_runtime(&p).unwrap();
-        assert!(exact > i64::MAX as u128);
-        assert_ne!(folded as u128, exact);
-        assert_eq!(
-            check_backoff(&p, 1_000_000),
-            Some(BackoffVerdict::WrapsTickArithmetic { exact, folded })
-        );
-        // Saturation ceiling: ≥128 retries pins the exact figure at MAX
-        // instead of wrapping it back around.
-        let p = retry(Some(200), Exponential, 7, 0);
-        assert_eq!(backoff_total_exact(&p), Some(u128::MAX));
-        assert!(matches!(
-            check_backoff(&p, 1_000_000),
-            Some(BackoffVerdict::WrapsTickArithmetic { .. })
-        ));
     }
 }

@@ -30,13 +30,11 @@
 //!    [`Expr`](crew_model::Expr)), reads must not cross XOR branches, and
 //!    concurrent AND branches must not race the same update program
 //!    without a serializing mutex.
-//! 5. **Failure-policy soundness** ([`passes::policy`]) — retry, breaker
-//!    and dead-letter annotations must be coherent: a retried
-//!    non-idempotent update step needs compensation, retry inside a
-//!    compensation dependent set needs a set-wide failure budget,
-//!    unbounded retry needs a dead-letter route, a breaker on a mutex
-//!    holder risks livelock, and cumulative backoff schedules must fit
-//!    the run horizon without overflowing tick arithmetic.
+//! 5. **Failure-policy soundness** ([`passes::policy`]) — a step that
+//!    declares `retry(N)` and updates external state must be `idempotent`
+//!    or compensatable, or every failed attempt can leak effects. That is
+//!    the pass's one check: `retry(N)` and `idempotent` are the whole
+//!    policy surface, because they are what the run-times honour.
 //!
 //! Diagnostics carry a [`LintId`], a severity, and (when the spec came
 //! from LAWS source) a [`Span`] threaded through from the parser via a
@@ -234,26 +232,6 @@ pub enum LintId {
     /// A retried update step is neither idempotent nor compensatable:
     /// each retry can duplicate effects no rollback can undo.
     RetryNonIdempotentWithoutCompensation,
-    /// A compensation-set member carries its own retry policy but the
-    /// workflow declares no set-wide failure budget (`max_failures`): a
-    /// member can retry indefinitely often while the set's atomic undo
-    /// is pending.
-    RetryInCompSetWithoutSetPolicy,
-    /// An unbounded retry has no dead-letter route (step- or
-    /// workflow-level): a deterministic failure retries forever and the
-    /// instance never terminates.
-    UnboundedRetryWithoutDeadLetter,
-    /// A circuit breaker guards a step that holds a mutual-exclusion
-    /// building block: while the breaker is open the mutex stays held and
-    /// linked instances can livelock behind it.
-    BreakerOnMutexStep,
-    /// The retry policy's worst-case cumulative backoff exceeds the run
-    /// horizon or wraps 64-bit tick arithmetic: the schedule can never
-    /// complete within a bounded run.
-    BackoffOverflowsHorizon,
-    /// A dead-letter route is declared on a step without a retry policy:
-    /// nothing ever routes to it.
-    DeadLetterWithoutRetry,
 }
 
 impl LintId {
@@ -272,10 +250,7 @@ impl LintId {
             | LoopNeverExits
             | XorNoViableBranch
             | XorCrossBranchRead
-            | RetryNonIdempotentWithoutCompensation
-            | RetryInCompSetWithoutSetPolicy
-            | UnboundedRetryWithoutDeadLetter
-            | BackoffOverflowsHorizon => Severity::Error,
+            | RetryNonIdempotentWithoutCompensation => Severity::Error,
             RollbackBlindReexecution
             | RollbackOriginInsideXorBranch
             | MutexDuplicateMember
@@ -283,9 +258,7 @@ impl LintId {
             | LoopConditionNeverHolds
             | XorBranchUnreachable
             | XorBranchAlwaysTaken
-            | ConcurrentWriteConflict
-            | BreakerOnMutexStep
-            | DeadLetterWithoutRetry => Severity::Warn,
+            | ConcurrentWriteConflict => Severity::Warn,
         }
     }
 
@@ -293,16 +266,7 @@ impl LintId {
     /// to a step's `policy { ... }` block when the spec came from LAWS
     /// source.
     pub fn is_policy(self) -> bool {
-        use LintId::*;
-        matches!(
-            self,
-            RetryNonIdempotentWithoutCompensation
-                | RetryInCompSetWithoutSetPolicy
-                | UnboundedRetryWithoutDeadLetter
-                | BreakerOnMutexStep
-                | BackoffOverflowsHorizon
-                | DeadLetterWithoutRetry
-        )
+        self == LintId::RetryNonIdempotentWithoutCompensation
     }
 
     /// The stable kebab-case code for this check.
@@ -329,11 +293,6 @@ impl LintId {
             XorCrossBranchRead => "xor-cross-branch-read",
             ConcurrentWriteConflict => "concurrent-write-conflict",
             RetryNonIdempotentWithoutCompensation => "retry-non-idempotent-without-compensation",
-            RetryInCompSetWithoutSetPolicy => "retry-in-comp-set-without-set-policy",
-            UnboundedRetryWithoutDeadLetter => "unbounded-retry-without-dead-letter",
-            BreakerOnMutexStep => "breaker-on-mutex-step",
-            BackoffOverflowsHorizon => "backoff-overflows-horizon",
-            DeadLetterWithoutRetry => "dead-letter-without-retry",
         }
     }
 }
@@ -410,7 +369,7 @@ pub fn lint(schemas: &[WorkflowSchema], coordination: &CoordinationSpec) -> Vec<
         passes::compensation::run(schema, &mut out);
         passes::template::run(schema, &mut out);
         passes::data::run(schema, coordination, &mut out);
-        passes::policy::run(schema, coordination, &mut out);
+        passes::policy::run(schema, &mut out);
     }
     passes::coordination::run(schemas, coordination, &mut out);
     sort(&mut out);

@@ -1,154 +1,36 @@
 //! Pass 5: failure-policy soundness.
 //!
-//! Retry, breaker and dead-letter annotations (the ROADMAP's production
-//! failure-policy layer) sit on top of the paper's compensate-or-reexecute
-//! machinery, and they can contradict it:
-//!
-//! - re-running a non-idempotent update step duplicates external effects,
-//!   so a retry needs either idempotence or a compensate program to undo
-//!   the failed attempt;
-//! - a compensation dependent set is undone atomically (§3), so a member
-//!   retrying on its own needs a set-wide failure budget
-//!   (`max_failures`) to bound how long the set's undo stays pending;
-//! - an unbounded retry of a deterministic failure never terminates
-//!   unless a dead-letter route eventually swallows the instance;
-//! - a circuit breaker on a step that holds a coordination mutex keeps
-//!   the mutex held while the breaker is open — linked instances queue
-//!   behind it with no progress (livelock risk);
-//! - a bounded backoff schedule must fit the run horizon, and its
-//!   closed-form total must survive the runtime's wrapping 64-bit tick
-//!   arithmetic (checked through the constant folder so the lint agrees
-//!   with `Expr::eval` exactly).
+//! A step's `retry(N)` re-dispatches it in place before the paper's
+//! compensate-or-reexecute machinery takes over, and re-running a
+//! non-idempotent update step duplicates external effects: a retry needs
+//! either `idempotent` or a compensate program to undo the failed attempt.
+//! `idempotent` is the one annotation only this pass reads — it declares a
+//! property of the step's program that no run-time can observe.
 
-use crate::fold::{check_backoff, BackoffVerdict};
 use crate::{Diagnostic, LintId};
-use crew_model::{CoordinationSpec, StepId, StepKind, WorkflowSchema, RUN_HORIZON_TICKS};
-use std::collections::BTreeMap;
+use crew_model::{StepKind, WorkflowSchema};
 
 /// Run the pass over one schema.
-pub fn run(schema: &WorkflowSchema, coordination: &CoordinationSpec, out: &mut Vec<Diagnostic>) {
-    // Step → mutex resource name, for the livelock check.
-    let mut mutex_resource: BTreeMap<StepId, &str> = BTreeMap::new();
-    for mx in &coordination.mutual_exclusions {
-        for member in &mx.members {
-            if member.schema == schema.id {
-                mutex_resource.entry(member.step).or_insert(&mx.resource);
-            }
-        }
-    }
-    // Step → compensation set id, for the set-wide-policy check.
-    let mut comp_set_of: BTreeMap<StepId, u32> = BTreeMap::new();
-    for set in &schema.compensation_sets {
-        for &member in &set.members {
-            comp_set_of.entry(member).or_insert(set.id);
-        }
-    }
-
+pub fn run(schema: &WorkflowSchema, out: &mut Vec<Diagnostic>) {
     for def in schema.steps() {
         let p = &def.policy;
-        if let Some(retry) = &p.retry {
-            if !p.idempotent && def.kind == StepKind::Update && !def.is_compensatable() {
-                out.push(
-                    Diagnostic::new(
-                        LintId::RetryNonIdempotentWithoutCompensation,
-                        format!(
-                            "step `{}` ({}) of workflow `{}` retries but is neither \
-                             idempotent nor compensatable: every failed attempt can \
-                             leave external effects no rollback undoes",
-                            def.name, def.id, schema.name
-                        ),
-                    )
-                    .at_step(schema.id, def.id),
-                );
-            }
-            if let Some(&set) = comp_set_of.get(&def.id) {
-                if schema.policy.max_failures.is_none() {
-                    out.push(
-                        Diagnostic::new(
-                            LintId::RetryInCompSetWithoutSetPolicy,
-                            format!(
-                                "step `{}` ({}) retries inside compensation set {set} of \
-                                 workflow `{}` but the workflow declares no `max_failures` \
-                                 budget: the set's atomic undo can stay pending across \
-                                 unboundedly many member retries",
-                                def.name, def.id, schema.name
-                            ),
-                        )
-                        .at_step(schema.id, def.id),
-                    );
-                }
-            }
-            if retry.max.is_none() && !p.dead_letter && !schema.policy.dead_letter {
-                out.push(
-                    Diagnostic::new(
-                        LintId::UnboundedRetryWithoutDeadLetter,
-                        format!(
-                            "step `{}` ({}) of workflow `{}` retries unbounded with no \
-                             dead-letter route at step or workflow level: a deterministic \
-                             failure retries forever and the instance never terminates",
-                            def.name, def.id, schema.name
-                        ),
-                    )
-                    .at_step(schema.id, def.id),
-                );
-            }
-            match check_backoff(retry, RUN_HORIZON_TICKS) {
-                Some(BackoffVerdict::ExceedsHorizon { total }) => out.push(
-                    Diagnostic::new(
-                        LintId::BackoffOverflowsHorizon,
-                        format!(
-                            "step `{}` ({}) of workflow `{}`: worst-case cumulative \
-                             backoff is {total} ticks, past the {RUN_HORIZON_TICKS}-tick \
-                             run horizon — the schedule cannot complete before the run \
-                             is declared stalled",
-                            def.name, def.id, schema.name
-                        ),
-                    )
-                    .at_step(schema.id, def.id),
-                ),
-                Some(BackoffVerdict::WrapsTickArithmetic { exact, folded }) => out.push(
-                    Diagnostic::new(
-                        LintId::BackoffOverflowsHorizon,
-                        format!(
-                            "step `{}` ({}) of workflow `{}`: cumulative backoff wraps \
-                             64-bit tick arithmetic (exact {exact} ticks, runtime would \
-                             compute {folded})",
-                            def.name, def.id, schema.name
-                        ),
-                    )
-                    .at_step(schema.id, def.id),
-                ),
-                Some(BackoffVerdict::Fits) | None => {}
-            }
-        } else if p.dead_letter {
+        if p.retry.is_some()
+            && !p.idempotent
+            && def.kind == StepKind::Update
+            && !def.is_compensatable()
+        {
             out.push(
                 Diagnostic::new(
-                    LintId::DeadLetterWithoutRetry,
+                    LintId::RetryNonIdempotentWithoutCompensation,
                     format!(
-                        "step `{}` ({}) of workflow `{}` declares a dead-letter route \
-                         but no retry policy: nothing ever routes to it",
+                        "step `{}` ({}) of workflow `{}` retries but is neither \
+                         idempotent nor compensatable: every failed attempt can \
+                         leave external effects no rollback undoes",
                         def.name, def.id, schema.name
                     ),
                 )
                 .at_step(schema.id, def.id),
             );
-        }
-        if p.breaker.is_some() {
-            if let Some(resource) = mutex_resource.get(&def.id) {
-                out.push(
-                    Diagnostic::new(
-                        LintId::BreakerOnMutexStep,
-                        format!(
-                            "step `{}` ({}) of workflow `{}` combines a circuit breaker \
-                             with membership in mutex \"{resource}\": while the breaker \
-                             is open the mutex stays held, and linked instances can \
-                             livelock behind it",
-                            def.name, def.id, schema.name
-                        ),
-                    )
-                    .at_step(schema.id, def.id),
-                );
-            }
         }
     }
 }
@@ -156,17 +38,9 @@ pub fn run(schema: &WorkflowSchema, coordination: &CoordinationSpec, out: &mut V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::{
-        BackoffKind, BreakerPolicy, MutualExclusion, RetryPolicy, SchemaBuilder, SchemaId,
-        SchemaStep, StepPolicy, WorkflowPolicy,
-    };
+    use crew_model::{RetryPolicy, SchemaBuilder, SchemaId, StepPolicy};
 
-    fn two_step_schema(
-        comp: bool,
-        policy: StepPolicy,
-        wf_policy: WorkflowPolicy,
-        comp_set: bool,
-    ) -> WorkflowSchema {
+    fn two_step_schema(comp: bool, policy: StepPolicy) -> WorkflowSchema {
         let mut b = SchemaBuilder::new(SchemaId(1), "W");
         let a = b.add_step("A", "p");
         let z = b.add_step("Z", "q");
@@ -177,194 +51,31 @@ mod tests {
             }
             d.policy = policy;
         });
-        if comp_set {
-            b.configure(z, |d| d.compensation_program = Some("q.undo".into()));
-            b.compensation_set(vec![a, z]);
-        }
-        b.workflow_policy(wf_policy);
         b.build().unwrap()
     }
 
-    fn ids(schema: &WorkflowSchema, coord: &CoordinationSpec) -> Vec<LintId> {
+    fn ids(schema: &WorkflowSchema) -> Vec<LintId> {
         let mut out = Vec::new();
-        run(schema, coord, &mut out);
+        run(schema, &mut out);
         out.iter().map(|d| d.id).collect()
     }
 
     #[test]
     fn retry_without_undo_is_flagged_and_idempotence_clears_it() {
-        let flagged = two_step_schema(
-            false,
-            StepPolicy {
-                retry: Some(RetryPolicy::bounded(2)),
-                ..StepPolicy::default()
-            },
-            WorkflowPolicy::default(),
-            false,
-        );
-        assert!(ids(&flagged, &CoordinationSpec::default())
-            .contains(&LintId::RetryNonIdempotentWithoutCompensation));
-
-        let idempotent = two_step_schema(
-            false,
-            StepPolicy {
-                retry: Some(RetryPolicy::bounded(2)),
-                idempotent: true,
-                ..StepPolicy::default()
-            },
-            WorkflowPolicy::default(),
-            false,
-        );
-        assert!(ids(&idempotent, &CoordinationSpec::default()).is_empty());
-
-        let compensated = two_step_schema(
-            true,
-            StepPolicy {
-                retry: Some(RetryPolicy::bounded(2)),
-                ..StepPolicy::default()
-            },
-            WorkflowPolicy::default(),
-            false,
-        );
-        assert!(ids(&compensated, &CoordinationSpec::default()).is_empty());
-    }
-
-    #[test]
-    fn comp_set_retry_needs_workflow_budget() {
-        let policy = StepPolicy {
+        let retry = |idempotent| StepPolicy {
             retry: Some(RetryPolicy::bounded(2)),
-            ..StepPolicy::default()
+            idempotent,
         };
-        let flagged = two_step_schema(true, policy.clone(), WorkflowPolicy::default(), true);
-        assert!(ids(&flagged, &CoordinationSpec::default())
-            .contains(&LintId::RetryInCompSetWithoutSetPolicy));
-
-        let budgeted = two_step_schema(
-            true,
-            policy,
-            WorkflowPolicy {
-                max_failures: Some(5),
-                ..WorkflowPolicy::default()
-            },
-            true,
-        );
-        assert!(!ids(&budgeted, &CoordinationSpec::default())
-            .contains(&LintId::RetryInCompSetWithoutSetPolicy));
-    }
-
-    #[test]
-    fn unbounded_retry_needs_dead_letter() {
-        let policy = StepPolicy {
-            retry: Some(RetryPolicy::unbounded()),
-            idempotent: true,
-            ..StepPolicy::default()
-        };
-        let flagged = two_step_schema(false, policy.clone(), WorkflowPolicy::default(), false);
-        assert!(ids(&flagged, &CoordinationSpec::default())
-            .contains(&LintId::UnboundedRetryWithoutDeadLetter));
-
-        // Step-level route clears it.
-        let step_routed = two_step_schema(
-            false,
-            StepPolicy {
-                dead_letter: true,
-                ..policy.clone()
-            },
-            WorkflowPolicy::default(),
-            false,
-        );
-        assert!(ids(&step_routed, &CoordinationSpec::default()).is_empty());
-
-        // Workflow-level route clears it too.
-        let wf_routed = two_step_schema(
-            false,
-            policy,
-            WorkflowPolicy {
-                dead_letter: true,
-                ..WorkflowPolicy::default()
-            },
-            false,
-        );
-        assert!(ids(&wf_routed, &CoordinationSpec::default()).is_empty());
-    }
-
-    #[test]
-    fn breaker_on_mutex_member_warns() {
-        let schema = two_step_schema(
-            false,
-            StepPolicy {
-                breaker: Some(BreakerPolicy {
-                    threshold: 2,
-                    cooldown: 100,
-                }),
-                ..StepPolicy::default()
-            },
-            WorkflowPolicy::default(),
-            false,
-        );
-        let coord = CoordinationSpec {
-            mutual_exclusions: vec![MutualExclusion {
-                id: 0,
-                resource: "dock".into(),
-                members: vec![
-                    SchemaStep::new(SchemaId(1), schema.steps().next().unwrap().id),
-                    SchemaStep::new(SchemaId(2), crew_model::StepId(1)),
-                ],
-            }],
-            ..CoordinationSpec::default()
-        };
-        assert!(ids(&schema, &coord).contains(&LintId::BreakerOnMutexStep));
-        // Without the mutex the breaker is fine.
-        assert!(ids(&schema, &CoordinationSpec::default()).is_empty());
-    }
-
-    #[test]
-    fn backoff_past_horizon_is_flagged() {
-        let schema = two_step_schema(
-            false,
-            StepPolicy {
-                retry: Some(RetryPolicy {
-                    max: Some(20),
-                    backoff: BackoffKind::Exponential,
-                    base: 10_000,
-                    jitter: 0,
-                }),
-                idempotent: true,
-                ..StepPolicy::default()
-            },
-            WorkflowPolicy::default(),
-            false,
-        );
-        assert!(
-            ids(&schema, &CoordinationSpec::default()).contains(&LintId::BackoffOverflowsHorizon)
-        );
-    }
-
-    #[test]
-    fn dead_letter_without_retry_warns() {
-        let schema = two_step_schema(
-            false,
-            StepPolicy {
-                dead_letter: true,
-                ..StepPolicy::default()
-            },
-            WorkflowPolicy::default(),
-            false,
-        );
         assert_eq!(
-            ids(&schema, &CoordinationSpec::default()),
-            vec![LintId::DeadLetterWithoutRetry]
+            ids(&two_step_schema(false, retry(false))),
+            vec![LintId::RetryNonIdempotentWithoutCompensation]
         );
+        assert!(ids(&two_step_schema(false, retry(true))).is_empty());
+        assert!(ids(&two_step_schema(true, retry(false))).is_empty());
     }
 
     #[test]
     fn unannotated_schema_is_silent() {
-        let schema = two_step_schema(
-            false,
-            StepPolicy::default(),
-            WorkflowPolicy::default(),
-            false,
-        );
-        assert!(ids(&schema, &CoordinationSpec::default()).is_empty());
+        assert!(ids(&two_step_schema(false, StepPolicy::default())).is_empty());
     }
 }

@@ -28,13 +28,13 @@ const CLEAN: &str = r#"workflow Ok (id 1) {
 }
 "#;
 
-// `policy { retry(unbounded); }` opens on line 4: the span the JSON
-// diagnostics must carry.
+// A bare update step that retries: `policy { retry(2); }` opens on line 5,
+// the span the JSON diagnostics must carry.
 const UNSOUND: &str = r#"workflow Bad (id 1) {
     inputs 1;
     step A {
         program "p";
-        policy { retry(unbounded); idempotent; }
+        policy { retry(2); }
     }
     step B { program "p"; }
     flow A -> B;
@@ -54,7 +54,7 @@ fn error_finding_exits_one() {
     let path = write_spec("unsound.laws", UNSOUND);
     let out = bin().arg(&path).output().unwrap();
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    assert!(stdout(&out).contains("unbounded-retry-without-dead-letter"));
+    assert!(stdout(&out).contains("retry-non-idempotent-without-compensation"));
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn json_format_emits_stable_schema() {
     assert!(text.contains("\"errors\": 1"), "{text}");
     assert!(text.contains("\"warnings\": 0"), "{text}");
     assert!(
-        text.contains("\"id\": \"unbounded-retry-without-dead-letter\""),
+        text.contains("\"id\": \"retry-non-idempotent-without-compensation\""),
         "{text}"
     );
     assert!(text.contains("\"severity\": \"error\""), "{text}");

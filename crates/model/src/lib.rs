@@ -41,9 +41,7 @@ pub mod vecmap;
 pub use coord::{CoordinationSpec, MutualExclusion, RelativeOrder, RollbackDependency, SchemaStep};
 pub use expr::{ArithOp, CmpOp, EvalError, Expr};
 pub use ids::{AgentId, EngineId, InstanceId, SchemaId, StepId, StepRef};
-pub use policy::{
-    BackoffKind, BreakerPolicy, RetryPolicy, StepPolicy, WorkflowPolicy, RUN_HORIZON_TICKS,
-};
+pub use policy::{RetryPolicy, StepPolicy, RUN_HORIZON_TICKS};
 pub use recovery::{CompensationSet, RollbackSpec};
 pub use schema::{
     validate_coordination, ControlArc, JoinKind, SchemaBuilder, SchemaError, SplitKind,

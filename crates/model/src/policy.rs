@@ -1,84 +1,33 @@
-//! Failure policies: retry, circuit breaker and dead-letter annotations.
+//! Failure policies: the per-step annotations the run-times honour.
 //!
 //! The paper's failure handling is all-or-nothing — compensate or
-//! re-execute (OCR, Figure 5). Production deployments layer bounded
-//! retries with backoff, circuit breakers and dead-letter routing on top
-//! of that machinery. These types carry such annotations per step
-//! ([`StepPolicy`]) and per workflow ([`WorkflowPolicy`]); `crew-lint`
-//! verifies their soundness statically and the run-times interpret
-//! `retry(max, ...)` as in-place re-dispatch before the paper's rollback
-//! protocol takes over.
-
-/// How the delay between successive retries of one step grows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BackoffKind {
-    /// Every retry waits the base delay.
-    #[default]
-    Fixed,
-    /// Retry `k` waits `base * k` ticks.
-    Linear,
-    /// Retry `k` waits `base * 2^(k-1)` ticks.
-    Exponential,
-}
+//! re-execute under a fixed rollback budget (OCR, Figure 5). A step may
+//! additionally declare `retry(N)`: both control architectures re-dispatch
+//! the failed step in place up to `N` times before the paper's rollback
+//! protocol takes over. `idempotent` declares a property of the step's
+//! program that no run-time can observe; `crew-lint` reads it to decide
+//! whether a retried update step needs a compensate program.
 
 /// A step's retry policy: re-dispatch in place up to `max` times before
-/// handing the failure to the rollback machinery (or the dead-letter
-/// route, if declared).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// handing the failure to the rollback machinery.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RetryPolicy {
-    /// Retry budget; `None` means unbounded (lint requires a dead-letter
-    /// route in that case — an unbounded retry of a deterministic failure
-    /// never terminates).
-    pub max: Option<u32>,
-    /// Backoff schedule shape.
-    pub backoff: BackoffKind,
-    /// Base delay in ticks between attempts (0 = immediate).
-    pub base: u64,
-    /// Worst-case extra jitter in ticks added to every retry delay.
-    pub jitter: u64,
+    /// Retry budget: in-place re-dispatches on top of the first attempt.
+    pub max: u32,
 }
 
 impl RetryPolicy {
-    /// Bounded immediate retry, no backoff.
+    /// Bounded immediate retry.
     pub fn bounded(max: u32) -> Self {
-        RetryPolicy {
-            max: Some(max),
-            backoff: BackoffKind::Fixed,
-            base: 0,
-            jitter: 0,
-        }
-    }
-
-    /// Unbounded immediate retry (only sound with a dead-letter route).
-    pub fn unbounded() -> Self {
-        RetryPolicy {
-            max: None,
-            backoff: BackoffKind::Fixed,
-            base: 0,
-            jitter: 0,
-        }
+        RetryPolicy { max }
     }
 
     /// True when the budget permits another in-place retry after the
     /// failed `attempt` (1-based): a budget of `max` allows `max`
     /// re-dispatches on top of the original execution.
     pub fn allows_retry_after(&self, attempt: u32) -> bool {
-        match self.max {
-            Some(max) => attempt <= max,
-            None => true,
-        }
+        attempt <= self.max
     }
-}
-
-/// A circuit breaker on one step: after `threshold` consecutive failures
-/// the breaker opens and the step is not dispatched again for `cooldown`
-/// ticks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BreakerPolicy {
-    /// Consecutive failures before the breaker opens.
-    pub threshold: u32,
-    /// Ticks the breaker stays open before a half-open probe.
-    pub cooldown: u64,
 }
 
 /// Per-step failure-policy annotations.
@@ -89,41 +38,18 @@ pub struct StepPolicy {
     /// The step's program may be re-run without duplicating effects, so a
     /// retry needs no compensation.
     pub idempotent: bool,
-    /// Circuit breaker guarding the step's resource.
-    pub breaker: Option<BreakerPolicy>,
-    /// Exhausted or unbounded retries route the instance to a dead-letter
-    /// queue instead of retrying forever.
-    pub dead_letter: bool,
 }
 
 impl StepPolicy {
     /// True when no annotation is present (the paper's plain semantics).
     pub fn is_empty(&self) -> bool {
-        self.retry.is_none() && !self.idempotent && self.breaker.is_none() && !self.dead_letter
-    }
-}
-
-/// Workflow-level failure-policy annotations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct WorkflowPolicy {
-    /// Set-wide failure budget: total step failures tolerated across the
-    /// instance before it aborts. Required by lint when a step of a
-    /// compensation dependent set carries its own retry policy.
-    pub max_failures: Option<u32>,
-    /// Workflow-wide dead-letter route (covers unbounded step retries).
-    pub dead_letter: bool,
-}
-
-impl WorkflowPolicy {
-    /// True when no annotation is present.
-    pub fn is_empty(&self) -> bool {
-        self.max_failures.is_none() && !self.dead_letter
+        self.retry.is_none() && !self.idempotent
     }
 }
 
 /// The bounded simulation run horizon in ticks. `crew-core` stops every
-/// run at this virtual time; the lint's backoff-overflow pass checks
-/// cumulative retry schedules against it.
+/// run at this virtual time; an instance still live then is reported
+/// `Stalled`.
 pub const RUN_HORIZON_TICKS: u64 = 1_000_000;
 
 #[cfg(test)]
@@ -139,25 +65,17 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_budget_never_exhausts() {
-        let p = RetryPolicy::unbounded();
-        assert!(p.allows_retry_after(1));
-        assert!(p.allows_retry_after(1_000_000));
-    }
-
-    #[test]
     fn empty_policies_report_empty() {
         assert!(StepPolicy::default().is_empty());
-        assert!(WorkflowPolicy::default().is_empty());
         let p = StepPolicy {
             idempotent: true,
             ..StepPolicy::default()
         };
         assert!(!p.is_empty());
-        let w = WorkflowPolicy {
-            max_failures: Some(3),
-            ..WorkflowPolicy::default()
+        let r = StepPolicy {
+            retry: Some(RetryPolicy::bounded(0)),
+            ..StepPolicy::default()
         };
-        assert!(!w.is_empty());
+        assert!(!r.is_empty());
     }
 }

@@ -18,7 +18,6 @@
 use crate::coord::CoordinationSpec;
 use crate::expr::Expr;
 use crate::ids::{AgentId, SchemaId, StepId};
-use crate::policy::WorkflowPolicy;
 use crate::recovery::{CompensationSet, RollbackSpec};
 use crate::step::{InputBinding, StepDef};
 use crate::value::{ItemKey, ItemScope};
@@ -199,8 +198,6 @@ pub struct WorkflowSchema {
     pub rollback_specs: Vec<RollbackSpec>,
     /// Steps that instantiate a child workflow (nested workflows, §4.2).
     pub nested: BTreeMap<StepId, SchemaId>,
-    /// Workflow-level failure-policy annotations.
-    pub policy: WorkflowPolicy,
     // ---- derived ----
     start: StepId,
     terminals: Vec<StepId>,
@@ -414,7 +411,6 @@ pub struct SchemaBuilder {
     compensation_sets: Vec<CompensationSet>,
     rollback_specs: Vec<RollbackSpec>,
     nested: BTreeMap<StepId, SchemaId>,
-    policy: WorkflowPolicy,
     next_step: u32,
 }
 
@@ -432,7 +428,6 @@ impl SchemaBuilder {
             compensation_sets: Vec::new(),
             rollback_specs: Vec::new(),
             nested: BTreeMap::new(),
-            policy: WorkflowPolicy::default(),
             next_step: 1,
         }
     }
@@ -579,12 +574,6 @@ impl SchemaBuilder {
         let mut spec = RollbackSpec::new(failing_step, origin);
         spec.max_attempts = max_attempts;
         self.rollback_specs.push(spec);
-        self
-    }
-
-    /// Set the workflow-level failure policy.
-    pub fn workflow_policy(&mut self, policy: WorkflowPolicy) -> &mut Self {
-        self.policy = policy;
         self
     }
 
@@ -860,7 +849,6 @@ impl SchemaBuilder {
             compensation_sets: self.compensation_sets,
             rollback_specs: self.rollback_specs,
             nested: self.nested,
-            policy: self.policy,
             start,
             terminals,
             topo,

@@ -8,8 +8,7 @@
 
 use crew_exec::hash;
 use crew_model::{
-    BackoffKind, BreakerPolicy, CmpOp, Expr, ItemKey, RetryPolicy, SchemaBuilder, SchemaId, StepId,
-    StepKind, WorkflowPolicy, WorkflowSchema,
+    CmpOp, Expr, ItemKey, RetryPolicy, SchemaBuilder, SchemaId, StepId, StepKind, WorkflowSchema,
 };
 
 /// Generator configuration.
@@ -171,7 +170,6 @@ pub fn generate(id: SchemaId, cfg: &GenConfig) -> WorkflowSchema {
     }
 
     // One compensation dependent set over a prefix of compensatable steps.
-    let mut comp_set_members: Vec<StepId> = Vec::new();
     if cfg.comp_set_steps >= 2 {
         let members: Vec<StepId> = all_steps
             .iter()
@@ -187,65 +185,26 @@ pub fn generate(id: SchemaId, cfg: &GenConfig) -> WorkflowSchema {
                     }
                 });
             }
-            comp_set_members = members.clone();
             b.compensation_set(members);
         }
     }
 
-    // Failure policies: sprinkle random but valid-by-construction policies.
-    // Validity rules mirror crew-lint's policy-soundness pass: retried
-    // non-idempotent non-compensatable update steps become idempotent,
-    // unbounded retries always dead-letter, retried compensation-set
-    // members force a workflow-level failure budget, dead_letter never
-    // appears without retry, and bounded max ≤ 4 with base ≤ 20 keeps
-    // every backoff schedule far below the run horizon.
+    // Failure policies: sprinkle random `retry(1..=4)` + `idempotent`
+    // annotations, valid by construction against crew-lint's policy pass —
+    // a retried update step without a compensate program is idempotent.
     if cfg.policy_frac > 0.0 {
-        let mut needs_failure_budget = false;
         for (i, &s) in all_steps.iter().enumerate() {
-            if !hash::draw(cfg.seed, &[id.0 as u64, 0xF0, i as u64], cfg.policy_frac) {
+            let step_draw =
+                |salt: u64, p: f64| hash::draw(cfg.seed, &[id.0 as u64, salt, i as u64], p);
+            if !step_draw(0xF0, cfg.policy_frac) || !step_draw(0xF1, 0.75) {
                 continue;
             }
-            let word = |salt: u64| hash::combine(cfg.seed, &[id.0 as u64, salt, i as u64]);
-            let with_retry = hash::draw(cfg.seed, &[id.0 as u64, 0xF1, i as u64], 0.75);
-            let unbounded =
-                with_retry && hash::draw(cfg.seed, &[id.0 as u64, 0xF2, i as u64], 0.15);
-            let idem_draw = hash::draw(cfg.seed, &[id.0 as u64, 0xF3, i as u64], 0.3);
-            let dl_draw = hash::draw(cfg.seed, &[id.0 as u64, 0xF4, i as u64], 0.2);
-            let with_breaker = hash::draw(cfg.seed, &[id.0 as u64, 0xF5, i as u64], 0.25);
+            let max = 1 + (hash::combine(cfg.seed, &[id.0 as u64, 0xA1, i as u64]) % 4) as u32;
+            let idem_draw = step_draw(0xF3, 0.3);
             b.configure(s, |d| {
-                if with_retry {
-                    let mut r = if unbounded {
-                        RetryPolicy::unbounded()
-                    } else {
-                        RetryPolicy::bounded(1 + (word(0xA1) % 4) as u32)
-                    };
-                    r.backoff = match word(0xA2) % 3 {
-                        0 => BackoffKind::Fixed,
-                        1 => BackoffKind::Linear,
-                        _ => BackoffKind::Exponential,
-                    };
-                    r.base = 1 + word(0xA3) % 20;
-                    r.jitter = word(0xA4) % 3;
-                    d.policy.retry = Some(r);
-                    d.policy.dead_letter = unbounded || dl_draw;
-                    d.policy.idempotent = idem_draw
-                        || (d.kind == StepKind::Update && d.compensation_program.is_none());
-                }
-                if with_breaker {
-                    d.policy.breaker = Some(BreakerPolicy {
-                        threshold: 1 + (word(0xA5) % 5) as u32,
-                        cooldown: 50 + word(0xA6) % 451,
-                    });
-                }
-            });
-            if with_retry && comp_set_members.contains(&s) {
-                needs_failure_budget = true;
-            }
-        }
-        if needs_failure_budget {
-            b.workflow_policy(WorkflowPolicy {
-                max_failures: Some(4),
-                dead_letter: false,
+                d.policy.retry = Some(RetryPolicy::bounded(max));
+                d.policy.idempotent =
+                    idem_draw || (d.kind == StepKind::Update && d.compensation_program.is_none());
             });
         }
     }
@@ -322,26 +281,13 @@ mod tests {
             let with_policy = s.steps().filter(|d| !d.policy.is_empty()).count();
             assert!(with_policy > 0, "seed={seed}: no policies emitted");
             for d in s.steps() {
-                if let Some(r) = &d.policy.retry {
-                    match r.max {
-                        None => assert!(d.policy.dead_letter, "unbounded retry must dead-letter"),
-                        Some(m) => assert!(m <= 4, "bounded max stays small"),
-                    }
-                    assert!(r.base <= 20 && r.jitter <= 2, "backoff fits horizon");
+                if let Some(r) = d.policy.retry {
+                    assert!((1..=4).contains(&r.max), "retry budget stays small");
                     if d.kind == StepKind::Update && !d.is_compensatable() {
                         assert!(d.policy.idempotent, "retried bare update is idempotent");
                     }
-                    if s.compensation_sets
-                        .iter()
-                        .any(|c| c.members.contains(&d.id))
-                    {
-                        assert!(
-                            s.policy.max_failures.is_some(),
-                            "retried comp-set member needs a workflow failure budget"
-                        );
-                    }
                 } else {
-                    assert!(!d.policy.dead_letter, "dead_letter never appears bare");
+                    assert!(d.policy.is_empty(), "idempotent only rides with retry");
                 }
             }
         }

@@ -1,17 +1,18 @@
 //! The static verifier end to end: the shipped corpus lints clean, a
 //! seeded corpus of deliberately broken specs triggers exactly the
-//! expected diagnostics, and the coordination-deadlock lint's prediction
-//! is validated against the runtime — the flagged spec really stalls two
-//! linked instances in simnet while the single-mutex control commits.
+//! expected diagnostics, and lint verdicts are validated against the
+//! runtime — the coordination-deadlock spec really stalls two linked
+//! instances in simnet while the single-mutex control commits, and every
+//! lint-clean retry policy terminates under all three architectures.
 
 use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_exec::FailurePlan;
 use crew_integration_tests::ExecLog;
 use crew_lint::{is_clean, lint, LintId, Severity};
 use crew_model::{
-    AgentId, BackoffKind, BreakerPolicy, CmpOp, CoordinationSpec, Expr, ItemKey, MutualExclusion,
-    ReexecPolicy, RelativeOrder, RetryPolicy, RollbackDependency, SchemaBuilder, SchemaId,
-    SchemaStep, StepId, StepPolicy, Value, WorkflowPolicy, WorkflowSchema,
+    AgentId, CmpOp, CoordinationSpec, Expr, ItemKey, MutualExclusion, ReexecPolicy, RelativeOrder,
+    RetryPolicy, RollbackDependency, SchemaBuilder, SchemaId, SchemaStep, StepId, StepPolicy,
+    Value, WorkflowSchema,
 };
 use crew_workload::{
     claim_processing, fraud_check, generate, order_processing, travel_booking, GenConfig,
@@ -164,7 +165,7 @@ fn generated_schemas_lint_error_free() {
 
 /// The example LAWS corpus: `logistics.laws` passes strict compilation
 /// with zero findings; `unsound.laws` compiles but fails strict mode with
-/// the two seeded error classes.
+/// the three seeded error classes.
 #[test]
 fn example_laws_corpus() {
     let logistics = include_str!("../../examples/specs/logistics.laws");
@@ -180,10 +181,6 @@ fn example_laws_corpus() {
         "{diags:?}"
     );
     assert!(ids.contains(&LintId::LoopNeverExits), "{diags:?}");
-    assert!(
-        ids.contains(&LintId::UnboundedRetryWithoutDeadLetter),
-        "{diags:?}"
-    );
     assert!(
         ids.contains(&LintId::RetryNonIdempotentWithoutCompensation),
         "{diags:?}"
@@ -201,8 +198,8 @@ fn example_laws_corpus() {
 // ---------------------------------------------------------------------------
 
 /// One deliberately broken spec per defect class; each must trigger its
-/// LintId at the documented severity, and together they must exercise at
-/// least the twelve distinct diagnostics the analyzer promises.
+/// LintId at the documented severity, and together they must exercise
+/// every diagnostic `lint` can reach (all but the amended-rule cycle).
 #[test]
 fn seeded_defects_trigger_expected_lints() {
     let no_coord = CoordinationSpec::default;
@@ -278,36 +275,19 @@ fn seeded_defects_trigger_expected_lints() {
         b.build().unwrap()
     };
 
-    // Two-step schema with `policy` installed on step A. `comp` gives both
-    // steps a compensation program; `comp_set` wraps them in a dependent
-    // set; `wf` installs a workflow-level policy.
-    let policied = |policy: StepPolicy,
-                    comp: bool,
-                    comp_set: bool,
-                    wf: Option<WorkflowPolicy>|
-     -> WorkflowSchema {
+    // Two-step schema with `policy` installed on step A, an update step
+    // with no compensate program.
+    let policied = |policy: StepPolicy| -> WorkflowSchema {
         let mut b = SchemaBuilder::new(SchemaId(1), "wf").inputs(1);
         let a = b.add_step("A", "p");
         let c = b.add_step("B", "p");
         b.seq(a, c);
-        if comp {
-            for s in [a, c] {
-                b.configure(s, |d| d.compensation_program = Some("undo".into()));
-            }
-        }
-        if comp_set {
-            b.compensation_set([a, c]);
-        }
-        if let Some(w) = wf {
-            b.workflow_policy(w);
-        }
-        b.configure(a, |d| d.policy = policy.clone());
+        b.configure(a, |d| d.policy = policy);
         b.build().unwrap()
     };
-    let retry = |r: RetryPolicy, idempotent: bool| StepPolicy {
-        retry: Some(r),
-        idempotent,
-        ..StepPolicy::default()
+    let retry = |max: u32| StepPolicy {
+        retry: Some(RetryPolicy::bounded(max)),
+        idempotent: false,
     };
 
     type Case = (
@@ -502,192 +482,20 @@ fn seeded_defects_trigger_expected_lints() {
             LintId::ConcurrentWriteConflict,
             Severity::Warn,
         ),
-        // -- failure-policy soundness (2 seeded specs per defect class) --
+        // -- failure-policy soundness --
         (
             "bounded retry on a bare update step",
-            vec![policied(
-                retry(RetryPolicy::bounded(2), false),
-                false,
-                false,
-                None,
-            )],
+            vec![policied(retry(2))],
             no_coord(),
             LintId::RetryNonIdempotentWithoutCompensation,
             Severity::Error,
         ),
         (
-            "dead-lettered unbounded retry still lacks idempotence",
-            vec![policied(
-                StepPolicy {
-                    dead_letter: true,
-                    ..retry(RetryPolicy::unbounded(), false)
-                },
-                false,
-                false,
-                None,
-            )],
+            "a one-attempt retry budget still re-runs the update",
+            vec![policied(retry(1))],
             no_coord(),
             LintId::RetryNonIdempotentWithoutCompensation,
             Severity::Error,
-        ),
-        (
-            "retried comp-set member without a workflow failure budget",
-            vec![policied(
-                retry(RetryPolicy::bounded(1), true),
-                true,
-                true,
-                None,
-            )],
-            no_coord(),
-            LintId::RetryInCompSetWithoutSetPolicy,
-            Severity::Error,
-        ),
-        (
-            "comp-set retry with only a dead-letter workflow policy",
-            vec![policied(
-                retry(RetryPolicy::bounded(3), true),
-                true,
-                true,
-                Some(WorkflowPolicy {
-                    max_failures: None,
-                    dead_letter: true,
-                }),
-            )],
-            no_coord(),
-            LintId::RetryInCompSetWithoutSetPolicy,
-            Severity::Error,
-        ),
-        (
-            "unbounded retry with no dead-letter route",
-            vec![policied(
-                retry(RetryPolicy::unbounded(), true),
-                false,
-                false,
-                None,
-            )],
-            no_coord(),
-            LintId::UnboundedRetryWithoutDeadLetter,
-            Severity::Error,
-        ),
-        (
-            "unbounded compensatable retry, still no dead letter",
-            vec![policied(
-                retry(RetryPolicy::unbounded(), false),
-                true,
-                false,
-                None,
-            )],
-            no_coord(),
-            LintId::UnboundedRetryWithoutDeadLetter,
-            Severity::Error,
-        ),
-        (
-            "breaker on a step holding a mutex",
-            vec![
-                policied(
-                    StepPolicy {
-                        breaker: Some(BreakerPolicy {
-                            threshold: 2,
-                            cooldown: 100,
-                        }),
-                        ..StepPolicy::default()
-                    },
-                    false,
-                    false,
-                    None,
-                ),
-                linear(2, 2),
-            ],
-            CoordinationSpec {
-                mutual_exclusions: vec![MutualExclusion {
-                    id: 0,
-                    resource: "dock".into(),
-                    members: vec![ss(1, 1), ss(2, 1)],
-                }],
-                ..CoordinationSpec::default()
-            },
-            LintId::BreakerOnMutexStep,
-            Severity::Warn,
-        ),
-        (
-            "breaker plus retry on a serialized step",
-            vec![
-                policied(
-                    StepPolicy {
-                        breaker: Some(BreakerPolicy {
-                            threshold: 1,
-                            cooldown: 50,
-                        }),
-                        ..retry(RetryPolicy::bounded(2), true)
-                    },
-                    true,
-                    false,
-                    None,
-                ),
-                linear(2, 2),
-            ],
-            CoordinationSpec {
-                mutual_exclusions: vec![MutualExclusion {
-                    id: 0,
-                    resource: "crane".into(),
-                    members: vec![ss(1, 1), ss(2, 2)],
-                }],
-                ..CoordinationSpec::default()
-            },
-            LintId::BreakerOnMutexStep,
-            Severity::Warn,
-        ),
-        (
-            "fixed backoff schedule past the run horizon",
-            vec![policied(
-                retry(
-                    RetryPolicy {
-                        base: 300_000,
-                        ..RetryPolicy::bounded(4)
-                    },
-                    true,
-                ),
-                false,
-                false,
-                None,
-            )],
-            no_coord(),
-            LintId::BackoffOverflowsHorizon,
-            Severity::Error,
-        ),
-        (
-            "exponential backoff wrapping tick arithmetic",
-            vec![policied(
-                retry(
-                    RetryPolicy {
-                        backoff: BackoffKind::Exponential,
-                        base: 7,
-                        ..RetryPolicy::bounded(100)
-                    },
-                    true,
-                ),
-                false,
-                false,
-                None,
-            )],
-            no_coord(),
-            LintId::BackoffOverflowsHorizon,
-            Severity::Error,
-        ),
-        (
-            "dead-letter route with nothing retrying into it",
-            vec![policied(
-                StepPolicy {
-                    dead_letter: true,
-                    ..StepPolicy::default()
-                },
-                false,
-                false,
-                None,
-            )],
-            no_coord(),
-            LintId::DeadLetterWithoutRetry,
-            Severity::Warn,
         ),
     ];
 
@@ -700,7 +508,7 @@ fn seeded_defects_trigger_expected_lints() {
         );
         exercised.insert(id);
     }
-    assert!(exercised.len() >= 18, "only {} ids", exercised.len());
+    assert_eq!(exercised.len(), 19, "only {} ids", exercised.len());
 }
 
 /// The one diagnostic the seeded corpus cannot reach through `lint` —
@@ -776,81 +584,61 @@ fn deadlock_lint_predicts_runtime_stall() {
     assert_eq!(committed.committed(), 2);
 }
 
-/// A spec the policy pass flags (unbounded retry, no dead-letter route)
-/// really diverges in simnet: a deterministically failing step retries
-/// forever and the instance is still live at the bounded horizon. The
-/// lint-clean control — bounded `retry(3)`, idempotent — rides out two
-/// transient failures and commits. Both control architectures.
+/// The guarantee the policy surface gives: a lint-clean `retry(3);
+/// idempotent;` on a step that fails every attempt spends its budget,
+/// falls through to the paper's rollback budget and ends Aborted — well
+/// inside the horizon, not Stalled at it — under all three architectures.
+/// The control rides out two transient failures and commits.
 #[test]
 fn retry_lint_predicts_runtime_divergence() {
-    let retry_schema = |policy: StepPolicy| -> WorkflowSchema {
-        let mut b = SchemaBuilder::new(SchemaId(1), "wf").inputs(1);
-        let a = b.add_step("A", "passthrough");
-        let c = b.add_step("B", "passthrough");
-        let z = b.add_step("C", "passthrough");
-        b.seq(a, c);
-        b.seq(c, z);
-        for (i, s) in [a, c, z].into_iter().enumerate() {
-            b.configure(s, |d| d.eligible_agents = vec![AgentId(i as u32 % 2)]);
+    let mut b = SchemaBuilder::new(SchemaId(1), "wf").inputs(1);
+    let a = b.add_step("A", "passthrough");
+    let c = b.add_step("B", "passthrough");
+    let z = b.add_step("C", "passthrough");
+    b.seq(a, c);
+    b.seq(c, z);
+    for (i, s) in [a, c, z].into_iter().enumerate() {
+        b.configure(s, |d| d.eligible_agents = vec![AgentId(i as u32 % 2)]);
+    }
+    b.configure(c, |d| {
+        d.policy = StepPolicy {
+            retry: Some(RetryPolicy::bounded(3)),
+            idempotent: true,
         }
-        b.configure(c, |d| d.policy = policy.clone());
-        b.build().unwrap()
+    });
+    let schema = b.build().unwrap();
+    let diags = lint(std::slice::from_ref(&schema), &CoordinationSpec::default());
+    assert!(diags.is_empty(), "{diags:?}");
+
+    let run = |arch: Architecture, plan: &dyn Fn(crew_model::InstanceId) -> FailurePlan| {
+        let mut system = WorkflowSystem::new([schema.clone()], arch);
+        let mut scenario = Scenario::new();
+        let idx = scenario.start(SchemaId(1), vec![(1, Value::Int(1))]);
+        let inst = scenario.instance_id(idx);
+        system.deployment.plan = plan(inst);
+        (system.run(scenario), inst)
     };
-
-    let flagged_schema = retry_schema(StepPolicy {
-        retry: Some(RetryPolicy::unbounded()),
-        idempotent: true,
-        ..StepPolicy::default()
-    });
-    let flagged = lint(
-        std::slice::from_ref(&flagged_schema),
-        &CoordinationSpec::default(),
-    );
-    assert!(
-        crew_lint::errors(&flagged).any(|d| d.id == LintId::UnboundedRetryWithoutDeadLetter),
-        "{flagged:?}"
-    );
-
-    let control_schema = retry_schema(StepPolicy {
-        retry: Some(RetryPolicy::bounded(3)),
-        idempotent: true,
-        ..StepPolicy::default()
-    });
-    let control = lint(
-        std::slice::from_ref(&control_schema),
-        &CoordinationSpec::default(),
-    );
-    assert!(control.is_empty(), "{control:?}");
-
     for arch in [
         Architecture::Central { agents: 2 },
+        Architecture::Parallel {
+            agents: 2,
+            engines: 2,
+        },
         Architecture::Distributed { agents: 2 },
     ] {
-        // Flagged: step B fails on every attempt; the unbounded retry
-        // policy re-dispatches forever, so the run ends non-terminal.
-        let mut system = WorkflowSystem::new([flagged_schema.clone()], arch);
-        let mut scenario = Scenario::new();
-        let idx = scenario.start(SchemaId(1), vec![(1, Value::Int(1))]);
-        let inst = scenario.instance_id(idx);
-        system.deployment.plan = FailurePlan::none().fail_step_always(inst, StepId(2));
-        let report = system.run(scenario);
-        assert!(
-            !report.all_terminal(),
-            "{arch:?}: unbounded retry must stall at the horizon"
-        );
-        assert_eq!(report.committed(), 0, "{arch:?}");
+        let (report, inst) = run(arch, &|inst| {
+            FailurePlan::none().fail_step_always(inst, StepId(2))
+        });
+        assert_eq!(report.aborted(), 1, "{arch:?}: exhausted retry must abort");
+        assert!(report.all_terminal(), "{arch:?}");
+        let done = report.completion_ticks[&inst];
+        assert!(done < 1_000, "{arch:?}: aborted only at tick {done}");
 
-        // Control: step B fails twice, the third attempt succeeds within
-        // the bounded budget, and the instance commits.
-        let mut system = WorkflowSystem::new([control_schema.clone()], arch);
-        let mut scenario = Scenario::new();
-        let idx = scenario.start(SchemaId(1), vec![(1, Value::Int(1))]);
-        let inst = scenario.instance_id(idx);
-        system.deployment.plan =
+        let (report, _) = run(arch, &|inst| {
             FailurePlan::none()
                 .fail_step(inst, StepId(2), 1)
-                .fail_step(inst, StepId(2), 2);
-        let report = system.run(scenario);
+                .fail_step(inst, StepId(2), 2)
+        });
         assert!(report.all_terminal(), "{arch:?}");
         assert_eq!(
             report.committed(),
@@ -865,8 +653,8 @@ fn retry_lint_predicts_runtime_divergence() {
 // ---------------------------------------------------------------------------
 
 /// Every diagnostic the analyzer raises against a `.laws` source —
-/// including all five policy-soundness classes — carries a resolved,
-/// non-empty source span pointing into the offending declaration.
+/// including the policy-soundness check — carries a resolved, non-empty
+/// source span pointing into the offending declaration.
 #[test]
 fn laws_defect_corpus_spans_are_total() {
     let corpus: Vec<(&str, &str, LintId)> = vec![
@@ -879,64 +667,6 @@ fn laws_defect_corpus_spans_are_total() {
                 flow A -> B;
             }"#,
             LintId::RetryNonIdempotentWithoutCompensation,
-        ),
-        (
-            "retried comp-set member without a failure budget",
-            r#"workflow W (id 1) {
-                inputs 1;
-                step A { program "p"; compensate "u"; policy { retry(1); idempotent; } }
-                step B { program "p"; compensate "u"; }
-                flow A -> B;
-                compensation set { A, B };
-            }"#,
-            LintId::RetryInCompSetWithoutSetPolicy,
-        ),
-        (
-            "unbounded retry without dead letter",
-            r#"workflow W (id 1) {
-                inputs 1;
-                step A { program "p"; policy { retry(unbounded); idempotent; } }
-                step B { program "p"; }
-                flow A -> B;
-            }"#,
-            LintId::UnboundedRetryWithoutDeadLetter,
-        ),
-        (
-            "breaker on a mutex-holding step",
-            r#"workflow W (id 1) {
-                inputs 1;
-                step A { program "p"; policy { breaker(threshold 2, cooldown 100); } }
-                step B { program "p"; }
-                flow A -> B;
-            }
-            workflow V (id 2) {
-                inputs 1;
-                step C { program "p"; }
-            }
-            coordination {
-                mutex "dock" { W.A, V.C };
-            }"#,
-            LintId::BreakerOnMutexStep,
-        ),
-        (
-            "backoff schedule past the run horizon",
-            r#"workflow W (id 1) {
-                inputs 1;
-                step A { program "p"; policy { retry(4, fixed 300000); idempotent; } }
-                step B { program "p"; }
-                flow A -> B;
-            }"#,
-            LintId::BackoffOverflowsHorizon,
-        ),
-        (
-            "dead letter with nothing retrying into it",
-            r#"workflow W (id 1) {
-                inputs 1;
-                step A { program "p"; policy { dead_letter; } }
-                step B { program "p"; }
-                flow A -> B;
-            }"#,
-            LintId::DeadLetterWithoutRetry,
         ),
         (
             "uncompensatable xor branch in a rollback region",
