@@ -28,7 +28,13 @@
 //!   (the designated agent of the partner's first conflicting step) and
 //!   packet-piggybacked leading/lagging tags; mutual exclusion uses a
 //!   manager agent granting via `AddEvent`; rollback dependencies propagate
-//!   `WorkflowRollback` across linked instances.
+//!   `WorkflowRollback` across linked instances, marked `from_dependency`
+//!   so a dependency-caused rollback goes no further (one level, at any
+//!   placement of the partners).
+//! - **Delivery**: every interaction with another role goes through
+//!   [`DistAgent::tell`], which calls the message's handler when the role
+//!   is played here and sends otherwise, so a co-located and a remote
+//!   partner run the same code.
 
 use crate::msg::{CoordRule, DistMsg, StepStatusKind};
 use crate::packet::{RoTag, WorkflowPacket};
@@ -293,6 +299,21 @@ impl DistAgent {
         self.instances.entry(instance).or_default()
     }
 
+    /// Deliver `msg` to the agent at `node`: a send to a peer, or — `node`
+    /// is this agent — a direct call of the handler the message reaches, so
+    /// a co-located and a remote partner run the same code. Unlike
+    /// `Engine::tell` nothing is journaled here: the agent journals the
+    /// effects its handlers record, not its inputs. The one handler that
+    /// tells the two apart is `StepCompensate`, which acks only a remote
+    /// requester.
+    fn tell(&mut self, node: NodeId, msg: DistMsg, ctx: &mut Ctx<DistMsg>) {
+        if node == ctx.self_id {
+            self.dispatch(node, msg, ctx);
+        } else {
+            ctx.send(node, msg);
+        }
+    }
+
     // ---- rule instantiation ------------------------------------------------
 
     /// Install the navigation rules for the locally-designated steps of an
@@ -549,7 +570,7 @@ impl DistAgent {
                         if route & ROUTE_MUTEX != 0 {
                             self.request_mutex(instance, req, event, ctx);
                         } else if route & ROUTE_RO_CLAIM != 0 {
-                            self.request_ro_claim(instance, req, StepId(event as u32), ctx);
+                            self.request_ro_claim(instance, req, ctx);
                         }
                     }
                     Action::CompensateStep(step) => {
@@ -598,13 +619,7 @@ impl DistAgent {
     /// requirement `req` (sent when the first conflicting step's own
     /// triggers become ready — the serialization point that decides
     /// leading vs lagging).
-    fn request_ro_claim(
-        &mut self,
-        instance: InstanceId,
-        req: u32,
-        _step: StepId,
-        ctx: &mut Ctx<DistMsg>,
-    ) {
+    fn request_ro_claim(&mut self, instance: InstanceId, req: u32, ctx: &mut Ctx<DistMsg>) {
         let dep = self.shared.deployment.clone();
         let Some(r) = dep
             .coordination
@@ -619,21 +634,13 @@ impl DistAgent {
                 continue;
             };
             let (a, b) = ro_canonical(instance, partner, side);
+            let rule = CoordRule::RoFirstDone {
+                req,
+                claimant: instance,
+                partner,
+            };
             let arbiter = self.ro_arbiter_node(r, a, b);
-            if arbiter == ctx.self_id {
-                self.ro_decide(req, a, b, side, ctx);
-            } else {
-                ctx.send(
-                    arbiter,
-                    DistMsg::AddRule {
-                        rule: CoordRule::RoFirstDone {
-                            req,
-                            claimant: instance,
-                            partner,
-                        },
-                    },
-                );
-            }
+            self.tell(arbiter, DistMsg::AddRule { rule }, ctx);
         }
     }
 
@@ -696,21 +703,7 @@ impl DistAgent {
                     members.sort_by_key(|m| topo_pos[m]);
                     if members.len() > 1 {
                         self.inst(instance).awaiting_compset.insert(step);
-                        let target = self.node_of_step(
-                            instance,
-                            &schema,
-                            *members.last().expect("non-empty"),
-                        );
-                        if target == ctx.self_id {
-                            self.on_compensate_set(instance, step, members, ctx);
-                        } else {
-                            let msg = DistMsg::CompensateSet {
-                                instance,
-                                origin: step,
-                                steps: members,
-                            };
-                            ctx.send(target, msg);
-                        }
+                        self.compensate_set(instance, step, members, ctx);
                         return;
                     }
                 }
@@ -779,19 +772,16 @@ impl DistAgent {
                     // that workflow are notified".
                     FailureVerdict::RollbackTo(origin) => {
                         let target = self.node_of_step(instance, &schema, origin);
-                        if target == ctx.self_id {
-                            self.on_workflow_rollback(instance, origin, false, ctx);
-                        } else {
-                            ctx.send(target, DistMsg::WorkflowRollback { instance, origin });
-                        }
+                        let msg = DistMsg::WorkflowRollback {
+                            instance,
+                            origin,
+                            from_dependency: false,
+                        };
+                        self.tell(target, msg, ctx);
                     }
                     FailureVerdict::Abort => {
                         let coord = self.coordination_node(instance, &schema);
-                        if coord == ctx.self_id {
-                            self.on_workflow_abort(instance, ctx);
-                        } else {
-                            ctx.send(coord, DistMsg::WorkflowAbort { instance });
-                        }
+                        self.tell(coord, DistMsg::WorkflowAbort { instance }, ctx);
                     }
                 }
             }
@@ -856,19 +846,14 @@ impl DistAgent {
         schema: &WorkflowSchema,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let coord = self.coordination_node(instance, schema);
-        if coord == ctx.self_id {
-            self.on_step_completed(instance, step, weight, ctx);
-        } else {
-            let (weight_num, weight_den) = weight.parts();
-            let msg = DistMsg::StepCompleted {
-                instance,
-                step,
-                weight_num,
-                weight_den,
-            };
-            ctx.send(coord, msg);
-        }
+        let (weight_num, weight_den) = weight.parts();
+        let msg = DistMsg::StepCompleted {
+            instance,
+            step,
+            weight_num,
+            weight_den,
+        };
+        self.tell(self.coordination_node(instance, schema), msg, ctx);
     }
 
     fn coordination_node(&self, instance: InstanceId, schema: &WorkflowSchema) -> NodeId {
@@ -887,60 +872,34 @@ impl DistAgent {
         ctx: &mut Ctx<DistMsg>,
     ) {
         let targets = self.inst(instance).nav.outgoing_weights(schema, step);
-
-        let piggyback = self.shared.config.piggyback_ro;
-        let (ro_leading, ro_lagging) = if piggyback {
-            self.ro_piggyback_tags(instance, schema)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let (mut ro_leading, mut ro_lagging) = self.ro_piggyback_tags(instance);
 
         // When not piggybacking, ship the ordering obligations as separate
         // coordinated-execution messages (the §5.1 ablation's cost):
         // lagging tags become explicit AddPrecondition calls at the lagging
         // steps' agents; leading tags become notify-on-done wiring at the
         // leading steps' agents.
-        if !piggyback {
-            let (lead, lag) = self.ro_piggyback_tags(instance, schema);
-            for t in &lag {
+        if !self.shared.config.piggyback_ro {
+            for t in std::mem::take(&mut ro_lagging) {
                 let dest = self.node_of_step(instance, schema, t.local_step);
                 let msg = DistMsg::AddPrecondition {
                     instance,
                     step: t.local_step,
                     tag: t.tag,
                 };
-                if dest == ctx.self_id {
-                    self.add_precondition_local(instance, t.local_step, t.tag);
-                } else {
-                    ctx.send(dest, msg);
-                }
+                self.tell(dest, msg, ctx);
             }
-            for t in &lead {
+            for t in std::mem::take(&mut ro_leading) {
                 let dest = self.node_of_step(instance, schema, t.local_step);
-                if dest == ctx.self_id {
-                    self.install_ro_notify(
-                        instance,
-                        t.local_step,
-                        t.tag,
-                        t.partner,
-                        t.partner_step,
-                        ctx,
-                    );
-                } else {
-                    ctx.send(
-                        dest,
-                        DistMsg::AddRule {
-                            rule: CoordRule::RoNotify {
-                                req: 0,
-                                instance,
-                                local_step: t.local_step,
-                                tag: t.tag,
-                                target_instance: t.partner,
-                                target_step: t.partner_step,
-                            },
-                        },
-                    );
-                }
+                let rule = CoordRule::RoNotify {
+                    req: 0,
+                    instance,
+                    local_step: t.local_step,
+                    tag: t.tag,
+                    target_instance: t.partner,
+                    target_step: t.partner_step,
+                };
+                self.tell(dest, DistMsg::AddRule { rule }, ctx);
             }
         }
 
@@ -976,9 +935,8 @@ impl DistAgent {
         }
     }
 
-    /// Hand `packet` to each of `agents` in order — a direct call where
-    /// the agent is this node, a `StepExecute` otherwise. Every recipient
-    /// but the last gets a clone; the last takes the original.
+    /// Hand `packet` to each of `agents` in order as a `StepExecute`. Every
+    /// recipient but the last gets a clone; the last takes the original.
     fn broadcast_packet(
         &mut self,
         packet: WorkflowPacket,
@@ -1001,11 +959,7 @@ impl DistAgent {
         ctx: &mut Ctx<DistMsg>,
     ) {
         let node = self.shared.directory.node_of(agent);
-        if node == ctx.self_id {
-            self.on_packet(packet, ctx);
-        } else {
-            ctx.send(node, DistMsg::StepExecute { packet });
-        }
+        self.tell(node, DistMsg::StepExecute { packet }, ctx);
     }
 
     /// Phase one of the two-phase forward: poll `StateInformation` of every
@@ -1099,11 +1053,7 @@ impl DistAgent {
 
     /// The leading/lagging tags this instance's packets carry, derived from
     /// decided relative orders involving it.
-    fn ro_piggyback_tags(
-        &self,
-        instance: InstanceId,
-        _schema: &WorkflowSchema,
-    ) -> (Vec<RoTag>, Vec<RoTag>) {
+    fn ro_piggyback_tags(&self, instance: InstanceId) -> (Vec<RoTag>, Vec<RoTag>) {
         let mut leading = Vec::new();
         let mut lagging = Vec::new();
         let dep = &self.shared.deployment;
@@ -1169,18 +1119,20 @@ impl DistAgent {
             .cloned()
             .unwrap_or_default();
         for (tag, partner, partner_step) in notifies {
-            let schema = self.shared.deployment.expect_schema(partner.schema).clone();
-            let node = self.node_of_step(partner, &schema, partner_step);
-            let msg = DistMsg::AddEvent {
-                instance: partner,
-                tag,
-            };
-            if node == ctx.self_id {
-                self.on_add_event(partner, tag, ctx);
-            } else {
-                ctx.send(node, msg);
-            }
+            self.add_event_at(partner, partner_step, tag, ctx);
         }
+    }
+
+    /// Inject `tag` into `instance`'s rules at the agent of its `step`.
+    fn add_event_at(
+        &mut self,
+        instance: InstanceId,
+        step: StepId,
+        tag: u64,
+        ctx: &mut Ctx<DistMsg>,
+    ) {
+        let node = self.node_of_step(instance, &self.schema(instance), step);
+        self.tell(node, DistMsg::AddEvent { instance, tag }, ctx);
     }
 
     /// The arbiter node for requirement `r` between canonical instances
@@ -1247,41 +1199,24 @@ impl DistAgent {
 
         for (k, (&lead_step, &lag_step)) in leader_pairs.iter().zip(lagger_pairs.iter()).enumerate()
         {
-            // Release the leader's guard: its steps must not wait.
-            let lead_tag = tags::ro_guard(req, k, leader_side, a, b);
             let lead_node = self.node_of_step(leader, &leader_schema, lead_step);
             // Install the leader's notify-on-done, *before* the release so
             // FIFO delivers the wiring first.
-            let notify = DistMsg::AddRule {
-                rule: CoordRule::RoNotify {
-                    req,
-                    instance: leader,
-                    local_step: lead_step,
-                    tag: tags::ro_guard(req, k, lag_side, a, b),
-                    target_instance: lagger,
-                    target_step: lag_step,
-                },
+            let rule = CoordRule::RoNotify {
+                req,
+                instance: leader,
+                local_step: lead_step,
+                tag: tags::ro_guard(req, k, lag_side, a, b),
+                target_instance: lagger,
+                target_step: lag_step,
             };
-            if lead_node == ctx.self_id {
-                self.install_ro_notify(
-                    leader,
-                    lead_step,
-                    tags::ro_guard(req, k, lag_side, a, b),
-                    lagger,
-                    lag_step,
-                    ctx,
-                );
-                self.on_add_event(leader, lead_tag, ctx);
-            } else {
-                ctx.send(lead_node, notify);
-                ctx.send(
-                    lead_node,
-                    DistMsg::AddEvent {
-                        instance: leader,
-                        tag: lead_tag,
-                    },
-                );
-            }
+            self.tell(lead_node, DistMsg::AddRule { rule }, ctx);
+            // Release the leader's guard: its steps must not wait.
+            let release = DistMsg::AddEvent {
+                instance: leader,
+                tag: tags::ro_guard(req, k, leader_side, a, b),
+            };
+            self.tell(lead_node, release, ctx);
         }
     }
 
@@ -1305,21 +1240,7 @@ impl DistAgent {
         };
         // If the local step already completed (raced), emit immediately.
         if already_done {
-            let schema = self
-                .shared
-                .deployment
-                .expect_schema(target_instance.schema)
-                .clone();
-            let node = self.node_of_step(target_instance, &schema, target_step);
-            let msg = DistMsg::AddEvent {
-                instance: target_instance,
-                tag,
-            };
-            if node == ctx.self_id {
-                self.on_add_event(target_instance, tag, ctx);
-            } else {
-                ctx.send(node, msg);
-            }
+            self.add_event_at(target_instance, target_step, tag, ctx);
         }
     }
 
@@ -1351,12 +1272,7 @@ impl DistAgent {
         rule: CoordRule,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let manager = self.mutex_manager_node(m);
-        if manager == ctx.self_id {
-            self.handle_coord_rule(rule, ctx.self_id, ctx);
-        } else {
-            ctx.send(manager, DistMsg::AddRule { rule });
-        }
+        self.tell(self.mutex_manager_node(m), DistMsg::AddRule { rule }, ctx);
     }
 
     fn handle_coord_rule(&mut self, rule: CoordRule, from: NodeId, ctx: &mut Ctx<DistMsg>) {
@@ -1375,11 +1291,7 @@ impl DistAgent {
                     // (re)issue the grant either way.
                     state.holder = Some(triple);
                     let tag = tags::mutex_grant(req, instance, step);
-                    if grant_to == ctx.self_id {
-                        self.on_add_event(instance, tag, ctx);
-                    } else {
-                        ctx.send(grant_to, DistMsg::AddEvent { instance, tag });
-                    }
+                    self.tell(grant_to, DistMsg::AddEvent { instance, tag }, ctx);
                 } else if !state.queue.contains(&triple) {
                     state.queue.push_back(triple);
                 }
@@ -1407,11 +1319,7 @@ impl DistAgent {
                 };
                 if let Some((i, s, node)) = next {
                     let tag = tags::mutex_grant(req, i, s);
-                    if node == ctx.self_id {
-                        self.on_add_event(i, tag, ctx);
-                    } else {
-                        ctx.send(node, DistMsg::AddEvent { instance: i, tag });
-                    }
+                    self.tell(node, DistMsg::AddEvent { instance: i, tag }, ctx);
                 }
             }
             CoordRule::RoFirstDone {
@@ -1595,17 +1503,26 @@ impl DistAgent {
             self.execute_now(instance, &def, ctx);
             return;
         }
-        let target = self.node_of_step(instance, &schema, *steps.last().expect("non-empty"));
-        if target == ctx.self_id {
-            self.on_compensate_set(instance, origin, steps, ctx);
-        } else {
-            let msg = DistMsg::CompensateSet {
-                instance,
-                origin,
-                steps,
-            };
-            ctx.send(target, msg);
-        }
+        self.compensate_set(instance, origin, steps, ctx);
+    }
+
+    /// Pass the `CompensateSet` chain over `steps` (non-empty; it walks
+    /// back to `origin`) to the agent of its last step.
+    fn compensate_set(
+        &mut self,
+        instance: InstanceId,
+        origin: StepId,
+        steps: Vec<StepId>,
+        ctx: &mut Ctx<DistMsg>,
+    ) {
+        let last = *steps.last().expect("non-empty");
+        let target = self.node_of_step(instance, &self.schema(instance), last);
+        let msg = DistMsg::CompensateSet {
+            instance,
+            origin,
+            steps,
+        };
+        self.tell(target, msg, ctx);
     }
 
     /// Pass the `CompensateThread` walk over `steps` (non-empty) to the
@@ -1616,13 +1533,9 @@ impl DistAgent {
         steps: Vec<StepId>,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let schema = self.schema(instance);
-        let target = self.node_of_step(instance, &schema, *steps.last().expect("non-empty"));
-        if target == ctx.self_id {
-            self.on_compensate_thread(instance, steps, ctx);
-        } else {
-            ctx.send(target, DistMsg::CompensateThread { instance, steps });
-        }
+        let last = *steps.last().expect("non-empty");
+        let target = self.node_of_step(instance, &self.schema(instance), last);
+        self.tell(target, DistMsg::CompensateThread { instance, steps }, ctx);
     }
 
     fn on_compensate_thread(
@@ -1689,17 +1602,12 @@ impl DistAgent {
                     let pschema = dep.expect_schema(partner.schema).clone();
                     let target = self.node_of_step(partner, &pschema, rd.dependent_origin);
                     self.nav_load(ctx);
-                    if target == ctx.self_id {
-                        self.on_workflow_rollback(partner, rd.dependent_origin, true, ctx);
-                    } else {
-                        ctx.send(
-                            target,
-                            DistMsg::WorkflowRollback {
-                                instance: partner,
-                                origin: rd.dependent_origin,
-                            },
-                        );
-                    }
+                    let msg = DistMsg::WorkflowRollback {
+                        instance: partner,
+                        origin: rd.dependent_origin,
+                        from_dependency: true,
+                    };
+                    self.tell(target, msg, ctx);
                 }
             }
         }
@@ -1859,19 +1767,14 @@ impl DistAgent {
         match nav.parent {
             Some((parent, parent_step)) => {
                 let outputs = nav.nested_outputs(&schema);
-                let pschema = self.schema(parent);
-                let node = self.node_of_step(parent, &pschema, parent_step);
-                if node == ctx.self_id {
-                    self.on_nested_completed(parent, parent_step, outputs, ctx);
-                } else {
-                    let msg = DistMsg::NestedCompleted {
-                        parent,
-                        parent_step,
-                        child: instance,
-                        outputs,
-                    };
-                    ctx.send(node, msg);
-                }
+                let node = self.node_of_step(parent, &self.schema(parent), parent_step);
+                let msg = DistMsg::NestedCompleted {
+                    parent,
+                    parent_step,
+                    child: instance,
+                    outputs,
+                };
+                self.tell(node, msg, ctx);
             }
             None => {
                 ctx.send(
@@ -1924,18 +1827,13 @@ impl DistAgent {
             return;
         };
         self.nav_load(ctx);
-        let parent = Some((instance, step));
         let coord = self.coordination_node(child, &self.schema(child));
-        if coord == ctx.self_id {
-            self.on_workflow_start(child, inputs, parent, ctx);
-        } else {
-            let msg = DistMsg::WorkflowStart {
-                instance: child,
-                inputs,
-                parent,
-            };
-            ctx.send(coord, msg);
-        }
+        let msg = DistMsg::WorkflowStart {
+            instance: child,
+            inputs,
+            parent: Some((instance, step)),
+        };
+        self.tell(coord, msg, ctx);
     }
 
     fn on_workflow_abort(&mut self, instance: InstanceId, ctx: &mut Ctx<DistMsg>) {
@@ -1991,11 +1889,7 @@ impl DistAgent {
                     instance,
                     step: def.id,
                 };
-                if node == ctx.self_id {
-                    self.compensate_local(instance, def.id, false, ctx);
-                } else {
-                    ctx.send(node, msg);
-                }
+                self.tell(node, msg, ctx);
             }
         }
         // Halt the threads of execution starting from the first step.
@@ -2033,17 +1927,12 @@ impl DistAgent {
         let schema = self.schema(instance);
         // The new inputs take effect at the rollback origin's agent.
         let origin = input_change_origin(&schema, &new_inputs);
-        let target = self.node_of_step(instance, &schema, origin);
-        if target == ctx.self_id {
-            self.on_inputs_changed(instance, origin, new_inputs, ctx);
-        } else {
-            let msg = DistMsg::InputsChanged {
-                instance,
-                origin,
-                new_inputs,
-            };
-            ctx.send(target, msg);
-        }
+        let msg = DistMsg::InputsChanged {
+            instance,
+            origin,
+            new_inputs,
+        };
+        self.tell(self.node_of_step(instance, &schema, origin), msg, ctx);
     }
 
     fn on_inputs_changed(
@@ -2144,11 +2033,7 @@ impl DistAgent {
             return;
         };
         let node = self.shared.directory.node_of(first_alternate);
-        if node == ctx.self_id {
-            self.on_execute_request(instance, step, ctx);
-        } else {
-            ctx.send(node, DistMsg::ExecuteRequest { instance, step });
-        }
+        self.tell(node, DistMsg::ExecuteRequest { instance, step }, ctx);
     }
 
     fn on_step_status(
@@ -2182,10 +2067,8 @@ impl DistAgent {
         instance: InstanceId,
         step: StepId,
         status: StepStatusKind,
-        from: NodeId,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let _ = from;
         match status {
             StepStatusKind::Done | StepStatusKind::Executing | StepStatusKind::Failed => {
                 // Someone made (or is making) progress: keep waiting; the
@@ -2194,32 +2077,7 @@ impl DistAgent {
                 st.poll_pending.remove(&step);
                 st.awaiting_remote.remove(&step);
             }
-            StepStatusKind::Unknown => {
-                let schema = self.schema(instance);
-                let Some(def) = schema.step(step) else { return };
-                // "If the step is designated as an update step then the
-                // successor agent has to wait for the failed agent to come
-                // up. Otherwise ... requests the execution of that step" at
-                // an alternate eligible agent.
-                if def.kind != crew_model::StepKind::Query {
-                    return;
-                }
-                let designated = designated_agent(self.seed(), instance, def);
-                let alternate = def
-                    .eligible_agents
-                    .iter()
-                    .find(|a| **a != designated)
-                    .copied();
-                if let Some(agent) = alternate {
-                    let node = self.shared.directory.node_of(agent);
-                    let msg = DistMsg::ExecuteRequest { instance, step };
-                    if node == ctx.self_id {
-                        self.on_execute_request(instance, step, ctx);
-                    } else {
-                        ctx.send(node, msg);
-                    }
-                }
-            }
+            StepStatusKind::Unknown => self.try_takeover(instance, step, ctx),
         }
     }
 
@@ -2323,12 +2181,10 @@ fn ro_partner_pairs(
     }
 }
 
-impl Node<DistMsg> for DistAgent {
-    fn on_message(&mut self, from: NodeId, msg: DistMsg, ctx: &mut Ctx<DistMsg>) {
-        if self.halted {
-            // Fail-silent after unrecoverable AGDB loss.
-            return;
-        }
+impl DistAgent {
+    /// Run the handler for `msg` from `from`: the peer that sent it, or
+    /// this agent when [`DistAgent::tell`] delivers locally.
+    fn dispatch(&mut self, from: NodeId, msg: DistMsg, ctx: &mut Ctx<DistMsg>) {
         match msg {
             DistMsg::WorkflowStart {
                 instance,
@@ -2386,9 +2242,11 @@ impl Node<DistMsg> for DistAgent {
                 origin,
                 new_inputs,
             } => self.on_inputs_changed(instance, origin, new_inputs, ctx),
-            DistMsg::WorkflowRollback { instance, origin } => {
-                self.on_workflow_rollback(instance, origin, false, ctx)
-            }
+            DistMsg::WorkflowRollback {
+                instance,
+                origin,
+                from_dependency,
+            } => self.on_workflow_rollback(instance, origin, from_dependency, ctx),
             DistMsg::HaltThread {
                 instance,
                 origin,
@@ -2396,14 +2254,15 @@ impl Node<DistMsg> for DistAgent {
             } => self.on_halt_thread(instance, origin, epoch, ctx),
             DistMsg::StepCompensate { instance, step } => {
                 let compensated = self.compensate_local(instance, step, false, ctx);
-                ctx.send(
-                    from,
-                    DistMsg::StepCompensateAck {
+                // The coordination agent does not ack itself.
+                if from != ctx.self_id {
+                    let ack = DistMsg::StepCompensateAck {
                         instance,
                         step,
                         compensated,
-                    },
-                );
+                    };
+                    ctx.send(from, ack);
+                }
             }
             DistMsg::StepCompensateAck { .. } => {}
             DistMsg::CompensateSet {
@@ -2421,7 +2280,7 @@ impl Node<DistMsg> for DistAgent {
                 instance,
                 step,
                 status,
-            } => self.on_step_status_reply(instance, step, status, from, ctx),
+            } => self.on_step_status_reply(instance, step, status, ctx),
             DistMsg::ExecuteRequest { instance, step } => {
                 self.on_execute_request(instance, step, ctx)
             }
@@ -2443,6 +2302,16 @@ impl Node<DistMsg> for DistAgent {
                 // Front-end bound; ignore if misrouted.
             }
         }
+    }
+}
+
+impl Node<DistMsg> for DistAgent {
+    fn on_message(&mut self, from: NodeId, msg: DistMsg, ctx: &mut Ctx<DistMsg>) {
+        if self.halted {
+            // Fail-silent after unrecoverable AGDB loss.
+            return;
+        }
+        self.dispatch(from, msg, ctx);
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut Ctx<DistMsg>) {

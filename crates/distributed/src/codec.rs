@@ -167,7 +167,7 @@ wire! {
         10 => StateInformationReply { token, load },
         11 => NestedCompleted { parent, parent_step, child, outputs },
         12 => InputsChanged { instance, origin, new_inputs },
-        13 => WorkflowRollback { instance, origin },
+        13 => WorkflowRollback { instance, origin, from_dependency },
         14 => HaltThread { instance, origin, epoch },
         15 => StepCompensate { instance, step },
         16 => StepCompensateAck { instance, step, compensated },
@@ -289,6 +289,7 @@ mod tests {
             DistMsg::WorkflowRollback {
                 instance: inst(1),
                 origin: StepId(1),
+                from_dependency: true,
             },
             DistMsg::HaltThread {
                 instance: inst(1),

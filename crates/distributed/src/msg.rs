@@ -136,9 +136,13 @@ pub enum DistMsg {
         new_inputs: Vec<(ItemKey, Value)>,
     },
     /// Roll the workflow back to `origin` (failing agent → origin agent).
+    /// `from_dependency` marks a rollback forced by a linked instance's
+    /// rollback dependency: it does not propagate further, so a two-way
+    /// dependency stays one level deep.
     WorkflowRollback {
         instance: InstanceId,
         origin: StepId,
+        from_dependency: bool,
     },
     /// Halt probe: quiesce control flow downstream of `origin`, adopting
     /// `epoch` (§5.2).
@@ -310,6 +314,7 @@ mod tests {
                 DistMsg::WorkflowRollback {
                     instance: inst(),
                     origin: StepId(2),
+                    from_dependency: true,
                 },
                 FailureHandling,
             ),

@@ -194,6 +194,77 @@ fn rollback_dependency_propagates() {
     }
 }
 
+/// A two-way rollback dependency (WF1.S1 ↔ WF2.S1) is one level deep
+/// wherever the partners run. WF1.S2 fails once: WF1 rolls back to S1,
+/// which forces WF2 back to its S1, and that dependency-caused rollback
+/// does not bounce back to WF1. WF2.S1 runs on WF1.S1's agent, then on
+/// another one; every architecture and both placements behave the same.
+#[test]
+fn rollback_dependency_cycle_is_one_level_at_any_placement() {
+    let origin = |d: &mut crew_model::StepDef, agent: u32| {
+        d.eligible_agents = vec![AgentId(agent)];
+        d.compensation_program = Some("passthrough".into());
+        d.reexec = crew_model::ReexecPolicy::Always;
+    };
+    for arch in ALL_ARCHS {
+        for wf2_s1_agent in [0, 2] {
+            let log = ExecLog::new();
+            let mut b = SchemaBuilder::new(SchemaId(1), "wf1").inputs(1);
+            let s1 = b.add_step("S1", "log");
+            let s2 = b.add_step("S2", "flaky");
+            b.seq(s1, s2);
+            b.on_failure_rollback_to(s2, s1);
+            b.configure(s1, |d| origin(d, 0));
+            b.configure(s2, |d| d.eligible_agents = vec![AgentId(1)]);
+            let wf1 = b.build().unwrap();
+            let mut b = SchemaBuilder::new(SchemaId(2), "wf2").inputs(1);
+            let s1 = b.add_step("S1", "log");
+            let s2 = b.add_step("S2", "log");
+            b.seq(s1, s2);
+            b.configure(s1, |d| origin(d, wf2_s1_agent));
+            b.configure(s2, |d| d.eligible_agents = vec![AgentId(3)]);
+            let wf2 = b.build().unwrap();
+
+            let mut system = WorkflowSystem::new([wf1, wf2], arch);
+            let dependency = |id, source: u32, dependent: u32| RollbackDependency {
+                id,
+                source: SchemaStep::new(SchemaId(source), StepId(1)),
+                dependent_schema: SchemaId(dependent),
+                dependent_origin: StepId(1),
+            };
+            system.deployment.coordination = CoordinationSpec {
+                rollback_dependencies: vec![dependency(0, 1, 2), dependency(1, 2, 1)],
+                ..CoordinationSpec::default()
+            };
+            log.register(&mut system.deployment.registry, "log");
+            log.register_flaky(&mut system.deployment.registry, "flaky");
+
+            let mut scenario = Scenario::new();
+            let a = scenario.start(SchemaId(1), vec![(1, Value::Int(1))]);
+            let b = scenario.start(SchemaId(2), vec![(1, Value::Int(2))]);
+            scenario.link(a, b);
+            let ia = scenario.instance_id(a);
+            let ib = scenario.instance_id(b);
+            let report = system.run(scenario);
+
+            let case = format!("{arch:?}, WF2.S1 on agent {wf2_s1_agent}");
+            assert_eq!(report.committed(), 2, "{case}");
+            assert_eq!(log.count(ia, StepId(1)), 2, "{case}: WF1.S1 runs");
+            assert_eq!(log.count(ib, StepId(1)), 2, "{case}: WF2.S1 runs");
+            let rollbacks: u64 = report
+                .metrics
+                .by_kind
+                .iter()
+                .filter(|((kind, _), _)| *kind == "WorkflowRollback")
+                .map(|(_, n)| n)
+                .sum();
+            let ticks = report.virtual_time;
+            assert!(rollbacks <= 2, "{case}: {rollbacks} WorkflowRollbacks");
+            assert!(ticks < 1_000, "{case}: ends at tick {ticks}");
+        }
+    }
+}
+
 /// Coordination requirements among *unlinked* instances are inert: no
 /// waiting, no cross-talk.
 #[test]

@@ -507,6 +507,7 @@ fn dist_samples(c: &mut Checker) {
             DistMsg::WorkflowRollback {
                 instance,
                 origin: StepId(1),
+                from_dependency: true,
             },
         ),
         (
