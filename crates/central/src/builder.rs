@@ -36,7 +36,7 @@ impl CentralRun {
         engines: u32,
         strategy: PlacementStrategy,
     ) -> Self {
-        deployment.validate_pool(agents);
+        deployment.validate(agents);
         let deployment = Arc::new(deployment);
         let topo = Topology::with_placement(agents, engines, strategy, deployment.seed);
         let mut sim = Simulation::new(deployment.seed);

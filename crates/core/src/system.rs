@@ -447,7 +447,7 @@ impl WorkflowSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::{AgentId, SchemaBuilder};
+    use crew_model::{AgentId, MutualExclusion, SchemaBuilder, SchemaStep, StepId};
 
     fn two_step_schema() -> WorkflowSchema {
         let mut b = SchemaBuilder::new(SchemaId(1), "t").inputs(1);
@@ -509,6 +509,49 @@ mod tests {
     #[should_panic(expected = "names agent A1 outside the pool of 1")]
     fn short_pool_is_refused_under_distributed() {
         run_with_short_pool(Architecture::Distributed { agents: 1 });
+    }
+
+    /// A mutex naming step S9 of the two-step schema must be refused
+    /// before any node is laid out too: the engines would silently drop
+    /// the member, and the distributed agents would panic mid-run when
+    /// locate the mutex's manager from its first member.
+    fn run_with_unknown_mutex_member(arch: Architecture) {
+        let mut system = WorkflowSystem::new([two_step_schema()], arch);
+        let dock = MutualExclusion {
+            id: 0,
+            resource: "dock".into(),
+            members: vec![
+                SchemaStep::new(SchemaId(1), StepId(9)),
+                SchemaStep::new(SchemaId(1), StepId(1)),
+            ],
+        };
+        system.deployment.coordination.mutual_exclusions.push(dock);
+        let mut scenario = Scenario::new();
+        let a = scenario.start(SchemaId(1), vec![(1, Value::Int(7))]);
+        let b = scenario.start(SchemaId(1), vec![(1, Value::Int(8))]);
+        scenario.link(a, b);
+        system.run(scenario);
+    }
+
+    #[test]
+    #[should_panic(expected = "mutex 0 names step WF1.S9, which no deployed schema defines")]
+    fn unknown_coordination_step_is_refused_under_central() {
+        run_with_unknown_mutex_member(Architecture::Central { agents: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "mutex 0 names step WF1.S9, which no deployed schema defines")]
+    fn unknown_coordination_step_is_refused_under_parallel() {
+        run_with_unknown_mutex_member(Architecture::Parallel {
+            agents: 2,
+            engines: 2,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "mutex 0 names step WF1.S9, which no deployed schema defines")]
+    fn unknown_coordination_step_is_refused_under_distributed() {
+        run_with_unknown_mutex_member(Architecture::Distributed { agents: 2 });
     }
 
     #[test]

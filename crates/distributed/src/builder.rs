@@ -28,7 +28,7 @@ pub struct DistRun {
 impl DistRun {
     /// Lay out `agents` agent nodes plus the front end for `deployment`.
     pub fn new(deployment: Deployment, agents: u32, config: DistConfig) -> Self {
-        deployment.validate_pool(agents);
+        deployment.validate(agents);
         let deployment = Arc::new(deployment);
         let directory = Directory::new(agents);
         let shared = SharedCtx {

@@ -70,8 +70,10 @@ pub struct DistConfig {
     /// If set, coordination agents broadcast committed-instance purges with
     /// this period (§4.2).
     pub purge_period: Option<u64>,
-    /// Piggyback relative-ordering tags on workflow packets (§5.1). The
-    /// ablation bench disables this to send them as separate messages.
+    /// Piggyback relative-ordering tags on workflow packets (§5.1). Off,
+    /// the tags go as separate messages; only the `dist_features`
+    /// integration test turns it off, to show the order holds either way
+    /// and what piggybacking saves.
     pub piggyback_ro: bool,
     /// Successor-selection strategy for multi-eligible steps.
     pub successor_selection: SuccessorSelection,

@@ -8,7 +8,7 @@
 
 use crate::failure::FailurePlan;
 use crate::program::ProgramRegistry;
-use crew_model::{CoordinationSpec, InstanceId, SchemaId, WorkflowSchema};
+use crew_model::{CoordinationSpec, InstanceId, SchemaId, SchemaStep, WorkflowSchema};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -137,12 +137,18 @@ impl Deployment {
             .unwrap_or(0)
     }
 
-    /// Panic unless every step's eligible agents fit a pool of `agents`.
-    /// Every driver calls this before laying out nodes: agents occupy node
-    /// ids `0..agents`, so an id past the pool would address whichever node
-    /// comes next (an engine, the front end) and the run would stall with
-    /// no diagnostic.
-    pub fn validate_pool(&self, agents: u32) {
+    /// Panic unless the deployment can run on a pool of `agents`. Every
+    /// driver calls this before laying out nodes, so a wiring bug stops
+    /// the run before it starts instead of stalling or panicking midway:
+    ///
+    /// - every step's eligible agents fit the pool. Agents occupy node ids
+    ///   `0..agents`, so an id past the pool would address whichever node
+    ///   comes next (an engine, the front end);
+    /// - every mutex member, relative-order pair step and rollback
+    ///   dependency source and origin names a step of a deployed schema.
+    ///   The engines would silently drop such a requirement, and the
+    ///   distributed agents can panic mid-run looking the step up.
+    pub fn validate(&self, agents: u32) {
         for schema in self.schemas.values() {
             for def in schema.steps() {
                 for a in &def.eligible_agents {
@@ -155,14 +161,37 @@ impl Deployment {
                 }
             }
         }
+        let c = &self.coordination;
+        let mut named: Vec<(&str, u32, SchemaStep)> = Vec::new();
+        for m in &c.mutual_exclusions {
+            named.extend(m.members.iter().map(|&s| ("mutex", m.id, s)));
+        }
+        for r in &c.relative_orders {
+            let steps = r.pairs.iter().flat_map(|&(a, b)| [a, b]);
+            named.extend(steps.map(|s| ("relative order", r.id, s)));
+        }
+        for d in &c.rollback_dependencies {
+            let origin = SchemaStep::new(d.dependent_schema, d.dependent_origin);
+            named.extend([d.source, origin].map(|s| ("rollback dependency", d.id, s)));
+        }
+        for (kind, id, s) in named {
+            assert!(
+                self.schema(s.schema)
+                    .is_some_and(|w| w.step(s.step).is_some()),
+                "{kind} {id} names step {s}, which no deployed schema defines"
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::{AgentId, SchemaBuilder};
+    use crew_model::{
+        AgentId, MutualExclusion, RelativeOrder, RollbackDependency, SchemaBuilder, StepId,
+    };
     use proptest::prelude::*;
+    use std::panic::AssertUnwindSafe;
 
     fn schema(id: u32, agents: &[u32]) -> WorkflowSchema {
         let mut b = SchemaBuilder::new(SchemaId(id), format!("wf{id}"));
@@ -184,6 +213,61 @@ mod tests {
         assert_eq!(d.agent_pool_size(), 4);
         assert!(d.schema(SchemaId(1)).is_some());
         assert!(d.schema(SchemaId(9)).is_none());
+    }
+
+    /// Every kind of coordination requirement is checked against the
+    /// deployed schemas, with one message.
+    #[test]
+    fn validate_refuses_unknown_coordination_steps() {
+        let ss = |schema, step| SchemaStep::new(SchemaId(schema), StepId(step));
+        let refusal = |coordination: CoordinationSpec| {
+            let mut d = Deployment::new([schema(1, &[0]), schema(2, &[0])]);
+            d.coordination = coordination;
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| d.validate(1)));
+            err.err().map(|e| *e.downcast::<String>().unwrap())
+        };
+        let mutex = MutualExclusion {
+            id: 0,
+            resource: "dock".into(),
+            members: vec![ss(1, 1), ss(2, 2)],
+        };
+        let order = RelativeOrder {
+            id: 1,
+            conflict: "parts".into(),
+            pairs: vec![(ss(1, 1), ss(2, 1)), (ss(1, 2), ss(2, 3))],
+        };
+        let dependency = RollbackDependency {
+            id: 2,
+            source: ss(1, 2),
+            dependent_schema: SchemaId(7),
+            dependent_origin: StepId(1),
+        };
+        let valid = CoordinationSpec {
+            mutual_exclusions: vec![mutex.clone()],
+            ..CoordinationSpec::default()
+        };
+        assert_eq!(refusal(valid), None);
+        let cases = [
+            (
+                CoordinationSpec {
+                    mutual_exclusions: vec![mutex],
+                    relative_orders: vec![order],
+                    ..CoordinationSpec::default()
+                },
+                "relative order 1 names step WF2.S3",
+            ),
+            (
+                CoordinationSpec {
+                    rollback_dependencies: vec![dependency],
+                    ..CoordinationSpec::default()
+                },
+                "rollback dependency 2 names step WF7.S1",
+            ),
+        ];
+        for (coordination, expected) in cases {
+            let msg = refusal(coordination).expect(expected);
+            assert_eq!(msg, format!("{expected}, which no deployed schema defines"));
+        }
     }
 
     /// The scan `partners_of` was before it had an index.

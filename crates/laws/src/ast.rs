@@ -46,7 +46,7 @@ pub struct StepDecl {
     pub agents: Vec<u32>,
     /// `reexecute always|never|when inputs_changed|when <expr>;`
     pub reexec: Option<ReexecDecl>,
-    /// `policy { retry(N); idempotent; }`
+    /// `policy { retry(N); }`
     pub policy: Option<PolicyDecl>,
     pub pos: Pos,
 }
@@ -56,9 +56,6 @@ pub struct StepDecl {
 pub struct PolicyDecl {
     /// `retry(N);`
     pub retry: Option<u32>,
-    /// `idempotent;`
-    pub idempotent: bool,
-    pub pos: Pos,
 }
 
 /// The re-execution policy surface.

@@ -105,9 +105,6 @@ pub fn compile(spec: &Spec) -> Result<CompiledSpec, CompileError> {
         for step in &wf.steps {
             let id = steps[step.name.as_str()];
             spans.record_step(schema.id, id, span(step.pos));
-            if let Some(p) = &step.policy {
-                spans.record_step_policy(schema.id, id, span(p.pos));
-            }
         }
         step_maps.insert(&wf.name, steps);
         schemas.push(schema);
@@ -177,7 +174,6 @@ fn compile_workflow<'a>(
         };
         let policy = step.policy.as_ref().map(|p| StepPolicy {
             retry: p.retry.map(RetryPolicy::bounded),
-            idempotent: p.idempotent,
         });
         b.configure(id, |d| {
             d.kind = if step.query {
@@ -456,7 +452,6 @@ fn compile_coordination(
                     dependent_schema: dep_schema,
                     dependent_origin: dep_origin,
                 });
-                spans.record_coord(CoordKind::RollbackDep, next_id, span(*pos));
                 next_id += 1;
             }
         }
@@ -611,23 +606,23 @@ mod tests {
 
     #[test]
     fn lint_report_keeps_warns_without_failing_strict() {
-        // Two parallel branches run the same update program: a Warn, not
-        // an Error, so strict mode still accepts the spec.
+        // A rollback re-runs `A` under `reexecute always` with nothing to
+        // undo it: a Warn, not an Error, so strict mode still accepts the
+        // spec.
         let spec = crate::parse_and_compile_strict(
             "workflow W (id 1) {
                 inputs 1;
-                step A { program \"p\"; }
-                step L { program \"stamp\"; }
-                step R { program \"stamp\"; }
-                step J { program \"p\"; }
-                parallel A -> { L, R } -> J;
+                step A { program \"p\"; reexecute always; }
+                step B { program \"p\"; }
+                flow A -> B;
+                on failure of B rollback to A;
             }",
         )
         .expect("warns do not fail strict mode");
         let diags = spec.lint();
         assert!(diags
             .iter()
-            .any(|d| d.id == crew_lint::LintId::ConcurrentWriteConflict));
+            .any(|d| d.id == crew_lint::LintId::RollbackBlindReexecution));
         assert!(crew_lint::is_clean(&diags));
     }
 

@@ -33,12 +33,11 @@
 //!   reads WF.I1, Other.O2; outputs N; cost N; agents 0, 1;
 //!   reexecute always|never|when inputs_changed|when <expr>; }` or
 //!   `calls workflow Child;` for nested workflows. Steps may carry a
-//!   failure-policy block, `policy { retry(N); idempotent; }`: `retry(N)`
+//!   failure-policy block, `policy { retry(N); }`: `retry(N)`
 //!   re-dispatches a failed step in place up to `N` times before the
-//!   rollback protocol takes over, and `idempotent` tells the linter the
-//!   program can re-run without duplicating effects. Nothing else parses
-//!   there — a policy keyword without a run-time behind it is a
-//!   [`ParseError`] naming the keyword.
+//!   rollback protocol takes over. Nothing else parses there — a policy
+//!   keyword without a run-time behind it is a [`ParseError`] naming the
+//!   keyword.
 //! - `coordination { mutex "res" { WF.Step, ... }; order "conflict"
 //!   (A.X before B.Y), ...; rollback A.X forces B to Y; }`.
 
@@ -60,9 +59,8 @@ pub fn parse_and_compile(source: &str) -> Result<CompiledSpec, LawsError> {
 
 /// [`parse_and_compile`] plus the `crew-lint` analyzer: fails with
 /// [`LawsError::Lint`] when the spec carries Error-level findings
-/// (compensation unsoundness, coordination deadlock, non-terminating
-/// rule templates, data hazards, failure-policy unsoundness). Warn-level
-/// diagnostics are kept on the
+/// (compensation unsoundness, coordination deadlock, loops that never
+/// exit, XOR splits that stall). Warn-level diagnostics are kept on the
 /// returned spec's lint report but do not fail compilation.
 pub fn parse_and_compile_strict(source: &str) -> Result<CompiledSpec, LawsError> {
     let spec = parse_and_compile(source)?;

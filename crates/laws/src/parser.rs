@@ -9,7 +9,7 @@
 //!            | compset | onfailure
 //! step      := "step" IDENT "{" stepitem* "}"
 //! steppolicy := "policy" "{" policyitem* "}"
-//! policyitem := "retry" "(" INT ")" ";" | "idempotent" ";"
+//! policyitem := "retry" "(" INT ")" ";"
 //! flow      := "flow" IDENT "->" IDENT ";"
 //! parallel  := "parallel" IDENT "->" "{" IDENT ("," IDENT)* "}" "->" IDENT ";"
 //! choice    := "choice" IDENT "->" "{" branch ("," branch)* "}" "->" IDENT ";"
@@ -415,7 +415,7 @@ impl Parser {
                             message: "duplicate step policy block".into(),
                         });
                     }
-                    decl.policy = Some(self.step_policy(kw_pos)?);
+                    decl.policy = Some(self.step_policy()?);
                 }
                 other => {
                     return Err(ParseError {
@@ -430,14 +430,10 @@ impl Parser {
     }
 
     /// `policy { policyitem* }` — the `policy` keyword has already been
-    /// consumed at `pos`. Only what the run-times honour parses.
-    fn step_policy(&mut self, pos: Pos) -> Result<PolicyDecl, ParseError> {
+    /// consumed. Only what the run-times honour parses.
+    fn step_policy(&mut self) -> Result<PolicyDecl, ParseError> {
         self.expect(Tok::LBrace)?;
-        let mut decl = PolicyDecl {
-            retry: None,
-            idempotent: false,
-            pos,
-        };
+        let mut decl = PolicyDecl { retry: None };
         while self.peek().tok != Tok::RBrace {
             let (kw, kw_pos) = self.ident()?;
             match kw.as_str() {
@@ -458,16 +454,10 @@ impl Parser {
                     self.expect(Tok::RParen)?;
                     self.expect(Tok::Semi)?;
                 }
-                "idempotent" => {
-                    decl.idempotent = true;
-                    self.expect(Tok::Semi)?;
-                }
                 other => {
                     return Err(ParseError {
                         pos: kw_pos,
-                        message: format!(
-                            "unexpected policy item `{other}` (expected `retry(N)` or `idempotent`)"
-                        ),
+                        message: format!("unexpected policy item `{other}` (expected `retry(N)`)"),
                     })
                 }
             }
@@ -829,7 +819,7 @@ mod tests {
             r#"
             workflow P (id 1) {
                 inputs 1;
-                step A { program "p"; policy { retry(3); idempotent; } }
+                step A { program "p"; policy { retry(3); } }
                 step B { program "p"; policy { retry(0); } }
                 flow A -> B;
             }
@@ -839,10 +829,8 @@ mod tests {
         let wf = &spec.workflows[0];
         let a = wf.steps[0].policy.as_ref().unwrap();
         assert_eq!(a.retry, Some(3));
-        assert!(a.idempotent);
         let b = wf.steps[1].policy.as_ref().unwrap();
         assert_eq!(b.retry, Some(0));
-        assert!(!b.idempotent);
     }
 
     #[test]
@@ -879,6 +867,7 @@ mod tests {
             (step(concat!("retry(", "unbounded);")), "unbounded"),
             (step("retry(3, exponential 20);"), "exponential"),
             (step("retry(3, jitter 5);"), "jitter"),
+            (step("retry(3); idempotent;"), "idempotent"),
             (
                 concat!(
                     r#"workflow P (id 1) { policy { max"#,

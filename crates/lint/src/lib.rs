@@ -10,31 +10,27 @@
 //! today surfaces as a runtime `Stalled` after the simulation horizon
 //! expires; this crate turns those wedges into compile-time diagnostics.
 //!
-//! Five passes run over a compiled spec (schemas + [`CoordinationSpec`] +
-//! the `crew-rules` template):
+//! Every [`LintId`] is a runtime prediction: `lint_predicts_runtime`
+//! (`tests/tests/lint.rs`) runs one flagged spec per id under the named
+//! architectures and shows the predicted harm — a stall, an effect never
+//! undone or applied twice, a relative order broken — beside a lint-clean
+//! control that does not show it. A check no run could confirm was
+//! deleted rather than kept as advice.
+//!
+//! Four passes run over a compiled spec (schemas + [`CoordinationSpec`]):
 //!
 //! 1. **Compensation soundness** ([`passes::compensation`]) — steps a
 //!    declared rollback can abandon or blindly redo must be compensatable
-//!    (compensate program, compensation-set membership, or query kind),
-//!    and rollback origins must cover the failing step's XOR branch.
+//!    (compensate program, compensation-set membership, or query kind).
 //! 2. **Cross-workflow deadlock** ([`passes::coordination`]) — the static
 //!    wait-for graph induced by mutex members and relative-order pairs
 //!    against each schema's own topological order must be acyclic for
 //!    every reachable leadership assignment.
-//! 3. **Rule-template termination** ([`passes::template`]) — cycles in
-//!    the compiled template's trigger graph must correspond to a declared
-//!    `loop_back` arc, and loop-continue conditions must not fold to a
-//!    constant `true`.
-//! 4. **Data hazards** ([`passes::data`]) — XOR arc conditions must not
-//!    be statically contradictory or tautological (constant folding over
-//!    [`Expr`](crew_model::Expr)), reads must not cross XOR branches, and
-//!    concurrent AND branches must not race the same update program
-//!    without a serializing mutex.
-//! 5. **Failure-policy soundness** ([`passes::policy`]) — a step that
-//!    declares `retry(N)` and updates external state must be `idempotent`
-//!    or compensatable, or every failed attempt can leak effects. That is
-//!    the pass's one check: `retry(N)` and `idempotent` are the whole
-//!    policy surface, because they are what the run-times honour.
+//! 3. **Loop termination** ([`passes::template`]) — a loop-continue
+//!    condition must not fold to a constant `true`.
+//! 4. **Data hazards** ([`passes::data`]) — an XOR split must keep a
+//!    viable branch under constant folding over
+//!    [`Expr`](crew_model::Expr), and reads must not cross XOR branches.
 //!
 //! Diagnostics carry a [`LintId`], a severity, and (when the spec came
 //! from LAWS source) a [`Span`] threaded through from the parser via a
@@ -50,8 +46,6 @@ pub mod passes;
 use crew_model::{CoordinationSpec, SchemaId, StepId, WorkflowSchema};
 use std::collections::BTreeMap;
 use std::fmt;
-
-pub use passes::template::lint_template;
 
 /// A source position (`line:col`) in the LAWS text a diagnostic points
 /// at. Mirrors `crew_laws::token::Pos`; defined here so the analyzer does
@@ -78,8 +72,6 @@ pub enum CoordKind {
     Mutex,
     /// A `RelativeOrder` requirement.
     Order,
-    /// A `RollbackDependency` requirement.
-    RollbackDep,
 }
 
 /// Source spans for compiled entities, recorded by the LAWS compiler and
@@ -88,7 +80,6 @@ pub enum CoordKind {
 pub struct SpanTable {
     workflows: BTreeMap<SchemaId, Span>,
     steps: BTreeMap<(SchemaId, StepId), Span>,
-    step_policies: BTreeMap<(SchemaId, StepId), Span>,
     coord: BTreeMap<(CoordKind, u32), Span>,
 }
 
@@ -103,26 +94,15 @@ impl SpanTable {
         self.steps.insert((schema, step), span);
     }
 
-    /// Record the span of a step's `policy { ... }` block.
-    pub fn record_step_policy(&mut self, schema: SchemaId, step: StepId, span: Span) {
-        self.step_policies.insert((schema, step), span);
-    }
-
     /// Record the span of a coordination requirement.
     pub fn record_coord(&mut self, kind: CoordKind, id: u32, span: Span) {
         self.coord.insert((kind, id), span);
     }
 
-    /// The best span for a diagnostic: for policy findings the step's
-    /// policy block, then its step, else its workflow, else its
-    /// coordination requirement.
+    /// The best span for a diagnostic: its step, else its coordination
+    /// requirement, else its workflow.
     pub fn resolve(&self, d: &Diagnostic) -> Option<Span> {
         if let (Some(schema), Some(step)) = (d.schema, d.step) {
-            if d.id.is_policy() {
-                if let Some(s) = self.step_policies.get(&(schema, step)) {
-                    return Some(*s);
-                }
-            }
             if let Some(s) = self.steps.get(&(schema, step)) {
                 return Some(*s);
             }
@@ -156,66 +136,45 @@ impl fmt::Display for Severity {
 }
 
 /// Stable identifiers for every check the analyzer performs, one per
-/// distinct hazard. The kebab-case rendering (`Display`) is the code the
-/// CLI prints and tests assert on.
+/// distinct hazard a run can show. The kebab-case rendering (`Display`) is
+/// the code the CLI prints and tests assert on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[non_exhaustive]
 pub enum LintId {
     // Pass 1: compensation soundness.
     /// An update step a rollback's branch switch can abandon has no
-    /// compensate program and no compensation-set membership.
+    /// compensate program and no compensation-set membership: its effect
+    /// is never undone.
     RollbackStepNotCompensatable,
     /// An update step in a rollback region re-executes unconditionally
-    /// (`Always`/`When`) with no way to undo its previous effects.
+    /// (`Always`/`When`) with no way to undo its previous effects: the
+    /// effect is applied twice.
     RollbackBlindReexecution,
-    /// The rollback origin sits inside the failing step's XOR branch, so
-    /// a retry can never re-decide the branch choice (Figure 3).
-    RollbackOriginInsideXorBranch,
     /// A compensation-set member is an update step without a compensate
     /// program, so the set's atomic undo is impossible.
     CompensationSetMemberNotCompensatable,
 
     // Pass 2: cross-workflow deadlock.
-    /// A coordination requirement references a schema or step that does
-    /// not exist in the spec.
-    CoordUnknownStep,
     /// A step belongs to two or more mutexes: acquisition is concurrent
     /// with partial holds, so linked instances can deadlock on opposite
     /// grant orders.
     MutexHoldAndWait,
-    /// A mutex lists the same schema step twice.
-    MutexDuplicateMember,
-    /// A relative order's pair sequence is inverted with respect to its
-    /// own schema's topological order.
+    /// On both sides of a relative order a later pair's step precedes the
+    /// first pair's: each linked instance blocks there waiting for a
+    /// leadership decision only a first-pair step can make.
     RelativeOrderPairsInverted,
-    /// A relative order mixes schemas within one side, or pairs a schema
-    /// with itself.
+    /// A relative order mixes schemas within one side: leadership is per
+    /// instance, so the run-times cannot honour the declared order.
     RelativeOrderSchemaMixed,
     /// The static wait-for graph has a cycle under a reachable leadership
     /// assignment: linked instances can wedge.
     CoordinationDeadlock,
-    /// Rollback dependencies form a cycle between schemas: a rollback can
-    /// ping-pong between linked instances.
-    RollbackDependencyCycle,
 
-    // Pass 3: rule-template termination.
-    /// The compiled rule template has a trigger cycle that no declared
-    /// `loop_back` arc accounts for: navigation can loop forever.
-    RuleCycleWithoutLoopBack,
+    // Pass 3: loop termination.
     /// A loop-continue condition folds to constant `true`: the loop never
     /// exits.
     LoopNeverExits,
-    /// A loop-continue condition folds to constant `false`: the loop body
-    /// never repeats and the arc is dead.
-    LoopConditionNeverHolds,
 
     // Pass 4: data hazards.
-    /// An XOR arc condition folds to constant `false`: the branch is
-    /// unreachable.
-    XorBranchUnreachable,
-    /// An XOR arc condition folds to constant `true`: the choice is
-    /// decided at design time and sibling branches are dead.
-    XorBranchAlwaysTaken,
     /// Every XOR arc condition folds to constant `false` and there is no
     /// `otherwise` arc: the instance stalls at the split.
     XorNoViableBranch,
@@ -223,50 +182,15 @@ pub enum LintId {
     /// XOR split: when its own branch runs, the producer never does, and
     /// the reader's rule waits forever.
     XorCrossBranchRead,
-    /// Two update steps on concurrent AND branches run the same program
-    /// with no serializing mutex: lost-update race on the shared
-    /// resource.
-    ConcurrentWriteConflict,
-
-    // Pass 5: failure-policy soundness.
-    /// A retried update step is neither idempotent nor compensatable:
-    /// each retry can duplicate effects no rollback can undo.
-    RetryNonIdempotentWithoutCompensation,
 }
 
 impl LintId {
     /// The default severity of this check.
     pub fn severity(self) -> Severity {
-        use LintId::*;
         match self {
-            RollbackStepNotCompensatable
-            | CompensationSetMemberNotCompensatable
-            | CoordUnknownStep
-            | MutexHoldAndWait
-            | RelativeOrderPairsInverted
-            | RelativeOrderSchemaMixed
-            | CoordinationDeadlock
-            | RuleCycleWithoutLoopBack
-            | LoopNeverExits
-            | XorNoViableBranch
-            | XorCrossBranchRead
-            | RetryNonIdempotentWithoutCompensation => Severity::Error,
-            RollbackBlindReexecution
-            | RollbackOriginInsideXorBranch
-            | MutexDuplicateMember
-            | RollbackDependencyCycle
-            | LoopConditionNeverHolds
-            | XorBranchUnreachable
-            | XorBranchAlwaysTaken
-            | ConcurrentWriteConflict => Severity::Warn,
+            LintId::RollbackBlindReexecution => Severity::Warn,
+            _ => Severity::Error,
         }
-    }
-
-    /// True for the failure-policy pass family: these diagnostics anchor
-    /// to a step's `policy { ... }` block when the spec came from LAWS
-    /// source.
-    pub fn is_policy(self) -> bool {
-        self == LintId::RetryNonIdempotentWithoutCompensation
     }
 
     /// The stable kebab-case code for this check.
@@ -275,24 +199,14 @@ impl LintId {
         match self {
             RollbackStepNotCompensatable => "rollback-step-not-compensatable",
             RollbackBlindReexecution => "rollback-blind-reexecution",
-            RollbackOriginInsideXorBranch => "rollback-origin-inside-xor-branch",
             CompensationSetMemberNotCompensatable => "compensation-set-member-not-compensatable",
-            CoordUnknownStep => "coord-unknown-step",
             MutexHoldAndWait => "mutex-hold-and-wait",
-            MutexDuplicateMember => "mutex-duplicate-member",
             RelativeOrderPairsInverted => "relative-order-pairs-inverted",
             RelativeOrderSchemaMixed => "relative-order-schema-mixed",
             CoordinationDeadlock => "coordination-deadlock",
-            RollbackDependencyCycle => "rollback-dependency-cycle",
-            RuleCycleWithoutLoopBack => "rule-cycle-without-loop-back",
             LoopNeverExits => "loop-never-exits",
-            LoopConditionNeverHolds => "loop-condition-never-holds",
-            XorBranchUnreachable => "xor-branch-unreachable",
-            XorBranchAlwaysTaken => "xor-branch-always-taken",
             XorNoViableBranch => "xor-no-viable-branch",
             XorCrossBranchRead => "xor-cross-branch-read",
-            ConcurrentWriteConflict => "concurrent-write-conflict",
-            RetryNonIdempotentWithoutCompensation => "retry-non-idempotent-without-compensation",
         }
     }
 }
@@ -359,7 +273,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Run all five passes over `schemas` + `coordination`.
+/// Run all four passes over `schemas` + `coordination`.
 ///
 /// Diagnostics come back sorted errors-first, then by schema/step, so the
 /// first entry is always the most severe finding.
@@ -368,8 +282,7 @@ pub fn lint(schemas: &[WorkflowSchema], coordination: &CoordinationSpec) -> Vec<
     for schema in schemas {
         passes::compensation::run(schema, &mut out);
         passes::template::run(schema, &mut out);
-        passes::data::run(schema, coordination, &mut out);
-        passes::policy::run(schema, &mut out);
+        passes::data::run(schema, &mut out);
     }
     passes::coordination::run(schemas, coordination, &mut out);
     sort(&mut out);

@@ -129,38 +129,6 @@ fn check_rollback(
             );
         }
     }
-
-    // The origin must cover the failing step's XOR branch: if both sit
-    // inside the same branch, the retry can never re-decide the choice
-    // that put the instance there (Figure 3's branch switch is the whole
-    // point of rolling back past the split).
-    for def in schema.steps() {
-        let split = def.id;
-        if schema.split_kind(split) != Some(SplitKind::Xor) || !schema.is_ancestor(split, failing) {
-            continue;
-        }
-        for arc in schema.forward_outgoing(split) {
-            let branch = schema.branch_steps(split, arc.to);
-            if branch.contains(&failing) && branch.contains(&origin) {
-                out.push(
-                    Diagnostic::new(
-                        LintId::RollbackOriginInsideXorBranch,
-                        format!(
-                            "rollback origin `{}` ({origin}) for failure at `{}` \
-                             ({failing}) in workflow `{}` sits inside the same XOR \
-                             branch (split at `{}` ({split})): a retry can never \
-                             re-decide the branch choice",
-                            schema.expect_step(origin).name,
-                            schema.expect_step(failing).name,
-                            schema.name,
-                            schema.expect_step(split).name
-                        ),
-                    )
-                    .at_step(schema.id, origin),
-                );
-            }
-        }
-    }
 }
 
 /// A step needs no undo when it is read-only, has a compensate program, or
@@ -275,31 +243,6 @@ mod tests {
         run(&schema, &mut out);
         assert_eq!(ids(&out), vec![LintId::RollbackBlindReexecution]);
         assert_eq!(out[0].severity, Severity::Warn);
-    }
-
-    /// Origin and failing step inside the same XOR branch: the retry
-    /// cannot re-decide the split.
-    #[test]
-    fn origin_inside_xor_branch_warns() {
-        let mut b = SchemaBuilder::new(SchemaId(1), "wf").inputs(1);
-        let a = b.add_step("A", "p");
-        let l1 = b.add_step("L1", "p");
-        let l2 = b.add_step("L2", "p");
-        let r = b.add_step("R", "p");
-        let j = b.add_step("J", "p");
-        let cond = Expr::cmp(CmpOp::Gt, Expr::item(ItemKey::input(1)), Expr::lit(0));
-        b.xor_split(a, [(l1, Some(cond)), (r, None)]);
-        b.seq(l1, l2);
-        b.xor_join([l2, r], j);
-        b.on_failure_rollback_to(l2, l1);
-        let schema = b.build().unwrap();
-
-        let mut out = Vec::new();
-        run(&schema, &mut out);
-        assert!(
-            ids(&out).contains(&LintId::RollbackOriginInsideXorBranch),
-            "{out:?}"
-        );
     }
 
     /// Compensation-set member without a program breaks the undo chain.

@@ -1,55 +1,32 @@
 //! Pass 4: data hazards decidable without running anything.
 //!
-//! Three families of checks:
+//! Two checks, each a stall the run shows at the split:
 //!
-//! - **Statically decided XOR conditions.** Arc conditions that fold to a
-//!   constant (see [`crate::fold`]) make a branch dead (`false`), make the
-//!   choice a design-time constant (`true`), or — when *every* conditioned
-//!   arc of a split folds false and no `otherwise` arc exists — leave the
-//!   instance with no rule able to fire at the split.
+//! - **No viable XOR branch.** When *every* arc of a split carries a
+//!   condition that folds to `false` (see [`crate::fold`]), no branch rule
+//!   can ever fire.
 //! - **Cross-branch reads over an XOR split.** Only one branch of an XOR
 //!   executes; a step reading a sibling branch's output waits on an event
 //!   that will never be posted.
-//! - **Concurrent same-program updates.** Two update steps on parallel
-//!   AND branches running the *same program* race the external resource
-//!   that program encapsulates (steps are black boxes, so the program name
-//!   is the only identity the WFMS has for the resource). A mutual
-//!   exclusion covering both steps serializes them; absent one, the lost
-//!   update is reported. This mirrors the paper's motivation for mutual
-//!   exclusion in §3.
 
 use crate::fold::fold_bool;
 use crate::{Diagnostic, LintId};
-use crew_model::{
-    CoordinationSpec, ItemScope, SchemaStep, SplitKind, StepId, StepKind, WorkflowSchema,
-};
+use crew_model::{ItemScope, SplitKind, StepId, WorkflowSchema};
 use std::collections::BTreeSet;
 
-/// Run the pass over one schema (the coordination spec is consulted for
-/// serializing mutexes).
-pub fn run(schema: &WorkflowSchema, spec: &CoordinationSpec, out: &mut Vec<Diagnostic>) {
+/// Run the pass over one schema.
+pub fn run(schema: &WorkflowSchema, out: &mut Vec<Diagnostic>) {
     for def in schema.steps() {
-        match schema.split_kind(def.id) {
-            Some(SplitKind::Xor) => {
-                check_xor_conditions(schema, def.id, out);
-                check_cross_branch_reads(schema, def.id, out);
-            }
-            Some(SplitKind::And) => check_concurrent_writes(schema, def.id, spec, out),
-            _ => {}
+        if schema.split_kind(def.id) == Some(SplitKind::Xor) {
+            check_no_viable_branch(schema, def.id, out);
+            check_cross_branch_reads(schema, def.id, out);
         }
     }
 }
 
-fn check_xor_conditions(schema: &WorkflowSchema, split: StepId, out: &mut Vec<Diagnostic>) {
-    let arcs: Vec<_> = schema.forward_outgoing(split).collect();
-    let folded: Vec<Option<bool>> = arcs
-        .iter()
-        .map(|a| a.condition.as_ref().and_then(fold_bool))
-        .collect();
-
-    // Every arc carries a condition and all fold false: no branch rule can
-    // ever fire, the instance wedges at the split.
-    if arcs.iter().all(|a| a.condition.is_some()) && folded.iter().all(|f| *f == Some(false)) {
+fn check_no_viable_branch(schema: &WorkflowSchema, split: StepId, out: &mut Vec<Diagnostic>) {
+    let mut arcs = schema.forward_outgoing(split);
+    if arcs.all(|a| a.condition.as_ref().and_then(fold_bool) == Some(false)) {
         out.push(
             Diagnostic::new(
                 LintId::XorNoViableBranch,
@@ -63,43 +40,6 @@ fn check_xor_conditions(schema: &WorkflowSchema, split: StepId, out: &mut Vec<Di
             )
             .at_step(schema.id, split),
         );
-        return;
-    }
-
-    for (arc, folded) in arcs.iter().zip(&folded) {
-        let head = schema.expect_step(arc.to);
-        match folded {
-            Some(false) => out.push(
-                Diagnostic::new(
-                    LintId::XorBranchUnreachable,
-                    format!(
-                        "branch `{}` ({}) of XOR split `{}` ({split}) in workflow \
-                         `{}` has a statically false condition: the branch is dead",
-                        head.name,
-                        arc.to,
-                        schema.expect_step(split).name,
-                        schema.name
-                    ),
-                )
-                .at_step(schema.id, arc.to),
-            ),
-            Some(true) => out.push(
-                Diagnostic::new(
-                    LintId::XorBranchAlwaysTaken,
-                    format!(
-                        "branch `{}` ({}) of XOR split `{}` ({split}) in workflow \
-                         `{}` has a statically true condition: the choice is made \
-                         at design time and sibling branches are dead",
-                        head.name,
-                        arc.to,
-                        schema.expect_step(split).name,
-                        schema.name
-                    ),
-                )
-                .at_step(schema.id, arc.to),
-            ),
-            None => {}
-        }
     }
 }
 
@@ -142,80 +82,19 @@ fn check_cross_branch_reads(schema: &WorkflowSchema, split: StepId, out: &mut Ve
     }
 }
 
-fn check_concurrent_writes(
-    schema: &WorkflowSchema,
-    split: StepId,
-    spec: &CoordinationSpec,
-    out: &mut Vec<Diagnostic>,
-) {
-    let branches: Vec<BTreeSet<StepId>> = schema
-        .forward_outgoing(split)
-        .map(|a| schema.branch_steps(split, a.to))
-        .collect();
-
-    let serialized = |a: StepId, b: StepId| {
-        spec.mutual_exclusions.iter().any(|m| {
-            m.members.contains(&SchemaStep::new(schema.id, a))
-                && m.members.contains(&SchemaStep::new(schema.id, b))
-        })
-    };
-
-    for i in 0..branches.len() {
-        for j in (i + 1)..branches.len() {
-            for &s in &branches[i] {
-                // A step on both branches is past the confluence of a
-                // nested shape, not concurrent with itself.
-                if branches[j].contains(&s) {
-                    continue;
-                }
-                for &t in &branches[j] {
-                    if branches[i].contains(&t) || s >= t {
-                        continue;
-                    }
-                    let (ds, dt) = (schema.expect_step(s), schema.expect_step(t));
-                    if ds.kind != StepKind::Update
-                        || dt.kind != StepKind::Update
-                        || ds.program != dt.program
-                        || serialized(s, t)
-                    {
-                        continue;
-                    }
-                    out.push(
-                        Diagnostic::new(
-                            LintId::ConcurrentWriteConflict,
-                            format!(
-                                "update steps `{}` ({s}) and `{}` ({t}) run program \
-                                 `{}` on concurrent branches of AND split `{}` \
-                                 ({split}) in workflow `{}` with no serializing \
-                                 mutual exclusion: lost-update race",
-                                ds.name,
-                                dt.name,
-                                ds.program,
-                                schema.expect_step(split).name,
-                                schema.name
-                            ),
-                        )
-                        .at_step(schema.id, s),
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Severity;
-    use crew_model::{CmpOp, Expr, ItemKey, MutualExclusion, SchemaBuilder, SchemaId};
+    use crew_model::{CmpOp, Expr, ItemKey, SchemaBuilder, SchemaId};
 
     fn ids(out: &[Diagnostic]) -> Vec<LintId> {
         out.iter().map(|d| d.id).collect()
     }
 
-    fn run_pass(schema: &WorkflowSchema, spec: &CoordinationSpec) -> Vec<Diagnostic> {
+    fn run_pass(schema: &WorkflowSchema) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        run(schema, spec, &mut out);
+        run(schema, &mut out);
         out
     }
 
@@ -235,26 +114,7 @@ mod tests {
         let cond = Expr::cmp(CmpOp::Gt, Expr::item(ItemKey::input(1)), Expr::lit(10));
         let (b, ..) = xor_diamond(cond);
         let schema = b.build().unwrap();
-        assert!(run_pass(&schema, &CoordinationSpec::default()).is_empty());
-    }
-
-    #[test]
-    fn statically_false_branch_is_unreachable() {
-        let cond = Expr::cmp(CmpOp::Gt, Expr::lit(1), Expr::lit(2));
-        let (b, ..) = xor_diamond(cond);
-        let schema = b.build().unwrap();
-        let out = run_pass(&schema, &CoordinationSpec::default());
-        assert_eq!(ids(&out), vec![LintId::XorBranchUnreachable]);
-        assert_eq!(out[0].severity, Severity::Warn);
-    }
-
-    #[test]
-    fn statically_true_branch_is_always_taken() {
-        let cond = Expr::cmp(CmpOp::Lt, Expr::lit(1), Expr::lit(2));
-        let (b, ..) = xor_diamond(cond);
-        let schema = b.build().unwrap();
-        let out = run_pass(&schema, &CoordinationSpec::default());
-        assert_eq!(ids(&out), vec![LintId::XorBranchAlwaysTaken]);
+        assert!(run_pass(&schema).is_empty());
     }
 
     #[test]
@@ -269,7 +129,7 @@ mod tests {
         b.xor_split(a, [(l, Some(f1)), (r, Some(f2))]);
         b.xor_join([l, r], j);
         let schema = b.build().unwrap();
-        let out = run_pass(&schema, &CoordinationSpec::default());
+        let out = run_pass(&schema);
         assert_eq!(ids(&out), vec![LintId::XorNoViableBranch]);
         assert_eq!(out[0].severity, Severity::Error);
     }
@@ -280,7 +140,7 @@ mod tests {
         let (mut b, _a, l, r, _j) = xor_diamond(cond);
         b.read(r, ItemKey::output(l, 1));
         let schema = b.build().unwrap();
-        let out = run_pass(&schema, &CoordinationSpec::default());
+        let out = run_pass(&schema);
         assert_eq!(ids(&out), vec![LintId::XorCrossBranchRead]);
         assert_eq!(out[0].severity, Severity::Error);
     }
@@ -292,7 +152,7 @@ mod tests {
         let (mut b, a, l, _r, _j) = xor_diamond(cond);
         b.read(l, ItemKey::output(a, 1));
         let schema = b.build().unwrap();
-        assert!(run_pass(&schema, &CoordinationSpec::default()).is_empty());
+        assert!(run_pass(&schema).is_empty());
     }
 
     fn and_diamond(left_prog: &str, right_prog: &str) -> WorkflowSchema {
@@ -307,33 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn same_program_and_branches_warn() {
-        let out = run_pass(&and_diamond("stamp", "stamp"), &CoordinationSpec::default());
-        assert_eq!(ids(&out), vec![LintId::ConcurrentWriteConflict]);
-        assert_eq!(out[0].severity, Severity::Warn);
-    }
-
-    #[test]
     fn different_programs_are_clean() {
-        let out = run_pass(&and_diamond("stamp", "other"), &CoordinationSpec::default());
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn serializing_mutex_silences_the_conflict() {
-        let schema = and_diamond("stamp", "stamp");
-        let spec = CoordinationSpec {
-            mutual_exclusions: vec![MutualExclusion {
-                id: 0,
-                resource: "stamp".into(),
-                members: vec![
-                    SchemaStep::new(schema.id, StepId(2)),
-                    SchemaStep::new(schema.id, StepId(3)),
-                ],
-            }],
-            ..CoordinationSpec::default()
-        };
-        let out = run_pass(&schema, &spec);
+        let out = run_pass(&and_diamond("stamp", "other"));
         assert!(out.is_empty(), "{out:?}");
     }
 }

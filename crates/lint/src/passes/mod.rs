@@ -1,65 +1,7 @@
-//! The analyzer's five passes. Each pass is a free function appending to
+//! The analyzer's four passes. Each pass is a free function appending to
 //! a shared diagnostic vector; [`crate::lint`] runs them all and sorts.
 
 pub mod compensation;
 pub mod coordination;
 pub mod data;
-pub mod policy;
 pub mod template;
-
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Generic cycle finder: DFS with colors, returns the first cycle found as
-/// a node path (closing node repeated at the end).
-pub(crate) fn find_cycle<N: Ord + Copy>(
-    nodes: &BTreeSet<N>,
-    succ: impl Fn(&N) -> Vec<N>,
-) -> Option<Vec<N>> {
-    #[derive(PartialEq, Clone, Copy)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    fn visit<N: Ord + Copy>(
-        n: N,
-        color: &mut BTreeMap<N, Color>,
-        stack: &mut Vec<N>,
-        succ: &impl Fn(&N) -> Vec<N>,
-    ) -> Option<Vec<N>> {
-        color.insert(n, Color::Gray);
-        stack.push(n);
-        for next in succ(&n) {
-            match color.get(&next) {
-                Some(Color::Gray) => {
-                    // Cycle: slice the stack from `next` onwards.
-                    let start = stack.iter().position(|&s| s == next).unwrap_or(0);
-                    let mut cycle: Vec<N> = stack[start..].to_vec();
-                    cycle.push(next);
-                    return Some(cycle);
-                }
-                Some(Color::White) => {
-                    if let Some(c) = visit(next, color, stack, succ) {
-                        return Some(c);
-                    }
-                }
-                _ => {}
-            }
-        }
-        stack.pop();
-        color.insert(n, Color::Black);
-        None
-    }
-
-    let mut color: BTreeMap<N, Color> = nodes.iter().map(|&n| (n, Color::White)).collect();
-    let mut stack: Vec<N> = Vec::new();
-    for &n in nodes {
-        if color[&n] == Color::White {
-            if let Some(c) = visit(n, &mut color, &mut stack, &succ) {
-                return Some(c);
-            }
-            stack.clear();
-        }
-    }
-    None
-}

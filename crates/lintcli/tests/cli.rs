@@ -28,16 +28,16 @@ const CLEAN: &str = r#"workflow Ok (id 1) {
 }
 "#;
 
-// A bare update step that retries: `policy { retry(2); }` opens on line 5,
+// A loop whose continue condition is the constant `true`: the one Error,
+// loop-never-exits, anchors to the loop head `A`, declared on line 5 —
 // the span the JSON diagnostics must carry.
 const UNSOUND: &str = r#"workflow Bad (id 1) {
     inputs 1;
-    step A {
-        program "p";
-        policy { retry(2); }
-    }
     step B { program "p"; }
+    // The loop head.
+    step A { program "p"; }
     flow A -> B;
+    loop B -> A while true;
 }
 "#;
 
@@ -54,7 +54,7 @@ fn error_finding_exits_one() {
     let path = write_spec("unsound.laws", UNSOUND);
     let out = bin().arg(&path).output().unwrap();
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    assert!(stdout(&out).contains("retry-non-idempotent-without-compensation"));
+    assert!(stdout(&out).contains("loop-never-exits"));
 }
 
 #[test]
@@ -92,14 +92,11 @@ fn json_format_emits_stable_schema() {
     assert!(text.contains("\"target\": "), "{text}");
     assert!(text.contains("\"errors\": 1"), "{text}");
     assert!(text.contains("\"warnings\": 0"), "{text}");
-    assert!(
-        text.contains("\"id\": \"retry-non-idempotent-without-compensation\""),
-        "{text}"
-    );
+    assert!(text.contains("\"id\": \"loop-never-exits\""), "{text}");
     assert!(text.contains("\"severity\": \"error\""), "{text}");
     assert!(
         text.contains("\"span\": {\"line\": 5, \"col\": "),
-        "policy-block span expected: {text}"
+        "loop-head span expected: {text}"
     );
     assert!(text.contains("\"message\": "), "{text}");
     // No human-format noise on stdout in json mode.

@@ -4,9 +4,7 @@
 //! re-execute under a fixed rollback budget (OCR, Figure 5). A step may
 //! additionally declare `retry(N)`: both control architectures re-dispatch
 //! the failed step in place up to `N` times before the paper's rollback
-//! protocol takes over. `idempotent` declares a property of the step's
-//! program that no run-time can observe; `crew-lint` reads it to decide
-//! whether a retried update step needs a compensate program.
+//! protocol takes over.
 
 /// A step's retry policy: re-dispatch in place up to `max` times before
 /// handing the failure to the rollback machinery.
@@ -35,15 +33,12 @@ impl RetryPolicy {
 pub struct StepPolicy {
     /// In-place retry before rollback.
     pub retry: Option<RetryPolicy>,
-    /// The step's program may be re-run without duplicating effects, so a
-    /// retry needs no compensation.
-    pub idempotent: bool,
 }
 
 impl StepPolicy {
     /// True when no annotation is present (the paper's plain semantics).
     pub fn is_empty(&self) -> bool {
-        self.retry.is_none() && !self.idempotent
+        self.retry.is_none()
     }
 }
 
@@ -67,14 +62,8 @@ mod tests {
     #[test]
     fn empty_policies_report_empty() {
         assert!(StepPolicy::default().is_empty());
-        let p = StepPolicy {
-            idempotent: true,
-            ..StepPolicy::default()
-        };
-        assert!(!p.is_empty());
         let r = StepPolicy {
             retry: Some(RetryPolicy::bounded(0)),
-            ..StepPolicy::default()
         };
         assert!(!r.is_empty());
     }

@@ -97,7 +97,7 @@ pub struct StepDef {
     pub reexec: ReexecPolicy,
     /// Compensation flavour used when this step *is* compensated.
     pub compensation_kind: CompensationKind,
-    /// Failure-policy annotations (`retry(N)`, `idempotent`).
+    /// Failure-policy annotations (`retry(N)`).
     pub policy: StepPolicy,
 }
 

@@ -28,9 +28,7 @@ pub struct GenConfig {
     /// Rollback depth (the paper's `r`): on a step failure, roll back this
     /// many blocks along the backbone (0 = retry in place, no specs).
     pub rollback_depth: u32,
-    /// Fraction of steps given a random failure policy. Policies are valid
-    /// by construction: whatever this draws, the schema stays free of
-    /// crew-lint policy-soundness errors.
+    /// Fraction of steps given a random `retry(1..=4)` failure policy.
     pub policy_frac: f64,
     /// Seed for the structural draws.
     pub seed: u64,
@@ -189,9 +187,7 @@ pub fn generate(id: SchemaId, cfg: &GenConfig) -> WorkflowSchema {
         }
     }
 
-    // Failure policies: sprinkle random `retry(1..=4)` + `idempotent`
-    // annotations, valid by construction against crew-lint's policy pass —
-    // a retried update step without a compensate program is idempotent.
+    // Failure policies: sprinkle random `retry(1..=4)` annotations.
     if cfg.policy_frac > 0.0 {
         for (i, &s) in all_steps.iter().enumerate() {
             let step_draw =
@@ -200,12 +196,7 @@ pub fn generate(id: SchemaId, cfg: &GenConfig) -> WorkflowSchema {
                 continue;
             }
             let max = 1 + (hash::combine(cfg.seed, &[id.0 as u64, 0xA1, i as u64]) % 4) as u32;
-            let idem_draw = step_draw(0xF3, 0.3);
-            b.configure(s, |d| {
-                d.policy.retry = Some(RetryPolicy::bounded(max));
-                d.policy.idempotent =
-                    idem_draw || (d.kind == StepKind::Update && d.compensation_program.is_none());
-            });
+            b.configure(s, |d| d.policy.retry = Some(RetryPolicy::bounded(max)));
         }
     }
 
@@ -280,15 +271,8 @@ mod tests {
             let s = generate(SchemaId(6), &cfg);
             let with_policy = s.steps().filter(|d| !d.policy.is_empty()).count();
             assert!(with_policy > 0, "seed={seed}: no policies emitted");
-            for d in s.steps() {
-                if let Some(r) = d.policy.retry {
-                    assert!((1..=4).contains(&r.max), "retry budget stays small");
-                    if d.kind == StepKind::Update && !d.is_compensatable() {
-                        assert!(d.policy.idempotent, "retried bare update is idempotent");
-                    }
-                } else {
-                    assert!(d.policy.is_empty(), "idempotent only rides with retry");
-                }
+            for r in s.steps().filter_map(|d| d.policy.retry) {
+                assert!((1..=4).contains(&r.max), "retry budget stays small");
             }
         }
     }

@@ -2,9 +2,11 @@
 //! dependent sets, branch switching, user aborts and input changes.
 
 use crew_core::{Architecture, Scenario, WorkflowSystem};
+use crew_exec::FailurePlan;
 use crew_integration_tests::{linear_logged_schema, ExecLog};
 use crew_model::{
-    AgentId, CmpOp, Expr, InstanceId, ItemKey, ReexecPolicy, SchemaBuilder, SchemaId, StepId, Value,
+    AgentId, CmpOp, Expr, InstanceId, ItemKey, ReexecPolicy, RetryPolicy, SchemaBuilder, SchemaId,
+    StepId, Value,
 };
 use crew_simnet::Mechanism;
 
@@ -329,6 +331,52 @@ fn retry_budget_exhaustion_aborts() {
             report.outcomes[&inst],
             crew_core::InstanceOutcome::Aborted,
             "{arch:?}"
+        );
+    }
+}
+
+/// `retry(N)` is run-time behaviour with a bound: on a step that fails
+/// every attempt it spends its budget, falls through to the paper's
+/// rollback budget and ends Aborted — well inside the horizon, not Stalled
+/// at it. Two transient failures are ridden out to commit.
+#[test]
+fn bounded_retry_ends_aborted_or_committed() {
+    let mut b = SchemaBuilder::new(SchemaId(1), "retry").inputs(1);
+    let s1 = b.add_step("A", "passthrough");
+    let s2 = b.add_step("B", "passthrough");
+    let s3 = b.add_step("C", "passthrough");
+    b.seq(s1, s2).seq(s2, s3);
+    for (i, s) in [s1, s2, s3].into_iter().enumerate() {
+        b.configure(s, |d| d.eligible_agents = vec![AgentId(i as u32 % 2)]);
+    }
+    b.configure(s2, |d| d.policy.retry = Some(RetryPolicy::bounded(3)));
+    let schema = b.build().unwrap();
+
+    for arch in ALL_ARCHS {
+        let run = |plan: &dyn Fn(InstanceId) -> FailurePlan| {
+            let mut system = WorkflowSystem::new([schema.clone()], arch);
+            let mut scenario = Scenario::new();
+            let idx = scenario.start(SchemaId(1), vec![(1, Value::Int(1))]);
+            let inst = scenario.instance_id(idx);
+            system.deployment.plan = plan(inst);
+            (system.run(scenario), inst)
+        };
+        let (report, inst) = run(&|inst| FailurePlan::none().fail_step_always(inst, s2));
+        assert_eq!(report.aborted(), 1, "{arch:?}: exhausted retry must abort");
+        assert!(report.all_terminal(), "{arch:?}");
+        let done = report.completion_ticks[&inst];
+        assert!(done < 1_000, "{arch:?}: aborted only at tick {done}");
+
+        let (report, _) = run(&|inst| {
+            FailurePlan::none()
+                .fail_step(inst, s2, 1)
+                .fail_step(inst, s2, 2)
+        });
+        assert!(report.all_terminal(), "{arch:?}");
+        assert_eq!(
+            report.committed(),
+            1,
+            "{arch:?}: bounded retry must ride out transient failures"
         );
     }
 }
