@@ -415,7 +415,9 @@ fn fig3() {
 }
 
 /// Figure 4: enforcing relative order via AddRule/AddEvent/AddPrecondition
-/// — print the coordination primitive traffic of a linked pair.
+/// — print the coordination primitive traffic of a linked pair (the
+/// preconditions ride on workflow packets, so only AddRule/AddEvent are
+/// messages).
 fn fig4() {
     header("Figure 4: Enforcing relative order (primitive call trace)");
     let p = SetupParams {
@@ -448,7 +450,7 @@ fn fig4() {
     run.start_instance(SchemaId(2), vec![(1, Value::Int(5)), (2, Value::Int(1))]);
     run.run();
     for e in run.sim.trace.entries() {
-        if matches!(e.kind, "AddRule" | "AddEvent" | "AddPrecondition") {
+        if matches!(e.kind, "AddRule" | "AddEvent") {
             println!("  {e}");
         }
     }

@@ -11,14 +11,17 @@
 //! class; an instance is owned by `hash(instance) mod e`. Coordination
 //! requirements spanning instances on different engines are mediated by a
 //! per-requirement *manager engine* through [`CoordMsg`] traffic — the
-//! source of Table 5's coordinated-execution message count.
+//! source of Table 5's coordinated-execution message count. The managers
+//! themselves are `crew_exec`'s ([`MutexQueue`], [`RoArbiter`]); the engine
+//! parks guarded steps and carries the decisions.
 
 use crate::msg::{CentralMsg, CoordMsg};
 use crate::topology::Topology;
 use bytes::{Bytes, BytesMut};
 use crew_exec::{
-    declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, Deployment,
-    FailureVerdict, InstanceHistory, InstanceNav, OcrDecision, StepState, Weight,
+    declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, ro_steps,
+    Deployment, FailureVerdict, InstanceHistory, InstanceNav, MutexQueue, OcrDecision, RoArbiter,
+    RoLeader, StepState, Weight,
 };
 use crew_model::{
     DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, VecMap, VecSet,
@@ -66,15 +69,6 @@ struct EngineInst {
     mutex_waiting: VecSet<StepId>,
 }
 
-/// Relative-order decision as known at an engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoState {
-    Undecided,
-    /// Side 0 (the requirement's first components) leads.
-    SideALeads,
-    SideBLeads,
-}
-
 /// The engine node.
 pub struct Engine {
     /// This engine's index (0 for centralized control).
@@ -99,14 +93,13 @@ pub struct Engine {
     /// the state machine itself never reads the clock).
     clock: u64,
     // ---- coordination state ----
-    /// Relative-order decisions, keyed by (req, side-0 instance, side-1
-    /// instance). Present at the manager engine and mirrored at owners.
-    ro_decisions: BTreeMap<(u32, InstanceId, InstanceId), RoState>,
+    /// Relative-order decisions: made here for the requirements this
+    /// engine manages, mirrored here for the instances it hosts.
+    ro: RoArbiter,
     /// Releases received for lagging steps: (req, pair index, instance).
     ro_released: BTreeSet<(u32, usize, InstanceId)>,
-    /// Mutex manager state (at the manager engine): req → holder + queue.
-    mutex_holders: BTreeMap<u32, Option<(InstanceId, StepId, u32)>>,
-    mutex_queues: BTreeMap<u32, VecDeque<(InstanceId, StepId, u32)>>,
+    /// The mutual exclusions this engine manages, by requirement.
+    mutexes: BTreeMap<u32, MutexQueue>,
     /// Grants this engine holds for its instances.
     mutex_held: BTreeSet<(u32, InstanceId, StepId)>,
     probe_token: u64,
@@ -170,10 +163,9 @@ impl Engine {
             executing: BTreeSet::new(),
             terminal_times: BTreeMap::new(),
             clock: 0,
-            ro_decisions: BTreeMap::new(),
+            ro: RoArbiter::default(),
             ro_released: BTreeSet::new(),
-            mutex_holders: BTreeMap::new(),
-            mutex_queues: BTreeMap::new(),
+            mutexes: BTreeMap::new(),
             mutex_held: BTreeSet::new(),
             probe_token: 0,
             load: 0,
@@ -389,6 +381,21 @@ impl Engine {
         }
     }
 
+    /// Deliver `msg` to requirement `req`'s manager, engine `req % e`: a
+    /// send, or — this engine manages `req` — a direct call of the handler.
+    /// Nothing is journaled for the direct call: manager state belongs to
+    /// no instance and never migrates. While a `MigrateState` slice
+    /// replays, the manager already heard from the source, so the message
+    /// is sent for the replay sink to discard, wherever the manager is.
+    fn tell_manager(&mut self, req: u32, msg: CoordMsg, ctx: &mut Ctx<CentralMsg>) {
+        let manager = req % self.topo.engines;
+        if self.index != manager || self.installing.is_some() {
+            ctx.send(self.topo.engine_node(manager), CentralMsg::Coord(msg));
+        } else {
+            self.on_coord(msg, ctx);
+        }
+    }
+
     // ---- instantiation -----------------------------------------------------
 
     fn start_instance(
@@ -439,21 +446,6 @@ impl Engine {
 
     // ---- coordination guards ---------------------------------------------------
 
-    /// Pair index of `step` within requirement `r` for `instance`'s side,
-    /// plus the canonical (a, b) pair with `partner`, if applicable.
-    fn ro_position(
-        &self,
-        r: &crew_model::RelativeOrder,
-        instance: InstanceId,
-        partner: InstanceId,
-        step: StepId,
-    ) -> Option<(u8, usize, InstanceId, InstanceId)> {
-        let (side, steps) = ro_side(r, instance, partner)?;
-        let k = steps.iter().position(|&s| s == step)?;
-        let (a, b) = ro_canonical(instance, partner, side);
-        Some((side, k, a, b))
-    }
-
     /// Should `step` of `instance` wait on a relative-order guard?
     fn ro_blocked(
         &mut self,
@@ -465,51 +457,36 @@ impl Engine {
         let partners = dep.ro_links.partners_of(instance);
         for r in &dep.coordination.relative_orders {
             for partner in partners.clone() {
-                let Some((side, k, a, b)) = self.ro_position(r, instance, partner, step) else {
+                let Some(side) = ro_side(r, instance, partner) else {
                     continue;
                 };
+                let Some(k) = ro_steps(r, side).position(|(mine, _)| mine == step) else {
+                    continue;
+                };
+                let (a, b) = ro_canonical(instance, partner, side);
                 self.nav_load(ctx); // the coordination check itself costs
-                let decision = self
-                    .ro_decisions
-                    .get(&(r.id, a, b))
-                    .copied()
-                    .unwrap_or(RoState::Undecided);
-                match decision {
-                    RoState::Undecided => {
+                match self.ro.leader(r.id, a, b) {
+                    None => {
                         // First pair: claim leadership at the manager (the
                         // serialization point); the step waits for the
                         // decision (leader) or the leader's completion
-                        // (lagger).
+                        // (lagger). A manager here has decided on the spot.
                         if k == 0 {
-                            let manager = self.manager_engine(r.id);
-                            if manager == self.index {
-                                self.ro_decide(r.id, a, b, side, ctx);
-                                // Decided in our favour: re-check below.
-                                let d = self.ro_decisions[&(r.id, a, b)];
-                                let we_lead = matches!(
-                                    (d, side),
-                                    (RoState::SideALeads, 0) | (RoState::SideBLeads, 1)
-                                );
-                                if we_lead {
-                                    continue;
-                                }
-                            } else {
-                                ctx.send(
-                                    self.topo.engine_node(manager),
-                                    CentralMsg::Coord(CoordMsg::RoFirstDone {
-                                        req: r.id,
-                                        claimant: instance,
-                                        partner,
-                                    }),
-                                );
+                            let claim = CoordMsg::RoFirstDone {
+                                req: r.id,
+                                claimant: instance,
+                                partner,
+                            };
+                            self.tell_manager(r.id, claim, ctx);
+                            if self.ro.leader(r.id, a, b) == Some(side) {
+                                continue;
                             }
                         }
                         return true;
                     }
-                    RoState::SideALeads if side == 0 => {}
-                    RoState::SideBLeads if side == 1 => {}
-                    _ => {
-                        // We lag: wait for the leading step k's release.
+                    Some(leader) if leader == side => {}
+                    // We lag: wait for the leading step k's release.
+                    Some(_) => {
                         if !self.ro_released.contains(&(r.id, k, instance)) {
                             return true;
                         }
@@ -529,90 +506,43 @@ impl Engine {
         ctx: &mut Ctx<CentralMsg>,
     ) -> bool {
         let dep = self.deployment.clone();
+        let member = SchemaStep::new(instance.schema, step);
         let mut blocked = false;
-        for m in &dep.coordination.mutual_exclusions {
-            if !m.members.contains(&SchemaStep::new(instance.schema, step)) {
-                continue;
-            }
+        for m in dep.mutexes_of(member) {
             self.nav_load(ctx);
             if self.mutex_held.contains(&(m.id, instance, step)) {
                 continue;
             }
             blocked = true;
-            let manager = self.manager_engine(m.id);
-            if manager == self.index {
-                self.mutex_try_acquire(m.id, instance, step, self.index, ctx);
-            } else {
-                ctx.send(
-                    self.topo.engine_node(manager),
-                    CentralMsg::Coord(CoordMsg::MutexAcquire {
-                        req: m.id,
-                        instance,
-                        step,
-                    }),
-                );
-            }
+            let acquire = CoordMsg::MutexAcquire {
+                req: m.id,
+                instance,
+                step,
+            };
+            self.tell_manager(m.id, acquire, ctx);
         }
-        if blocked {
-            // Re-check after the grant arrives.
-            let held_all = dep
-                .coordination
-                .mutual_exclusions
-                .iter()
-                .filter(|m| m.members.contains(&SchemaStep::new(instance.schema, step)))
-                .all(|m| self.mutex_held.contains(&(m.id, instance, step)));
-            return !held_all;
-        }
-        false
+        // Re-check: a manager here may have granted on the spot.
+        blocked
+            && !dep
+                .mutexes_of(member)
+                .all(|m| self.mutex_held.contains(&(m.id, instance, step)))
     }
 
-    fn manager_engine(&self, req: u32) -> u32 {
-        req % self.topo.engines
-    }
-
-    /// Manager side: grant or queue.
-    fn mutex_try_acquire(
-        &mut self,
-        req: u32,
-        instance: InstanceId,
-        step: StepId,
-        owner_engine: u32,
-        ctx: &mut Ctx<CentralMsg>,
-    ) {
-        let holder = self.mutex_holders.entry(req).or_default();
-        // Holder/queue identity is (instance, step); the recorded owner
-        // engine is advisory and may go stale when the holder migrates.
-        let same = |t: &(InstanceId, StepId, u32)| t.0 == instance && t.1 == step;
-        if holder.is_none() {
-            *holder = Some((instance, step, owner_engine));
-            self.mutex_grant(req, instance, step, owner_engine, ctx);
-        } else if !holder.as_ref().is_some_and(same) {
-            let q = self.mutex_queues.entry(req).or_default();
-            if !q.iter().any(same) {
-                q.push_back((instance, step, owner_engine));
-            }
-        }
-    }
-
+    /// Manager side: hand the resource to `step` of `instance`, wherever
+    /// the instance is hosted now (it may have migrated while queued).
     fn mutex_grant(
         &mut self,
         req: u32,
         instance: InstanceId,
         step: StepId,
-        _owner_engine: u32,
         ctx: &mut Ctx<CentralMsg>,
     ) {
-        // Routed by current hosting, not the owner engine recorded at
-        // acquire time: the holder may have migrated while queued.
-        self.tell(
+        let grant = CoordMsg::MutexGrant {
+            req,
             instance,
-            CentralMsg::Coord(CoordMsg::MutexGrant {
-                req,
-                instance,
-                step,
-            }),
-            ctx,
-        );
+            step,
+        };
+        self.tell(instance, CentralMsg::Coord(grant), ctx);
     }
 
     fn mutex_release(
@@ -623,41 +553,12 @@ impl Engine {
         ctx: &mut Ctx<CentralMsg>,
     ) {
         self.mutex_held.remove(&(req, instance, step));
-        let manager = self.manager_engine(req);
-        if manager == self.index {
-            self.mutex_do_release(req, instance, step, ctx);
-        } else {
-            ctx.send(
-                self.topo.engine_node(manager),
-                CentralMsg::Coord(CoordMsg::MutexRelease {
-                    req,
-                    instance,
-                    step,
-                }),
-            );
-        }
-    }
-
-    fn mutex_do_release(
-        &mut self,
-        req: u32,
-        instance: InstanceId,
-        step: StepId,
-        ctx: &mut Ctx<CentralMsg>,
-    ) {
-        // Drop any queued request of the releasing (instance, step) — an
-        // aborted instance must not be granted later.
-        self.mutex_queues
-            .entry(req)
-            .or_default()
-            .retain(|(i, s, _)| !(*i == instance && *s == step));
-        let holder = self.mutex_holders.entry(req).or_default();
-        if matches!(holder, Some((i, s, _)) if *i == instance && *s == step) {
-            *holder = self.mutex_queues.entry(req).or_default().pop_front();
-            if let Some((i, s, e)) = *holder {
-                self.mutex_grant(req, i, s, e, ctx);
-            }
-        }
+        let release = CoordMsg::MutexRelease {
+            req,
+            instance,
+            step,
+        };
+        self.tell_manager(req, release, ctx);
     }
 
     fn resume_waiting(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<CentralMsg>) {
@@ -895,10 +796,8 @@ impl Engine {
         self.ro_after_done(instance, step, ctx);
         // Mutex release.
         let dep = self.deployment.clone();
-        for m in &dep.coordination.mutual_exclusions {
-            if m.members.contains(&SchemaStep::new(instance.schema, step))
-                && self.mutex_held.contains(&(m.id, instance, step))
-            {
+        for m in dep.mutexes_of(SchemaStep::new(instance.schema, step)) {
+            if self.mutex_held.contains(&(m.id, instance, step)) {
                 self.mutex_release(m.id, instance, step, ctx);
             }
         }
@@ -1018,22 +917,12 @@ impl Engine {
         // Rollback dependencies (one level, like distributed control).
         if !from_dependency {
             let dep = self.deployment.clone();
-            for rd in &dep.coordination.rollback_dependencies {
-                let hit = rd.source.schema == instance.schema
-                    && (rd.source.step == origin || invalidated.contains(&rd.source.step));
-                if !hit {
-                    continue;
-                }
-                for partner in dep.ro_links.partners_of(instance) {
-                    if partner.schema != rd.dependent_schema {
-                        continue;
-                    }
-                    let msg = CentralMsg::Coord(CoordMsg::RollbackDep {
-                        instance: partner,
-                        origin: rd.dependent_origin,
-                    });
-                    self.tell(partner, msg, ctx);
-                }
+            for (partner, origin) in dep.rollback_dependents(instance, origin, &invalidated) {
+                let msg = CentralMsg::Coord(CoordMsg::RollbackDep {
+                    instance: partner,
+                    origin,
+                });
+                self.tell(partner, msg, ctx);
             }
         }
         self.fire_rules(instance, ctx);
@@ -1051,24 +940,8 @@ impl Engine {
         // or waiting on — a wedged resource would deadlock the contenders.
         let dep = self.deployment.clone();
         for m in &dep.coordination.mutual_exclusions {
-            for member in &m.members {
-                if member.schema != instance.schema {
-                    continue;
-                }
-                self.mutex_held.remove(&(m.id, instance, member.step));
-                let manager = self.manager_engine(m.id);
-                if manager == self.index {
-                    self.mutex_do_release(m.id, instance, member.step, ctx);
-                } else {
-                    ctx.send(
-                        self.topo.engine_node(manager),
-                        CentralMsg::Coord(CoordMsg::MutexRelease {
-                            req: m.id,
-                            instance,
-                            step: member.step,
-                        }),
-                    );
-                }
+            for member in m.members.iter().filter(|s| s.schema == instance.schema) {
+                self.mutex_release(m.id, instance, member.step, ctx);
             }
         }
         let schema = self.schema(instance);
@@ -1114,21 +987,16 @@ impl Engine {
         let partners = dep.ro_links.partners_of(instance);
         for r in &dep.coordination.relative_orders {
             for partner in partners.clone() {
-                let Some((side, k, a, b)) = self.ro_position(r, instance, partner, step) else {
+                let Some(side) = ro_side(r, instance, partner) else {
+                    continue;
+                };
+                let Some(k) = ro_steps(r, side).position(|(mine, _)| mine == step) else {
                     continue;
                 };
                 // If we lead, a completed pair-k step releases the lagging
                 // partner's step k (including the serialized first pair).
-                let decision = self
-                    .ro_decisions
-                    .get(&(r.id, a, b))
-                    .copied()
-                    .unwrap_or(RoState::Undecided);
-                let we_lead = matches!(
-                    (decision, side),
-                    (RoState::SideALeads, 0) | (RoState::SideBLeads, 1)
-                );
-                if we_lead {
+                let (a, b) = ro_canonical(instance, partner, side);
+                if self.ro.leader(r.id, a, b) == Some(side) {
                     let msg = CentralMsg::Coord(CoordMsg::RoRelease {
                         req: r.id,
                         k,
@@ -1140,61 +1008,11 @@ impl Engine {
         }
     }
 
-    /// Manager: first claim wins; broadcast the decision to the owner
-    /// engines of both instances.
-    fn ro_decide(
-        &mut self,
-        req: u32,
-        a: InstanceId,
-        b: InstanceId,
-        winner_side: u8,
-        ctx: &mut Ctx<CentralMsg>,
-    ) {
-        let key = (req, a, b);
-        if self
-            .ro_decisions
-            .get(&key)
-            .copied()
-            .unwrap_or(RoState::Undecided)
-            != RoState::Undecided
-        {
-            return;
-        }
-        let state = if winner_side == 0 {
-            RoState::SideALeads
-        } else {
-            RoState::SideBLeads
-        };
-        self.ro_decisions.insert(key, state);
-        self.nav_load(ctx);
-        for inst in [a, b] {
-            let msg = CentralMsg::Coord(CoordMsg::RoDecision {
-                req,
-                a,
-                b,
-                leader_side: winner_side,
-            });
-            self.tell(inst, msg, ctx);
-        }
-    }
-
-    fn ro_apply_decision(
-        &mut self,
-        req: u32,
-        a: InstanceId,
-        b: InstanceId,
-        leader_side: u8,
-        ctx: &mut Ctx<CentralMsg>,
-    ) {
-        let state = if leader_side == 0 {
-            RoState::SideALeads
-        } else {
-            RoState::SideBLeads
-        };
-        self.ro_decisions.insert((req, a, b), state);
+    fn ro_apply_decision(&mut self, decision: RoLeader, ctx: &mut Ctx<CentralMsg>) {
+        self.ro.record(decision);
         // The decision may unblock deferred steps of instances we host
         // (hosting, not placement: a migrated-in instance resumes here).
-        for inst in [a, b] {
+        for inst in [decision.a, decision.b] {
             if self.instances.contains_key(&inst) {
                 self.resume_all_ro(inst, ctx);
                 // If the leading side already completed later pairs before
@@ -1232,20 +1050,26 @@ impl Engine {
                 claimant,
                 partner,
             } => {
+                // Manager: the first claim wins; tell the decision to the
+                // engines hosting both instances.
                 let dep = self.deployment.clone();
-                let Some(r) = dep
-                    .coordination
-                    .relative_orders
-                    .iter()
-                    .find(|r| r.id == req)
+                let Some(order) = dep.relative_order(req) else {
+                    return;
+                };
+                let Some(RoLeader { a, b, side, .. }) = self.ro.claim(order, claimant, partner)
                 else {
                     return;
                 };
-                let Some((side, _)) = ro_side(r, claimant, partner) else {
-                    return;
-                };
-                let (a, b) = ro_canonical(claimant, partner, side);
-                self.ro_decide(req, a, b, side, ctx);
+                self.nav_load(ctx);
+                for inst in [a, b] {
+                    let msg = CentralMsg::Coord(CoordMsg::RoDecision {
+                        req,
+                        a,
+                        b,
+                        leader_side: side,
+                    });
+                    self.tell(inst, msg, ctx);
+                }
             }
             CoordMsg::RoDecision {
                 req,
@@ -1253,7 +1077,13 @@ impl Engine {
                 b,
                 leader_side,
             } => {
-                self.ro_apply_decision(req, a, b, leader_side, ctx);
+                let decision = RoLeader {
+                    req,
+                    a,
+                    b,
+                    side: leader_side,
+                };
+                self.ro_apply_decision(decision, ctx);
             }
             CoordMsg::RoRelease { req, k, lagging } => {
                 self.ro_apply_release(req, k, lagging, ctx);
@@ -1263,8 +1093,9 @@ impl Engine {
                 instance,
                 step,
             } => {
-                let owner = self.topo.owner_engine(instance);
-                self.mutex_try_acquire(req, instance, step, owner, ctx);
+                if self.mutexes.entry(req).or_default().acquire(instance, step) {
+                    self.mutex_grant(req, instance, step, ctx);
+                }
             }
             CoordMsg::MutexGrant {
                 req,
@@ -1285,7 +1116,10 @@ impl Engine {
                 instance,
                 step,
             } => {
-                self.mutex_do_release(req, instance, step, ctx);
+                let queue = self.mutexes.entry(req).or_default();
+                if let Some((next, next_step)) = queue.release(instance, step) {
+                    self.mutex_grant(req, next, next_step, ctx);
+                }
             }
             CoordMsg::RollbackDep { instance, origin } => {
                 self.rollback_to(instance, origin, true, ctx);
@@ -1510,10 +1344,9 @@ impl Node<CentralMsg> for Engine {
         self.templates.clear();
         self.statuses.clear();
         self.executing.clear();
-        self.ro_decisions.clear();
+        self.ro = RoArbiter::default();
         self.ro_released.clear();
-        self.mutex_holders.clear();
-        self.mutex_queues.clear();
+        self.mutexes.clear();
         self.mutex_held.clear();
         self.probe_token = 0;
         self.load = 0;

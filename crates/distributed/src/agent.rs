@@ -30,7 +30,9 @@
 //!   manager agent granting via `AddEvent`; rollback dependencies propagate
 //!   `WorkflowRollback` across linked instances, marked `from_dependency`
 //!   so a dependency-caused rollback goes no further (one level, at any
-//!   placement of the partners).
+//!   placement of the partners). The arbiter's and the managers' decisions
+//!   are `crew_exec`'s [`RoArbiter`] and [`MutexQueue`]; the agent compiles
+//!   the guards into its rule table and carries the decisions.
 //! - **Delivery**: every interaction with another role goes through
 //!   [`DistAgent::tell`], which calls the message's handler when the role
 //!   is played here and sends otherwise, so a co-located and a remote
@@ -42,8 +44,9 @@ use crate::runtime::{coordination_agent, SharedCtx, SuccessorSelection};
 use crate::tags;
 use crate::weight::Weight;
 use crew_exec::{
-    declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, FailureVerdict,
-    InstanceHistory, InstanceNav, OcrDecision, StepExecutor, StepOutcome, StepState,
+    declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, ro_steps,
+    FailureVerdict, InstanceHistory, InstanceNav, MutexQueue, OcrDecision, RoArbiter, RoLeader,
+    StepExecutor, StepOutcome, StepState,
 };
 use crew_model::{
     DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, VecMap, VecSet,
@@ -55,14 +58,15 @@ use crew_storage::{
     recover_for_node, AgentDb, DbOp, InstanceStatus, MemStore, StoredStepState, Wal,
 };
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const TIMER_POLL: TimerId = TimerId(1);
 const TIMER_PURGE: TimerId = TimerId(2);
 
 /// `NotifyExternal` route encodings: high 32 bits select the protocol the
-/// monitor rule drives, low 32 bits carry the requirement id.
+/// monitor rule drives, low 32 bits carry the requirement id. The event
+/// is the monitored step's id.
 const ROUTE_MUTEX: u64 = 1 << 32;
 /// Relative-order first-claim route (see [`DistAgent::request_ro_claim`]).
 const ROUTE_RO_CLAIM: u64 = 2 << 32;
@@ -85,8 +89,6 @@ struct InstState {
     /// Relative-order notifications to emit when a local step completes:
     /// `(tag, partner instance, partner step)`.
     notify_on_done: VecMap<StepId, Vec<(u64, InstanceId, StepId)>>,
-    /// Preconditions that arrived before the rules were instantiated.
-    stashed_preconditions: Vec<(StepId, u64)>,
     /// Steps whose re-execution is deferred until a `CompensateSet` chain
     /// returns.
     awaiting_compset: VecSet<StepId>,
@@ -125,23 +127,6 @@ impl InstState {
     }
 }
 
-/// Relative-order arbiter decision state (per requirement × linked pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoDecision {
-    Undecided,
-    /// The requirement's first-component side (side 0) leads.
-    SideALeads,
-    /// Side 1 leads.
-    SideBLeads,
-}
-
-/// Mutual-exclusion manager state (at the manager agent).
-#[derive(Debug, Default)]
-struct MutexState {
-    holder: Option<(InstanceId, StepId, NodeId)>,
-    queue: VecDeque<(InstanceId, StepId, NodeId)>,
-}
-
 /// The distributed agent node.
 pub struct DistAgent {
     /// This agent's id (equals its node id by construction).
@@ -158,10 +143,10 @@ pub struct DistAgent {
     /// Coordination instance summary table — the one AGDB table read
     /// live (`WorkflowStatus`), so it is kept beside the log.
     statuses: BTreeMap<InstanceId, InstanceStatus>,
-    /// Relative-order arbiter decisions at this agent.
-    ro_decisions: BTreeMap<(u32, InstanceId, InstanceId), RoDecision>,
-    /// Mutex manager state per requirement id.
-    mutexes: BTreeMap<u32, MutexState>,
+    /// Relative-order decisions of the pairs this agent arbitrates.
+    ro: RoArbiter,
+    /// The mutual exclusions this agent manages, by requirement.
+    mutexes: BTreeMap<u32, MutexQueue>,
     /// Instances committed locally-known (purge batching).
     purge_queue: Vec<InstanceId>,
     /// Cumulative navigation load (served via `StateInformation`).
@@ -200,7 +185,7 @@ impl DistAgent {
             templates: BTreeMap::new(),
             wal: Wal::in_memory(),
             statuses: BTreeMap::new(),
-            ro_decisions: BTreeMap::new(),
+            ro: RoArbiter::default(),
             mutexes: BTreeMap::new(),
             purge_queue: Vec::new(),
             load: 0,
@@ -249,16 +234,26 @@ impl DistAgent {
                 return chosen == self.agent_id;
             }
         }
-        if self.shared.config.successor_selection == SuccessorSelection::LoadBalanced {
-            let def = schema.expect_step(step);
-            let single_pred = schema.forward_incoming(step).count() <= 1;
-            let selectable =
-                def.eligible_agents.len() > 1 && single_pred && step != schema.start_step();
-            if selectable {
-                return false; // await the selection's executor stamp
-            }
+        if self.selectable(schema, step) {
+            return false; // await the selection's executor stamp
         }
         self.is_designated(instance, schema, step)
+    }
+
+    /// Whether load-balanced selection picks `step`'s executor. Only under
+    /// `SuccessorSelection::LoadBalanced`, and only for a step with a
+    /// choice to make: several eligible agents, one predecessor (a
+    /// confluence step goes to its designee, standing in for the paper's
+    /// leader election), not the start step (the coordination agent runs
+    /// it), and no mutual exclusion or relative order naming it — its
+    /// guards are wired at the designee alone (FAILURE_MODES F3).
+    fn selectable(&self, schema: &WorkflowSchema, step: StepId) -> bool {
+        let dep = &self.shared.deployment;
+        self.shared.config.successor_selection == SuccessorSelection::LoadBalanced
+            && schema.expect_step(step).eligible_agents.len() > 1
+            && schema.forward_incoming(step).count() <= 1
+            && step != schema.start_step()
+            && !dep.is_coordinated(SchemaStep::new(schema.id, step))
     }
 
     fn nav_load(&mut self, ctx: &mut Ctx<DistMsg>) {
@@ -407,7 +402,7 @@ impl DistAgent {
                     let mut monitor = rule.clone();
                     monitor.action = Action::NotifyExternal {
                         route: ROUTE_MUTEX | req as u64,
-                        event: grant,
+                        event: step.0 as u64,
                     };
                     monitor.label = format!("mutex monitor {step} req {req}").into();
                     monitors.push(monitor);
@@ -417,12 +412,6 @@ impl DistAgent {
             }
             for m in monitors {
                 st.nav.install_rule(step, m);
-            }
-        }
-        let stashed = std::mem::take(&mut st.stashed_preconditions);
-        for (step, tag) in stashed {
-            for id in st.nav.rules_of(step) {
-                st.nav.rules.add_precondition(id, EventKind::External(tag));
             }
         }
         self.arm_poll(ctx);
@@ -452,21 +441,21 @@ impl DistAgent {
         let partners = dep.ro_links.partners_of(instance);
         for r in &dep.coordination.relative_orders {
             for partner in partners.clone() {
-                let Some((side, pairs)) = ro_side(r, instance, partner) else {
+                let Some(side) = ro_side(r, instance, partner) else {
                     continue;
                 };
-                for (k, step) in pairs.iter().enumerate() {
-                    if self.is_designated_opt(instance, schema, *step) {
+                for (k, (step, _)) in ro_steps(r, side).enumerate() {
+                    if self.is_designated_opt(instance, schema, step) {
                         let (a, b) = ro_canonical(instance, partner, side);
                         let tag = tags::ro_guard(r.id, k, side, a, b);
-                        preconditions.push((*step, tag));
+                        preconditions.push((step, tag));
                         if k == 0 {
                             // The first pair is serialized through the
                             // arbiter: when the step's own triggers are
                             // ready, claim; the guard is released by the
                             // decision (leader) or by the leader's
                             // completion (lagger).
-                            ro_claim_monitors.push((*step, r.id));
+                            ro_claim_monitors.push((step, r.id));
                         }
                     }
                 }
@@ -515,11 +504,11 @@ impl DistAgent {
         }
         // Relative-order piggyback: lagging tags become preconditions of
         // local steps; leading tags become notify-on-done obligations.
+        let st = self.inst(instance);
         for tag in &packet.ro_lagging {
-            self.add_precondition_local(instance, tag.local_step, tag.tag);
+            st.guard_execution_rules(tag.local_step, tag.tag);
         }
         for tag in &packet.ro_leading {
-            let st = self.inst(instance);
             let entry = st.notify_on_done.entry(tag.local_step).or_default();
             let val = (tag.tag, tag.partner, tag.partner_step);
             if !entry.contains(&val) {
@@ -549,15 +538,6 @@ impl DistAgent {
         self.fire_rules(instance, ctx);
     }
 
-    fn add_precondition_local(&mut self, instance: InstanceId, step: StepId, tag: u64) {
-        let st = self.inst(instance);
-        if !st.instantiated {
-            st.stashed_preconditions.push((step, tag));
-            return;
-        }
-        st.guard_execution_rules(step, tag);
-    }
-
     /// Fire every ready rule and interpret the actions, repeating until no
     /// rule fires (a step completion can enable further local rules).
     fn fire_rules(&mut self, instance: InstanceId, ctx: &mut Ctx<DistMsg>) {
@@ -568,7 +548,14 @@ impl DistAgent {
                     Action::NotifyExternal { route, event } => {
                         let req = (route & 0xFFFF_FFFF) as u32;
                         if route & ROUTE_MUTEX != 0 {
-                            self.request_mutex(instance, req, event, ctx);
+                            let dep = self.shared.deployment.clone();
+                            let m = dep.mutex(req).expect("a monitored mutex is deployed");
+                            let rule = CoordRule::MutexAcquire {
+                                req,
+                                instance,
+                                step: StepId(event as u32),
+                            };
+                            self.tell_mutex_manager(m, rule, ctx);
                         } else if route & ROUTE_RO_CLAIM != 0 {
                             self.request_ro_claim(instance, req, ctx);
                         }
@@ -585,74 +572,28 @@ impl DistAgent {
         }
     }
 
-    fn request_mutex(
-        &mut self,
-        instance: InstanceId,
-        req: u32,
-        grant_tag: u64,
-        ctx: &mut Ctx<DistMsg>,
-    ) {
-        // Find the member step this grant belongs to (tag is per step).
-        let dep = self.shared.deployment.clone();
-        let Some(m) = dep
-            .coordination
-            .mutual_exclusions
-            .iter()
-            .find(|m| m.id == req)
-        else {
-            return;
-        };
-        let Some(member) = m.members.iter().find(|s| {
-            s.schema == instance.schema && tags::mutex_grant(req, instance, s.step) == grant_tag
-        }) else {
-            return;
-        };
-        let rule = CoordRule::MutexAcquire {
-            req,
-            instance,
-            step: member.step,
-        };
-        self.tell_mutex_manager(m, rule, ctx);
-    }
-
     /// Claim relative-order leadership for `instance` at the arbiter of
     /// requirement `req` (sent when the first conflicting step's own
     /// triggers become ready — the serialization point that decides
     /// leading vs lagging).
     fn request_ro_claim(&mut self, instance: InstanceId, req: u32, ctx: &mut Ctx<DistMsg>) {
         let dep = self.shared.deployment.clone();
-        let Some(r) = dep
-            .coordination
-            .relative_orders
-            .iter()
-            .find(|r| r.id == req)
-        else {
+        let Some(r) = dep.relative_order(req) else {
             return;
         };
         for partner in dep.ro_links.partners_of(instance) {
-            let Some((side, _)) = ro_side(r, instance, partner) else {
+            let Some(side) = ro_side(r, instance, partner) else {
                 continue;
             };
-            let (a, b) = ro_canonical(instance, partner, side);
+            let (_, b) = ro_canonical(instance, partner, side);
             let rule = CoordRule::RoFirstDone {
                 req,
                 claimant: instance,
                 partner,
             };
-            let arbiter = self.ro_arbiter_node(r, a, b);
+            let arbiter = self.ro_arbiter_node(r, b);
             self.tell(arbiter, DistMsg::AddRule { rule }, ctx);
         }
-    }
-
-    /// The mutex manager: the designated-node of the requirement's first
-    /// member step, instance-independent (keyed by serial 0 so every agent
-    /// agrees without knowing live instances).
-    fn mutex_manager_node(&self, m: &crew_model::MutualExclusion) -> NodeId {
-        let first = m.members.first().expect("mutex requirement has members");
-        let schema = self.shared.deployment.expect_schema(first.schema);
-        let probe = InstanceId::new(first.schema, 0);
-        let agent = designated_agent(self.seed(), probe, schema.expect_step(first.step));
-        self.shared.directory.node_of(agent)
     }
 
     // ---- step execution ----------------------------------------------------
@@ -872,39 +813,9 @@ impl DistAgent {
         ctx: &mut Ctx<DistMsg>,
     ) {
         let targets = self.inst(instance).nav.outgoing_weights(schema, step);
-        let (mut ro_leading, mut ro_lagging) = self.ro_piggyback_tags(instance);
-
-        // When not piggybacking, ship the ordering obligations as separate
-        // coordinated-execution messages (the §5.1 ablation's cost):
-        // lagging tags become explicit AddPrecondition calls at the lagging
-        // steps' agents; leading tags become notify-on-done wiring at the
-        // leading steps' agents.
-        if !self.shared.config.piggyback_ro {
-            for t in std::mem::take(&mut ro_lagging) {
-                let dest = self.node_of_step(instance, schema, t.local_step);
-                let msg = DistMsg::AddPrecondition {
-                    instance,
-                    step: t.local_step,
-                    tag: t.tag,
-                };
-                self.tell(dest, msg, ctx);
-            }
-            for t in std::mem::take(&mut ro_leading) {
-                let dest = self.node_of_step(instance, schema, t.local_step);
-                let rule = CoordRule::RoNotify {
-                    req: 0,
-                    instance,
-                    local_step: t.local_step,
-                    tag: t.tag,
-                    target_instance: t.partner,
-                    target_step: t.partner_step,
-                };
-                self.tell(dest, DistMsg::AddRule { rule }, ctx);
-            }
-        }
-
-        let load_balanced =
-            self.shared.config.successor_selection == SuccessorSelection::LoadBalanced;
+        // Relative-order tags piggyback on the packet (Figure 7's `R.O.`
+        // fields, §5.1).
+        let (ro_leading, ro_lagging) = self.ro_piggyback_tags(instance);
         for (target, weight) in targets {
             let st = self.inst(instance);
             st.forwarded.entry(step).or_default().insert(target);
@@ -922,16 +833,12 @@ impl DistAgent {
             };
             // Two-phase successor selection (§4.2): poll the eligible
             // agents' state and forward once the least-loaded is known.
-            // Confluence steps (multiple predecessors) fall back to the
-            // deterministic designation — the stand-in for the paper's
-            // successor leader election.
-            let def_t = schema.expect_step(target);
-            let single_pred = schema.forward_incoming(target).count() <= 1;
-            if load_balanced && def_t.eligible_agents.len() > 1 && single_pred {
-                self.begin_load_balanced_forward(packet, def_t.eligible_agents.clone(), ctx);
+            let eligible = &schema.expect_step(target).eligible_agents;
+            if self.selectable(schema, target) {
+                self.begin_load_balanced_forward(packet, eligible.clone(), ctx);
                 continue;
             }
-            self.broadcast_packet(packet, &def_t.eligible_agents, ctx);
+            self.broadcast_packet(packet, eligible, ctx);
         }
     }
 
@@ -1060,28 +967,14 @@ impl DistAgent {
         let partners = dep.ro_links.partners_of(instance);
         for r in &dep.coordination.relative_orders {
             for partner in partners.clone() {
-                let Some((side, my_pairs)) = ro_side(r, instance, partner) else {
+                let Some(side) = ro_side(r, instance, partner) else {
                     continue;
                 };
                 let (a, b) = ro_canonical(instance, partner, side);
-                let key = (r.id, a, b);
-                let decision = self
-                    .ro_decisions
-                    .get(&key)
-                    .copied()
-                    .unwrap_or(RoDecision::Undecided);
-                let leading_side = match decision {
-                    RoDecision::Undecided => continue,
-                    RoDecision::SideALeads => 0u8,
-                    RoDecision::SideBLeads => 1u8,
+                let Some(leading_side) = self.ro.leader(r.id, a, b) else {
+                    continue;
                 };
-                let partner_pairs = ro_partner_pairs(r, instance, partner);
-                for (k, (&my_step, &partner_step)) in
-                    my_pairs.iter().zip(partner_pairs.iter()).enumerate()
-                {
-                    if k == 0 {
-                        continue;
-                    }
+                for (k, (my_step, partner_step)) in ro_steps(r, side).enumerate().skip(1) {
                     if side == leading_side {
                         // We lead: after my_step completes, release the
                         // partner's guard.
@@ -1135,70 +1028,26 @@ impl DistAgent {
         self.tell(node, DistMsg::AddEvent { instance, tag }, ctx);
     }
 
-    /// The arbiter node for requirement `r` between canonical instances
-    /// `(a, b)`: the designated agent of `b`'s first conflicting step.
-    fn ro_arbiter_node(
-        &self,
-        r: &crew_model::RelativeOrder,
-        a: InstanceId,
-        b: InstanceId,
-    ) -> NodeId {
-        let (_, b_pairs) = ro_side(r, b, a).expect("b participates");
-        let schema = self.shared.deployment.expect_schema(b.schema);
-        let step = *b_pairs.first().expect("pairs non-empty");
-        let agent = designated_agent(self.seed(), b, schema.expect_step(step));
-        self.shared.directory.node_of(agent)
+    /// The arbiter node for requirement `r` between a canonical pair
+    /// whose side-1 instance is `b`: the designated agent of `b`'s first
+    /// conflicting step.
+    fn ro_arbiter_node(&self, r: &crew_model::RelativeOrder, b: InstanceId) -> NodeId {
+        let (step, _) = ro_steps(r, 1).next().expect("pairs non-empty");
+        self.node_of_step(b, &self.schema(b), step)
     }
 
-    /// Arbiter: record the decision (first claim wins) and release the
-    /// leading side's guards + install the lagging side's notify wiring.
-    fn ro_decide(
+    /// Arbiter, once `decision` is made: release the leading side's guards
+    /// and install the notify wiring that releases the lagging side's.
+    fn ro_wire_leader(
         &mut self,
-        req: u32,
-        a: InstanceId,
-        b: InstanceId,
-        winner_side: u8,
+        r: &crew_model::RelativeOrder,
+        decision: RoLeader,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let key = (req, a, b);
-        if self
-            .ro_decisions
-            .get(&key)
-            .copied()
-            .unwrap_or(RoDecision::Undecided)
-            != RoDecision::Undecided
-        {
-            return; // already decided
-        }
-        let decision = if winner_side == 0 {
-            RoDecision::SideALeads
-        } else {
-            RoDecision::SideBLeads
-        };
-        self.ro_decisions.insert(key, decision);
-        self.nav_load(ctx);
-
-        let dep = self.shared.deployment.clone();
-        let Some(r) = dep
-            .coordination
-            .relative_orders
-            .iter()
-            .find(|r| r.id == req)
-        else {
-            return;
-        };
-        let (leader, lagger, leader_side) = if winner_side == 0 {
-            (a, b, 0u8)
-        } else {
-            (b, a, 1u8)
-        };
-        let lag_side = 1 - leader_side;
-        let (_, leader_pairs) = ro_side(r, leader, lagger).expect("leader participates");
-        let (_, lagger_pairs) = ro_side(r, lagger, leader).expect("lagger participates");
-        let leader_schema = dep.expect_schema(leader.schema).clone();
-
-        for (k, (&lead_step, &lag_step)) in leader_pairs.iter().zip(lagger_pairs.iter()).enumerate()
-        {
+        let RoLeader { req, a, b, side } = decision;
+        let (leader, lagger) = ro_canonical(a, b, side);
+        let leader_schema = self.schema(leader);
+        for (k, (lead_step, lag_step)) in ro_steps(r, side).enumerate() {
             let lead_node = self.node_of_step(leader, &leader_schema, lead_step);
             // Install the leader's notify-on-done, *before* the release so
             // FIFO delivers the wiring first.
@@ -1206,7 +1055,7 @@ impl DistAgent {
                 req,
                 instance: leader,
                 local_step: lead_step,
-                tag: tags::ro_guard(req, k, lag_side, a, b),
+                tag: tags::ro_guard(req, k, 1 - side, a, b),
                 target_instance: lagger,
                 target_step: lag_step,
             };
@@ -1214,7 +1063,7 @@ impl DistAgent {
             // Release the leader's guard: its steps must not wait.
             let release = DistMsg::AddEvent {
                 instance: leader,
-                tag: tags::ro_guard(req, k, leader_side, a, b),
+                tag: tags::ro_guard(req, k, side, a, b),
             };
             self.tell(lead_node, release, ctx);
         }
@@ -1253,47 +1102,42 @@ impl DistAgent {
         ctx: &mut Ctx<DistMsg>,
     ) {
         let dep = self.shared.deployment.clone();
-        for m in &dep.coordination.mutual_exclusions {
-            if m.members.contains(&SchemaStep::new(instance.schema, step)) {
-                let rule = CoordRule::MutexRelease {
-                    req: m.id,
-                    instance,
-                    step,
-                };
-                self.tell_mutex_manager(m, rule, ctx);
-            }
+        for m in dep.mutexes_of(SchemaStep::new(instance.schema, step)) {
+            let rule = CoordRule::MutexRelease {
+                req: m.id,
+                instance,
+                step,
+            };
+            self.tell_mutex_manager(m, rule, ctx);
         }
     }
 
-    /// Hand `rule` to requirement `m`'s manager agent.
+    /// Hand `rule` to requirement `m`'s manager agent: the designated
+    /// agent of its first member step, instance-independent (keyed by
+    /// serial 0 so every agent agrees without knowing live instances).
     fn tell_mutex_manager(
         &mut self,
         m: &crew_model::MutualExclusion,
         rule: CoordRule,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        self.tell(self.mutex_manager_node(m), DistMsg::AddRule { rule }, ctx);
+        let first = m.members.first().expect("mutex requirement has members");
+        let probe = InstanceId::new(first.schema, 0);
+        let manager = self.node_of_step(probe, &self.schema(probe), first.step);
+        self.tell(manager, DistMsg::AddRule { rule }, ctx);
     }
 
-    fn handle_coord_rule(&mut self, rule: CoordRule, from: NodeId, ctx: &mut Ctx<DistMsg>) {
+    fn handle_coord_rule(&mut self, rule: CoordRule, ctx: &mut Ctx<DistMsg>) {
         match rule {
+            // Grants go to the agent the step is designated at, the one
+            // whose monitor asked.
             CoordRule::MutexAcquire {
                 req,
                 instance,
                 step,
             } => {
-                let grant_to = from;
-                let state = self.mutexes.entry(req).or_default();
-                let triple = (instance, step, grant_to);
-                if state.holder.is_none() || state.holder == Some(triple) {
-                    // Fresh grant, or a re-acquire by the current holder
-                    // (its grant event was invalidated by a rollback):
-                    // (re)issue the grant either way.
-                    state.holder = Some(triple);
-                    let tag = tags::mutex_grant(req, instance, step);
-                    self.tell(grant_to, DistMsg::AddEvent { instance, tag }, ctx);
-                } else if !state.queue.contains(&triple) {
-                    state.queue.push_back(triple);
+                if self.mutexes.entry(req).or_default().acquire(instance, step) {
+                    self.add_event_at(instance, step, tags::mutex_grant(req, instance, step), ctx);
                 }
             }
             CoordRule::MutexRelease {
@@ -1301,25 +1145,10 @@ impl DistAgent {
                 instance,
                 step,
             } => {
-                let next = {
-                    let state = self.mutexes.entry(req).or_default();
-                    // Drop queued requests of the releasing (instance,
-                    // step) — an aborted instance must not be granted
-                    // later.
-                    state
-                        .queue
-                        .retain(|(i, s, _)| !(*i == instance && *s == step));
-                    match state.holder {
-                        Some((i, s, _)) if i == instance && s == step => {
-                            state.holder = state.queue.pop_front();
-                            state.holder
-                        }
-                        _ => None,
-                    }
-                };
-                if let Some((i, s, node)) = next {
-                    let tag = tags::mutex_grant(req, i, s);
-                    self.tell(node, DistMsg::AddEvent { instance: i, tag }, ctx);
+                let queue = self.mutexes.entry(req).or_default();
+                if let Some((next, next_step)) = queue.release(instance, step) {
+                    let grant = tags::mutex_grant(req, next, next_step);
+                    self.add_event_at(next, next_step, grant, ctx);
                 }
             }
             CoordRule::RoFirstDone {
@@ -1328,19 +1157,13 @@ impl DistAgent {
                 partner,
             } => {
                 let dep = self.shared.deployment.clone();
-                let Some(r) = dep
-                    .coordination
-                    .relative_orders
-                    .iter()
-                    .find(|r| r.id == req)
-                else {
+                let Some(r) = dep.relative_order(req) else {
                     return;
                 };
-                let Some((side, _)) = ro_side(r, claimant, partner) else {
-                    return;
-                };
-                let (a, b) = ro_canonical(claimant, partner, side);
-                self.ro_decide(req, a, b, side, ctx);
+                if let Some(decision) = self.ro.claim(r, claimant, partner) {
+                    self.nav_load(ctx);
+                    self.ro_wire_leader(r, decision, ctx);
+                }
             }
             CoordRule::RoNotify {
                 instance,
@@ -1589,26 +1412,15 @@ impl DistAgent {
         // not cascade further, preventing ping-pong).
         if !from_dependency {
             let dep = self.shared.deployment.clone();
-            for rd in &dep.coordination.rollback_dependencies {
-                let source_hit = rd.source.schema == instance.schema
-                    && (rd.source.step == origin || invalidated.contains(&rd.source.step));
-                if !source_hit {
-                    continue;
-                }
-                for partner in dep.ro_links.partners_of(instance) {
-                    if partner.schema != rd.dependent_schema {
-                        continue;
-                    }
-                    let pschema = dep.expect_schema(partner.schema).clone();
-                    let target = self.node_of_step(partner, &pschema, rd.dependent_origin);
-                    self.nav_load(ctx);
-                    let msg = DistMsg::WorkflowRollback {
-                        instance: partner,
-                        origin: rd.dependent_origin,
-                        from_dependency: true,
-                    };
-                    self.tell(target, msg, ctx);
-                }
+            for (partner, origin) in dep.rollback_dependents(instance, origin, &invalidated) {
+                let target = self.node_of_step(partner, &self.schema(partner), origin);
+                self.nav_load(ctx);
+                let msg = DistMsg::WorkflowRollback {
+                    instance: partner,
+                    origin,
+                    from_dependency: true,
+                };
+                self.tell(target, msg, ctx);
             }
         }
 
@@ -1620,12 +1432,10 @@ impl DistAgent {
     /// would let the step run unprotected).
     fn invalidate_step_coordination(&mut self, instance: InstanceId, step: StepId) {
         let dep = self.shared.deployment.clone();
-        for m in &dep.coordination.mutual_exclusions {
-            if m.members.contains(&SchemaStep::new(instance.schema, step)) {
-                let tag = tags::mutex_grant(m.id, instance, step);
-                let rules = &mut self.inst(instance).nav.rules;
-                rules.invalidate_event(EventKind::External(tag));
-            }
+        for m in dep.mutexes_of(SchemaStep::new(instance.schema, step)) {
+            let tag = tags::mutex_grant(m.id, instance, step);
+            let rules = &mut self.inst(instance).nav.rules;
+            rules.invalidate_event(EventKind::External(tag));
         }
     }
 
@@ -1859,20 +1669,15 @@ impl DistAgent {
         self.set_status(instance, InstanceStatus::Aborted);
         // Hand back (or de-queue) every mutex this instance may hold or
         // await, so contenders are never wedged by the abort.
-        {
-            let dep = self.shared.deployment.clone();
-            for m in &dep.coordination.mutual_exclusions {
-                for member in &m.members {
-                    if member.schema != instance.schema {
-                        continue;
-                    }
-                    let rule = CoordRule::MutexRelease {
-                        req: m.id,
-                        instance,
-                        step: member.step,
-                    };
-                    self.tell_mutex_manager(m, rule, ctx);
-                }
+        let dep = self.shared.deployment.clone();
+        for m in &dep.coordination.mutual_exclusions {
+            for member in m.members.iter().filter(|s| s.schema == instance.schema) {
+                let rule = CoordRule::MutexRelease {
+                    req: m.id,
+                    instance,
+                    step: member.step,
+                };
+                self.tell_mutex_manager(m, rule, ctx);
             }
         }
         let schema = self.schema(instance);
@@ -2169,18 +1974,6 @@ impl DistAgent {
     }
 }
 
-/// The partner's ordered steps for the same requirement.
-fn ro_partner_pairs(
-    r: &crew_model::RelativeOrder,
-    mine: InstanceId,
-    partner: InstanceId,
-) -> Vec<StepId> {
-    match ro_side(r, partner, mine) {
-        Some((_, steps)) => steps,
-        None => Vec::new(),
-    }
-}
-
 impl DistAgent {
     /// Run the handler for `msg` from `from`: the peer that sent it, or
     /// this agent when [`DistAgent::tell`] delivers locally.
@@ -2285,16 +2078,8 @@ impl DistAgent {
                 self.on_execute_request(instance, step, ctx)
             }
             DistMsg::StepRetry { instance, step } => self.on_step_retry(instance, step, ctx),
-            DistMsg::AddRule { rule } => self.handle_coord_rule(rule, from, ctx),
+            DistMsg::AddRule { rule } => self.handle_coord_rule(rule, ctx),
             DistMsg::AddEvent { instance, tag } => self.on_add_event(instance, tag, ctx),
-            DistMsg::AddPrecondition {
-                instance,
-                step,
-                tag,
-            } => {
-                self.add_precondition_local(instance, step, tag);
-                self.fire_rules(instance, ctx);
-            }
             DistMsg::PurgeBroadcast { instances } => self.apply_purge(&instances),
             DistMsg::WorkflowStatusReply { .. }
             | DistMsg::WorkflowCommitted { .. }
@@ -2329,7 +2114,7 @@ impl Node<DistMsg> for DistAgent {
         // Fail-stop: volatile state is lost; the AGDB (WAL) survives.
         self.instances.clear();
         self.templates.clear();
-        self.ro_decisions.clear();
+        self.ro = RoArbiter::default();
         self.mutexes.clear();
         self.poll_armed = false;
     }

@@ -165,46 +165,6 @@ impl DistRun {
     }
 }
 
-/// Assign eligible agents round-robin across a pool of size `agents`, with
-/// `per_step` eligible agents per step — the deployment-side knob for the
-/// paper's parameter `a`.
-pub fn assign_agents_round_robin(deployment: &mut Deployment, agents: u32, per_step: u32) {
-    assert!(agents > 0 && per_step > 0 && per_step <= agents);
-    let schemas: Vec<SchemaId> = deployment.schemas.keys().copied().collect();
-    for sid in schemas {
-        let schema = Arc::make_mut(
-            deployment
-                .schemas
-                .get_mut(&sid)
-                .expect("iterating existing keys"),
-        );
-        // WorkflowSchema is immutable after build; rebuild eligibility via
-        // the provided mutator.
-        schema_assign(schema, agents, per_step, sid.0 as u64);
-    }
-}
-
-fn schema_assign(schema: &mut crew_model::WorkflowSchema, agents: u32, per_step: u32, salt: u64) {
-    let step_ids: Vec<crew_model::StepId> = schema.steps().map(|d| d.id).collect();
-    for step in step_ids {
-        let base = crew_exec::hash::combine(salt, &[step.0 as u64]) % agents as u64;
-        let eligible: Vec<AgentId> = (0..per_step)
-            .map(|i| AgentId(((base + i as u64) % agents as u64) as u32))
-            .collect();
-        schema_set_eligible(schema, step, eligible);
-    }
-}
-
-// WorkflowSchema exposes no mutator by design; the builder crates go
-// through this helper, which reconstructs the step definition in place.
-fn schema_set_eligible(
-    schema: &mut crew_model::WorkflowSchema,
-    step: crew_model::StepId,
-    eligible: Vec<AgentId>,
-) {
-    schema.set_eligible_agents(step, eligible);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

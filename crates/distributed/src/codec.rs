@@ -152,6 +152,9 @@ wire! {
     }
 }
 
+// Tag 24 is retired (`AddPrecondition`, the separate-message form of the
+// ordering guards that packets carry): left unused and never reused, so a
+// channel log written with it fails to decode instead of being misread.
 wire! {
     enum DistMsg {
         0 => WorkflowStart { instance, inputs, parent },
@@ -178,7 +181,6 @@ wire! {
         21 => ExecuteRequest { instance, step },
         22 => AddRule { rule },
         23 => AddEvent { instance, tag },
-        24 => AddPrecondition { instance, step, tag },
         25 => PurgeBroadcast { instances },
         26 => StepRetry { instance, step },
     }
@@ -330,11 +332,6 @@ mod tests {
                 instance: inst(1),
                 tag: 4,
             },
-            DistMsg::AddPrecondition {
-                instance: inst(1),
-                step: StepId(2),
-                tag: 4,
-            },
             DistMsg::PurgeBroadcast {
                 instances: vec![inst(1), inst(2)],
             },
@@ -395,6 +392,22 @@ mod tests {
         ] {
             round_trip(DistMsg::AddRule { rule });
         }
+    }
+
+    #[test]
+    fn retired_tag_does_not_decode() {
+        // The golden bytes AddPrecondition { instance WF2 #1, step S2,
+        // tag 4 } had before it was retired.
+        let mut buf = Bytes::from_static(&[
+            24, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
+        ]);
+        assert!(matches!(
+            DistMsg::decode(&mut buf),
+            Err(CodecError::BadTag {
+                context: "DistMsg",
+                tag: 24
+            })
+        ));
     }
 
     #[test]

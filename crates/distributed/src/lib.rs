@@ -10,7 +10,7 @@
 //! thread-accounting commit, and the coordinated-execution protocols
 //! (relative ordering with packet-piggybacked leading/lagging tags, mutual
 //! exclusion, rollback dependencies) built on the `AddRule`/`AddEvent`/
-//! `AddPrecondition` primitives.
+//! `AddPrecondition` primitives (the last one rides on packets).
 
 #![warn(missing_docs)]
 #![allow(missing_docs)] // field-level docs are selective in protocol enums
@@ -31,7 +31,7 @@ pub mod weight {
 }
 
 pub use agent::DistAgent;
-pub use builder::{assign_agents_round_robin, DistRun};
+pub use builder::DistRun;
 pub use frontend::{FrontEnd, Outcome};
 pub use msg::{CoordRule, DistMsg, StepStatusKind};
 pub use packet::{RoTag, WorkflowPacket};

@@ -8,7 +8,9 @@
 //! `WorkflowRollback`/`HaltThread`/`StepCompensate`/`CompensateSet`/
 //! `StepStatus` are *failure handling*; `WorkflowChangeInputs`/
 //! `InputsChanged` are *input change*; `WorkflowAbort` is *abort*;
-//! `AddRule`/`AddEvent`/`AddPrecondition` are *coordinated execution*.
+//! `AddRule`/`AddEvent` are *coordinated execution*. (The paper's third
+//! primitive, `AddPrecondition`, travels on packets: a lagging tag becomes
+//! a precondition where the packet lands.)
 
 use crate::packet::WorkflowPacket;
 use crew_model::{InstanceId, ItemKey, StepId, Value};
@@ -191,18 +193,12 @@ pub enum DistMsg {
     /// tick instead of a recursive call).
     StepRetry { instance: InstanceId, step: StepId },
 
-    // ---- coordinated execution (AddRule / AddEvent / AddPrecondition) ----
+    // ---- coordinated execution (AddRule / AddEvent) ----
     /// Install a coordination rule at the receiving agent (Figure 4).
     AddRule { rule: CoordRule },
     /// Inject an external event into the receiver's rule set for
     /// `instance`.
     AddEvent { instance: InstanceId, tag: u64 },
-    /// Require `tag` before `step` of `instance` may fire at the receiver.
-    AddPrecondition {
-        instance: InstanceId,
-        step: StepId,
-        tag: u64,
-    },
 
     // ---- infrastructure ----
     /// Periodic committed-instance purge broadcast (§4.2).
@@ -240,9 +236,7 @@ impl Classify for DistMsg {
             | DistMsg::StepStatusReply { .. }
             | DistMsg::ExecuteRequest { .. }
             | DistMsg::StepRetry { .. } => Mechanism::FailureHandling,
-            DistMsg::AddRule { .. }
-            | DistMsg::AddEvent { .. }
-            | DistMsg::AddPrecondition { .. } => Mechanism::CoordinatedExecution,
+            DistMsg::AddRule { .. } | DistMsg::AddEvent { .. } => Mechanism::CoordinatedExecution,
             DistMsg::PurgeBroadcast { .. } => Mechanism::Control,
         }
     }
@@ -344,14 +338,6 @@ mod tests {
             (
                 DistMsg::AddEvent {
                     instance: inst(),
-                    tag: 1,
-                },
-                CoordinatedExecution,
-            ),
-            (
-                DistMsg::AddPrecondition {
-                    instance: inst(),
-                    step: StepId(1),
                     tag: 1,
                 },
                 CoordinatedExecution,

@@ -70,11 +70,6 @@ pub struct DistConfig {
     /// If set, coordination agents broadcast committed-instance purges with
     /// this period (§4.2).
     pub purge_period: Option<u64>,
-    /// Piggyback relative-ordering tags on workflow packets (§5.1). Off,
-    /// the tags go as separate messages; only the `dist_features`
-    /// integration test turns it off, to show the order holds either way
-    /// and what piggybacking saves.
-    pub piggyback_ro: bool,
     /// Successor-selection strategy for multi-eligible steps.
     pub successor_selection: SuccessorSelection,
 }
@@ -86,7 +81,6 @@ impl Default for DistConfig {
             poll_period: 50,
             poll_timeout: 100,
             purge_period: None,
-            piggyback_ro: true,
             successor_selection: SuccessorSelection::default(),
         }
     }

@@ -8,8 +8,11 @@
 
 use crate::failure::FailurePlan;
 use crate::program::ProgramRegistry;
-use crew_model::{CoordinationSpec, InstanceId, SchemaId, SchemaStep, WorkflowSchema};
-use std::collections::BTreeMap;
+use crew_model::{
+    CoordinationSpec, InstanceId, MutualExclusion, RelativeOrder, RollbackDependency, SchemaId,
+    SchemaStep, StepId, WorkflowSchema,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 /// Links between concurrent instances that relative-ordering requirements
@@ -125,6 +128,63 @@ impl Deployment {
             .unwrap_or_else(|| panic!("deployment has no schema {id}"))
     }
 
+    /// Relative-order requirement `id`.
+    pub fn relative_order(&self, id: u32) -> Option<&RelativeOrder> {
+        self.coordination
+            .relative_orders
+            .iter()
+            .find(|r| r.id == id)
+    }
+
+    /// Mutual-exclusion requirement `id`.
+    pub fn mutex(&self, id: u32) -> Option<&MutualExclusion> {
+        self.coordination
+            .mutual_exclusions
+            .iter()
+            .find(|m| m.id == id)
+    }
+
+    /// The mutual exclusions `step` is a member of, in declaration order.
+    pub fn mutexes_of(&self, step: SchemaStep) -> impl Iterator<Item = &MutualExclusion> + '_ {
+        let mutexes = &self.coordination.mutual_exclusions;
+        mutexes.iter().filter(move |m| m.members.contains(&step))
+    }
+
+    /// Whether any mutual exclusion or relative order names `step`.
+    pub fn is_coordinated(&self, step: SchemaStep) -> bool {
+        let orders = &self.coordination.relative_orders;
+        self.mutexes_of(step).next().is_some()
+            || orders
+                .iter()
+                .flat_map(|r| &r.pairs)
+                .any(|&(x, y)| x == step || y == step)
+    }
+
+    /// The rollbacks that rolling `instance` back to `origin`, which
+    /// invalidated `invalidated`, forces on its linked partners: for each
+    /// rollback dependency whose source it reaches, every partner of the
+    /// dependent schema and that partner's origin, in declaration then
+    /// link order. One level: the shells do not ask again for a rollback
+    /// this caused.
+    pub fn rollback_dependents<'a>(
+        &'a self,
+        instance: InstanceId,
+        origin: StepId,
+        invalidated: &'a BTreeSet<StepId>,
+    ) -> impl Iterator<Item = (InstanceId, StepId)> + 'a {
+        let reached = move |rd: &&RollbackDependency| {
+            rd.source.schema == instance.schema
+                && (rd.source.step == origin || invalidated.contains(&rd.source.step))
+        };
+        let deps = &self.coordination.rollback_dependencies;
+        deps.iter().filter(reached).flat_map(move |rd| {
+            self.ro_links
+                .partners_of(instance)
+                .filter(move |p| p.schema == rd.dependent_schema)
+                .map(move |p| (p, rd.dependent_origin))
+        })
+    }
+
     /// Highest agent id referenced by any step's eligibility list, plus
     /// one — the size of the agent pool the deployment needs.
     pub fn agent_pool_size(&self) -> u32 {
@@ -187,9 +247,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::{
-        AgentId, MutualExclusion, RelativeOrder, RollbackDependency, SchemaBuilder, StepId,
-    };
+    use crew_model::{AgentId, SchemaBuilder};
     use proptest::prelude::*;
     use std::panic::AssertUnwindSafe;
 
@@ -268,6 +326,73 @@ mod tests {
             let msg = refusal(coordination).expect(expected);
             assert_eq!(msg, format!("{expected}, which no deployed schema defines"));
         }
+    }
+
+    /// The requirement lookups both shells share: by id, by member step,
+    /// "named by any requirement", and the one-level rollback dependents.
+    #[test]
+    fn coordination_lookups() {
+        let ss = |schema, step| SchemaStep::new(SchemaId(schema), StepId(step));
+        let mut d = Deployment::new([schema(1, &[0]), schema(2, &[0])]);
+        let mutex = |id, members| MutualExclusion {
+            id,
+            resource: "dock".into(),
+            members,
+        };
+        let dependency = |id, source, origin| RollbackDependency {
+            id,
+            source,
+            dependent_schema: SchemaId(2),
+            dependent_origin: StepId(origin),
+        };
+        d.coordination = CoordinationSpec {
+            mutual_exclusions: vec![mutex(3, vec![ss(1, 2)]), mutex(5, vec![ss(1, 2), ss(2, 2)])],
+            relative_orders: vec![RelativeOrder {
+                id: 4,
+                conflict: "parts".into(),
+                pairs: vec![(ss(1, 1), ss(2, 2))],
+            }],
+            rollback_dependencies: vec![dependency(6, ss(1, 2), 1), dependency(7, ss(1, 1), 2)],
+        };
+        let (wf1, wf2, other) = (
+            InstanceId::new(SchemaId(1), 1),
+            InstanceId::new(SchemaId(2), 2),
+            InstanceId::new(SchemaId(2), 3),
+        );
+        d.ro_links.link(wf1, wf2);
+        d.ro_links.link(other, wf1);
+
+        assert_eq!(d.relative_order(4).map(|r| r.id), Some(4));
+        assert!(d.relative_order(3).is_none());
+        assert_eq!(d.mutex(5).map(|m| m.id), Some(5));
+        assert!(d.mutex(4).is_none());
+        let ids = |s| d.mutexes_of(s).map(|m| m.id).collect::<Vec<_>>();
+        assert_eq!(ids(ss(1, 2)), vec![3, 5]);
+        assert_eq!(ids(ss(2, 2)), vec![5]);
+        assert!(ids(ss(1, 1)).is_empty());
+        // WF1.S1 is named by the order, WF1.S2 by the mutexes, WF2.S2 by
+        // both, WF2.S1 by nothing.
+        let named = [(1, 1, true), (1, 2, true), (2, 1, false), (2, 2, true)];
+        for (schema, step, coordinated) in named {
+            let step = ss(schema, step);
+            assert_eq!(d.is_coordinated(step), coordinated, "{step}");
+        }
+
+        let dependents = |origin, invalidated: &[u32]| {
+            let invalidated = invalidated.iter().map(|&s| StepId(s)).collect();
+            d.rollback_dependents(wf1, StepId(origin), &invalidated)
+                .map(|(p, o)| (p.serial, o.0))
+                .collect::<Vec<_>>()
+        };
+        // Rolling back to S1 reaches dependency 7 at the origin and 6
+        // through the invalidated S2; every WF2 partner follows, in link
+        // order.
+        assert_eq!(dependents(1, &[2]), vec![(2, 1), (3, 1), (2, 2), (3, 2)]);
+        assert_eq!(dependents(2, &[]), vec![(2, 1), (3, 1)]);
+        assert!(d
+            .rollback_dependents(wf2, StepId(1), &BTreeSet::new())
+            .next()
+            .is_none());
     }
 
     /// The scan `partners_of` was before it had an index.

@@ -8,13 +8,15 @@
 //!
 //! The centralized engine, the parallel engines and the distributed agents
 //! all build on this crate — and embed its per-instance navigator
-//! ([`InstanceNav`]), which makes every enactment decision once — so
-//! navigation and recovery behave identically across architectures and the
-//! performance comparison of §6 measures the architectures, not divergent
-//! semantics.
+//! ([`InstanceNav`]), which makes every enactment decision once, and its
+//! coordination managers ([`MutexQueue`], [`RoArbiter`]), which make every
+//! coordination decision once — so navigation, recovery and coordination
+//! behave identically across architectures and the performance comparison
+//! of §6 measures the architectures, not divergent semantics.
 
 #![warn(missing_docs)]
 
+pub mod coord;
 pub mod deploy;
 pub mod executor;
 pub mod failure;
@@ -25,13 +27,14 @@ pub mod ocr;
 pub mod program;
 pub mod weight;
 
+pub use coord::{ro_canonical, ro_side, ro_steps, MutexQueue, RoArbiter, RoLeader};
 pub use deploy::{Deployment, RelOrderLinks};
 pub use executor::{ExecError, StepExecutor, StepOutcome};
 pub use failure::FailurePlan;
 pub use history::{InstanceHistory, StepRecord, StepState};
 pub use nav::{
-    declared_outputs, designated_agent, input_change_origin, nested_instance_serial, ro_canonical,
-    ro_side, FailureVerdict, InstanceNav, DEFAULT_MAX_ROLLBACKS,
+    declared_outputs, designated_agent, input_change_origin, nested_instance_serial,
+    FailureVerdict, InstanceNav, DEFAULT_MAX_ROLLBACKS,
 };
 pub use ocr::{decide as ocr_decide, OcrDecision, INCREMENTAL_FRACTION};
 pub use program::{FnProgram, Program, ProgramCtx, ProgramRegistry, StepFailure};

@@ -18,8 +18,8 @@ use crate::history::InstanceHistory;
 use crate::ocr::{decide as ocr_decide, OcrDecision};
 use crate::weight::Weight;
 use crew_model::{
-    AgentId, DataEnv, InstanceId, ItemKey, RelativeOrder, SchemaId, SplitKind, StepDef, StepId,
-    Value, VecMap, VecSet, WorkflowSchema,
+    AgentId, DataEnv, InstanceId, ItemKey, SchemaId, SplitKind, StepDef, StepId, Value, VecMap,
+    VecSet, WorkflowSchema,
 };
 use crew_rules::{Action, EventKind, Rule, RuleId, RuleSet};
 use std::collections::BTreeSet;
@@ -384,48 +384,10 @@ pub fn nested_instance_serial(parent: InstanceId, step: StepId) -> u32 {
         .wrapping_add(0x4000_0000)
 }
 
-/// For requirement `r` and linked pair `(mine, partner)`: which side `mine`
-/// plays (0 = first components, 1 = second) and its ordered conflicting
-/// steps. `None` if `mine` does not participate against `partner`.
-pub fn ro_side(
-    r: &RelativeOrder,
-    mine: InstanceId,
-    partner: InstanceId,
-) -> Option<(u8, Vec<StepId>)> {
-    let a_schema = r.pairs.first()?.0.schema;
-    let b_schema = r.pairs.first()?.1.schema;
-    let side_b = || Some((1, r.pairs.iter().map(|(_, b)| b.step).collect()));
-    if mine.schema == a_schema && partner.schema == b_schema {
-        // Same-schema requirements disambiguate by serial: the lower serial
-        // takes side 0.
-        if a_schema == b_schema && mine.serial > partner.serial {
-            return side_b();
-        }
-        Some((0, r.pairs.iter().map(|(a, _)| a.step).collect()))
-    } else if mine.schema == b_schema && partner.schema == a_schema {
-        side_b()
-    } else {
-        None
-    }
-}
-
-/// Canonical (side-0 instance, side-1 instance) ordering of a linked pair.
-pub fn ro_canonical(
-    mine: InstanceId,
-    partner: InstanceId,
-    my_side: u8,
-) -> (InstanceId, InstanceId) {
-    if my_side == 0 {
-        (mine, partner)
-    } else {
-        (partner, mine)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::{Expr, RetryPolicy, SchemaBuilder, SchemaStep};
+    use crew_model::{Expr, RetryPolicy, SchemaBuilder};
 
     fn inst(serial: u32) -> InstanceId {
         InstanceId::new(SchemaId(1), serial)
@@ -765,39 +727,5 @@ mod tests {
         assert_ne!(a, nested_instance_serial(inst(6), StepId(2)));
         // The engine used to OR the tag in; same id over the harness ranges.
         assert_eq!(a, (5u32 * 1009 + 2) | 0x4000_0000);
-    }
-
-    #[test]
-    fn ro_side_follows_schema_then_serial() {
-        let pair = |a: (u32, u32), b: (u32, u32)| {
-            (
-                SchemaStep::new(SchemaId(a.0), StepId(a.1)),
-                SchemaStep::new(SchemaId(b.0), StepId(b.1)),
-            )
-        };
-        let order = |pairs| RelativeOrder {
-            id: 0,
-            conflict: "r".into(),
-            pairs,
-        };
-        let cross = order(vec![pair((1, 2), (2, 5)), pair((1, 3), (2, 6))]);
-        let same = order(vec![pair((1, 2), (1, 4))]);
-        let at = |schema, serial| InstanceId::new(SchemaId(schema), serial);
-        let steps = |ids: &[u32]| ids.iter().map(|&i| StepId(i)).collect::<Vec<_>>();
-        // (requirement, mine, partner) → (side, my steps)
-        let cases = [
-            (&cross, at(1, 9), at(2, 1), Some((0, steps(&[2, 3])))),
-            (&cross, at(2, 1), at(1, 9), Some((1, steps(&[5, 6])))),
-            (&cross, at(3, 1), at(1, 9), None),
-            (&same, at(1, 1), at(1, 2), Some((0, steps(&[2])))),
-            (&same, at(1, 2), at(1, 1), Some((1, steps(&[4])))),
-        ];
-        for (r, mine, partner, expected) in cases {
-            assert_eq!(ro_side(r, mine, partner), expected, "{mine} vs {partner}");
-            if let Some((side, _)) = expected {
-                let (a, b) = ro_canonical(mine, partner, side);
-                assert_eq!(ro_canonical(partner, mine, 1 - side), (a, b));
-            }
-        }
     }
 }

@@ -44,8 +44,7 @@ pub use ids::{AgentId, EngineId, InstanceId, SchemaId, StepId, StepRef};
 pub use policy::{RetryPolicy, StepPolicy, RUN_HORIZON_TICKS};
 pub use recovery::{CompensationSet, RollbackSpec};
 pub use schema::{
-    validate_coordination, ControlArc, JoinKind, SchemaBuilder, SchemaError, SplitKind,
-    WorkflowSchema, NESTED_PROGRAM,
+    ControlArc, JoinKind, SchemaBuilder, SchemaError, SplitKind, WorkflowSchema, NESTED_PROGRAM,
 };
 pub use step::{CompensationKind, InputBinding, ReexecPolicy, StepDef, StepKind};
 pub use value::{DataEnv, ItemKey, ItemScope, Value};

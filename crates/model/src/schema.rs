@@ -15,7 +15,6 @@
 //! sets (used by the `CompensateThread` protocol when re-execution takes a
 //! different branch, Figure 3).
 
-use crate::coord::CoordinationSpec;
 use crate::expr::Expr;
 use crate::ids::{AgentId, SchemaId, StepId};
 use crate::recovery::{CompensationSet, RollbackSpec};
@@ -855,46 +854,6 @@ impl SchemaBuilder {
             ancestors,
         })
     }
-}
-
-/// Validate a [`CoordinationSpec`] against the schemas it references: every
-/// `SchemaStep` must exist. Returns the offending reference on failure.
-pub fn validate_coordination(
-    spec: &CoordinationSpec,
-    schemas: &BTreeMap<SchemaId, WorkflowSchema>,
-) -> Result<(), crate::coord::SchemaStep> {
-    let exists = |s: &crate::coord::SchemaStep| {
-        schemas
-            .get(&s.schema)
-            .is_some_and(|schema| schema.step(s.step).is_some())
-    };
-    for m in &spec.mutual_exclusions {
-        for s in &m.members {
-            if !exists(s) {
-                return Err(*s);
-            }
-        }
-    }
-    for r in &spec.relative_orders {
-        for (a, b) in &r.pairs {
-            if !exists(a) {
-                return Err(*a);
-            }
-            if !exists(b) {
-                return Err(*b);
-            }
-        }
-    }
-    for r in &spec.rollback_dependencies {
-        if !exists(&r.source) {
-            return Err(r.source);
-        }
-        let dep = crate::coord::SchemaStep::new(r.dependent_schema, r.dependent_origin);
-        if !exists(&dep) {
-            return Err(dep);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -70,10 +70,9 @@ fn main() {
     deployment.coordination = compiled.coordination;
     crew_workload::register_programs(&mut deployment.registry);
 
-    let mut system =
+    let system =
         WorkflowSystem::with_deployment(deployment, Architecture::Distributed { agents: 4 });
     // The agents named in the spec must exist; 4 cover indices 0-3.
-    system.dist_config.piggyback_ro = true;
 
     let mut scenario = Scenario::new();
     // Two concurrent orders over the same parts; link them so the
@@ -90,7 +89,7 @@ fn main() {
         report.aborted()
     );
     println!(
-        "coordination messages per order: {:.1} (AddRule/AddEvent/AddPrecondition)",
+        "coordination messages per order: {:.1} (AddRule/AddEvent)",
         report.messages_per_instance(Mechanism::CoordinatedExecution)
     );
     println!(

@@ -1,6 +1,6 @@
-//! Distributed-control feature coverage: relative-order piggybacking
-//! (§5.1's message-saving optimization), the committed-instance purge
-//! broadcast (§4.2), and front-end status queries.
+//! Distributed-control feature coverage: relative-order tags piggybacked on
+//! workflow packets (§5.1), the committed-instance purge broadcast (§4.2),
+//! and front-end status queries.
 
 use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_distributed::{DistConfig, DistRun};
@@ -55,39 +55,28 @@ fn ro_deployment(log: &ExecLog) -> Deployment {
 }
 
 /// §5.1: "the best way to pass ordering information to agents is to
-/// piggyback it with the workflow packet information". With piggybacking
-/// disabled the ordering still holds but costs separate
-/// `AddPrecondition` messages.
+/// piggyback it with the workflow packet information". The lagging side's
+/// guards travel on packets, and the order of the first pair holds for the
+/// second.
 #[test]
-fn piggyback_ablation_preserves_order_and_saves_messages() {
-    let run = |piggyback: bool| {
-        let log = ExecLog::new();
-        let deployment = ro_deployment(&log);
-        let mut system =
-            WorkflowSystem::with_deployment(deployment, Architecture::Distributed { agents: 6 });
-        system.dist_config.piggyback_ro = piggyback;
-        let mut scenario = Scenario::new();
-        let a = scenario.start(SchemaId(1), vec![(1, Value::Int(1))]);
-        let b = scenario.start(SchemaId(2), vec![(1, Value::Int(2))]);
-        scenario.link(a, b);
-        let ia = scenario.instance_id(a);
-        let ib = scenario.instance_id(b);
-        let report = system.run(scenario);
-        assert_eq!(report.committed(), 2, "piggyback={piggyback}");
-        // The relative-order invariant holds either way.
-        let p2a = log.position(ia, StepId(2)).unwrap();
-        let p2b = log.position(ib, StepId(2)).unwrap();
-        let p4a = log.position(ia, StepId(4)).unwrap();
-        let p4b = log.position(ib, StepId(4)).unwrap();
-        assert_eq!(p2a < p2b, p4a < p4b, "piggyback={piggyback}");
-        report.messages_per_instance(Mechanism::CoordinatedExecution)
-    };
-    let with = run(true);
-    let without = run(false);
-    assert!(
-        without >= with,
-        "separate AddPrecondition messages cost at least as much: {without} vs {with}"
-    );
+fn piggybacked_tags_preserve_relative_order() {
+    let log = ExecLog::new();
+    let deployment = ro_deployment(&log);
+    let system =
+        WorkflowSystem::with_deployment(deployment, Architecture::Distributed { agents: 6 });
+    let mut scenario = Scenario::new();
+    let a = scenario.start(SchemaId(1), vec![(1, Value::Int(1))]);
+    let b = scenario.start(SchemaId(2), vec![(1, Value::Int(2))]);
+    scenario.link(a, b);
+    let ia = scenario.instance_id(a);
+    let ib = scenario.instance_id(b);
+    let report = system.run(scenario);
+    assert_eq!(report.committed(), 2);
+    let p2a = log.position(ia, StepId(2)).unwrap();
+    let p2b = log.position(ib, StepId(2)).unwrap();
+    let p4a = log.position(ia, StepId(4)).unwrap();
+    let p4b = log.position(ib, StepId(4)).unwrap();
+    assert_eq!(p2a < p2b, p4a < p4b);
 }
 
 /// §4.2: "Periodically the coordination agents broadcast information to

@@ -547,14 +547,6 @@ fn dist_samples(c: &mut Checker) {
         ("StepRetry", DistMsg::StepRetry { instance, step }),
         ("AddEvent", DistMsg::AddEvent { instance, tag: 4 }),
         (
-            "AddPrecondition",
-            DistMsg::AddPrecondition {
-                instance,
-                step,
-                tag: 4,
-            },
-        ),
-        (
             "PurgeBroadcast",
             DistMsg::PurgeBroadcast {
                 instances: vec![inst(1), inst(2)],
