@@ -229,17 +229,17 @@ mod tests {
             (
                 Architecture::Central { agents },
                 ["72.333", "0.000", "0.000", "2.250", "0.000"],
-                ("5395.8", "5395.8"),
+                ("5450.0", "5450.0"),
             ),
             (
                 Architecture::Parallel { agents, engines },
-                ["71.833", "0.000", "0.000", "2.458", "9.708"],
-                ("1390.6", "2179.2"),
+                ["72.333", "0.000", "0.000", "2.625", "9.958"],
+                ("1404.2", "2195.8"),
             ),
             (
                 Architecture::Distributed { agents },
-                ["45.458", "0.042", "0.000", "16.333", "13.083"],
-                ("201.9", "490.6"),
+                ["45.875", "0.042", "0.000", "16.583", "12.417"],
+                ("204.2", "499.0"),
             ),
         ];
         for (arch, msgs, (mean_load, max_load)) in pinned {

@@ -12,21 +12,19 @@
 //! requirements spanning instances on different engines are mediated by a
 //! per-requirement *manager engine* through [`CoordMsg`] traffic — the
 //! source of Table 5's coordinated-execution message count. The managers
-//! themselves are `crew_exec`'s ([`MutexQueue`], [`RoArbiter`]); the engine
-//! parks guarded steps and carries the decisions.
+//! and the guards are `crew_exec`'s ([`MutexQueue`], [`RoArbiter`], and the
+//! [`Gate`] in each instance's navigator); the engine carries their answers.
 
 use crate::msg::{CentralMsg, CoordMsg};
 use crate::topology::Topology;
 use bytes::{Bytes, BytesMut};
+use crew_exec::coord::{mutex_grant, ro_guard};
 use crew_exec::{
-    declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, ro_steps,
-    Deployment, FailureVerdict, InstanceHistory, InstanceNav, MutexQueue, OcrDecision, RoArbiter,
-    RoLeader, StepState, Weight,
+    declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, Deployment,
+    FailureVerdict, Gate, InstanceHistory, InstanceNav, MutexQueue, OcrDecision, Request,
+    RoArbiter, RoLeader, StepState, Verdict, Wake, Weight,
 };
-use crew_model::{
-    DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, VecMap, VecSet,
-    WorkflowSchema,
-};
+use crew_model::{DataEnv, InstanceId, ItemKey, SplitKind, StepId, Value, VecMap, WorkflowSchema};
 use crew_rules::{compile_schema, Action, EventKind};
 use crew_simnet::{Ctx, Node, NodeId};
 use crew_storage::{recover_for_node, DbOp, Decode, Encode, InstanceStatus, MemStore, Wal};
@@ -51,8 +49,8 @@ struct CompItem {
 }
 
 /// Per-instance engine state: the shared navigator plus what only an
-/// engine needs — dispatches in flight to application agents, the ordered
-/// compensation queue, and steps parked on a coordination guard.
+/// engine needs — dispatches in flight to application agents and the
+/// ordered compensation queue.
 #[derive(Debug, Default)]
 struct EngineInst {
     nav: InstanceNav,
@@ -64,9 +62,6 @@ struct EngineInst {
     comp_active: bool,
     /// Origin to re-execute once the compensation queue drains.
     reexec_after_comp: Option<StepId>,
-    /// Steps deferred on a coordination guard.
-    ro_waiting: VecSet<StepId>,
-    mutex_waiting: VecSet<StepId>,
 }
 
 /// The engine node.
@@ -92,16 +87,11 @@ pub struct Engine {
     /// Virtual time of the message being handled (instrumentation only;
     /// the state machine itself never reads the clock).
     clock: u64,
-    // ---- coordination state ----
-    /// Relative-order decisions: made here for the requirements this
-    /// engine manages, mirrored here for the instances it hosts.
+    // ---- coordination managers ----
+    /// Relative-order decisions of the requirements this engine manages.
     ro: RoArbiter,
-    /// Releases received for lagging steps: (req, pair index, instance).
-    ro_released: BTreeSet<(u32, usize, InstanceId)>,
     /// The mutual exclusions this engine manages, by requirement.
     mutexes: BTreeMap<u32, MutexQueue>,
-    /// Grants this engine holds for its instances.
-    mutex_held: BTreeSet<(u32, InstanceId, StepId)>,
     probe_token: u64,
     load: u64,
     // ---- live migration (crew-shard) ----
@@ -164,9 +154,7 @@ impl Engine {
             terminal_times: BTreeMap::new(),
             clock: 0,
             ro: RoArbiter::default(),
-            ro_released: BTreeSet::new(),
             mutexes: BTreeMap::new(),
-            mutex_held: BTreeSet::new(),
             probe_token: 0,
             load: 0,
             cmd_log: BTreeMap::new(),
@@ -428,6 +416,7 @@ impl Engine {
         }
         nav.rules.add_event(EventKind::WorkflowStart);
         nav.accept_weight(&schema, None, schema.start_step(), Weight::ONE);
+        self.wire_gate(instance);
         self.set_status(instance, InstanceStatus::Executing);
         self.fire_rules(instance, ctx);
     }
@@ -444,88 +433,101 @@ impl Engine {
         }
     }
 
-    // ---- coordination guards ---------------------------------------------------
+    // ---- coordination ----------------------------------------------------------
 
-    /// Should `step` of `instance` wait on a relative-order guard?
-    fn ro_blocked(
-        &mut self,
-        instance: InstanceId,
-        step: StepId,
-        ctx: &mut Ctx<CentralMsg>,
-    ) -> bool {
-        let dep = self.deployment.clone();
-        let partners = dep.ro_links.partners_of(instance);
-        for r in &dep.coordination.relative_orders {
-            for partner in partners.clone() {
-                let Some(side) = ro_side(r, instance, partner) else {
-                    continue;
-                };
-                let Some(k) = ro_steps(r, side).position(|(mine, _)| mine == step) else {
-                    continue;
-                };
-                let (a, b) = ro_canonical(instance, partner, side);
-                self.nav_load(ctx); // the coordination check itself costs
-                match self.ro.leader(r.id, a, b) {
-                    None => {
-                        // First pair: claim leadership at the manager (the
-                        // serialization point); the step waits for the
-                        // decision (leader) or the leader's completion
-                        // (lagger). A manager here has decided on the spot.
-                        if k == 0 {
-                            let claim = CoordMsg::RoFirstDone {
-                                req: r.id,
-                                claimant: instance,
-                                partner,
-                            };
-                            self.tell_manager(r.id, claim, ctx);
-                            if self.ro.leader(r.id, a, b) == Some(side) {
-                                continue;
-                            }
-                        }
-                        return true;
+    /// Wire `instance`'s gate on first use: at its start, or when an answer
+    /// for it arrives before its start does.
+    fn wire_gate(&mut self, instance: InstanceId) {
+        let nav = &mut self.instances.entry(instance).or_default().nav;
+        if nav.gate.is_none() {
+            nav.gate = Gate::wire(&self.deployment, instance, |_| true);
+        }
+    }
+
+    /// Ask `instance`'s gate whether `step` may run, sending what it asks
+    /// for until it says go or parks the step. Each guard examined costs
+    /// one navigation load; a re-check after sending (a manager here may
+    /// have answered on the spot) charges only the guards it reaches
+    /// beyond the previous pass.
+    fn pass_gate(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<CentralMsg>) -> bool {
+        let mut charged = 0;
+        loop {
+            let Some(gate) = self.inst(instance).nav.gate.as_deref_mut() else {
+                return true;
+            };
+            let (examined, verdict) = gate.check(step);
+            for _ in charged..examined {
+                self.nav_load(ctx);
+            }
+            charged = charged.max(examined);
+            match verdict {
+                Verdict::Go => return true,
+                Verdict::Parked => return false,
+                Verdict::Send(requests) => {
+                    for request in requests {
+                        self.request(instance, request, ctx);
                     }
-                    Some(leader) if leader == side => {}
-                    // We lag: wait for the leading step k's release.
-                    Some(_) => {
-                        if !self.ro_released.contains(&(r.id, k, instance)) {
-                            return true;
-                        }
+                    // An answer on the spot may have retried the step.
+                    let gate = self.inst(instance).nav.gate.as_deref();
+                    if !gate.is_some_and(|g| g.asking(step)) {
+                        return false;
                     }
                 }
             }
         }
-        false
     }
 
-    /// Should `step` wait on a mutual-exclusion grant? Issues the acquire
-    /// if needed.
-    fn mutex_blocked(
-        &mut self,
-        instance: InstanceId,
-        step: StepId,
-        ctx: &mut Ctx<CentralMsg>,
-    ) -> bool {
-        let dep = self.deployment.clone();
-        let member = SchemaStep::new(instance.schema, step);
-        let mut blocked = false;
-        for m in dep.mutexes_of(member) {
-            self.nav_load(ctx);
-            if self.mutex_held.contains(&(m.id, instance, step)) {
-                continue;
-            }
-            blocked = true;
-            let acquire = CoordMsg::MutexAcquire {
-                req: m.id,
+    /// Send `request` of `instance` to its requirement's manager.
+    fn request(&mut self, instance: InstanceId, request: Request, ctx: &mut Ctx<CentralMsg>) {
+        let (Request::Claim(req, _) | Request::Acquire(req, _) | Request::Release(req, _)) =
+            request;
+        let msg = match request {
+            Request::Claim(req, partner) => CoordMsg::RoFirstDone {
+                req,
+                claimant: instance,
+                partner,
+            },
+            Request::Acquire(req, step) => CoordMsg::MutexAcquire {
+                req,
                 instance,
                 step,
-            };
-            self.tell_manager(m.id, acquire, ctx);
+            },
+            Request::Release(req, step) => CoordMsg::MutexRelease {
+                req,
+                instance,
+                step,
+            },
+        };
+        self.tell_manager(req, msg, ctx);
+    }
+
+    /// Hand `instance`'s gate to `answer` and carry out what it wakes:
+    /// retry the steps, send the releases owed, send the requests.
+    fn answer(
+        &mut self,
+        instance: InstanceId,
+        ctx: &mut Ctx<CentralMsg>,
+        answer: impl FnOnce(&mut Gate, &InstanceHistory) -> Wake,
+    ) {
+        let nav = &mut self.inst(instance).nav;
+        let Some(gate) = nav.gate.as_deref_mut() else {
+            return;
+        };
+        let wake = answer(gate, &nav.history);
+        for step in wake.retry {
+            self.start_step(instance, step, ctx);
         }
-        // Re-check: a manager here may have granted on the spot.
-        blocked
-            && !dep
-                .mutexes_of(member)
-                .all(|m| self.mutex_held.contains(&(m.id, instance, step)))
+        for owed in wake.emit {
+            let release = CoordMsg::RoRelease {
+                req: owed.req,
+                k: owed.k,
+                lagging: owed.partner,
+            };
+            self.tell(owed.partner, CentralMsg::Coord(release), ctx);
+        }
+        for request in wake.send {
+            self.request(instance, request, ctx);
+        }
     }
 
     /// Manager side: hand the resource to `step` of `instance`, wherever
@@ -545,45 +547,6 @@ impl Engine {
         self.tell(instance, CentralMsg::Coord(grant), ctx);
     }
 
-    fn mutex_release(
-        &mut self,
-        req: u32,
-        instance: InstanceId,
-        step: StepId,
-        ctx: &mut Ctx<CentralMsg>,
-    ) {
-        self.mutex_held.remove(&(req, instance, step));
-        let release = CoordMsg::MutexRelease {
-            req,
-            instance,
-            step,
-        };
-        self.tell_manager(req, release, ctx);
-    }
-
-    fn resume_waiting(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<CentralMsg>) {
-        let waiting = {
-            let st = self.inst(instance);
-            st.mutex_waiting.remove(&step) || st.ro_waiting.remove(&step)
-        };
-        if waiting {
-            self.start_step(instance, step, ctx);
-        }
-    }
-
-    /// Resume every deferred step of an instance whose guard may have
-    /// cleared (after a decision or release).
-    fn resume_all_ro(&mut self, instance: InstanceId, ctx: &mut Ctx<CentralMsg>) {
-        let steps: Vec<StepId> = {
-            let st = self.inst(instance);
-            st.ro_waiting.iter().copied().collect()
-        };
-        for step in steps {
-            self.inst(instance).ro_waiting.remove(&step);
-            self.start_step(instance, step, ctx);
-        }
-    }
-
     // ---- step lifecycle -----------------------------------------------------------
 
     fn start_step(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<CentralMsg>) {
@@ -591,12 +554,7 @@ impl Engine {
         if st.nav.aborted || st.pending_exec.contains_key(&step) {
             return;
         }
-        if self.ro_blocked(instance, step, ctx) {
-            self.inst(instance).ro_waiting.insert(step);
-            return;
-        }
-        if self.mutex_blocked(instance, step, ctx) {
-            self.inst(instance).mutex_waiting.insert(step);
+        if !self.pass_gate(instance, step, ctx) {
             return;
         }
         let schema = self.schema(instance);
@@ -793,14 +751,8 @@ impl Engine {
         let schema = self.schema(instance);
         let nav = &mut self.inst(instance).nav;
         nav.rules.add_event(EventKind::StepDone(step));
-        self.ro_after_done(instance, step, ctx);
-        // Mutex release.
-        let dep = self.deployment.clone();
-        for m in dep.mutexes_of(SchemaStep::new(instance.schema, step)) {
-            if self.mutex_held.contains(&(m.id, instance, step)) {
-                self.mutex_release(m.id, instance, step, ctx);
-            }
-        }
+        // The releases the step owes lagging partners, and its grants back.
+        self.answer(instance, ctx, |gate, _| gate.done(step));
         // Branch switch detection at XOR splits.
         if schema.split_kind(step) == Some(SplitKind::Xor) {
             self.detect_branch_switch(instance, step, &schema, ctx);
@@ -910,6 +862,9 @@ impl Engine {
         // the fresh `step.done` occurrences the re-execution posts. Results
         // of dispatches still in flight are stale.
         st.nav.refire([origin]);
+        if let Some(gate) = st.nav.gate.as_deref_mut() {
+            gate.unpark(invalidated.iter().copied().chain([origin]));
+        }
         st.pending_exec.remove(&origin);
         for s in &invalidated {
             st.pending_exec.remove(s);
@@ -934,14 +889,18 @@ impl Engine {
             return;
         }
         self.nav_load(ctx);
-        self.inst(instance).nav.aborted = true;
+        let nav = &mut self.inst(instance).nav;
+        nav.aborted = true;
+        if let Some(gate) = nav.gate.as_deref_mut() {
+            gate.abort();
+        }
         self.set_status(instance, InstanceStatus::Aborted);
         // Hand back (or de-queue) every mutex this instance may be holding
         // or waiting on — a wedged resource would deadlock the contenders.
         let dep = self.deployment.clone();
         for m in &dep.coordination.mutual_exclusions {
             for member in m.members.iter().filter(|s| s.schema == instance.schema) {
-                self.mutex_release(m.id, instance, member.step, ctx);
+                self.request(instance, Request::Release(m.id, member.step), ctx);
             }
         }
         let schema = self.schema(instance);
@@ -980,69 +939,6 @@ impl Engine {
         self.rollback_to(instance, origin, false, ctx);
     }
 
-    // ---- relative ordering -----------------------------------------------------
-
-    fn ro_after_done(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<CentralMsg>) {
-        let dep = self.deployment.clone();
-        let partners = dep.ro_links.partners_of(instance);
-        for r in &dep.coordination.relative_orders {
-            for partner in partners.clone() {
-                let Some(side) = ro_side(r, instance, partner) else {
-                    continue;
-                };
-                let Some(k) = ro_steps(r, side).position(|(mine, _)| mine == step) else {
-                    continue;
-                };
-                // If we lead, a completed pair-k step releases the lagging
-                // partner's step k (including the serialized first pair).
-                let (a, b) = ro_canonical(instance, partner, side);
-                if self.ro.leader(r.id, a, b) == Some(side) {
-                    let msg = CentralMsg::Coord(CoordMsg::RoRelease {
-                        req: r.id,
-                        k,
-                        lagging: partner,
-                    });
-                    self.tell(partner, msg, ctx);
-                }
-            }
-        }
-    }
-
-    fn ro_apply_decision(&mut self, decision: RoLeader, ctx: &mut Ctx<CentralMsg>) {
-        self.ro.record(decision);
-        // The decision may unblock deferred steps of instances we host
-        // (hosting, not placement: a migrated-in instance resumes here).
-        for inst in [decision.a, decision.b] {
-            if self.instances.contains_key(&inst) {
-                self.resume_all_ro(inst, ctx);
-                // If the leading side already completed later pairs before
-                // the decision landed, emit the pending releases now.
-                let history = &self.inst(inst).nav.history;
-                let done: Vec<StepId> = history
-                    .iter()
-                    .filter(|r| r.state == StepState::Done)
-                    .map(|r| r.step)
-                    .collect();
-                for step in done {
-                    self.ro_after_done(inst, step, ctx);
-                }
-            }
-        }
-    }
-
-    fn ro_apply_release(
-        &mut self,
-        req: u32,
-        k: usize,
-        lagging: InstanceId,
-        ctx: &mut Ctx<CentralMsg>,
-    ) {
-        self.ro_released.insert((req, k, lagging));
-        if self.instances.contains_key(&lagging) {
-            self.resume_all_ro(lagging, ctx);
-        }
-    }
-
     fn on_coord(&mut self, msg: CoordMsg, ctx: &mut Ctx<CentralMsg>) {
         match msg {
             CoordMsg::RoFirstDone {
@@ -1071,22 +967,59 @@ impl Engine {
                     self.tell(inst, msg, ctx);
                 }
             }
+            // A host learns the decision for the instances that live here
+            // (or are about to be created here). The manager sent one copy
+            // to each instance's host; a copy that finds its instance
+            // migrated away while the partner stayed is handled here for
+            // the partner and chases the instance to its new host.
             CoordMsg::RoDecision {
                 req,
                 a,
                 b,
                 leader_side,
             } => {
+                let dep = self.deployment.clone();
+                let Some(order) = dep.relative_order(req) else {
+                    return;
+                };
                 let decision = RoLeader {
                     req,
                     a,
                     b,
                     side: leader_side,
                 };
-                self.ro_apply_decision(decision, ctx);
+                for inst in [a, b] {
+                    match self.route(inst) {
+                        None => {
+                            self.wire_gate(inst);
+                            self.answer(inst, ctx, |gate, history| {
+                                let done = |s| history.state(s) == StepState::Done;
+                                gate.decide(order, decision, inst, done)
+                            });
+                        }
+                        Some(host) if self.forwards.contains_key(&inst) => {
+                            ctx.send(host, CentralMsg::Coord(msg.clone()));
+                        }
+                        Some(_) => {}
+                    }
+                }
             }
             CoordMsg::RoRelease { req, k, lagging } => {
-                self.ro_apply_release(req, k, lagging, ctx);
+                let dep = self.deployment.clone();
+                let Some(order) = dep.relative_order(req) else {
+                    return;
+                };
+                if self.route(lagging).is_some() {
+                    return;
+                }
+                self.wire_gate(lagging);
+                for partner in dep.ro_links.partners_of(lagging) {
+                    if let Some(side) = ro_side(order, lagging, partner) {
+                        let (a, b) = ro_canonical(lagging, partner, side);
+                        let tag = ro_guard(req, k, side, a, b);
+                        self.answer(lagging, ctx, |gate, _| gate.satisfy(tag));
+                    }
+                }
             }
             CoordMsg::MutexAcquire {
                 req,
@@ -1102,14 +1035,8 @@ impl Engine {
                 instance,
                 step,
             } => {
-                let nav = &self.inst(instance).nav;
-                if nav.aborted || nav.committed {
-                    // The grant raced a terminal transition: hand it back.
-                    self.mutex_release(req, instance, step, ctx);
-                } else {
-                    self.mutex_held.insert((req, instance, step));
-                    self.resume_waiting(instance, step, ctx);
-                }
+                let tag = mutex_grant(req, instance, step);
+                self.answer(instance, ctx, |gate, _| gate.satisfy(tag));
             }
             CoordMsg::MutexRelease {
                 req,
@@ -1218,10 +1145,9 @@ impl Engine {
         self.instances.remove(&instance);
         self.statuses.remove(&instance);
         self.executing.remove(&instance);
-        // The local grant mirror travels with the instance (rebuilt from
-        // the slice at the target); manager-side holder state stays put —
-        // the manager role is placement-independent and never migrates.
-        self.mutex_held.retain(|(_, i, _)| *i != instance);
+        // The gate travels with the instance (rebuilt from the slice at the
+        // target); manager-side holder state stays put — the manager role
+        // is placement-independent and never migrates.
         self.forwards.insert(instance, target);
         self.migrations_out += 1;
         ctx.send(
@@ -1260,7 +1186,11 @@ impl Engine {
         if self.halted {
             return;
         }
-        let holds_mutex = self.mutex_held.iter().any(|(_, i, _)| *i == instance);
+        let gate = self
+            .instances
+            .get(&instance)
+            .and_then(|st| st.nav.gate.as_deref());
+        let holds_mutex = gate.is_some_and(Gate::holds_grant);
         self.cmd_log.insert(instance, records);
         self.migrations_in += 1;
         if holds_mutex {
@@ -1345,9 +1275,7 @@ impl Node<CentralMsg> for Engine {
         self.statuses.clear();
         self.executing.clear();
         self.ro = RoArbiter::default();
-        self.ro_released.clear();
         self.mutexes.clear();
-        self.mutex_held.clear();
         self.probe_token = 0;
         self.load = 0;
         self.cmd_log.clear();

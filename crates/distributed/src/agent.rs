@@ -31,8 +31,9 @@
 //!   `WorkflowRollback` across linked instances, marked `from_dependency`
 //!   so a dependency-caused rollback goes no further (one level, at any
 //!   placement of the partners). The arbiter's and the managers' decisions
-//!   are `crew_exec`'s [`RoArbiter`] and [`MutexQueue`]; the agent compiles
-//!   the guards into its rule table and carries the decisions.
+//!   are `crew_exec`'s [`RoArbiter`] and [`MutexQueue`], and what a step
+//!   waits on is its instance's [`Gate`], wired over the steps designated
+//!   here; the agent carries their answers as `AddRule`/`AddEvent`.
 //! - **Delivery**: every interaction with another role goes through
 //!   [`DistAgent::tell`], which calls the message's handler when the role
 //!   is played here and sends otherwise, so a co-located and a remote
@@ -41,12 +42,12 @@
 use crate::msg::{CoordRule, DistMsg, StepStatusKind};
 use crate::packet::{RoTag, WorkflowPacket};
 use crate::runtime::{coordination_agent, SharedCtx, SuccessorSelection};
-use crate::tags;
 use crate::weight::Weight;
+use crew_exec::coord::{mutex_grant, ro_guard};
 use crew_exec::{
     declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, ro_steps,
-    FailureVerdict, InstanceHistory, InstanceNav, MutexQueue, OcrDecision, RoArbiter, RoLeader,
-    StepExecutor, StepOutcome, StepState,
+    FailureVerdict, Gate, InstanceHistory, InstanceNav, MutexQueue, OcrDecision, Request,
+    RoArbiter, RoLeader, StepExecutor, StepOutcome, StepState, Verdict, Wake,
 };
 use crew_model::{
     DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, VecMap, VecSet,
@@ -64,18 +65,11 @@ use std::sync::Arc;
 const TIMER_POLL: TimerId = TimerId(1);
 const TIMER_PURGE: TimerId = TimerId(2);
 
-/// `NotifyExternal` route encodings: high 32 bits select the protocol the
-/// monitor rule drives, low 32 bits carry the requirement id. The event
-/// is the monitored step's id.
-const ROUTE_MUTEX: u64 = 1 << 32;
-/// Relative-order first-claim route (see [`DistAgent::request_ro_claim`]).
-const ROUTE_RO_CLAIM: u64 = 2 << 32;
-
 /// Volatile per-instance state at one agent (rebuilt from the AGDB on
 /// recovery): the shared navigator over the slice of the instance this
 /// agent holds, plus what only packet-passing agents need — the rollback
-/// epoch, the channels packets went down, relative-order wiring carried by
-/// packets, and the stall-detection / takeover bookkeeping.
+/// epoch, the channels packets went down, and the stall-detection /
+/// takeover bookkeeping.
 #[derive(Debug, Default)]
 struct InstState {
     /// Rules are installed for the locally-designated steps only; the
@@ -86,9 +80,6 @@ struct InstState {
     /// Successor steps we already forwarded packets toward, per local step
     /// (the halt probes retrace these channels).
     forwarded: VecMap<StepId, VecSet<StepId>>,
-    /// Relative-order notifications to emit when a local step completes:
-    /// `(tag, partner instance, partner step)`.
-    notify_on_done: VecMap<StepId, Vec<(u64, InstanceId, StepId)>>,
     /// Steps whose re-execution is deferred until a `CompensateSet` chain
     /// returns.
     awaiting_compset: VecSet<StepId>,
@@ -109,22 +100,6 @@ struct InstState {
     chosen_executor: VecMap<StepId, crew_model::AgentId>,
     /// This agent plays the coordination-agent role for the instance.
     is_coordinator: bool,
-}
-
-impl InstState {
-    /// Require `tag` before `step`'s execution rules (not its coordination
-    /// monitors) may fire.
-    fn guard_execution_rules(&mut self, step: StepId, tag: u64) {
-        for id in self.nav.rules_of(step) {
-            let rules = &mut self.nav.rules;
-            let is_monitor = rules
-                .rule(id)
-                .is_some_and(|r| matches!(r.action, Action::NotifyExternal { .. }));
-            if !is_monitor {
-                rules.add_precondition(id, EventKind::External(tag));
-            }
-        }
-    }
 }
 
 /// The distributed agent node.
@@ -312,7 +287,7 @@ impl DistAgent {
     // ---- rule instantiation ------------------------------------------------
 
     /// Install the navigation rules for the locally-designated steps of an
-    /// instance (first packet contact), wiring coordination preconditions.
+    /// instance (first packet contact), and wire its coordination gate.
     fn ensure_instantiated(&mut self, instance: InstanceId, ctx: &mut Ctx<DistMsg>) {
         if self
             .instances
@@ -334,18 +309,6 @@ impl DistAgent {
             .clone();
         self.log(&DbOp::InstanceCreated { instance });
 
-        // Coordination pre-wiring computed before borrowing state mutably.
-        let mut preconditions: Vec<(StepId, u64)> = Vec::new();
-        let mut mutex_monitors: Vec<(StepId, u32)> = Vec::new();
-        let mut ro_claim_monitors: Vec<(StepId, u32)> = Vec::new();
-        self.collect_coordination(
-            instance,
-            &schema,
-            &mut preconditions,
-            &mut mutex_monitors,
-            &mut ro_claim_monitors,
-        );
-
         let seed = self.seed();
         let load_balanced =
             self.shared.config.successor_selection == SuccessorSelection::LoadBalanced;
@@ -360,118 +323,20 @@ impl DistAgent {
                 st.nav.install_rule(t.step, t.rule.clone());
             }
         }
-        // Relative-order claim monitors first: they fire on the raw
-        // triggers (claiming costs nothing and must precede the decision).
-        for (step, req) in ro_claim_monitors {
-            let mut monitors = Vec::new();
-            for id in st.nav.rules_of(step) {
-                if let Some(rule) = st.nav.rules.rule(id) {
-                    if matches!(rule.action, Action::NotifyExternal { .. }) {
-                        continue;
-                    }
-                    let mut monitor = rule.clone();
-                    monitor.action = Action::NotifyExternal {
-                        route: ROUTE_RO_CLAIM | req as u64,
-                        event: step.0 as u64,
-                    };
-                    monitor.label = format!("ro claim {step} req {req}").into();
-                    monitors.push(monitor);
-                }
-            }
-            for m in monitors {
-                st.nav.install_rule(step, m);
-            }
-        }
-        // Relative-order guard preconditions on the execution rules (not
-        // the claim monitors).
-        for (step, tag) in preconditions {
-            st.guard_execution_rules(step, tag);
-        }
-        // Mutex monitor rules, cloned AFTER the relative-order guards were
-        // attached: a lock must only be requested once the ordering
-        // constraints have cleared, otherwise a queued holder can wait on
-        // a guard that only the next-in-queue could release (deadlock).
-        for (step, req) in mutex_monitors {
-            let grant = tags::mutex_grant(req, instance, step);
-            let mut monitors = Vec::new();
-            for id in st.nav.rules_of(step) {
-                if let Some(rule) = st.nav.rules.rule(id) {
-                    if matches!(rule.action, Action::NotifyExternal { .. }) {
-                        continue;
-                    }
-                    let mut monitor = rule.clone();
-                    monitor.action = Action::NotifyExternal {
-                        route: ROUTE_MUTEX | req as u64,
-                        event: step.0 as u64,
-                    };
-                    monitor.label = format!("mutex monitor {step} req {req}").into();
-                    monitors.push(monitor);
-                    let guard = EventKind::External(grant);
-                    st.nav.rules.add_precondition(id, guard);
-                }
-            }
-            for m in monitors {
-                st.nav.install_rule(step, m);
-            }
-        }
+        self.wire_gate(instance);
         self.arm_poll(ctx);
     }
 
-    /// Static coordination wiring for an instance at this agent: the
-    /// relative-order guard preconditions (pairs k ≥ 1 of both sides stay
-    /// blocked until the arbiter decides) and the mutex monitors.
-    fn collect_coordination(
-        &self,
-        instance: InstanceId,
-        schema: &WorkflowSchema,
-        preconditions: &mut Vec<(StepId, u64)>,
-        mutex_monitors: &mut Vec<(StepId, u32)>,
-        ro_claim_monitors: &mut Vec<(StepId, u32)>,
-    ) {
-        let dep = &self.shared.deployment;
-        for m in &dep.coordination.mutual_exclusions {
-            for member in &m.members {
-                if member.schema == instance.schema
-                    && self.is_designated_opt(instance, schema, member.step)
-                {
-                    mutex_monitors.push((member.step, m.id));
-                }
-            }
+    /// Wire `instance`'s gate over the steps designated here, on first
+    /// use: at instantiation, or when an answer arrives before the first
+    /// packet does.
+    fn wire_gate(&mut self, instance: InstanceId) {
+        if self.inst(instance).nav.gate.is_none() {
+            let schema = self.schema(instance);
+            let designated = |step| self.is_designated(instance, &schema, step);
+            let gate = Gate::wire(&self.shared.deployment, instance, designated);
+            self.inst(instance).nav.gate = gate;
         }
-        let partners = dep.ro_links.partners_of(instance);
-        for r in &dep.coordination.relative_orders {
-            for partner in partners.clone() {
-                let Some(side) = ro_side(r, instance, partner) else {
-                    continue;
-                };
-                for (k, (step, _)) in ro_steps(r, side).enumerate() {
-                    if self.is_designated_opt(instance, schema, step) {
-                        let (a, b) = ro_canonical(instance, partner, side);
-                        let tag = tags::ro_guard(r.id, k, side, a, b);
-                        preconditions.push((step, tag));
-                        if k == 0 {
-                            // The first pair is serialized through the
-                            // arbiter: when the step's own triggers are
-                            // ready, claim; the guard is released by the
-                            // decision (leader) or by the leader's
-                            // completion (lagger).
-                            ro_claim_monitors.push((step, r.id));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn is_designated_opt(
-        &self,
-        instance: InstanceId,
-        schema: &WorkflowSchema,
-        step: StepId,
-    ) -> bool {
-        schema
-            .step(step)
-            .is_some_and(|d| designated_agent(self.seed(), instance, d) == self.agent_id)
     }
 
     // ---- packet handling ---------------------------------------------------
@@ -502,17 +367,12 @@ impl DistAgent {
         for (e, gen) in &packet.events {
             rules.merge_event(*e, *gen);
         }
-        // Relative-order piggyback: lagging tags become preconditions of
-        // local steps; leading tags become notify-on-done obligations.
-        let st = self.inst(instance);
-        for tag in &packet.ro_lagging {
-            st.guard_execution_rules(tag.local_step, tag.tag);
-        }
-        for tag in &packet.ro_leading {
-            let entry = st.notify_on_done.entry(tag.local_step).or_default();
-            let val = (tag.tag, tag.partner, tag.partner_step);
-            if !entry.contains(&val) {
-                entry.push(val);
+        // Relative-order piggyback: a lagging tag is a guard of the local
+        // step (`AddPrecondition`). The leading tags repeat the releases
+        // the arbiter's `RoNotify` already installed where they are owed.
+        if let Some(gate) = self.inst(instance).nav.gate.as_deref_mut() {
+            for tag in &packet.ro_lagging {
+                gate.require(tag.local_step, tag.tag);
             }
         }
         // Weight accounting at the executor of the target step.
@@ -545,21 +405,6 @@ impl DistAgent {
             for action in actions {
                 match action {
                     Action::StartStep(step) => self.start_step(instance, step, ctx),
-                    Action::NotifyExternal { route, event } => {
-                        let req = (route & 0xFFFF_FFFF) as u32;
-                        if route & ROUTE_MUTEX != 0 {
-                            let dep = self.shared.deployment.clone();
-                            let m = dep.mutex(req).expect("a monitored mutex is deployed");
-                            let rule = CoordRule::MutexAcquire {
-                                req,
-                                instance,
-                                step: StepId(event as u32),
-                            };
-                            self.tell_mutex_manager(m, rule, ctx);
-                        } else if route & ROUTE_RO_CLAIM != 0 {
-                            self.request_ro_claim(instance, req, ctx);
-                        }
-                    }
                     Action::CompensateStep(step) => {
                         self.compensate_local(instance, step, false, ctx);
                     }
@@ -572,27 +417,87 @@ impl DistAgent {
         }
     }
 
-    /// Claim relative-order leadership for `instance` at the arbiter of
-    /// requirement `req` (sent when the first conflicting step's own
-    /// triggers become ready — the serialization point that decides
-    /// leading vs lagging).
-    fn request_ro_claim(&mut self, instance: InstanceId, req: u32, ctx: &mut Ctx<DistMsg>) {
-        let dep = self.shared.deployment.clone();
-        let Some(r) = dep.relative_order(req) else {
+    // ---- coordination ------------------------------------------------------
+
+    /// Ask `instance`'s gate whether `step` may run, sending what it asks
+    /// for until it says go or parks the step (a manager or arbiter here
+    /// may answer on the spot).
+    fn pass_gate(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<DistMsg>) -> bool {
+        loop {
+            let Some(gate) = self.inst(instance).nav.gate.as_deref_mut() else {
+                return true;
+            };
+            match gate.check(step).1 {
+                Verdict::Go => return true,
+                Verdict::Parked => return false,
+                Verdict::Send(requests) => {
+                    for request in requests {
+                        self.request(instance, request, ctx);
+                    }
+                    // An answer on the spot may have retried the step.
+                    let gate = self.inst(instance).nav.gate.as_deref();
+                    if !gate.is_some_and(|g| g.asking(step)) {
+                        return false;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Send `request` of `instance`: a claim to the pair's arbiter, an
+    /// acquire or release to the mutex's manager.
+    fn request(&mut self, instance: InstanceId, request: Request, ctx: &mut Ctx<DistMsg>) {
+        let (node, rule) = match request {
+            Request::Claim(req, partner) => (
+                self.ro_arbiter_node(req, instance, partner),
+                CoordRule::RoFirstDone {
+                    req,
+                    claimant: instance,
+                    partner,
+                },
+            ),
+            Request::Acquire(req, step) => (
+                self.mutex_manager_node(req),
+                CoordRule::MutexAcquire {
+                    req,
+                    instance,
+                    step,
+                },
+            ),
+            Request::Release(req, step) => (
+                self.mutex_manager_node(req),
+                CoordRule::MutexRelease {
+                    req,
+                    instance,
+                    step,
+                },
+            ),
+        };
+        self.tell(node, DistMsg::AddRule { rule }, ctx);
+    }
+
+    /// Hand `instance`'s gate to `answer` and carry out what it wakes:
+    /// retry the steps, inject the releases owed at the lagging steps'
+    /// agents, send the requests.
+    fn answer(
+        &mut self,
+        instance: InstanceId,
+        ctx: &mut Ctx<DistMsg>,
+        answer: impl FnOnce(&mut Gate, &InstanceHistory) -> Wake,
+    ) {
+        let nav = &mut self.inst(instance).nav;
+        let Some(gate) = nav.gate.as_deref_mut() else {
             return;
         };
-        for partner in dep.ro_links.partners_of(instance) {
-            let Some(side) = ro_side(r, instance, partner) else {
-                continue;
-            };
-            let (_, b) = ro_canonical(instance, partner, side);
-            let rule = CoordRule::RoFirstDone {
-                req,
-                claimant: instance,
-                partner,
-            };
-            let arbiter = self.ro_arbiter_node(r, b);
-            self.tell(arbiter, DistMsg::AddRule { rule }, ctx);
+        let wake = answer(gate, &nav.history);
+        for step in wake.retry {
+            self.start_step(instance, step, ctx);
+        }
+        for owed in wake.emit {
+            self.add_event_at(owed.partner, owed.partner_step, owed.tag, ctx);
+        }
+        for request in wake.send {
+            self.request(instance, request, ctx);
         }
     }
 
@@ -607,6 +512,9 @@ impl DistAgent {
         }
         if self.inst(instance).awaiting_compset.contains(&step) {
             return; // a CompensateSet chain will restart it
+        }
+        if !self.pass_gate(instance, step, ctx) {
+            return;
         }
         // Nested workflow step: launch the child instead of a program.
         if let Some(&child_schema) = schema.nested.get(&step) {
@@ -752,12 +660,9 @@ impl DistAgent {
             rules.add_event(EventKind::StepDone(step));
         }
 
-        // Relative ordering: arbiter decision on the partner's first
-        // conflicting step, first-done claims, and leading notifications.
-        self.ro_on_step_done(instance, step, ctx);
-
-        // Mutual exclusion: release any resource held for this step.
-        self.mutex_release_if_member(instance, step, ctx);
+        // Coordination: the releases the step owes lagging partners, and
+        // its grants back to their managers.
+        self.answer(instance, ctx, |gate, _| gate.done(step));
 
         // Branch-switch detection at XOR splits (Figure 3): compensate the
         // previously taken branch when the new choice differs.
@@ -981,14 +886,14 @@ impl DistAgent {
                         let other_side = 1 - side;
                         leading.push(RoTag {
                             local_step: my_step,
-                            tag: tags::ro_guard(r.id, k, other_side, a, b),
+                            tag: ro_guard(r.id, k, other_side, a, b),
                             partner,
                             partner_step,
                         });
                     } else {
                         lagging.push(RoTag {
                             local_step: my_step,
-                            tag: tags::ro_guard(r.id, k, side, a, b),
+                            tag: ro_guard(r.id, k, side, a, b),
                             partner,
                             partner_step,
                         });
@@ -1001,22 +906,7 @@ impl DistAgent {
 
     // ---- relative ordering --------------------------------------------------
 
-    /// Hooks run when `step` of `instance` completes: claim first-done to
-    /// the arbiter, decide as arbiter, and emit leading notifications.
-    fn ro_on_step_done(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<DistMsg>) {
-        // Leading notifications installed earlier (piggyback or arbiter).
-        let notifies = self
-            .inst(instance)
-            .notify_on_done
-            .get(&step)
-            .cloned()
-            .unwrap_or_default();
-        for (tag, partner, partner_step) in notifies {
-            self.add_event_at(partner, partner_step, tag, ctx);
-        }
-    }
-
-    /// Inject `tag` into `instance`'s rules at the agent of its `step`.
+    /// Release guard `tag` of `instance`'s `step` at the step's agent.
     fn add_event_at(
         &mut self,
         instance: InstanceId,
@@ -1028,10 +918,16 @@ impl DistAgent {
         self.tell(node, DistMsg::AddEvent { instance, tag }, ctx);
     }
 
-    /// The arbiter node for requirement `r` between a canonical pair
-    /// whose side-1 instance is `b`: the designated agent of `b`'s first
+    /// The arbiter node of relative order `req` between `instance` and
+    /// `partner`: the designated agent of the side-1 instance's first
     /// conflicting step.
-    fn ro_arbiter_node(&self, r: &crew_model::RelativeOrder, b: InstanceId) -> NodeId {
+    fn ro_arbiter_node(&self, req: u32, instance: InstanceId, partner: InstanceId) -> NodeId {
+        let dep = &self.shared.deployment;
+        let r = dep
+            .relative_order(req)
+            .expect("a claimed order is deployed");
+        let side = ro_side(r, instance, partner).expect("the claimant is bound by the order");
+        let (_, b) = ro_canonical(instance, partner, side);
         let (step, _) = ro_steps(r, 1).next().expect("pairs non-empty");
         self.node_of_step(b, &self.schema(b), step)
     }
@@ -1055,7 +951,7 @@ impl DistAgent {
                 req,
                 instance: leader,
                 local_step: lead_step,
-                tag: tags::ro_guard(req, k, 1 - side, a, b),
+                tag: ro_guard(req, k, 1 - side, a, b),
                 target_instance: lagger,
                 target_step: lag_step,
             };
@@ -1063,81 +959,36 @@ impl DistAgent {
             // Release the leader's guard: its steps must not wait.
             let release = DistMsg::AddEvent {
                 instance: leader,
-                tag: tags::ro_guard(req, k, side, a, b),
+                tag: ro_guard(req, k, side, a, b),
             };
             self.tell(lead_node, release, ctx);
         }
     }
 
-    fn install_ro_notify(
-        &mut self,
-        instance: InstanceId,
-        local_step: StepId,
-        tag: u64,
-        target_instance: InstanceId,
-        target_step: StepId,
-        ctx: &mut Ctx<DistMsg>,
-    ) {
-        let already_done = {
-            let st = self.inst(instance);
-            let entry = st.notify_on_done.entry(local_step).or_default();
-            let val = (tag, target_instance, target_step);
-            if !entry.contains(&val) {
-                entry.push(val);
-            }
-            st.nav.history.state(local_step) == StepState::Done
-        };
-        // If the local step already completed (raced), emit immediately.
-        if already_done {
-            self.add_event_at(target_instance, target_step, tag, ctx);
-        }
-    }
-
     // ---- mutual exclusion ----------------------------------------------------
 
-    fn mutex_release_if_member(
-        &mut self,
-        instance: InstanceId,
-        step: StepId,
-        ctx: &mut Ctx<DistMsg>,
-    ) {
-        let dep = self.shared.deployment.clone();
-        for m in dep.mutexes_of(SchemaStep::new(instance.schema, step)) {
-            let rule = CoordRule::MutexRelease {
-                req: m.id,
-                instance,
-                step,
-            };
-            self.tell_mutex_manager(m, rule, ctx);
-        }
-    }
-
-    /// Hand `rule` to requirement `m`'s manager agent: the designated
-    /// agent of its first member step, instance-independent (keyed by
-    /// serial 0 so every agent agrees without knowing live instances).
-    fn tell_mutex_manager(
-        &mut self,
-        m: &crew_model::MutualExclusion,
-        rule: CoordRule,
-        ctx: &mut Ctx<DistMsg>,
-    ) {
+    /// Mutual exclusion `req`'s manager agent: the designated agent of its
+    /// first member step, instance-independent (keyed by serial 0 so every
+    /// agent agrees without knowing live instances).
+    fn mutex_manager_node(&self, req: u32) -> NodeId {
+        let dep = &self.shared.deployment;
+        let m = dep.mutex(req).expect("a requested mutex is deployed");
         let first = m.members.first().expect("mutex requirement has members");
         let probe = InstanceId::new(first.schema, 0);
-        let manager = self.node_of_step(probe, &self.schema(probe), first.step);
-        self.tell(manager, DistMsg::AddRule { rule }, ctx);
+        self.node_of_step(probe, &self.schema(probe), first.step)
     }
 
     fn handle_coord_rule(&mut self, rule: CoordRule, ctx: &mut Ctx<DistMsg>) {
         match rule {
             // Grants go to the agent the step is designated at, the one
-            // whose monitor asked.
+            // whose gate asked.
             CoordRule::MutexAcquire {
                 req,
                 instance,
                 step,
             } => {
                 if self.mutexes.entry(req).or_default().acquire(instance, step) {
-                    self.add_event_at(instance, step, tags::mutex_grant(req, instance, step), ctx);
+                    self.add_event_at(instance, step, mutex_grant(req, instance, step), ctx);
                 }
             }
             CoordRule::MutexRelease {
@@ -1147,7 +998,7 @@ impl DistAgent {
             } => {
                 let queue = self.mutexes.entry(req).or_default();
                 if let Some((next, next_step)) = queue.release(instance, step) {
-                    let grant = tags::mutex_grant(req, next, next_step);
+                    let grant = mutex_grant(req, next, next_step);
                     self.add_event_at(next, next_step, grant, ctx);
                 }
             }
@@ -1165,77 +1016,37 @@ impl DistAgent {
                     self.ro_wire_leader(r, decision, ctx);
                 }
             }
+            // The leader owes the lagger a release once `local_step`
+            // completes (at once if it already has).
             CoordRule::RoNotify {
+                req,
                 instance,
                 local_step,
-                tag,
                 target_instance,
-                target_step,
                 ..
             } => {
-                self.install_ro_notify(
-                    instance,
-                    local_step,
-                    tag,
-                    target_instance,
-                    target_step,
-                    ctx,
-                );
+                let dep = self.shared.deployment.clone();
+                let Some(r) = dep.relative_order(req) else {
+                    return;
+                };
+                let Some(side) = ro_side(r, instance, target_instance) else {
+                    return;
+                };
+                let (a, b) = ro_canonical(instance, target_instance, side);
+                let leads = RoLeader { req, a, b, side };
+                self.wire_gate(instance);
+                self.answer(instance, ctx, |gate, history| {
+                    let done = |s| history.state(s) == StepState::Done;
+                    gate.oblige(r, leads, local_step, done)
+                });
             }
         }
     }
 
+    /// A grant or a release for `instance` arrived.
     fn on_add_event(&mut self, instance: InstanceId, tag: u64, ctx: &mut Ctx<DistMsg>) {
-        let nav = &mut self.inst(instance).nav;
-        nav.rules.add_event(EventKind::External(tag));
-        self.fire_rules(instance, ctx);
-        self.maybe_release_stale_grant(instance, tag, ctx);
-    }
-
-    /// A mutex grant that arrives after its step already completed (a
-    /// rollback re-acquire that lost the race with the re-execution, or a
-    /// grant to a since-terminated instance) would park the resource
-    /// forever: nobody is left to release it. If the grant was not
-    /// consumed by any rule in the firing sweep above and the step is not
-    /// awaiting its first execution, hand the resource straight back.
-    fn maybe_release_stale_grant(
-        &mut self,
-        instance: InstanceId,
-        tag: u64,
-        ctx: &mut Ctx<DistMsg>,
-    ) {
-        let dep = self.shared.deployment.clone();
-        let hit = dep.coordination.mutual_exclusions.iter().find_map(|m| {
-            m.members
-                .iter()
-                .find(|mem| {
-                    mem.schema == instance.schema
-                        && tags::mutex_grant(m.id, instance, mem.step) == tag
-                })
-                .map(|mem| (m, mem.step))
-        });
-        let Some((m, step)) = hit else { return };
-        let req = m.id;
-        let stale = {
-            let nav = &self.inst(instance).nav;
-            let executed =
-                nav.history.state(step) != StepState::NotExecuted || nav.committed || nav.aborted;
-            let unconsumed = nav.rules_of(step).iter().all(|id| {
-                nav.rules
-                    .trigger_consumed(*id, EventKind::External(tag))
-                    .map(|c| !c)
-                    .unwrap_or(true)
-            });
-            executed && unconsumed
-        };
-        if stale {
-            let rule = CoordRule::MutexRelease {
-                req,
-                instance,
-                step,
-            };
-            self.tell_mutex_manager(m, rule, ctx);
-        }
+        self.wire_gate(instance);
+        self.answer(instance, ctx, |gate, _| gate.satisfy(tag));
     }
 
     // ---- branch switching ------------------------------------------------------
@@ -1398,11 +1209,12 @@ impl DistAgent {
         let invalidated = st.nav.invalidate_from(&schema, origin);
         // The origin re-executes, and so must every invalidated step held
         // here: packets re-deliver their triggers with generations the
-        // rules already consumed, so their past firings are voided (monitor
-        // rules included — a mutex monitor must re-acquire).
-        st.nav.refire(invalidated.iter().copied().chain([origin]));
-        for &s in invalidated.iter().chain([&origin]) {
-            self.invalidate_step_coordination(instance, s);
+        // rules already consumed, so their past firings are voided. Their
+        // waits end; they wait again when their rules re-fire.
+        let steps = invalidated.iter().copied().chain([origin]);
+        st.nav.refire(steps.clone());
+        if let Some(gate) = st.nav.gate.as_deref_mut() {
+            gate.unpark(steps);
         }
         // Halt probes retrace the packet channels (FIFO ⇒ race-free).
         self.propagate_halt(instance, origin, epoch, &schema, ctx);
@@ -1425,18 +1237,6 @@ impl DistAgent {
         }
 
         self.fire_rules(instance, ctx);
-    }
-
-    /// Invalidate the coordination facts attached to an invalidated step:
-    /// mutex grants must be re-acquired by a re-execution (a stale grant
-    /// would let the step run unprotected).
-    fn invalidate_step_coordination(&mut self, instance: InstanceId, step: StepId) {
-        let dep = self.shared.deployment.clone();
-        for m in dep.mutexes_of(SchemaStep::new(instance.schema, step)) {
-            let tag = tags::mutex_grant(m.id, instance, step);
-            let rules = &mut self.inst(instance).nav.rules;
-            rules.invalidate_event(EventKind::External(tag));
-        }
     }
 
     /// Forward `HaltThread` to the eligible agents of every successor step
@@ -1507,8 +1307,8 @@ impl DistAgent {
         let invalidated = nav.invalidate_from(&schema, origin);
         // Downstream of the origin: only the invalidated steps re-run here.
         nav.refire(invalidated.iter().copied());
-        for &s in &invalidated {
-            self.invalidate_step_coordination(instance, s);
+        if let Some(gate) = nav.gate.as_deref_mut() {
+            gate.unpark(invalidated.iter().copied());
         }
         self.propagate_halt(instance, origin, epoch, &schema, ctx);
     }
@@ -1666,18 +1466,16 @@ impl DistAgent {
             return;
         }
         nav.aborted = true;
+        if let Some(gate) = nav.gate.as_deref_mut() {
+            gate.abort();
+        }
         self.set_status(instance, InstanceStatus::Aborted);
         // Hand back (or de-queue) every mutex this instance may hold or
         // await, so contenders are never wedged by the abort.
         let dep = self.shared.deployment.clone();
         for m in &dep.coordination.mutual_exclusions {
             for member in m.members.iter().filter(|s| s.schema == instance.schema) {
-                let rule = CoordRule::MutexRelease {
-                    req: m.id,
-                    instance,
-                    step: member.step,
-                };
-                self.tell_mutex_manager(m, rule, ctx);
+                self.request(instance, Request::Release(m.id, member.step), ctx);
             }
         }
         let schema = self.schema(instance);

@@ -9,8 +9,9 @@
 //! unwinding, `StepStatus` polling for crashed predecessors), weighted
 //! thread-accounting commit, and the coordinated-execution protocols
 //! (relative ordering with packet-piggybacked leading/lagging tags, mutual
-//! exclusion, rollback dependencies) built on the `AddRule`/`AddEvent`/
-//! `AddPrecondition` primitives (the last one rides on packets).
+//! exclusion, rollback dependencies) built on the `AddRule`/`AddEvent`
+//! primitives; `AddPrecondition` rides on packets and becomes a
+//! requirement of the instance's coordination gate (`crew_exec::Gate`).
 
 #![warn(missing_docs)]
 #![allow(missing_docs)] // field-level docs are selective in protocol enums
@@ -22,7 +23,6 @@ pub mod frontend;
 pub mod msg;
 pub mod packet;
 pub mod runtime;
-pub mod tags;
 
 /// Re-export of the shared thread-accounting weight (lives in `crew-exec`
 /// so the central/parallel engines use the identical commit accounting).

@@ -10,7 +10,7 @@
 //! `InputsChanged` are *input change*; `WorkflowAbort` is *abort*;
 //! `AddRule`/`AddEvent` are *coordinated execution*. (The paper's third
 //! primitive, `AddPrecondition`, travels on packets: a lagging tag becomes
-//! a precondition where the packet lands.)
+//! a guard of the coordination gate where the packet lands.)
 
 use crate::packet::WorkflowPacket;
 use crew_model::{InstanceId, ItemKey, StepId, Value};

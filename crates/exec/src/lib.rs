@@ -9,8 +9,9 @@
 //! The centralized engine, the parallel engines and the distributed agents
 //! all build on this crate — and embed its per-instance navigator
 //! ([`InstanceNav`]), which makes every enactment decision once, and its
-//! coordination managers ([`MutexQueue`], [`RoArbiter`]), which make every
-//! coordination decision once — so navigation, recovery and coordination
+//! coordination managers ([`MutexQueue`], [`RoArbiter`]) and guard
+//! ([`Gate`]), which make every coordination decision and wait once — so
+//! navigation, recovery and coordination
 //! behave identically across architectures and the performance comparison
 //! of §6 measures the architectures, not divergent semantics.
 
@@ -27,7 +28,10 @@ pub mod ocr;
 pub mod program;
 pub mod weight;
 
-pub use coord::{ro_canonical, ro_side, ro_steps, MutexQueue, RoArbiter, RoLeader};
+pub use coord::{
+    ro_canonical, ro_side, ro_steps, Gate, MutexQueue, Obligation, Request, RoArbiter, RoLeader,
+    Verdict, Wake,
+};
 pub use deploy::{Deployment, RelOrderLinks};
 pub use executor::{ExecError, StepExecutor, StepOutcome};
 pub use failure::FailurePlan;

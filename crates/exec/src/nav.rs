@@ -12,6 +12,7 @@
 //! clock: the central engine and the distributed agent embed it and keep
 //! only their transport-shaped shell around it.
 
+use crate::coord::Gate;
 use crate::failure::FailurePlan;
 use crate::hash;
 use crate::history::InstanceHistory;
@@ -55,7 +56,7 @@ pub struct InstanceNav {
     pub aborted: bool,
     /// Parent linkage of a nested instance.
     pub parent: Option<(InstanceId, StepId)>,
-    /// Installed rules per step (rollback re-firing, precondition routing).
+    /// Installed rules per step (rollback re-firing).
     rule_ids: VecMap<StepId, Vec<RuleId>>,
     /// Incoming flow weight, keyed by (target step, source step), so joins
     /// sum over a target's sources and a re-execution replaces its slot
@@ -75,21 +76,18 @@ pub struct InstanceNav {
     terminal_weights: VecMap<StepId, Weight>,
     /// Children launched and not yet completed, per nested step.
     pending_nested: VecMap<StepId, InstanceId>,
+    /// What the held steps wait on and owe, for an instance some mutual
+    /// exclusion or relative order names (`None` otherwise).
+    pub gate: Option<Box<Gate>>,
 }
 
 impl InstanceNav {
     // ---- rules -----------------------------------------------------------
 
     /// Install `rule` as one of `step`'s rules.
-    pub fn install_rule(&mut self, step: StepId, rule: Rule) -> RuleId {
+    pub fn install_rule(&mut self, step: StepId, rule: Rule) {
         let id = self.rules.add_rule(rule);
         self.rule_ids.entry(step).or_default().push(id);
-        id
-    }
-
-    /// The rules installed for `step`.
-    pub fn rules_of(&self, step: StepId) -> Vec<RuleId> {
-        self.rule_ids.get(&step).cloned().unwrap_or_default()
     }
 
     /// One sweep of the rule table over the current data: the actions of
@@ -618,11 +616,10 @@ mod tests {
         let (schema, s) = diamond();
         let mut nav = InstanceNav::default();
         let trigger = EventKind::StepDone(s[0]);
-        let id = nav.install_rule(
+        nav.install_rule(
             s[1],
             Rule::new(RuleId(0), vec![trigger], Action::StartStep(s[1])),
         );
-        assert_eq!(nav.rules_of(s[1]), vec![id]);
         nav.rules.add_event(trigger);
         nav.rules.add_event(EventKind::StepDone(s[3]));
         nav.accept_weight(&schema, Some(s[1]), s[3], Weight::new(1, 2));

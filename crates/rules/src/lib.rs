@@ -1,10 +1,10 @@
 //! # crew-rules
 //!
 //! The rule-based enactment core of CREW: events, event-condition-action
-//! rules, per-instance rule sets with the dynamic primitives `AddRule()`,
-//! `AddEvent()` and `AddPrecondition()` (paper §3, Figure 4), and the
-//! compiler that turns a validated workflow schema into its navigation rule
-//! template (§4.2).
+//! rules, per-instance rule sets with the dynamic primitives `AddRule()` and
+//! `AddEvent()` (paper §3, Figure 4; `AddPrecondition()` is a coordination
+//! gate requirement, `crew_exec::Gate`), and the compiler that turns a
+//! validated workflow schema into its navigation rule template (§4.2).
 //!
 //! The rule engine is deliberately host-agnostic: it knows nothing about
 //! agents, engines or messages. Hosts post events, call

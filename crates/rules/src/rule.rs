@@ -34,15 +34,6 @@ pub enum Action {
     AbortWorkflow,
     /// Post another event into this rule set (rule chaining).
     EmitEvent(EventKind),
-    /// Deliver an external event to another party — the host translates
-    /// this into an `AddEvent()` call on the agent/engine holding the
-    /// target rule set. The payload is opaque to the rule engine.
-    NotifyExternal {
-        /// Host-interpreted routing token.
-        route: u64,
-        /// Event to inject at the destination.
-        event: u64,
-    },
 }
 
 impl fmt::Display for Action {
@@ -53,9 +44,6 @@ impl fmt::Display for Action {
             Action::CommitWorkflow => write!(f, "commit"),
             Action::AbortWorkflow => write!(f, "abort"),
             Action::EmitEvent(e) => write!(f, "emit {e}"),
-            Action::NotifyExternal { route, event } => {
-                write!(f, "notify {route:x} event {event:x}")
-            }
         }
     }
 }
@@ -81,8 +69,7 @@ pub(crate) struct Trigger {
 pub struct Rule {
     /// Stable identifier within its collection.
     pub id: RuleId,
-    /// Conjunction of events required before the rule may fire. Extended at
-    /// run time by `AddPrecondition()`.
+    /// Conjunction of events required before the rule may fire.
     pub(crate) trigger: Vec<Trigger>,
     /// Guard evaluated against the instance's data table; the rule fires
     /// only if it holds. `None` = always true. Guard evaluation errors are
@@ -91,7 +78,7 @@ pub struct Rule {
     pub guard: Option<Arc<Expr>>,
     /// Action taken when the rule fires.
     pub action: Action,
-    /// Diagnostic label ("fire S3", "relative-order monitor").
+    /// Diagnostic label ("fire S3").
     pub label: Arc<str>,
 }
 
@@ -123,17 +110,6 @@ impl Rule {
     /// True if `kind` is one of the events the rule waits for.
     pub fn triggers_on(&self, kind: EventKind) -> bool {
         self.trigger.iter().any(|t| t.event == kind)
-    }
-
-    /// Also wait for `kind` (the rule's past firings never consumed it).
-    pub(crate) fn require(&mut self, kind: EventKind) {
-        if !self.triggers_on(kind) {
-            self.trigger.reserve_exact(1);
-            self.trigger.push(Trigger {
-                event: kind,
-                mark: 0,
-            });
-        }
     }
 
     /// Forget every firing: the rule fires again on the occurrences it

@@ -1,12 +1,14 @@
 //! The rule set of one workflow instance: the run-time realization of the
 //! paper's general-rule table, pending-rule table and event table (§4.2),
-//! together with the three implementation-level primitives `AddRule()`,
-//! `AddEvent()` and `AddPrecondition()` (§3, Figure 4).
+//! together with the implementation-level primitives `AddRule()` and
+//! `AddEvent()` (§3, Figure 4). The third, `AddPrecondition()`, is a
+//! requirement of the instance's coordination gate (`crew_exec::Gate`),
+//! which a step passes after its rule fires.
 //!
 //! In distributed control every agent keeps one `RuleSet` per instance it
 //! participates in, holding only the rules for the steps it is responsible
-//! for plus any coordination rules installed by peers. In centralized
-//! control the engine keeps the complete rule set of each instance.
+//! for. In centralized control the engine keeps the complete rule set of
+//! each instance.
 
 use crate::event::{EventKind, EventState};
 use crate::rule::{Action, Rule, RuleId, Trigger};
@@ -157,21 +159,6 @@ impl RuleSet {
             .collect()
     }
 
-    // ---- AddPrecondition() -----------------------------------------------
-
-    /// Require an additional event before `rule` may fire (the
-    /// `AddPrecondition()` primitive). Returns `false` if the rule does not
-    /// exist (e.g. already fired and removed).
-    pub fn add_precondition(&mut self, rule: RuleId, kind: EventKind) -> bool {
-        match self.rules.get_mut(&rule) {
-            Some(r) => {
-                r.require(kind);
-                true
-            }
-            None => false,
-        }
-    }
-
     // ---- event table -----------------------------------------------------
 
     /// State of an event kind (default state if never seen).
@@ -196,8 +183,8 @@ impl RuleSet {
         // *all* its marks so it re-fires from whatever occurrences are
         // present once the invalidated event is re-established. (Clearing
         // only the invalidated event's mark would leave the rule blocked
-        // on its other, still-present triggers — e.g. coordination guard
-        // events — whose generations were already consumed.)
+        // on its other, still-present triggers, whose generations were
+        // already consumed.)
         for rule in self.rules.values_mut() {
             if rule.triggers_on(kind) {
                 rule.clear_marks();
@@ -233,53 +220,6 @@ impl RuleSet {
             });
         }
         fired
-    }
-
-    // ---- introspection ---------------------------------------------------
-
-    /// Look up a rule by id.
-    pub fn rule(&self, id: RuleId) -> Option<&Rule> {
-        self.rules.get(&id)
-    }
-
-    /// Rules.
-    pub fn rules(&self) -> impl Iterator<Item = &Rule> {
-        self.rules.values()
-    }
-
-    /// The *pending-rule table*: rules that are not currently ready, with
-    /// the events still missing for each. The distributed agent's
-    /// predecessor-failure timeout scans this for rules blocked on exactly
-    /// one `step.done`.
-    pub fn pending_rules(&self) -> Vec<(RuleId, Vec<EventKind>)> {
-        self.rules
-            .values()
-            .filter(|r| !is_ready_ignoring_guard(&self.events, r))
-            .map(|r| {
-                let stale = r.trigger.iter().filter(|t| !is_fresh(&self.events, t));
-                (r.id, stale.map(|t| t.event).collect())
-            })
-            .collect()
-    }
-
-    /// Has `rule` already consumed the current occurrence of `kind`?
-    /// (`None` if the rule does not exist or does not trigger on `kind`.)
-    pub fn trigger_consumed(&self, id: RuleId, kind: EventKind) -> Option<bool> {
-        let rule = self.rules.get(&id)?;
-        let t = rule.trigger.iter().find(|t| t.event == kind)?;
-        Some(t.mark >= self.event_state(kind).generation)
-    }
-
-    /// Rules currently blocked on exactly one missing event of the given
-    /// predicate — helper for the `StepStatus` polling protocol.
-    pub fn blocked_on_single(&self, pred: impl Fn(EventKind) -> bool) -> Vec<(RuleId, EventKind)> {
-        self.pending_rules()
-            .into_iter()
-            .filter_map(|(id, missing)| match missing.as_slice() {
-                [only] if pred(*only) => Some((id, *only)),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -327,9 +267,6 @@ mod tests {
         ));
         rs.add_event(EventKind::StepDone(StepId(1)));
         assert!(rs.fire_ready(&DataEnv::new()).is_empty());
-        let pending = rs.pending_rules();
-        assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].1, vec![EventKind::StepDone(StepId(2))]);
         rs.add_event(EventKind::StepDone(StepId(2)));
         assert_eq!(rs.fire_ready(&DataEnv::new()).len(), 1);
     }
@@ -378,25 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn add_precondition_blocks_until_external_event() {
-        let mut rs = RuleSet::new();
-        let id = rs.add_rule(Rule::new(
-            RuleId(0),
-            vec![EventKind::StepDone(StepId(1))],
-            Action::StartStep(StepId(2)),
-        ));
-        // Coordinated execution: S2 must additionally wait for an external
-        // event from the leading workflow (Figure 4).
-        assert!(rs.add_precondition(id, EventKind::External(7)));
-        rs.add_event(EventKind::StepDone(StepId(1)));
-        assert!(rs.fire_ready(&DataEnv::new()).is_empty());
-        rs.add_event(EventKind::External(7));
-        assert_eq!(rs.fire_ready(&DataEnv::new()).len(), 1);
-        // Unknown rule id reports failure.
-        assert!(!rs.add_precondition(RuleId(99), EventKind::External(1)));
-    }
-
-    #[test]
     fn invalidate_resets_rules_for_reexecution() {
         let mut rs = RuleSet::new();
         rs.add_rule(Rule::new(
@@ -416,27 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_on_single_finds_poll_candidates() {
-        let mut rs = RuleSet::new();
-        rs.add_rule(Rule::new(
-            RuleId(0),
-            vec![EventKind::StepDone(StepId(1))],
-            Action::StartStep(StepId(2)),
-        ));
-        rs.add_rule(Rule::new(
-            RuleId(0),
-            vec![
-                EventKind::StepDone(StepId(3)),
-                EventKind::StepDone(StepId(4)),
-            ],
-            Action::StartStep(StepId(5)),
-        ));
-        let hits = rs.blocked_on_single(|k| matches!(k, EventKind::StepDone(_)));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].1, EventKind::StepDone(StepId(1)));
-    }
-
-    #[test]
     fn present_events_round_trip() {
         let mut rs = RuleSet::new();
         rs.add_event(EventKind::WorkflowStart);
@@ -449,46 +346,44 @@ mod tests {
     }
 
     /// The firing marks of a multi-trigger rule through every operation
-    /// that touches them: one firing consumes the current occurrence of
-    /// *every* trigger, a late precondition starts unconsumed, invalidating
-    /// any one trigger voids the whole firing, and `reset_rule` re-arms the
-    /// rule on occurrences it already consumed.
+    /// that touches them, on the rule the compiler makes for an AND-join
+    /// of three branches: one firing consumes the current occurrence of
+    /// *every* trigger, a fresh occurrence of one trigger is not enough,
+    /// invalidating any one trigger voids the whole firing, and
+    /// `reset_rule` re-arms the rule on occurrences it already consumed.
     #[test]
     fn three_trigger_rule_fires_on_exactly_the_fresh_occurrences() {
-        let (a, b, x) = (
-            EventKind::StepDone(StepId(1)),
-            EventKind::StepDone(StepId(2)),
-            EventKind::External(7),
-        );
+        use crate::compile::compile_schema;
+        use crew_model::{AgentId, SchemaBuilder, SchemaId};
+        let mut b = SchemaBuilder::new(SchemaId(1), "and-join").inputs(1);
+        let s = [(); 5].map(|_| b.add_step("S", "passthrough"));
+        b.and_split(s[0], [s[1], s[2], s[3]]);
+        b.and_join([s[1], s[2], s[3]], s[4]);
+        b.default_agents(&[AgentId(0)]);
+        let schema = b.build().expect("valid schema");
+        let join = compile_schema(&schema)
+            .into_iter()
+            .find(|t| t.step == s[4])
+            .expect("the join's rule");
+        let [a, b, x] = [s[1], s[2], s[3]].map(EventKind::StepDone);
         let env = DataEnv::new();
         let mut rs = RuleSet::new();
-        let id = rs.add_rule(Rule::new(
-            RuleId(0),
-            vec![a, b],
-            Action::StartStep(StepId(3)),
-        ));
+        let id = rs.add_rule(join.rule);
         let fires = |rs: &mut RuleSet| rs.fire_ready(&env).len();
-        let consumed = |rs: &RuleSet| [a, b, x].map(|k| rs.trigger_consumed(id, k));
 
         rs.add_event(a);
         rs.add_event(a); // two occurrences of a, one of b: one firing
         rs.add_event(b);
-        assert!(rs.add_precondition(id, x));
-        assert!(rs.add_precondition(id, x), "adding it twice is a no-op");
         assert_eq!(fires(&mut rs), 0, "the third trigger has not occurred");
-        assert_eq!(rs.pending_rules(), vec![(id, vec![x])]);
         rs.add_event(x);
-        assert_eq!(consumed(&rs), [Some(false); 3]);
         assert_eq!(fires(&mut rs), 1);
-        assert_eq!(consumed(&rs), [Some(true); 3]);
         assert_eq!(fires(&mut rs), 0, "a's second occurrence was consumed too");
 
         // A fresh occurrence of one trigger is not enough.
         rs.add_event(a);
-        assert_eq!(consumed(&rs), [Some(false), Some(true), Some(true)]);
         assert_eq!(fires(&mut rs), 0);
-        assert_eq!(rs.pending_rules(), vec![(id, vec![b, x])]);
         rs.add_event(b);
+        assert_eq!(fires(&mut rs), 0);
         rs.add_event(x);
         assert_eq!(fires(&mut rs), 1);
 
@@ -497,17 +392,14 @@ mod tests {
         // triggers' already-consumed occurrences.
         rs.invalidate_event(b);
         assert_eq!(fires(&mut rs), 0);
-        assert_eq!(rs.pending_rules(), vec![(id, vec![b])]);
         assert!(rs.revalidate_event(b));
         assert_eq!(fires(&mut rs), 1);
         assert_eq!(fires(&mut rs), 0);
 
         // reset_rule re-arms on what is present, exactly once.
         assert!(rs.reset_rule(id));
-        assert_eq!(consumed(&rs), [Some(false); 3]);
         assert_eq!(fires(&mut rs), 1);
         assert_eq!(fires(&mut rs), 0);
-        assert_eq!(rs.trigger_consumed(id, EventKind::WorkflowStart), None);
         assert!(!rs.reset_rule(RuleId(9)));
     }
 }

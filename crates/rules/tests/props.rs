@@ -71,17 +71,4 @@ proptest! {
         prop_assert_eq!(rs.fire_ready(&DataEnv::new()).len(), 1);
         prop_assert!(rs.fire_ready(&DataEnv::new()).is_empty());
     }
-
-    /// add_precondition never unblocks a rule: the satisfied set only
-    /// shrinks.
-    #[test]
-    fn preconditions_only_restrict(extra in 0u8..4) {
-        let mut rs = RuleSet::new();
-        let id = rs.add_rule(Rule::new(RuleId(0), vec![ev(0)], Action::StartStep(StepId(9))));
-        rs.add_event(ev(0));
-        rs.add_precondition(id, EventKind::External(extra as u64 + 100));
-        prop_assert!(rs.fire_ready(&DataEnv::new()).is_empty());
-        rs.add_event(EventKind::External(extra as u64 + 100));
-        prop_assert_eq!(rs.fire_ready(&DataEnv::new()).len(), 1);
-    }
 }

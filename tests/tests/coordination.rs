@@ -4,8 +4,8 @@
 use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_integration_tests::ExecLog;
 use crew_model::{
-    AgentId, CoordinationSpec, MutualExclusion, RelativeOrder, RollbackDependency, SchemaBuilder,
-    SchemaId, SchemaStep, StepId, Value,
+    AgentId, CoordinationSpec, Expr, ItemKey, MutualExclusion, RelativeOrder, RollbackDependency,
+    SchemaBuilder, SchemaId, SchemaStep, StepId, Value,
 };
 use crew_simnet::Mechanism;
 
@@ -327,5 +327,83 @@ fn mutex_three_way_contention_no_deadlock() {
         }
         let report = system.run(scenario);
         assert_eq!(report.committed(), 5, "{arch:?}");
+    }
+}
+
+/// Coordination decides *when* a step runs, never *whether*: two linked
+/// instances of A → B, looping B → A while A's output is below 3, run A
+/// and B three times each — 12 executions — under every coordination
+/// requirement and every architecture, whatever the second instance's
+/// arrival offset. Before the shared gate, a relative order on A cut
+/// distributed control to 8 executions (6 with a second pair on B): the
+/// agent's rule table needed a fresh guard occurrence per loop iteration.
+/// A mutex on A cut central and parallel control to 4 (6 on B): the engine
+/// handed back every grant that reached an instance already committed at
+/// its first B (FAILURE_MODES F4).
+#[test]
+fn coordination_never_changes_what_runs() {
+    let archs = [
+        Architecture::Central { agents: 3 },
+        Architecture::Parallel {
+            agents: 3,
+            engines: 2,
+        },
+        Architecture::Distributed { agents: 3 },
+    ];
+    let (a, b) = (StepId(1), StepId(2));
+    let ss = |step| SchemaStep::new(SchemaId(1), step);
+    let order = |pairs: Vec<(SchemaStep, SchemaStep)>| CoordinationSpec {
+        relative_orders: vec![RelativeOrder {
+            id: 0,
+            conflict: "parts".into(),
+            pairs,
+        }],
+        ..CoordinationSpec::default()
+    };
+    let mutex = |step| CoordinationSpec {
+        mutual_exclusions: vec![MutualExclusion {
+            id: 0,
+            resource: "dock".into(),
+            members: vec![ss(step)],
+        }],
+        ..CoordinationSpec::default()
+    };
+    let cases = [
+        ("none", CoordinationSpec::default()),
+        ("order A", order(vec![(ss(a), ss(a))])),
+        ("order A, B", order(vec![(ss(a), ss(a)), (ss(b), ss(b))])),
+        ("mutex {A}", mutex(a)),
+        ("mutex {B}", mutex(b)),
+    ];
+    for (name, spec) in &cases {
+        for arch in archs {
+            for offset in 0..40 {
+                let log = ExecLog::new();
+                let mut s = SchemaBuilder::new(SchemaId(1), "loop").inputs(1);
+                let sa = s.add_step("A", "log");
+                let sb = s.add_step("B", "log");
+                s.seq(sa, sb);
+                let again = Expr::lt(Expr::item(ItemKey::output(sa, 1)), Expr::lit(3i64));
+                s.loop_back(sb, sa, again);
+                s.configure(sa, |d| {
+                    d.eligible_agents = vec![AgentId(0)];
+                    d.output_slots = 1;
+                });
+                s.configure(sb, |d| d.eligible_agents = vec![AgentId(1)]);
+                let mut system = WorkflowSystem::new([s.build().unwrap()], arch);
+                system.deployment.coordination = spec.clone();
+                log.register(&mut system.deployment.registry, "log");
+
+                let mut scenario = Scenario::new();
+                let x = scenario.start(SchemaId(1), vec![(1, Value::Int(1))]);
+                let y = scenario.start_at(SchemaId(1), vec![(1, Value::Int(2))], offset);
+                scenario.link(x, y);
+                let report = system.run(scenario);
+
+                let case = format!("{name}, {arch:?}, offset {offset}");
+                assert!(report.all_terminal(), "{case}: not terminal");
+                assert_eq!(log.entries().len(), 12, "{case}: executions");
+            }
+        }
     }
 }

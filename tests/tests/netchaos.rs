@@ -569,3 +569,61 @@ fn engine_crash_runs_are_deterministic_per_seed() {
         assert_eq!(*r1.transport(), *r2.transport(), "{arch:?}");
     }
 }
+
+/// Live migration together with coordination terminates (FAILURE_MODES
+/// F5, ROADMAP "Always terminate" defect (h)) under parallel control. Four
+/// engines on a consistent-hash ring, the balancer every 20 ticks, engines
+/// 0 and 1 slowed to 6 and 3 ticks per message; 60 linked instances of four
+/// generated 8-step schemas with me = 2, ro = 2, rd = 1; 8 seeds, fault-free
+/// and with pf = 0.08. Before the coordination gate moved into the
+/// navigator, 33 of these 960 instances stalled.
+#[test]
+fn migration_meets_coordination_and_every_instance_terminates() {
+    use crew_core::PlacementStrategy;
+    use crew_workload::{build_deployment, link_instances, SetupParams};
+    let (mut stalled, mut total, mut migrations) = (0, 0, 0);
+    for seed in 1..=8 {
+        for pf in [0.0, 0.08] {
+            let p = SetupParams {
+                s: 8,
+                c: 4,
+                me: 2,
+                ro: 2,
+                rd: 1,
+                pf,
+                pi: 0.0,
+                pa: 0.0,
+                seed,
+                ..SetupParams::default()
+            };
+            let mut deployment = build_deployment(&p, false);
+            let schemas: Vec<SchemaId> = deployment.schemas.keys().copied().collect();
+            let planned: Vec<_> = (0..60u32)
+                .map(|k| crew_model::InstanceId::new(schemas[k as usize % schemas.len()], k + 1))
+                .collect();
+            link_instances(&mut deployment, &planned);
+            let arch = Architecture::Parallel {
+                agents: p.z,
+                engines: 4,
+            };
+            let system = WorkflowSystem::with_deployment(deployment, arch)
+                .with_placement(PlacementStrategy::ConsistentHash { vnodes: 16 })
+                .with_balancer(20, BalancerConfig::default())
+                .with_engine_service_cost(0, 6)
+                .with_engine_service_cost(1, 3);
+            let mut scenario = Scenario::new();
+            for (k, inst) in planned.iter().enumerate() {
+                let inputs = vec![(1, Value::Int(5)), (2, Value::Int(1))];
+                let idx = scenario.start_at(inst.schema, inputs, k as u64 * 2);
+                assert_eq!(scenario.instance_id(idx), *inst);
+            }
+            let report = system.run(scenario);
+            total += report.outcomes.len();
+            stalled += report.outcomes.len() - report.committed() - report.aborted();
+            migrations += report.migrations();
+        }
+    }
+    println!("migration x coordination: stalled {stalled}/{total}, {migrations} migrations");
+    assert!(migrations > 0, "the balancer migrated nothing");
+    assert_eq!(stalled, 0, "instances left non-terminal");
+}
