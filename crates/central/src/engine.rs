@@ -70,6 +70,10 @@ pub struct Engine {
     pub index: u32,
     topo: Topology,
     deployment: Arc<Deployment>,
+    /// The navigators of the instances hosted here and not yet retired. An
+    /// instance retires once it is terminal, quiescent and standalone
+    /// ([`Self::finished`]); it then leaves only its `statuses` row and
+    /// its `terminal_times` tick, so this table is bounded by what is live.
     instances: BTreeMap<InstanceId, Box<EngineInst>>,
     templates: BTreeMap<crew_model::SchemaId, Arc<Vec<crew_rules::TemplateRule>>>,
     /// Instance status summary (the WFDB instance summary table).
@@ -93,7 +97,6 @@ pub struct Engine {
     /// The mutual exclusions this engine manages, by requirement.
     mutexes: BTreeMap<u32, MutexQueue>,
     probe_token: u64,
-    load: u64,
     // ---- live migration (crew-shard) ----
     /// Per-instance command log: the encoded `CentralMsg` inputs (real and
     /// synthesized) that mention each hosted instance, in delivery order.
@@ -128,13 +131,20 @@ pub struct Engine {
     /// structure — the instance summary (`statuses`), the data, step and
     /// event tables (`nav.data`, `nav.history`, `nav.rules`), pending
     /// dispatches, compensation queues, OCR bookkeeping, and in-flight
-    /// coordination state.
+    /// coordination state. Commands of retired instances are skipped on
+    /// replay (see `summary`).
     wal: Wal<DbOp, MemStore>,
+    /// The WFDB instance summary table, append-only: one
+    /// [`DbOp::StatusChanged`] per retired instance, its final status,
+    /// written when it retires. Recovery reads it first, so the replay of
+    /// `wal` can skip every command of an instance that had retired.
+    summary: Wal<DbOp, MemStore>,
     /// True while `on_recover` re-drives journaled commands:
     /// `terminal_times` is instrumentation of the live run and must not be
-    /// stamped with the replay's clock. (A `MigrateState` install needs no
-    /// such guard: only executing instances migrate, and one that was ever
-    /// terminal never executes again.)
+    /// stamped with the replay's clock, and a retirement the replay
+    /// re-derives is already in `summary`. (A `MigrateState` install needs
+    /// no such guard: only executing instances migrate, and one that was
+    /// ever terminal never executes again.)
     replaying: bool,
     /// Set when WAL recovery fails: the node goes silent (fail-stop
     /// becomes fail-silent) instead of taking down the run.
@@ -156,7 +166,6 @@ impl Engine {
             ro: RoArbiter::default(),
             mutexes: BTreeMap::new(),
             probe_token: 0,
-            load: 0,
             cmd_log: BTreeMap::new(),
             forwards: BTreeMap::new(),
             forwarded_msgs: 0,
@@ -167,6 +176,7 @@ impl Engine {
             migrations_acked: 0,
             installing: None,
             wal: Wal::in_memory(),
+            summary: Wal::in_memory(),
             replaying: false,
             halted: false,
         }
@@ -176,13 +186,16 @@ impl Engine {
         self.deployment.expect_schema(instance.schema).clone()
     }
 
-    fn nav_load(&mut self, ctx: &mut Ctx<CentralMsg>) {
-        let l = self.deployment.nav_load;
-        self.load += l;
-        ctx.add_load(l);
+    fn nav_load(&self, ctx: &mut Ctx<CentralMsg>) {
+        ctx.add_load(self.deployment.nav_load);
     }
 
     fn inst(&mut self, instance: InstanceId) -> &mut EngineInst {
+        debug_assert!(
+            !self.retired(instance),
+            "engine {}: {instance} retired, but a handler reached it",
+            self.index
+        );
         self.instances.entry(instance).or_default()
     }
 
@@ -204,23 +217,20 @@ impl Engine {
         }
     }
 
-    /// Total navigation load charged so far.
-    pub fn total_load(&self) -> u64 {
-        self.load
-    }
-
     /// Instance status (the administrative `WorkflowStatus` interface; the
     /// admin tool reads the WFDB summary directly in this architecture).
     pub fn status_of(&self, instance: InstanceId) -> Option<InstanceStatus> {
         self.statuses.get(&instance).copied()
     }
 
-    /// The instance's current data table (test introspection).
+    /// The instance's current data table (test introspection); `None` once
+    /// it retired.
     pub fn data_of(&self, instance: InstanceId) -> Option<&DataEnv> {
         self.instances.get(&instance).map(|s| &s.nav.data)
     }
 
-    /// The instance's execution history (test introspection).
+    /// The instance's execution history (test introspection); `None` once
+    /// it retired.
     pub fn history_of(&self, instance: InstanceId) -> Option<&InstanceHistory> {
         self.instances.get(&instance).map(|s| &s.nav.history)
     }
@@ -237,10 +247,18 @@ impl Engine {
         self.executing.len() as u64
     }
 
+    /// Navigators hosted here: live instances, plus finished ones that
+    /// cannot retire yet (coordinated, linked or nested).
+    pub fn hosted_instances(&self) -> u64 {
+        self.instances.len() as u64
+    }
+
     /// Debug builds: the executing set is `statuses` filtered by
     /// `Executing`, every member is hosted, and exactly the members keep a
-    /// command log. Run-sized, so it is called where runs are read out
-    /// ([`crate::CentralRun::statuses`]), not per message.
+    /// command log; no hosted instance has finished without retiring (a
+    /// leak), and no retired one keeps a command log. Run-sized, so it is
+    /// called where runs are read out ([`crate::CentralRun::statuses`]),
+    /// not per message.
     pub(crate) fn check_executing_index(&self) {
         debug_assert!(
             self.statuses
@@ -263,6 +281,82 @@ impl Engine {
             "engine {}: a command log without an executing instance, or the reverse",
             self.index
         );
+        debug_assert!(
+            self.halted || self.instances.keys().all(|i| !self.finished(*i)),
+            "engine {}: a finished instance was never retired",
+            self.index
+        );
+        debug_assert!(
+            self.cmd_log.keys().all(|i| !self.retired(*i)),
+            "engine {}: a retired instance keeps a command log",
+            self.index
+        );
+    }
+
+    // ---- retirement -----------------------------------------------------------
+
+    /// Whether `instance` is hosted and done for good: terminal; nothing in
+    /// flight (no dispatch, so a late `ExecResult` after an abort still
+    /// lands, and no compensation); and standalone — no coordination gate,
+    /// no relative-order or rollback-dependency partner, no parent, no
+    /// nested step — so every input that can still name it is one the
+    /// handlers ignore. Most inputs are about a live instance, so the small
+    /// executing set answers first.
+    fn finished(&self, instance: InstanceId) -> bool {
+        if self.executing.contains(&instance) {
+            return false;
+        }
+        let Some(st) = self.instances.get(&instance) else {
+            return false;
+        };
+        st.nav.gate.is_none()
+            && st.nav.parent.is_none()
+            && st.pending_exec.is_empty()
+            && st.comp_queue.is_empty()
+            && !st.comp_active
+            && self.terminal(instance)
+            && (self.deployment.ro_links.partners_of(instance))
+                .next()
+                .is_none()
+            && (self.deployment.expect_schema(instance.schema))
+                .nested
+                .is_empty()
+    }
+
+    /// Whether `instance`'s summary row is `Committed` or `Aborted`.
+    fn terminal(&self, instance: InstanceId) -> bool {
+        let status = self.statuses.get(&instance);
+        status.is_some_and(|s| *s != InstanceStatus::Executing)
+    }
+
+    /// Whether `instance` retired here: its summary row is terminal and no
+    /// navigator is hosted for it. (An instance that migrated away left no
+    /// row.) The executing set answers first, as in [`Self::finished`].
+    fn retired(&self, instance: InstanceId) -> bool {
+        !self.executing.contains(&instance)
+            && self.terminal(instance)
+            && !self.instances.contains_key(&instance)
+    }
+
+    /// After an input's handler returned: retire each instance it was about
+    /// that has [`Self::finished`] — drop the navigator and journal the
+    /// final status, once, to the summary log. A replay re-deriving a
+    /// retirement journals nothing. Only whole inputs reach here, so never
+    /// while a `MigrateState` slice installs.
+    fn retire_finished(&mut self, subjects: [Option<InstanceId>; 2]) {
+        debug_assert!(self.installing.is_none());
+        for instance in subjects.into_iter().flatten() {
+            if !self.finished(instance) {
+                continue;
+            }
+            self.instances.remove(&instance);
+            if !self.replaying {
+                let status = self.statuses[&instance];
+                self.summary
+                    .append(&DbOp::StatusChanged { instance, status })
+                    .expect("in-memory WAL append cannot fail");
+            }
+        }
     }
 
     /// WAL records appended so far (a proxy for WFDB write pressure).
@@ -338,7 +432,7 @@ impl Engine {
                 .get(i)
                 .is_none_or(|s| *s == InstanceStatus::Executing)
         });
-        for inst in msg.mentions() {
+        for inst in msg.mentions().into_iter().flatten() {
             if creates == Some(inst) {
                 self.cmd_log
                     .entry(inst)
@@ -1058,6 +1152,18 @@ impl Engine {
     /// and delegates here; [`Node::on_recover`] replays journalled inputs
     /// through here with a detached context.
     fn handle(&mut self, from: NodeId, msg: CentralMsg, ctx: &mut Ctx<CentralMsg>) {
+        // Every input left for a retired instance is one its handler would
+        // ignore (a duplicate start, a stale result, an abort of a finished
+        // instance, …), so there is nothing to do — and nothing to re-create
+        // its navigator for. A skipped install still counts as one.
+        if let [Some(first), second] = subjects(&msg) {
+            if self.retired(first) && second.is_none_or(|i| self.retired(i)) {
+                if let CentralMsg::MigrateState { .. } = msg {
+                    self.migrations_in += 1;
+                }
+                return;
+            }
+        }
         match msg {
             CentralMsg::WorkflowStart { instance, inputs } => {
                 self.start_instance(instance, inputs, None, ctx)
@@ -1220,6 +1326,18 @@ impl Engine {
     }
 }
 
+/// The instances the retirement guard reads `msg` as being about: the ones
+/// it mentions, or the one a `MigrateState` installs or an `OwnerChanged`
+/// re-homes.
+fn subjects(msg: &CentralMsg) -> [Option<InstanceId>; 2] {
+    match msg {
+        CentralMsg::MigrateState { instance, .. } | CentralMsg::OwnerChanged { instance, .. } => {
+            [Some(*instance), None]
+        }
+        _ => msg.mentions(),
+    }
+}
+
 /// `msg`'s wire form, encoded once into the buffer the journal record
 /// then owns (commands are a few dozen bytes).
 fn encode_cmd(msg: &CentralMsg) -> Vec<u8> {
@@ -1241,8 +1359,9 @@ impl Node<CentralMsg> for Engine {
         // coordination is exempt — the manager role never migrates.
         if !msg.manager_bound() {
             let mentions = msg.mentions();
-            if !mentions.is_empty() && mentions.iter().all(|i| !self.instances.contains_key(i)) {
-                if let Some(&e) = mentions.iter().find_map(|i| self.forwards.get(i)) {
+            let mut ids = mentions.into_iter().flatten();
+            if mentions[0].is_some() && ids.clone().all(|i| !self.instances.contains_key(&i)) {
+                if let Some(&e) = ids.find_map(|i| self.forwards.get(&i)) {
                     self.forwarded_msgs += 1;
                     ctx.send(self.topo.engine_node(e), msg);
                     return;
@@ -1264,7 +1383,9 @@ impl Node<CentralMsg> for Engine {
                 payload,
             })
             .expect("in-memory WAL append cannot fail");
+        let subjects = subjects(&msg);
         self.handle(from, msg, ctx);
+        self.retire_finished(subjects);
         self.wal.flush().expect("in-memory WAL flush cannot fail");
     }
 
@@ -1277,7 +1398,6 @@ impl Node<CentralMsg> for Engine {
         self.ro = RoArbiter::default();
         self.mutexes.clear();
         self.probe_token = 0;
-        self.load = 0;
         self.cmd_log.clear();
         self.forwards.clear();
         self.forwarded_msgs = 0;
@@ -1290,10 +1410,20 @@ impl Node<CentralMsg> for Engine {
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<CentralMsg>) {
-        let Some(records) = recover_for_node(&mut self.wal) else {
+        let (Some(retired), Some(records)) = (
+            recover_for_node(&mut self.summary),
+            recover_for_node(&mut self.wal),
+        ) else {
             self.halted = true;
             return;
         };
+        // The summary log first: with their final rows back, the retired
+        // instances are what the guard in `handle` skips.
+        for record in retired {
+            if let DbOp::StatusChanged { instance, status } = record {
+                self.statuses.insert(instance, status);
+            }
+        }
         self.replaying = true;
         for record in records {
             let DbOp::EngineInput { from, payload } = record else {
@@ -1309,7 +1439,9 @@ impl Node<CentralMsg> for Engine {
                     self.delivered_msgs += 1;
                     self.ingest_cmd(from, &msg, &payload);
                     let mut sink = Ctx::detached(ctx.now, ctx.self_id);
+                    let subjects = subjects(&msg);
                     self.handle(NodeId(from), msg, &mut sink);
+                    self.retire_finished(subjects);
                 }
                 Err(_) => {
                     self.halted = true;
@@ -1418,38 +1550,253 @@ mod tests {
         assert_eq!(inputs[1], (0, result));
     }
 
+    /// Deliver `msg` to `e` from agent node 0.
+    fn deliver(e: &mut Engine, msg: CentralMsg) {
+        let mut ctx = Ctx::detached(1, NodeId(1));
+        e.on_message(NodeId(0), msg, &mut ctx);
+    }
+
+    /// A successful first attempt of `step`.
+    fn result(instance: InstanceId, step: u32) -> CentralMsg {
+        CentralMsg::ExecResult {
+            instance,
+            step: StepId(step),
+            attempt: 1,
+            outputs: Some(vec![Value::Int(5)]),
+            error: None,
+        }
+    }
+
+    fn summary(e: &mut Engine) -> Vec<DbOp> {
+        e.summary.recover().unwrap()
+    }
+
+    fn retired(instance: InstanceId, status: InstanceStatus) -> DbOp {
+        DbOp::StatusChanged { instance, status }
+    }
+
     /// A duplicate `WorkflowStart` for a finished instance (a retried
-    /// front-end request) must not re-open the command log that the
-    /// terminal transition dropped: nothing would ever drop it again.
+    /// front-end request) is journaled like every input, but finds the
+    /// instance retired: it re-creates no navigator and re-opens no command
+    /// log — nothing would ever drop either again.
     #[test]
     fn duplicate_start_of_a_finished_instance_leaves_no_command_log() {
         let mut e = engine();
         let inst = start(&mut e, 1);
         assert!(e.cmd_log.contains_key(&inst));
         assert_eq!(e.movable_instances(), vec![inst]);
-        let mut ctx = Ctx::detached(1, NodeId(1));
-        e.on_message(
-            NodeId(0),
-            CentralMsg::ExecResult {
-                instance: inst,
-                step: StepId(1),
-                attempt: 1,
-                outputs: Some(vec![Value::Int(5)]),
-                error: None,
-            },
-            &mut ctx,
-        );
+        deliver(&mut e, result(inst, 1));
         assert_eq!(e.status_of(inst), Some(InstanceStatus::Committed));
         assert!(!e.cmd_log.contains_key(&inst));
-        let data = e.data_of(inst).cloned();
+        assert!(!e.instances.contains_key(&inst), "retired on commit");
 
+        let journaled = e.wal_appended();
         assert_eq!(start(&mut e, 1), inst);
+        assert_eq!(e.wal_appended(), journaled + 1, "journaled");
+        assert_eq!(e.delivered_msgs, journaled + 1, "and counted");
         assert!(!e.cmd_log.contains_key(&inst), "a log nothing will drop");
+        assert!(
+            !e.instances.contains_key(&inst),
+            "a navigator nothing will drop"
+        );
         assert_eq!(e.status_of(inst), Some(InstanceStatus::Committed));
-        assert_eq!(e.data_of(inst).cloned(), data);
         assert!(e.movable_instances().is_empty());
         assert_eq!(e.live_instances(), 0);
+        assert_eq!(
+            summary(&mut e),
+            vec![retired(inst, InstanceStatus::Committed)]
+        );
         e.check_executing_index();
+    }
+
+    /// A live instance with nothing in flight (a stall) has not finished:
+    /// only a terminal status retires.
+    #[test]
+    fn a_live_instance_with_nothing_in_flight_stays_hosted() {
+        let mut e = engine();
+        let inst = start(&mut e, 1);
+        e.instances.get_mut(&inst).unwrap().pending_exec.clear();
+        e.retire_finished([Some(inst), None]);
+        assert!(e.instances.contains_key(&inst));
+        assert!(summary(&mut e).is_empty());
+    }
+
+    /// DESIGN §6g: a result that lands after an abort still applies — here
+    /// of the instance's only step, so it commits the aborted instance — and
+    /// the instance stays hosted until it has.
+    #[test]
+    fn an_abort_with_a_step_in_flight_retires_after_the_late_result() {
+        let mut e = engine();
+        let inst = start(&mut e, 1);
+        deliver(&mut e, CentralMsg::WorkflowAbort { instance: inst });
+        assert_eq!(e.status_of(inst), Some(InstanceStatus::Aborted));
+        assert!(e.instances.contains_key(&inst), "its result is still due");
+        assert!(summary(&mut e).is_empty());
+        e.check_executing_index();
+
+        deliver(&mut e, result(inst, 1));
+        assert_eq!(
+            e.status_of(inst),
+            Some(InstanceStatus::Committed),
+            "the late terminal result applied"
+        );
+        assert!(!e.instances.contains_key(&inst));
+        assert_eq!(
+            summary(&mut e),
+            vec![retired(inst, InstanceStatus::Committed)]
+        );
+        e.check_executing_index();
+    }
+
+    /// An abort compensates one step at a time; the instance retires with
+    /// the last `CompensateResult`, not before.
+    #[test]
+    fn an_abort_retires_after_its_last_compensation() {
+        let mut e = {
+            let mut b = SchemaBuilder::new(SchemaId(1), "wf1").inputs(1);
+            let s: Vec<_> = (1..=4)
+                .map(|i| b.add_step(format!("S{i}"), "passthrough"))
+                .collect();
+            b.seq(s[0], s[1]).seq(s[1], s[2]).seq(s[2], s[3]);
+            b.default_agents(&[AgentId(0)]);
+            for step in &s {
+                b.configure(*step, |d| d.compensation_program = Some("undo".into()));
+            }
+            let deployment = Deployment::new([b.build().unwrap()]);
+            Engine::new(0, Arc::new(deployment), Topology::new(1, 1))
+        };
+        let inst = start(&mut e, 1);
+        deliver(&mut e, result(inst, 1));
+        deliver(&mut e, result(inst, 2));
+        // S3 executes; S2 then S1 compensate, in reverse execution order.
+        deliver(&mut e, CentralMsg::WorkflowAbort { instance: inst });
+        deliver(&mut e, result(inst, 3));
+        for step in [2, 1] {
+            assert!(e.instances.contains_key(&inst), "S{step} compensates");
+            assert!(e.instances[&inst].comp_active);
+            e.check_executing_index();
+            deliver(
+                &mut e,
+                CentralMsg::CompensateResult {
+                    instance: inst,
+                    step: StepId(step),
+                    for_abort: true,
+                },
+            );
+        }
+        assert_eq!(e.status_of(inst), Some(InstanceStatus::Aborted));
+        assert!(!e.instances.contains_key(&inst));
+        assert_eq!(
+            summary(&mut e),
+            vec![retired(inst, InstanceStatus::Aborted)]
+        );
+        e.check_executing_index();
+    }
+
+    /// Instances whose late inputs still need their state stay hosted
+    /// after they commit: a relative order's decision and releases, a
+    /// mutex's stray grant, a rollback dependency's partner, a nested
+    /// workflow's `ChildDone` and its parent.
+    #[test]
+    fn coordinated_linked_and_nested_instances_never_retire() {
+        let ss = |step| SchemaStep::new(SchemaId(1), StepId(step));
+        let mutex = CoordinationSpec {
+            mutual_exclusions: vec![MutualExclusion {
+                id: 0,
+                resource: "booth".into(),
+                members: vec![ss(2)],
+            }],
+            ..CoordinationSpec::default()
+        };
+        let order = CoordinationSpec {
+            relative_orders: vec![RelativeOrder {
+                id: 0,
+                conflict: "bin".into(),
+                pairs: vec![(ss(1), ss(1)), (ss(2), ss(2))],
+            }],
+            ..CoordinationSpec::default()
+        };
+        let rollback = CoordinationSpec {
+            rollback_dependencies: vec![RollbackDependency {
+                id: 0,
+                source: ss(2),
+                dependent_schema: SchemaId(1),
+                dependent_origin: StepId(1),
+            }],
+            ..CoordinationSpec::default()
+        };
+        let pair = [1, 2].map(|k| InstanceId::new(SchemaId(1), k));
+        for (name, coordination, linked) in [
+            ("mutex", mutex, false),
+            ("relative order", order, true),
+            ("rollback dependency", rollback, true),
+        ] {
+            let mut deployment = Deployment::new([linear(1, 3)]);
+            deployment.coordination = coordination;
+            if linked {
+                deployment.ro_links.link(pair[0], pair[1]);
+            }
+            let mut run = CentralRun::new(deployment, 1, 1);
+            for k in pair {
+                assert_eq!(run.start_instance(SchemaId(1), vec![(1, Value::Int(5))]), k);
+            }
+            run.run();
+            let statuses = run.statuses();
+            assert_eq!(statuses.len(), 2, "{name}");
+            assert!(
+                statuses.values().all(|s| *s == InstanceStatus::Committed),
+                "{name}"
+            );
+            assert_eq!(run.engine(0).hosted_instances(), 2, "{name}");
+        }
+
+        let mut b = SchemaBuilder::new(SchemaId(2), "parent").inputs(1);
+        let p1 = b.add_step("P1", "passthrough");
+        let call = b.add_nested("Call", SchemaId(1));
+        b.seq(p1, call);
+        b.default_agents(&[AgentId(0)]);
+        let mut run = CentralRun::new(Deployment::new([linear(1, 2), b.build().unwrap()]), 1, 1);
+        run.start_instance(SchemaId(2), vec![(1, Value::Int(5))]);
+        run.run();
+        let statuses = run.statuses();
+        assert_eq!(statuses.len(), 2, "parent and child");
+        assert!(statuses.values().all(|s| *s == InstanceStatus::Committed));
+        assert_eq!(run.engine(0).hosted_instances(), 2, "parent and child");
+    }
+
+    /// Retire, crash, recover, crash, recover: the final status comes back
+    /// from the summary log, the replay skips every command of the retired
+    /// instance (still counting them as delivered), and the summary log
+    /// holds exactly one record for it.
+    #[test]
+    fn a_retired_instance_is_recovered_from_the_summary_log() {
+        let mut e = engine();
+        let done = start(&mut e, 1);
+        deliver(&mut e, result(done, 1));
+        let live = start(&mut e, 2);
+        for crash in 1..=2 {
+            e.on_crash();
+            e.on_recover(&mut Ctx::detached(10, NodeId(1)));
+            assert!(!e.is_halted());
+            assert_eq!(
+                e.status_of(done),
+                Some(InstanceStatus::Committed),
+                "crash {crash}"
+            );
+            assert!(e.terminal_times.contains_key(&done), "crash {crash}");
+            assert!(!e.instances.contains_key(&done), "crash {crash}");
+            assert!(
+                e.instances[&live].pending_exec.contains_key(&StepId(1)),
+                "crash {crash}"
+            );
+            assert_eq!(e.delivered_msgs, 3, "crash {crash}");
+            assert_eq!(
+                summary(&mut e),
+                vec![retired(done, InstanceStatus::Committed)],
+                "crash {crash}"
+            );
+            e.check_executing_index();
+        }
     }
 
     #[test]
@@ -1469,7 +1816,9 @@ mod tests {
     // ---- live migration ----------------------------------------------------
 
     use crate::builder::CentralRun;
-    use crew_model::{CoordinationSpec, MutualExclusion, SchemaStep};
+    use crew_model::{
+        CoordinationSpec, MutualExclusion, RelativeOrder, RollbackDependency, SchemaStep,
+    };
 
     fn linear(id: u32, steps: u32) -> crew_model::WorkflowSchema {
         let mut b = SchemaBuilder::new(SchemaId(id), format!("wf{id}")).inputs(1);
@@ -1599,6 +1948,16 @@ mod tests {
         assert_eq!(run.statuses().get(&inst), Some(&InstanceStatus::Committed));
         assert_eq!(run.engine(dst).migrations_in, 1);
         assert!(run.engine(dst).terminal_times.contains_key(&inst));
+        // Once more after it retired: the replay skips the install, and
+        // still counts it.
+        assert_eq!(run.engine(dst).hosted_instances(), 0);
+        let t = run.sim.now();
+        run.sim
+            .schedule_crash(run.topo.engine_node(dst), t + 1, Some(2));
+        run.run();
+        assert_eq!(run.statuses().get(&inst), Some(&InstanceStatus::Committed));
+        assert_eq!(run.engine(dst).migrations_in, 1);
+        assert_eq!(run.engine(dst).hosted_instances(), 0);
     }
 
     #[test]

@@ -175,7 +175,11 @@ impl CentralMsg {
     /// relative order, a parent and child). Migration control and probe
     /// traffic mention none: they are point-to-point engine messages that
     /// must never be re-routed through forwarding.
-    pub fn mentions(&self) -> Vec<InstanceId> {
+    ///
+    /// At most two, read in place: engines ask this of every input, so it
+    /// allocates nothing (`.into_iter().flatten()` walks the set).
+    pub fn mentions(&self) -> [Option<InstanceId>; 2] {
+        let one = |i: &InstanceId| [Some(*i), None];
         match self {
             CentralMsg::WorkflowStart { instance, .. }
             | CentralMsg::WorkflowChangeInputs { instance, .. }
@@ -185,28 +189,28 @@ impl CentralMsg {
             | CentralMsg::CompensateRequest { instance, .. }
             | CentralMsg::ExecResult { instance, .. }
             | CentralMsg::CompensateResult { instance, .. }
-            | CentralMsg::MigrateRequest { instance, .. } => vec![*instance],
+            | CentralMsg::MigrateRequest { instance, .. } => one(instance),
             CentralMsg::Coord(c) => match c {
                 CoordMsg::RoFirstDone {
                     claimant, partner, ..
-                } => vec![*claimant, *partner],
-                CoordMsg::RoDecision { a, b, .. } => vec![*a, *b],
-                CoordMsg::RoRelease { lagging, .. } => vec![*lagging],
+                } => [Some(*claimant), Some(*partner)],
+                CoordMsg::RoDecision { a, b, .. } => [Some(*a), Some(*b)],
+                CoordMsg::RoRelease { lagging, .. } => one(lagging),
                 CoordMsg::MutexAcquire { instance, .. }
                 | CoordMsg::MutexGrant { instance, .. }
                 | CoordMsg::MutexRelease { instance, .. }
-                | CoordMsg::RollbackDep { instance, .. } => vec![*instance],
+                | CoordMsg::RollbackDep { instance, .. } => one(instance),
             },
             // ChildStart mentions only the child it creates: the parent's
             // half of the interaction (pending_nested) is rebuilt by the
             // parent's own command log, and routing is to the child's side.
-            CentralMsg::ChildStart { child, .. } => vec![*child],
-            CentralMsg::ChildDone { parent, .. } => vec![*parent],
+            CentralMsg::ChildStart { child, .. } => one(child),
+            CentralMsg::ChildDone { parent, .. } => one(parent),
             CentralMsg::StateProbe { .. }
             | CentralMsg::StateProbeReply { .. }
             | CentralMsg::MigrateState { .. }
             | CentralMsg::MigrateAck { .. }
-            | CentralMsg::OwnerChanged { .. } => vec![],
+            | CentralMsg::OwnerChanged { .. } => [None, None],
         }
     }
 

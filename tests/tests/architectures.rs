@@ -7,13 +7,14 @@
 
 use crew_central::CentralRun;
 use crew_core::{Architecture, Scenario, WorkflowSystem};
-use crew_distributed::{designated_agent, DistConfig, DistRun, Outcome};
-use crew_exec::hash;
-use crew_model::{DataEnv, InstanceId, SchemaId, Value};
+use crew_distributed::{DistConfig, DistRun, Outcome};
+use crew_exec::{hash, Program, ProgramCtx, StepFailure};
+use crew_model::{InstanceId, SchemaId, StepId, Value};
 use crew_simnet::Mechanism;
 use crew_storage::InstanceStatus;
 use crew_workload::{build_deployment, SetupParams};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
 fn run_arch(arch: Architecture, p: &SetupParams, instances: u32) -> crew_core::RunReport {
     let deployment = build_deployment(p, false);
@@ -296,60 +297,97 @@ fn coordination_density_shapes() {
     );
 }
 
-/// The committed data table of every instance after running `deployment`
-/// under central control (read at the engine) and under distributed control
-/// (read at the agent that executed the instance's terminal step — the one
-/// table every upstream packet flowed into).
-fn committed_data(
+/// What one architecture ran: per instance, every step-program invocation
+/// that returned, as (step, attempt, outputs), in (step, attempt) order.
+type Runs = BTreeMap<InstanceId, Vec<(StepId, u32, Vec<Value>)>>;
+
+/// A step program wrapped to record each invocation into [`Runs`].
+struct Recorded {
+    inner: Arc<dyn Program>,
+    runs: Arc<Mutex<Runs>>,
+}
+
+impl Program for Recorded {
+    fn run(&self, ctx: &ProgramCtx) -> Result<Vec<Value>, StepFailure> {
+        let outputs = self.inner.run(ctx)?;
+        let mut runs = self.runs.lock().expect("poisoned only by a panic");
+        let record = (ctx.step, ctx.attempt, outputs.clone());
+        runs.entry(ctx.instance).or_default().push(record);
+        Ok(outputs)
+    }
+
+    fn compensate(&self, ctx: &ProgramCtx) {
+        self.inner.compensate(ctx);
+    }
+}
+
+/// Run `deployment`, with every step program wrapped to record what it
+/// ran, under `control`. (Compensation programs are left alone: agents
+/// call them with a placeholder attempt.)
+fn recorded_runs(
+    deployment: &crew_exec::Deployment,
+    control: impl FnOnce(crew_exec::Deployment),
+) -> Runs {
+    let mut deployment = deployment.clone();
+    let runs = Arc::new(Mutex::new(Runs::new()));
+    let steps = deployment.schemas.values().flat_map(|s| s.steps());
+    let names: BTreeSet<String> = steps.map(|d| d.program.clone()).collect();
+    for name in names {
+        let inner = deployment.registry.get(&name).expect("listed").clone();
+        let runs = runs.clone();
+        deployment.registry.register(name, Recorded { inner, runs });
+    }
+    control(deployment);
+    let mut runs = runs.lock().expect("poisoned only by a panic").clone();
+    for record in runs.values_mut() {
+        record.sort_by_key(|&(step, attempt, _)| (step, attempt));
+    }
+    runs
+}
+
+/// What every instance ran after running `deployment` under central and
+/// under distributed control. The committed data table is a function of
+/// this record (each item holds its step's last output); under central
+/// control the engine no longer keeps the table once the instance retires.
+fn program_runs(
     deployment: &crew_exec::Deployment,
     agents: u32,
     starts: &[InstanceId],
-) -> [BTreeMap<InstanceId, DataEnv>; 2] {
+) -> [Runs; 2] {
     let inputs = || vec![(1, Value::Int(5)), (2, Value::Int(1))];
-
-    let mut central = CentralRun::new(deployment.clone(), agents, 1);
-    for inst in starts {
-        assert_eq!(central.start_instance(inst.schema, inputs()), *inst);
-    }
-    central.run();
-    let statuses = central.statuses();
-    let engine = central.engine(0);
-
-    let mut dist = DistRun::new(deployment.clone(), agents, DistConfig::default());
-    for inst in starts {
-        assert_eq!(dist.start_instance(inst.schema, inputs()), *inst);
-    }
-    dist.run();
-    let outcomes = dist.outcomes();
-
-    let mut tables = [BTreeMap::new(), BTreeMap::new()];
-    for &inst in starts {
-        assert_eq!(
-            statuses.get(&inst),
-            Some(&InstanceStatus::Committed),
-            "{inst}"
-        );
-        assert_eq!(outcomes.get(&inst), Some(&Outcome::Committed), "{inst}");
-        let schema = deployment.expect_schema(inst.schema);
-        let [terminal] = schema.terminal_steps() else {
-            panic!("sequential schemas end in one step");
-        };
-        let at = designated_agent(deployment.seed, inst, schema.expect_step(*terminal));
-        tables[0].insert(inst, engine.data_of(inst).expect("hosted").clone());
-        tables[1].insert(
-            inst,
-            dist.agent(at).data_of(inst).expect("executed").clone(),
-        );
-    }
-    tables
+    let central = recorded_runs(deployment, |deployment| {
+        let mut central = CentralRun::new(deployment, agents, 1);
+        for inst in starts {
+            assert_eq!(central.start_instance(inst.schema, inputs()), *inst);
+        }
+        central.run();
+        let statuses = central.statuses();
+        for inst in starts {
+            let status = statuses.get(inst);
+            assert_eq!(status, Some(&InstanceStatus::Committed), "{inst}");
+        }
+    });
+    let distributed = recorded_runs(deployment, |deployment| {
+        let mut dist = DistRun::new(deployment, agents, DistConfig::default());
+        for inst in starts {
+            assert_eq!(dist.start_instance(inst.schema, inputs()), *inst);
+        }
+        dist.run();
+        let outcomes = dist.outcomes();
+        for inst in starts {
+            assert_eq!(outcomes.get(inst), Some(&Outcome::Committed), "{inst}");
+        }
+    });
+    [central, distributed]
 }
 
 /// Differential architectures, at the data level: the same
-/// `crew-workload` schemas, seed and `FailurePlan` commit the same data
-/// table per instance under central and distributed control — every step
-/// output is a `step@attempt` stamp, so equality means both architectures
-/// executed, reused and re-executed the same steps the same number of
-/// times. Fault-free, and with 1 and 2 scripted failing steps per instance
+/// `crew-workload` schemas, seed and `FailurePlan` run the same step
+/// programs per instance under central and distributed control — the same
+/// steps, attempts and outputs (every output is a `step@attempt` stamp), so
+/// both architectures executed, reused and re-executed the same steps the
+/// same number of times, and committed the same data. Fault-free, and with
+/// 1 and 2 scripted failing steps per instance
 /// (the envelope `benchmark/README.md` "Known stalls" documents for
 /// distributed control). Sequential schemas, like the rest of this file:
 /// under distributed control a generated AND-diamond whose two branches are
@@ -390,21 +428,18 @@ fn committed_data_matches_between_central_and_distributed() {
                 deployment.plan = deployment.plan.fail_step(*inst, step, 1);
             }
         }
-        let [central, distributed] = committed_data(&deployment, p.z, &starts);
+        let [central, distributed] = program_runs(&deployment, p.z, &starts);
         for inst in &starts {
+            assert!(central.contains_key(inst), "{inst} ran");
             assert_eq!(
-                central[inst], distributed[inst],
+                central.get(inst),
+                distributed.get(inst),
                 "{inst} with {failing_steps} failing step(s)"
             );
         }
-        let reexecuted = |tables: &BTreeMap<InstanceId, DataEnv>| {
-            let stamps = tables.values().flat_map(|t| t.iter());
-            stamps
-                .filter(|(_, v)| matches!(v, Value::Str(s) if !s.ends_with("@1")))
-                .count()
-        };
+        let mut runs = central.values().flatten();
         assert_eq!(
-            reexecuted(&central) > 0,
+            runs.any(|&(_, attempt, _)| attempt > 1),
             failing_steps > 0,
             "failures, and only failures, force later attempts"
         );

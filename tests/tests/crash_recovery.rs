@@ -442,36 +442,60 @@ fn parallel_sibling_engine_unaffected_by_crash() {
     assert_committed_exactly_once(arch, &report, &log, &insts);
 }
 
-/// Direct engine-state inspection: run to commit, crash/recover engine 0,
-/// and check the instance's status, data table and step history were
-/// rebuilt by replaying the command log.
+/// Direct engine-state inspection: crash/recover engine 0 while the
+/// instance is live and check its data table and step history were rebuilt
+/// by replaying the command log; then let it commit, crash again, and check
+/// that its status survives the instance's retirement.
 #[test]
 fn engine_recovers_state_from_wal() {
     let log = ExecLog::new();
-    let mut deployment = crew_exec::Deployment::new([linear_logged_schema(1, 2, 2, "log")]);
+    let mut deployment = crew_exec::Deployment::new([linear_logged_schema(1, 2, 1, "log")]);
     log.register(&mut deployment.registry, "log");
-    let mut run = crew_central::CentralRun::new(deployment, 2, 1);
+    let mut run = crew_central::CentralRun::new(deployment, 1, 1);
+    // The one agent is busy for 50 ticks after each message it handles, so
+    // S2's request waits out S1's: the crash and the recovery below both
+    // fall inside that wait, nothing reaches the engine while it is down,
+    // and the tables can be compared right after replay.
+    run.sim
+        .set_service_cost(run.topo.agent_node(AgentId(0)), 50);
     let inst = run.start_instance(SchemaId(1), vec![(1, Value::Int(5))]);
-    run.run();
-    assert_eq!(run.statuses().get(&inst), Some(&InstanceStatus::Committed));
     // The engine's data and step tables for the instance.
     let tables = |run: &crew_central::CentralRun| {
         let engine = run.engine(0);
         let steps: Vec<_> = engine.history_of(inst)?.iter().cloned().collect();
         Some((engine.data_of(inst)?.clone(), steps))
     };
+    // Until S1 is recorded (and S2 dispatched in the same handler).
+    let mut t = 0;
+    while tables(&run).is_none_or(|(_, steps)| steps.is_empty()) {
+        assert!(t < 1_000, "S1 never completed");
+        t += 1;
+        run.sim.run_until(t);
+    }
     let before = tables(&run).expect("hosted on engine 0");
-    assert_eq!(before.1.len(), 2);
+    assert_eq!(before.1.len(), 1);
+    assert_eq!(run.statuses().get(&inst), Some(&InstanceStatus::Executing));
 
-    let t = run.sim.now();
     let engine_node = run.topo.engine_node(0);
     run.sim.schedule_crash(engine_node, t + 1, Some(5));
+    run.sim.run_until(t + 6);
+    assert_eq!(run.sim.now(), t + 6, "recovered, and nothing else happened");
+    assert!(!run.engine(0).is_halted());
+    assert_eq!(tables(&run), Some(before), "tables rebuilt from the WAL");
+    assert_eq!(run.statuses().get(&inst), Some(&InstanceStatus::Executing));
+
     run.run();
+    assert_eq!(run.statuses().get(&inst), Some(&InstanceStatus::Committed));
+    assert_eq!(log.entries().len(), 2, "each step ran once");
+    let t = run.sim.now();
+    run.sim.schedule_crash(engine_node, t + 1, Some(5));
+    run.run();
+    assert!(!run.engine(0).is_halted());
     assert_eq!(
         run.statuses().get(&inst),
         Some(&InstanceStatus::Committed),
-        "engine status survived the crash via WFDB replay"
+        "engine status survived the crash via the WFDB summary log"
     );
-    assert_eq!(tables(&run), Some(before), "tables rebuilt from the WAL");
-    assert!(!run.engine(0).is_halted());
+    assert_eq!(tables(&run), None, "retired: nothing rebuilt for it");
+    assert_eq!(log.entries().len(), 2);
 }

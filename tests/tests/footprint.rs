@@ -9,8 +9,10 @@
 //! centralized and distributed control and checks the bytes and heap blocks
 //! still live per instance (navigators, logs, summaries — everything a node
 //! keeps) against a budget of the measured value + 10 %, and that dropping
-//! the run returns every byte. The simulation is single-threaded and
-//! deterministic, so the counts repeat exactly.
+//! the run returns every byte. Under central control every instance has
+//! retired by then, so the engine must host no navigator at all. The
+//! simulation is single-threaded and deterministic, so the counts repeat
+//! exactly.
 
 use crew_central::CentralRun;
 use crew_distributed::{DistConfig, DistRun, Outcome};
@@ -112,6 +114,8 @@ fn central() -> (f64, f64) {
                 run.start_instance_at(schema, inputs, at);
             }
             run.run();
+            let hosted = run.engine(0).hosted_instances();
+            assert_eq!(hosted, 0, "every finished instance retired");
         },
         |run| {
             let statuses = run.statuses().into_values();
@@ -147,8 +151,12 @@ fn live_state_per_instance_stays_inside_its_budget() {
     // (control, now, live bytes and live blocks per instance when the
     // budget was set). The same test on the B-tree tables this layout
     // replaced read 9 556 B / 57.7 blocks and 36 835 B / 120.0 blocks.
+    // Under central control every instance has retired at quiescence, so
+    // its row is what a retired instance leaves: its summary row, its
+    // terminal tick and its share of the command and summary logs (it read
+    // 4 096 B / 40.6 blocks while the engine kept every navigator).
     let rows = [
-        ("central", central(), (4_096.0, 40.6)),
+        ("central", central(), (1_113.0, 0.4)),
         ("distributed", distributed(), (12_641.0, 109.4)),
     ];
     for (control, (bytes, blocks), _) in rows {
