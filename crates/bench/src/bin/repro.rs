@@ -415,9 +415,9 @@ fn fig3() {
 }
 
 /// Figure 4: enforcing relative order via AddRule/AddEvent/AddPrecondition
-/// — print the coordination primitive traffic of a linked pair (the
-/// preconditions ride on workflow packets, so only AddRule/AddEvent are
-/// messages).
+/// — print the coordination primitive traffic of a linked pair (each
+/// agent's gate is wired with the preconditions when it creates the
+/// instance, so only AddRule/AddEvent are messages).
 fn fig4() {
     header("Figure 4: Enforcing relative order (primitive call trace)");
     let p = SetupParams {
@@ -613,11 +613,11 @@ fn fig6() {
     }
 }
 
-/// Figure 7: the sample workflow packet, byte for byte in the paper's
-/// layout.
+/// Figure 7: the sample workflow packet in the paper's layout, without its
+/// `R.O.` fields: every agent wires the ordering guards at instantiation.
 fn fig7() {
     header("Figure 7: Sample Workflow Packet in Distributed Control");
-    use crew_distributed::{RoTag, WorkflowPacket};
+    use crew_distributed::WorkflowPacket;
     use crew_model::{DataEnv, InstanceId, ItemKey};
     let instance = InstanceId::new(SchemaId(2), 4);
     let mut data = DataEnv::new();
@@ -639,18 +639,6 @@ fn fig7() {
             (crew_rules::EventKind::StepDone(StepId(1)), 1),
             (crew_rules::EventKind::StepDone(StepId(2)), 1),
         ],
-        ro_leading: vec![RoTag {
-            local_step: StepId(3),
-            tag: 0,
-            partner: InstanceId::new(SchemaId(3), 15),
-            partner_step: StepId(5),
-        }],
-        ro_lagging: vec![RoTag {
-            local_step: StepId(2),
-            tag: 0,
-            partner: InstanceId::new(SchemaId(5), 12),
-            partner_step: StepId(2),
-        }],
         weight: crew_distributed::Weight::ONE,
     };
     print!("{}", packet.render("WF2"));

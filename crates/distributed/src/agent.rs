@@ -25,9 +25,12 @@
 //!   `CompensateSet` chain in reverse execution order; abandoned
 //!   if-then-else branches are unwound by `CompensateThread`.
 //! - **Coordinated execution** (§5.1): relative ordering uses an arbiter
-//!   (the designated agent of the partner's first conflicting step) and
-//!   packet-piggybacked leading/lagging tags; mutual exclusion uses a
-//!   manager agent granting via `AddEvent`; rollback dependencies propagate
+//!   (the designated agent of the partner's first conflicting step) that
+//!   tells the leader's agents what they owe (`RoNotify`) and releases the
+//!   leader's guards (`AddEvent`); every guard is wired at instantiation,
+//!   so packets carry no ordering tags (the paper's `AddPrecondition`);
+//!   mutual exclusion uses a manager agent granting via `AddEvent`;
+//!   rollback dependencies propagate
 //!   `WorkflowRollback` across linked instances, marked `from_dependency`
 //!   so a dependency-caused rollback goes no further (one level, at any
 //!   placement of the partners). The arbiter's and the managers' decisions
@@ -35,12 +38,12 @@
 //!   waits on is its instance's [`Gate`], wired over the steps designated
 //!   here; the agent carries their answers as `AddRule`/`AddEvent`.
 //! - **Delivery**: every interaction with another role goes through
-//!   [`DistAgent::tell`], which calls the message's handler when the role
+//!   `DistAgent::tell`, which calls the message's handler when the role
 //!   is played here and sends otherwise, so a co-located and a remote
 //!   partner run the same code.
 
-use crate::msg::{CoordRule, DistMsg, StepStatusKind};
-use crate::packet::{RoTag, WorkflowPacket};
+use crate::msg::{CoordRule, DistMsg, StepStatusKind, WorkflowStatusKind};
+use crate::packet::WorkflowPacket;
 use crate::runtime::{coordination_agent, SharedCtx, SuccessorSelection};
 use crate::weight::Weight;
 use crew_exec::coord::{mutex_grant, ro_guard};
@@ -366,14 +369,6 @@ impl DistAgent {
         let rules = &mut self.inst(instance).nav.rules;
         for (e, gen) in &packet.events {
             rules.merge_event(*e, *gen);
-        }
-        // Relative-order piggyback: a lagging tag is a guard of the local
-        // step (`AddPrecondition`). The leading tags repeat the releases
-        // the arbiter's `RoNotify` already installed where they are owed.
-        if let Some(gate) = self.inst(instance).nav.gate.as_deref_mut() {
-            for tag in &packet.ro_lagging {
-                gate.require(tag.local_step, tag.tag);
-            }
         }
         // Weight accounting at the executor of the target step.
         let schema = self.schema(instance);
@@ -718,9 +713,6 @@ impl DistAgent {
         ctx: &mut Ctx<DistMsg>,
     ) {
         let targets = self.inst(instance).nav.outgoing_weights(schema, step);
-        // Relative-order tags piggyback on the packet (Figure 7's `R.O.`
-        // fields, §5.1).
-        let (ro_leading, ro_lagging) = self.ro_piggyback_tags(instance);
         for (target, weight) in targets {
             let st = self.inst(instance);
             st.forwarded.entry(step).or_default().insert(target);
@@ -732,8 +724,6 @@ impl DistAgent {
                 epoch: st.epoch,
                 data: st.nav.data.clone(),
                 events: st.nav.rules.present_events_with_gens(),
-                ro_leading: ro_leading.clone(),
-                ro_lagging: ro_lagging.clone(),
                 weight,
             };
             // Two-phase successor selection (§4.2): poll the eligible
@@ -863,47 +853,6 @@ impl DistAgent {
         }
     }
 
-    /// The leading/lagging tags this instance's packets carry, derived from
-    /// decided relative orders involving it.
-    fn ro_piggyback_tags(&self, instance: InstanceId) -> (Vec<RoTag>, Vec<RoTag>) {
-        let mut leading = Vec::new();
-        let mut lagging = Vec::new();
-        let dep = &self.shared.deployment;
-        let partners = dep.ro_links.partners_of(instance);
-        for r in &dep.coordination.relative_orders {
-            for partner in partners.clone() {
-                let Some(side) = ro_side(r, instance, partner) else {
-                    continue;
-                };
-                let (a, b) = ro_canonical(instance, partner, side);
-                let Some(leading_side) = self.ro.leader(r.id, a, b) else {
-                    continue;
-                };
-                for (k, (my_step, partner_step)) in ro_steps(r, side).enumerate().skip(1) {
-                    if side == leading_side {
-                        // We lead: after my_step completes, release the
-                        // partner's guard.
-                        let other_side = 1 - side;
-                        leading.push(RoTag {
-                            local_step: my_step,
-                            tag: ro_guard(r.id, k, other_side, a, b),
-                            partner,
-                            partner_step,
-                        });
-                    } else {
-                        lagging.push(RoTag {
-                            local_step: my_step,
-                            tag: ro_guard(r.id, k, side, a, b),
-                            partner,
-                            partner_step,
-                        });
-                    }
-                }
-            }
-        }
-        (leading, lagging)
-    }
-
     // ---- relative ordering --------------------------------------------------
 
     /// Release guard `tag` of `instance`'s `step` at the step's agent.
@@ -943,7 +892,7 @@ impl DistAgent {
         let RoLeader { req, a, b, side } = decision;
         let (leader, lagger) = ro_canonical(a, b, side);
         let leader_schema = self.schema(leader);
-        for (k, (lead_step, lag_step)) in ro_steps(r, side).enumerate() {
+        for (k, (lead_step, _)) in ro_steps(r, side).enumerate() {
             let lead_node = self.node_of_step(leader, &leader_schema, lead_step);
             // Install the leader's notify-on-done, *before* the release so
             // FIFO delivers the wiring first.
@@ -951,9 +900,7 @@ impl DistAgent {
                 req,
                 instance: leader,
                 local_step: lead_step,
-                tag: ro_guard(req, k, 1 - side, a, b),
                 target_instance: lagger,
-                target_step: lag_step,
             };
             self.tell(lead_node, DistMsg::AddRule { rule }, ctx);
             // Release the leader's guard: its steps must not wait.
@@ -1023,7 +970,6 @@ impl DistAgent {
                 instance,
                 local_step,
                 target_instance,
-                ..
             } => {
                 let dep = self.shared.deployment.clone();
                 let Some(r) = dep.relative_order(req) else {
@@ -1393,9 +1339,10 @@ impl DistAgent {
                 );
             }
         }
-        // Purge batching.
-        self.purge_queue.push(instance);
+        // Purge batching: the first queued instance arms the timer that
+        // drains the queue.
         if let Some(period) = self.shared.config.purge_period {
+            self.purge_queue.push(instance);
             if self.purge_queue.len() == 1 {
                 ctx.set_timer(period, TIMER_PURGE);
             }
@@ -1456,7 +1403,7 @@ impl DistAgent {
                 self.shared.directory.frontend,
                 DistMsg::WorkflowStatusReply {
                     instance,
-                    status: "abort-rejected",
+                    status: WorkflowStatusKind::AbortRejected,
                 },
             );
             return;
@@ -1522,7 +1469,7 @@ impl DistAgent {
                 self.shared.directory.frontend,
                 DistMsg::WorkflowStatusReply {
                     instance,
-                    status: "change-rejected",
+                    status: WorkflowStatusKind::ChangeRejected,
                 },
             );
             return;
@@ -1789,10 +1736,10 @@ impl DistAgent {
             DistMsg::WorkflowAbort { instance } => self.on_workflow_abort(instance, ctx),
             DistMsg::WorkflowStatus { instance } => {
                 let status = match self.instance_status(instance) {
-                    Some(InstanceStatus::Committed) => "committed",
-                    Some(InstanceStatus::Aborted) => "aborted",
-                    Some(InstanceStatus::Executing) => "executing",
-                    None => "unknown",
+                    Some(InstanceStatus::Committed) => WorkflowStatusKind::Committed,
+                    Some(InstanceStatus::Aborted) => WorkflowStatusKind::Aborted,
+                    Some(InstanceStatus::Executing) => WorkflowStatusKind::Executing,
+                    None => WorkflowStatusKind::Unknown,
                 };
                 ctx.send(from, DistMsg::WorkflowStatusReply { instance, status });
             }
@@ -1914,6 +1861,9 @@ impl Node<DistMsg> for DistAgent {
         self.templates.clear();
         self.ro = RoArbiter::default();
         self.mutexes.clear();
+        // A purge timer due while the node is down is dropped, so the
+        // queue goes too: the next commit arms a timer again.
+        self.purge_queue.clear();
         self.poll_armed = false;
     }
 
@@ -1976,7 +1926,7 @@ mod tests {
 
     /// S1 → S2, both on agent 0 with an in-place retry budget; `plan`
     /// scripts which attempts fail.
-    fn agent_with(plan: FailurePlan) -> DistAgent {
+    fn deployment_with(plan: FailurePlan) -> Deployment {
         let mut b = SchemaBuilder::new(SchemaId(1), "wf1").inputs(1);
         let s1 = b.add_step("S1", "passthrough");
         let s2 = b.add_step("S2", "passthrough");
@@ -1989,8 +1939,12 @@ mod tests {
         }
         let mut deployment = Deployment::new([b.build().unwrap()]);
         deployment.plan = plan;
+        deployment
+    }
+
+    fn agent_with(plan: FailurePlan) -> DistAgent {
         let shared = SharedCtx {
-            deployment: Arc::new(deployment),
+            deployment: Arc::new(deployment_with(plan)),
             directory: Directory::new(1),
             config: DistConfig::default(),
         };
@@ -2034,6 +1988,34 @@ mod tests {
         Wal::with_store(a.wal.store().clone())
             .recover()
             .expect("in-memory log reads back")
+    }
+
+    /// Only the purge timer drains the coordinator's purge queue, so a
+    /// commit is queued only when purge is on. A crash empties the queue,
+    /// since a timer due while the node is down is dropped, so the first
+    /// commit after recovery arms the timer again.
+    #[test]
+    fn purge_queue_is_drained_or_never_filled_across_a_crash() {
+        for purge_period in [None, Some(50)] {
+            let config = DistConfig {
+                purge_period,
+                ..DistConfig::default()
+            };
+            let deployment = deployment_with(FailurePlan::none());
+            let mut run = crate::DistRun::new(deployment, 1, config);
+            let inputs = || vec![(1, Value::Int(5))];
+            let first = run.start_instance(SchemaId(1), inputs());
+            // Down after the first commit, and still down when its purge
+            // timer comes due.
+            run.sim.schedule_crash(NodeId(0), 20, Some(100));
+            let second = run.start_instance_at(SchemaId(1), inputs(), 200);
+            run.run();
+            let times = run.completion_times();
+            assert!(times[&first] < 20, "{purge_period:?}: {times:?}");
+            assert!(times[&second] > 120, "{purge_period:?}: {times:?}");
+            let queue = &run.agent(AgentId(0)).purge_queue;
+            assert!(queue.is_empty(), "{purge_period:?}: {queue:?} left queued");
+        }
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! The number at the head of a row is the variant's `u8` tag on the wire;
 //! a new variant takes the next free number and no number is ever reused.
 //!
-//! [`EventKind`] and [`Weight`] belong to other crates and a `&'static str`
-//! is no type of ours, so none of them can implement the codec traits here:
-//! their fields go `via` the function pairs below. The status of
-//! `WorkflowStatusReply` is a closed vocabulary and travels as a one-byte
-//! tag.
+//! [`EventKind`] and [`Weight`] belong to other crates, so neither can
+//! implement the codec traits here: their fields go `via` the function
+//! pairs below.
 
-use crate::msg::{CoordRule, DistMsg, StepStatusKind};
-use crate::packet::{RoTag, WorkflowPacket};
+use crate::msg::{CoordRule, DistMsg, StepStatusKind, WorkflowStatusKind};
+use crate::packet::WorkflowPacket;
 use crate::weight::Weight;
 use bytes::{Bytes, BytesMut};
 use crew_rules::EventKind;
@@ -89,32 +87,6 @@ fn decode_weight(buf: &mut Bytes) -> Result<Weight, CodecError> {
     Ok(Weight::new(num, den))
 }
 
-/// The closed status vocabulary of `WorkflowStatusReply`.
-const STATUS_TABLE: [&str; 6] = [
-    "committed",
-    "aborted",
-    "executing",
-    "unknown",
-    "abort-rejected",
-    "change-rejected",
-];
-
-fn encode_status(status: &str, buf: &mut BytesMut) {
-    let tag = STATUS_TABLE.iter().position(|&s| s == status).unwrap_or(3) as u8; // any unrecognized status degrades to "unknown"
-    tag.encode(buf);
-}
-
-fn decode_status(buf: &mut Bytes) -> Result<&'static str, CodecError> {
-    let tag = u8::decode(buf)?;
-    STATUS_TABLE
-        .get(tag as usize)
-        .copied()
-        .ok_or(CodecError::BadTag {
-            context: "WorkflowStatus",
-            tag,
-        })
-}
-
 // ---- protocol types -------------------------------------------------------
 
 wire! {
@@ -127,15 +99,26 @@ wire! {
 }
 
 wire! {
+    enum WorkflowStatusKind {
+        0 => Committed,
+        1 => Aborted,
+        2 => Executing,
+        3 => Unknown,
+        4 => AbortRejected,
+        5 => ChangeRejected,
+    }
+}
+
+// Tag 3 is retired: `RoNotify` with the tag and lagging step its
+// receiver now derives from the order.
+wire! {
     enum CoordRule {
         0 => RoFirstDone { req, claimant, partner },
         1 => MutexAcquire { req, instance, step },
         2 => MutexRelease { req, instance, step },
-        3 => RoNotify { req, instance, local_step, tag, target_instance, target_step },
+        4 => RoNotify { req, instance, local_step, target_instance },
     }
 }
-
-wire! { struct RoTag { local_step, tag, partner, partner_step } }
 
 wire! {
     struct WorkflowPacket {
@@ -146,25 +129,24 @@ wire! {
         epoch,
         data,
         events via (encode_events, decode_events),
-        ro_leading,
-        ro_lagging,
         weight via (encode_weight, decode_weight),
     }
 }
 
-// Tag 24 is retired (`AddPrecondition`, the separate-message form of the
-// ordering guards that packets carry): left unused and never reused, so a
-// channel log written with it fails to decode instead of being misread.
+// Retired tags are left unused and never reused, so a channel log written
+// with one fails to decode instead of being misread: 7 is `StepExecute`
+// whose packet carried relative-order tags, 24 `AddPrecondition`, a
+// message form of those tags. Every agent now wires the ordering guards at
+// instantiation.
 wire! {
     enum DistMsg {
         0 => WorkflowStart { instance, inputs, parent },
         1 => WorkflowChangeInputs { instance, new_inputs },
         2 => WorkflowAbort { instance },
         3 => WorkflowStatus { instance },
-        4 => WorkflowStatusReply { instance, status via (encode_status, decode_status) },
+        4 => WorkflowStatusReply { instance, status },
         5 => WorkflowCommitted { instance },
         6 => WorkflowAborted { instance },
-        7 => StepExecute { packet },
         8 => StepCompleted { instance, step, weight_num, weight_den },
         9 => StateInformation { token },
         10 => StateInformationReply { token, load },
@@ -183,6 +165,7 @@ wire! {
         23 => AddEvent { instance, tag },
         25 => PurgeBroadcast { instances },
         26 => StepRetry { instance, step },
+        27 => StepExecute { packet },
     }
 }
 
@@ -224,18 +207,6 @@ mod tests {
                 (EventKind::WorkflowAbort, 1),
                 (EventKind::External(0xBEEF), 3),
             ],
-            ro_leading: vec![RoTag {
-                local_step: StepId(3),
-                tag: 0xBEEF,
-                partner: inst(15),
-                partner_step: StepId(5),
-            }],
-            ro_lagging: vec![RoTag {
-                local_step: StepId(2),
-                tag: 0xF00D,
-                partner: inst(12),
-                partner_step: StepId(2),
-            }],
             weight: Weight::new(3, 8),
         }
     }
@@ -343,7 +314,14 @@ mod tests {
 
     #[test]
     fn status_replies_round_trip_the_whole_vocabulary() {
-        for status in super::STATUS_TABLE {
+        for status in [
+            WorkflowStatusKind::Committed,
+            WorkflowStatusKind::Aborted,
+            WorkflowStatusKind::Executing,
+            WorkflowStatusKind::Unknown,
+            WorkflowStatusKind::AbortRejected,
+            WorkflowStatusKind::ChangeRejected,
+        ] {
             round_trip(DistMsg::WorkflowStatusReply {
                 instance: inst(1),
                 status,
@@ -385,9 +363,7 @@ mod tests {
                 req: 4,
                 instance: inst(1),
                 local_step: StepId(2),
-                tag: 0xAB,
                 target_instance: inst(2),
-                target_step: StepId(3),
             },
         ] {
             round_trip(DistMsg::AddRule { rule });
@@ -396,18 +372,33 @@ mod tests {
 
     #[test]
     fn retired_tag_does_not_decode() {
-        // The golden bytes AddPrecondition { instance WF2 #1, step S2,
-        // tag 4 } had before it was retired.
-        let mut buf = Bytes::from_static(&[
-            24, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
-        ]);
-        assert!(matches!(
-            DistMsg::decode(&mut buf),
-            Err(CodecError::BadTag {
-                context: "DistMsg",
-                tag: 24
-            })
-        ));
+        // Golden bytes from before each retirement: AddPrecondition
+        // { instance WF2 #1, step S2, tag 4 }; StepExecute of the initial
+        // packet of WF2 #1, with its two empty tag lists; AddRule of a
+        // RoNotify that still named the tag and the lagging step.
+        let samples = [
+            ("180200000001000000020000000400000000000000", "DistMsg", 24),
+            (
+                "0702000000010000000100000000000000000000000000010000000001000000\
+                 000000000000000001000000000000000100000000000000",
+                "DistMsg",
+                7,
+            ),
+            (
+                "160304000000020000000100000002000000ab000000000000000200000002000000\
+                 03000000",
+                "CoordRule",
+                3,
+            ),
+        ];
+        for (hex, context, tag) in samples {
+            let bytes: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+                .collect();
+            let got = DistMsg::decode(&mut Bytes::from(bytes));
+            assert_eq!(got, Err(CodecError::BadTag { context, tag }), "{hex}");
+        }
     }
 
     #[test]

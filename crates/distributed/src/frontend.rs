@@ -7,7 +7,7 @@
 //! agent, and collects commit/abort notifications so harnesses and examples
 //! can observe terminal outcomes.
 
-use crate::msg::DistMsg;
+use crate::msg::{DistMsg, WorkflowStatusKind};
 use crate::runtime::{coordination_agent, SharedCtx};
 use crew_model::{InstanceId, ItemKey, Value};
 use crew_simnet::{Ctx, Node, NodeId};
@@ -75,9 +75,9 @@ pub struct FrontEnd {
     /// latency `RunReport::latency_stats` reports).
     pub outcome_times: BTreeMap<InstanceId, u64>,
     /// Last status reply per instance.
-    pub statuses: BTreeMap<InstanceId, &'static str>,
+    pub statuses: BTreeMap<InstanceId, WorkflowStatusKind>,
     /// Requests rejected by coordination agents.
-    pub rejections: Vec<(InstanceId, &'static str)>,
+    pub rejections: Vec<(InstanceId, WorkflowStatusKind)>,
 }
 
 impl FrontEnd {
@@ -149,7 +149,8 @@ impl Node<DistMsg> for FrontEnd {
             }
             DistMsg::WorkflowStatusReply { instance, status } => {
                 self.statuses.insert(instance, status);
-                if status.ends_with("rejected") {
+                use WorkflowStatusKind::{AbortRejected, ChangeRejected};
+                if matches!(status, AbortRejected | ChangeRejected) {
                     self.rejections.push((instance, status));
                 }
             }

@@ -8,10 +8,11 @@
 //! invalidation, `CompensateSet` chains, `CompensateThread` branch
 //! unwinding, `StepStatus` polling for crashed predecessors), weighted
 //! thread-accounting commit, and the coordinated-execution protocols
-//! (relative ordering with packet-piggybacked leading/lagging tags, mutual
-//! exclusion, rollback dependencies) built on the `AddRule`/`AddEvent`
-//! primitives; `AddPrecondition` rides on packets and becomes a
-//! requirement of the instance's coordination gate (`crew_exec::Gate`).
+//! (relative ordering, mutual exclusion, rollback dependencies) built on
+//! the `AddRule`/`AddEvent` primitives. The paper's `AddPrecondition` is
+//! realized once, when an agent creates an instance: its coordination gate
+//! (`crew_exec::Gate::wire`) holds every ordering guard of the steps
+//! designated there, so packets carry no ordering tags.
 
 #![warn(missing_docs)]
 #![allow(missing_docs)] // field-level docs are selective in protocol enums
@@ -33,8 +34,8 @@ pub mod weight {
 pub use agent::DistAgent;
 pub use builder::DistRun;
 pub use frontend::{FrontEnd, Outcome};
-pub use msg::{CoordRule, DistMsg, StepStatusKind};
-pub use packet::{RoTag, WorkflowPacket};
+pub use msg::{CoordRule, DistMsg, StepStatusKind, WorkflowStatusKind};
+pub use packet::WorkflowPacket;
 pub use runtime::{
     coordination_agent, designated_agent, Directory, DistConfig, SharedCtx, SuccessorSelection,
 };

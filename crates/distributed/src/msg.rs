@@ -8,9 +8,10 @@
 //! `WorkflowRollback`/`HaltThread`/`StepCompensate`/`CompensateSet`/
 //! `StepStatus` are *failure handling*; `WorkflowChangeInputs`/
 //! `InputsChanged` are *input change*; `WorkflowAbort` is *abort*;
-//! `AddRule`/`AddEvent` are *coordinated execution*. (The paper's third
-//! primitive, `AddPrecondition`, travels on packets: a lagging tag becomes
-//! a guard of the coordination gate where the packet lands.)
+//! `AddRule`/`AddEvent` are *coordinated execution*. The paper's third
+//! primitive, `AddPrecondition`, is no message: every agent wires its
+//! steps' ordering guards from the deployment when it creates the instance
+//! (`crew_exec::Gate::wire`).
 
 use crate::packet::WorkflowPacket;
 use crew_model::{InstanceId, ItemKey, StepId, Value};
@@ -28,6 +29,24 @@ pub enum StepStatusKind {
     Done,
     /// This agent saw it fail.
     Failed,
+}
+
+/// A coordination agent's answer about a workflow: its status, or the
+/// rejection of a request it can no longer honour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkflowStatusKind {
+    /// The instance committed.
+    Committed,
+    /// The instance aborted.
+    Aborted,
+    /// The instance is running.
+    Executing,
+    /// The coordination agent knows no such instance.
+    Unknown,
+    /// A `WorkflowAbort` arrived after the commit.
+    AbortRejected,
+    /// A `WorkflowChangeInputs` arrived after the instance finished.
+    ChangeRejected,
 }
 
 /// Why a coordination message is being sent (labels the `AddRule` protocol
@@ -57,20 +76,19 @@ pub enum CoordRule {
         instance: InstanceId,
         step: StepId,
     },
-    /// Relative order: the arbiter instructs the *leading* side's agent to
-    /// inject `tag` at the lagging side once `local_step` completes.
+    /// Relative order: the arbiter tells the *leading* side's agent that
+    /// `instance` leads `target_instance`, so it owes the lagging step
+    /// paired with `local_step` a release once `local_step` completes. The
+    /// receiver's gate derives that step and the release's tag from the
+    /// order.
     RoNotify {
         req: u32,
         /// Leading instance the wiring is installed for.
         instance: InstanceId,
         /// The leading step whose completion triggers the notification.
         local_step: StepId,
-        /// Tag to inject at the lagging side.
-        tag: u64,
         /// Lagging instance.
         target_instance: InstanceId,
-        /// Lagging step waiting on the tag.
-        target_step: StepId,
     },
 }
 
@@ -98,7 +116,7 @@ pub enum DistMsg {
     /// Status answer (coordination agent → front end).
     WorkflowStatusReply {
         instance: InstanceId,
-        status: &'static str,
+        status: WorkflowStatusKind,
     },
     /// Commit notification (coordination agent → front end).
     WorkflowCommitted { instance: InstanceId },
@@ -365,7 +383,7 @@ mod tests {
     /// grows the enum moves it.
     #[test]
     fn in_memory_size_is_pinned() {
-        assert_eq!(std::mem::size_of::<DistMsg>(), 144);
+        assert_eq!(std::mem::size_of::<DistMsg>(), 96);
     }
 
     #[test]

@@ -6,32 +6,17 @@
 //! responsible for executing the next step. This information is
 //! communicated via a *workflow packet*" (§4.1). A packet carries the
 //! workflow/instance identifiers, the action (execute step S), the
-//! accumulated data items, the accumulated events, and — piggybacked to
-//! save messages (§5.1) — the relative-ordering leading/lagging tags.
-//! Figure 7 shows the paper's sample packet; [`WorkflowPacket::render`]
-//! reproduces that layout.
+//! accumulated data items and the accumulated events. Figure 7 shows the
+//! paper's sample packet; [`WorkflowPacket::render`] reproduces that
+//! layout. The paper also piggybacks relative-ordering leading/lagging
+//! tags here (§5.1, Figure 7's `R.O.` fields); this packet carries none,
+//! because every agent wires its steps' ordering guards from the
+//! deployment when the instance is created (`crew_exec::Gate::wire`).
 
 use crate::weight::Weight;
 use crew_model::{AgentId, DataEnv, InstanceId, StepId};
 use crew_rules::EventKind;
 use std::fmt::Write as _;
-
-/// A relative-ordering obligation piggybacked on packets.
-///
-/// For the *leading* workflow: "after your step `local_step` completes,
-/// notify tag `tag`". For the *lagging* workflow: "before your step
-/// `local_step` fires, wait for tag `tag`".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RoTag {
-    /// The step of *this* packet's instance the obligation binds.
-    pub local_step: StepId,
-    /// External event tag exchanged via `AddEvent()`.
-    pub tag: u64,
-    /// The partner instance involved (routing for the notify side).
-    pub partner: InstanceId,
-    /// The partner's step (routing: its eligible agents get the event).
-    pub partner_step: StepId,
-}
 
 /// The workflow packet.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,10 +44,6 @@ pub struct WorkflowPacket {
     /// idempotent yet able to deliver fresh occurrences after rollback and
     /// across loop iterations).
     pub events: Vec<(EventKind, u32)>,
-    /// Relative-ordering obligations where this instance leads.
-    pub ro_leading: Vec<RoTag>,
-    /// Relative-ordering obligations where this instance lags.
-    pub ro_lagging: Vec<RoTag>,
     /// Thread-accounting weight (see [`crate::weight`]).
     pub weight: Weight,
 }
@@ -78,8 +59,6 @@ impl WorkflowPacket {
             epoch: 0,
             data,
             events: vec![(EventKind::WorkflowStart, 1)],
-            ro_leading: Vec::new(),
-            ro_lagging: Vec::new(),
             weight: Weight::ONE,
         }
     }
@@ -99,16 +78,6 @@ impl WorkflowPacket {
             let _ = write!(out, " {}", e.code());
         }
         let _ = writeln!(out);
-        let _ = write!(out, "R.O. Leading:");
-        for t in &self.ro_leading {
-            let _ = write!(out, " {}.{}", t.partner, t.partner_step);
-        }
-        let _ = writeln!(out);
-        let _ = write!(out, "R.O. Lagging:");
-        for t in &self.ro_lagging {
-            let _ = write!(out, " {}.{}", self.instance, t.local_step);
-        }
-        let _ = writeln!(out);
         out
     }
 
@@ -124,7 +93,6 @@ impl WorkflowPacket {
                 };
         }
         n += self.events.len() * 6;
-        n += (self.ro_leading.len() + self.ro_lagging.len()) * 24;
         n
     }
 }
@@ -136,7 +104,7 @@ mod tests {
 
     /// Build the exact packet of the paper's Figure 7: WF2 instance 4,
     /// executing S3, with workflow inputs and outputs of S1/S2, events
-    /// WF.S S1.D S2.D, one leading and one lagging tag.
+    /// WF.S S1.D S2.D.
     fn figure7_packet() -> WorkflowPacket {
         let instance = InstanceId::new(SchemaId(2), 4);
         let mut data = DataEnv::new();
@@ -158,18 +126,6 @@ mod tests {
                 (EventKind::StepDone(StepId(1)), 1),
                 (EventKind::StepDone(StepId(2)), 1),
             ],
-            ro_leading: vec![RoTag {
-                local_step: StepId(3),
-                tag: 0xBEEF,
-                partner: InstanceId::new(SchemaId(3), 15),
-                partner_step: StepId(5),
-            }],
-            ro_lagging: vec![RoTag {
-                local_step: StepId(2),
-                tag: 0xF00D,
-                partner: InstanceId::new(SchemaId(5), 12),
-                partner_step: StepId(2),
-            }],
             weight: Weight::ONE,
         }
     }
@@ -186,8 +142,7 @@ mod tests {
         assert!(r.contains("S1.O2 = Gasket"));
         assert!(r.contains("S2.O1 = 45"));
         assert!(r.contains("Events: WF.S S1.D S2.D"));
-        assert!(r.contains("R.O. Leading: WF3#15.S5"));
-        assert!(r.contains("R.O. Lagging: WF2#4.S2"));
+        assert!(!r.contains("R.O."), "ordering guards are not on the packet");
     }
 
     #[test]

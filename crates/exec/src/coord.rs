@@ -21,8 +21,7 @@
 use crate::deploy::Deployment;
 use crate::hash::combine;
 use crew_model::{InstanceId, RelativeOrder, StepId, VecMap, VecSet};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 const KIND_RO_GUARD: u64 = 1;
 const KIND_MUTEX_GRANT: u64 = 2;
@@ -148,11 +147,11 @@ pub struct RoLeader {
     pub side: u8,
 }
 
-/// The relative-order arbiter: the leading side per requirement and linked
-/// pair, decided by [`Self::claim`].
+/// The relative-order arbiter: the linked pairs, per requirement, whose
+/// leading side [`Self::claim`] has decided.
 #[derive(Debug, Default)]
 pub struct RoArbiter {
-    leaders: BTreeMap<(u32, InstanceId, InstanceId), u8>,
+    decided: BTreeSet<(u32, InstanceId, InstanceId)>,
 }
 
 impl RoArbiter {
@@ -168,24 +167,12 @@ impl RoArbiter {
     ) -> Option<RoLeader> {
         let side = ro_side(order, claimant, partner)?;
         let (a, b) = ro_canonical(claimant, partner, side);
-        match self.leaders.entry((order.id, a, b)) {
-            Entry::Occupied(_) => None,
-            Entry::Vacant(slot) => {
-                slot.insert(side);
-                Some(RoLeader {
-                    req: order.id,
-                    a,
-                    b,
-                    side,
-                })
-            }
-        }
-    }
-
-    /// The leading side of canonical pair `(a, b)` under `req`, once
-    /// decided.
-    pub fn leader(&self, req: u32, a: InstanceId, b: InstanceId) -> Option<u8> {
-        self.leaders.get(&(req, a, b)).copied()
+        self.decided.insert((order.id, a, b)).then_some(RoLeader {
+            req: order.id,
+            a,
+            b,
+            side,
+        })
     }
 }
 
@@ -300,7 +287,8 @@ impl Gate {
     /// The guards of `instance`'s steps that `holds` accepts: one per
     /// relative order, linked partner and pair naming the step (pair 0's
     /// carries the claim), then one per mutual exclusion naming it. `None`
-    /// when no held step has a guard.
+    /// when no held step has a guard. This is the paper's
+    /// `AddPrecondition`, done once: no guard is added later.
     pub fn wire(
         deployment: &Deployment,
         instance: InstanceId,
@@ -334,19 +322,6 @@ impl Gate {
             }
         }
         (!gate.guards.is_empty()).then(|| Box::new(gate))
-    }
-
-    /// Make held `step` wait for order guard `tag` too (the paper's
-    /// `AddPrecondition`). Idempotent; a step not held here is left alone.
-    pub fn require(&mut self, step: StepId, tag: u64) {
-        let guards = self.guards.get_mut(&step);
-        if let Some(guards) = guards.filter(|g| g.iter().all(|g| g.tag != tag)) {
-            let at = guards
-                .iter()
-                .take_while(|g| matches!(g.kind, Kind::Order(_)));
-            let kind = Kind::Order(None);
-            guards.insert(at.count(), Guard { tag, kind });
-        }
     }
 
     /// May `step` run? Returns the verdict and the number of guards
@@ -691,7 +666,6 @@ mod tests {
         let r = order(7, &[[1, 2, 2, 2], [1, 4, 2, 4]]);
         let (x, y) = (at(1, 1), at(2, 2));
         let mut manager = RoArbiter::default();
-        assert_eq!(manager.leader(7, x, y), None);
         let decided = manager.claim(&r, y, x);
         let expected = RoLeader {
             req: 7,
@@ -702,9 +676,10 @@ mod tests {
         assert_eq!(decided, Some(expected), "the claimant's side leads");
         assert_eq!(manager.claim(&r, x, y), None, "the partner's claim is late");
         assert_eq!(manager.claim(&r, y, x), None, "a repeated claim is late");
-        assert_eq!(manager.leader(7, x, y), Some(1));
         assert_eq!(manager.claim(&r, at(3, 1), x), None, "not bound by r");
-        assert_eq!(manager.leader(8, x, y), None, "per requirement");
+        let other = order(8, &[[1, 2, 2, 2]]);
+        let first = manager.claim(&other, x, y).map(|d| (d.req, d.side));
+        assert_eq!(first, Some((8, 0)), "per requirement");
     }
 
     #[test]
@@ -774,7 +749,6 @@ mod tests {
         /// `x` leads: owe `y` the release of `x`'s step `s`, with `s` done
         /// or not.
         Oblige(u32, bool),
-        Require(u32, u64),
         Satisfy(u64),
         Abort,
     }
@@ -842,10 +816,6 @@ mod tests {
                     };
                     render_wake(gate.oblige(&order, leads, StepId(s), |_| done))
                 }
-                GateOp::Require(s, t) => {
-                    gate.require(StepId(s), t);
-                    "-".into()
-                }
                 GateOp::Satisfy(t) => render_wake(gate.satisfy(t)),
                 GateOp::Abort => {
                     gate.abort();
@@ -858,6 +828,8 @@ mod tests {
     #[test]
     fn gate_decisions() {
         use GateOp::*;
+        let (dep, x, y) = gate_fixture();
+        let pair_1 = ro_guard(0, 1, 0, x, y);
         let cases: Vec<(&str, Vec<GateOp>, Vec<&str>)> =
             vec![
             (
@@ -942,26 +914,17 @@ mod tests {
                 vec!["emit S2", "-", "-", "emit S1"],
             ),
             (
-                "require is idempotent and leaves unheld steps alone",
-                vec![
-                    Require(1, 7),
-                    Require(1, 7),
-                    Release(0),
-                    Check(1),
-                    Satisfy(7),
-                    Check(1),
-                ],
-                vec!["-", "-", "-", "parked 2", "retry S1", "go 2"],
+                "satisfying a parked step's order guard retries it; a tag no guard has does nothing",
+                vec![Check(2), Satisfy(7), Satisfy(pair_1), Satisfy(pair_1)],
+                vec!["parked 1", "-", "retry S2", "-"],
             ),
         ];
         for (name, ops, expected) in cases {
             assert_eq!(drive_gate(&ops), expected, "{name}");
         }
-        // A gate over S1 alone: S3 is not held, so `require` leaves it
-        // unguarded; a node that holds nothing gets no gate.
-        let (dep, x, _) = gate_fixture();
+        // A gate over S1 alone leaves S3 unguarded; a node that holds
+        // nothing gets no gate.
         let mut gate = Gate::wire(&dep, x, |s| s == StepId(1)).expect("S1 is held");
-        gate.require(StepId(3), 7);
         assert_eq!(gate.check(StepId(3)), (0, Verdict::Go), "S3 is not held");
         assert!(
             Gate::wire(&dep, inst(3), |_| false).is_none(),

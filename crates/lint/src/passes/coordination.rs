@@ -1,4 +1,4 @@
-//! Pass 2: cross-workflow deadlock over the coordination spec (§3 [KR98]).
+//! Pass 2: cross-workflow deadlock over the coordination spec (§3, KR98).
 //!
 //! Coordination requirements make steps of linked concurrent instances
 //! wait for each other: a mutex member waits for the current holder, the

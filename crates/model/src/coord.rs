@@ -4,8 +4,10 @@
 //! *mutual exclusion* and *relative ordering* of steps across workflows and
 //! *rollback dependency* across workflow instances. These are schema-level
 //! declarations; the run-time systems enforce them by exchanging events
-//! between the rule sets of the affected instances (Figure 4) using the
-//! `AddRule`/`AddEvent`/`AddPrecondition` primitives.
+//! between the affected instances (Figure 4): `AddRule`/`AddEvent`
+//! messages carry claims, grants and releases, and the paper's
+//! `AddPrecondition` is the guard set each instance's coordination gate
+//! is wired with when it is created.
 
 use crate::ids::{SchemaId, StepId};
 

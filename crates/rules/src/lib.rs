@@ -2,8 +2,9 @@
 //!
 //! The rule-based enactment core of CREW: events, event-condition-action
 //! rules, per-instance rule sets with the dynamic primitives `AddRule()` and
-//! `AddEvent()` (paper §3, Figure 4; `AddPrecondition()` is a coordination
-//! gate requirement, `crew_exec::Gate`), and the compiler that turns a
+//! `AddEvent()` (paper §3, Figure 4; `AddPrecondition()` is realized once,
+//! when `crew_exec::Gate::wire` installs an instance's coordination
+//! guards), and the compiler that turns a
 //! validated workflow schema into its navigation rule template (§4.2).
 //!
 //! The rule engine is deliberately host-agnostic: it knows nothing about

@@ -1,9 +1,10 @@
 //! The rule set of one workflow instance: the run-time realization of the
 //! paper's general-rule table, pending-rule table and event table (§4.2),
 //! together with the implementation-level primitives `AddRule()` and
-//! `AddEvent()` (§3, Figure 4). The third, `AddPrecondition()`, is a
-//! requirement of the instance's coordination gate (`crew_exec::Gate`),
-//! which a step passes after its rule fires.
+//! `AddEvent()` (§3, Figure 4). The third, `AddPrecondition()`, is realized
+//! by the instance's coordination gate: `crew_exec::Gate::wire` installs
+//! every guard when the instance is created, and a step passes the gate
+//! after its rule fires.
 //!
 //! In distributed control every agent keeps one `RuleSet` per instance it
 //! participates in, holding only the rules for the steps it is responsible

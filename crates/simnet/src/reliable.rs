@@ -227,7 +227,7 @@ impl Encode for Encoded<'_> {
 /// length and [`OutboxLog::replay`] cost stay O(live outbox) under
 /// sustained fully-acked traffic instead of growing forever.
 ///
-/// The state the log describes — what [`fold_records`] would make of it —
+/// The state the log describes — what `fold_records` would make of it —
 /// is mirrored as it is logged, so compaction writes the snapshot from
 /// memory: the live path never reads the log back or decodes a record.
 pub struct WalOutbox<M: Encode + Decode> {

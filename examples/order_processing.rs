@@ -99,7 +99,7 @@ fn main() {
     println!();
     println!("Whichever order reserved parts first also dispatched first — the");
     println!("relative-ordering guarantee of the paper's Figure 2, enforced by the");
-    println!("arbiter + packet-piggybacked leading/lagging tags.");
+    println!("arbiter + ordering guards wired at every agent at instantiation.");
     let _ = StepId(0);
     let _ = AgentId(0);
 }

@@ -345,28 +345,32 @@ fn recorded_runs(
     runs
 }
 
-/// What every instance ran after running `deployment` under central and
-/// under distributed control. The committed data table is a function of
-/// this record (each item holds its step's last output); under central
-/// control the engine no longer keeps the table once the instance retires.
+/// What every instance ran after running `deployment` under central
+/// control, parallel control with three engines, and distributed control.
+/// The committed data table is a function of this record (each item holds
+/// its step's last output); under central and parallel control the engine
+/// no longer keeps the table once the instance retires.
 fn program_runs(
     deployment: &crew_exec::Deployment,
     agents: u32,
     starts: &[InstanceId],
-) -> [Runs; 2] {
+) -> [Runs; 3] {
     let inputs = || vec![(1, Value::Int(5)), (2, Value::Int(1))];
-    let central = recorded_runs(deployment, |deployment| {
-        let mut central = CentralRun::new(deployment, agents, 1);
-        for inst in starts {
-            assert_eq!(central.start_instance(inst.schema, inputs()), *inst);
-        }
-        central.run();
-        let statuses = central.statuses();
-        for inst in starts {
-            let status = statuses.get(inst);
-            assert_eq!(status, Some(&InstanceStatus::Committed), "{inst}");
-        }
-    });
+    let engine_runs = |engines| {
+        recorded_runs(deployment, |deployment| {
+            let mut central = CentralRun::new(deployment, agents, engines);
+            for inst in starts {
+                assert_eq!(central.start_instance(inst.schema, inputs()), *inst);
+            }
+            central.run();
+            let statuses = central.statuses();
+            for inst in starts {
+                let status = statuses.get(inst);
+                assert_eq!(status, Some(&InstanceStatus::Committed), "{inst}");
+            }
+        })
+    };
+    let (central, parallel) = (engine_runs(1), engine_runs(3));
     let distributed = recorded_runs(deployment, |deployment| {
         let mut dist = DistRun::new(deployment, agents, DistConfig::default());
         for inst in starts {
@@ -378,17 +382,17 @@ fn program_runs(
             assert_eq!(outcomes.get(inst), Some(&Outcome::Committed), "{inst}");
         }
     });
-    [central, distributed]
+    [central, parallel, distributed]
 }
 
 /// Differential architectures, at the data level: the same
 /// `crew-workload` schemas, seed and `FailurePlan` run the same step
-/// programs per instance under central and distributed control — the same
-/// steps, attempts and outputs (every output is a `step@attempt` stamp), so
-/// both architectures executed, reused and re-executed the same steps the
-/// same number of times, and committed the same data. Fault-free, and with
-/// 1 and 2 scripted failing steps per instance
-/// (the envelope `benchmark/README.md` "Known stalls" documents for
+/// programs per instance under central, parallel and distributed control —
+/// the same steps, attempts and outputs (every output is a `step@attempt`
+/// stamp), so all three architectures executed, reused and re-executed the
+/// same steps the same number of times, and committed the same data.
+/// Fault-free, and with 1 and 2 scripted failing steps per instance (the
+/// envelope `benchmark/README.md` "Known stalls" documents for
 /// distributed control). Sequential schemas, like the rest of this file:
 /// under distributed control a generated AND-diamond whose two branches are
 /// designated at one agent runs the second branch off the first branch's
@@ -428,14 +432,13 @@ fn committed_data_matches_between_central_and_distributed() {
                 deployment.plan = deployment.plan.fail_step(*inst, step, 1);
             }
         }
-        let [central, distributed] = program_runs(&deployment, p.z, &starts);
+        let [central, parallel, distributed] = program_runs(&deployment, p.z, &starts);
         for inst in &starts {
             assert!(central.contains_key(inst), "{inst} ran");
-            assert_eq!(
-                central.get(inst),
-                distributed.get(inst),
-                "{inst} with {failing_steps} failing step(s)"
-            );
+            let context = format!("{inst} with {failing_steps} failing step(s)");
+            let want = central.get(inst);
+            assert_eq!(parallel.get(inst), want, "parallel: {context}");
+            assert_eq!(distributed.get(inst), want, "distributed: {context}");
         }
         let mut runs = central.values().flatten();
         assert_eq!(

@@ -1,9 +1,9 @@
-//! Distributed-control feature coverage: relative-order tags piggybacked on
-//! workflow packets (§5.1), the committed-instance purge broadcast (§4.2),
-//! and front-end status queries.
+//! Distributed-control feature coverage: relative order from the guards
+//! every agent wires at instantiation (§5.1), the committed-instance purge
+//! broadcast (§4.2), and front-end status queries.
 
 use crew_core::{Architecture, Scenario, WorkflowSystem};
-use crew_distributed::{DistConfig, DistRun};
+use crew_distributed::{DistConfig, DistRun, WorkflowStatusKind};
 use crew_exec::Deployment;
 use crew_integration_tests::{linear_logged_schema, ExecLog};
 use crew_model::{
@@ -54,12 +54,12 @@ fn ro_deployment(log: &ExecLog) -> Deployment {
     deployment
 }
 
-/// §5.1: "the best way to pass ordering information to agents is to
-/// piggyback it with the workflow packet information". The lagging side's
-/// guards travel on packets, and the order of the first pair holds for the
-/// second.
+/// §5.1 passes ordering information to agents on workflow packets; here
+/// no packet carries any. Every agent wires its steps' ordering guards
+/// from the deployment when it creates the instance, and the order of the
+/// first pair holds for the second.
 #[test]
-fn piggybacked_tags_preserve_relative_order() {
+fn wired_guards_preserve_relative_order() {
     let log = ExecLog::new();
     let deployment = ro_deployment(&log);
     let system =
@@ -136,10 +136,12 @@ fn workflow_status_roundtrip() {
     run.run();
     run.query_status(inst);
     run.run();
-    assert_eq!(run.frontend().statuses.get(&inst), Some(&"committed"));
+    let status = run.frontend().statuses.get(&inst);
+    assert_eq!(status, Some(&WorkflowStatusKind::Committed));
     // Unknown instance reports unknown.
     let ghost = InstanceId::new(SchemaId(1), 99);
     run.query_status(ghost);
     run.run();
-    assert_eq!(run.frontend().statuses.get(&ghost), Some(&"unknown"));
+    let status = run.frontend().statuses.get(&ghost);
+    assert_eq!(status, Some(&WorkflowStatusKind::Unknown));
 }

@@ -14,7 +14,9 @@
 
 use bytes::Bytes;
 use crew_central::{CentralMsg, CoordMsg};
-use crew_distributed::{CoordRule, DistMsg, RoTag, StepStatusKind, Weight, WorkflowPacket};
+use crew_distributed::{
+    CoordRule, DistMsg, StepStatusKind, Weight, WorkflowPacket, WorkflowStatusKind,
+};
 use crew_model::{AgentId, DataEnv, InstanceId, ItemKey, SchemaId, StepId, Value};
 use crew_rules::EventKind;
 use crew_simnet::reliable::ChanRec;
@@ -99,23 +101,7 @@ fn rich_packet() -> WorkflowPacket {
             (EventKind::WorkflowAbort, 1),
             (EventKind::External(0xBEEF), 3),
         ],
-        ro_leading: vec![ro_tag()],
-        ro_lagging: vec![RoTag {
-            local_step: StepId(2),
-            tag: 0xF00D,
-            partner: inst(12),
-            partner_step: StepId(2),
-        }],
         weight: Weight::new(3, 8),
-    }
-}
-
-fn ro_tag() -> RoTag {
-    RoTag {
-        local_step: StepId(3),
-        tag: 0xBEEF,
-        partner: inst(15),
-        partner_step: StepId(5),
     }
 }
 
@@ -426,16 +412,13 @@ fn coord_rules() -> Vec<(&'static str, CoordRule)> {
                 req: 4,
                 instance: inst(1),
                 local_step: StepId(2),
-                tag: 0xAB,
                 target_instance: inst(2),
-                target_step: StepId(3),
             },
         ),
     ]
 }
 
 fn dist_samples(c: &mut Checker) {
-    c.check("RoTag", ro_tag());
     c.check("WorkflowPacket/rich", rich_packet());
     c.check(
         "WorkflowPacket/initial",
@@ -556,16 +539,16 @@ fn dist_samples(c: &mut Checker) {
     for (name, msg) in msgs {
         c.check(&format!("DistMsg::{name}"), msg);
     }
-    for status in [
-        "committed",
-        "aborted",
-        "executing",
-        "unknown",
-        "abort-rejected",
-        "change-rejected",
+    for (name, status) in [
+        ("committed", WorkflowStatusKind::Committed),
+        ("aborted", WorkflowStatusKind::Aborted),
+        ("executing", WorkflowStatusKind::Executing),
+        ("unknown", WorkflowStatusKind::Unknown),
+        ("abort-rejected", WorkflowStatusKind::AbortRejected),
+        ("change-rejected", WorkflowStatusKind::ChangeRejected),
     ] {
         c.check(
-            &format!("DistMsg::WorkflowStatusReply/{status}"),
+            &format!("DistMsg::WorkflowStatusReply/{name}"),
             DistMsg::WorkflowStatusReply { instance, status },
         );
     }
