@@ -305,7 +305,9 @@ impl CentralRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::SchemaBuilder;
+    use crew_model::{
+        CoordinationSpec, MutualExclusion, RelativeOrder, SchemaBuilder, SchemaStep, StepId,
+    };
     use crew_simnet::Mechanism;
 
     fn linear_schema(id: u32, steps: u32, agents: &[u32]) -> crew_model::WorkflowSchema {
@@ -394,5 +396,146 @@ mod tests {
         assert_eq!(loads.len(), 2);
         assert!(loads.iter().any(|l| l.delivered_msgs > 0));
         assert!(loads.iter().all(|l| l.live_instances == 0), "all terminal");
+    }
+
+    // Engine-to-engine behaviour that only arises when `engines > 1`
+    // (parallel control, §6). Steps alternate between agents 1 and 0.
+
+    #[test]
+    fn consistent_hash_placement_commits_across_engines() {
+        let deployment = Deployment::new([linear_schema(1, 3, &[1, 0])]);
+        let mut run = CentralRun::new_with_placement(
+            deployment,
+            2,
+            4,
+            PlacementStrategy::ConsistentHash { vnodes: 16 },
+        );
+        let instances: Vec<_> = (0..8)
+            .map(|_| run.start_instance(SchemaId(1), vec![(1, Value::Int(1))]))
+            .collect();
+        run.run();
+        let statuses = run.statuses();
+        for i in &instances {
+            assert_eq!(statuses.get(i), Some(&InstanceStatus::Committed), "{i}");
+        }
+    }
+
+    #[test]
+    fn instances_spread_and_commit() {
+        let deployment = Deployment::new([linear_schema(1, 3, &[1, 0])]);
+        let mut run = CentralRun::new(deployment, 2, 4);
+        let instances: Vec<_> = (0..8)
+            .map(|_| run.start_instance(SchemaId(1), vec![(1, Value::Int(1))]))
+            .collect();
+        run.run();
+        let statuses = run.statuses();
+        for i in &instances {
+            assert_eq!(statuses.get(i), Some(&InstanceStatus::Committed), "{i}");
+        }
+        let engines_with_work = (0..4)
+            .filter(|&e| !run.engine(e).statuses.is_empty())
+            .count();
+        assert!(engines_with_work > 1, "load is shared across engines");
+    }
+
+    #[test]
+    fn cross_engine_mutex_serializes() {
+        // Instances owned by different engines contend on a mutex; all must
+        // commit and coordination messages must flow between engines.
+        let mut deployment = Deployment::new([linear_schema(1, 3, &[1, 0])]);
+        deployment.coordination = CoordinationSpec {
+            mutual_exclusions: vec![MutualExclusion {
+                id: 0,
+                resource: "booth".into(),
+                members: vec![SchemaStep::new(SchemaId(1), StepId(2))],
+            }],
+            ..CoordinationSpec::default()
+        };
+        let mut run = CentralRun::new(deployment, 2, 4);
+        let instances: Vec<_> = (0..6)
+            .map(|_| run.start_instance(SchemaId(1), vec![(1, Value::Int(1))]))
+            .collect();
+        run.run();
+        let statuses = run.statuses();
+        for i in &instances {
+            assert_eq!(statuses.get(i), Some(&InstanceStatus::Committed), "{i}");
+        }
+        assert!(
+            run.sim.metrics.messages(Mechanism::CoordinatedExecution) > 0,
+            "cross-engine mutex requires engine-to-engine messages"
+        );
+    }
+
+    #[test]
+    fn cross_engine_mutex_survives_a_lossy_network() {
+        // Same contention as above, but the engine↔engine and engine↔agent
+        // links drop, duplicate and reorder frames: the reliable channels
+        // must deliver the mutex protocol exactly once and in order, so
+        // every contender still commits.
+        let mut deployment = Deployment::new([linear_schema(1, 3, &[1, 0])]);
+        deployment.coordination = CoordinationSpec {
+            mutual_exclusions: vec![MutualExclusion {
+                id: 0,
+                resource: "booth".into(),
+                members: vec![SchemaStep::new(SchemaId(1), StepId(2))],
+            }],
+            ..CoordinationSpec::default()
+        };
+        let mut run = CentralRun::new(deployment, 2, 4);
+        run.sim
+            .enable_net_faults(crew_simnet::NetFaultPlan::probabilistic(
+                3, 0.06, 0.06, 0.10,
+            ));
+        let instances: Vec<_> = (0..6)
+            .map(|_| run.start_instance(SchemaId(1), vec![(1, Value::Int(1))]))
+            .collect();
+        run.run();
+        let statuses = run.statuses();
+        for i in &instances {
+            assert_eq!(statuses.get(i), Some(&InstanceStatus::Committed), "{i}");
+        }
+        let t = run.sim.metrics.transport;
+        assert!(t.data_frames > 0, "traffic rode the reliable channel");
+        assert!(
+            t.drops_injected + t.dups_injected + t.reorders_injected > 0,
+            "faults were actually injected: {t:?}"
+        );
+    }
+
+    #[test]
+    fn cross_engine_relative_order_commits_both() {
+        // Two linked instances with relative ordering on (S2,S2) then
+        // (S3,S3), owned by different engines: both must commit, and the
+        // decision/release protocol must run.
+        let mut deployment = Deployment::new([linear_schema(1, 4, &[1, 0])]);
+        deployment.coordination = CoordinationSpec {
+            relative_orders: vec![RelativeOrder {
+                id: 0,
+                conflict: "parts".into(),
+                pairs: vec![
+                    (
+                        SchemaStep::new(SchemaId(1), StepId(2)),
+                        SchemaStep::new(SchemaId(1), StepId(2)),
+                    ),
+                    (
+                        SchemaStep::new(SchemaId(1), StepId(3)),
+                        SchemaStep::new(SchemaId(1), StepId(3)),
+                    ),
+                ],
+            }],
+            ..CoordinationSpec::default()
+        };
+        // Instance serials are allocated 1, 2 by the driver.
+        deployment.ro_links.link(
+            crew_model::InstanceId::new(SchemaId(1), 1),
+            crew_model::InstanceId::new(SchemaId(1), 2),
+        );
+        let mut run = CentralRun::new(deployment, 2, 3);
+        let a = run.start_instance(SchemaId(1), vec![(1, Value::Int(1))]);
+        let b = run.start_instance(SchemaId(1), vec![(1, Value::Int(2))]);
+        run.run();
+        let statuses = run.statuses();
+        assert_eq!(statuses.get(&a), Some(&InstanceStatus::Committed));
+        assert_eq!(statuses.get(&b), Some(&InstanceStatus::Committed));
     }
 }

@@ -857,8 +857,9 @@ impl Engine {
         for (to, weight) in nav.outgoing_weights(&schema, step) {
             nav.accept_weight(&schema, Some(step), to, weight);
         }
-        // Terminal: account completion weight; commit at 1.
-        if schema.terminal_steps().contains(&step) {
+        // Terminal (and not going round its loop again): account
+        // completion weight; commit at 1.
+        if schema.terminal_steps().contains(&step) && !nav.loop_continues(&schema, step) {
             nav.set_terminal_weight(step, nav.flow_weight(step));
             if nav.commit_now() {
                 self.set_status(instance, InstanceStatus::Committed);

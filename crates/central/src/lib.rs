@@ -7,6 +7,14 @@
 //! the paper's `2·s·a` message model, with every recovery and coordination
 //! mechanism handled engine-locally (centralized) or via per-requirement
 //! manager engines (parallel).
+//!
+//! Parallel control is, in the paper's words, "an extension of the
+//! centralized architecture where several central engines work in parallel
+//! to share the load of workflow scheduling", each instance controlled by
+//! exactly one engine. It is [`CentralRun::new`] with `engines >= 2` (or
+//! [`CentralRun::new_with_placement`] for consistent-hash placement); the
+//! engine-to-engine coordination behaviours that only arise then are
+//! tested in [`builder`].
 
 #![warn(missing_docs)]
 #![allow(missing_docs)] // selective field docs in protocol enums

@@ -665,10 +665,11 @@ impl DistAgent {
             self.detect_branch_switch(instance, step, &schema, ctx);
         }
 
-        // Terminal step: report completion (weight) to the coordination
-        // agent.
-        if schema.terminal_steps().contains(&step) {
-            let weight = self.inst(instance).nav.flow_weight(step);
+        // Terminal step (and not going round its loop again): report
+        // completion (weight) to the coordination agent.
+        let nav = &self.inst(instance).nav;
+        if schema.terminal_steps().contains(&step) && !nav.loop_continues(&schema, step) {
+            let weight = nav.flow_weight(step);
             self.report_terminal_weight(instance, step, weight, &schema, ctx);
         }
 

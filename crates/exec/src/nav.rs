@@ -170,6 +170,18 @@ impl InstanceNav {
         self.weight_in.insert((target, source), weight);
     }
 
+    /// True when one of `step`'s loop back-edges continues over the current
+    /// data: the thread goes round again, so a terminal loop tail's
+    /// completion does not count toward commit yet. A condition that errors
+    /// counts as false, as for rule guards.
+    pub fn loop_continues(&self, schema: &WorkflowSchema, step: StepId) -> bool {
+        schema
+            .outgoing(step)
+            .filter(|a| a.loop_back)
+            .filter_map(|a| a.condition.as_ref())
+            .any(|c| c.eval_bool(&self.data).unwrap_or(false))
+    }
+
     /// Account `weight` as terminal `step`'s completion weight
     /// (`Weight::ZERO` retracts a compensated terminal).
     pub fn set_terminal_weight(&mut self, step: StepId, weight: Weight) {
@@ -466,6 +478,42 @@ mod tests {
             nav.outgoing_weights(&schema, s[2]),
             vec![(s[1], Weight::ONE)]
         );
+    }
+
+    #[test]
+    fn only_an_exiting_loop_tail_counts_toward_commit() {
+        // S1 → S2, S2 ⟲ S1 while `cont`: S2 is a terminal loop tail.
+        let i1 = || Expr::item(ItemKey::input(1));
+        // (continue condition, I1, loop continues)
+        let cases = [
+            (Expr::lit(true), 0, true),
+            (Expr::lit(false), 0, false),
+            (Expr::lt(i1(), Expr::lit(3i64)), 2, true),
+            (Expr::lt(i1(), Expr::lit(3i64)), 3, false),
+            // Errors count as false: a non-boolean, then an unset item.
+            (i1(), 1, false),
+            (
+                Expr::lt(Expr::item(ItemKey::input(2)), Expr::lit(3i64)),
+                0,
+                false,
+            ),
+        ];
+        for (cont, input, continues) in cases {
+            let mut b = SchemaBuilder::new(SchemaId(1), "loop").inputs(2);
+            let s = [(); 2].map(|_| b.add_step("S", "passthrough"));
+            b.seq(s[0], s[1]);
+            b.loop_back(s[1], s[0], cont.clone());
+            let schema = build(b);
+            let mut nav = InstanceNav::default();
+            nav.data.set(ItemKey::input(1), Value::Int(input));
+            assert_eq!(schema.terminal_steps(), &[s[1]]);
+            assert_eq!(
+                nav.loop_continues(&schema, s[1]),
+                continues,
+                "{cont:?} at I1 = {input}"
+            );
+            assert!(!nav.loop_continues(&schema, s[0]), "no back-edge out of S1");
+        }
     }
 
     #[test]

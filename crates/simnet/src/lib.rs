@@ -3,8 +3,7 @@
 //! The distributed-systems substrate CREW deployments run on: a sans-io
 //! [`Node`] abstraction, a deterministic discrete-event [`Simulation`] with
 //! reliable FIFO message delivery, seeded latency, fail-stop crash/recovery
-//! injection and full message/load instrumentation, plus a
-//! [`ThreadedRuntime`] that drives the same nodes on real threads.
+//! injection and full message/load instrumentation.
 //!
 //! The paper assumes "messages are reliably delivered between agents"
 //! (§4) via a persistent-messaging substrate. The simulator can discharge
@@ -25,7 +24,6 @@ pub mod netfault;
 pub mod node;
 pub mod reliable;
 pub mod sim;
-pub mod threaded;
 pub mod trace;
 
 pub use metrics::{Classify, Mechanism, Metrics, TransportStats};
@@ -33,5 +31,4 @@ pub use netfault::{LinkCut, NetFaultPlan};
 pub use node::{Ctx, Node, NodeId, TimerId};
 pub use reliable::{Endpoint, Frame, OutboxLog, RetransmitConfig, VolatileOutbox, WalOutbox};
 pub use sim::{LatencyModel, Simulation};
-pub use threaded::ThreadedRuntime;
 pub use trace::{Trace, TraceEntry};

@@ -5,9 +5,8 @@
 //! [`Node`]: a state machine that consumes one message at a time and emits
 //! messages, timer requests and load through a [`Ctx`]. Because nodes never
 //! touch real I/O, the same implementations run unchanged under the
-//! deterministic discrete-event [`Simulation`](crate::sim::Simulation) used
-//! by the experiments and under the [`ThreadedRuntime`](crate::threaded::ThreadedRuntime)
-//! used by the live examples.
+//! deterministic discrete-event [`Simulation`](crate::sim::Simulation) and
+//! in unit tests that drive their callbacks directly.
 
 use std::any::Any;
 use std::fmt;
@@ -44,8 +43,7 @@ pub struct TimerId(pub u64);
 /// Output collector handed to node callbacks.
 #[derive(Debug)]
 pub struct Ctx<M> {
-    /// Virtual time (simulation ticks; milliseconds under the threaded
-    /// runtime).
+    /// Virtual time (simulation ticks).
     pub now: u64,
     /// The node being invoked.
     pub self_id: NodeId,
@@ -101,7 +99,7 @@ impl<M> Ctx<M> {
 }
 
 /// A deployment participant. `M` is the deployment's message type.
-pub trait Node<M>: Send {
+pub trait Node<M> {
     /// Invoked once before any message is delivered.
     fn on_start(&mut self, _ctx: &mut Ctx<M>) {}
 

@@ -144,7 +144,7 @@ impl<M> Default for PersistedChannelState<M> {
 /// Durability backend of one endpoint. The log must survive the node's
 /// fail-stop crash (its store lives outside the node's volatile state, like
 /// the AGDB).
-pub trait OutboxLog<M>: Send {
+pub trait OutboxLog<M> {
     /// Record a staged send.
     fn log_send(&mut self, to: NodeId, seq: u64, payload: &M);
     /// Record an ack trim.
@@ -304,7 +304,7 @@ impl<M: Encode + Decode> Default for WalOutbox<M> {
     }
 }
 
-impl<M: Encode + Decode + Send> OutboxLog<M> for WalOutbox<M> {
+impl<M: Encode + Decode> OutboxLog<M> for WalOutbox<M> {
     fn log_send(&mut self, to: NodeId, seq: u64, payload: &M) {
         self.scratch.clear();
         payload.encode(&mut self.scratch);

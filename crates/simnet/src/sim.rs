@@ -187,7 +187,7 @@ pub struct Simulation<M> {
     busy_until: std::collections::BTreeMap<NodeId, u64>,
 }
 
-impl<M: Classify + Clone + std::fmt::Debug + Send + 'static> Simulation<M> {
+impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
     /// Create a new, empty value.
     pub fn new(seed: u64) -> Self {
         Simulation {

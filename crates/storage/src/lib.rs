@@ -22,4 +22,4 @@ pub use bytes;
 pub use codec::{CodecError, Decode, Encode, VariantName};
 pub use crc::crc32;
 pub use tables::{AgentDb, DbOp, InstanceStatus, InstanceTable, StoredStepState};
-pub use wal::{recover_for_node, FileStore, LogStore, MemStore, RecoveryReport, Wal, WalError};
+pub use wal::{recover_for_node, FileStore, LogStore, MemStore, RecoveryReport, Wal};

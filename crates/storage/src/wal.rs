@@ -12,7 +12,7 @@
 //! start and stops at the first torn or corrupt record (the standard
 //! ARIES-style torn-tail rule), returning every intact record in order.
 
-use crate::codec::{CodecError, Decode, Encode};
+use crate::codec::{Decode, Encode};
 use crate::crc::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
@@ -27,7 +27,7 @@ use std::path::Path;
 /// appended so far durable. [`Wal::append`] pairs the two (one flush per
 /// record); [`Wal::append_batch`] and the `append_nosync`/`flush` pair
 /// amortize a single flush over many records.
-pub trait LogStore: Send {
+pub trait LogStore {
     /// Append raw bytes; durable only after the next [`LogStore::flush`].
     fn append(&mut self, data: &[u8]) -> std::io::Result<()>;
     /// Make all appended bytes durable (e.g. `fdatasync`).
@@ -318,29 +318,10 @@ pub fn recover_for_node<R: Encode + Decode, S: LogStore>(wal: &mut Wal<R, S>) ->
     wal.recover().ok()
 }
 
-/// A decoded-or-not error for callers that treat codec failures as I/O.
-#[derive(Debug)]
-pub enum WalError {
-    /// Io.
-    Io(std::io::Error),
-    /// Codec.
-    Codec(CodecError),
-}
-
-impl std::fmt::Display for WalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WalError::Io(e) => write!(f, "wal io error: {e}"),
-            WalError::Codec(e) => write!(f, "wal codec error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WalError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CodecError;
     use crew_model::{InstanceId, SchemaId, Value};
 
     #[derive(Debug, Clone, PartialEq)]

@@ -8,8 +8,7 @@
 
 use crew_exec::{FnProgram, ProgramRegistry, StepFailure};
 use crew_model::{InstanceId, StepId, Value};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A shared, append-only execution trace fed by instrumented programs.
 #[derive(Clone, Default)]
@@ -29,7 +28,10 @@ impl ExecLog {
         registry.register(
             name,
             FnProgram(move |ctx: &crew_exec::ProgramCtx| {
-                entries.lock().push((ctx.instance, ctx.step, ctx.attempt));
+                entries
+                    .lock()
+                    .unwrap()
+                    .push((ctx.instance, ctx.step, ctx.attempt));
                 Ok(vec![Value::Int(ctx.attempt as i64)])
             }),
         );
@@ -41,7 +43,10 @@ impl ExecLog {
         registry.register(
             name,
             FnProgram(move |ctx: &crew_exec::ProgramCtx| {
-                entries.lock().push((ctx.instance, ctx.step, ctx.attempt));
+                entries
+                    .lock()
+                    .unwrap()
+                    .push((ctx.instance, ctx.step, ctx.attempt));
                 if ctx.attempt == 1 {
                     Err(StepFailure::new("flaky first attempt"))
                 } else {
@@ -53,20 +58,21 @@ impl ExecLog {
 
     /// Snapshot of the trace.
     pub fn entries(&self) -> Vec<(InstanceId, StepId, u32)> {
-        self.entries.lock().clone()
+        self.entries.lock().unwrap().clone()
     }
 
     /// Global position of the first execution of `(instance, step)`.
     pub fn position(&self, instance: InstanceId, step: StepId) -> Option<usize> {
         self.entries
             .lock()
+            .unwrap()
             .iter()
             .position(|&(i, s, _)| i == instance && s == step)
     }
 
     /// Position of the *last* execution of `(instance, step)`.
     pub fn last_position(&self, instance: InstanceId, step: StepId) -> Option<usize> {
-        let entries = self.entries.lock();
+        let entries = self.entries.lock().unwrap();
         entries
             .iter()
             .enumerate()
@@ -79,6 +85,7 @@ impl ExecLog {
     pub fn count(&self, instance: InstanceId, step: StepId) -> usize {
         self.entries
             .lock()
+            .unwrap()
             .iter()
             .filter(|&&(i, s, _)| i == instance && s == step)
             .count()

@@ -6,8 +6,7 @@
 use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_exec::{FnProgram, ProgramCtx};
 use crew_model::{AgentId, ReexecPolicy, SchemaBuilder, SchemaId, StepId, Value};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Registers a compensation program that records which step it undid.
 #[derive(Clone, Default)]
@@ -19,13 +18,13 @@ impl CompLog {
         registry.register(
             name,
             FnProgram(move |ctx: &ProgramCtx| {
-                log.lock().push(ctx.step);
+                log.lock().unwrap().push(ctx.step);
                 Ok(vec![])
             }),
         );
     }
     fn entries(&self) -> Vec<StepId> {
-        self.0.lock().clone()
+        self.0.lock().unwrap().clone()
     }
 }
 

@@ -478,7 +478,8 @@ rows! {
         offsets: SWEEP,
         harm: Harm::Stall,
     },
-    // The looping instances even report Committed; the harm is the work.
+    // The looping instance never commits (DESIGN §6l F6) and runs to the
+    // horizon; the harm is the work.
     LoopNeverExits => Row {
         flagged: single(looped(Expr::lit(true))),
         control: single(looped(a_output_is(CmpOp::Lt, 3))),

@@ -296,7 +296,6 @@ fn engine_crash_matches_fault_free_outcomes() {
 use crew_central::CentralRun;
 use crew_exec::Deployment;
 use crew_model::{CoordinationSpec, InstanceId, MutualExclusion, SchemaStep, StepId};
-use crew_parallel::ParallelRun;
 use crew_storage::InstanceStatus;
 
 /// Three-engine fleet of four slow 6-step instances, one of which is
@@ -309,7 +308,7 @@ fn run_migration_fleet(
     let log = ExecLog::new();
     let mut deployment = Deployment::new([linear_logged_schema(1, 6, 2, "log")]);
     log.register(&mut deployment.registry, "log");
-    let mut run = ParallelRun::new(deployment, 2, 3).expect("e >= 2");
+    let mut run = CentralRun::new(deployment, 2, 3);
     // Slow agents widen the execution window, so the migration order
     // lands mid-flight under every fault seed.
     for a in 0..2 {
@@ -422,7 +421,7 @@ fn migrating_a_mutex_holder_under_chaos_stays_exactly_once() {
             ..CoordinationSpec::default()
         };
         log.register(&mut deployment.registry, "log");
-        let mut run = ParallelRun::new(deployment, 1, 2).expect("e >= 2");
+        let mut run = CentralRun::new(deployment, 1, 2);
         run.sim.set_service_cost(run.topo.agent_node(AgentId(0)), 5);
         let a = run.start_instance(SchemaId(1), vec![(1, Value::Int(1))]);
         let b = run.start_instance(SchemaId(1), vec![(1, Value::Int(2))]);

@@ -1,14 +1,9 @@
 //! Robustness properties: WAL recovery under arbitrary corruption, LAWS
-//! parsing of arbitrary input, and the threaded runtime driving the real
-//! distributed agents.
+//! parsing of arbitrary input, and the WFDB operation codec.
 
-use crew_distributed::{Directory, DistAgent, DistConfig, DistMsg, FrontEnd, SharedCtx};
-use crew_exec::Deployment;
-use crew_model::{AgentId, InstanceId, ItemKey, SchemaId, Value};
-use crew_simnet::{NodeId, ThreadedRuntime};
-use crew_storage::{DbOp, Decode, Encode, InstanceStatus, Wal};
+use crew_model::{InstanceId, ItemKey, SchemaId, Value};
+use crew_storage::{DbOp, Decode, Encode, Wal};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -92,71 +87,5 @@ proptest! {
         };
         let mut bytes = op.to_bytes();
         prop_assert_eq!(DbOp::decode(&mut bytes).unwrap(), op);
-    }
-}
-
-/// The threaded runtime drives the real distributed agents to the same
-/// outcomes the simulator produces (happy path; timers are
-/// simulator-only).
-#[test]
-fn threaded_runtime_matches_simulator_outcomes() {
-    let mut b = crew_model::SchemaBuilder::new(SchemaId(1), "t").inputs(1);
-    let s1 = b.add_step("A", "passthrough");
-    let s2 = b.add_step("B", "sum");
-    let s3 = b.add_step("C", "stamp");
-    b.seq(s1, s2).seq(s2, s3);
-    b.read(s2, ItemKey::input(1));
-    for (i, s) in [s1, s2, s3].iter().enumerate() {
-        b.configure(*s, |d| d.eligible_agents = vec![AgentId(i as u32)]);
-    }
-    let schema = b.build().unwrap();
-    let agents = 3u32;
-    let deployment = Arc::new(Deployment::new([schema]));
-    let directory = Directory::new(agents);
-    let shared = SharedCtx {
-        deployment: deployment.clone(),
-        directory,
-        config: DistConfig::default(),
-    };
-    let mut rt: ThreadedRuntime<DistMsg> = ThreadedRuntime::new();
-    for a in 0..agents {
-        rt.add_node(DistAgent::new(AgentId(a), shared.clone()));
-    }
-    rt.add_node(FrontEnd::new(shared));
-    let frontend = NodeId(agents);
-    let initial: Vec<(NodeId, DistMsg)> = (1..=4u32)
-        .map(|serial| {
-            (
-                frontend,
-                DistMsg::WorkflowStart {
-                    instance: InstanceId::new(SchemaId(1), serial),
-                    inputs: vec![(ItemKey::input(1), Value::Int(serial as i64))],
-                    parent: None,
-                },
-            )
-        })
-        .collect();
-    let (metrics, nodes) = rt.run(initial);
-    let fe = nodes
-        .last()
-        .and_then(|n| n.as_any().downcast_ref::<FrontEnd>())
-        .expect("front end last");
-    assert_eq!(fe.outcomes.len(), 4, "all four instances terminal");
-    assert!(fe
-        .outcomes
-        .values()
-        .all(|o| *o == crew_distributed::Outcome::Committed));
-    assert!(metrics.total_messages >= 4 * 3, "packets flowed");
-
-    // Agent 0 (coordinator) persisted committed statuses.
-    let a0 = nodes[0]
-        .as_any()
-        .downcast_ref::<DistAgent>()
-        .expect("agent node");
-    for serial in 1..=4u32 {
-        let inst = InstanceId::new(SchemaId(1), serial);
-        if a0.instance_status(inst).is_some() {
-            assert_eq!(a0.instance_status(inst), Some(InstanceStatus::Committed));
-        }
     }
 }

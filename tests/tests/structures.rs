@@ -162,3 +162,56 @@ fn loop_around_parallel_block() {
         assert_eq!(log.count(inst, done), 1, "{arch:?}: exit once");
     }
 }
+
+/// A terminal loop tail commits only when its loop exits (DESIGN §6l F6):
+/// `loop B -> A while true` never commits and ends `Stalled` at the
+/// horizon; looping while A's output < 3 commits once, after the third B,
+/// later than the same schema that exits after the first B.
+#[test]
+fn terminal_loop_tail_commits_only_on_exit() {
+    let run = |arch: Architecture, cont: Expr| {
+        let log = ExecLog::new();
+        let mut b = SchemaBuilder::new(SchemaId(1), "loop-tail").inputs(1);
+        let a = b.add_step("A", "log");
+        let z = b.add_step("B", "log");
+        b.seq(a, z);
+        b.loop_back(z, a, cont);
+        assign(&mut b, &[a, z]);
+        let mut system = WorkflowSystem::new([b.build().unwrap()], arch);
+        log.register(&mut system.deployment.registry, "log");
+        let mut scenario = Scenario::new();
+        let idx = scenario.start(SchemaId(1), vec![(1, Value::Int(0))]);
+        let inst = scenario.instance_id(idx);
+        let report = system.run(scenario);
+        (report, log, inst, z)
+    };
+    let a_below = |n: i64| {
+        Expr::cmp(
+            CmpOp::Lt,
+            Expr::item(ItemKey::output(StepId(1), 1)),
+            Expr::lit(n),
+        )
+    };
+    for arch in ALL_ARCHS {
+        let (report, log, inst, _) = run(arch, Expr::lit(true));
+        assert_eq!(
+            report.committed(),
+            0,
+            "{arch:?}: never exits, never commits"
+        );
+        assert!(!report.all_terminal(), "{arch:?}: the loop is a stall");
+        assert!(
+            log.count(inst, StepId(1)) > 1_000,
+            "{arch:?}: still looping"
+        );
+
+        let (once, _, _, _) = run(arch, a_below(1));
+        let (report, log, inst, z) = run(arch, a_below(3));
+        assert_eq!(report.committed(), 1, "{arch:?}");
+        assert_eq!(log.count(inst, z), 3, "{arch:?}: three iterations");
+        assert!(
+            report.completion_ticks[&inst] > once.completion_ticks[&inst],
+            "{arch:?}: committed after the third B, not the first"
+        );
+    }
+}
