@@ -24,7 +24,9 @@ use crew_exec::{
     FailureVerdict, Gate, InstanceHistory, InstanceNav, MutexQueue, OcrDecision, Request,
     RoArbiter, RoLeader, StepState, Verdict, Wake, Weight,
 };
-use crew_model::{DataEnv, InstanceId, ItemKey, SplitKind, StepId, Value, VecMap, WorkflowSchema};
+use crew_model::{
+    DataEnv, InstanceId, ItemKey, SchemaId, SplitKind, StepId, Value, VecMap, WorkflowSchema,
+};
 use crew_rules::{compile_schema, Action, EventKind};
 use crew_simnet::{Ctx, Node, NodeId};
 use crew_storage::{recover_for_node, DbOp, Decode, Encode, InstanceStatus, MemStore, Wal};
@@ -132,11 +134,26 @@ pub struct Engine {
     /// event tables (`nav.data`, `nav.history`, `nav.rules`), pending
     /// dispatches, compensation queues, OCR bookkeeping, and in-flight
     /// coordination state. Commands of retired instances are skipped on
-    /// replay (see `summary`).
+    /// replay (see `summary`), and compaction drops them, with every
+    /// `StateProbeReply`, from the log once it has grown
+    /// ([`Self::compact_if_due`]), so recovery reads what is live.
     wal: Wal<DbOp, MemStore>,
+    /// What compaction knows of each record in `wal`, in log order, fixed
+    /// when the record is journaled (or replayed). Volatile: recovery
+    /// rebuilds it while it replays.
+    wal_index: Vec<Indexed>,
+    /// Records the last compaction kept. The log compacts again once it
+    /// holds [`COMPACT_GROWTH`] times as many, and at least
+    /// [`COMPACT_MIN`]. Volatile, so 0 after a crash — never the replayed
+    /// length, or a log that crashes often would never compact.
+    compacted_kept: u64,
+    /// Command records compaction dropped, restored from `summary` on
+    /// recovery.
+    wal_dropped: u64,
     /// The WFDB instance summary table, append-only: one
     /// [`DbOp::StatusChanged`] per retired instance, its final status,
-    /// written when it retires. Recovery reads it first, so the replay of
+    /// written when it retires, and one [`DbOp::CommandsDropped`] per
+    /// compaction of `wal`. Recovery reads it first, so the replay of
     /// `wal` can skip every command of an instance that had retired.
     summary: Wal<DbOp, MemStore>,
     /// True while `on_recover` re-drives journaled commands:
@@ -176,6 +193,9 @@ impl Engine {
             migrations_acked: 0,
             installing: None,
             wal: Wal::in_memory(),
+            wal_index: Vec::new(),
+            compacted_kept: 0,
+            wal_dropped: 0,
             summary: Wal::in_memory(),
             replaying: false,
             halted: false,
@@ -359,9 +379,55 @@ impl Engine {
         }
     }
 
-    /// WAL records appended so far (a proxy for WFDB write pressure).
+    /// Command records journaled so far, one per delivered input (a proxy
+    /// for WFDB write pressure): the records in the log plus those
+    /// compaction dropped.
     pub fn wal_appended(&self) -> u64 {
-        self.wal.appended()
+        self.wal_dropped + self.wal.appended()
+    }
+
+    /// Command records compaction has dropped from the log.
+    pub fn wal_dropped(&self) -> u64 {
+        self.wal_dropped
+    }
+
+    /// Compact the command log once it has grown [`COMPACT_GROWTH`]-fold
+    /// since the last compaction: drop every record whose replay would
+    /// change nothing but counters — each instance it is about has retired
+    /// (the guard in `handle` would skip it), or it is a `StateProbeReply`
+    /// (whose handler is empty). Retirement is permanent, so a record inert
+    /// now is inert at every later recovery. The counts go to the summary
+    /// log, so recovery still counts every delivered input and install.
+    fn compact_if_due(&mut self) {
+        let records = self.wal_index.len() as u64;
+        if records < COMPACT_MIN.max(COMPACT_GROWTH * self.compacted_kept) {
+            return;
+        }
+        debug_assert_eq!(records, self.wal.appended(), "one index entry per record");
+        let mut index = std::mem::take(&mut self.wal_index);
+        let mut installs = 0;
+        for entry in &mut index {
+            if let Some((instance, install)) = entry.subject() {
+                if self.retired(instance) {
+                    installs += u64::from(install);
+                    *entry = Indexed::DROP;
+                }
+            }
+        }
+        let dropped = (self.wal)
+            .retain(|k| index.get(k) != Some(&Indexed::DROP))
+            .expect("in-memory WAL retention cannot fail");
+        index.retain(|entry| *entry != Indexed::DROP);
+        self.wal_index = index;
+        self.compacted_kept = self.wal_index.len() as u64;
+        if dropped > 0 {
+            self.wal_dropped += dropped;
+            let op = DbOp::CommandsDropped {
+                records: dropped,
+                installs,
+            };
+            (self.summary.append(&op)).expect("in-memory WAL append cannot fail");
+        }
     }
 
     /// Instances hosted here and still executing — the candidates a
@@ -1339,6 +1405,59 @@ fn subjects(msg: &CentralMsg) -> [Option<InstanceId>; 2] {
     }
 }
 
+/// The command log compacts when it holds this many times the records the
+/// last compaction kept…
+const COMPACT_GROWTH: u64 = 4;
+/// …and at least this many.
+const COMPACT_MIN: u64 = 1024;
+
+/// What compaction knows of one command record, fixed when it is journaled
+/// so that deciding never decodes it: 8 bytes. The top two bits are the
+/// kind; a record about one instance packs it below them (schema in 30
+/// bits, serial in 32). A record about two instances is coordination, and
+/// coordinated instances never retire, so it is always kept — as is a
+/// record about none, or about an instance whose schema id needs more than
+/// 30 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Indexed(u64);
+
+impl Indexed {
+    const KIND: u64 = 3 << 62;
+    const SOLE: u64 = 0;
+    const INSTALL: u64 = 1 << 62;
+    const KEEP: Indexed = Indexed(2 << 62);
+    /// Inert whatever has retired: a `StateProbeReply`, whose handler is
+    /// empty. A compaction also marks the records it finds inert with it.
+    const DROP: Indexed = Indexed(3 << 62);
+
+    /// `msg`'s entry, read off the decoded message it is journaled from.
+    fn of(msg: &CentralMsg) -> Indexed {
+        let kind = match msg {
+            CentralMsg::StateProbeReply { .. } => return Indexed::DROP,
+            CentralMsg::MigrateState { .. } => Indexed::INSTALL,
+            _ => Indexed::SOLE,
+        };
+        match subjects(msg) {
+            [Some(i), None] if i.schema.0 < 1 << 30 => {
+                Indexed(kind | u64::from(i.schema.0) << 32 | u64::from(i.serial))
+            }
+            _ => Indexed::KEEP,
+        }
+    }
+
+    /// The one instance the record is about, and whether it installs it.
+    fn subject(self) -> Option<(InstanceId, bool)> {
+        let kind = self.0 & Self::KIND;
+        (kind == Self::SOLE || kind == Self::INSTALL).then(|| {
+            let schema = SchemaId((self.0 >> 32) as u32 & ((1 << 30) - 1));
+            (
+                InstanceId::new(schema, self.0 as u32),
+                kind == Self::INSTALL,
+            )
+        })
+    }
+}
+
 /// `msg`'s wire form, encoded once into the buffer the journal record
 /// then owns (commands are a few dozen bytes).
 fn encode_cmd(msg: &CentralMsg) -> Vec<u8> {
@@ -1384,10 +1503,12 @@ impl Node<CentralMsg> for Engine {
                 payload,
             })
             .expect("in-memory WAL append cannot fail");
+        self.wal_index.push(Indexed::of(&msg));
         let subjects = subjects(&msg);
         self.handle(from, msg, ctx);
         self.retire_finished(subjects);
         self.wal.flush().expect("in-memory WAL flush cannot fail");
+        self.compact_if_due();
     }
 
     fn on_crash(&mut self) {
@@ -1408,6 +1529,9 @@ impl Node<CentralMsg> for Engine {
         self.migrations_acked = 0;
         self.delivered_msgs = 0;
         self.installing = None;
+        self.wal_index.clear();
+        self.compacted_kept = 0;
+        self.wal_dropped = 0;
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<CentralMsg>) {
@@ -1419,10 +1543,19 @@ impl Node<CentralMsg> for Engine {
             return;
         };
         // The summary log first: with their final rows back, the retired
-        // instances are what the guard in `handle` skips.
+        // instances are what the guard in `handle` skips, and the commands
+        // compaction dropped are counted without being read.
         for record in retired {
-            if let DbOp::StatusChanged { instance, status } = record {
-                self.statuses.insert(instance, status);
+            match record {
+                DbOp::StatusChanged { instance, status } => {
+                    self.statuses.insert(instance, status);
+                }
+                DbOp::CommandsDropped { records, installs } => {
+                    self.delivered_msgs += records;
+                    self.migrations_in += installs;
+                    self.wal_dropped += records;
+                }
+                _ => {}
             }
         }
         self.replaying = true;
@@ -1430,6 +1563,7 @@ impl Node<CentralMsg> for Engine {
             let DbOp::EngineInput { from, payload } = record else {
                 // An engine journals nothing else; a foreign record
                 // carries no command to re-drive.
+                self.wal_index.push(Indexed::KEEP);
                 continue;
             };
             let payload = Bytes::from(payload);
@@ -1438,6 +1572,7 @@ impl Node<CentralMsg> for Engine {
                     // Sends, timers and load were already emitted before the
                     // crash; replay must rebuild state without repeating them.
                     self.delivered_msgs += 1;
+                    self.wal_index.push(Indexed::of(&msg));
                     self.ingest_cmd(from, &msg, &payload);
                     let mut sink = Ctx::detached(ctx.now, ctx.self_id);
                     let subjects = subjects(&msg);
@@ -1959,6 +2094,159 @@ mod tests {
         assert_eq!(run.statuses().get(&inst), Some(&InstanceStatus::Committed));
         assert_eq!(run.engine(dst).migrations_in, 1);
         assert_eq!(run.engine(dst).hosted_instances(), 0);
+    }
+
+    // ---- command-log compaction --------------------------------------------
+
+    /// Engine 0 of two: schema 1 is two standalone steps, schema 2 two
+    /// steps under a relative order, with `pair` linked.
+    fn compaction_engine(pair: [InstanceId; 2]) -> Engine {
+        let ss = |step| SchemaStep::new(SchemaId(2), StepId(step));
+        let mut deployment = Deployment::new([linear(1, 2), linear(2, 2)]);
+        deployment.coordination = CoordinationSpec {
+            relative_orders: vec![RelativeOrder {
+                id: 0,
+                conflict: "bin".into(),
+                pairs: vec![(ss(1), ss(1)), (ss(2), ss(2))],
+            }],
+            ..CoordinationSpec::default()
+        };
+        deployment.ro_links.link(pair[0], pair[1]);
+        Engine::new(0, Arc::new(deployment), Topology::new(1, 2))
+    }
+
+    /// Deliver `msg` from `from` to both engines.
+    fn feed(engines: &mut [Engine; 2], from: NodeId, msg: CentralMsg) {
+        for e in engines {
+            e.on_message(from, msg.clone(), &mut Ctx::detached(1, NodeId(1)));
+        }
+    }
+
+    /// Answer every dispatch of `instances` in flight, each with a probe
+    /// reply beside its result, until none is left; `rounds` bounds it.
+    fn answer(engines: &mut [Engine; 2], instances: &[InstanceId], rounds: usize) {
+        for _ in 0..rounds {
+            let due: Vec<(InstanceId, StepId, u32)> = (instances.iter())
+                .filter_map(|i| Some((*i, engines[0].instances.get(i)?)))
+                .flat_map(|(i, st)| st.pending_exec.iter().map(move |(s, a)| (i, *s, *a)))
+                .collect();
+            if due.is_empty() {
+                return;
+            }
+            for (instance, step, attempt) in due {
+                let reply = CentralMsg::StateProbeReply { token: 1, load: 0 };
+                feed(engines, NodeId(0), reply);
+                let result = CentralMsg::ExecResult {
+                    instance,
+                    step,
+                    attempt,
+                    outputs: Some(vec![Value::Int(5)]),
+                    error: None,
+                };
+                feed(engines, NodeId(0), result);
+            }
+        }
+    }
+
+    /// Everything recovery must rebuild, `e` against its uncrashed twin.
+    fn assert_same(e: &Engine, twin: &Engine, when: &str) {
+        assert_eq!(e.statuses, twin.statuses, "{when}");
+        assert!(e.instances.keys().eq(twin.instances.keys()), "{when}");
+        for (i, st) in &e.instances {
+            let t = &twin.instances[i];
+            assert_eq!(st.nav.data, t.nav.data, "{when}: {i}");
+            let history = |st: &EngineInst| format!("{:?}", st.nav.history);
+            assert_eq!(history(st), history(t), "{when}: {i}");
+            assert_eq!(st.pending_exec, t.pending_exec, "{when}: {i}");
+        }
+        assert_eq!(e.delivered_msgs, twin.delivered_msgs, "{when}");
+        assert_eq!(e.wal_appended(), twin.wal_appended(), "{when}");
+        assert_eq!(e.migrations_in, twin.migrations_in, "{when}");
+    }
+
+    /// Compaction drops only what replay would skip: after two
+    /// compactions — one dropping a retired migrated-in instance's install
+    /// — a crashed engine recovers exactly the state of its uncrashed
+    /// twin, coordinated pair and mid-flight instance included, and a
+    /// second crash straight after recovery changes nothing.
+    #[test]
+    fn recovery_is_the_same_across_a_compaction() {
+        let pair = [1001, 1002].map(|k| InstanceId::new(SchemaId(2), k));
+        let mut engines = [compaction_engine(pair), compaction_engine(pair)];
+        let start = |instance| CentralMsg::WorkflowStart {
+            instance,
+            inputs: vec![(ItemKey::input(1), Value::Int(5))],
+        };
+        for p in pair {
+            feed(&mut engines, NodeId::EXTERNAL, start(p));
+        }
+        answer(&mut engines, &pair, 1);
+        // Mid-flight for good: its second step is never answered.
+        let mid = InstanceId::new(SchemaId(1), 900);
+        feed(&mut engines, NodeId::EXTERNAL, start(mid));
+        answer(&mut engines, &[mid], 1);
+        let standalone = |k| InstanceId::new(SchemaId(1), k);
+        for k in 1..=250 {
+            feed(&mut engines, NodeId::EXTERNAL, start(standalone(k)));
+            answer(&mut engines, &[standalone(k)], 4);
+        }
+        assert!(engines[0].wal_dropped() > 0, "a compaction ran");
+        answer(&mut engines, &pair, 8);
+        // Migrated in from engine 1 after its first step, then finished.
+        let moved = InstanceId::new(SchemaId(1), 950);
+        let records = [
+            (NodeId::EXTERNAL, start(moved)),
+            (NodeId(0), result(moved, 1)),
+        ]
+        .map(|(from, msg)| (from.0, encode_cmd(&msg)))
+        .to_vec();
+        let from = engines[0].topo.engine_node(1);
+        feed(
+            &mut engines,
+            from,
+            CentralMsg::MigrateState {
+                instance: moved,
+                records,
+            },
+        );
+        answer(&mut engines, &[moved], 4);
+        for k in 251..=500 {
+            feed(&mut engines, NodeId::EXTERNAL, start(standalone(k)));
+            answer(&mut engines, &[standalone(k)], 4);
+        }
+        let [e, twin] = &mut engines;
+        let dropped = summary(e).into_iter().filter_map(|op| match op {
+            DbOp::CommandsDropped { records, installs } => Some((records, installs)),
+            _ => None,
+        });
+        let (records, installs) = dropped.fold((0, 0), |(r, i), (dr, di)| (r + dr, i + di));
+        assert_eq!(records, e.wal_dropped());
+        assert_eq!(installs, 1, "the retired install was dropped");
+        assert_eq!(e.migrations_in, 1);
+        assert_eq!(e.statuses[&moved], InstanceStatus::Committed);
+        assert!(pair
+            .iter()
+            .all(|p| e.statuses[p] == InstanceStatus::Committed));
+        assert_eq!(
+            e.hosted_instances(),
+            3,
+            "the pair and the mid-flight instance"
+        );
+        assert!(e.instances[&mid].pending_exec.contains_key(&StepId(2)));
+        assert!(
+            e.wal.appended() * 4 < e.wal_appended(),
+            "the log holds what is live: {} of {} records",
+            e.wal.appended(),
+            e.wal_appended()
+        );
+        assert_same(e, twin, "before the crash");
+        for crash in 1..=2 {
+            e.on_crash();
+            e.on_recover(&mut Ctx::detached(10, NodeId(1)));
+            assert!(!e.is_halted());
+            e.check_executing_index();
+            assert_same(e, twin, &format!("after crash {crash}"));
+        }
     }
 
     #[test]

@@ -2177,7 +2177,9 @@ mod tests {
                 | DbOp::StepRecorded { .. }
                 | DbOp::StatusChanged { .. }
                 | DbOp::InstancePurged { .. } => {}
-                DbOp::EngineInput { .. } => panic!("an agent journals no commands: {op:?}"),
+                DbOp::EngineInput { .. } | DbOp::CommandsDropped { .. } => {
+                    panic!("an agent journals no commands: {op:?}")
+                }
             }
         }
         // Attempt counters survive the crash for failed and compensated

@@ -18,9 +18,10 @@ pub struct EngineLoad {
     pub delivered_msgs: u64,
     /// WAL records appended so far (WFDB write pressure). An engine
     /// journals one command record per delivered message and nothing
-    /// else, so on a live engine this equals `delivered_msgs`; it stays
-    /// its own field because a crash zeroes `delivered_msgs` until replay
-    /// re-counts it while the log's own count survives.
+    /// else, so on a live engine this equals `delivered_msgs`: the records
+    /// its command log holds plus those compaction dropped from it. It
+    /// stays its own field because a crash zeroes `delivered_msgs` until
+    /// recovery re-counts it from the logs.
     pub wal_appends: u64,
     /// Messages passed along for migrated-away instances.
     pub forwarded_msgs: u64,

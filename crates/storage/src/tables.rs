@@ -18,7 +18,9 @@
 //! * An engine keeps no tables here. Its WFDB is a command log of
 //!   [`DbOp::EngineInput`] records, one per delivered message; replaying
 //!   them through the normal handlers rebuilds the engine's in-memory
-//!   instance, step, event and summary state.
+//!   instance, step, event and summary state. Beside it, a summary log
+//!   holds a [`DbOp::StatusChanged`] per retired instance and a
+//!   [`DbOp::CommandsDropped`] per compaction of the command log.
 
 use crate::wire;
 use crew_model::{DataEnv, InstanceId, ItemKey, StepId, Value};
@@ -69,8 +71,9 @@ wire! {
 
 /// One journal record. The table variants are an agent's AGDB mutations
 /// (fields follow the naming of the tables they touch, and each names the
-/// `instance` whose tables it changes); `EngineInput` is the only record
-/// an engine writes.
+/// `instance` whose tables it changes); an engine writes `EngineInput` to
+/// its command log and `StatusChanged` / `CommandsDropped` to its summary
+/// log.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbOp {
@@ -116,6 +119,16 @@ pub enum DbOp {
         /// Codec-encoded message payload.
         payload: Vec<u8>,
     },
+    /// An engine compacted its command log: it dropped `records`
+    /// [`DbOp::EngineInput`]s whose replay would change nothing but
+    /// counters, `installs` of them migration installs. Recovery counts
+    /// them as delivered (and as installs) without reading them.
+    CommandsDropped {
+        /// Command records dropped.
+        records: u64,
+        /// How many of them installed a migrated instance.
+        installs: u64,
+    },
 }
 
 // Tags 3 and 4 are retired (`EventPosted` / `EventInvalidated`, an event
@@ -130,6 +143,7 @@ wire! {
         6 => StatusChanged { instance, status },
         7 => InstancePurged { instance },
         8 => EngineInput { from, payload },
+        9 => CommandsDropped { records, installs },
     }
 }
 
@@ -200,8 +214,9 @@ impl AgentDb {
             DbOp::InstancePurged { instance } => {
                 self.instances.remove(instance);
             }
-            DbOp::EngineInput { .. } => {
-                // Command record: consumed by engine replay, not a table op.
+            DbOp::EngineInput { .. } | DbOp::CommandsDropped { .. } => {
+                // Command log records: consumed by engine replay, not
+                // table ops.
             }
         }
     }
@@ -276,6 +291,10 @@ mod tests {
             DbOp::EngineInput {
                 from: u32::MAX,
                 payload: vec![0, 1, 2, 255],
+            },
+            DbOp::CommandsDropped {
+                records: 1 << 40,
+                installs: 3,
             },
         ];
         for op in &ops {

@@ -11,6 +11,8 @@
 //! patched) and handed to the store in one append. Recovery scans from the
 //! start and stops at the first torn or corrupt record (the standard
 //! ARIES-style torn-tail rule), returning every intact record in order.
+//! Compaction ([`Wal::retain`]) drops whole frames in place and keeps the
+//! others byte for byte, so the kept records recover exactly as written.
 
 use crate::codec::{Decode, Encode};
 use crate::crc::crc32;
@@ -37,6 +39,43 @@ pub trait LogStore {
     /// Discard the entire log (used by checkpoint compaction: the caller
     /// rewrites the live suffix immediately after).
     fn truncate(&mut self) -> std::io::Result<()>;
+    /// Keep the whole frames `keep` picks, in order, and drop the others
+    /// byte for byte. Frames are self-delimiting, so nothing is re-encoded
+    /// and no CRC is recomputed. `keep` sees each whole frame's ordinal, in
+    /// log order; a torn tail is dropped with the frames not kept. Returns
+    /// the number of frames kept.
+    ///
+    /// The default reads the log, truncates it and appends the kept frames
+    /// in one write, so a crash between the truncate and the append loses
+    /// the log; a store that must survive that overrides it.
+    fn retain_frames(&mut self, keep: &mut dyn FnMut(usize) -> bool) -> std::io::Result<usize> {
+        let raw = self.read_all()?;
+        let mut kept = Vec::with_capacity(raw.len());
+        let (mut at, mut n) = (0, 0);
+        for k in 0.. {
+            let Some(end) = frame_end(&raw, at) else {
+                break;
+            };
+            if keep(k) {
+                kept.extend_from_slice(&raw[at..end]);
+                n += 1;
+            }
+            at = end;
+        }
+        self.truncate()?;
+        self.append(&kept)?;
+        self.flush()?;
+        Ok(n)
+    }
+}
+
+/// Where the frame starting at `at` ends: `8 + len` bytes on, as its
+/// header says, read without checking the CRC. `None` if the bytes left
+/// cannot hold it.
+fn frame_end(raw: &[u8], at: usize) -> Option<usize> {
+    let head = raw.get(at..at + 8)?;
+    let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
+    (at + 8).checked_add(len).filter(|end| *end <= raw.len())
 }
 
 /// In-memory store — the default under simulation, where "durability" means
@@ -74,6 +113,24 @@ impl LogStore for MemStore {
     fn truncate(&mut self) -> std::io::Result<()> {
         self.data.clear();
         Ok(())
+    }
+    /// In place: kept frames slide down over the dropped ones, and the
+    /// buffer keeps its capacity for the appends to come.
+    fn retain_frames(&mut self, keep: &mut dyn FnMut(usize) -> bool) -> std::io::Result<usize> {
+        let (mut read, mut write, mut n) = (0, 0, 0);
+        for k in 0.. {
+            let Some(end) = frame_end(&self.data, read) else {
+                break;
+            };
+            if keep(k) {
+                self.data.copy_within(read..end, write);
+                write += end - read;
+                n += 1;
+            }
+            read = end;
+        }
+        self.data.truncate(write);
+        Ok(n)
     }
 }
 
@@ -128,7 +185,8 @@ impl LogStore for FileStore {
 /// ```
 pub struct Wal<R, S = MemStore> {
     store: S,
-    /// Records appended (monotone; recovery resets it to the scan count).
+    /// Records in the log (recovery resets it to the scan count, retention
+    /// to the kept count).
     appended: u64,
     /// Reused by every append, so framing a record allocates nothing once
     /// the buffer has grown to the largest frame seen.
@@ -235,8 +293,23 @@ impl<R: Encode + Decode, S: LogStore> Wal<R, S> {
         Ok(())
     }
 
-    /// Number of records appended through this handle since creation or the
-    /// last [`Wal::recover`].
+    /// Keep the records `keep` picks by ordinal (0 is the oldest in the
+    /// log), in order, and drop the rest byte for byte
+    /// ([`LogStore::retain_frames`]). Returns how many were dropped;
+    /// [`Wal::appended`] then counts the records kept.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) -> std::io::Result<u64> {
+        let mut seen = 0;
+        let kept = self.store.retain_frames(&mut |k| {
+            seen = k + 1;
+            keep(k)
+        })?;
+        self.appended = kept as u64;
+        Ok((seen - kept) as u64)
+    }
+
+    /// Number of records in the log as this handle knows it: appended since
+    /// creation, set to the scan count by [`Wal::recover`] and to the kept
+    /// count by [`Wal::retain`].
     pub fn appended(&self) -> u64 {
         self.appended
     }
@@ -412,14 +485,16 @@ mod tests {
         assert!(recover_for_node(&mut wal).is_none());
     }
 
-    /// A temp directory removed in full on drop — earlier versions of these
-    /// tests removed only the log file and leaked the directory.
+    /// A scratch directory under the workspace's `target/`, removed in full
+    /// on drop — earlier versions of these tests removed only the log file
+    /// and leaked the directory.
     struct TempDir(std::path::PathBuf);
 
     impl TempDir {
         fn new(tag: &str) -> Self {
-            let dir =
-                std::env::temp_dir().join(format!("crew-wal-test-{tag}-{}", std::process::id()));
+            let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../../target/tmp")
+                .join(format!("crew-wal-test-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
             TempDir(dir)
@@ -524,5 +599,53 @@ mod tests {
         wal.reset().unwrap();
         assert_eq!(wal.appended(), 0);
         assert!(wal.recover().unwrap().is_empty());
+    }
+
+    /// Retention keeps the picked frames in order and byte for byte — the
+    /// image of a log that only ever held them — and recovery reads them
+    /// back; records appended after it land behind them, and a torn tail
+    /// appended after that still stops the scan at the last intact record.
+    fn retention_keeps_the_picked_frames<S: LogStore>(mut wal: Wal<Rec, S>) {
+        for n in 0..10 {
+            wal.append(&rec(n)).unwrap();
+        }
+        assert_eq!(wal.retain(|k| k % 3 == 0).unwrap(), 6, "dropped");
+        assert_eq!(wal.appended(), 4, "kept");
+        let mut kept: Vec<Rec> = [0, 3, 6, 9].map(rec).to_vec();
+        let mut only_kept: Wal<Rec> = Wal::in_memory();
+        only_kept.append_batch(&kept).unwrap();
+        assert_eq!(
+            wal.store().read_all().unwrap(),
+            only_kept.store().read_all().unwrap()
+        );
+        assert_eq!(wal.recover().unwrap(), kept);
+
+        wal.append(&rec(10)).unwrap();
+        kept.push(rec(10));
+        wal.store_mut().append(&[5, 0, 0, 0, 1, 2]).unwrap();
+        let report = recover_with_report(&mut wal).unwrap();
+        assert_eq!(report.records, kept);
+        assert!(report.truncated, "the torn tail is still seen");
+
+        // The torn tail is no whole frame: retention drops it uncounted.
+        assert_eq!(wal.retain(|k| k != 0).unwrap(), 1);
+        let report = recover_with_report(&mut wal).unwrap();
+        assert_eq!(report.records, kept[1..]);
+        assert!(!report.truncated);
+        assert_eq!(wal.retain(|_| false).unwrap(), 4);
+        assert_eq!(wal.appended(), 0);
+        assert!(wal.recover().unwrap().is_empty());
+    }
+
+    #[test]
+    fn mem_store_retention_keeps_the_picked_frames() {
+        retention_keeps_the_picked_frames(Wal::<Rec>::in_memory());
+    }
+
+    #[test]
+    fn file_store_retention_keeps_the_picked_frames() {
+        let dir = TempDir::new("retain");
+        let store = FileStore::open(dir.path("engine.wal")).unwrap();
+        retention_keeps_the_picked_frames(Wal::<Rec, FileStore>::with_store(store));
     }
 }

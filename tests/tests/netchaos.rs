@@ -543,6 +543,67 @@ fn engine_journal_is_exactly_the_delivered_inputs() {
     check("migration + target crash", &run.engine_loads());
 }
 
+/// The journal invariant where the command log compacts: 600 instances
+/// give every engine a log past the first compaction before two engine
+/// crashes, so recovery replays compacted logs. Each engine still counts
+/// exactly one journaled record per delivered input — the dropped ones
+/// through the summary log — and outcomes and per-(instance, step)
+/// execution counts equal the fault-free twin's.
+#[test]
+fn compacted_engine_journal_is_still_exactly_the_delivered_inputs() {
+    fn fleet(engines: u32, crashes: &[(u32, u64)]) -> (CentralRun, ExecLog, Vec<InstanceId>) {
+        let log = ExecLog::new();
+        let mut deployment = Deployment::new([linear_logged_schema(1, 4, 4, "log")]);
+        log.register(&mut deployment.registry, "log");
+        let mut run = CentralRun::new(deployment, 4, engines);
+        let insts = (0..600)
+            .map(|k| run.start_instance_at(SchemaId(1), vec![(1, Value::Int(k))], k as u64 * 2))
+            .collect();
+        for &(engine, at) in crashes {
+            run.sim
+                .schedule_crash(run.topo.engine_node(engine), at, Some(50));
+            run.sim.run_until(at - 1);
+            assert!(
+                run.engine(engine).wal_dropped() > 0,
+                "engine {engine} compacts before its crash at {at}"
+            );
+        }
+        run.run();
+        (run, log, insts)
+    }
+    for engines in [1, 2] {
+        let (base, base_log, insts) = fleet(engines, &[]);
+        let statuses = base.statuses();
+        assert!(
+            statuses.values().all(|s| *s == InstanceStatus::Committed),
+            "e = {engines}"
+        );
+        let (run, log, _) = fleet(engines, &[(0, 1000), (engines - 1, 1100)]);
+        assert_eq!(run.statuses(), statuses, "e = {engines}");
+        for &inst in &insts {
+            for step in 1..=4 {
+                assert_eq!(
+                    log.count(inst, StepId(step)),
+                    base_log.count(inst, StepId(step)),
+                    "e = {engines}: {inst} S{step}"
+                );
+            }
+        }
+        for l in run.engine_loads() {
+            assert_eq!(
+                l.wal_appends, l.delivered_msgs,
+                "e = {engines}: engine {}",
+                l.engine
+            );
+            assert!(
+                run.engine(l.engine).wal_dropped() > 0,
+                "e = {engines}: engine {} never compacted",
+                l.engine
+            );
+        }
+    }
+}
+
 /// Same seed, same crash windows ⇒ bit-identical runs, engine crashes
 /// included: outcomes, virtual time, events, message totals, transport.
 #[test]
