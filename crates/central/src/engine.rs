@@ -14,19 +14,24 @@
 //! source of Table 5's coordinated-execution message count. The managers
 //! and the guards are `crew_exec`'s ([`MutexQueue`], [`RoArbiter`], and the
 //! [`Gate`] in each instance's navigator); the engine carries their answers.
+//!
+//! Failure handling is decided by the navigator too ([`crew_exec::recovery`]:
+//! rollback, abort, input change, the abandoned branch of an XOR split, an
+//! OCR revisit with its dependent set). The engine holds the whole
+//! execution history, so it asks from [`Vantage::History`], queues the
+//! compensations each answer names, newest first, and sends them to the
+//! application agents one at a time.
 
 use crate::msg::{CentralMsg, CoordMsg};
 use crate::topology::Topology;
 use bytes::{Bytes, BytesMut};
 use crew_exec::coord::{mutex_grant, ro_guard};
 use crew_exec::{
-    declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, Deployment,
-    FailureVerdict, Gate, InstanceHistory, InstanceNav, MutexQueue, OcrDecision, Request,
-    RoArbiter, RoLeader, StepState, Verdict, Wake, Weight,
+    declared_outputs, designated_agent, ro_canonical, ro_side, Abort, Deployment, FailureVerdict,
+    Gate, InstanceHistory, InstanceNav, MutexQueue, Refire, Request, Revisit, RoArbiter, RoLeader,
+    StepState, Vantage, Verdict, Wake, Weight,
 };
-use crew_model::{
-    DataEnv, InstanceId, ItemKey, SchemaId, SplitKind, StepId, Value, VecMap, WorkflowSchema,
-};
+use crew_model::{DataEnv, InstanceId, ItemKey, SchemaId, StepId, Value, VecMap, WorkflowSchema};
 use crew_rules::{compile_schema, Action, EventKind};
 use crew_simnet::{Ctx, Node, NodeId};
 use crew_storage::{recover_for_node, DbOp, Decode, Encode, InstanceStatus, MemStore, Wal};
@@ -34,20 +39,13 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-/// Why a compensation was queued (drives message attribution and what
-/// happens when the queue drains).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CompReason {
-    Failure,
-    Abort,
-    BranchSwitch,
-}
-
+/// One queued compensation. `for_abort` attributes its messages to the
+/// abort rather than to failure handling.
 #[derive(Debug, Clone)]
 struct CompItem {
     step: StepId,
     partial: bool,
-    reason: CompReason,
+    for_abort: bool,
 }
 
 /// Per-instance engine state: the shared navigator plus what only an
@@ -724,42 +722,35 @@ impl Engine {
         }
         let def = schema.expect_step(step);
         let nav = &mut self.instances.entry(instance).or_default().nav;
-        let decision = nav.revisit_decision(def, instance, &self.deployment.plan);
-        match decision {
-            OcrDecision::Reuse => self.after_step_done(instance, step, ctx),
-            OcrDecision::ExecuteFresh => self.dispatch(instance, def, ctx),
-            OcrDecision::PartialCompensateIncrementalReexec
-            | OcrDecision::CompleteCompensateCompleteReexec => {
-                let partial = decision == OcrDecision::PartialCompensateIncrementalReexec;
-                // Compensation dependent set: queue the members executed
-                // after `step` in reverse execution order first.
-                let mut items: Vec<CompItem> = Vec::new();
-                if let Some(set) = schema.compensation_set_of(step) {
-                    let members: Vec<StepId> = set.members.iter().copied().collect();
-                    let history = &self.inst(instance).nav.history;
-                    let seq_of = |s| history.record(s).map(|r| r.seq).unwrap_or(0);
-                    let my_seq = seq_of(step);
-                    for m in history.members_reverse_order(&members) {
-                        if m != step && seq_of(m) > my_seq {
-                            items.push(CompItem {
-                                step: m,
-                                partial: false,
-                                reason: CompReason::Failure,
-                            });
-                        }
-                    }
-                }
-                items.push(CompItem {
-                    step,
-                    partial,
-                    reason: CompReason::Failure,
-                });
-                let st = self.inst(instance);
-                st.comp_queue.extend(items);
-                st.reexec_after_comp = Some(step);
-                self.pump_comp_queue(instance, ctx);
+        match nav.revisit(&self.deployment, instance, step, Vantage::History) {
+            Revisit::Reuse => self.after_step_done(instance, step, ctx),
+            Revisit::Execute => self.dispatch(instance, def, ctx),
+            // Re-dispatched once the queue of compensations drains.
+            Revisit::Compensate { undo, partial } => {
+                self.inst(instance).reexec_after_comp = Some(step);
+                let partial = partial.then_some(step);
+                self.queue_compensations(instance, undo, partial, false, ctx);
             }
         }
+    }
+
+    /// Queue the compensations of `undo`, in order, `partial` the one done
+    /// incrementally, and start on them.
+    fn queue_compensations(
+        &mut self,
+        instance: InstanceId,
+        undo: Vec<StepId>,
+        partial: Option<StepId>,
+        for_abort: bool,
+        ctx: &mut Ctx<CentralMsg>,
+    ) {
+        let items = undo.into_iter().map(|step| CompItem {
+            step,
+            partial: partial == Some(step),
+            for_abort,
+        });
+        self.inst(instance).comp_queue.extend(items);
+        self.pump_comp_queue(instance, ctx);
     }
 
     /// Send the next queued compensation to its agent (or apply it locally
@@ -799,7 +790,7 @@ impl Engine {
                         step: item.step,
                         program: Some(program),
                         partial: item.partial,
-                        for_abort: item.reason == CompReason::Abort,
+                        for_abort: item.for_abort,
                     },
                 );
                 return; // wait for CompensateResult
@@ -815,8 +806,7 @@ impl Engine {
         let nav = &mut self.inst(instance).nav;
         nav.data.clear_step_outputs(step);
         nav.history.record_compensated(step);
-        nav.compensated(&schema, step);
-        if schema.terminal_steps().contains(&step) {
+        if nav.compensated(&schema, step) {
             // Retracted without re-testing commit; only a later terminal
             // completion re-tests (DESIGN §6g).
             nav.set_terminal_weight(step, Weight::ZERO);
@@ -913,9 +903,10 @@ impl Engine {
         nav.rules.add_event(EventKind::StepDone(step));
         // The releases the step owes lagging partners, and its grants back.
         self.answer(instance, ctx, |gate, _| gate.done(step));
-        // Branch switch detection at XOR splits.
-        if schema.split_kind(step) == Some(SplitKind::Xor) {
-            self.detect_branch_switch(instance, step, &schema, ctx);
+        // A switched XOR split: undo the abandoned branch.
+        let undo = (self.inst(instance).nav).abandoned_branch(&schema, step, Vantage::History);
+        if !undo.is_empty() {
+            self.queue_compensations(instance, undo, None, false, ctx);
         }
         // The engine holds both ends of every arc: the weights the step
         // forwards are accepted on the spot.
@@ -982,30 +973,6 @@ impl Engine {
         self.after_step_done(parent, parent_step, ctx);
     }
 
-    fn detect_branch_switch(
-        &mut self,
-        instance: InstanceId,
-        split: StepId,
-        schema: &WorkflowSchema,
-        ctx: &mut Ctx<CentralMsg>,
-    ) {
-        let st = self.inst(instance);
-        let Some(old_head) = st.nav.switch_branch(schema, split) else {
-            return;
-        };
-        // Compensate the executed steps of the abandoned branch in reverse
-        // execution order.
-        let members: Vec<StepId> = schema.branch_steps(split, old_head).into_iter().collect();
-        for m in st.nav.history.members_reverse_order(&members) {
-            st.comp_queue.push_back(CompItem {
-                step: m,
-                partial: false,
-                reason: CompReason::BranchSwitch,
-            });
-        }
-        self.pump_comp_queue(instance, ctx);
-    }
-
     // ---- failure handling -------------------------------------------------------
 
     fn rollback_to(
@@ -1016,69 +983,40 @@ impl Engine {
         ctx: &mut Ctx<CentralMsg>,
     ) {
         self.nav_load(ctx);
-        let schema = self.schema(instance);
+        let dep = self.deployment.clone();
         let st = self.inst(instance);
-        let invalidated = st.nav.invalidate_from(&schema, origin);
         // Only the origin's firing is reset: downstream rules re-fire on
-        // the fresh `step.done` occurrences the re-execution posts. Results
-        // of dispatches still in flight are stale.
-        st.nav.refire([origin]);
-        if let Some(gate) = st.nav.gate.as_deref_mut() {
-            gate.unpark(invalidated.iter().copied().chain([origin]));
-        }
-        st.pending_exec.remove(&origin);
-        for s in &invalidated {
-            st.pending_exec.remove(s);
-        }
-        // Rollback dependencies (one level, like distributed control).
-        if !from_dependency {
-            let dep = self.deployment.clone();
-            for (partner, origin) in dep.rollback_dependents(instance, origin, &invalidated) {
-                let msg = CentralMsg::Coord(CoordMsg::RollbackDep {
-                    instance: partner,
-                    origin,
-                });
-                self.tell(partner, msg, ctx);
-            }
+        // the fresh `step.done` occurrences the re-execution posts.
+        let rollback = (st.nav).roll_back(&dep, instance, origin, Refire::Origin, !from_dependency);
+        // Results of dispatches still in flight are stale.
+        let stale = |s: &StepId| *s == origin || rollback.invalidated.contains(s);
+        st.pending_exec.retain(|s, _| !stale(s));
+        for (partner, origin) in rollback.dependents {
+            let msg = CentralMsg::Coord(CoordMsg::RollbackDep {
+                instance: partner,
+                origin,
+            });
+            self.tell(partner, msg, ctx);
         }
         self.fire_rules(instance, ctx);
     }
 
     fn abort_instance(&mut self, instance: InstanceId, ctx: &mut Ctx<CentralMsg>) {
-        let nav = &self.inst(instance).nav;
-        if nav.committed || nav.aborted {
-            return;
-        }
-        self.nav_load(ctx);
+        let dep = self.deployment.clone();
         let nav = &mut self.inst(instance).nav;
-        nav.aborted = true;
-        if let Some(gate) = nav.gate.as_deref_mut() {
-            gate.abort();
-        }
+        let Abort::Now { releases, undo } = nav.abort(&dep, instance, Vantage::History) else {
+            return; // committed or aborted already
+        };
+        self.nav_load(ctx);
         self.set_status(instance, InstanceStatus::Aborted);
         // Hand back (or de-queue) every mutex this instance may be holding
         // or waiting on — a wedged resource would deadlock the contenders.
-        let dep = self.deployment.clone();
-        for m in &dep.coordination.mutual_exclusions {
-            for member in m.members.iter().filter(|s| s.schema == instance.schema) {
-                self.request(instance, Request::Release(m.id, member.step), ctx);
-            }
+        for request in releases {
+            self.request(instance, request, ctx);
         }
-        let schema = self.schema(instance);
-        // Compensate executed compensatable steps, reverse execution order.
-        let st = self.inst(instance);
-        let done = st.nav.history.done_steps_reverse_order();
-        let items = done
-            .into_iter()
-            .filter(|s| schema.expect_step(*s).is_compensatable())
-            .map(|step| CompItem {
-                step,
-                partial: false,
-                reason: CompReason::Abort,
-            });
-        st.comp_queue.extend(items);
-        st.reexec_after_comp = None;
-        self.pump_comp_queue(instance, ctx);
+        // Undo what ran, newest first; nothing re-executes.
+        self.inst(instance).reexec_after_comp = None;
+        self.queue_compensations(instance, undo, None, true, ctx);
     }
 
     fn change_inputs(
@@ -1087,16 +1025,15 @@ impl Engine {
         new_inputs: Vec<(ItemKey, Value)>,
         ctx: &mut Ctx<CentralMsg>,
     ) {
-        let nav = &self.inst(instance).nav;
-        if nav.committed || nav.aborted {
-            return;
-        }
-        self.nav_load(ctx);
-        let origin = input_change_origin(&self.schema(instance), &new_inputs);
+        let schema = self.schema(instance);
         let nav = &mut self.inst(instance).nav;
+        let Some(origin) = nav.input_change(&schema, &new_inputs) else {
+            return;
+        };
         for (k, v) in new_inputs {
             nav.data.set(k, v);
         }
+        self.nav_load(ctx);
         self.rollback_to(instance, origin, false, ctx);
     }
 

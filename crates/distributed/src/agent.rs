@@ -15,15 +15,21 @@
 //!   `StateInformation` two-phase selection exists for the ablation).
 //! - **Commit**: weighted thread accounting (see [`crate::weight`]).
 //! - **Rollback** (§5.2): `WorkflowRollback` reaches the origin's agent,
-//!   which bumps the instance's *epoch*, invalidates downstream
-//!   `step.done` events, and sends `HaltThread` probes along exactly the
-//!   channels earlier packets used — FIFO delivery therefore guarantees
-//!   every agent sees the halt before any same-epoch re-execution packet,
-//!   which is the race-freedom the paper's invalidation strategy claims.
-//! - **OCR** (Figure 5): on re-visit the agent consults
-//!   [`crew_exec::ocr_decide`]; compensation dependent sets walk the
-//!   `CompensateSet` chain in reverse execution order; abandoned
-//!   if-then-else branches are unwound by `CompensateThread`.
+//!   which bumps the instance's *epoch*, applies
+//!   [`InstanceNav::roll_back`] (what is invalidated, re-fired and
+//!   unparked, which dependents follow — decided in [`crew_exec::recovery`])
+//!   and sends `HaltThread` probes along exactly the channels earlier
+//!   packets used — FIFO delivery therefore guarantees every agent sees the
+//!   halt before any same-epoch re-execution packet, which is the
+//!   race-freedom the paper's invalidation strategy claims. A halted agent
+//!   applies the same rollback to the steps downstream of the origin.
+//! - **OCR** (Figure 5): on re-visit the agent asks
+//!   [`InstanceNav::revisit`] from the schema's vantage; a compensation
+//!   dependent set is undone by a `CompensateSet` chain and an abandoned
+//!   if-then-else branch ([`InstanceNav::abandoned_branch`]) by a
+//!   `CompensateThread` chain, both last in topological order first, and
+//!   every hop of either undoes its step if it ran there and passes the
+//!   rest on.
 //! - **Coordinated execution** (§5.1): relative ordering uses an arbiter
 //!   (the designated agent of the partner's first conflicting step) that
 //!   tells the leader's agents what they owe (`RoNotify`) and releases the
@@ -48,13 +54,12 @@ use crate::runtime::{coordination_agent, SharedCtx, SuccessorSelection};
 use crate::weight::Weight;
 use crew_exec::coord::{mutex_grant, ro_guard};
 use crew_exec::{
-    declared_outputs, designated_agent, input_change_origin, ro_canonical, ro_side, ro_steps,
-    FailureVerdict, Gate, InstanceHistory, InstanceNav, MutexQueue, OcrDecision, Request,
-    RoArbiter, RoLeader, StepExecutor, StepOutcome, StepState, Verdict, Wake,
+    declared_outputs, designated_agent, ro_canonical, ro_side, ro_steps, Abort, FailureVerdict,
+    Gate, InstanceHistory, InstanceNav, MutexQueue, Refire, Request, Revisit, RoArbiter, RoLeader,
+    StepExecutor, StepOutcome, StepState, Vantage, Verdict, Wake,
 };
 use crew_model::{
-    DataEnv, InstanceId, ItemKey, SchemaStep, SplitKind, StepId, Value, VecMap, VecSet,
-    WorkflowSchema,
+    DataEnv, InstanceId, ItemKey, SchemaStep, StepId, Value, VecMap, VecSet, WorkflowSchema,
 };
 use crew_rules::{compile_schema, Action, EventKind};
 use crew_simnet::{Ctx, Node, NodeId, TimerId};
@@ -519,38 +524,18 @@ impl DistAgent {
 
         let def = schema.expect_step(step);
         let nav = &mut self.instances.entry(instance).or_default().nav;
-        let decision = nav.revisit_decision(def, instance, &self.executor.plan);
-        match decision {
-            OcrDecision::Reuse => {
-                // Previous results suffice: re-assert step.done directly.
-                self.after_step_done(instance, step, false, ctx);
+        match nav.revisit(&self.shared.deployment, instance, step, Vantage::Schema) {
+            // Previous results suffice: re-assert step.done directly.
+            Revisit::Reuse => self.after_step_done(instance, step, false, ctx),
+            Revisit::Execute => self.execute_now(instance, def, ctx),
+            // Later members of the step's dependent set are undone first by
+            // the CompensateSet chain, which re-executes it at its end (§5.2).
+            Revisit::Compensate { mut undo, .. } if undo.len() > 1 => {
+                undo.reverse();
+                self.inst(instance).awaiting_compset.insert(step);
+                self.pass_chain(instance, Some(step), undo, ctx);
             }
-            OcrDecision::ExecuteFresh => {
-                self.execute_now(instance, def, ctx);
-            }
-            OcrDecision::PartialCompensateIncrementalReexec
-            | OcrDecision::CompleteCompensateCompleteReexec => {
-                let partial = decision == OcrDecision::PartialCompensateIncrementalReexec;
-                // Compensation dependent set: members that executed after
-                // this step must be compensated first, in reverse execution
-                // order, via the CompensateSet chain (§5.2).
-                if let Some(set) = schema.compensation_set_of(step) {
-                    let mut members: Vec<StepId> = set.members.iter().copied().collect();
-                    // Order by topo position; the chain walks from the end.
-                    let topo_pos: BTreeMap<StepId, usize> = schema
-                        .topo_order()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &s)| (s, i))
-                        .collect();
-                    members.retain(|m| topo_pos[m] >= topo_pos[&step]);
-                    members.sort_by_key(|m| topo_pos[m]);
-                    if members.len() > 1 {
-                        self.inst(instance).awaiting_compset.insert(step);
-                        self.compensate_set(instance, step, members, ctx);
-                        return;
-                    }
-                }
+            Revisit::Compensate { partial, .. } => {
                 self.compensate_local(instance, step, partial, ctx);
                 self.execute_now(instance, def, ctx);
             }
@@ -659,10 +644,12 @@ impl DistAgent {
         // its grants back to their managers.
         self.answer(instance, ctx, |gate, _| gate.done(step));
 
-        // Branch-switch detection at XOR splits (Figure 3): compensate the
-        // previously taken branch when the new choice differs.
-        if schema.split_kind(step) == Some(SplitKind::Xor) {
-            self.detect_branch_switch(instance, step, &schema, ctx);
+        // A switched XOR split (Figure 3): the CompensateThread chain undoes
+        // the abandoned branch before the confluence (§5.2).
+        let mut undo = (self.inst(instance).nav).abandoned_branch(&schema, step, Vantage::Schema);
+        if !undo.is_empty() {
+            undo.reverse();
+            self.pass_chain(instance, None, undo, ctx);
         }
 
         // Terminal step (and not going round its loop again): report
@@ -688,12 +675,10 @@ impl DistAgent {
         schema: &WorkflowSchema,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let (weight_num, weight_den) = weight.parts();
         let msg = DistMsg::StepCompleted {
             instance,
             step,
-            weight_num,
-            weight_den,
+            weight,
         };
         self.tell(self.coordination_node(instance, schema), msg, ctx);
     }
@@ -996,35 +981,6 @@ impl DistAgent {
         self.answer(instance, ctx, |gate, _| gate.satisfy(tag));
     }
 
-    // ---- branch switching ------------------------------------------------------
-
-    fn detect_branch_switch(
-        &mut self,
-        instance: InstanceId,
-        split: StepId,
-        schema: &WorkflowSchema,
-        ctx: &mut Ctx<DistMsg>,
-    ) {
-        // The agent has the data, so it evaluates the branch conditions
-        // locally to learn which branch the new flow takes.
-        let Some(old_head) = self.inst(instance).nav.switch_branch(schema, split) else {
-            return;
-        };
-        // Compensate the abandoned branch before the confluence
-        // (CompensateThread, §5.2).
-        let topo_pos: BTreeMap<StepId, usize> = schema
-            .topo_order()
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i))
-            .collect();
-        let mut steps: Vec<StepId> = schema.branch_steps(split, old_head).into_iter().collect();
-        steps.sort_by_key(|s| topo_pos[s]);
-        if !steps.is_empty() {
-            self.compensate_thread(instance, steps, ctx);
-        }
-    }
-
     // ---- compensation chains ------------------------------------------------
 
     fn compensate_local(
@@ -1046,7 +1002,7 @@ impl DistAgent {
             self.executor
                 .compensate(def, instance, &mut nav.data, &mut nav.history, partial);
         ctx.add_load(cost);
-        nav.compensated(&schema, step);
+        let retract = nav.compensated(&schema, step);
         self.log(&DbOp::StepOutputsCleared { instance, step });
         self.log(&DbOp::StepRecorded {
             instance,
@@ -1055,73 +1011,43 @@ impl DistAgent {
             attempt,
             outputs: vec![],
         });
-        // A compensated terminal retracts its completion weight.
-        if schema.terminal_steps().contains(&step) {
+        if retract {
             self.report_terminal_weight(instance, step, Weight::ZERO, &schema, ctx);
         }
         true
     }
 
-    fn on_compensate_set(
+    /// Pass a compensation chain over `steps` (non-empty, undone from the
+    /// end) to the agent of its last step: a `CompensateSet` that walks back
+    /// to `origin`, or a `CompensateThread` when there is none.
+    fn pass_chain(
         &mut self,
         instance: InstanceId,
-        origin: StepId,
-        mut steps: Vec<StepId>,
-        ctx: &mut Ctx<DistMsg>,
-    ) {
-        self.ensure_instantiated(instance, ctx);
-        self.nav_load(ctx);
-        let Some(step) = steps.pop() else { return };
-        let schema = self.schema(instance);
-        // Compensate the local member if it executed; "if the step has not
-        // been executed then no action is required".
-        self.compensate_local(instance, step, false, ctx);
-        if steps.is_empty() {
-            // The chain returned to the origin: re-execute it now.
-            debug_assert_eq!(step, origin);
-            self.inst(instance).awaiting_compset.remove(&origin);
-            let def = schema.expect_step(origin).clone();
-            self.execute_now(instance, &def, ctx);
-            return;
-        }
-        self.compensate_set(instance, origin, steps, ctx);
-    }
-
-    /// Pass the `CompensateSet` chain over `steps` (non-empty; it walks
-    /// back to `origin`) to the agent of its last step.
-    fn compensate_set(
-        &mut self,
-        instance: InstanceId,
-        origin: StepId,
+        origin: Option<StepId>,
         steps: Vec<StepId>,
         ctx: &mut Ctx<DistMsg>,
     ) {
         let last = *steps.last().expect("non-empty");
         let target = self.node_of_step(instance, &self.schema(instance), last);
-        let msg = DistMsg::CompensateSet {
-            instance,
-            origin,
-            steps,
+        let msg = match origin {
+            Some(origin) => DistMsg::CompensateSet {
+                instance,
+                origin,
+                steps,
+            },
+            None => DistMsg::CompensateThread { instance, steps },
         };
         self.tell(target, msg, ctx);
     }
 
-    /// Pass the `CompensateThread` walk over `steps` (non-empty) to the
-    /// agent of its last step.
-    fn compensate_thread(
+    /// One hop of a compensation chain: undo its last step if it ran here
+    /// ("if the step has not been executed then no action is required"),
+    /// then pass the rest on — or, back at a `CompensateSet`'s origin,
+    /// re-execute it.
+    fn on_chain(
         &mut self,
         instance: InstanceId,
-        steps: Vec<StepId>,
-        ctx: &mut Ctx<DistMsg>,
-    ) {
-        let last = *steps.last().expect("non-empty");
-        let target = self.node_of_step(instance, &self.schema(instance), last);
-        self.tell(target, DistMsg::CompensateThread { instance, steps }, ctx);
-    }
-
-    fn on_compensate_thread(
-        &mut self,
-        instance: InstanceId,
+        origin: Option<StepId>,
         mut steps: Vec<StepId>,
         ctx: &mut Ctx<DistMsg>,
     ) {
@@ -1130,7 +1056,12 @@ impl DistAgent {
         let Some(step) = steps.pop() else { return };
         self.compensate_local(instance, step, false, ctx);
         if !steps.is_empty() {
-            self.compensate_thread(instance, steps, ctx);
+            self.pass_chain(instance, origin, steps, ctx);
+        } else if let Some(origin) = origin {
+            debug_assert_eq!(step, origin);
+            self.inst(instance).awaiting_compset.remove(&origin);
+            let def = self.schema(instance).expect_step(origin).clone();
+            self.execute_now(instance, &def, ctx);
         }
     }
 
@@ -1149,40 +1080,27 @@ impl DistAgent {
     ) {
         self.ensure_instantiated(instance, ctx);
         self.nav_load(ctx);
-        let schema = self.schema(instance);
+        let dep = self.shared.deployment.clone();
         let st = self.inst(instance);
         st.epoch += 1;
         let epoch = st.epoch;
-        let invalidated = st.nav.invalidate_from(&schema, origin);
-        // The origin re-executes, and so must every invalidated step held
-        // here: packets re-deliver their triggers with generations the
-        // rules already consumed, so their past firings are voided. Their
-        // waits end; they wait again when their rules re-fire.
-        let steps = invalidated.iter().copied().chain([origin]);
-        st.nav.refire(steps.clone());
-        if let Some(gate) = st.nav.gate.as_deref_mut() {
-            gate.unpark(steps);
-        }
+        // Packets re-deliver the triggers of the steps rolled back here at
+        // generations their rules already consumed, so all of them re-fire.
+        let refire = Refire::OriginAndDownstream;
+        let rollback = (st.nav).roll_back(&dep, instance, origin, refire, !from_dependency);
         // Halt probes retrace the packet channels (FIFO ⇒ race-free).
-        self.propagate_halt(instance, origin, epoch, &schema, ctx);
-
-        // Rollback dependencies: a rollback past `source` forces linked
-        // dependents back too (one level; dependency-caused rollbacks do
-        // not cascade further, preventing ping-pong).
-        if !from_dependency {
-            let dep = self.shared.deployment.clone();
-            for (partner, origin) in dep.rollback_dependents(instance, origin, &invalidated) {
-                let target = self.node_of_step(partner, &self.schema(partner), origin);
-                self.nav_load(ctx);
-                let msg = DistMsg::WorkflowRollback {
-                    instance: partner,
-                    origin,
-                    from_dependency: true,
-                };
-                self.tell(target, msg, ctx);
-            }
+        self.propagate_halt(instance, origin, epoch, ctx);
+        // Linked dependents roll back too, marked so they go no further.
+        for (partner, origin) in rollback.dependents {
+            let target = self.node_of_step(partner, &self.schema(partner), origin);
+            self.nav_load(ctx);
+            let msg = DistMsg::WorkflowRollback {
+                instance: partner,
+                origin,
+                from_dependency: true,
+            };
+            self.tell(target, msg, ctx);
         }
-
         self.fire_rules(instance, ctx);
     }
 
@@ -1190,42 +1108,28 @@ impl DistAgent {
     /// this agent forwarded packets toward, for local steps at/under the
     /// origin.
     fn propagate_halt(
-        &mut self,
+        &self,
         instance: InstanceId,
         origin: StepId,
         epoch: u32,
-        schema: &WorkflowSchema,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let affected: BTreeSet<StepId> = {
-            let mut a = schema.invalidation_set(origin);
-            a.insert(origin);
-            a
-        };
-        let forwarded = {
-            let st = self.inst(instance);
-            st.forwarded.clone()
-        };
+        let schema = self.schema(instance);
+        let affected = schema.reachable_from(origin);
+        let forwarded = self.instances[&instance].forwarded.iter();
         let mut notified: BTreeSet<NodeId> = BTreeSet::new();
-        for (&local, successors) in &forwarded {
-            if !affected.contains(&local) {
-                continue;
-            }
+        for (_, successors) in forwarded.filter(|(local, _)| affected.contains(local)) {
             for &succ in successors {
-                let def = schema.expect_step(succ);
-                for agent in &def.eligible_agents {
+                for agent in &schema.expect_step(succ).eligible_agents {
                     let node = self.shared.directory.node_of(*agent);
-                    if node == ctx.self_id || !notified.insert(node) {
-                        continue;
-                    }
-                    ctx.send(
-                        node,
-                        DistMsg::HaltThread {
+                    if node != ctx.self_id && notified.insert(node) {
+                        let halt = DistMsg::HaltThread {
                             instance,
                             origin,
                             epoch,
-                        },
-                    );
+                        };
+                        ctx.send(node, halt);
+                    }
                 }
             }
         }
@@ -1241,23 +1145,16 @@ impl DistAgent {
         ctx: &mut Ctx<DistMsg>,
     ) {
         self.ensure_instantiated(instance, ctx);
-        {
-            let st = self.inst(instance);
-            if epoch <= st.epoch {
-                return; // duplicate probe via another path
-            }
-            st.epoch = epoch;
+        let dep = self.shared.deployment.clone();
+        let st = self.inst(instance);
+        if epoch <= st.epoch {
+            return; // duplicate probe via another path
         }
-        self.nav_load(ctx);
-        let schema = self.schema(instance);
-        let nav = &mut self.inst(instance).nav;
-        let invalidated = nav.invalidate_from(&schema, origin);
+        st.epoch = epoch;
         // Downstream of the origin: only the invalidated steps re-run here.
-        nav.refire(invalidated.iter().copied());
-        if let Some(gate) = nav.gate.as_deref_mut() {
-            gate.unpark(invalidated.iter().copied());
-        }
-        self.propagate_halt(instance, origin, epoch, &schema, ctx);
+        (st.nav).roll_back(&dep, instance, origin, Refire::Downstream, false);
+        self.nav_load(ctx);
+        self.propagate_halt(instance, origin, epoch, ctx);
     }
 
     // ---- coordinator role --------------------------------------------------------
@@ -1397,59 +1294,44 @@ impl DistAgent {
     fn on_workflow_abort(&mut self, instance: InstanceId, ctx: &mut Ctx<DistMsg>) {
         self.ensure_instantiated(instance, ctx);
         self.nav_load(ctx);
-        if self.inst(instance).nav.committed {
+        let dep = self.shared.deployment.clone();
+        let (releases, undo) = match self
+            .inst(instance)
+            .nav
+            .abort(&dep, instance, Vantage::Schema)
+        {
+            Abort::Now { releases, undo } => (releases, undo),
+            Abort::Repeated => return,
             // "Any request for aborting the workflow ... after a workflow
             // commit will be rejected."
-            ctx.send(
-                self.shared.directory.frontend,
-                DistMsg::WorkflowStatusReply {
-                    instance,
-                    status: WorkflowStatusKind::AbortRejected,
-                },
-            );
-            return;
-        }
-        let nav = &mut self.inst(instance).nav;
-        if nav.aborted {
-            return;
-        }
-        nav.aborted = true;
-        if let Some(gate) = nav.gate.as_deref_mut() {
-            gate.abort();
-        }
+            Abort::Committed => {
+                let status = WorkflowStatusKind::AbortRejected;
+                let reply = DistMsg::WorkflowStatusReply { instance, status };
+                ctx.send(self.shared.directory.frontend, reply);
+                return;
+            }
+        };
         self.set_status(instance, InstanceStatus::Aborted);
         // Hand back (or de-queue) every mutex this instance may hold or
         // await, so contenders are never wedged by the abort.
-        let dep = self.shared.deployment.clone();
-        for m in &dep.coordination.mutual_exclusions {
-            for member in m.members.iter().filter(|s| s.schema == instance.schema) {
-                self.request(instance, Request::Release(m.id, member.step), ctx);
-            }
+        for request in releases {
+            self.request(instance, request, ctx);
         }
+        // The coordination agent does not know where each step ran, so it
+        // messages *all eligible agents* of each (§6 Workflow Abort
+        // discussion).
         let schema = self.schema(instance);
-        // Compensate the compensatable steps: the coordination agent does
-        // not know where each step ran, so it messages *all eligible
-        // agents* of each (§6 Workflow Abort discussion).
-        for def in schema.steps() {
-            if !def.is_compensatable() {
-                continue;
-            }
-            for agent in &def.eligible_agents {
+        for step in undo {
+            for agent in &schema.expect_step(step).eligible_agents {
                 let node = self.shared.directory.node_of(*agent);
-                let msg = DistMsg::StepCompensate {
-                    instance,
-                    step: def.id,
-                };
-                self.tell(node, msg, ctx);
+                self.tell(node, DistMsg::StepCompensate { instance, step }, ctx);
             }
         }
         // Halt the threads of execution starting from the first step.
-        let epoch = {
-            let st = self.inst(instance);
-            st.epoch += 1;
-            st.epoch
-        };
-        self.propagate_halt(instance, schema.start_step(), epoch, &schema, ctx);
+        let st = self.inst(instance);
+        st.epoch += 1;
+        let epoch = st.epoch;
+        self.propagate_halt(instance, schema.start_step(), epoch, ctx);
         ctx.send(
             self.shared.directory.frontend,
             DistMsg::WorkflowAborted { instance },
@@ -1464,20 +1346,14 @@ impl DistAgent {
     ) {
         self.ensure_instantiated(instance, ctx);
         self.nav_load(ctx);
-        let nav = &self.inst(instance).nav;
-        if nav.committed || nav.aborted {
-            ctx.send(
-                self.shared.directory.frontend,
-                DistMsg::WorkflowStatusReply {
-                    instance,
-                    status: WorkflowStatusKind::ChangeRejected,
-                },
-            );
-            return;
-        }
         let schema = self.schema(instance);
+        let Some(origin) = self.inst(instance).nav.input_change(&schema, &new_inputs) else {
+            let status = WorkflowStatusKind::ChangeRejected;
+            let reply = DistMsg::WorkflowStatusReply { instance, status };
+            ctx.send(self.shared.directory.frontend, reply);
+            return;
+        };
         // The new inputs take effect at the rollback origin's agent.
-        let origin = input_change_origin(&schema, &new_inputs);
         let msg = DistMsg::InputsChanged {
             instance,
             origin,
@@ -1748,16 +1624,8 @@ impl DistAgent {
             DistMsg::StepCompleted {
                 instance,
                 step,
-                weight_num,
-                weight_den,
-            } => {
-                let w = if weight_num == 0 {
-                    Weight::ZERO
-                } else {
-                    Weight::new(weight_num, weight_den)
-                };
-                self.on_step_completed(instance, step, w, ctx);
-            }
+                weight,
+            } => self.on_step_completed(instance, step, weight, ctx),
             DistMsg::StateInformation { token } => {
                 ctx.send(
                     from,
@@ -1808,9 +1676,9 @@ impl DistAgent {
                 instance,
                 origin,
                 steps,
-            } => self.on_compensate_set(instance, origin, steps, ctx),
+            } => self.on_chain(instance, Some(origin), steps, ctx),
             DistMsg::CompensateThread { instance, steps } => {
-                self.on_compensate_thread(instance, steps, ctx)
+                self.on_chain(instance, None, steps, ctx)
             }
             DistMsg::StepStatus { instance, step } => {
                 self.on_step_status(instance, step, from, ctx)

@@ -147,7 +147,7 @@ wire! {
         4 => WorkflowStatusReply { instance, status },
         5 => WorkflowCommitted { instance },
         6 => WorkflowAborted { instance },
-        8 => StepCompleted { instance, step, weight_num, weight_den },
+        8 => StepCompleted { instance, step, weight via (encode_weight, decode_weight) },
         9 => StateInformation { token },
         10 => StateInformationReply { token, load },
         11 => NestedCompleted { parent, parent_step, child, outputs },
@@ -240,8 +240,7 @@ mod tests {
             DistMsg::StepCompleted {
                 instance: inst(1),
                 step: StepId(2),
-                weight_num: 1,
-                weight_den: 4,
+                weight: Weight::new(1, 4),
             },
             DistMsg::StateInformation { token: 9 },
             DistMsg::StateInformationReply {
@@ -399,6 +398,29 @@ mod tests {
             let got = DistMsg::decode(&mut Bytes::from(bytes));
             assert_eq!(got, Err(CodecError::BadTag { context, tag }), "{hex}");
         }
+    }
+
+    /// A completion weight is checked on decode as in a packet: a zero
+    /// denominator is corruption, not a panic in `Weight::new`.
+    #[test]
+    fn step_completed_with_a_zero_denominator_does_not_decode() {
+        // StepCompleted { instance WF2 #1, step S2, weight 1/0 }.
+        let mut frame = BytesMut::new();
+        8u8.encode(&mut frame);
+        inst(1).encode(&mut frame);
+        StepId(2).encode(&mut frame);
+        (1u64, 0u64).encode(&mut frame);
+        let got = DistMsg::decode(&mut frame.freeze());
+        assert!(
+            matches!(
+                got,
+                Err(CodecError::BadTag {
+                    context: "Weight",
+                    ..
+                })
+            ),
+            "{got:?}"
+        );
     }
 
     #[test]

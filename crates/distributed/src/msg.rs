@@ -14,6 +14,7 @@
 //! (`crew_exec::Gate::wire`).
 
 use crate::packet::WorkflowPacket;
+use crate::weight::Weight;
 use crew_model::{InstanceId, ItemKey, StepId, Value};
 use crew_simnet::{Classify, Mechanism};
 use crew_storage::VariantName;
@@ -131,8 +132,7 @@ pub enum DistMsg {
     StepCompleted {
         instance: InstanceId,
         step: StepId,
-        weight_num: u64,
-        weight_den: u64,
+        weight: Weight,
     },
     /// Load/state query used by successor-selection (`StateInformation`).
     StateInformation { token: u64 },
@@ -293,8 +293,7 @@ mod tests {
                 DistMsg::StepCompleted {
                     instance: inst(),
                     step: StepId(1),
-                    weight_num: 1,
-                    weight_den: 1,
+                    weight: Weight::ONE,
                 },
                 Normal,
             ),

@@ -10,7 +10,9 @@
 //! all build on this crate — and embed its per-instance navigator
 //! ([`InstanceNav`]), which makes every enactment decision once, and its
 //! coordination managers ([`MutexQueue`], [`RoArbiter`]) and guard
-//! ([`Gate`]), which make every coordination decision and wait once — so
+//! ([`Gate`]), which make every coordination decision and wait once, and
+//! whose failure-handling decisions ([`recovery`]: rollback, abort, input
+//! change, branch unwind, OCR revisit) are made once as well — so
 //! navigation, recovery and coordination
 //! behave identically across architectures and the performance comparison
 //! of §6 measures the architectures, not divergent semantics.
@@ -26,6 +28,7 @@ pub mod history;
 pub mod nav;
 pub mod ocr;
 pub mod program;
+pub mod recovery;
 pub mod weight;
 
 pub use coord::{
@@ -37,9 +40,10 @@ pub use executor::{ExecError, StepExecutor, StepOutcome};
 pub use failure::FailurePlan;
 pub use history::{InstanceHistory, StepRecord, StepState};
 pub use nav::{
-    declared_outputs, designated_agent, input_change_origin, nested_instance_serial,
-    FailureVerdict, InstanceNav, DEFAULT_MAX_ROLLBACKS,
+    declared_outputs, designated_agent, nested_instance_serial, FailureVerdict, InstanceNav,
+    DEFAULT_MAX_ROLLBACKS,
 };
 pub use ocr::{decide as ocr_decide, OcrDecision, INCREMENTAL_FRACTION};
 pub use program::{FnProgram, Program, ProgramCtx, ProgramRegistry, StepFailure};
+pub use recovery::{Abort, Refire, Revisit, Rollback, Vantage};
 pub use weight::Weight;

@@ -8,7 +8,8 @@
 //! instance (or the slice of it one distributed agent holds) and answers
 //! each navigation question with a value — weights to forward, the
 //! abandoned branch head, retry / rollback origin / abort, the steps a
-//! rollback invalidated, commit-now. It never sends, journals or reads a
+//! rollback invalidated, commit-now — and [`crate::recovery`] composes these
+//! into the failure-handling decisions. It never sends, journals or reads a
 //! clock: the central engine and the distributed agent embed it and keep
 //! only their transport-shaped shell around it.
 
@@ -106,7 +107,7 @@ impl InstanceNav {
     /// How to (re-)establish `def`'s effects now that its rule fired: OCR
     /// is consulted only when a rollback left the step waiting to be
     /// revisited; any other firing executes fresh.
-    pub fn revisit_decision(
+    pub(crate) fn revisit_decision(
         &mut self,
         def: &StepDef,
         instance: InstanceId,
@@ -203,7 +204,11 @@ impl InstanceNav {
     /// condition, else the unconditioned arc) and remember the choice.
     /// Returns the previously chosen head when the choice changed — the
     /// branch to unwind.
-    pub fn switch_branch(&mut self, schema: &WorkflowSchema, split: StepId) -> Option<StepId> {
+    pub(crate) fn switch_branch(
+        &mut self,
+        schema: &WorkflowSchema,
+        split: StepId,
+    ) -> Option<StepId> {
         let mut chosen = None;
         let mut otherwise = None;
         for arc in schema.forward_outgoing(split) {
@@ -256,7 +261,11 @@ impl InstanceNav {
     /// Apply a rollback to `origin`: every step downstream of it loses its
     /// `step.done` fact and its incoming weights, and awaits a revisit.
     /// Returns the invalidated steps.
-    pub fn invalidate_from(&mut self, schema: &WorkflowSchema, origin: StepId) -> BTreeSet<StepId> {
+    pub(crate) fn invalidate_from(
+        &mut self,
+        schema: &WorkflowSchema,
+        origin: StepId,
+    ) -> BTreeSet<StepId> {
         let invalidated = schema.invalidation_set(origin);
         for &s in &invalidated {
             self.rules.invalidate_event(EventKind::StepDone(s));
@@ -269,7 +278,7 @@ impl InstanceNav {
 
     /// Void the past firings of `steps`' rules so they fire again on the
     /// events they already consumed, as revisits.
-    pub fn refire(&mut self, steps: impl IntoIterator<Item = StepId>) {
+    pub(crate) fn refire(&mut self, steps: impl IntoIterator<Item = StepId>) {
         for step in steps {
             for id in self.rule_ids.get(&step).into_iter().flatten() {
                 self.rules.reset_rule(*id);
@@ -281,13 +290,16 @@ impl InstanceNav {
     /// Bookkeeping once `step`'s effects are undone: `step.compensated` is
     /// posted, `step.done` no longer holds, and the weight the step sent
     /// its successors is void (a branch switch must not leave the old
-    /// branch's weight at the joins).
-    pub fn compensated(&mut self, schema: &WorkflowSchema, step: StepId) {
+    /// branch's weight at the joins). Returns whether `step` is terminal:
+    /// its completion weight is then retracted, as `Weight::ZERO`, where
+    /// the terminal weights are kept.
+    pub fn compensated(&mut self, schema: &WorkflowSchema, step: StepId) -> bool {
         self.rules.add_event(EventKind::StepCompensated(step));
         self.rules.invalidate_event(EventKind::StepDone(step));
         for arc in schema.forward_outgoing(step) {
             self.weight_in.remove(&(arc.to, step));
         }
+        schema.terminal_steps().contains(&step)
     }
 
     // ---- nested workflows ------------------------------------------------
@@ -354,7 +366,10 @@ pub fn declared_outputs<'a>(
 
 /// The rollback origin of a user input change: the earliest step (topo
 /// order) reading a changed key, the start step when none does.
-pub fn input_change_origin(schema: &WorkflowSchema, new_inputs: &[(ItemKey, Value)]) -> StepId {
+pub(crate) fn input_change_origin(
+    schema: &WorkflowSchema,
+    new_inputs: &[(ItemKey, Value)],
+) -> StepId {
     let reads_changed = |s: &StepId| {
         let keys = schema.expect_step(*s).input_keys();
         keys.iter()

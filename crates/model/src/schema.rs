@@ -10,7 +10,7 @@
 //!
 //! Schemas are immutable after [`SchemaBuilder::build`], which also performs
 //! the validation and derives the structures the run-times need: the
-//! topological order, per-step ancestor sets, the terminal-step list (the
+//! topological order and each step's rank in it, per-step ancestor sets, the terminal-step list (the
 //! steps whose agents act as *termination agents*), and per-XOR-branch step
 //! sets (used by the `CompensateThread` protocol when re-execution takes a
 //! different branch, Figure 3).
@@ -201,6 +201,8 @@ pub struct WorkflowSchema {
     start: StepId,
     terminals: Vec<StepId>,
     topo: Vec<StepId>,
+    /// rank[s] = the position of `s` in `topo`.
+    rank: BTreeMap<StepId, usize>,
     /// ancestors[s] = every step strictly upstream of `s` via forward arcs.
     ancestors: BTreeMap<StepId, BTreeSet<StepId>>,
 }
@@ -284,6 +286,11 @@ impl WorkflowSchema {
     /// Steps in a topological order of the forward arcs.
     pub fn topo_order(&self) -> &[StepId] {
         &self.topo
+    }
+
+    /// `step`'s position in [`Self::topo_order`], panicking on unknown id.
+    pub fn topo_rank(&self, step: StepId) -> usize {
+        self.rank[&step]
     }
 
     /// True iff `a` is strictly upstream of `b` along forward arcs.
@@ -836,6 +843,7 @@ impl SchemaBuilder {
             .copied()
             .filter(|s| !with_outgoing.contains(s))
             .collect();
+        let rank = topo.iter().enumerate().map(|(i, &s)| (s, i)).collect();
 
         Ok(WorkflowSchema {
             id: self.id,
@@ -851,6 +859,7 @@ impl SchemaBuilder {
             start,
             terminals,
             topo,
+            rank,
             ancestors,
         })
     }
@@ -924,6 +933,15 @@ mod tests {
                 arc.from,
                 arc.to
             );
+        }
+    }
+
+    #[test]
+    fn topo_rank_is_the_position_in_topo_order() {
+        for schema in [fig3_like(), diamond()] {
+            for (i, &step) in schema.topo_order().iter().enumerate() {
+                assert_eq!(schema.topo_rank(step), i, "{} {step}", schema.name);
+            }
         }
     }
 

@@ -5,7 +5,9 @@
 
 use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_exec::{FnProgram, ProgramCtx};
-use crew_model::{AgentId, ReexecPolicy, SchemaBuilder, SchemaId, StepId, Value};
+use crew_model::{
+    AgentId, CmpOp, Expr, ItemKey, ReexecPolicy, SchemaBuilder, SchemaId, StepId, Value,
+};
 use std::sync::{Arc, Mutex};
 
 /// Registers a compensation program that records which step it undid.
@@ -96,6 +98,72 @@ fn dependent_set_compensates_in_reverse_execution_order() {
             positions.windows(2).all(|w| w[0] < w[1]),
             "{arch:?}: compensation order violated: {undone:?}"
         );
+    }
+}
+
+/// Figure 3 with a two-step top branch: S4 fails once and rolls back to
+/// S2, whose re-execution takes the bottom branch, so the abandoned top
+/// branch S3a → S3b is undone newest first — S3b, then S3a — by the
+/// engine's queue and by the `CompensateThread` chain alike.
+#[test]
+fn abandoned_branch_compensates_newest_first() {
+    for arch in ALL_ARCHS {
+        let comp = CompLog::default();
+        let mut b = SchemaBuilder::new(SchemaId(1), "fig3-long").inputs(1);
+        let s1 = b.add_step("S1", "stamp");
+        let s2 = b.add_step("S2", "attempt-out"); // outputs its attempt
+        let s3a = b.add_step("S3a", "stamp");
+        let s3b = b.add_step("S3b", "stamp");
+        let s5 = b.add_step("S5", "stamp");
+        let s4 = b.add_step("S4", "always-fail-once");
+        b.seq(s1, s2);
+        // The first run of S2 takes the top branch, its second the bottom.
+        let top = Expr::cmp(CmpOp::Eq, Expr::item(ItemKey::output(s2, 1)), Expr::lit(1));
+        b.xor_split(s2, [(s3a, Some(top)), (s5, None)]);
+        b.seq(s3a, s3b);
+        b.xor_join([s3b, s5], s4);
+        b.on_failure_rollback_to(s4, s2);
+        // S3a runs with S2 and S4 with S3b, so the rollback's `HaltThread`
+        // reaches S4's agent one hop before the bottom branch's packet
+        // can. A packet of the new epoch that arrives first makes the
+        // agent drop the halt as a duplicate, and the instance stalls
+        // under distributed control; this test is about the unwinding.
+        for (s, agent) in [(s1, 0), (s2, 1), (s3a, 1), (s3b, 2), (s5, 3), (s4, 2)] {
+            b.configure(s, |d| {
+                d.eligible_agents = vec![AgentId(agent)];
+                d.compensation_program = Some("undo".into());
+            });
+        }
+        b.configure(s2, |d| d.reexec = ReexecPolicy::Always);
+        let schema = b.build().unwrap();
+
+        let mut system = WorkflowSystem::new([schema], arch);
+        comp.register(&mut system.deployment.registry, "undo");
+        let registry = &mut system.deployment.registry;
+        registry.register(
+            "attempt-out",
+            FnProgram(|ctx: &ProgramCtx| Ok(vec![Value::Int(ctx.attempt as i64)])),
+        );
+        registry.register(
+            "always-fail-once",
+            FnProgram(|ctx: &ProgramCtx| match ctx.attempt {
+                1 => Err(crew_exec::StepFailure::new("first attempt")),
+                _ => Ok(vec![Value::Int(1)]),
+            }),
+        );
+        let mut scenario = Scenario::new();
+        scenario.start(SchemaId(1), vec![(1, Value::Int(1))]);
+        let report = system.run(scenario);
+        assert_eq!(report.committed(), 1, "{arch:?}");
+
+        let undone = comp.entries();
+        let branch: Vec<StepId> = undone
+            .iter()
+            .copied()
+            .filter(|s| [s3a, s3b].contains(s))
+            .collect();
+        assert_eq!(branch, [s3b, s3a], "{arch:?}: {undone:?}");
+        assert!(!undone.contains(&s5), "{arch:?}: {undone:?}");
     }
 }
 

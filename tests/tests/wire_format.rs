@@ -463,8 +463,7 @@ fn dist_samples(c: &mut Checker) {
             DistMsg::StepCompleted {
                 instance,
                 step,
-                weight_num: 1,
-                weight_den: 4,
+                weight: Weight::new(1, 4),
             },
         ),
         ("StateInformation", DistMsg::StateInformation { token: 9 }),
