@@ -32,7 +32,7 @@ use crew_exec::{
     StepState, Vantage, Verdict, Wake, Weight,
 };
 use crew_model::{DataEnv, InstanceId, ItemKey, SchemaId, StepId, Value, VecMap, WorkflowSchema};
-use crew_rules::{compile_schema, Action, EventKind};
+use crew_rules::{compile_schema, EventKind};
 use crew_simnet::{Ctx, Node, NodeId};
 use crew_storage::{recover_for_node, DbOp, Decode, Encode, InstanceStatus, MemStore, Wal};
 use std::any::Any;
@@ -566,9 +566,7 @@ impl Engine {
         self.nav_load(ctx);
         let nav = &mut self.inst(instance).nav;
         nav.parent = parent;
-        for t in template.iter() {
-            nav.install_rule(t.step, t.rule.clone());
-        }
+        nav.rules.add_rules(template.iter().map(|t| &t.rule));
         for (k, v) in inputs {
             nav.data.set(k, v);
         }
@@ -582,11 +580,9 @@ impl Engine {
     // ---- rule firing ---------------------------------------------------------
 
     fn fire_rules(&mut self, instance: InstanceId, ctx: &mut Ctx<CentralMsg>) {
-        while let Some(actions) = self.inst(instance).nav.ready_actions() {
-            for action in actions {
-                if let Action::StartStep(step) = action {
-                    self.start_step(instance, step, ctx);
-                }
+        while let Some(steps) = self.inst(instance).nav.ready_steps() {
+            for step in steps {
+                self.start_step(instance, step, ctx);
             }
         }
     }
@@ -883,7 +879,6 @@ impl Engine {
             None => {
                 let nav = &mut self.inst(instance).nav;
                 nav.history.record_failed(step);
-                nav.rules.add_event(EventKind::StepFail(step));
                 match nav.failure_verdict(&schema, step, attempt) {
                     // Re-dispatch in place; only an exhausted retry budget
                     // reaches the paper's rollback machinery.
@@ -1621,6 +1616,28 @@ mod tests {
         assert_eq!(inputs[0].0, NodeId::EXTERNAL.0);
         assert!(matches!(inputs[0].1, CentralMsg::WorkflowStart { .. }));
         assert_eq!(inputs[1], (0, result));
+    }
+
+    /// A failed attempt leaves no trace in the event table: only the
+    /// events a rule waits on are posted, and none waits on a failure.
+    #[test]
+    fn a_failed_attempt_posts_no_event() {
+        let mut e = engine();
+        let inst = start(&mut e, 1);
+        let failed = CentralMsg::ExecResult {
+            instance: inst,
+            step: StepId(1),
+            attempt: 1,
+            outputs: None,
+            error: Some("first attempt".into()),
+        };
+        deliver(&mut e, failed);
+        // The rollback to S1 dispatched its second attempt.
+        assert_eq!(e.history_of(inst).unwrap().attempts(StepId(1)), 2);
+        assert_eq!(
+            e.instances[&inst].nav.rules.present_events_with_gens(),
+            vec![(EventKind::WorkflowStart, 1)]
+        );
     }
 
     /// Deliver `msg` to `e` from agent node 0.

@@ -61,7 +61,7 @@ use crew_exec::{
 use crew_model::{
     DataEnv, InstanceId, ItemKey, SchemaStep, StepId, Value, VecMap, VecSet, WorkflowSchema,
 };
-use crew_rules::{compile_schema, Action, EventKind};
+use crew_rules::{compile_schema, EventKind};
 use crew_simnet::{Ctx, Node, NodeId, TimerId};
 use crew_storage::{
     recover_for_node, AgentDb, DbOp, InstanceStatus, MemStore, StoredStepState, Wal,
@@ -328,7 +328,7 @@ impl DistAgent {
             // and the executor check happens at firing time; under the
             // rendezvous scheme only the designee needs them.
             if load_balanced || designated_agent(seed, instance, schema.expect_step(t.step)) == me {
-                st.nav.install_rule(t.step, t.rule.clone());
+                st.nav.rules.add_rule(t.rule.clone());
             }
         }
         self.wire_gate(instance);
@@ -398,21 +398,12 @@ impl DistAgent {
         self.fire_rules(instance, ctx);
     }
 
-    /// Fire every ready rule and interpret the actions, repeating until no
-    /// rule fires (a step completion can enable further local rules).
+    /// Fire every ready rule and start its step, repeating until no rule
+    /// fires (a step completion can enable further local rules).
     fn fire_rules(&mut self, instance: InstanceId, ctx: &mut Ctx<DistMsg>) {
-        while let Some(actions) = self.inst(instance).nav.ready_actions() {
-            for action in actions {
-                match action {
-                    Action::StartStep(step) => self.start_step(instance, step, ctx),
-                    Action::CompensateStep(step) => {
-                        self.compensate_local(instance, step, false, ctx);
-                    }
-                    Action::CommitWorkflow | Action::AbortWorkflow | Action::EmitEvent(_) => {
-                        // Navigation templates do not produce these; commit
-                        // and abort flow through the coordinator protocols.
-                    }
-                }
+        while let Some(steps) = self.inst(instance).nav.ready_steps() {
+            for step in steps {
+                self.start_step(instance, step, ctx);
             }
         }
     }
@@ -582,8 +573,6 @@ impl DistAgent {
                     attempt,
                     outputs: vec![],
                 });
-                let nav = &mut self.inst(instance).nav;
-                nav.rules.add_event(EventKind::StepFail(def.id));
                 let schema = self.schema(instance);
                 let nav = &mut self.inst(instance).nav;
                 match nav.failure_verdict(&schema, def.id, attempt) {
@@ -2070,5 +2059,36 @@ mod tests {
         let history = a.history_of(instance).unwrap();
         assert_eq!(history.state(s2), StepState::Done);
         assert_eq!(history.record(s2).map(|r| r.attempt), Some(4));
+    }
+
+    /// A failed attempt leaves no trace in the event table, and so none in
+    /// the packets the table is copied into: only the events a rule waits
+    /// on are posted, and none waits on a failure.
+    #[test]
+    fn a_failed_attempt_posts_no_event() {
+        let instance = InstanceId::new(SchemaId(1), 1);
+        let (s1, s2) = (StepId(1), StepId(2));
+        let mut a = agent_with(FailurePlan::none().fail_step(instance, s1, 1));
+        let mut ctx = Ctx::detached(0, NodeId(0));
+        let mut deliver = |a: &mut DistAgent, msg| a.on_message(NodeId(0), msg, &mut ctx);
+        deliver(
+            &mut a,
+            DistMsg::WorkflowStart {
+                instance,
+                inputs: vec![(ItemKey::input(1), Value::Int(5))],
+                parent: None,
+            },
+        );
+        deliver(&mut a, DistMsg::StepRetry { instance, step: s1 });
+        let history = a.history_of(instance).unwrap();
+        assert_eq!(history.record(s1).map(|r| r.attempt), Some(2));
+        assert_eq!(
+            a.inst(instance).nav.rules.present_events_with_gens(),
+            vec![
+                (EventKind::WorkflowStart, 1),
+                (EventKind::StepDone(s1), 1),
+                (EventKind::StepDone(s2), 1),
+            ]
+        );
     }
 }

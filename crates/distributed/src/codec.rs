@@ -18,6 +18,9 @@ use crew_storage::{wire, CodecError, Decode, Encode};
 
 // ---- foreign-type fields ---------------------------------------------------
 
+// `EventKind` tags 2–6 are retired (`step.fail`, `step.compensate`,
+// `workflow.done`, `workflow.abort`, external): no rule waits on them, so
+// no packet carries them.
 fn encode_events(events: &[(EventKind, u32)], buf: &mut BytesMut) {
     (events.len() as u32).encode(buf);
     for (e, gen) in events {
@@ -26,20 +29,6 @@ fn encode_events(events: &[(EventKind, u32)], buf: &mut BytesMut) {
             EventKind::StepDone(s) => {
                 1u8.encode(buf);
                 s.encode(buf);
-            }
-            EventKind::StepFail(s) => {
-                2u8.encode(buf);
-                s.encode(buf);
-            }
-            EventKind::StepCompensated(s) => {
-                3u8.encode(buf);
-                s.encode(buf);
-            }
-            EventKind::WorkflowDone => 4u8.encode(buf),
-            EventKind::WorkflowAbort => 5u8.encode(buf),
-            EventKind::External(t) => {
-                6u8.encode(buf);
-                t.encode(buf);
             }
         }
         gen.encode(buf);
@@ -53,11 +42,6 @@ fn decode_events(buf: &mut Bytes) -> Result<Vec<(EventKind, u32)>, CodecError> {
         let e = match u8::decode(buf)? {
             0 => EventKind::WorkflowStart,
             1 => EventKind::StepDone(Decode::decode(buf)?),
-            2 => EventKind::StepFail(Decode::decode(buf)?),
-            3 => EventKind::StepCompensated(Decode::decode(buf)?),
-            4 => EventKind::WorkflowDone,
-            5 => EventKind::WorkflowAbort,
-            6 => EventKind::External(Decode::decode(buf)?),
             tag => {
                 return Err(CodecError::BadTag {
                     context: "EventKind",
@@ -201,11 +185,6 @@ mod tests {
             events: vec![
                 (EventKind::WorkflowStart, 1),
                 (EventKind::StepDone(StepId(1)), 2),
-                (EventKind::StepFail(StepId(2)), 1),
-                (EventKind::StepCompensated(StepId(2)), 1),
-                (EventKind::WorkflowDone, 1),
-                (EventKind::WorkflowAbort, 1),
-                (EventKind::External(0xBEEF), 3),
             ],
             weight: Weight::new(3, 8),
         }
@@ -374,7 +353,9 @@ mod tests {
         // Golden bytes from before each retirement: AddPrecondition
         // { instance WF2 #1, step S2, tag 4 }; StepExecute of the initial
         // packet of WF2 #1, with its two empty tag lists; AddRule of a
-        // RoNotify that still named the tag and the lagging step.
+        // RoNotify that still named the tag and the lagging step; StepExecute
+        // of a packet whose event list still held `S2.F` (tag 2) and the
+        // other retired event kinds.
         let samples = [
             ("180200000001000000020000000400000000000000", "DistMsg", 24),
             (
@@ -388,6 +369,15 @@ mod tests {
                  03000000",
                 "CoordRule",
                 3,
+            ),
+            (
+                "1b02000000040000000300000001020000000105000000070000000200000000\
+                 0100005a000000000000000101000000020002060000004761736b6574070000\
+                 0000010000000101000000020000000202000000010000000302000000010000\
+                 000401000000050100000006efbe000000000000030000000300000000000000\
+                 0800000000000000",
+                "EventKind",
+                2,
             ),
         ];
         for (hex, context, tag) in samples {

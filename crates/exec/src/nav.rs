@@ -23,7 +23,7 @@ use crew_model::{
     AgentId, DataEnv, InstanceId, ItemKey, SchemaId, SplitKind, StepDef, StepId, Value, VecMap,
     VecSet, WorkflowSchema,
 };
-use crew_rules::{Action, EventKind, Rule, RuleId, RuleSet};
+use crew_rules::{Action, EventKind, RuleSet};
 use std::collections::BTreeSet;
 
 /// Rollback budget per origin for failing steps without an explicit
@@ -57,8 +57,6 @@ pub struct InstanceNav {
     pub aborted: bool,
     /// Parent linkage of a nested instance.
     pub parent: Option<(InstanceId, StepId)>,
-    /// Installed rules per step (rollback re-firing).
-    rule_ids: VecMap<StepId, Vec<RuleId>>,
     /// Incoming flow weight, keyed by (target step, source step), so joins
     /// sum over a target's sources and a re-execution replaces its slot
     /// instead of double-counting. The workflow's initial token uses
@@ -85,21 +83,21 @@ pub struct InstanceNav {
 impl InstanceNav {
     // ---- rules -----------------------------------------------------------
 
-    /// Install `rule` as one of `step`'s rules.
-    pub fn install_rule(&mut self, step: StepId, rule: Rule) {
-        let id = self.rules.add_rule(rule);
-        self.rule_ids.entry(step).or_default().push(id);
-    }
-
-    /// One sweep of the rule table over the current data: the actions of
-    /// the rules that fired, or `None` once nothing fires or the instance
-    /// is aborted. Hosts interpret the actions and call again.
-    pub fn ready_actions(&mut self) -> Option<Vec<Action>> {
+    /// One sweep of the rule table over the current data: the steps the
+    /// rules that fired start, or `None` once nothing fires or the
+    /// instance is aborted. Hosts start the steps and call again.
+    pub fn ready_steps(&mut self) -> Option<Vec<StepId>> {
         if self.aborted {
             return None;
         }
-        let firings = self.rules.fire_ready(&self.data);
-        (!firings.is_empty()).then(|| firings.into_iter().map(|f| f.action).collect())
+        let firings = self.rules.fire_ready(&self.data).into_iter();
+        let steps: Vec<StepId> = firings
+            .map(|f| {
+                let Action::StartStep(step) = f.action;
+                step
+            })
+            .collect();
+        (!steps.is_empty()).then_some(steps)
     }
 
     // ---- step start ------------------------------------------------------
@@ -280,21 +278,17 @@ impl InstanceNav {
     /// events they already consumed, as revisits.
     pub(crate) fn refire(&mut self, steps: impl IntoIterator<Item = StepId>) {
         for step in steps {
-            for id in self.rule_ids.get(&step).into_iter().flatten() {
-                self.rules.reset_rule(*id);
-            }
+            self.rules.refire(step);
             self.revisit_pending.insert(step);
         }
     }
 
-    /// Bookkeeping once `step`'s effects are undone: `step.compensated` is
-    /// posted, `step.done` no longer holds, and the weight the step sent
-    /// its successors is void (a branch switch must not leave the old
-    /// branch's weight at the joins). Returns whether `step` is terminal:
-    /// its completion weight is then retracted, as `Weight::ZERO`, where
-    /// the terminal weights are kept.
+    /// Bookkeeping once `step`'s effects are undone: `step.done` no longer
+    /// holds, and the weight the step sent its successors is void (a branch
+    /// switch must not leave the old branch's weight at the joins). Returns
+    /// whether `step` is terminal: its completion weight is then retracted,
+    /// as `Weight::ZERO`, where the terminal weights are kept.
     pub fn compensated(&mut self, schema: &WorkflowSchema, step: StepId) -> bool {
-        self.rules.add_event(EventKind::StepCompensated(step));
         self.rules.invalidate_event(EventKind::StepDone(step));
         for arc in schema.forward_outgoing(step) {
             self.weight_in.remove(&(arc.to, step));
@@ -413,6 +407,7 @@ pub fn nested_instance_serial(parent: InstanceId, step: StepId) -> u32 {
 mod tests {
     use super::*;
     use crew_model::{Expr, RetryPolicy, SchemaBuilder};
+    use crew_rules::Rule;
 
     fn inst(serial: u32) -> InstanceId {
         InstanceId::new(SchemaId(1), serial)
@@ -679,34 +674,28 @@ mod tests {
         let (schema, s) = diamond();
         let mut nav = InstanceNav::default();
         let trigger = EventKind::StepDone(s[0]);
-        nav.install_rule(
-            s[1],
-            Rule::new(RuleId(0), vec![trigger], Action::StartStep(s[1])),
-        );
+        nav.rules
+            .add_rule(Rule::new(vec![trigger], Action::StartStep(s[1])));
         nav.rules.add_event(trigger);
         nav.rules.add_event(EventKind::StepDone(s[3]));
         nav.accept_weight(&schema, Some(s[1]), s[3], Weight::new(1, 2));
-        assert_eq!(nav.ready_actions(), Some(vec![Action::StartStep(s[1])]));
-        assert_eq!(
-            nav.ready_actions(),
-            None,
-            "one occurrence fires a rule once"
-        );
+        assert_eq!(nav.ready_steps(), Some(vec![s[1]]));
+        assert_eq!(nav.ready_steps(), None, "one occurrence fires a rule once");
 
         nav.invalidate_from(&schema, s[1]);
         assert!(!nav.rules.has_event(EventKind::StepDone(s[3])));
         assert_eq!(nav.flow_weight(s[3]), Weight::ONE, "slots dropped");
-        assert_eq!(nav.ready_actions(), None, "S2's trigger is still consumed");
+        assert_eq!(nav.ready_steps(), None, "S2's trigger is still consumed");
         nav.refire([s[1]]);
-        assert_eq!(nav.ready_actions(), Some(vec![Action::StartStep(s[1])]));
+        assert_eq!(nav.ready_steps(), Some(vec![s[1]]));
 
         nav.refire([s[1]]);
         nav.aborted = true;
-        assert_eq!(nav.ready_actions(), None, "an aborted instance is silent");
+        assert_eq!(nav.ready_steps(), None, "an aborted instance is silent");
     }
 
     #[test]
-    fn compensation_posts_the_event_and_voids_the_weight_it_sent() {
+    fn compensation_leaves_only_the_standing_done_facts_and_voids_the_weight_it_sent() {
         let (schema, s) = diamond();
         let mut nav = InstanceNav::default();
         nav.accept_weight(&schema, None, s[0], Weight::ONE);
@@ -715,9 +704,14 @@ mod tests {
             complete(&mut nav, &schema, step);
         }
         nav.compensated(&schema, s[1]);
-        assert!(nav.rules.has_event(EventKind::StepCompensated(s[1])));
-        assert!(!nav.rules.has_event(EventKind::StepDone(s[1])));
-        assert!(nav.rules.has_event(EventKind::StepDone(s[2])));
+        assert_eq!(
+            nav.rules.present_events_with_gens(),
+            vec![
+                (EventKind::StepDone(s[0]), 1),
+                (EventKind::StepDone(s[2]), 1)
+            ],
+            "the compensation posts nothing; S2's done fact is gone"
+        );
         assert_eq!(nav.flow_weight(s[3]), Weight::new(1, 2), "S3's half stays");
     }
 

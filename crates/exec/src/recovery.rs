@@ -252,7 +252,7 @@ mod tests {
         AgentId, CompensationKind, CoordinationSpec, Expr, MutualExclusion, ReexecPolicy,
         RollbackDependency, SchemaBuilder, SchemaId, SchemaStep,
     };
-    use crew_rules::{Action, EventKind, Rule, RuleId};
+    use crew_rules::{Action, EventKind, Rule};
 
     fn x() -> InstanceId {
         InstanceId::new(SchemaId(1), 1)
@@ -373,15 +373,11 @@ mod tests {
             // Every step's rule has fired once, on an event no rollback
             // voids, and every guarded step is parked on its grant.
             for step in s {
-                let start = Rule::new(
-                    RuleId(0),
-                    vec![EventKind::WorkflowStart],
-                    Action::StartStep(step),
-                );
-                nav.install_rule(step, start);
+                let start = Rule::new(vec![EventKind::WorkflowStart], Action::StartStep(step));
+                nav.rules.add_rule(start);
             }
             nav.rules.add_event(EventKind::WorkflowStart);
-            assert_eq!(nav.ready_actions().map(|a| a.len()), Some(6));
+            assert_eq!(nav.ready_steps().map(|a| a.len()), Some(6));
             nav.gate = Gate::wire(&dep, x(), |_| true);
             let gate = nav.gate.as_deref_mut().expect("x names mutexes");
             let guarded = [s[1], s[3], s[5]];
@@ -392,13 +388,7 @@ mod tests {
 
             let rollback = nav.roll_back(&dep, x(), origin, refire, dependents);
             let invalidated: Vec<StepId> = rollback.invalidated.into_iter().collect();
-            let fired = nav.ready_actions().unwrap_or_default();
-            let refired: Vec<StepId> = (fired.iter())
-                .filter_map(|a| match a {
-                    Action::StartStep(step) => Some(*step),
-                    _ => None,
-                })
-                .collect();
+            let refired = nav.ready_steps().unwrap_or_default();
             let gate = nav.gate.as_deref_mut().expect("still wired");
             let unparked: Vec<StepId> = (guarded.into_iter())
                 .filter(|&step| gate.check(step).1 != Verdict::Parked)
@@ -585,7 +575,7 @@ mod tests {
             };
             assert_eq!(got, want, "{state} {history:?} {vantage:?}");
             assert!(nav.committed || nav.aborted, "{state}: the verdict stands");
-            assert_eq!(nav.ready_actions(), None, "an aborted instance is silent");
+            assert_eq!(nav.ready_steps(), None, "an aborted instance is silent");
         }
     }
 
@@ -657,7 +647,6 @@ mod tests {
             let mut nav = InstanceNav::default();
             nav.rules.add_event(EventKind::StepDone(step));
             assert_eq!(nav.compensated(schema, step), retract, "{step}");
-            assert!(nav.rules.has_event(EventKind::StepCompensated(step)));
             assert!(!nav.rules.has_event(EventKind::StepDone(step)));
         }
     }

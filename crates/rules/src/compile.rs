@@ -10,7 +10,7 @@
 //! handled steps).
 
 use crate::event::EventKind;
-use crate::rule::{Action, Rule, RuleId};
+use crate::rule::{Action, Rule};
 use crew_model::{Expr, JoinKind, StepId, WorkflowSchema};
 
 /// A rule template entry: the rule plus the step whose execution it starts.
@@ -45,7 +45,6 @@ pub struct TemplateRule {
 /// condition when it does not carry its own.
 pub fn compile_schema(schema: &WorkflowSchema) -> Vec<TemplateRule> {
     let mut out = Vec::new();
-    let mut next = 0u32;
     let mut push = |step: StepId, rule: Rule| {
         out.push(TemplateRule { step, rule });
     };
@@ -61,10 +60,7 @@ pub fn compile_schema(schema: &WorkflowSchema) -> Vec<TemplateRule> {
         if step == schema.start_step() {
             let mut trigger = vec![EventKind::WorkflowStart];
             trigger.extend(extra.iter().copied());
-            let rule = Rule::new(RuleId(next), trigger, Action::StartStep(step))
-                .with_label(format!("start {step} on workflow.start"));
-            next += 1;
-            push(step, rule);
+            push(step, Rule::new(trigger, Action::StartStep(step)));
         } else {
             let incoming: Vec<&crew_model::ControlArc> = schema.forward_incoming(step).collect();
             let is_xor_join = incoming.len() > 1 && schema.join_kind(step) == Some(JoinKind::Xor);
@@ -74,9 +70,7 @@ pub fn compile_schema(schema: &WorkflowSchema) -> Vec<TemplateRule> {
                 for arc in &incoming {
                     let mut trigger = vec![EventKind::StepDone(arc.from)];
                     trigger.extend(extra.iter().copied());
-                    let mut rule = Rule::new(RuleId(next), trigger, Action::StartStep(step))
-                        .with_label(format!("start {step} on {}.done (xor-join)", arc.from));
-                    next += 1;
+                    let mut rule = Rule::new(trigger, Action::StartStep(step));
                     if let Some(guard) = arc_guard(schema, arc) {
                         rule = rule.with_guard(guard);
                     }
@@ -100,9 +94,7 @@ pub fn compile_schema(schema: &WorkflowSchema) -> Vec<TemplateRule> {
                         });
                     }
                 }
-                let mut rule = Rule::new(RuleId(next), trigger, Action::StartStep(step))
-                    .with_label(format!("start {step}"));
-                next += 1;
+                let mut rule = Rule::new(trigger, Action::StartStep(step));
                 if let Some(g) = guard {
                     rule = rule.with_guard(g);
                 }
@@ -114,9 +106,7 @@ pub fn compile_schema(schema: &WorkflowSchema) -> Vec<TemplateRule> {
         // continue condition holds.
         for arc in schema.incoming(step).filter(|a| a.loop_back) {
             let trigger = vec![EventKind::StepDone(arc.from)];
-            let mut rule = Rule::new(RuleId(next), trigger, Action::StartStep(step))
-                .with_label(format!("loop back {} -> {step}", arc.from));
-            next += 1;
+            let mut rule = Rule::new(trigger, Action::StartStep(step));
             if let Some(c) = &arc.condition {
                 rule = rule.with_guard(c.clone());
             }
@@ -170,9 +160,9 @@ mod tests {
     fn fire_all(rs: &mut RuleSet, env: &DataEnv) -> Vec<StepId> {
         rs.fire_ready(env)
             .into_iter()
-            .filter_map(|f| match f.action {
-                Action::StartStep(s) => Some(s),
-                _ => None,
+            .map(|f| {
+                let Action::StartStep(s) = f.action;
+                s
             })
             .collect()
     }

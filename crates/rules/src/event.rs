@@ -1,9 +1,11 @@
 //! Workflow events.
 //!
-//! The rule-based run-time is driven by events (§3): `workflow.start`,
-//! `step.done`, `step.fail`, `step.compensate`, `workflow.done`,
-//! `workflow.abort`, plus *external* events injected across rule sets by the
-//! coordination machinery (`AddEvent()`, Figure 4).
+//! The rule-based run-time is driven by events (§3). A compiled rule waits
+//! only on `workflow.start` and `step.done`, so those are the two kinds an
+//! event table holds. The paper's `step.fail`, `step.compensate`,
+//! `workflow.done` and `workflow.abort` trigger no rule here: failures and
+//! compensations are `crew_exec::recovery`'s decisions, and commit and
+//! abort are status rows.
 //!
 //! Events are scoped to one workflow instance (the rule set they are posted
 //! into). Each event kind carries a *generation* — the number of times it
@@ -21,19 +23,6 @@ pub enum EventKind {
     WorkflowStart,
     /// A step completed successfully (`step.done`).
     StepDone(StepId),
-    /// A step failed (`step.fail`).
-    StepFail(StepId),
-    /// A step was compensated (`step.compensate` outcome).
-    StepCompensated(StepId),
-    /// The instance committed (`workflow.done`).
-    WorkflowDone,
-    /// The instance aborted (`workflow.abort`).
-    WorkflowAbort,
-    /// An event injected from outside this rule set — by the coordinated-
-    /// execution machinery of another instance or agent via `AddEvent()`.
-    /// The payload identifies the coordination fact (e.g. "leading workflow
-    /// finished its k-th conflicting step").
-    External(u64),
 }
 
 impl EventKind {
@@ -43,21 +32,6 @@ impl EventKind {
         match self {
             EventKind::WorkflowStart => "WF.S".to_owned(),
             EventKind::StepDone(s) => format!("{s}.D"),
-            EventKind::StepFail(s) => format!("{s}.F"),
-            EventKind::StepCompensated(s) => format!("{s}.C"),
-            EventKind::WorkflowDone => "WF.D".to_owned(),
-            EventKind::WorkflowAbort => "WF.A".to_owned(),
-            EventKind::External(tag) => format!("X.{tag:x}"),
-        }
-    }
-
-    /// The step this event concerns, if any.
-    pub fn step(&self) -> Option<StepId> {
-        match self {
-            EventKind::StepDone(s) | EventKind::StepFail(s) | EventKind::StepCompensated(s) => {
-                Some(*s)
-            }
-            _ => None,
         }
     }
 }
@@ -101,17 +75,6 @@ mod tests {
     fn codes_match_packet_notation() {
         assert_eq!(EventKind::WorkflowStart.code(), "WF.S");
         assert_eq!(EventKind::StepDone(StepId(2)).code(), "S2.D");
-        assert_eq!(EventKind::StepFail(StepId(4)).code(), "S4.F");
-        assert_eq!(EventKind::StepCompensated(StepId(3)).code(), "S3.C");
-        assert_eq!(EventKind::WorkflowDone.code(), "WF.D");
-        assert_eq!(EventKind::WorkflowAbort.code(), "WF.A");
-        assert_eq!(EventKind::External(0x2a).code(), "X.2a");
-    }
-
-    #[test]
-    fn step_extraction() {
-        assert_eq!(EventKind::StepDone(StepId(1)).step(), Some(StepId(1)));
-        assert_eq!(EventKind::WorkflowStart.step(), None);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! The rule engine is deliberately host-agnostic: it knows nothing about
 //! agents, engines or messages. Hosts post events, call
-//! [`RuleSet::fire_ready`] and interpret the returned [`Action`]s. The
-//! centralized engine holds one complete `RuleSet` per instance; a
-//! distributed agent holds, per instance, the slice of the template for the
-//! steps it is responsible for.
+//! [`RuleSet::fire_ready`] and start the step each returned [`Action`]
+//! names. The centralized engine holds one complete `RuleSet` per instance;
+//! a distributed agent holds, per instance, the slice of the template for
+//! the steps it is responsible for.
 
 #![warn(missing_docs)]
 
@@ -23,5 +23,5 @@ pub mod ruleset;
 
 pub use compile::{compile_schema, TemplateRule};
 pub use event::{EventKind, EventState};
-pub use rule::{Action, Rule, RuleId};
+pub use rule::{Action, Rule};
 pub use ruleset::{Firing, RuleSet};

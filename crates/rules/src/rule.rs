@@ -3,48 +3,27 @@
 //! "Requirements expressed in LAWS are converted into rules which are tuples
 //! containing an event, condition and action part" (§1). A rule waits for a
 //! conjunction of events, checks a guard condition over the instance's data
-//! table, and when fired produces an [`Action`] that the hosting run-time
-//! (central engine or distributed agent) interprets.
+//! table, and when fired produces an [`Action`]: the step the hosting
+//! run-time (central engine or distributed agent) starts.
 
 use crate::event::EventKind;
 use crew_model::{Expr, StepId};
 use std::fmt;
 use std::sync::Arc;
 
-/// Identifier of a rule within one rule set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RuleId(pub u32);
-
-impl fmt::Display for RuleId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "R{}", self.0)
-    }
-}
-
-/// What a fired rule instructs the host to do.
+/// What a fired rule instructs the host to do. Every compiled navigation
+/// rule starts a step; compensation, commit and abort are decided outside
+/// the rule table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Schedule the step for execution (generates `step.start`).
     StartStep(StepId),
-    /// Compensate the step.
-    CompensateStep(StepId),
-    /// Commit the workflow instance.
-    CommitWorkflow,
-    /// Abort the workflow instance.
-    AbortWorkflow,
-    /// Post another event into this rule set (rule chaining).
-    EmitEvent(EventKind),
 }
 
 impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Action::StartStep(s) => write!(f, "start {s}"),
-            Action::CompensateStep(s) => write!(f, "compensate {s}"),
-            Action::CommitWorkflow => write!(f, "commit"),
-            Action::AbortWorkflow => write!(f, "abort"),
-            Action::EmitEvent(e) => write!(f, "emit {e}"),
-        }
+        let Action::StartStep(s) = self;
+        write!(f, "start {s}")
     }
 }
 
@@ -62,13 +41,11 @@ pub(crate) struct Trigger {
 
 /// One event-condition-action rule.
 ///
-/// The guard and the label never change after the rule is built, so they
-/// are shared: instantiating a template rule for one more workflow
-/// instance copies its trigger and nothing else.
+/// The guard never changes after the rule is built, so it is shared:
+/// instantiating a template rule for one more workflow instance copies its
+/// trigger and nothing else.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
-    /// Stable identifier within its collection.
-    pub id: RuleId,
     /// Conjunction of events required before the rule may fire.
     pub(crate) trigger: Vec<Trigger>,
     /// Guard evaluated against the instance's data table; the rule fires
@@ -78,32 +55,22 @@ pub struct Rule {
     pub guard: Option<Arc<Expr>>,
     /// Action taken when the rule fires.
     pub action: Action,
-    /// Diagnostic label ("fire S3").
-    pub label: Arc<str>,
 }
 
 impl Rule {
     /// Create a new, empty value.
-    pub fn new(id: RuleId, trigger: Vec<EventKind>, action: Action) -> Self {
+    pub fn new(trigger: Vec<EventKind>, action: Action) -> Self {
         let unfired = |event| Trigger { event, mark: 0 };
         Rule {
-            id,
             trigger: trigger.into_iter().map(unfired).collect(),
             guard: None,
             action,
-            label: Arc::default(),
         }
     }
 
     /// Attach a guard condition.
     pub fn with_guard(mut self, guard: Expr) -> Self {
         self.guard = Some(Arc::new(guard));
-        self
-    }
-
-    /// Attach a diagnostic label.
-    pub fn with_label(mut self, label: impl Into<Arc<str>>) -> Self {
-        self.label = label.into();
         self
     }
 
@@ -127,26 +94,14 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        assert_eq!(RuleId(3).to_string(), "R3");
         assert_eq!(Action::StartStep(StepId(2)).to_string(), "start S2");
-        assert_eq!(Action::CommitWorkflow.to_string(), "commit");
-        assert_eq!(
-            Action::EmitEvent(EventKind::WorkflowDone).to_string(),
-            "emit WF.D"
-        );
     }
 
     #[test]
     fn builder_style() {
-        let r = Rule::new(
-            RuleId(1),
-            vec![EventKind::WorkflowStart],
-            Action::StartStep(StepId(1)),
-        )
-        .with_label("fire start step");
-        assert_eq!(&*r.label, "fire start step");
+        let r = Rule::new(vec![EventKind::WorkflowStart], Action::StartStep(StepId(1)));
         assert!(r.guard.is_none());
         assert!(r.triggers_on(EventKind::WorkflowStart));
-        assert!(!r.triggers_on(EventKind::WorkflowDone));
+        assert!(!r.triggers_on(EventKind::StepDone(StepId(1))));
     }
 }

@@ -12,15 +12,13 @@
 //! each instance.
 
 use crate::event::{EventKind, EventState};
-use crate::rule::{Action, Rule, RuleId, Trigger};
-use crew_model::{DataEnv, Expr, VecMap};
+use crate::rule::{Action, Rule, Trigger};
+use crew_model::{DataEnv, Expr, StepId, VecMap};
 
-/// Outcome of a [`RuleSet::fire_ready`] sweep: the rules that fired, in
-/// order, with their actions.
+/// One entry of a [`RuleSet::fire_ready`] sweep: the action of a rule that
+/// fired.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Firing {
-    /// The rule that fired.
-    pub rule: RuleId,
     /// Action taken when the rule fires.
     pub action: Action,
 }
@@ -28,12 +26,11 @@ pub struct Firing {
 /// Per-instance rule set + event table.
 ///
 /// ```
-/// use crew_rules::{Action, EventKind, Rule, RuleId, RuleSet};
+/// use crew_rules::{Action, EventKind, Rule, RuleSet};
 /// use crew_model::{DataEnv, StepId};
 ///
 /// let mut rs = RuleSet::new();
 /// rs.add_rule(Rule::new(
-///     RuleId(0),
 ///     vec![EventKind::WorkflowStart],
 ///     Action::StartStep(StepId(1)),
 /// ));
@@ -44,9 +41,9 @@ pub struct Firing {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    rules: VecMap<RuleId, Rule>,
+    /// In install order, which is the order a sweep fires them in.
+    rules: Vec<Rule>,
     events: EventTable,
-    next_rule: u32,
 }
 
 type EventTable = VecMap<EventKind, EventState>;
@@ -69,36 +66,31 @@ impl RuleSet {
 
     // ---- AddRule() -------------------------------------------------------
 
-    /// Install a rule (the `AddRule()` primitive). The rule's id is
-    /// reassigned to be unique in this set; the assigned id is returned.
-    pub fn add_rule(&mut self, mut rule: Rule) -> RuleId {
-        let id = RuleId(self.next_rule);
-        self.next_rule += 1;
-        rule.id = id;
-        self.rules.insert(id, rule);
-        id
+    /// Install a rule (the `AddRule()` primitive) after the ones already
+    /// installed.
+    pub fn add_rule(&mut self, rule: Rule) {
+        // Exact fit, like `VecMap`: an agent installs its one or two rules
+        // per instance one at a time.
+        self.rules.reserve_exact(1);
+        self.rules.push(rule);
     }
 
     /// Install every rule of a compiled template (cloning), e.g. when a
     /// workflow packet first reaches an agent and the instance's rules are
     /// instantiated from the workflow class table.
-    pub fn add_rules<'a>(&mut self, rules: impl IntoIterator<Item = &'a Rule>) -> Vec<RuleId> {
-        rules
-            .into_iter()
-            .map(|r| self.add_rule(r.clone()))
-            .collect()
+    pub fn add_rules<'a>(&mut self, rules: impl IntoIterator<Item = &'a Rule>) {
+        self.rules.extend(rules.into_iter().cloned());
     }
 
-    /// Clear a rule's firing marks so it can fire again on the events it
-    /// already consumed — used when a rollback re-executes the rule's step
-    /// without re-delivering its (still valid) trigger events.
-    pub fn reset_rule(&mut self, id: RuleId) -> bool {
-        match self.rules.get_mut(&id) {
-            Some(r) => {
-                r.clear_marks();
-                true
+    /// Clear the firing marks of the rules that start `step`, so they can
+    /// fire again on the events they already consumed — used when a
+    /// rollback re-executes the step without re-delivering its (still
+    /// valid) trigger events.
+    pub fn refire(&mut self, step: StepId) {
+        for rule in &mut self.rules {
+            if rule.action == Action::StartStep(step) {
+                rule.clear_marks();
             }
-            None => false,
         }
     }
 
@@ -186,7 +178,7 @@ impl RuleSet {
         // only the invalidated event's mark would leave the rule blocked
         // on its other, still-present triggers, whose generations were
         // already consumed.)
-        for rule in self.rules.values_mut() {
+        for rule in &mut self.rules {
             if rule.triggers_on(kind) {
                 rule.clear_marks();
             }
@@ -198,7 +190,7 @@ impl RuleSet {
     /// Fire every rule whose trigger events are all present with fresh
     /// generations and whose guard holds over `env`. Fired rules mark the
     /// consumed generations (so one occurrence fires a rule at most once)
-    /// and their actions are returned in rule-id order.
+    /// and their actions are returned in install order.
     ///
     /// Guard evaluation errors count as `false`: a branch condition over
     /// data that is absent simply does not select that branch.
@@ -208,7 +200,7 @@ impl RuleSet {
         let mut fired = Vec::new();
         // A firing posts no event, so no rule's readiness depends on the
         // rules swept before it.
-        for rule in self.rules.values_mut() {
+        for rule in &mut self.rules {
             if !is_ready_ignoring_guard(events, rule) || !rule.guard.as_deref().is_none_or(holds) {
                 continue;
             }
@@ -216,7 +208,6 @@ impl RuleSet {
                 t.mark = events[&t.event].generation;
             }
             fired.push(Firing {
-                rule: rule.id,
                 action: rule.action.clone(),
             });
         }
@@ -238,8 +229,7 @@ mod tests {
     #[test]
     fn simple_fire_once_per_occurrence() {
         let mut rs = RuleSet::new();
-        let id = rs.add_rule(Rule::new(
-            RuleId(0),
+        rs.add_rule(Rule::new(
             vec![EventKind::WorkflowStart],
             Action::StartStep(StepId(1)),
         ));
@@ -247,7 +237,7 @@ mod tests {
         rs.add_event(EventKind::WorkflowStart);
         let fired = rs.fire_ready(&DataEnv::new());
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].rule, id);
+        assert_eq!(fired[0].action, Action::StartStep(StepId(1)));
         // Same occurrence does not fire twice.
         assert!(rs.fire_ready(&DataEnv::new()).is_empty());
         // A fresh occurrence (loop) re-fires.
@@ -259,7 +249,6 @@ mod tests {
     fn conjunction_waits_for_all_events() {
         let mut rs = RuleSet::new();
         rs.add_rule(Rule::new(
-            RuleId(0),
             vec![
                 EventKind::StepDone(StepId(1)),
                 EventKind::StepDone(StepId(2)),
@@ -278,7 +267,6 @@ mod tests {
         let key = ItemKey::input(1);
         rs.add_rule(
             Rule::new(
-                RuleId(0),
                 vec![EventKind::StepDone(StepId(2))],
                 Action::StartStep(StepId(3)),
             )
@@ -286,7 +274,6 @@ mod tests {
         );
         rs.add_rule(
             Rule::new(
-                RuleId(0),
                 vec![EventKind::StepDone(StepId(2))],
                 Action::StartStep(StepId(4)),
             )
@@ -302,12 +289,8 @@ mod tests {
     fn guard_error_is_false_not_panic() {
         let mut rs = RuleSet::new();
         rs.add_rule(
-            Rule::new(
-                RuleId(0),
-                vec![EventKind::WorkflowStart],
-                Action::StartStep(StepId(1)),
-            )
-            .with_guard(Expr::gt(Expr::item(ItemKey::input(9)), Expr::lit(0))),
+            Rule::new(vec![EventKind::WorkflowStart], Action::StartStep(StepId(1)))
+                .with_guard(Expr::gt(Expr::item(ItemKey::input(9)), Expr::lit(0))),
         );
         rs.add_event(EventKind::WorkflowStart);
         assert!(rs.fire_ready(&DataEnv::new()).is_empty());
@@ -319,7 +302,6 @@ mod tests {
     fn invalidate_resets_rules_for_reexecution() {
         let mut rs = RuleSet::new();
         rs.add_rule(Rule::new(
-            RuleId(0),
             vec![EventKind::StepDone(StepId(1))],
             Action::StartStep(StepId(2)),
         ));
@@ -350,8 +332,8 @@ mod tests {
     /// that touches them, on the rule the compiler makes for an AND-join
     /// of three branches: one firing consumes the current occurrence of
     /// *every* trigger, a fresh occurrence of one trigger is not enough,
-    /// invalidating any one trigger voids the whole firing, and
-    /// `reset_rule` re-arms the rule on occurrences it already consumed.
+    /// invalidating any one trigger voids the whole firing, and `refire`
+    /// re-arms the rule on occurrences it already consumed.
     #[test]
     fn three_trigger_rule_fires_on_exactly_the_fresh_occurrences() {
         use crate::compile::compile_schema;
@@ -369,7 +351,7 @@ mod tests {
         let [a, b, x] = [s[1], s[2], s[3]].map(EventKind::StepDone);
         let env = DataEnv::new();
         let mut rs = RuleSet::new();
-        let id = rs.add_rule(join.rule);
+        rs.add_rule(join.rule);
         let fires = |rs: &mut RuleSet| rs.fire_ready(&env).len();
 
         rs.add_event(a);
@@ -397,10 +379,12 @@ mod tests {
         assert_eq!(fires(&mut rs), 1);
         assert_eq!(fires(&mut rs), 0);
 
-        // reset_rule re-arms on what is present, exactly once.
-        assert!(rs.reset_rule(id));
+        // refire re-arms on what is present, exactly once, and only the
+        // rules that start the named step.
+        rs.refire(s[3]);
+        assert_eq!(fires(&mut rs), 0);
+        rs.refire(s[4]);
         assert_eq!(fires(&mut rs), 1);
         assert_eq!(fires(&mut rs), 0);
-        assert!(!rs.reset_rule(RuleId(9)));
     }
 }

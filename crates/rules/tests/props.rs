@@ -2,7 +2,7 @@
 //! event sequences, invalidation/reset laws, and packet-merge semantics.
 
 use crew_model::{DataEnv, StepId};
-use crew_rules::{Action, EventKind, Rule, RuleId, RuleSet};
+use crew_rules::{Action, EventKind, Rule, RuleSet};
 use proptest::prelude::*;
 
 fn ev(i: u8) -> EventKind {
@@ -18,7 +18,7 @@ proptest! {
     fn firings_bounded_by_occurrences(seq in proptest::collection::vec(0u8..10, 0..60)) {
         let mut rs = RuleSet::new();
         let trigger = vec![ev(0), ev(1)];
-        rs.add_rule(Rule::new(RuleId(0), trigger.clone(), Action::StartStep(StepId(9))));
+        rs.add_rule(Rule::new(trigger.clone(), Action::StartStep(StepId(9))));
         let mut fired = 0u32;
         let mut counts = [0u32; 2];
         for e in seq {
@@ -57,7 +57,7 @@ proptest! {
     #[test]
     fn invalidate_then_merge_fires_once(gen in 1u32..5) {
         let mut rs = RuleSet::new();
-        rs.add_rule(Rule::new(RuleId(0), vec![ev(0)], Action::StartStep(StepId(9))));
+        rs.add_rule(Rule::new(vec![ev(0)], Action::StartStep(StepId(9))));
         for _ in 0..gen {
             rs.add_event(ev(0));
         }

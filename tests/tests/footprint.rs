@@ -169,10 +169,12 @@ fn live_state_per_instance_stays_inside_its_budget() {
     // terminal tick and its share of the summary log and of what the
     // compacted command log still holds (it read 4 096 B / 40.6 blocks
     // while the engine kept every navigator, 1 113 B / 0.4 blocks while
-    // it kept every command).
+    // it kept every command). The distributed row read 12 223 B / 109.4
+    // blocks while rules carried ids and labels and every navigator kept a
+    // per-step index of them.
     let rows = [
         ("central", central(), (327.0, 0.4)),
-        ("distributed", distributed(), (12_641.0, 109.4)),
+        ("distributed", distributed(), (11_100.0, 98.5)),
     ];
     for (control, (bytes, blocks), _) in rows {
         println!("footprint {control:11} {bytes:7.0} live bytes/instance {blocks:6.1} live blocks/instance");

@@ -95,11 +95,6 @@ fn rich_packet() -> WorkflowPacket {
         events: vec![
             (EventKind::WorkflowStart, 1),
             (EventKind::StepDone(StepId(1)), 2),
-            (EventKind::StepFail(StepId(2)), 1),
-            (EventKind::StepCompensated(StepId(2)), 1),
-            (EventKind::WorkflowDone, 1),
-            (EventKind::WorkflowAbort, 1),
-            (EventKind::External(0xBEEF), 3),
         ],
         weight: Weight::new(3, 8),
     }
