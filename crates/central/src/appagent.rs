@@ -15,8 +15,6 @@ pub struct AppAgent {
     registry: ProgramRegistry,
     plan: FailurePlan,
     seed: u64,
-    /// Cumulative program-execution load (reported to state probes).
-    pub load: u64,
     /// Number of programs executed (test introspection).
     pub executed: u64,
     /// Number of compensations performed.
@@ -29,7 +27,6 @@ impl AppAgent {
             registry,
             plan,
             seed,
-            load: 0,
             executed: 0,
             compensated: 0,
         }
@@ -47,54 +44,30 @@ impl Node<CentralMsg> for AppAgent {
                 attempt,
                 cost,
             } => {
-                let reply = if self.plan.step_fails(instance, step, attempt) {
-                    CentralMsg::ExecResult {
-                        instance,
-                        step,
-                        attempt,
-                        outputs: None,
-                        error: Some("injected logical failure".into()),
-                    }
+                let outputs = if self.plan.step_fails(instance, step, attempt) {
+                    None
                 } else {
-                    match self.registry.get(&program) {
-                        None => CentralMsg::ExecResult {
+                    // An unknown program fails the attempt like a failing one.
+                    self.registry.get(&program).and_then(|p| {
+                        let pctx = ProgramCtx {
                             instance,
                             step,
                             attempt,
-                            outputs: None,
-                            error: Some(format!("unknown program {program:?}")),
-                        },
-                        Some(p) => {
-                            let pctx = ProgramCtx {
-                                instance,
-                                step,
-                                attempt,
-                                seed: self.seed,
-                                inputs,
-                            };
-                            match p.run(&pctx) {
-                                Ok(outputs) => {
-                                    self.executed += 1;
-                                    self.load += cost;
-                                    ctx.add_load(cost);
-                                    CentralMsg::ExecResult {
-                                        instance,
-                                        step,
-                                        attempt,
-                                        outputs: Some(outputs),
-                                        error: None,
-                                    }
-                                }
-                                Err(e) => CentralMsg::ExecResult {
-                                    instance,
-                                    step,
-                                    attempt,
-                                    outputs: None,
-                                    error: Some(e.reason),
-                                },
-                            }
-                        }
-                    }
+                            seed: self.seed,
+                            inputs,
+                        };
+                        p.run(&pctx).ok()
+                    })
+                };
+                if outputs.is_some() {
+                    self.executed += 1;
+                    ctx.add_load(cost);
+                }
+                let reply = CentralMsg::ExecResult {
+                    instance,
+                    step,
+                    attempt,
+                    outputs,
                 };
                 ctx.send(from, reply);
             }
@@ -128,15 +101,7 @@ impl Node<CentralMsg> for AppAgent {
                     },
                 );
             }
-            CentralMsg::StateProbe { token } => {
-                ctx.send(
-                    from,
-                    CentralMsg::StateProbeReply {
-                        token,
-                        load: self.load,
-                    },
-                );
-            }
+            CentralMsg::StateProbe => ctx.send(from, CentralMsg::StateProbeReply),
             _ => {}
         }
     }
@@ -171,7 +136,7 @@ mod tests {
                     cost: 42,
                 },
             );
-            ctx.send(self.agent, CentralMsg::StateProbe { token: 9 });
+            ctx.send(self.agent, CentralMsg::StateProbe);
         }
         fn on_message(&mut self, _from: NodeId, msg: CentralMsg, _ctx: &mut Ctx<CentralMsg>) {
             self.got.push(msg);
@@ -197,10 +162,7 @@ mod tests {
             &p.got[0],
             CentralMsg::ExecResult { outputs: Some(o), .. } if o == &vec![Value::Int(5)]
         ));
-        assert!(matches!(
-            &p.got[1],
-            CentralMsg::StateProbeReply { token: 9, load: 42 }
-        ));
+        assert_eq!(p.got[1], CentralMsg::StateProbeReply);
         let a = sim.node_as::<AppAgent>(agent).unwrap();
         assert_eq!(a.executed, 1);
     }
@@ -216,11 +178,7 @@ mod tests {
         let p = sim.node_as::<Probe>(probe).unwrap();
         assert!(matches!(
             &p.got[0],
-            CentralMsg::ExecResult {
-                outputs: None,
-                error: Some(_),
-                ..
-            }
+            CentralMsg::ExecResult { outputs: None, .. }
         ));
     }
 }

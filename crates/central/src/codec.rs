@@ -23,6 +23,9 @@ wire! {
     }
 }
 
+// Retired tags are left unused and never reused: 5 `StateProbe` with a
+// token, 7 `ExecResult` with an error string and 8 `StateProbeReply` with
+// a token and a load, fields no handler read.
 wire! {
     enum CentralMsg {
         0 => WorkflowStart { instance, inputs },
@@ -30,10 +33,7 @@ wire! {
         2 => WorkflowAbort { instance },
         3 => WorkflowStatus { instance },
         4 => ExecRequest { instance, step, program, inputs, attempt, cost },
-        5 => StateProbe { token },
         6 => CompensateRequest { instance, step, program, partial, for_abort },
-        7 => ExecResult { instance, step, attempt, outputs, error },
-        8 => StateProbeReply { token, load },
         9 => CompensateResult { instance, step, for_abort },
         10 => Coord(c),
         11 => ChildStart { child, inputs, parent, parent_step },
@@ -43,6 +43,9 @@ wire! {
         14 => MigrateState { instance, records },
         15 => MigrateAck { instance },
         16 => OwnerChanged { instance, owner },
+        17 => StateProbe,
+        18 => ExecResult { instance, step, attempt, outputs },
+        19 => StateProbeReply,
     }
 }
 
@@ -89,7 +92,7 @@ mod tests {
             attempt: 2,
             cost: 99,
         });
-        round_trip(CentralMsg::StateProbe { token: u64::MAX });
+        round_trip(CentralMsg::StateProbe);
         round_trip(CentralMsg::CompensateRequest {
             instance: inst(6),
             step: StepId(1),
@@ -102,19 +105,14 @@ mod tests {
             step: StepId(3),
             attempt: 1,
             outputs: Some(vec![Value::Int(1)]),
-            error: None,
         });
         round_trip(CentralMsg::ExecResult {
             instance: inst(7),
             step: StepId(3),
             attempt: 2,
             outputs: None,
-            error: Some("boom".into()),
         });
-        round_trip(CentralMsg::StateProbeReply {
-            token: 4,
-            load: 1000,
-        });
+        round_trip(CentralMsg::StateProbeReply);
         round_trip(CentralMsg::CompensateResult {
             instance: inst(8),
             step: StepId(4),
@@ -199,6 +197,33 @@ mod tests {
                 tag: 200
             })
         ));
+    }
+
+    #[test]
+    fn retired_tag_does_not_decode() {
+        // Golden bytes from before the retirement: StateProbe { token
+        // u64::MAX }, ExecResult { WF2 #7, S3, attempt 1, outputs [1],
+        // error None } and StateProbeReply { token 4, load 1000 }.
+        let samples = [
+            ("05ffffffffffffffff", 5),
+            (
+                "0702000000070000000300000001000000010100000000010000000000000000",
+                7,
+            ),
+            ("080400000000000000e803000000000000", 8),
+        ];
+        for (hex, tag) in samples {
+            let bytes: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+                .collect();
+            let got = CentralMsg::decode(&mut Bytes::from(bytes));
+            let want = CodecError::BadTag {
+                context: "CentralMsg",
+                tag,
+            };
+            assert_eq!(got, Err(want), "{hex}");
+        }
     }
 
     proptest! {

@@ -96,7 +96,6 @@ pub struct Engine {
     ro: RoArbiter,
     /// The mutual exclusions this engine manages, by requirement.
     mutexes: BTreeMap<u32, MutexQueue>,
-    probe_token: u64,
     // ---- live migration (crew-shard) ----
     /// Per-instance command log: the encoded `CentralMsg` inputs (real and
     /// synthesized) that mention each hosted instance, in delivery order.
@@ -180,7 +179,6 @@ impl Engine {
             clock: 0,
             ro: RoArbiter::default(),
             mutexes: BTreeMap::new(),
-            probe_token: 0,
             cmd_log: BTreeMap::new(),
             forwards: BTreeMap::new(),
             forwarded_msgs: 0,
@@ -839,13 +837,7 @@ impl Engine {
                     },
                 );
             } else {
-                self.probe_token += 1;
-                ctx.send(
-                    node,
-                    CentralMsg::StateProbe {
-                        token: self.probe_token,
-                    },
-                );
+                ctx.send(node, CentralMsg::StateProbe);
             }
         }
     }
@@ -1181,7 +1173,6 @@ impl Engine {
                 step,
                 attempt,
                 outputs,
-                ..
             } => self.on_exec_result(instance, step, attempt, outputs, ctx),
             CentralMsg::CompensateResult { instance, step, .. } => {
                 self.apply_compensation(instance, step);
@@ -1189,10 +1180,9 @@ impl Engine {
                 self.pump_comp_queue(instance, ctx);
                 self.fire_rules(instance, ctx);
             }
-            CentralMsg::StateProbeReply { .. } => {
-                // Load information feeds future dispatch choices; the
-                // deterministic chooser already balances, so replies are
-                // informational.
+            CentralMsg::StateProbeReply => {
+                // The gather half of the §6 scatter-gather: the
+                // deterministic chooser reads nothing from it.
             }
             CentralMsg::Coord(c) => self.on_coord(c, ctx),
             CentralMsg::ChildStart {
@@ -1223,7 +1213,7 @@ impl Engine {
                 }
             }
             CentralMsg::ExecRequest { .. }
-            | CentralMsg::StateProbe { .. }
+            | CentralMsg::StateProbe
             | CentralMsg::CompensateRequest { .. } => {
                 // Agent-bound messages; an engine receiving one is a
                 // routing bug surfaced by tests.
@@ -1365,7 +1355,7 @@ impl Indexed {
     /// `msg`'s entry, read off the decoded message it is journaled from.
     fn of(msg: &CentralMsg) -> Indexed {
         let kind = match msg {
-            CentralMsg::StateProbeReply { .. } => return Indexed::DROP,
+            CentralMsg::StateProbeReply => return Indexed::DROP,
             CentralMsg::MigrateState { .. } => Indexed::INSTALL,
             _ => Indexed::SOLE,
         };
@@ -1451,7 +1441,6 @@ impl Node<CentralMsg> for Engine {
         self.executing.clear();
         self.ro = RoArbiter::default();
         self.mutexes.clear();
-        self.probe_token = 0;
         self.cmd_log.clear();
         self.forwards.clear();
         self.forwarded_msgs = 0;
@@ -1594,7 +1583,6 @@ mod tests {
             step: StepId(1),
             attempt: 1,
             outputs: Some(vec![Value::Int(5)]),
-            error: None,
         };
         let mut ctx = Ctx::detached(1, NodeId(1));
         e.on_message(NodeId(0), result.clone(), &mut ctx);
@@ -1629,7 +1617,6 @@ mod tests {
             step: StepId(1),
             attempt: 1,
             outputs: None,
-            error: Some("first attempt".into()),
         };
         deliver(&mut e, failed);
         // The rollback to S1 dispatched its second attempt.
@@ -1653,7 +1640,6 @@ mod tests {
             step: StepId(step),
             attempt: 1,
             outputs: Some(vec![Value::Int(5)]),
-            error: None,
         }
     }
 
@@ -2088,14 +2074,13 @@ mod tests {
                 return;
             }
             for (instance, step, attempt) in due {
-                let reply = CentralMsg::StateProbeReply { token: 1, load: 0 };
+                let reply = CentralMsg::StateProbeReply;
                 feed(engines, NodeId(0), reply);
                 let result = CentralMsg::ExecResult {
                     instance,
                     step,
                     attempt,
                     outputs: Some(vec![Value::Int(5)]),
-                    error: None,
                 };
                 feed(engines, NodeId(0), result);
             }

@@ -93,9 +93,7 @@ pub enum CentralMsg {
         cost: u64,
     },
     /// Load probe to the non-chosen eligible agents (scatter half).
-    StateProbe {
-        token: u64,
-    },
+    StateProbe,
     /// Compensate a previously executed step.
     CompensateRequest {
         instance: InstanceId,
@@ -112,13 +110,11 @@ pub enum CentralMsg {
         instance: InstanceId,
         step: StepId,
         attempt: u32,
+        /// `None` when the attempt failed.
         outputs: Option<Vec<Value>>,
-        error: Option<String>,
     },
-    StateProbeReply {
-        token: u64,
-        load: u64,
-    },
+    /// The probed agent's answer (gather half).
+    StateProbeReply,
     CompensateResult {
         instance: InstanceId,
         step: StepId,
@@ -206,8 +202,8 @@ impl CentralMsg {
             // parent's own command log, and routing is to the child's side.
             CentralMsg::ChildStart { child, .. } => one(child),
             CentralMsg::ChildDone { parent, .. } => one(parent),
-            CentralMsg::StateProbe { .. }
-            | CentralMsg::StateProbeReply { .. }
+            CentralMsg::StateProbe
+            | CentralMsg::StateProbeReply
             | CentralMsg::MigrateState { .. }
             | CentralMsg::MigrateAck { .. }
             | CentralMsg::OwnerChanged { .. } => [None, None],
@@ -251,9 +247,9 @@ impl Classify for CentralMsg {
             CentralMsg::WorkflowStart { .. }
             | CentralMsg::WorkflowStatus { .. }
             | CentralMsg::ExecRequest { .. }
-            | CentralMsg::StateProbe { .. }
+            | CentralMsg::StateProbe
             | CentralMsg::ExecResult { .. }
-            | CentralMsg::StateProbeReply { .. }
+            | CentralMsg::StateProbeReply
             | CentralMsg::ChildStart { .. }
             | CentralMsg::ChildDone { .. } => Mechanism::Normal,
             CentralMsg::WorkflowChangeInputs { .. } => Mechanism::InputChange,

@@ -48,7 +48,7 @@
 //!   is played here and sends otherwise, so a co-located and a remote
 //!   partner run the same code.
 
-use crate::msg::{CoordRule, DistMsg, StepStatusKind, WorkflowStatusKind};
+use crate::msg::{CoordRule, DistMsg, WorkflowStatusKind};
 use crate::packet::WorkflowPacket;
 use crate::runtime::{coordination_agent, SharedCtx, SuccessorSelection};
 use crate::weight::Weight;
@@ -63,9 +63,7 @@ use crew_model::{
 };
 use crew_rules::{compile_schema, EventKind};
 use crew_simnet::{Ctx, Node, NodeId, TimerId};
-use crew_storage::{
-    recover_for_node, AgentDb, DbOp, InstanceStatus, MemStore, StoredStepState, Wal,
-};
+use crew_storage::{recover_for_node, DbOp, InstanceStatus, MemStore, Wal};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -120,9 +118,9 @@ pub struct DistAgent {
     /// Compiled rule templates per schema (lazily built): only the rows
     /// of steps this agent is eligible for, the others it never installs.
     templates: BTreeMap<crew_model::SchemaId, Arc<Vec<crew_rules::TemplateRule>>>,
-    /// AGDB: the write-ahead log. Its table projection exists only inside
-    /// `on_recover`; live, the navigators hold the only copy of the data.
-    wal: Wal<DbOp, MemStore>,
+    /// AGDB: the write-ahead log. The navigators hold the only copy of
+    /// its tables; `on_recover` folds the log straight back into them.
+    pub(crate) wal: Wal<DbOp, MemStore>,
     /// Coordination instance summary table — the one AGDB table read
     /// live (`WorkflowStatus`), so it is kept beside the log.
     statuses: BTreeMap<InstanceId, InstanceStatus>,
@@ -266,6 +264,27 @@ impl DistAgent {
         }
     }
 
+    /// Journal `step`'s row in the step table: the state it reached, the
+    /// attempt that reached it and, when `Done`, what it produced (recovery
+    /// derives the step's data writes from those).
+    fn log_step(
+        &mut self,
+        instance: InstanceId,
+        step: StepId,
+        state: StepState,
+        attempt: u32,
+        outputs: Vec<Value>,
+    ) {
+        let row = DbOp::StepRecorded {
+            instance,
+            step,
+            state,
+            attempt,
+            outputs,
+        };
+        self.log(&row);
+    }
+
     /// Journal a summary-table change and apply it.
     fn set_status(&mut self, instance: InstanceId, status: InstanceStatus) {
         self.log(&DbOp::StatusChanged { instance, status });
@@ -315,7 +334,6 @@ impl DistAgent {
                 Arc::new(rows)
             })
             .clone();
-        self.log(&DbOp::InstanceCreated { instance });
 
         let seed = self.seed();
         let load_balanced =
@@ -553,26 +571,11 @@ impl DistAgent {
                 cost,
             } => {
                 ctx.add_load(cost);
-                self.log(&DbOp::StepRecorded {
-                    instance,
-                    step: def.id,
-                    state: StoredStepState::Done,
-                    attempt,
-                    outputs: outputs.clone(),
-                });
-                for (key, v) in declared_outputs(def, &outputs) {
-                    self.log_write(instance, key, v.clone());
-                }
+                self.log_step(instance, def.id, StepState::Done, attempt, outputs);
                 self.after_step_done(instance, def.id, true, ctx);
             }
             StepOutcome::Failed { attempt, .. } => {
-                self.log(&DbOp::StepRecorded {
-                    instance,
-                    step: def.id,
-                    state: StoredStepState::Failed,
-                    attempt,
-                    outputs: vec![],
-                });
+                self.log_step(instance, def.id, StepState::Failed, attempt, vec![]);
                 let schema = self.schema(instance);
                 let nav = &mut self.inst(instance).nav;
                 match nav.failure_verdict(&schema, def.id, attempt) {
@@ -993,13 +996,7 @@ impl DistAgent {
         ctx.add_load(cost);
         let retract = nav.compensated(&schema, step);
         self.log(&DbOp::StepOutputsCleared { instance, step });
-        self.log(&DbOp::StepRecorded {
-            instance,
-            step,
-            state: StoredStepState::Compensated,
-            attempt,
-            outputs: vec![],
-        });
+        self.log_step(instance, step, StepState::Compensated, attempt, vec![]);
         if retract {
             self.report_terminal_weight(instance, step, Weight::ZERO, &schema, ctx);
         }
@@ -1247,10 +1244,9 @@ impl DistAgent {
         self.nav_load(ctx);
         let schema = self.schema(parent);
         let def = schema.expect_step(parent_step);
-        for (key, v) in declared_outputs(def, &outputs) {
-            self.log_write(parent, key, v.clone());
-        }
-        self.inst(parent).nav.record_child_done(def, outputs);
+        let nav = &mut self.inst(parent).nav;
+        let attempt = nav.record_child_done(def, outputs.clone());
+        self.log_step(parent, parent_step, StepState::Done, attempt, outputs);
         self.after_step_done(parent, parent_step, true, ctx);
     }
 
@@ -1459,15 +1455,8 @@ impl DistAgent {
         from: NodeId,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let status = match self.instances.get(&instance) {
-            None => StepStatusKind::Unknown,
-            Some(st) => match st.nav.history.state(step) {
-                StepState::Done => StepStatusKind::Done,
-                StepState::Failed => StepStatusKind::Failed,
-                StepState::Executing => StepStatusKind::Executing,
-                StepState::NotExecuted | StepState::Compensated => StepStatusKind::Unknown,
-            },
-        };
+        let history = self.instances.get(&instance).map(|st| &st.nav.history);
+        let status = history.map_or(StepState::NotExecuted, |h| h.state(step));
         ctx.send(
             from,
             DistMsg::StepStatusReply {
@@ -1482,19 +1471,17 @@ impl DistAgent {
         &mut self,
         instance: InstanceId,
         step: StepId,
-        status: StepStatusKind,
+        status: StepState,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        match status {
-            StepStatusKind::Done | StepStatusKind::Executing | StepStatusKind::Failed => {
-                // Someone made (or is making) progress: keep waiting; the
-                // packet / failure protocol will reach us.
-                let st = self.inst(instance);
-                st.poll_pending.remove(&step);
-                st.awaiting_remote.remove(&step);
-            }
-            StepStatusKind::Unknown => self.try_takeover(instance, step, ctx),
+        if matches!(status, StepState::NotExecuted | StepState::Compensated) {
+            return self.try_takeover(instance, step, ctx);
         }
+        // Someone made (or is making) progress: keep waiting; the packet /
+        // failure protocol will reach us.
+        let st = self.inst(instance);
+        st.poll_pending.remove(&step);
+        st.awaiting_remote.remove(&step);
     }
 
     fn on_execute_request(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<DistMsg>) {
@@ -1577,11 +1564,6 @@ impl DistAgent {
     /// The instance's execution history at this agent.
     pub fn history_of(&self, instance: InstanceId) -> Option<&InstanceHistory> {
         self.instances.get(&instance).map(|s| &s.nav.history)
-    }
-
-    /// Cumulative navigation load.
-    pub fn total_load(&self) -> u64 {
-        self.load
     }
 }
 
@@ -1716,6 +1698,7 @@ impl Node<DistMsg> for DistAgent {
     fn on_crash(&mut self) {
         // Fail-stop: volatile state is lost; the AGDB (WAL) survives.
         self.instances.clear();
+        self.statuses.clear();
         self.templates.clear();
         self.ro = RoArbiter::default();
         self.mutexes.clear();
@@ -1726,10 +1709,11 @@ impl Node<DistMsg> for DistAgent {
     }
 
     fn on_recover(&mut self, _ctx: &mut Ctx<DistMsg>) {
-        // Forward recovery: rebuild the persisted projection from the WAL.
-        // Volatile navigation state (rule sets, histories) is rebuilt from
-        // the projection lazily as packets arrive; completed-step facts are
-        // restored here so StepStatus polls answer correctly.
+        // Forward recovery: fold the AGDB journal, in log order, straight
+        // into the navigators and the summary table. Volatile navigation
+        // state (rule sets, gates) is rebuilt lazily as packets arrive;
+        // completed-step facts are restored here so StepStatus polls
+        // answer correctly.
         let Some(ops) = recover_for_node(&mut self.wal) else {
             // Unreadable AGDB: degrade to a halted node rather than serving
             // from amnesia — peers observe a silent agent and route around
@@ -1737,36 +1721,58 @@ impl Node<DistMsg> for DistAgent {
             self.halted = true;
             return;
         };
-        let db = AgentDb::replay(ops.iter());
-        for (&instance, table) in db.instances() {
-            let st = self.instances.entry(instance).or_default();
-            st.nav.data = table.data.clone();
-            let history = &mut st.nav.history;
-            for (step, (state, attempt, outputs)) in &table.steps {
-                // The journaled attempt is the step's attempt counter: a
-                // recovered agent must neither re-grant spent retries nor
-                // re-fire scripted first-attempt failures.
-                if *state != StoredStepState::Executing {
-                    history.restore_attempts(*step, *attempt);
+        for op in ops {
+            match op {
+                DbOp::DataWritten {
+                    instance,
+                    key,
+                    value,
+                } => self.inst(instance).nav.data.set(key, value),
+                DbOp::StepOutputsCleared { instance, step } => {
+                    self.inst(instance).nav.data.clear_step_outputs(step);
                 }
-                match state {
-                    StoredStepState::Done | StoredStepState::Compensated => {
-                        history.record_done(*step, *attempt, vec![], outputs.clone());
-                        if *state == StoredStepState::Compensated {
-                            history.record_compensated(*step);
+                DbOp::StepRecorded {
+                    instance,
+                    step,
+                    state,
+                    attempt,
+                    outputs,
+                } => {
+                    let schema = self.schema(instance);
+                    let nav = &mut self.inst(instance).nav;
+                    // The journaled attempt is the step's attempt counter
+                    // (rows are journaled as `Done`, `Failed` and
+                    // `Compensated` only): a recovered agent must neither
+                    // re-grant spent retries nor re-fire scripted
+                    // first-attempt failures.
+                    nav.history.restore_attempts(step, attempt);
+                    match state {
+                        StepState::Done => {
+                            let def = schema.expect_step(step);
+                            for (key, v) in declared_outputs(def, &outputs) {
+                                nav.data.set(key, v.clone());
+                            }
+                            nav.history.record_done(step, attempt, vec![], outputs);
                         }
+                        StepState::Failed => nav.history.record_failed(step),
+                        StepState::Compensated => nav.history.record_compensated(step),
+                        StepState::Executing | StepState::NotExecuted => {}
                     }
-                    StoredStepState::Failed => history.record_failed(*step),
-                    StoredStepState::Executing => {}
                 }
-            }
-            if let Some(status) = db.status(instance) {
-                st.is_coordinator = true;
-                st.nav.committed = status == InstanceStatus::Committed;
-                st.nav.aborted = status == InstanceStatus::Aborted;
+                DbOp::StatusChanged { instance, status } => {
+                    let st = self.inst(instance);
+                    st.is_coordinator = true;
+                    st.nav.committed = status == InstanceStatus::Committed;
+                    st.nav.aborted = status == InstanceStatus::Aborted;
+                    self.statuses.insert(instance, status);
+                }
+                DbOp::InstancePurged { instance } => {
+                    self.instances.remove(&instance);
+                }
+                // An engine's records: no agent writes them.
+                DbOp::EngineInput { .. } | DbOp::CommandsDropped { .. } => {}
             }
         }
-        self.statuses = db.into_summary();
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1782,13 +1788,15 @@ mod tests {
     use crew_exec::{Deployment, FailurePlan};
     use crew_model::{AgentId, ItemKey, RetryPolicy, SchemaBuilder, SchemaId, Value};
 
-    /// S1 → S2, both on agent 0 with an in-place retry budget; `plan`
-    /// scripts which attempts fail.
+    /// S1 → S2, both on agent 0 with an in-place retry budget; S1 copies
+    /// the workflow input into its output. `plan` scripts which attempts
+    /// fail.
     fn deployment_with(plan: FailurePlan) -> Deployment {
         let mut b = SchemaBuilder::new(SchemaId(1), "wf1").inputs(1);
         let s1 = b.add_step("S1", "passthrough");
         let s2 = b.add_step("S2", "passthrough");
         b.seq(s1, s2);
+        b.read(s1, ItemKey::input(1));
         for s in [s1, s2] {
             b.configure(s, |d| {
                 d.eligible_agents = vec![AgentId(0)];
@@ -1813,11 +1821,11 @@ mod tests {
         agent_with(FailurePlan::none())
     }
 
-    /// Everything a crash must not lose, read through the public
-    /// accessors: the data table; per step its state, its attempt counter
-    /// and, while an execution stands (`Done`), that execution's attempt
-    /// and outputs (a compensated step's outputs are retracted, and
-    /// journaled as such); and the summary row.
+    /// Everything a crash must not lose: the data table; per step its
+    /// state, its attempt counter and, while an execution stands (`Done`),
+    /// that execution's attempt and outputs (a compensated step's outputs
+    /// are retracted, and journaled as such); the summary row; and the
+    /// coordinator's role and verdict flags it is read back into.
     fn durable_state(
         a: &DistAgent,
         instance: InstanceId,
@@ -1834,10 +1842,12 @@ mod tests {
                 (history.state(s), history.attempts(s), standing)
             })
             .collect();
+        let st = &a.instances[&instance];
         (
             a.data_of(instance).cloned(),
             rows,
             a.instance_status(instance),
+            (st.is_coordinator, st.nav.committed, st.nav.aborted),
         )
     }
 
@@ -1918,8 +1928,8 @@ mod tests {
 
     /// The AGDB journal of a fault-free run, as numbers: every agent that
     /// receives a packet journals each item it carries once (the packet
-    /// grows by one output per hop), the executor adds one step row and
-    /// one item per output, the coordination agent two summary rows.
+    /// grows by one output per hop), the executor adds one step row that
+    /// carries the step's outputs, the coordination agent two summary rows.
     #[test]
     fn fault_free_journal_is_pinned_per_agent() {
         let mut b = SchemaBuilder::new(SchemaId(1), "wf3").inputs(1);
@@ -1949,13 +1959,12 @@ mod tests {
         );
 
         let kinds = |agent: u32| {
-            let mut counts = [0usize; 4];
+            let mut counts = [0usize; 3];
             for op in journal(run.agent(AgentId(agent))) {
                 let i = match op {
-                    DbOp::InstanceCreated { .. } => 0,
-                    DbOp::DataWritten { .. } => 1,
-                    DbOp::StepRecorded { .. } => 2,
-                    DbOp::StatusChanged { .. } => 3,
+                    DbOp::DataWritten { .. } => 0,
+                    DbOp::StepRecorded { .. } => 1,
+                    DbOp::StatusChanged { .. } => 2,
                     other => panic!("unexpected record in a fault-free run: {other:?}"),
                 };
                 counts[i] += 1;
@@ -1968,18 +1977,19 @@ mod tests {
             run.deployment.expect_schema(SchemaId(1)).expect_step(s2),
         );
         let standby = if executor == AgentId(1) { 2 } else { 1 };
-        // [created, data, step rows, summary rows]. Agent 0 merges the
-        // start packet (1 item) and S3's packet (3), and writes S1's and
-        // S3's outputs; S2's executor merges 2 items and writes 1; the
-        // standby only merges.
-        assert_eq!(kinds(0), [1, 1 + 3 + 2, 2, 2]);
-        assert_eq!(kinds(executor.0), [1, 2 + 1, 1, 0]);
-        assert_eq!(kinds(standby), [1, 2, 0, 0]);
+        // [data, step rows, summary rows]. Agent 0 merges the start
+        // packet (1 item) and S3's packet (3); S2's executor and the
+        // standby merge S2's packet (2 items). Outputs ride in the step
+        // rows, not as items of their own.
+        assert_eq!(kinds(0), [1 + 3, 2, 2]);
+        assert_eq!(kinds(executor.0), [2, 1, 0]);
+        assert_eq!(kinds(standby), [2, 0, 0]);
     }
 
     #[test]
     fn readable_wal_recovers_projection() {
-        let instance = InstanceId::new(SchemaId(1), 1);
+        let [instance, committed, aborted, purged] =
+            [1, 2, 3, 4].map(|n| InstanceId::new(SchemaId(1), n));
         let (s1, s2) = (StepId(1), StepId(2));
         // S1 fails once, S2 three times; every retry is a self-send the
         // detached context drops, so the test delivers them by hand.
@@ -1987,7 +1997,8 @@ mod tests {
             .fail_step(instance, s1, 1)
             .fail_step(instance, s2, 1)
             .fail_step(instance, s2, 2)
-            .fail_step(instance, s2, 3);
+            .fail_step(instance, s2, 3)
+            .fail_step(aborted, s1, 1);
         let mut a = agent_with(plan);
         let mut ctx = Ctx::detached(0, NodeId(0));
         let mut deliver = |a: &mut DistAgent, msg| a.on_message(NodeId(0), msg, &mut ctx);
@@ -2009,7 +2020,34 @@ mod tests {
             (history.state(s2), history.attempts(s2)),
             (StepState::Failed, 3)
         );
-        let before = durable_state(&a, instance, &[s1, s2]);
+        // Beside it: an instance that commits, one aborted after a failed
+        // attempt, and one this agent ran from a packet alone (so it is no
+        // coordinator of it) and then purged.
+        let inputs = vec![(ItemKey::input(1), Value::Int(6))];
+        for i in [committed, aborted] {
+            let (inputs, parent) = (inputs.clone(), None);
+            deliver(
+                &mut a,
+                DistMsg::WorkflowStart {
+                    instance: i,
+                    inputs,
+                    parent,
+                },
+            );
+        }
+        deliver(&mut a, DistMsg::WorkflowAbort { instance: aborted });
+        let data = inputs.into_iter().collect();
+        let packet = WorkflowPacket::initial(purged, s1, data);
+        deliver(&mut a, DistMsg::StepExecute { packet });
+        deliver(
+            &mut a,
+            DistMsg::PurgeBroadcast {
+                instances: vec![purged],
+            },
+        );
+        assert!(a.history_of(purged).is_none());
+        let steps = [s1, s2];
+        let before = [instance, committed, aborted].map(|i| durable_state(&a, i, &steps));
 
         a.on_crash();
         assert!(a.instances.is_empty());
@@ -2017,10 +2055,39 @@ mod tests {
         a.on_recover(&mut ctx);
         assert!(!a.is_halted());
         assert_eq!(
-            durable_state(&a, instance, &[s1, s2]),
+            [instance, committed, aborted].map(|i| durable_state(&a, i, &steps)),
             before,
             "recovery rebuilds exactly the pre-crash state"
         );
+        // What the rows say, spelled out: the compensated step's output is
+        // gone from the data table, the coordinator's verdicts are back, and
+        // the purged instance stays purged.
+        assert_eq!(
+            a.data_of(instance).unwrap().get(&ItemKey::output(s1, 1)),
+            None
+        );
+        assert_eq!(
+            a.data_of(committed).unwrap().get(&ItemKey::output(s1, 1)),
+            Some(&Value::Int(6))
+        );
+        let flags = |i| {
+            let st = &a.instances[&i];
+            (
+                a.instance_status(i),
+                st.is_coordinator,
+                st.nav.committed,
+                st.nav.aborted,
+            )
+        };
+        assert_eq!(
+            flags(committed),
+            (Some(InstanceStatus::Committed), true, true, false)
+        );
+        assert_eq!(
+            flags(aborted),
+            (Some(InstanceStatus::Aborted), true, false, true)
+        );
+        assert!(a.history_of(purged).is_none());
         // The AGDB journal holds only what that state is rebuilt from.
         // The match is exhaustive so a new record kind has to be
         // classified here as read by `on_recover` or not an agent's.
@@ -2028,8 +2095,7 @@ mod tests {
         assert!(!journal.is_empty());
         for op in journal {
             match op {
-                DbOp::InstanceCreated { .. }
-                | DbOp::DataWritten { .. }
+                DbOp::DataWritten { .. }
                 | DbOp::StepOutputsCleared { .. }
                 | DbOp::StepRecorded { .. }
                 | DbOp::StatusChanged { .. }
@@ -2059,6 +2125,82 @@ mod tests {
         let history = a.history_of(instance).unwrap();
         assert_eq!(history.state(s2), StepState::Done);
         assert_eq!(history.record(s2).map(|r| r.attempt), Some(4));
+    }
+
+    /// Polls one step's status at `agent` once, `at` ticks in, and keeps
+    /// the answers.
+    struct Poll {
+        agent: NodeId,
+        instance: InstanceId,
+        step: StepId,
+        at: u64,
+        answers: Vec<StepState>,
+    }
+
+    impl Node<DistMsg> for Poll {
+        fn on_start(&mut self, ctx: &mut Ctx<DistMsg>) {
+            ctx.set_timer(self.at, TimerId(0));
+        }
+        fn on_timer(&mut self, _timer: TimerId, ctx: &mut Ctx<DistMsg>) {
+            let (instance, step) = (self.instance, self.step);
+            ctx.send(self.agent, DistMsg::StepStatus { instance, step });
+        }
+        fn on_message(&mut self, _from: NodeId, msg: DistMsg, _ctx: &mut Ctx<DistMsg>) {
+            if let DistMsg::StepStatusReply { status, .. } = msg {
+                self.answers.push(status);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// A nested step's completion is journaled as a step row like any
+    /// other, so a crash after the child's `NestedCompleted` keeps it: the
+    /// recovered agent holds the step `Done` with its attempt and outputs,
+    /// and answers a `StepStatus` poll with `Done`.
+    #[test]
+    fn a_nested_steps_completion_survives_a_crash() {
+        let mut b = SchemaBuilder::new(SchemaId(2), "child").inputs(1);
+        let c1 = b.add_step("C1", "passthrough");
+        b.read(c1, ItemKey::input(1));
+        b.configure(c1, |d| d.eligible_agents = vec![AgentId(1)]);
+        let child = b.build().unwrap();
+        let mut b = SchemaBuilder::new(SchemaId(1), "parent").inputs(1);
+        let call = b.add_nested("Call", SchemaId(2));
+        b.read(call, ItemKey::input(1));
+        b.configure(call, |d| d.eligible_agents = vec![AgentId(0)]);
+        let deployment = Deployment::new([b.build().unwrap(), child]);
+        let mut run = crate::DistRun::new(deployment, 2, DistConfig::default());
+        let parent = run.start_instance(SchemaId(1), vec![(1, Value::Int(7))]);
+        // The parent step's agent goes down well after the commit, and is
+        // polled once it is back.
+        let agent = run.directory.node_of(AgentId(0));
+        let poll = Poll {
+            agent,
+            instance: parent,
+            step: call,
+            at: 1_000,
+            answers: Vec::new(),
+        };
+        let poll = run.sim.add_node(poll);
+        run.sim.schedule_crash(agent, 500, Some(100));
+        run.sim.run_until(400);
+        assert!(run.completion_times()[&parent] < 400);
+        let history = run.agent(AgentId(0)).history_of(parent).unwrap();
+        let record = history.record(call).unwrap();
+        assert_eq!(history.state(call), StepState::Done);
+        assert_eq!(
+            (record.attempt, &record.outputs[..]),
+            (1, &[Value::Int(7)][..])
+        );
+        let before = durable_state(run.agent(AgentId(0)), parent, &[call]);
+
+        run.run();
+        let after = durable_state(run.agent(AgentId(0)), parent, &[call]);
+        assert_eq!(after, before, "the nested step's row survives the crash");
+        let answers = &run.sim.node_as::<Poll>(poll).unwrap().answers;
+        assert_eq!(answers, &[StepState::Done]);
     }
 
     /// A failed attempt leaves no trace in the event table, and so none in

@@ -9,7 +9,7 @@
 //! implement the codec traits here: their fields go `via` the function
 //! pairs below.
 
-use crate::msg::{CoordRule, DistMsg, StepStatusKind, WorkflowStatusKind};
+use crate::msg::{CoordRule, DistMsg, WorkflowStatusKind};
 use crate::packet::WorkflowPacket;
 use crate::weight::Weight;
 use bytes::{Bytes, BytesMut};
@@ -74,15 +74,6 @@ fn decode_weight(buf: &mut Bytes) -> Result<Weight, CodecError> {
 // ---- protocol types -------------------------------------------------------
 
 wire! {
-    enum StepStatusKind {
-        0 => Unknown,
-        1 => Executing,
-        2 => Done,
-        3 => Failed,
-    }
-}
-
-wire! {
     enum WorkflowStatusKind {
         0 => Committed,
         1 => Aborted,
@@ -120,8 +111,9 @@ wire! {
 // Retired tags are left unused and never reused, so a channel log written
 // with one fails to decode instead of being misread: 7 is `StepExecute`
 // whose packet carried relative-order tags, 24 `AddPrecondition`, a
-// message form of those tags. Every agent now wires the ordering guards at
-// instantiation.
+// message form of those tags (every agent now wires the ordering guards at
+// instantiation), and 20 `StepStatusReply` with a four-value status of its
+// own (its row now carries the step's `StepState`).
 wire! {
     enum DistMsg {
         0 => WorkflowStart { instance, inputs, parent },
@@ -143,13 +135,13 @@ wire! {
         17 => CompensateSet { instance, origin, steps },
         18 => CompensateThread { instance, steps },
         19 => StepStatus { instance, step },
-        20 => StepStatusReply { instance, step, status },
         21 => ExecuteRequest { instance, step },
         22 => AddRule { rule },
         23 => AddEvent { instance, tag },
         25 => PurgeBroadcast { instances },
         26 => StepRetry { instance, step },
         27 => StepExecute { packet },
+        28 => StepStatusReply { instance, step, status },
     }
 }
 
@@ -157,7 +149,7 @@ wire! {
 mod tests {
     use super::*;
     use bytes::Buf;
-    use crew_model::{DataEnv, InstanceId, ItemKey, SchemaId, StepId, Value};
+    use crew_model::{DataEnv, InstanceId, ItemKey, SchemaId, StepId, StepState, Value};
 
     fn inst(n: u32) -> InstanceId {
         InstanceId::new(SchemaId(2), n)
@@ -306,10 +298,11 @@ mod tests {
             });
         }
         for status in [
-            StepStatusKind::Unknown,
-            StepStatusKind::Executing,
-            StepStatusKind::Done,
-            StepStatusKind::Failed,
+            StepState::NotExecuted,
+            StepState::Executing,
+            StepState::Done,
+            StepState::Failed,
+            StepState::Compensated,
         ] {
             round_trip(DistMsg::StepStatusReply {
                 instance: inst(1),
@@ -355,7 +348,8 @@ mod tests {
         // packet of WF2 #1, with its two empty tag lists; AddRule of a
         // RoNotify that still named the tag and the lagging step; StepExecute
         // of a packet whose event list still held `S2.F` (tag 2) and the
-        // other retired event kinds.
+        // other retired event kinds; StepStatusReply { WF2 #1, S2, Done }
+        // under its old tag.
         let samples = [
             ("180200000001000000020000000400000000000000", "DistMsg", 24),
             (
@@ -379,6 +373,7 @@ mod tests {
                 "EventKind",
                 2,
             ),
+            ("1402000000010000000200000002", "DistMsg", 20),
         ];
         for (hex, context, tag) in samples {
             let bytes: Vec<u8> = (0..hex.len())

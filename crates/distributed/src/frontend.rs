@@ -9,54 +9,10 @@
 
 use crate::msg::{DistMsg, WorkflowStatusKind};
 use crate::runtime::{coordination_agent, SharedCtx};
-use crew_model::{InstanceId, ItemKey, Value};
+use crew_model::InstanceId;
 use crew_simnet::{Ctx, Node, NodeId};
 use std::any::Any;
 use std::collections::BTreeMap;
-
-/// A user request the front end accepts from the external world. External
-/// drivers build one of these and convert it to the wire message with
-/// [`UserRequest::into_msg`].
-#[derive(Debug, Clone)]
-#[allow(missing_docs)]
-pub enum UserRequest {
-    Start {
-        instance: InstanceId,
-        inputs: Vec<(ItemKey, Value)>,
-    },
-    Abort {
-        instance: InstanceId,
-    },
-    ChangeInputs {
-        instance: InstanceId,
-        new_inputs: Vec<(ItemKey, Value)>,
-    },
-    Status {
-        instance: InstanceId,
-    },
-}
-
-impl UserRequest {
-    /// The wire message to send to the front-end node.
-    pub fn into_msg(self) -> DistMsg {
-        match self {
-            UserRequest::Start { instance, inputs } => DistMsg::WorkflowStart {
-                instance,
-                inputs,
-                parent: None,
-            },
-            UserRequest::Abort { instance } => DistMsg::WorkflowAbort { instance },
-            UserRequest::ChangeInputs {
-                instance,
-                new_inputs,
-            } => DistMsg::WorkflowChangeInputs {
-                instance,
-                new_inputs,
-            },
-            UserRequest::Status { instance } => DistMsg::WorkflowStatus { instance },
-        }
-    }
-}
 
 /// Observed terminal outcome of an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -24,6 +24,7 @@ pub mod frontend;
 pub mod msg;
 pub mod packet;
 pub mod runtime;
+mod tables;
 
 /// Re-export of the shared thread-accounting weight (lives in `crew-exec`
 /// so the central/parallel engines use the identical commit accounting).
@@ -34,7 +35,7 @@ pub mod weight {
 pub use agent::DistAgent;
 pub use builder::DistRun;
 pub use frontend::{FrontEnd, Outcome};
-pub use msg::{CoordRule, DistMsg, StepStatusKind, WorkflowStatusKind};
+pub use msg::{CoordRule, DistMsg, WorkflowStatusKind};
 pub use packet::WorkflowPacket;
 pub use runtime::{
     coordination_agent, designated_agent, Directory, DistConfig, SharedCtx, SuccessorSelection,

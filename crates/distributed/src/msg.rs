@@ -15,22 +15,9 @@
 
 use crate::packet::WorkflowPacket;
 use crate::weight::Weight;
-use crew_model::{InstanceId, ItemKey, StepId, Value};
+use crew_model::{InstanceId, ItemKey, StepId, StepState, Value};
 use crew_simnet::{Classify, Mechanism};
 use crew_storage::VariantName;
-
-/// Reply to a `StepStatus` poll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepStatusKind {
-    /// This agent knows nothing about that step execution.
-    Unknown,
-    /// This agent is (or is about to be) executing it.
-    Executing,
-    /// This agent completed it.
-    Done,
-    /// This agent saw it fail.
-    Failed,
-}
 
 /// A coordination agent's answer about a workflow: its status, or the
 /// rejection of a request it can no longer honour.
@@ -197,11 +184,12 @@ pub enum DistMsg {
     /// Poll the status of a step at its eligible agents (predecessor-crash
     /// recovery).
     StepStatus { instance: InstanceId, step: StepId },
-    /// Status poll reply.
+    /// Status poll reply: the step's state in the replier's history
+    /// (`NotExecuted` when it holds no such instance).
     StepStatusReply {
         instance: InstanceId,
         step: StepId,
-        status: StepStatusKind,
+        status: StepState,
     },
     /// Ask an alternate eligible agent to take over a (query) step whose
     /// designated executor is unreachable.

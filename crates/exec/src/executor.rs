@@ -171,8 +171,7 @@ impl StepExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::StepState;
-    use crew_model::{InputBinding, ItemKey, SchemaId, StepId};
+    use crew_model::{InputBinding, ItemKey, SchemaId, StepId, StepState};
 
     fn executor(plan: FailurePlan) -> StepExecutor {
         StepExecutor::new(ProgramRegistry::with_builtins(), plan, 42)

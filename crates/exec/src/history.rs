@@ -8,22 +8,7 @@
 //! tables; in distributed control each agent holds the records of the steps
 //! it executed.
 
-use crew_model::{StepId, Value, VecMap};
-
-/// Current state of one step within an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepState {
-    /// Never executed (or fully rolled back and forgotten).
-    NotExecuted,
-    /// Currently executing.
-    Executing,
-    /// Completed successfully; `record` holds the execution data.
-    Done,
-    /// Last attempt failed.
-    Failed,
-    /// Effects undone by compensation.
-    Compensated,
-}
+use crew_model::{StepId, StepState, Value, VecMap};
 
 /// The recorded facts of a step's most recent completed execution.
 #[derive(Debug, Clone, PartialEq)]

@@ -35,10 +35,11 @@ pub use coord::{
     ro_canonical, ro_side, ro_steps, Gate, MutexQueue, Obligation, Request, RoArbiter, RoLeader,
     Verdict, Wake,
 };
+pub use crew_model::StepState;
 pub use deploy::{Deployment, RelOrderLinks};
 pub use executor::{ExecError, StepExecutor, StepOutcome};
 pub use failure::FailurePlan;
-pub use history::{InstanceHistory, StepRecord, StepState};
+pub use history::{InstanceHistory, StepRecord};
 pub use nav::{
     declared_outputs, designated_agent, nested_instance_serial, FailureVerdict, InstanceNav,
     DEFAULT_MAX_ROLLBACKS,

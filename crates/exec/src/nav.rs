@@ -331,14 +331,16 @@ impl InstanceNav {
     }
 
     /// Record the completion of nested step `def`'s child in the parent:
-    /// the child's outputs become the step's outputs.
-    pub fn record_child_done(&mut self, def: &StepDef, outputs: Vec<Value>) {
+    /// the child's outputs become the step's outputs. Returns the attempt
+    /// the completion counts as.
+    pub fn record_child_done(&mut self, def: &StepDef, outputs: Vec<Value>) -> u32 {
         self.pending_nested.remove(&def.id);
         let attempt = self.history.begin_attempt(def.id);
         for (key, value) in declared_outputs(def, &outputs) {
             self.data.set(key, value.clone());
         }
         self.history.record_done(def.id, attempt, vec![], outputs);
+        attempt
     }
 }
 

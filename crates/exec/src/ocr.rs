@@ -19,8 +19,8 @@
 //! apply the per-step decision below.
 
 use crate::failure::FailurePlan;
-use crate::history::{InstanceHistory, StepState};
-use crew_model::{CompensationKind, DataEnv, InstanceId, ReexecPolicy, StepDef};
+use crate::history::InstanceHistory;
+use crew_model::{CompensationKind, DataEnv, InstanceId, ReexecPolicy, StepDef, StepState};
 
 /// Fraction of a full execution charged for an incremental re-execution
 /// (and of a full compensation for a partial one). The paper leaves the

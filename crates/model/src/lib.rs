@@ -46,6 +46,6 @@ pub use recovery::{CompensationSet, RollbackSpec};
 pub use schema::{
     ControlArc, JoinKind, SchemaBuilder, SchemaError, SplitKind, WorkflowSchema, NESTED_PROGRAM,
 };
-pub use step::{CompensationKind, InputBinding, ReexecPolicy, StepDef, StepKind};
+pub use step::{CompensationKind, InputBinding, ReexecPolicy, StepDef, StepKind, StepState};
 pub use value::{DataEnv, ItemKey, ItemScope, Value};
 pub use vecmap::{VecMap, VecSet};

@@ -22,6 +22,23 @@ pub enum StepKind {
     Query,
 }
 
+/// Current state of one step within an instance: what the execution
+/// history holds, what an agent journals in its step table and what it
+/// answers a `StepStatus` poll with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepState {
+    /// Never executed (or fully rolled back and forgotten).
+    NotExecuted,
+    /// Currently executing.
+    Executing,
+    /// Completed successfully.
+    Done,
+    /// Last attempt failed.
+    Failed,
+    /// Effects undone by compensation.
+    Compensated,
+}
+
 /// How a step's effects are undone during rollback, mirroring the paper's
 /// two compensation flavours (§3: "Two types of compensation are possible —
 /// complete and partial").

@@ -4,9 +4,8 @@
 //! per-agent AGDB of distributed control (§2, §4.1). Provides a
 //! from-scratch CRC-32, a compact binary [`codec`], a crash-safe
 //! append-only [write-ahead log](wal) with torn-tail recovery, and the
-//! [workflow tables](tables) (class/instance/step/summary) rebuilt by
-//! replaying logged [`DbOp`]s — the forward-recovery path a node takes
-//! after a fail-stop crash.
+//! [journal records](tables) ([`DbOp`]) a node replays on the
+//! forward-recovery path it takes after a fail-stop crash.
 
 #![warn(missing_docs)]
 
@@ -21,5 +20,5 @@ pub mod wal;
 pub use bytes;
 pub use codec::{CodecError, Decode, Encode, VariantName};
 pub use crc::crc32;
-pub use tables::{AgentDb, DbOp, InstanceStatus, InstanceTable, StoredStepState};
+pub use tables::{DbOp, InstanceStatus};
 pub use wal::{recover_for_node, FileStore, LogStore, MemStore, RecoveryReport, Wal};

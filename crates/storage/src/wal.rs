@@ -177,9 +177,9 @@ impl LogStore for FileStore {
 ///
 /// let mut wal: Wal<DbOp> = Wal::in_memory();
 /// let instance = InstanceId::new(SchemaId(1), 1);
-/// wal.append(&DbOp::InstanceCreated { instance }).unwrap();
 /// wal.append(&DbOp::StatusChanged { instance, status: InstanceStatus::Committed })
 ///     .unwrap();
+/// wal.append(&DbOp::InstancePurged { instance }).unwrap();
 /// let recovered = wal.recover().unwrap();
 /// assert_eq!(recovered.len(), 2);
 /// ```

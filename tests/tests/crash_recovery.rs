@@ -9,7 +9,7 @@
 use crew_core::{Architecture, CrashWindow, Scenario, WorkflowSystem};
 use crew_integration_tests::{linear_logged_schema, ExecLog};
 use crew_model::{AgentId, SchemaBuilder, SchemaId, StepKind, Value};
-use crew_storage::{AgentDb, DbOp, InstanceStatus, Wal};
+use crew_storage::{DbOp, InstanceStatus, Wal};
 
 /// A successor agent is down when the packet arrives: the persistent
 /// substrate buffers it; on recovery the workflow continues and commits.
@@ -185,14 +185,14 @@ fn agent_recovers_state_from_wal() {
     );
 }
 
-/// The WAL itself: an interleaved write/crash/replay round trip at the
-/// storage layer (unit-level sanity used by the agent recovery above).
+/// The WAL itself: the records an agent journals read back in order at
+/// the storage layer (the agent folds them back into its navigators; its
+/// unit tests check that fold).
 #[test]
 fn wal_projection_round_trip() {
     let inst = crew_model::InstanceId::new(SchemaId(1), 1);
     let mut wal: Wal<DbOp> = Wal::in_memory();
     let ops = vec![
-        DbOp::InstanceCreated { instance: inst },
         DbOp::DataWritten {
             instance: inst,
             key: crew_model::ItemKey::input(1),
@@ -208,8 +208,6 @@ fn wal_projection_round_trip() {
     }
     let recovered = wal.recover().unwrap();
     assert_eq!(recovered, ops);
-    let db = AgentDb::replay(recovered.iter());
-    assert_eq!(db.status(inst), Some(InstanceStatus::Committed));
 }
 
 /// Crash during a multi-instance run: untouched instances commit; the

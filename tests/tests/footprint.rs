@@ -171,10 +171,11 @@ fn live_state_per_instance_stays_inside_its_budget() {
     // while the engine kept every navigator, 1 113 B / 0.4 blocks while
     // it kept every command). The distributed row read 12 223 B / 109.4
     // blocks while rules carried ids and labels and every navigator kept a
-    // per-step index of them.
+    // per-step index of them, and 11 100 B / 98.5 blocks while each agent
+    // journaled an instance-creation record and every step output twice.
     let rows = [
         ("central", central(), (327.0, 0.4)),
-        ("distributed", distributed(), (11_100.0, 98.5)),
+        ("distributed", distributed(), (10_709.0, 98.5)),
     ];
     for (control, (bytes, blocks), _) in rows {
         println!("footprint {control:11} {bytes:7.0} live bytes/instance {blocks:6.1} live blocks/instance");

@@ -14,16 +14,12 @@
 
 use bytes::Bytes;
 use crew_central::{CentralMsg, CoordMsg};
-use crew_distributed::{
-    CoordRule, DistMsg, StepStatusKind, Weight, WorkflowPacket, WorkflowStatusKind,
-};
-use crew_model::{AgentId, DataEnv, InstanceId, ItemKey, SchemaId, StepId, Value};
+use crew_distributed::{CoordRule, DistMsg, Weight, WorkflowPacket, WorkflowStatusKind};
+use crew_model::{AgentId, DataEnv, InstanceId, ItemKey, SchemaId, StepId, StepState, Value};
 use crew_rules::EventKind;
 use crew_simnet::reliable::ChanRec;
 use crew_simnet::NodeId;
-use crew_storage::{
-    DbOp, Decode, Encode, InstanceStatus, LogStore, MemStore, StoredStepState, Wal,
-};
+use crew_storage::{DbOp, Decode, Encode, InstanceStatus, LogStore, MemStore, Wal};
 use std::fmt::{Debug, Write as _};
 
 /// Bit flips tried per sample, drawn from a fixed seed.
@@ -103,10 +99,6 @@ fn rich_packet() -> WorkflowPacket {
 fn db_ops() -> Vec<(&'static str, DbOp)> {
     vec![
         (
-            "InstanceCreated",
-            DbOp::InstanceCreated { instance: inst(1) },
-        ),
-        (
             "DataWritten",
             DbOp::DataWritten {
                 instance: inst(1),
@@ -126,7 +118,7 @@ fn db_ops() -> Vec<(&'static str, DbOp)> {
             DbOp::StepRecorded {
                 instance: inst(1),
                 step: StepId(2),
-                state: StoredStepState::Done,
+                state: StepState::Done,
                 attempt: 2,
                 outputs: vec![Value::Str("Gasket".into())],
             },
@@ -156,6 +148,17 @@ fn db_ops() -> Vec<(&'static str, DbOp)> {
     ]
 }
 
+/// Every step state, in its wire-tag order.
+fn step_states() -> [(&'static str, StepState); 5] {
+    [
+        ("Executing", StepState::Executing),
+        ("Done", StepState::Done),
+        ("Failed", StepState::Failed),
+        ("Compensated", StepState::Compensated),
+        ("NotExecuted", StepState::NotExecuted),
+    ]
+}
+
 fn storage_samples(c: &mut Checker) {
     c.check("StepId", StepId(5));
     c.check("AgentId", AgentId(8));
@@ -176,10 +179,9 @@ fn storage_samples(c: &mut Checker) {
     c.check("InstanceStatus::Executing", InstanceStatus::Executing);
     c.check("InstanceStatus::Committed", InstanceStatus::Committed);
     c.check("InstanceStatus::Aborted", InstanceStatus::Aborted);
-    c.check("StoredStepState::Executing", StoredStepState::Executing);
-    c.check("StoredStepState::Done", StoredStepState::Done);
-    c.check("StoredStepState::Failed", StoredStepState::Failed);
-    c.check("StoredStepState::Compensated", StoredStepState::Compensated);
+    for (name, state) in step_states() {
+        c.check(&format!("StepState::{name}"), state);
+    }
     for (name, op) in db_ops() {
         c.check(&format!("DbOp::{name}"), op);
     }
@@ -284,7 +286,7 @@ fn central_samples(c: &mut Checker) {
                 cost: 99,
             },
         ),
-        ("StateProbe", CentralMsg::StateProbe { token: u64::MAX }),
+        ("StateProbe", CentralMsg::StateProbe),
         (
             "CompensateRequest",
             CentralMsg::CompensateRequest {
@@ -302,7 +304,6 @@ fn central_samples(c: &mut Checker) {
                 step: StepId(3),
                 attempt: 1,
                 outputs: Some(vec![Value::Int(1)]),
-                error: None,
             },
         ),
         (
@@ -312,16 +313,9 @@ fn central_samples(c: &mut Checker) {
                 step: StepId(3),
                 attempt: 2,
                 outputs: None,
-                error: Some("boom".into()),
             },
         ),
-        (
-            "StateProbeReply",
-            CentralMsg::StateProbeReply {
-                token: 4,
-                load: 1000,
-            },
-        ),
+        ("StateProbeReply", CentralMsg::StateProbeReply),
         (
             "CompensateResult",
             CentralMsg::CompensateResult {
@@ -553,13 +547,7 @@ fn dist_samples(c: &mut Checker) {
             DistMsg::WorkflowStatusReply { instance, status },
         );
     }
-    for (name, status) in [
-        ("Unknown", StepStatusKind::Unknown),
-        ("Executing", StepStatusKind::Executing),
-        ("Done", StepStatusKind::Done),
-        ("Failed", StepStatusKind::Failed),
-    ] {
-        c.check(&format!("StepStatusKind::{name}"), status);
+    for (name, status) in step_states() {
         c.check(
             &format!("DistMsg::StepStatusReply/{name}"),
             DistMsg::StepStatusReply {
