@@ -83,9 +83,9 @@ struct InstState {
     nav: InstanceNav,
     epoch: u32,
     instantiated: bool,
-    /// Successor steps we already forwarded packets toward, per local step
-    /// (the halt probes retrace these channels).
-    forwarded: VecMap<StepId, VecSet<StepId>>,
+    /// (local step, successor step) pairs we already forwarded packets
+    /// along (the halt probes retrace these channels).
+    forwarded: VecSet<(StepId, StepId)>,
     /// Steps whose re-execution is deferred until a `CompensateSet` chain
     /// returns.
     awaiting_compset: VecSet<StepId>,
@@ -382,17 +382,16 @@ impl DistAgent {
         }
         self.nav_load(ctx);
 
-        // Merge data (persisting each write).
+        // Merge data (persisting each write), making room for the items
+        // this table lacks in one allocation.
+        self.inst(instance).nav.data.reserve_for(&packet.data);
         for (key, value) in packet.data {
             let value = self.log_write(instance, key, value);
             self.inst(instance).nav.data.set(key, value);
         }
         // Merge events by generation (idempotent across the broadcast,
         // fresh occurrences re-trigger rules).
-        let rules = &mut self.inst(instance).nav.rules;
-        for (e, gen) in &packet.events {
-            rules.merge_event(*e, *gen);
-        }
+        self.inst(instance).nav.rules.merge_events(&packet.events);
         // Weight accounting at the executor of the target step.
         let schema = self.schema(instance);
         let am_executor = self.is_executor(instance, &schema, packet.target_step);
@@ -693,7 +692,7 @@ impl DistAgent {
         let targets = self.inst(instance).nav.outgoing_weights(schema, step);
         for (target, weight) in targets {
             let st = self.inst(instance);
-            st.forwarded.entry(step).or_default().insert(target);
+            st.forwarded.insert((step, target));
             let packet = WorkflowPacket {
                 instance,
                 target_step: target,
@@ -1104,18 +1103,16 @@ impl DistAgent {
         let affected = schema.reachable_from(origin);
         let forwarded = self.instances[&instance].forwarded.iter();
         let mut notified: BTreeSet<NodeId> = BTreeSet::new();
-        for (_, successors) in forwarded.filter(|(local, _)| affected.contains(local)) {
-            for &succ in successors {
-                for agent in &schema.expect_step(succ).eligible_agents {
-                    let node = self.shared.directory.node_of(*agent);
-                    if node != ctx.self_id && notified.insert(node) {
-                        let halt = DistMsg::HaltThread {
-                            instance,
-                            origin,
-                            epoch,
-                        };
-                        ctx.send(node, halt);
-                    }
+        for &(_, succ) in forwarded.filter(|(local, _)| affected.contains(local)) {
+            for agent in &schema.expect_step(succ).eligible_agents {
+                let node = self.shared.directory.node_of(*agent);
+                if node != ctx.self_id && notified.insert(node) {
+                    let halt = DistMsg::HaltThread {
+                        instance,
+                        origin,
+                        epoch,
+                    };
+                    ctx.send(node, halt);
                 }
             }
         }
@@ -1984,6 +1981,102 @@ mod tests {
         assert_eq!(kinds(0), [1 + 3, 2, 2]);
         assert_eq!(kinds(executor.0), [2, 1, 0]);
         assert_eq!(kinds(standby), [2, 0, 0]);
+    }
+
+    /// Values are immutable once a program returns them, so a string
+    /// output is one allocation wherever it travels: in the executor's
+    /// step record and in the data table of every agent a packet carried
+    /// it to. Six `stamp` steps in sequence, two eligible agents each over
+    /// four agents — the benchmark's L shape, made small.
+    #[test]
+    fn a_string_output_is_shared_by_every_agent_that_holds_it() {
+        let mut b = SchemaBuilder::new(SchemaId(1), "L").inputs(1);
+        let steps: Vec<StepId> = (1..=6)
+            .map(|k| b.add_step(format!("S{k}"), "stamp"))
+            .collect();
+        for pair in steps.windows(2) {
+            b.seq(pair[0], pair[1]);
+        }
+        for (k, &step) in steps.iter().enumerate() {
+            let k = k as u32;
+            b.configure(step, |d| {
+                d.eligible_agents = vec![AgentId(k % 4), AgentId((k + 1) % 4)];
+            });
+        }
+        let deployment = Deployment::new([b.build().unwrap()]);
+        let mut run = crate::DistRun::new(deployment, 4, DistConfig::default());
+        let instance = run.start_instance(SchemaId(1), vec![(1, Value::Int(5))]);
+        run.run();
+        let agents: Vec<&DistAgent> = (0..4).map(|a| run.agent(AgentId(a))).collect();
+        let mut shared = 0;
+        for &step in &steps {
+            let records: Vec<&crew_exec::StepRecord> = agents
+                .iter()
+                .filter_map(|a| a.history_of(instance)?.record(step))
+                .collect();
+            let [record] = records[..] else {
+                panic!("{step} ran at {} agents", records.len());
+            };
+            let Value::Str(made) = &record.outputs[0] else {
+                panic!("stamp's first output is a string");
+            };
+            let key = ItemKey::output(step, 1);
+            let held: Vec<&Value> = agents
+                .iter()
+                .filter_map(|a| a.data_of(instance)?.get(&key))
+                .collect();
+            for value in &held {
+                let Value::Str(copy) = value else {
+                    panic!("{key} changed type on the way");
+                };
+                assert!(Arc::ptr_eq(made, copy), "{key} was copied, not shared");
+            }
+            if held.len() >= 2 {
+                shared += 1;
+            }
+        }
+        assert!(shared > 0, "some output reached two agents");
+    }
+
+    /// A packet merge grows the data table and the event table once each,
+    /// to exactly what they then hold (DESIGN.md §6j's exact fit), when
+    /// the packet brings items and events the agent partly holds already.
+    #[test]
+    fn a_packet_merge_leaves_each_table_exact_fit() {
+        let mut a = agent();
+        let instance = InstanceId::new(SchemaId(1), 1);
+        let mut ctx = Ctx::detached(0, NodeId(0));
+        let inputs = vec![(ItemKey::input(1), Value::Int(5))];
+        let start = DistMsg::WorkflowStart {
+            instance,
+            inputs,
+            parent: None,
+        };
+        a.on_message(NodeId::EXTERNAL, start, &mut ctx);
+        let nav = &a.instances[&instance].nav;
+        let (items, kinds) = (nav.data.len(), nav.rules.events().len());
+        let mut data = nav.data.clone();
+        data.set(ItemKey::input(2), Value::from("new"));
+        data.set(ItemKey::output(StepId(9), 1), Value::Int(9));
+        let mut events = nav.rules.present_events_with_gens();
+        events.push((EventKind::StepDone(StepId(9)), 1));
+        let packet = WorkflowPacket {
+            instance,
+            target_step: StepId(2),
+            source_step: Some(StepId(1)),
+            executor: None,
+            epoch: 0,
+            data,
+            events,
+            weight: Weight::ONE,
+        };
+        a.on_message(NodeId(0), DistMsg::StepExecute { packet }, &mut ctx);
+        let nav = &a.instances[&instance].nav;
+        assert_eq!(nav.data.len(), items + 2);
+        assert_eq!(nav.data.capacity(), nav.data.len());
+        let events = nav.rules.events();
+        assert_eq!(events.len(), kinds + 1);
+        assert_eq!(events.capacity(), events.len());
     }
 
     #[test]

@@ -33,11 +33,12 @@ pub struct StepRecord {
 /// of it at a distributed agent).
 #[derive(Debug, Clone, Default)]
 pub struct InstanceHistory {
-    records: VecMap<StepId, StepRecord>,
+    /// Per step: the attempts made so far, including failed ones (drives
+    /// `pf` first-attempt semantics and rollback retry budgets; 0 = none),
+    /// and the record of its most recent execution. One table, so a step
+    /// costs one entry however much is known of it (DESIGN.md §6j).
+    steps: VecMap<StepId, (u32, Option<StepRecord>)>,
     next_seq: u64,
-    /// Attempts per step, including failed ones (drives `pf` first-attempt
-    /// semantics and rollback retry budgets).
-    attempts: VecMap<StepId, u32>,
 }
 
 impl InstanceHistory {
@@ -46,21 +47,26 @@ impl InstanceHistory {
         Self::default()
     }
 
+    /// `step`'s entry, opened empty on first use.
+    fn entry(&mut self, step: StepId) -> &mut (u32, Option<StepRecord>) {
+        self.steps.entry(step).or_insert((0, None))
+    }
+
     /// Allocate the next attempt number for `step`.
     pub fn begin_attempt(&mut self, step: StepId) -> u32 {
-        let a = self.attempts.entry(step).or_insert(0);
-        *a += 1;
-        if let Some(rec) = self.records.get_mut(&step) {
+        let (attempts, record) = self.entry(step);
+        *attempts += 1;
+        if let Some(rec) = record {
             rec.state = StepState::Executing;
         }
-        *a
+        *attempts
     }
 
     /// Restore `step`'s attempt counter to a journaled value, so a
     /// recovered node neither re-grants spent retries nor re-fires
     /// first-attempt failures.
     pub fn restore_attempts(&mut self, step: StepId, attempts: u32) {
-        self.attempts.insert(step, attempts);
+        self.entry(step).0 = attempts;
     }
 
     /// Record a successful completion.
@@ -80,64 +86,61 @@ impl InstanceHistory {
             outputs,
             state: StepState::Done,
         };
-        self.records.insert(step, rec);
-        self.records.get(&step).expect("just inserted")
+        self.entry(step).1.insert(rec)
     }
 
     /// Record a failed attempt.
     pub fn record_failed(&mut self, step: StepId) {
         self.next_seq += 1;
         let seq = self.next_seq;
-        let attempt = self.attempts.get(&step).copied().unwrap_or(1);
-        self.records
-            .entry(step)
-            .and_modify(|r| r.state = StepState::Failed)
-            .or_insert(StepRecord {
-                step,
-                attempt,
-                seq,
-                inputs: Vec::new(),
-                outputs: Vec::new(),
-                state: StepState::Failed,
-            });
+        let (attempts, record) = self.entry(step);
+        match record {
+            Some(rec) => rec.state = StepState::Failed,
+            None => {
+                *record = Some(StepRecord {
+                    step,
+                    attempt: (*attempts).max(1),
+                    seq,
+                    inputs: Vec::new(),
+                    outputs: Vec::new(),
+                    state: StepState::Failed,
+                })
+            }
+        }
     }
 
     /// Mark a step compensated (its record is kept — OCR may still compare
     /// against the old inputs on re-execution).
     pub fn record_compensated(&mut self, step: StepId) {
-        if let Some(rec) = self.records.get_mut(&step) {
+        if let Some((_, Some(rec))) = self.steps.get_mut(&step) {
             rec.state = StepState::Compensated;
         }
     }
 
     /// Current state of `step`.
     pub fn state(&self, step: StepId) -> StepState {
-        self.records
-            .get(&step)
+        self.record(step)
             .map(|r| r.state)
             .unwrap_or(StepState::NotExecuted)
     }
 
     /// The recorded execution of `step`, if any.
     pub fn record(&self, step: StepId) -> Option<&StepRecord> {
-        self.records.get(&step)
+        self.steps.get(&step).and_then(|(_, rec)| rec.as_ref())
     }
 
     /// Attempts made for `step` so far.
     pub fn attempts(&self, step: StepId) -> u32 {
-        self.attempts.get(&step).copied().unwrap_or(0)
+        self.steps.get(&step).map_or(0, |(attempts, _)| *attempts)
     }
 
     /// Steps currently in `Done` state, most recent first — the order
     /// compensation walks.
     pub fn done_steps_reverse_order(&self) -> Vec<StepId> {
-        let mut done: Vec<(&StepId, &StepRecord)> = self
-            .records
-            .iter()
-            .filter(|(_, r)| r.state == StepState::Done)
-            .collect();
-        done.sort_by_key(|(_, r)| std::cmp::Reverse(r.seq));
-        done.into_iter().map(|(s, _)| *s).collect()
+        let mut done: Vec<&StepRecord> =
+            self.iter().filter(|r| r.state == StepState::Done).collect();
+        done.sort_by_key(|r| std::cmp::Reverse(r.seq));
+        done.into_iter().map(|r| r.step).collect()
     }
 
     /// Of the given set, the members that are `Done`, in reverse execution
@@ -145,7 +148,7 @@ impl InstanceHistory {
     pub fn members_reverse_order(&self, members: &[StepId]) -> Vec<StepId> {
         let mut done: Vec<&StepRecord> = members
             .iter()
-            .filter_map(|s| self.records.get(s))
+            .filter_map(|s| self.record(*s))
             .filter(|r| r.state == StepState::Done)
             .collect();
         done.sort_by_key(|r| std::cmp::Reverse(r.seq));
@@ -154,7 +157,7 @@ impl InstanceHistory {
 
     /// Iterate over the entries.
     pub fn iter(&self) -> impl Iterator<Item = &StepRecord> {
-        self.records.values()
+        self.steps.values().filter_map(|(_, rec)| rec.as_ref())
     }
 }
 

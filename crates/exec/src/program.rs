@@ -146,7 +146,7 @@ impl ProgramRegistry {
             "stamp",
             FnProgram(|ctx: &ProgramCtx| {
                 Ok(vec![
-                    Value::Str(format!("{}@{}", ctx.step, ctx.attempt)),
+                    format!("{}@{}", ctx.step, ctx.attempt).into(),
                     Value::Int(ctx.attempt as i64),
                 ])
             }),

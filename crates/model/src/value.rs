@@ -9,6 +9,7 @@
 use crate::ids::StepId;
 use crate::vecmap::VecMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Where a data item lives: workflow-level input, or a step's output slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,12 +59,16 @@ impl fmt::Display for ItemKey {
 ///
 /// Business data in the paper's examples is numbers and short strings
 /// (quantities, part names); we add booleans for branch conditions.
+///
+/// A value is immutable once a program returns it, so a string is shared,
+/// not copied: every packet, data table and history record that carries
+/// it holds the one allocation (DESIGN.md §6j).
 #[allow(missing_docs)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(Arc<str>),
     Bool(bool),
 }
 
@@ -136,12 +141,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 impl From<bool> for Value {
@@ -187,10 +192,19 @@ impl DataEnv {
             .retain(|k, _| !matches!(k.scope, ItemScope::StepOutput(s) if s == step));
     }
 
+    /// Make room, in one allocation, for the items of `incoming` this table
+    /// lacks — what a distributed agent does before it folds an arriving
+    /// packet's data in item by item, so the table grows once per packet
+    /// and stays exact-fit.
+    pub fn reserve_for(&mut self, incoming: &DataEnv) {
+        self.items.reserve_missing(incoming.items.keys());
+    }
+
     /// Merge another environment into this one, later writes winning. This
     /// is how a distributed agent folds the data carried by an arriving
     /// workflow packet into its local instance table.
     pub fn merge_from(&mut self, other: &DataEnv) {
+        self.reserve_for(other);
         for (k, v) in &other.items {
             self.items.insert(*k, v.clone());
         }
@@ -209,6 +223,11 @@ impl DataEnv {
     /// `true` when there are no entries.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// Entries the table has room for without growing.
+    pub fn capacity(&self) -> usize {
+        self.items.capacity()
     }
 
     /// Snapshot of the values of `keys`, in order; `None` for missing items.
@@ -269,6 +288,11 @@ mod tests {
         assert!(env.get(&ItemKey::output(StepId(1), 1)).is_none());
         assert!(env.get(&ItemKey::output(StepId(2), 1)).is_some());
         assert!(env.get(&ItemKey::input(1)).is_some());
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
     }
 
     #[test]

@@ -83,6 +83,18 @@ impl<K: Ord, V> VecMap<K, V> {
         }
     }
 
+    /// Make room, in one allocation, for every one of `keys` the map does
+    /// not hold yet, so that inserting them all keeps the table exact-fit
+    /// without growing it once per entry. `keys` are distinct, as the keys
+    /// of a table or a packet are.
+    pub fn reserve_missing<'a>(&mut self, keys: impl IntoIterator<Item = &'a K>)
+    where
+        K: 'a,
+    {
+        let missing = keys.into_iter().filter(|k| !self.contains_key(k)).count();
+        self.entries.reserve_exact(missing);
+    }
+
     /// Keep only the entries `keep` accepts.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| keep(k, v));
@@ -103,6 +115,11 @@ impl<K, V> VecMap<K, V> {
     /// Remove every entry.
     pub fn clear(&mut self) {
         self.entries.clear();
+    }
+
+    /// Entries the table has room for without growing.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
     }
 
     /// The entries in key order.
@@ -351,5 +368,21 @@ mod tests {
             map.insert(k, 0);
             assert_eq!(map.entries.capacity(), map.len());
         }
+    }
+
+    #[test]
+    fn a_batch_grows_the_table_once_and_exactly() {
+        let mut map: VecMap<u8, u64> = [(1, 0), (3, 0)].into_iter().collect();
+        let batch = [0, 1, 2, 3, 4];
+        map.reserve_missing(&batch);
+        assert_eq!(map.capacity(), 5, "room for the three missing keys only");
+        let room = map.entries.as_ptr();
+        for k in batch {
+            map.insert(k, 1);
+        }
+        assert_eq!(map.entries.as_ptr(), room, "no insert reallocated");
+        assert_eq!(map.capacity(), map.len());
+        map.reserve_missing(&batch);
+        assert_eq!(map.capacity(), 5, "nothing missing, nothing reserved");
     }
 }

@@ -1,7 +1,9 @@
 //! Property tests over schema construction and derived structures, and of
 //! the per-instance table containers against the B-trees they stand in for.
 
-use crew_model::{Expr, ItemKey, SchemaBuilder, SchemaError, SchemaId, StepId, VecMap, VecSet};
+use crew_model::{
+    DataEnv, Expr, ItemKey, SchemaBuilder, SchemaError, SchemaId, StepId, Value, VecMap, VecSet,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -104,7 +106,7 @@ proptest! {
     /// every step, same length, same entries in the same order.
     #[test]
     fn vecmap_is_a_btreemap(
-        ops in proptest::collection::vec((0u8..9, 0u16..24, any::<u32>()), 0..80),
+        ops in proptest::collection::vec((0u8..10, 0u16..24, any::<u32>()), 0..80),
     ) {
         let mut map: VecMap<u16, u32> = VecMap::new();
         let mut model: BTreeMap<u16, u32> = BTreeMap::new();
@@ -136,6 +138,17 @@ proptest! {
                     map.values_mut().for_each(|x| *x = x.rotate_left(1));
                     model.values_mut().for_each(|x| *x = x.rotate_left(1));
                 }
+                8 => {
+                    // A packet-shaped batch: distinct keys, some held and
+                    // some not, room made for the missing ones first.
+                    let batch: BTreeMap<u16, u32> = [(k, v), (k / 2, v / 2), (k + 1, !v)].into();
+                    let room = map.capacity();
+                    map.reserve_missing(batch.keys());
+                    for (&key, &x) in &batch {
+                        prop_assert_eq!(map.insert(key, x), model.insert(key, x));
+                    }
+                    prop_assert_eq!(map.capacity(), room.max(map.len()), "grown once, exactly");
+                }
                 _ if v % 8 == 0 => {
                     map.clear();
                     model.clear();
@@ -154,6 +167,44 @@ proptest! {
         let rebuilt: VecMap<u16, u32> = model.clone().into_iter().rev().collect();
         prop_assert_eq!(&rebuilt, &map);
         prop_assert!(map.into_iter().eq(model));
+    }
+
+    /// A packet merge into a data table, against the `BTreeMap` it stands
+    /// in for: the same random sets, removals and merges leave the same
+    /// items in the same order, and each merge grows the table at most
+    /// once, to exactly what it holds.
+    #[test]
+    fn dataenv_merge_is_a_btreemap_extend(
+        ops in proptest::collection::vec((0u8..4, 0u16..6, 0u16..4, any::<i64>()), 0..60),
+    ) {
+        let key = |scope: u16, slot: u16| match scope {
+            0 => ItemKey::input(slot),
+            s => ItemKey::output(StepId(u32::from(s)), slot),
+        };
+        let mut env = DataEnv::new();
+        let mut model: BTreeMap<ItemKey, Value> = BTreeMap::new();
+        for (op, scope, slot, v) in ops {
+            let k = key(scope, slot);
+            match op {
+                0 => {
+                    env.set(k, Value::Int(v));
+                    model.insert(k, Value::Int(v));
+                }
+                1 => prop_assert_eq!(env.remove(&k), model.remove(&k)),
+                _ => {
+                    let packet: DataEnv = (0..=slot)
+                        .map(|s| (key(scope, s), Value::Int(v ^ i64::from(s))))
+                        .chain([(key(0, slot), Value::from(v.to_string()))])
+                        .collect();
+                    let room = env.capacity();
+                    env.merge_from(&packet);
+                    model.extend(packet);
+                    prop_assert_eq!(env.capacity(), room.max(env.len()), "grown once, exactly");
+                }
+            }
+            prop_assert_eq!(env.len(), model.len());
+            prop_assert!(env.iter().eq(model.iter()));
+        }
     }
 
     /// The same for `VecSet` against `BTreeSet`.

@@ -129,6 +129,19 @@ impl RuleSet {
         }
     }
 
+    /// Merge every occurrence a workflow packet carries ([`merge_event`]
+    /// each, in order), growing the event table once for the kinds it
+    /// lacks. `events` name distinct kinds, as a packet's do.
+    ///
+    /// [`merge_event`]: RuleSet::merge_event
+    pub fn merge_events(&mut self, events: &[(EventKind, u32)]) {
+        self.events
+            .reserve_missing(events.iter().map(|(kind, _)| kind));
+        for &(kind, generation) in events {
+            self.merge_event(kind, generation);
+        }
+    }
+
     /// Re-validate an event occurrence without minting a new one — the
     /// OCR *reuse* outcome: the step's previous completion stands. Returns
     /// `true` if the event was invalid and is now valid again.
@@ -153,6 +166,11 @@ impl RuleSet {
     }
 
     // ---- event table -----------------------------------------------------
+
+    /// The event table: every kind seen, with its state.
+    pub fn events(&self) -> &VecMap<EventKind, EventState> {
+        &self.events
+    }
 
     /// State of an event kind (default state if never seen).
     pub fn event_state(&self, kind: EventKind) -> EventState {
@@ -386,5 +404,25 @@ mod tests {
         rs.refire(s[4]);
         assert_eq!(fires(&mut rs), 1);
         assert_eq!(fires(&mut rs), 0);
+    }
+
+    /// A packet's events merge as they would one by one, and the table
+    /// grows once, to exactly the kinds it then holds.
+    #[test]
+    fn merge_events_is_merge_event_in_order_into_an_exact_table() {
+        let done = |s| EventKind::StepDone(StepId(s));
+        let packet = [(EventKind::WorkflowStart, 1), (done(1), 2), (done(3), 1)];
+        let (mut one_by_one, mut batch) = (RuleSet::new(), RuleSet::new());
+        for rs in [&mut one_by_one, &mut batch] {
+            rs.add_event(done(1));
+            rs.add_event(done(2));
+        }
+        for &(kind, generation) in &packet {
+            one_by_one.merge_event(kind, generation);
+        }
+        batch.merge_events(&packet);
+        assert_eq!(batch.events(), one_by_one.events());
+        assert_eq!(batch.events().len(), 4);
+        assert_eq!(batch.events().capacity(), 4);
     }
 }

@@ -15,6 +15,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crew_model::{AgentId, DataEnv, InstanceId, ItemKey, ItemScope, SchemaId, StepId, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,21 +172,48 @@ impl Decode for bool {
     }
 }
 
-impl Encode for String {
+impl Encode for str {
     fn encode(&self, buf: &mut BytesMut) {
         (self.len() as u32).encode(buf);
         buf.put_slice(self.as_bytes());
     }
 }
+
+/// Read a length-prefixed UTF-8 string and hand it to `make` — the one
+/// decoder behind `String` and `Arc<str>`, whose frames are identical.
+fn decode_str<T>(buf: &mut Bytes, make: impl FnOnce(&str) -> T) -> Result<T, CodecError> {
+    let len = u32::decode(buf)? as u64;
+    if len > MAX_LEN {
+        return Err(CodecError::LengthOverflow(len));
+    }
+    need(buf, len as usize)?;
+    let raw = buf.split_to(len as usize);
+    std::str::from_utf8(&raw)
+        .map(make)
+        .map_err(|_| CodecError::BadUtf8)
+}
+
+impl Encode for String {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.as_str().encode(buf);
+    }
+}
 impl Decode for String {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        let len = u32::decode(buf)? as u64;
-        if len > MAX_LEN {
-            return Err(CodecError::LengthOverflow(len));
-        }
-        need(buf, len as usize)?;
-        let raw = buf.split_to(len as usize);
-        String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadUtf8)
+        decode_str(buf, str::to_owned)
+    }
+}
+
+/// A shared string (`Value::Str`) has `String`'s frame: u32 length, then
+/// the UTF-8 bytes.
+impl Encode for Arc<str> {
+    fn encode(&self, buf: &mut BytesMut) {
+        (**self).encode(buf);
+    }
+}
+impl Decode for Arc<str> {
+    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+        decode_str(buf, |s| Arc::from(s))
     }
 }
 
@@ -466,6 +494,8 @@ mod tests {
         round_trip(false);
         round_trip("hello κόσμε".to_owned());
         round_trip(String::new());
+        round_trip(Arc::<str>::from("hello κόσμε"));
+        round_trip(Arc::<str>::from(""));
         round_trip(vec![1u32, 2, 3]);
         round_trip(Vec::<u32>::new());
         round_trip(Some(7u32));
@@ -533,9 +563,20 @@ mod tests {
         (u32::MAX).encode(&mut buf); // declared string length
         let mut bytes = buf.freeze();
         assert!(matches!(
-            String::decode(&mut bytes),
+            String::decode(&mut bytes.clone()),
             Err(CodecError::LengthOverflow(_))
         ));
+        assert!(matches!(
+            Arc::<str>::decode(&mut bytes),
+            Err(CodecError::LengthOverflow(_))
+        ));
+    }
+
+    #[test]
+    fn shared_strings_have_the_string_frame() {
+        let owned = "Gasket".to_owned().to_bytes();
+        assert_eq!(Arc::<str>::from("Gasket").to_bytes(), owned);
+        assert_eq!(Value::from("Gasket").to_bytes()[1..], owned[..]);
     }
 
     #[test]
@@ -543,7 +584,11 @@ mod tests {
         let mut buf = BytesMut::new();
         2u32.encode(&mut buf);
         buf.put_slice(&[0xFF, 0xFE]);
-        let mut bytes = buf.freeze();
-        assert_eq!(String::decode(&mut bytes), Err(CodecError::BadUtf8));
+        let bytes = buf.freeze();
+        assert_eq!(String::decode(&mut bytes.clone()), Err(CodecError::BadUtf8));
+        assert_eq!(
+            Arc::<str>::decode(&mut bytes.clone()),
+            Err(CodecError::BadUtf8)
+        );
     }
 }

@@ -43,7 +43,7 @@ pub fn register_programs(registry: &mut ProgramRegistry) {
         FnProgram(|ctx: &ProgramCtx| {
             let qty = ctx.int_input(0, 0);
             Ok(vec![
-                Value::Str(format!("rsv-{}-{}", ctx.instance.serial, ctx.attempt)),
+                format!("rsv-{}-{}", ctx.instance.serial, ctx.attempt).into(),
                 Value::Int(qty),
             ])
         }),
@@ -58,7 +58,7 @@ pub fn register_programs(registry: &mut ProgramRegistry) {
                 return Err(StepFailure::new("negative amount"));
             }
             Ok(vec![
-                Value::Str(format!("chg-{}", ctx.instance.serial)),
+                format!("chg-{}", ctx.instance.serial).into(),
                 Value::Int(amount),
             ])
         }),
@@ -67,7 +67,7 @@ pub fn register_programs(registry: &mut ProgramRegistry) {
     // Shipping.
     registry.register(
         "ship.dispatch",
-        FnProgram(|ctx: &ProgramCtx| Ok(vec![Value::Str(format!("shp-{}", ctx.instance.serial))])),
+        FnProgram(|ctx: &ProgramCtx| Ok(vec![format!("shp-{}", ctx.instance.serial).into()])),
     );
     // Bookings: each emits a confirmation code; price returned as output 2.
     for (name, base) in [
@@ -80,7 +80,7 @@ pub fn register_programs(registry: &mut ProgramRegistry) {
             FnProgram(move |ctx: &ProgramCtx| {
                 let days = ctx.int_input(0, 1).max(1);
                 Ok(vec![
-                    Value::Str(format!("cnf-{}-{}", ctx.instance.serial, ctx.attempt)),
+                    format!("cnf-{}-{}", ctx.instance.serial, ctx.attempt).into(),
                     Value::Int(base * days),
                 ])
             }),

@@ -8,11 +8,13 @@
 //! benchmark's L shape — the `central_steady` / `dist_steady` inputs — to
 //! quiescence under centralized and distributed control and checks the
 //! bytes and heap blocks still live per instance (navigators, logs,
-//! summaries — everything a node keeps) against a budget of the measured
-//! value + 10 %, and that dropping the run returns every byte. Under
-//! central control every instance has retired by then, so the engine must
-//! host no navigator at all. The simulation is single-threaded and
-//! deterministic, so the counts repeat exactly.
+//! summaries — everything a node keeps), and the allocator calls per
+//! instance made while the instances ran and while the run was dropped,
+//! against a budget of the measured value + 10 %, and that dropping the
+//! run returns every byte. Under central control every instance has
+//! retired by then, so the engine must host no navigator at all. The
+//! simulation is single-threaded and deterministic, so the counts repeat
+//! exactly.
 
 use crew_central::CentralRun;
 use crew_distributed::{DistConfig, DistRun, Outcome};
@@ -22,21 +24,48 @@ use crew_workload::{build_deployment, SetupParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-thread_local! {
-    /// (live bytes, live blocks) allocated by this thread. Per thread, so
-    /// what the test harness's other threads allocate meanwhile (its
-    /// output, its bookkeeping) never lands in a measurement; the runs
-    /// measured are single-threaded. A const-initialized `Cell` of plain
-    /// integers needs no destructor, so touching it allocates nothing.
-    static LIVE: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
+/// What this thread's allocator calls have left live, and how many calls
+/// of each kind it made.
+#[derive(Clone, Copy)]
+struct Ledger {
+    bytes: isize,
+    blocks: isize,
+    allocs: u64,
+    reallocs: u64,
+    deallocs: u64,
 }
 
-/// Add to this thread's counters. `try_with`: a thread may still free
-/// after its thread-locals are gone, and that is no measurement's.
-fn count(bytes: isize, blocks: isize) {
-    let _ = LIVE.try_with(|live| {
-        let (b, k) = live.get();
-        live.set((b + bytes, k + blocks));
+impl Ledger {
+    const ZERO: Ledger = Ledger {
+        bytes: 0,
+        blocks: 0,
+        allocs: 0,
+        reallocs: 0,
+        deallocs: 0,
+    };
+
+    /// Allocator calls of every kind.
+    fn calls(&self) -> u64 {
+        self.allocs + self.reallocs + self.deallocs
+    }
+}
+
+thread_local! {
+    /// This thread's ledger. Per thread, so what the test harness's other
+    /// threads allocate meanwhile (its output, its bookkeeping) never
+    /// lands in a measurement; the runs measured are single-threaded. A
+    /// const-initialized `Cell` of plain integers needs no destructor, so
+    /// touching it allocates nothing.
+    static LEDGER: Cell<Ledger> = const { Cell::new(Ledger::ZERO) };
+}
+
+/// Update this thread's ledger. `try_with`: a thread may still free after
+/// its thread-locals are gone, and that is no measurement's.
+fn count(update: impl FnOnce(&mut Ledger)) {
+    let _ = LEDGER.try_with(|ledger| {
+        let mut l = ledger.get();
+        update(&mut l);
+        ledger.set(l);
     });
 }
 
@@ -46,17 +75,28 @@ struct Counting;
 // `GlobalAlloc` contract; the counters are statistics and publish no data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size() as isize, 1);
+        count(|l| {
+            l.bytes += layout.size() as isize;
+            l.blocks += 1;
+            l.allocs += 1;
+        });
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(-(layout.size() as isize), -1);
+        count(|l| {
+            l.bytes -= layout.size() as isize;
+            l.blocks -= 1;
+            l.deallocs += 1;
+        });
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size as isize - layout.size() as isize, 0);
+        count(|l| {
+            l.bytes += new_size as isize - layout.size() as isize;
+            l.reallocs += 1;
+        });
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -64,9 +104,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// (live bytes, live blocks) this thread holds right now.
-fn live() -> (isize, isize) {
-    LIVE.with(Cell::get)
+/// This thread's ledger right now.
+fn ledger() -> Ledger {
+    LEDGER.with(Cell::get)
 }
 
 const INSTANCES: u32 = 500;
@@ -92,34 +132,50 @@ fn arrival(k: u32) -> (SchemaId, Vec<(u16, Value)>, u64) {
     (SchemaId(k % 2 + 1), inputs, (k as u64 + 1) * 5)
 }
 
-/// Live (bytes, blocks) per instance once `drive` has started
-/// [`INSTANCES`] arrivals on the system `build` made and run them to
-/// quiescence; `committed` counts the instances that committed.
+/// Per instance: what is live at quiescence and the allocator calls it
+/// took to get there and to free it.
+#[derive(Clone, Copy)]
+struct Footprint {
+    bytes: f64,
+    blocks: f64,
+    /// Allocator calls (alloc, realloc and dealloc) while the instances ran.
+    run_calls: f64,
+    /// Allocator calls while the run was dropped.
+    teardown_calls: f64,
+}
+
+/// The [`Footprint`] of [`INSTANCES`] arrivals once `drive` has started
+/// them on the system `build` made and run them to quiescence;
+/// `committed` counts the instances that committed.
 fn footprint<R>(
     build: impl FnOnce() -> R,
     drive: impl FnOnce(&mut R),
     committed: impl FnOnce(&R) -> usize,
-) -> (f64, f64) {
-    let before = live();
+) -> Footprint {
+    let before = ledger();
     let mut run = build();
-    let built = live();
+    let built = ledger();
     drive(&mut run);
-    let quiescent = live();
+    let quiescent = ledger();
     assert_eq!(committed(&run), INSTANCES as usize);
+    let counted = ledger();
     drop(run);
+    let after = ledger();
     assert_eq!(
-        live(),
-        before,
+        (after.bytes, after.blocks),
+        (before.bytes, before.blocks),
         "teardown frees everything the run allocated"
     );
     let n = INSTANCES as f64;
-    (
-        (quiescent.0 - built.0) as f64 / n,
-        (quiescent.1 - built.1) as f64 / n,
-    )
+    Footprint {
+        bytes: (quiescent.bytes - built.bytes) as f64 / n,
+        blocks: (quiescent.blocks - built.blocks) as f64 / n,
+        run_calls: (quiescent.calls() - built.calls()) as f64 / n,
+        teardown_calls: (after.calls() - counted.calls()) as f64 / n,
+    }
 }
 
-fn central() -> (f64, f64) {
+fn central() -> Footprint {
     footprint(
         || CentralRun::new(build_deployment(&shape_l(), false), AGENTS, 1),
         |run| {
@@ -137,7 +193,7 @@ fn central() -> (f64, f64) {
     )
 }
 
-fn distributed() -> (f64, f64) {
+fn distributed() -> Footprint {
     footprint(
         || {
             DistRun::new(
@@ -161,8 +217,8 @@ fn distributed() -> (f64, f64) {
 
 #[test]
 fn live_state_per_instance_stays_inside_its_budget() {
-    // (control, now, live bytes and live blocks per instance when the
-    // budget was set). The same test on the B-tree tables this layout
+    // (control, now, live bytes, live blocks and allocator calls in the
+    // run and at teardown per instance when the budget was set). The same test on the B-tree tables this layout
     // replaced read 9 556 B / 57.7 blocks and 36 835 B / 120.0 blocks.
     // Under central control every instance has retired at quiescence, so
     // its row is what a retired instance leaves: its summary row, its
@@ -171,21 +227,30 @@ fn live_state_per_instance_stays_inside_its_budget() {
     // while the engine kept every navigator, 1 113 B / 0.4 blocks while
     // it kept every command). The distributed row read 12 223 B / 109.4
     // blocks while rules carried ids and labels and every navigator kept a
-    // per-step index of them, and 11 100 B / 98.5 blocks while each agent
-    // journaled an instance-creation record and every step output twice.
+    // per-step index of them, 11 100 B / 98.5 blocks while each agent
+    // journaled an instance-creation record and every step output twice,
+    // and 10 709 B / 98.5 blocks (311.4 + 98.9 calls; central 221.6 + 0.7)
+    // while every copy of a string value was an allocation of its own and
+    // a packet merge grew each table once per item. The teardown calls are
+    // the blocks a run leaves to free: teardown time scales with them.
     let rows = [
-        ("central", central(), (327.0, 0.4)),
-        ("distributed", distributed(), (10_709.0, 98.5)),
+        ("central", central(), (327.0, 0.4, 214.6, 0.7)),
+        ("distributed", distributed(), (10_402.0, 62.1, 214.6, 62.4)),
     ];
-    for (control, (bytes, blocks), _) in rows {
-        println!("footprint {control:11} {bytes:7.0} live bytes/instance {blocks:6.1} live blocks/instance");
+    for (control, f, _) in rows {
+        println!(
+            "footprint {control:11} {:7.0} live bytes/instance {:6.1} live blocks/instance \
+             {:6.1} allocator calls/instance in the run {:6.1} at teardown",
+            f.bytes, f.blocks, f.run_calls, f.teardown_calls
+        );
     }
-    for (control, (bytes, blocks), (set_bytes, set_blocks)) in rows {
-        let (max_bytes, max_blocks) = (set_bytes * 1.10, set_blocks * 1.10);
+    for (control, f, (bytes, blocks, run_calls, teardown_calls)) in rows {
+        let measured = [f.bytes, f.blocks, f.run_calls, f.teardown_calls];
+        let budget = [bytes, blocks, run_calls, teardown_calls].map(|set| set * 1.10);
         assert!(
-            bytes <= max_bytes && blocks <= max_blocks,
-            "{control}: {bytes:.0} B / {blocks:.1} blocks live per instance, \
-             budget {max_bytes:.0} B / {max_blocks:.1} blocks"
+            measured.iter().zip(&budget).all(|(m, b)| m <= b),
+            "{control}: per instance (live bytes, live blocks, run calls, teardown calls) \
+             {measured:.1?} over the budget {budget:.1?}"
         );
     }
 }

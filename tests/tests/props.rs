@@ -177,7 +177,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<i64>().prop_map(Value::Int),
         (-1e12f64..1e12).prop_map(Value::Float),
-        "[a-zA-Z0-9 ]{0,24}".prop_map(Value::Str),
+        "[a-zA-Z0-9 ]{0,24}".prop_map(|s: String| Value::Str(s.into())),
         any::<bool>().prop_map(Value::Bool),
     ]
 }
