@@ -525,9 +525,7 @@ fn fig5() {
         let mut def = StepDef::new(StepId(1), "S", "p");
         def.reexec = policy;
         def.compensation_kind = comp;
-        def.inputs = vec![crew_model::InputBinding {
-            source: crew_model::ItemKey::input(1),
-        }];
+        def.inputs = vec![crew_model::ItemKey::input(1)];
         let mut history = InstanceHistory::new();
         let mut env = crew_model::DataEnv::new();
         env.set(crew_model::ItemKey::input(1), Value::Int(1));

@@ -3,18 +3,17 @@
 //! "The agent is responsible for executing the step and communicates back
 //! the results of the step to the engine" (§2). Agents hold no workflow
 //! state: the engine ships the program name and input values; the agent
-//! runs the black box (honoring the failure plan) and replies.
+//! runs the black box through the [`StepExecutor`] (honoring the failure
+//! plan) and replies. The engine records the outcome.
 
 use crate::msg::CentralMsg;
-use crew_exec::{FailurePlan, ProgramCtx, ProgramRegistry};
+use crew_exec::{FailurePlan, ProgramCtx, ProgramRegistry, StepExecutor};
 use crew_simnet::{Ctx, Node, NodeId};
 use std::any::Any;
 
 /// A stateless program-execution agent.
 pub struct AppAgent {
-    registry: ProgramRegistry,
-    plan: FailurePlan,
-    seed: u64,
+    executor: StepExecutor,
     /// Number of programs executed (test introspection).
     pub executed: u64,
     /// Number of compensations performed.
@@ -24,9 +23,7 @@ pub struct AppAgent {
 impl AppAgent {
     pub fn new(registry: ProgramRegistry, plan: FailurePlan, seed: u64) -> Self {
         AppAgent {
-            registry,
-            plan,
-            seed,
+            executor: StepExecutor::new(registry, plan, seed),
             executed: 0,
             compensated: 0,
         }
@@ -35,6 +32,7 @@ impl AppAgent {
 
 impl Node<CentralMsg> for AppAgent {
     fn on_message(&mut self, from: NodeId, msg: CentralMsg, ctx: &mut Ctx<CentralMsg>) {
+        let seed = self.executor.seed;
         match msg {
             CentralMsg::ExecRequest {
                 instance,
@@ -44,21 +42,16 @@ impl Node<CentralMsg> for AppAgent {
                 attempt,
                 cost,
             } => {
-                let outputs = if self.plan.step_fails(instance, step, attempt) {
-                    None
-                } else {
-                    // An unknown program fails the attempt like a failing one.
-                    self.registry.get(&program).and_then(|p| {
-                        let pctx = ProgramCtx {
-                            instance,
-                            step,
-                            attempt,
-                            seed: self.seed,
-                            inputs,
-                        };
-                        p.run(&pctx).ok()
-                    })
+                let program = (self.executor.program(&program))
+                    .expect("Deployment::validate refuses a step naming an unregistered program");
+                let pctx = ProgramCtx {
+                    instance,
+                    step,
+                    attempt,
+                    seed,
+                    inputs,
                 };
+                let outputs = self.executor.attempt(program, &pctx).ok();
                 if outputs.is_some() {
                     self.executed += 1;
                     ctx.add_load(cost);
@@ -78,19 +71,14 @@ impl Node<CentralMsg> for AppAgent {
                 for_abort,
                 ..
             } => {
-                if let Some(name) = program {
-                    if let Some(p) = self.registry.get(&name) {
-                        let pctx = ProgramCtx {
-                            instance,
-                            step,
-                            attempt: 0,
-                            seed: self.seed,
-                            inputs: vec![],
-                        };
-                        p.compensate(&pctx);
-                        let _ = p.run(&pctx);
-                    }
-                }
+                self.executor
+                    .run_compensation(program.as_deref(), || ProgramCtx {
+                        instance,
+                        step,
+                        attempt: 0,
+                        seed,
+                        inputs: vec![],
+                    });
                 self.compensated += 1;
                 ctx.send(
                     from,

@@ -203,7 +203,7 @@ impl Engine {
     }
 
     fn nav_load(&self, ctx: &mut Ctx<CentralMsg>) {
-        ctx.add_load(self.deployment.nav_load);
+        ctx.add_load(crew_exec::NAV_LOAD);
     }
 
     fn inst(&mut self, instance: InstanceId) -> &mut EngineInst {
@@ -820,7 +820,7 @@ impl Engine {
         let st = self.inst(instance);
         let attempt = st.nav.history.begin_attempt(def.id);
         st.pending_exec.insert(def.id, attempt);
-        let inputs = st.nav.data.project(&def.input_keys());
+        let inputs = st.nav.data.project(&def.inputs);
         let chosen = designated_agent(self.deployment.seed, instance, def);
         for agent in &def.eligible_agents {
             let node = self.topo.agent_node(*agent);
@@ -861,7 +861,7 @@ impl Engine {
             Some(outputs) => {
                 let def = schema.expect_step(step);
                 let nav = &mut self.inst(instance).nav;
-                let inputs = nav.data.project(&def.input_keys());
+                let inputs = nav.data.project(&def.inputs);
                 for (key, v) in declared_outputs(def, &outputs) {
                     nav.data.set(key, v.clone());
                 }

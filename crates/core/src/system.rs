@@ -554,6 +554,44 @@ mod tests {
         run_with_unknown_mutex_member(Architecture::Distributed { agents: 2 });
     }
 
+    /// A step naming a program no agent can run must be refused before any
+    /// node is laid out, the same way under every architecture: the app
+    /// agents would fail each attempt until the rollback budget aborts the
+    /// instance, and the distributed agent would panic mid-run.
+    fn run_with_unregistered_program(arch: Architecture) {
+        let mut b = SchemaBuilder::new(SchemaId(1), "t").inputs(1);
+        let s1 = b.add_step("A", "passthrough");
+        let s2 = b.add_step("B", "no-such-program");
+        b.seq(s1, s2);
+        b.configure(s1, |d| d.eligible_agents = vec![AgentId(0)]);
+        b.configure(s2, |d| d.eligible_agents = vec![AgentId(1)]);
+        let system = WorkflowSystem::new([b.build().unwrap()], arch);
+        let mut scenario = Scenario::new();
+        scenario.start(SchemaId(1), vec![(1, Value::Int(7))]);
+        system.run(scenario);
+    }
+
+    #[test]
+    #[should_panic(expected = "which the registry does not hold")]
+    fn unregistered_program_is_refused_under_central() {
+        run_with_unregistered_program(Architecture::Central { agents: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "which the registry does not hold")]
+    fn unregistered_program_is_refused_under_parallel() {
+        run_with_unregistered_program(Architecture::Parallel {
+            agents: 2,
+            engines: 2,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "which the registry does not hold")]
+    fn unregistered_program_is_refused_under_distributed() {
+        run_with_unregistered_program(Architecture::Distributed { agents: 2 });
+    }
+
     #[test]
     fn net_faults_preserve_outcomes_under_all_architectures() {
         for arch in [

@@ -51,12 +51,13 @@
 use crate::msg::{CoordRule, DistMsg, WorkflowStatusKind};
 use crate::packet::WorkflowPacket;
 use crate::runtime::{coordination_agent, SharedCtx, SuccessorSelection};
+use crate::runtime::{POLL_PERIOD, POLL_TIMEOUT};
 use crate::weight::Weight;
 use crew_exec::coord::{mutex_grant, ro_guard};
 use crew_exec::{
     declared_outputs, designated_agent, ro_canonical, ro_side, ro_steps, Abort, FailureVerdict,
     Gate, InstanceHistory, InstanceNav, MutexQueue, Refire, Request, Revisit, RoArbiter, RoLeader,
-    StepExecutor, StepOutcome, StepState, Vantage, Verdict, Wake,
+    StepExecutor, StepOutcome, StepState, Vantage, Verdict, Wake, NAV_LOAD,
 };
 use crew_model::{
     DataEnv, InstanceId, ItemKey, SchemaStep, StepId, Value, VecMap, VecSet, WorkflowSchema,
@@ -238,9 +239,8 @@ impl DistAgent {
     }
 
     fn nav_load(&mut self, ctx: &mut Ctx<DistMsg>) {
-        let l = self.shared.deployment.nav_load;
-        self.load += l;
-        ctx.add_load(l);
+        self.load += NAV_LOAD;
+        ctx.add_load(NAV_LOAD);
     }
 
     fn log(&mut self, op: &DbOp) {
@@ -561,7 +561,7 @@ impl DistAgent {
             let st = self.instances.get_mut(&instance).expect("instantiated");
             self.executor
                 .execute(def, instance, &mut st.nav.data, &mut st.nav.history)
-                .expect("programs are registered at deployment build time")
+                .expect("Deployment::validate refuses a step naming an unregistered program")
         };
         match outcome {
             StepOutcome::Done {
@@ -1364,12 +1364,11 @@ impl DistAgent {
     fn arm_poll(&mut self, ctx: &mut Ctx<DistMsg>) {
         if self.shared.config.enable_status_polling && !self.poll_armed {
             self.poll_armed = true;
-            ctx.set_timer(self.shared.config.poll_period, TIMER_POLL);
+            ctx.set_timer(POLL_PERIOD, TIMER_POLL);
         }
     }
 
     fn on_poll_timer(&mut self, ctx: &mut Ctx<DistMsg>) {
-        let timeout = self.shared.config.poll_timeout;
         let now = ctx.now;
         let mut polls: Vec<(InstanceId, StepId)> = Vec::new();
         let mut takeovers: Vec<(InstanceId, StepId)> = Vec::new();
@@ -1386,13 +1385,13 @@ impl DistAgent {
                 .retain(|&s, _| !st.nav.rules.has_event(EventKind::StepDone(s)));
             // Overdue remote steps → poll their eligible agents.
             for (&step, &since) in &st.awaiting_remote {
-                if now.saturating_sub(since) >= timeout && !st.polled.contains(&step) {
+                if now.saturating_sub(since) >= POLL_TIMEOUT && !st.polled.contains(&step) {
                     polls.push((instance, step));
                 }
             }
             // Polls answered only by silence (crashed designee) → escalate.
             for (&step, &sent) in &st.poll_pending {
-                if now.saturating_sub(sent) >= timeout {
+                if now.saturating_sub(sent) >= POLL_TIMEOUT {
                     takeovers.push((instance, step));
                 }
             }
@@ -1783,7 +1782,7 @@ mod tests {
     use crate::runtime::{Directory, SharedCtx};
     use crate::DistConfig;
     use crew_exec::{Deployment, FailurePlan};
-    use crew_model::{AgentId, ItemKey, RetryPolicy, SchemaBuilder, SchemaId, Value};
+    use crew_model::{AgentId, ItemKey, SchemaBuilder, SchemaId, Value};
 
     /// S1 → S2, both on agent 0 with an in-place retry budget; S1 copies
     /// the workflow input into its output. `plan` scripts which attempts
@@ -1797,7 +1796,7 @@ mod tests {
         for s in [s1, s2] {
             b.configure(s, |d| {
                 d.eligible_agents = vec![AgentId(0)];
-                d.policy.retry = Some(RetryPolicy::bounded(5));
+                d.retry = Some(5);
             });
         }
         let mut deployment = Deployment::new([b.build().unwrap()]);

@@ -55,35 +55,25 @@ pub enum SuccessorSelection {
     LoadBalanced,
 }
 
+/// Period of the pending-rule scan timer, in ticks.
+pub const POLL_PERIOD: u64 = 50;
+
+/// Age in ticks after which a single-event-blocked rule triggers a poll.
+pub const POLL_TIMEOUT: u64 = 100;
+
 /// Tunables of the distributed run-time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DistConfig {
     /// Enable the pending-rule timeout + `StepStatus` polling protocol
     /// (predecessor-failure recovery, §5.2). Off by default because the
     /// periodic timer keeps the simulation from quiescing early in
     /// happy-path experiments.
     pub enable_status_polling: bool,
-    /// Period of the pending-rule scan timer.
-    pub poll_period: u64,
-    /// Age after which a single-event-blocked rule triggers a poll.
-    pub poll_timeout: u64,
     /// If set, coordination agents broadcast committed-instance purges with
     /// this period (§4.2).
     pub purge_period: Option<u64>,
     /// Successor-selection strategy for multi-eligible steps.
     pub successor_selection: SuccessorSelection,
-}
-
-impl Default for DistConfig {
-    fn default() -> Self {
-        DistConfig {
-            enable_status_polling: false,
-            poll_period: 50,
-            poll_timeout: 100,
-            purge_period: None,
-            successor_selection: SuccessorSelection::default(),
-        }
-    }
 }
 
 /// The coordination agent of an instance: the designated executor of its

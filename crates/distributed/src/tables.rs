@@ -14,9 +14,7 @@ mod tests {
     use crate::packet::WorkflowPacket;
     use crate::runtime::{Directory, DistConfig, SharedCtx};
     use crew_exec::{Deployment, FailurePlan, StepState};
-    use crew_model::{
-        AgentId, InstanceId, ItemKey, RetryPolicy, SchemaBuilder, SchemaId, StepId, Value,
-    };
+    use crew_model::{AgentId, InstanceId, ItemKey, SchemaBuilder, SchemaId, StepId, Value};
     use crew_simnet::{Ctx, Node, NodeId};
     use crew_storage::{DbOp, InstanceStatus};
     use std::sync::Arc;
@@ -40,7 +38,7 @@ mod tests {
         for s in [s1, s2] {
             b.configure(s, |d| {
                 d.eligible_agents = vec![AgentId(0)];
-                d.policy.retry = Some(RetryPolicy::bounded(5));
+                d.retry = Some(5);
             });
         }
         let mut deployment = Deployment::new([b.build().unwrap()]);

@@ -2,9 +2,8 @@
 //!
 //! A [`Deployment`] bundles everything static about a run: the workflow
 //! schemas, the coordinated-execution requirements, the program registry,
-//! the failure plan, the navigation-load constant (the paper's `l`) and the
-//! run seed. Engine builders consume it to lay out nodes; the analysis
-//! crate derives the paper's parameters from it.
+//! the failure plan and the run seed. Engine builders consume it to lay out
+//! nodes; the analysis crate derives the paper's parameters from it.
 
 use crate::failure::FailurePlan;
 use crate::program::ProgramRegistry;
@@ -81,6 +80,10 @@ impl RelOrderLinks {
     }
 }
 
+/// The paper's `l`: abstract navigation instructions charged at the node
+/// that schedules/navigates one step.
+pub const NAV_LOAD: u64 = 100;
+
 /// Everything static about a run.
 #[derive(Debug, Clone)]
 pub struct Deployment {
@@ -94,9 +97,6 @@ pub struct Deployment {
     pub registry: ProgramRegistry,
     /// Failure/perturbation injection.
     pub plan: FailurePlan,
-    /// The paper's `l`: abstract navigation instructions charged at the
-    /// node that schedules/navigates one step.
-    pub nav_load: u64,
     /// Run seed (latency draws, load-balancing hashes, program draws).
     pub seed: u64,
 }
@@ -111,7 +111,6 @@ impl Deployment {
             ro_links: RelOrderLinks::new(),
             registry: ProgramRegistry::with_builtins(),
             plan: FailurePlan::none(),
-            nav_load: 100,
             seed: 0,
         }
     }
@@ -204,6 +203,8 @@ impl Deployment {
     /// - every step's eligible agents fit the pool. Agents occupy node ids
     ///   `0..agents`, so an id past the pool would address whichever node
     ///   comes next (an engine, the front end);
+    /// - every step but a nested workflow's placeholder names a program the
+    ///   registry holds. No agent could run it, under any architecture;
     /// - every mutex member, relative-order pair step and rollback
     ///   dependency source and origin names a step of a deployed schema.
     ///   The engines would silently drop such a requirement, and the
@@ -211,6 +212,14 @@ impl Deployment {
     pub fn validate(&self, agents: u32) {
         for schema in self.schemas.values() {
             for def in schema.steps() {
+                assert!(
+                    schema.nested.contains_key(&def.id)
+                        || self.registry.get(&def.program).is_some(),
+                    "step {}.{} names program {:?}, which the registry does not hold",
+                    schema.id,
+                    def.id,
+                    def.program,
+                );
                 for a in &def.eligible_agents {
                     assert!(
                         a.0 < agents,
@@ -326,6 +335,30 @@ mod tests {
             let msg = refusal(coordination).expect(expected);
             assert_eq!(msg, format!("{expected}, which no deployed schema defines"));
         }
+    }
+
+    /// A step naming a program the registry does not hold is refused, with
+    /// one message; a nested step's placeholder names no program and passes.
+    #[test]
+    fn validate_refuses_unregistered_programs() {
+        let refusal = |second: fn(&mut SchemaBuilder) -> StepId| {
+            let mut b = SchemaBuilder::new(SchemaId(1), "wf1");
+            let s1 = b.add_step("A", "passthrough");
+            let s2 = second(&mut b);
+            b.seq(s1, s2);
+            for s in [s1, s2] {
+                b.configure(s, |d| d.eligible_agents = vec![AgentId(0)]);
+            }
+            let d = Deployment::new([b.build().unwrap()]);
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| d.validate(1)));
+            err.err().map(|e| *e.downcast::<String>().unwrap())
+        };
+        assert_eq!(
+            refusal(|b| b.add_step("B", "no-such-program")).as_deref(),
+            Some("step WF1.S2 names program \"no-such-program\", which the registry does not hold")
+        );
+        assert_eq!(refusal(|b| b.add_step("B", "always-fail")), None);
+        assert_eq!(refusal(|b| b.add_nested("Call", SchemaId(2))), None);
     }
 
     /// The requirement lookups both shells share: by id, by member step,

@@ -1,16 +1,20 @@
 //! The step executor: the piece of an agent that actually performs a step.
 //!
-//! Both the centralized engine's application agents and the distributed
-//! agents funnel step execution through [`StepExecutor::execute`]: gather
-//! the declared inputs from the instance data table, consult the failure
-//! plan, run the program, and report a [`StepOutcome`]. Compensation runs
-//! the step's compensation program and strips its outputs from the data
-//! table.
+//! It is the only code that consults the failure plan and calls a step or
+//! compensation program, whichever architecture navigates the step. The
+//! distributed agents run a whole step through [`StepExecutor::execute`]:
+//! gather the declared inputs from the instance data table, run one
+//! [attempt](StepExecutor::attempt) and record its [`StepOutcome`].
+//! Compensation runs the step's compensation program and strips its
+//! outputs from the data table. The application agents of central and
+//! parallel control run only the program half ([`StepExecutor::attempt`]
+//! and [`StepExecutor::run_compensation`]); their engine records the
+//! outcome.
 
 use crate::failure::FailurePlan;
 use crate::history::InstanceHistory;
 use crate::nav::declared_outputs;
-use crate::program::{ProgramCtx, ProgramRegistry, StepFailure};
+use crate::program::{Program, ProgramCtx, ProgramRegistry, StepFailure};
 use crew_model::{DataEnv, InstanceId, StepDef, Value};
 
 /// The result of one step execution attempt.
@@ -80,10 +84,42 @@ impl StepExecutor {
         }
     }
 
+    /// The registered program `name`.
+    pub fn program(&self, name: &str) -> Result<&dyn Program, ExecError> {
+        match self.registry.get(name) {
+            Some(program) => Ok(program.as_ref()),
+            None => Err(ExecError::UnknownProgram(name.to_owned())),
+        }
+    }
+
+    /// Run attempt `ctx.attempt` of `program` under the failure plan. The
+    /// plan is asked first: an attempt it fails never calls the program.
+    pub fn attempt(
+        &self,
+        program: &dyn Program,
+        ctx: &ProgramCtx,
+    ) -> Result<Vec<Value>, StepFailure> {
+        if self.plan.step_fails(ctx.instance, ctx.step, ctx.attempt) {
+            return Err(StepFailure::new("injected logical failure"));
+        }
+        program.run(ctx)
+    }
+
+    /// Run the compensation program `name`, skipping one the registry does
+    /// not hold: its `compensate`, then its side-effect `run` with the
+    /// output dropped. `ctx` is built only for a program that runs.
+    pub fn run_compensation(&self, name: Option<&str>, ctx: impl FnOnce() -> ProgramCtx) {
+        if let Some(program) = name.and_then(|name| self.registry.get(name)) {
+            let ctx = ctx();
+            program.compensate(&ctx);
+            let _ = program.run(&ctx);
+        }
+    }
+
     /// Execute `def` for `instance`: allocates the attempt in `history`,
-    /// reads inputs from `env`, runs the program (unless the failure plan
-    /// injects a failure), and on success writes outputs into `env` and the
-    /// completion record into `history`.
+    /// reads inputs from `env`, runs one [attempt](Self::attempt), and on
+    /// success writes outputs into `env` and the completion record into
+    /// `history`.
     pub fn execute(
         &self,
         def: &StepDef,
@@ -91,35 +127,21 @@ impl StepExecutor {
         env: &mut DataEnv,
         history: &mut InstanceHistory,
     ) -> Result<StepOutcome, ExecError> {
-        let program = self
-            .registry
-            .get(&def.program)
-            .ok_or_else(|| ExecError::UnknownProgram(def.program.clone()))?
-            .clone();
+        let program = self.program(&def.program)?;
         let attempt = history.begin_attempt(def.id);
-        let inputs = env.project(&def.input_keys());
-
-        if self.plan.step_fails(instance, def.id, attempt) {
-            history.record_failed(def.id);
-            return Ok(StepOutcome::Failed {
-                attempt,
-                reason: "injected logical failure".to_owned(),
-            });
-        }
-
         let ctx = ProgramCtx {
             instance,
             step: def.id,
             attempt,
             seed: self.seed,
-            inputs: inputs.clone(),
+            inputs: env.project(&def.inputs),
         };
-        match program.run(&ctx) {
+        match self.attempt(program, &ctx) {
             Ok(outputs) => {
                 for (key, v) in declared_outputs(def, &outputs) {
                     env.set(key, v.clone());
                 }
-                history.record_done(def.id, attempt, inputs, outputs.clone());
+                history.record_done(def.id, attempt, ctx.inputs, outputs.clone());
                 Ok(StepOutcome::Done {
                     attempt,
                     outputs,
@@ -144,20 +166,13 @@ impl StepExecutor {
         history: &mut InstanceHistory,
         partial: bool,
     ) -> u64 {
-        if let Some(name) = &def.compensation_program {
-            if let Some(program) = self.registry.get(name) {
-                let ctx = ProgramCtx {
-                    instance,
-                    step: def.id,
-                    attempt: history.attempts(def.id),
-                    seed: self.seed,
-                    inputs: env.project(&def.input_keys()),
-                };
-                program.compensate(&ctx);
-                // Compensation programs may also *run* side-effect logic.
-                let _ = program.run(&ctx);
-            }
-        }
+        self.run_compensation(def.compensation_program.as_deref(), || ProgramCtx {
+            instance,
+            step: def.id,
+            attempt: history.attempts(def.id),
+            seed: self.seed,
+            inputs: env.project(&def.inputs),
+        });
         env.clear_step_outputs(def.id);
         history.record_compensated(def.id);
         if partial {
@@ -171,7 +186,8 @@ impl StepExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::{InputBinding, ItemKey, SchemaId, StepId, StepState};
+    use crew_model::{ItemKey, SchemaId, StepId, StepState};
+    use std::sync::{Arc, Mutex};
 
     fn executor(plan: FailurePlan) -> StepExecutor {
         StepExecutor::new(ProgramRegistry::with_builtins(), plan, 42)
@@ -179,14 +195,7 @@ mod tests {
 
     fn sum_step() -> StepDef {
         let mut def = StepDef::new(StepId(1), "Sum", "sum");
-        def.inputs = vec![
-            InputBinding {
-                source: ItemKey::input(1),
-            },
-            InputBinding {
-                source: ItemKey::input(2),
-            },
-        ];
+        def.inputs = vec![ItemKey::input(1), ItemKey::input(2)];
         def.output_slots = 1;
         def
     }
@@ -226,6 +235,49 @@ mod tests {
         // Second attempt succeeds.
         let out = ex.execute(&def, inst(), &mut env, &mut h).unwrap();
         assert!(matches!(out, StepOutcome::Done { attempt: 2, .. }));
+    }
+
+    /// A program that journals each call it receives.
+    struct Journaled(Arc<Mutex<Vec<&'static str>>>);
+
+    impl Program for Journaled {
+        fn run(&self, _: &ProgramCtx) -> Result<Vec<Value>, StepFailure> {
+            self.0.lock().unwrap().push("run");
+            Ok(vec![])
+        }
+        fn compensate(&self, _: &ProgramCtx) {
+            self.0.lock().unwrap().push("compensate");
+        }
+    }
+
+    /// The plan is asked before the program: an attempt it fails never
+    /// calls the program, the next attempt calls it once, and a
+    /// compensation calls `compensate`, then `run`.
+    #[test]
+    fn plan_is_checked_before_the_program_runs() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let mut registry = ProgramRegistry::default();
+        registry.register("journaled", Journaled(calls.clone()));
+        let plan = FailurePlan::none().fail_step(inst(), StepId(1), 1);
+        let ex = StepExecutor::new(registry, plan, 42);
+        let ctx = |attempt| ProgramCtx {
+            instance: inst(),
+            step: StepId(1),
+            attempt,
+            seed: 42,
+            inputs: vec![],
+        };
+        let program = ex.program("journaled").unwrap();
+        let failed = ex.attempt(program, &ctx(1));
+        assert_eq!(failed, Err(StepFailure::new("injected logical failure")));
+        assert!(calls.lock().unwrap().is_empty());
+        assert_eq!(ex.attempt(program, &ctx(2)), Ok(vec![]));
+        assert_eq!(*calls.lock().unwrap(), ["run"]);
+        ex.run_compensation(Some("journaled"), || ctx(0));
+        assert_eq!(*calls.lock().unwrap(), ["run", "compensate", "run"]);
+        ex.run_compensation(Some("no-such-program"), || unreachable!());
+        ex.run_compensation(None, || unreachable!());
+        assert_eq!(calls.lock().unwrap().len(), 3);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! The centralized engine, the parallel engines and the distributed agents
 //! all build on this crate — and embed its per-instance navigator
-//! ([`InstanceNav`]), which makes every enactment decision once, and its
-//! coordination managers ([`MutexQueue`], [`RoArbiter`]) and guard
+//! ([`InstanceNav`]), which makes every enactment decision once, its
+//! [`StepExecutor`], which runs every step program under the failure plan
+//! once, and its coordination managers ([`MutexQueue`], [`RoArbiter`]) and guard
 //! ([`Gate`]), which make every coordination decision and wait once, and
 //! whose failure-handling decisions ([`recovery`]: rollback, abort, input
 //! change, branch unwind, OCR revisit) are made once as well — so
@@ -36,7 +37,7 @@ pub use coord::{
     Verdict, Wake,
 };
 pub use crew_model::StepState;
-pub use deploy::{Deployment, RelOrderLinks};
+pub use deploy::{Deployment, RelOrderLinks, NAV_LOAD};
 pub use executor::{ExecError, StepExecutor, StepOutcome};
 pub use failure::FailurePlan;
 pub use history::{InstanceHistory, StepRecord};

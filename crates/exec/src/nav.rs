@@ -227,7 +227,7 @@ impl InstanceNav {
     // ---- failure, rollback, compensation ---------------------------------
 
     /// Decide what follows the failed `attempt` of `failed`: an in-place
-    /// retry while the step's policy allows one; otherwise a rollback to
+    /// retry while the step's `retry(N)` budget allows one; otherwise a rollback to
     /// the designer's origin (the failed step itself without a spec),
     /// charged against that origin's budget; abort once it is spent.
     pub fn failure_verdict(
@@ -236,10 +236,11 @@ impl InstanceNav {
         failed: StepId,
         attempt: u32,
     ) -> FailureVerdict {
-        let retry = &schema.expect_step(failed).policy.retry;
-        if retry
-            .as_ref()
-            .is_some_and(|r| r.allows_retry_after(attempt))
+        // A budget of N allows N re-dispatches on top of the first attempt.
+        if schema
+            .expect_step(failed)
+            .retry
+            .is_some_and(|max| attempt <= max)
         {
             return FailureVerdict::Retry;
         }
@@ -313,7 +314,7 @@ impl InstanceNav {
         let child = InstanceId::new(child_schema, nested_instance_serial(instance, def.id));
         self.pending_nested.insert(def.id, child);
         let inputs = def
-            .input_keys()
+            .inputs
             .iter()
             .enumerate()
             .filter_map(|(i, k)| Some((ItemKey::input((i + 1) as u16), self.data.get(k)?.clone())))
@@ -367,7 +368,7 @@ pub(crate) fn input_change_origin(
     new_inputs: &[(ItemKey, Value)],
 ) -> StepId {
     let reads_changed = |s: &StepId| {
-        let keys = schema.expect_step(*s).input_keys();
+        let keys = &schema.expect_step(*s).inputs;
         keys.iter()
             .any(|k| new_inputs.iter().any(|(changed, _)| changed == k))
     };
@@ -408,7 +409,7 @@ pub fn nested_instance_serial(parent: InstanceId, step: StepId) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crew_model::{Expr, RetryPolicy, SchemaBuilder};
+    use crew_model::{Expr, SchemaBuilder};
     use crew_rules::Rule;
 
     fn inst(serial: u32) -> InstanceId {
@@ -590,7 +591,7 @@ mod tests {
         let s = [(); 4].map(|_| b.add_step("S", "passthrough"));
         b.seq(s[0], s[1]).seq(s[1], s[2]).seq(s[2], s[3]);
         b.on_failure_rollback_to_with_attempts(s[2], s[0], 2);
-        b.configure(s[3], |d| d.policy.retry = Some(RetryPolicy::bounded(2)));
+        b.configure(s[3], |d| d.retry = Some(2));
         let schema = build(b);
         use FailureVerdict::*;
         // (failed step, attempt) in sequence on one instance → verdict.

@@ -119,7 +119,7 @@ pub fn decide(
         ReexecPolicy::Never => false,
         ReexecPolicy::Always => true,
         ReexecPolicy::IfInputsChanged => {
-            let current = env.project(&def.input_keys());
+            let current = env.project(&def.inputs);
             current != record.inputs || plan.revisit_requires_reexec(instance, def.id)
         }
         ReexecPolicy::When(cond) => cond.eval_bool(env).unwrap_or(true),
@@ -143,9 +143,7 @@ mod tests {
         let mut def = StepDef::new(StepId(2), "S2", "p");
         def.reexec = policy;
         def.compensation_kind = comp;
-        def.inputs = vec![crew_model::InputBinding {
-            source: ItemKey::input(1),
-        }];
+        def.inputs = vec![ItemKey::input(1)];
         def.cost = 100;
         def.compensation_cost = Some(80);
         (def, InstanceId::new(SchemaId(1), 1))

@@ -4,7 +4,7 @@
 //! names follow the grammar, so per-field docs are suppressed.
 #![allow(missing_docs)]
 
-use crate::token::Pos;
+use crew_lint::Span;
 
 /// A complete parsed specification.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -21,7 +21,7 @@ pub struct WorkflowDecl {
     pub inputs: u16,
     pub steps: Vec<StepDecl>,
     pub items: Vec<FlowItem>,
-    pub pos: Pos,
+    pub pos: Span,
 }
 
 /// `step Name { ... }`
@@ -48,7 +48,7 @@ pub struct StepDecl {
     pub reexec: Option<ReexecDecl>,
     /// `policy { retry(N); }`
     pub policy: Option<PolicyDecl>,
-    pub pos: Pos,
+    pub pos: Span,
 }
 
 /// `policy { ... }` inside a step body.
@@ -74,27 +74,27 @@ pub struct ItemRef {
     pub scope: String,
     /// `I<n>` or `O<n>`.
     pub slot: String,
-    pub pos: Pos,
+    pub pos: Span,
 }
 
 /// Flow/recovery declarations inside a workflow body.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowItem {
     /// `flow A -> B;`
-    Seq { from: String, to: String, pos: Pos },
+    Seq { from: String, to: String, pos: Span },
     /// `parallel A -> { B, C } -> D;`
     Parallel {
         from: String,
         branches: Vec<String>,
         join: String,
-        pos: Pos,
+        pos: Span,
     },
     /// `choice A -> { B when e, C otherwise } -> D;`
     Choice {
         from: String,
         branches: Vec<(String, Option<ExprAst>)>,
         join: String,
-        pos: Pos,
+        pos: Span,
     },
     /// `loop A while e;` (self-loop) or `loop A -> B while e;` (back-edge
     /// from A to upstream B).
@@ -102,16 +102,16 @@ pub enum FlowItem {
         from: String,
         to: String,
         while_: ExprAst,
-        pos: Pos,
+        pos: Span,
     },
     /// `compensation set { A, B };`
-    CompSet { members: Vec<String>, pos: Pos },
+    CompSet { members: Vec<String>, pos: Span },
     /// `on failure of A rollback to B [retry N];`
     OnFailure {
         failing: String,
         origin: String,
         retries: Option<u32>,
-        pos: Pos,
+        pos: Span,
     },
 }
 
@@ -122,20 +122,20 @@ pub enum CoordItem {
     Mutex {
         resource: String,
         members: Vec<QualRef>,
-        pos: Pos,
+        pos: Span,
     },
     /// `order "conflict" (A.X before B.Y), (A.X2 before B.Y2);`
     Order {
         conflict: String,
         pairs: Vec<(QualRef, QualRef)>,
-        pos: Pos,
+        pos: Span,
     },
     /// `rollback A.X forces B to Y;`
     Rollback {
         source: QualRef,
         dependent: String,
         origin: String,
-        pos: Pos,
+        pos: Span,
     },
 }
 
@@ -144,7 +144,7 @@ pub enum CoordItem {
 pub struct QualRef {
     pub workflow: String,
     pub step: String,
-    pub pos: Pos,
+    pub pos: Span,
 }
 
 /// Expression AST (compiled to `crew_model::Expr`).

@@ -7,12 +7,11 @@
 //! specs get exactly the same rigor as programmatically built schemas.
 
 use crate::ast::*;
-use crate::token::Pos;
 use crew_lint::{CoordKind, Span, SpanTable};
 use crew_model::{
-    CompensationKind, CoordinationSpec, Expr, InputBinding, ItemKey, MutualExclusion, ReexecPolicy,
-    RelativeOrder, RetryPolicy, RollbackDependency, SchemaBuilder, SchemaError, SchemaId,
-    SchemaStep, StepId, StepKind, StepPolicy, WorkflowSchema,
+    CompensationKind, CoordinationSpec, Expr, ItemKey, MutualExclusion, ReexecPolicy,
+    RelativeOrder, RollbackDependency, SchemaBuilder, SchemaError, SchemaId, SchemaStep, StepId,
+    StepKind, WorkflowSchema,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -21,7 +20,7 @@ use std::fmt;
 #[allow(missing_docs)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileError {
-    pub pos: Option<Pos>,
+    pub pos: Option<Span>,
     pub message: String,
 }
 
@@ -36,7 +35,7 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-fn err<T>(pos: Pos, message: impl Into<String>) -> Result<T, CompileError> {
+fn err<T>(pos: Span, message: impl Into<String>) -> Result<T, CompileError> {
     Err(CompileError {
         pos: Some(pos),
         message: message.into(),
@@ -59,13 +58,6 @@ impl CompiledSpec {
     /// carrying LAWS source positions.
     pub fn lint(&self) -> Vec<crew_lint::Diagnostic> {
         crew_lint::lint_with_spans(&self.schemas, &self.coordination, &self.spans)
-    }
-}
-
-fn span(pos: Pos) -> Span {
-    Span {
-        line: pos.line,
-        col: pos.col,
     }
 }
 
@@ -101,10 +93,10 @@ pub fn compile(spec: &Spec) -> Result<CompiledSpec, CompileError> {
 
     for wf in &spec.workflows {
         let (schema, steps) = compile_workflow(wf, &wf_ids)?;
-        spans.record_workflow(schema.id, span(wf.pos));
+        spans.record_workflow(schema.id, wf.pos);
         for step in &wf.steps {
             let id = steps[step.name.as_str()];
-            spans.record_step(schema.id, id, span(step.pos));
+            spans.record_step(schema.id, id, step.pos);
         }
         step_maps.insert(&wf.name, steps);
         schemas.push(schema);
@@ -172,19 +164,13 @@ fn compile_workflow<'a>(
             Some(ReexecDecl::InputsChanged) => Some(ReexecPolicy::IfInputsChanged),
             Some(ReexecDecl::When(e)) => Some(ReexecPolicy::When(resolve_expr(e, &ids)?)),
         };
-        let policy = step.policy.as_ref().map(|p| StepPolicy {
-            retry: p.retry.map(RetryPolicy::bounded),
-        });
         b.configure(id, |d| {
             d.kind = if step.query {
                 StepKind::Query
             } else {
                 StepKind::Update
             };
-            d.inputs = reads
-                .into_iter()
-                .map(|source| InputBinding { source })
-                .collect();
+            d.inputs = reads;
             d.output_slots = step.outputs;
             d.cost = step.cost;
             if let Some((prog, partial)) = &step.compensate {
@@ -198,9 +184,7 @@ fn compile_workflow<'a>(
             if let Some(r) = reexec {
                 d.reexec = r;
             }
-            if let Some(p) = policy {
-                d.policy = p;
-            }
+            d.retry = step.policy.as_ref().and_then(|p| p.retry);
             d.eligible_agents = step
                 .agents
                 .iter()
@@ -210,7 +194,7 @@ fn compile_workflow<'a>(
     }
 
     // Pass 3: flow items.
-    let lookup = |name: &str, pos: Pos, ids: &BTreeMap<&str, StepId>| {
+    let lookup = |name: &str, pos: Span, ids: &BTreeMap<&str, StepId>| {
         ids.get(name).copied().ok_or_else(|| CompileError {
             pos: Some(pos),
             message: format!("unknown step `{name}` in workflow `{}`", wf.name),
@@ -408,7 +392,7 @@ fn compile_coordination(
                     resource: resource.clone(),
                     members: members.iter().map(&resolve).collect::<Result<_, _>>()?,
                 });
-                spans.record_coord(CoordKind::Mutex, next_id, span(*pos));
+                spans.record_coord(CoordKind::Mutex, next_id, *pos);
                 next_id += 1;
             }
             CoordItem::Order {
@@ -424,7 +408,7 @@ fn compile_coordination(
                         .map(|(a, b)| Ok((resolve(a)?, resolve(b)?)))
                         .collect::<Result<_, CompileError>>()?,
                 });
-                spans.record_coord(CoordKind::Order, next_id, span(*pos));
+                spans.record_coord(CoordKind::Order, next_id, *pos);
                 next_id += 1;
             }
             CoordItem::Rollback {
@@ -512,7 +496,7 @@ mod tests {
         assert_eq!(spec.max_attempts, 4);
         let charge = s.expect_step(StepId(3));
         assert_eq!(charge.compensation_kind, CompensationKind::Partial);
-        assert_eq!(charge.input_keys(), vec![ItemKey::input(2)]);
+        assert_eq!(charge.inputs, vec![ItemKey::input(2)]);
         let check = s.expect_step(StepId(1));
         assert_eq!(check.kind, StepKind::Query);
     }

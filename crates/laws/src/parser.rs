@@ -24,14 +24,15 @@
 //! ```
 
 use crate::ast::*;
-use crate::token::{lex, Pos, Tok, Token};
+use crate::token::{lex, Tok, Token};
+use crew_lint::Span;
 use std::fmt;
 
 /// Parse errors with positions.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
-    pub pos: Pos,
+    pub pos: Span,
     pub message: String,
 }
 
@@ -86,7 +87,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<(String, Pos), ParseError> {
+    fn ident(&mut self) -> Result<(String, Span), ParseError> {
         match self.peek().tok.clone() {
             Tok::Ident(s) => {
                 let pos = self.peek().pos;
@@ -98,7 +99,7 @@ impl Parser {
     }
 
     /// Expect a specific keyword identifier.
-    fn keyword(&mut self, kw: &str) -> Result<Pos, ParseError> {
+    fn keyword(&mut self, kw: &str) -> Result<Span, ParseError> {
         match self.peek().tok.clone() {
             Tok::Ident(s) if s == kw => Ok(self.next().pos),
             other => self.err(format!("expected `{kw}`, found {other}")),

@@ -7,21 +7,8 @@
 //! covering everything the paper attributes to LAWS; see the crate docs
 //! for the grammar.
 
+use crew_lint::Span;
 use std::fmt;
-
-/// Source position (1-based line/column) for diagnostics.
-#[allow(missing_docs)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pos {
-    pub line: u32,
-    pub col: u32,
-}
-
-impl fmt::Display for Pos {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.line, self.col)
-    }
-}
 
 /// Token kinds (names are the documentation).
 #[allow(missing_docs)]
@@ -96,14 +83,14 @@ impl fmt::Display for Tok {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Token {
     pub tok: Tok,
-    pub pos: Pos,
+    pub pos: Span,
 }
 
 /// Lexing errors.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct LexError {
-    pub pos: Pos,
+    pub pos: Span,
     pub message: String,
 }
 
@@ -136,7 +123,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
     }
 
     loop {
-        let pos = Pos { line, col };
+        let pos = Span { line, col };
         let Some(&c) = chars.peek() else {
             out.push(Token { tok: Tok::Eof, pos });
             return Ok(out);
@@ -488,14 +475,14 @@ mod tests {
     #[test]
     fn positions_tracked() {
         let tokens = lex("a\n  b").unwrap();
-        assert_eq!(tokens[0].pos, Pos { line: 1, col: 1 });
-        assert_eq!(tokens[1].pos, Pos { line: 2, col: 3 });
+        assert_eq!(tokens[0].pos, Span { line: 1, col: 1 });
+        assert_eq!(tokens[1].pos, Span { line: 2, col: 3 });
     }
 
     #[test]
     fn errors_reported_with_position() {
         let err = lex("a @ b").unwrap_err();
-        assert_eq!(err.pos, Pos { line: 1, col: 3 });
+        assert_eq!(err.pos, Span { line: 1, col: 3 });
         assert!(lex("\"unterminated").is_err());
         assert!(lex("a = b").is_err());
         assert!(lex("a & b").is_err());

@@ -48,9 +48,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// A source position (`line:col`) in the LAWS text a diagnostic points
-/// at. Mirrors `crew_laws::token::Pos`; defined here so the analyzer does
-/// not depend on the language crate (the language crate depends on the
-/// analyzer for its strict mode).
+/// at, and the position the LAWS lexer, parser and compiler report.
+/// Defined here so the analyzer does not depend on the language crate (the
+/// language crate depends on the analyzer for its strict mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Span {
     /// 1-based line.

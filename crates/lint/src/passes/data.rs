@@ -52,7 +52,7 @@ fn check_cross_branch_reads(schema: &WorkflowSchema, split: StepId, out: &mut Ve
     for (i, branch) in branches.iter().enumerate() {
         for &s in branch {
             let def = schema.expect_step(s);
-            for key in def.input_keys() {
+            for key in &def.inputs {
                 let ItemScope::StepOutput(p) = key.scope else {
                     continue;
                 };

@@ -1,7 +1,7 @@
 //! Strongly-typed identifiers used throughout CREW.
 //!
 //! Every entity the paper names — workflow schemas ("workflow classes"),
-//! workflow instances, steps, agents, engines — gets its own newtype so that
+//! workflow instances, steps, agents — gets its own newtype so that
 //! the compiler rules out cross-entity mixups (e.g. passing a step id where
 //! an agent id is expected). All ids are small `Copy` integers; formatting
 //! follows the paper's conventions (`S3`, `WF2`, instance numbers).
@@ -60,13 +60,6 @@ id_type!(
     "A"
 );
 
-id_type!(
-    /// Identifies a workflow engine in the centralized (always `E0`) and
-    /// parallel architectures.
-    EngineId,
-    "E"
-);
-
 /// Identifies one workflow instance, globally unique across schemas.
 ///
 /// The paper renders instances as "workflow name + instance number"
@@ -93,29 +86,6 @@ impl fmt::Display for InstanceId {
     }
 }
 
-/// A step execution within a particular instance: the unit that events,
-/// compensation and OCR decisions attach to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StepRef {
-    /// The workflow instance concerned.
-    pub instance: InstanceId,
-    /// The step this entry concerns.
-    pub step: StepId,
-}
-
-impl StepRef {
-    /// Create a new, empty value.
-    pub fn new(instance: InstanceId, step: StepId) -> Self {
-        StepRef { instance, step }
-    }
-}
-
-impl fmt::Display for StepRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}", self.instance, self.step)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,10 +95,8 @@ mod tests {
         assert_eq!(SchemaId(2).to_string(), "WF2");
         assert_eq!(StepId(3).to_string(), "S3");
         assert_eq!(AgentId(7).to_string(), "A7");
-        assert_eq!(EngineId(0).to_string(), "E0");
         let inst = InstanceId::new(SchemaId(2), 4);
         assert_eq!(inst.to_string(), "WF2#4");
-        assert_eq!(StepRef::new(inst, StepId(3)).to_string(), "WF2#4.S3");
     }
 
     #[test]

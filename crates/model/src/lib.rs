@@ -7,8 +7,7 @@
 //! This crate holds everything a workflow *designer* produces and every
 //! run-time architecture consumes:
 //!
-//! - strongly-typed [`ids`] for schemas, instances, steps, agents and
-//!   engines;
+//! - strongly-typed [`ids`] for schemas, instances, steps and agents;
 //! - [data items and values](value) that flow between steps, and the
 //!   [sorted-`Vec` tables](vecmap) every per-instance table is stored in;
 //! - the [condition expression language](expr) used on arcs, in rule guards
@@ -31,7 +30,6 @@
 pub mod coord;
 pub mod expr;
 pub mod ids;
-pub mod policy;
 pub mod recovery;
 pub mod schema;
 pub mod step;
@@ -40,12 +38,16 @@ pub mod vecmap;
 
 pub use coord::{CoordinationSpec, MutualExclusion, RelativeOrder, RollbackDependency, SchemaStep};
 pub use expr::{ArithOp, CmpOp, EvalError, Expr};
-pub use ids::{AgentId, EngineId, InstanceId, SchemaId, StepId, StepRef};
-pub use policy::{RetryPolicy, StepPolicy, RUN_HORIZON_TICKS};
+pub use ids::{AgentId, InstanceId, SchemaId, StepId};
 pub use recovery::{CompensationSet, RollbackSpec};
 pub use schema::{
     ControlArc, JoinKind, SchemaBuilder, SchemaError, SplitKind, WorkflowSchema, NESTED_PROGRAM,
 };
-pub use step::{CompensationKind, InputBinding, ReexecPolicy, StepDef, StepKind, StepState};
+pub use step::{CompensationKind, ReexecPolicy, StepDef, StepKind, StepState};
 pub use value::{DataEnv, ItemKey, ItemScope, Value};
 pub use vecmap::{VecMap, VecSet};
+
+/// The bounded simulation run horizon in ticks. `crew-core` stops every
+/// run at this virtual time; an instance still live then is reported
+/// `Stalled`.
+pub const RUN_HORIZON_TICKS: u64 = 1_000_000;

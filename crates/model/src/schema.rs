@@ -18,7 +18,7 @@
 use crate::expr::Expr;
 use crate::ids::{AgentId, SchemaId, StepId};
 use crate::recovery::{CompensationSet, RollbackSpec};
-use crate::step::{InputBinding, StepDef};
+use crate::step::StepDef;
 use crate::value::{ItemKey, ItemScope};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -393,8 +393,8 @@ impl WorkflowSchema {
     pub fn cross_branch_producers(&self, step: StepId) -> BTreeSet<StepId> {
         let def = self.expect_step(step);
         let mut out = BTreeSet::new();
-        for b in &def.inputs {
-            if let ItemScope::StepOutput(p) = b.source.scope {
+        for source in &def.inputs {
+            if let ItemScope::StepOutput(p) = source.scope {
                 if !self.is_ancestor(p, step) && p != step {
                     out.insert(p);
                 }
@@ -469,7 +469,7 @@ impl SchemaBuilder {
 
     /// Convenience: declare that `step` reads `source`.
     pub fn read(&mut self, step: StepId, source: ItemKey) -> &mut Self {
-        self.configure(step, |d| d.inputs.push(InputBinding { source }))
+        self.configure(step, |d| d.inputs.push(source))
     }
 
     /// Sequential arc `from -> to`.
@@ -738,15 +738,15 @@ impl SchemaBuilder {
             }
         }
 
-        // Input bindings: slots in range, producers visible.
+        // Inputs: slots in range, producers visible.
         for def in self.steps.values() {
-            for b in &def.inputs {
-                match b.source.scope {
+            for &source in &def.inputs {
+                match source.scope {
                     ItemScope::WorkflowInput => {
-                        if b.source.slot == 0 || b.source.slot > self.input_slots {
+                        if source.slot == 0 || source.slot > self.input_slots {
                             return Err(SchemaError::BadInputSlot {
                                 step: def.id,
-                                slot: b.source.slot,
+                                slot: source.slot,
                             });
                         }
                     }
@@ -754,21 +754,21 @@ impl SchemaBuilder {
                         let Some(producer) = self.steps.get(&p) else {
                             return Err(SchemaError::BadInput {
                                 step: def.id,
-                                source: b.source,
+                                source,
                                 reason: "producer step does not exist",
                             });
                         };
-                        if b.source.slot == 0 || b.source.slot > producer.output_slots {
+                        if source.slot == 0 || source.slot > producer.output_slots {
                             return Err(SchemaError::BadInput {
                                 step: def.id,
-                                source: b.source,
+                                source,
                                 reason: "producer has no such output slot",
                             });
                         }
                         if p == def.id {
                             return Err(SchemaError::BadInput {
                                 step: def.id,
-                                source: b.source,
+                                source,
                                 reason: "step cannot read its own output",
                             });
                         }
@@ -777,7 +777,7 @@ impl SchemaBuilder {
                         if ancestors[&p].contains(&def.id) {
                             return Err(SchemaError::BadInput {
                                 step: def.id,
-                                source: b.source,
+                                source,
                                 reason: "producer is downstream of consumer",
                             });
                         }

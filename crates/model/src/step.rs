@@ -7,7 +7,6 @@
 
 use crate::expr::Expr;
 use crate::ids::{AgentId, StepId};
-use crate::policy::StepPolicy;
 use crate::value::ItemKey;
 
 /// Whether the step's program changes shared resources. The paper
@@ -73,16 +72,6 @@ pub enum ReexecPolicy {
     When(Expr),
 }
 
-/// Declares one input the step reads: where the value comes from in the
-/// instance data table. This doubles as the schema's *data arc* information
-/// (data arcs are derivable as `producer-step → this step` for every
-/// `ItemKey::output` source).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct InputBinding {
-    /// The item in the instance data table to read.
-    pub source: ItemKey,
-}
-
 /// A step definition within a workflow schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepDef {
@@ -97,8 +86,10 @@ pub struct StepDef {
     pub compensation_program: Option<String>,
     /// Update vs. query (see [`StepKind`]).
     pub kind: StepKind,
-    /// Data items the step reads.
-    pub inputs: Vec<InputBinding>,
+    /// Data items the step reads, in declaration order. They double as
+    /// the schema's *data arcs*: every `ItemKey::output` source is an arc
+    /// from its producer step to this one.
+    pub inputs: Vec<ItemKey>,
     /// Number of output slots the step writes (`S<k>.O1 ..= S<k>.O<n>`).
     pub output_slots: u16,
     /// Agents eligible to execute this step (the paper's parameter `a`).
@@ -114,8 +105,10 @@ pub struct StepDef {
     pub reexec: ReexecPolicy,
     /// Compensation flavour used when this step *is* compensated.
     pub compensation_kind: CompensationKind,
-    /// Failure-policy annotations (`retry(N)`).
-    pub policy: StepPolicy,
+    /// The `retry(N)` budget: in-place re-dispatches of a failed attempt on
+    /// top of the first, before the paper's rollback protocol takes over.
+    /// `None` is the paper's plain semantics.
+    pub retry: Option<u32>,
 }
 
 impl StepDef {
@@ -135,13 +128,8 @@ impl StepDef {
             compensation_cost: None,
             reexec: ReexecPolicy::default(),
             compensation_kind: CompensationKind::default(),
-            policy: StepPolicy::default(),
+            retry: None,
         }
-    }
-
-    /// The item keys this step reads, in declaration order.
-    pub fn input_keys(&self) -> Vec<ItemKey> {
-        self.inputs.iter().map(|b| b.source).collect()
     }
 
     /// The item keys this step writes.
@@ -192,22 +180,5 @@ mod tests {
         assert!(!s.is_compensatable());
         s.compensation_program = Some("p.undo".into());
         assert!(s.is_compensatable());
-    }
-
-    #[test]
-    fn input_keys_in_declaration_order() {
-        let mut s = StepDef::new(StepId(3), "X", "p");
-        s.inputs = vec![
-            InputBinding {
-                source: ItemKey::output(StepId(2), 1),
-            },
-            InputBinding {
-                source: ItemKey::input(1),
-            },
-        ];
-        assert_eq!(
-            s.input_keys(),
-            vec![ItemKey::output(StepId(2), 1), ItemKey::input(1)]
-        );
     }
 }

@@ -7,9 +7,7 @@
 //! deterministic.
 
 use crew_exec::hash;
-use crew_model::{
-    CmpOp, Expr, ItemKey, RetryPolicy, SchemaBuilder, SchemaId, StepId, StepKind, WorkflowSchema,
-};
+use crew_model::{CmpOp, Expr, ItemKey, SchemaBuilder, SchemaId, StepId, StepKind, WorkflowSchema};
 
 /// Generator configuration.
 #[derive(Debug, Clone)]
@@ -196,7 +194,7 @@ pub fn generate(id: SchemaId, cfg: &GenConfig) -> WorkflowSchema {
                 continue;
             }
             let max = 1 + (hash::combine(cfg.seed, &[id.0 as u64, 0xA1, i as u64]) % 4) as u32;
-            b.configure(s, |d| d.policy.retry = Some(RetryPolicy::bounded(max)));
+            b.configure(s, |d| d.retry = Some(max));
         }
     }
 
@@ -269,10 +267,10 @@ mod tests {
                 ..GenConfig::default()
             };
             let s = generate(SchemaId(6), &cfg);
-            let with_policy = s.steps().filter(|d| !d.policy.is_empty()).count();
+            let with_policy = s.steps().filter(|d| d.retry.is_some()).count();
             assert!(with_policy > 0, "seed={seed}: no policies emitted");
-            for r in s.steps().filter_map(|d| d.policy.retry) {
-                assert!((1..=4).contains(&r.max), "retry budget stays small");
+            for max in s.steps().filter_map(|d| d.retry) {
+                assert!((1..=4).contains(&max), "retry budget stays small");
             }
         }
     }

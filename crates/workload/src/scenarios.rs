@@ -14,8 +14,8 @@
 
 use crew_exec::{FnProgram, ProgramCtx, ProgramRegistry, StepFailure};
 use crew_model::{
-    CmpOp, CompensationKind, Expr, InputBinding, ItemKey, ReexecPolicy, SchemaBuilder, SchemaId,
-    StepKind, Value, WorkflowSchema,
+    CmpOp, CompensationKind, Expr, ItemKey, ReexecPolicy, SchemaBuilder, SchemaId, StepKind, Value,
+    WorkflowSchema,
 };
 
 /// Schema id conventions for the scenario suite.
@@ -232,9 +232,7 @@ pub fn claim_processing() -> WorkflowSchema {
     b.read(intake, ItemKey::input(1));
     b.configure(intake, |d| d.output_slots = 2);
     b.configure(fraud, |d| {
-        d.inputs = vec![InputBinding {
-            source: ItemKey::output(intake, 1),
-        }];
+        d.inputs = vec![ItemKey::output(intake, 1)];
         d.output_slots = 1;
     });
     b.read(assess, ItemKey::output(intake, 1));

@@ -65,8 +65,6 @@ fn crashed_predecessor_query_step_rerouted() {
     let mut system = WorkflowSystem::new([schema.clone()], Architecture::Distributed { agents: 4 });
     log.register(&mut system.deployment.registry, "log");
     system.dist_config.enable_status_polling = true;
-    system.dist_config.poll_period = 20;
-    system.dist_config.poll_timeout = 40;
 
     let mut scenario = Scenario::new();
     let idx = scenario.start(SchemaId(1), vec![(1, Value::Int(5))]);
@@ -108,8 +106,6 @@ fn crashed_predecessor_update_step_waits() {
             WorkflowSystem::new([schema.clone()], Architecture::Distributed { agents: 4 });
         log.register(&mut system.deployment.registry, "log");
         system.dist_config.enable_status_polling = true;
-        system.dist_config.poll_period = 20;
-        system.dist_config.poll_timeout = 40;
         let mut scenario = Scenario::new();
         let idx = scenario.start(SchemaId(1), vec![(1, Value::Int(5))]);
         let inst = scenario.instance_id(idx);

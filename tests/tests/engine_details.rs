@@ -4,7 +4,7 @@
 
 use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_integration_tests::ExecLog;
-use crew_model::{AgentId, InputBinding, ItemKey, SchemaBuilder, SchemaId, Value};
+use crew_model::{AgentId, ItemKey, SchemaBuilder, SchemaId, Value};
 
 /// Parallel control: a parent on one engine with a nested child that
 /// hashes to another engine — the ChildStart/ChildDone hand-off must
@@ -22,9 +22,7 @@ fn parallel_nested_cross_engine() {
     let p1 = b.add_step("P1", "log");
     let call = b.add_nested("Call", SchemaId(2));
     b.configure(call, |d| {
-        d.inputs = vec![InputBinding {
-            source: ItemKey::output(p1, 1),
-        }];
+        d.inputs = vec![ItemKey::output(p1, 1)];
     });
     let p2 = b.add_step("P2", "log");
     b.seq(p1, call).seq(call, p2);

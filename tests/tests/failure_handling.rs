@@ -5,8 +5,7 @@ use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_exec::FailurePlan;
 use crew_integration_tests::{linear_logged_schema, ExecLog};
 use crew_model::{
-    AgentId, CmpOp, Expr, InstanceId, ItemKey, ReexecPolicy, RetryPolicy, SchemaBuilder, SchemaId,
-    StepId, Value,
+    AgentId, CmpOp, Expr, InstanceId, ItemKey, ReexecPolicy, SchemaBuilder, SchemaId, StepId, Value,
 };
 use crew_simnet::Mechanism;
 
@@ -349,7 +348,7 @@ fn bounded_retry_ends_aborted_or_committed() {
     for (i, s) in [s1, s2, s3].into_iter().enumerate() {
         b.configure(s, |d| d.eligible_agents = vec![AgentId(i as u32 % 2)]);
     }
-    b.configure(s2, |d| d.policy.retry = Some(RetryPolicy::bounded(3)));
+    b.configure(s2, |d| d.retry = Some(3));
     let schema = b.build().unwrap();
 
     for arch in ALL_ARCHS {

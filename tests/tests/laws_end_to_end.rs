@@ -95,3 +95,39 @@ fn laws_spec_handles_failures() {
     let report = system.run(scenario);
     assert_eq!(report.committed(), 1);
 }
+
+/// `policy { retry(N); }` compiles into `StepDef::retry`, and the budget
+/// rides out that many failed attempts under every architecture.
+#[test]
+fn laws_retry_budget_compiles_and_runs() {
+    const RETRY: &str = r#"
+        workflow Flaky (id 1) {
+            inputs 1;
+            step Fetch { program "passthrough"; reads WF.I1; agents 0; }
+            step Store { program "stamp"; agents 1; policy { retry(2); } }
+            flow Fetch -> Store;
+        }
+    "#;
+    let compiled = crew_laws::parse_and_compile(RETRY).expect("spec compiles");
+    let store = compiled.schemas[0].expect_step(crew_model::StepId(2));
+    assert_eq!(store.retry, Some(2));
+    let inst = crew_model::InstanceId::new(SchemaId(1), 1);
+    let plan = (1..=2).fold(crew_exec::FailurePlan::none(), |plan, attempt| {
+        plan.fail_step(inst, crew_model::StepId(2), attempt)
+    });
+    for arch in [
+        Architecture::Central { agents: 2 },
+        Architecture::Parallel {
+            agents: 2,
+            engines: 2,
+        },
+        Architecture::Distributed { agents: 2 },
+    ] {
+        let mut deployment = Deployment::new(compiled.schemas.clone());
+        deployment.plan = plan.clone();
+        let system = WorkflowSystem::with_deployment(deployment, arch);
+        let mut scenario = Scenario::new();
+        scenario.start(SchemaId(1), vec![(1, Value::Int(4))]);
+        assert_eq!(system.run(scenario).committed(), 1, "{arch:?}");
+    }
+}

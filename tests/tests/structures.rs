@@ -4,9 +4,7 @@
 
 use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_integration_tests::ExecLog;
-use crew_model::{
-    AgentId, CmpOp, Expr, InputBinding, ItemKey, SchemaBuilder, SchemaId, StepId, Value,
-};
+use crew_model::{AgentId, CmpOp, Expr, ItemKey, SchemaBuilder, SchemaId, StepId, Value};
 
 const ALL_ARCHS: [Architecture; 3] = [
     Architecture::Central { agents: 6 },
@@ -78,9 +76,7 @@ fn doubly_nested_workflows_commit() {
         let pre = b.add_step("Pre", "log");
         let call_leaf = b.add_nested("CallLeaf", SchemaId(3));
         b.configure(call_leaf, |d| {
-            d.inputs = vec![InputBinding {
-                source: ItemKey::output(pre, 1),
-            }];
+            d.inputs = vec![ItemKey::output(pre, 1)];
         });
         b.seq(pre, call_leaf);
         assign(&mut b, &[pre, call_leaf]);
@@ -90,9 +86,7 @@ fn doubly_nested_workflows_commit() {
         let intro = b.add_step("Intro", "log");
         let call_mid = b.add_nested("CallMid", SchemaId(2));
         b.configure(call_mid, |d| {
-            d.inputs = vec![InputBinding {
-                source: ItemKey::output(intro, 1),
-            }];
+            d.inputs = vec![ItemKey::output(intro, 1)];
         });
         let outro = b.add_step("Outro", "log");
         b.seq(intro, call_mid).seq(call_mid, outro);
