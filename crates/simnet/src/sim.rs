@@ -157,6 +157,11 @@ impl<M: Clone> Transport<M> {
 pub struct Simulation<M> {
     nodes: Vec<NodeSlot<M>>,
     queue: BinaryHeap<Reverse<Event<M>>>,
+    /// External arrivals scheduled in nondecreasing tick order — a
+    /// scenario's whole arrival train — kept out of `queue` so the heap
+    /// holds only what is in flight. Already in `(at, seq)` order, so
+    /// `run_until` takes the smaller of the two fronts.
+    lane: VecDeque<Event<M>>,
     now: u64,
     seq: u64,
     seed: u64,
@@ -193,6 +198,7 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
         Simulation {
             nodes: Vec::new(),
             queue: BinaryHeap::new(),
+            lane: VecDeque::new(),
             now: 0,
             seq: 0,
             seed,
@@ -281,29 +287,26 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
     /// front-end database). External traffic bypasses the lossy network:
     /// the user's terminal is not part of the simulated fabric.
     pub fn send_external(&mut self, to: NodeId, msg: M) {
-        let at = self.now + 1;
-        self.push(
-            at,
-            EventKind::Deliver {
-                from: NodeId::EXTERNAL,
-                to,
-                msg,
-            },
-        );
+        self.send_external_at(to, msg, 0);
     }
 
     /// Inject an external message at a specific virtual time — used to
-    /// land user actions (aborts, input changes) mid-flight.
+    /// land user actions (aborts, input changes) mid-flight. A send no
+    /// earlier than the last one queued this way joins the arrival lane;
+    /// any other goes to the heap. Delivery order is `(at, seq)` either way.
     pub fn send_external_at(&mut self, to: NodeId, msg: M, at: u64) {
         let at = at.max(self.now + 1);
-        self.push(
-            at,
-            EventKind::Deliver {
-                from: NodeId::EXTERNAL,
-                to,
-                msg,
-            },
-        );
+        let kind = EventKind::Deliver {
+            from: NodeId::EXTERNAL,
+            to,
+            msg,
+        };
+        if self.lane.back().is_none_or(|last| last.at <= at) {
+            let seq = self.next_seq();
+            self.lane.push_back(Event { at, seq, kind });
+        } else {
+            self.push(at, kind);
+        }
     }
 
     /// Schedule a fail-stop crash of `node` at `at`, recovering after
@@ -315,10 +318,36 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
         }
     }
 
-    fn push(&mut self, at: u64, kind: EventKind<M>) {
-        let seq = self.seq;
+    fn next_seq(&mut self) -> u64 {
         self.seq += 1;
+        self.seq - 1
+    }
+
+    fn push(&mut self, at: u64, kind: EventKind<M>) {
+        let seq = self.next_seq();
         self.queue.push(Reverse(Event { at, seq, kind }));
+    }
+
+    /// Take the earliest pending event by `(at, seq)` from the front of the
+    /// heap or the lane, unless the run must stop before it.
+    fn pop_due(&mut self, deadline: u64) -> Option<Event<M>> {
+        let from_lane = match (self.lane.front(), self.queue.peek()) {
+            (Some(l), Some(Reverse(h))) => l < h,
+            (l, _) => l.is_some(),
+        };
+        let next = if from_lane {
+            self.lane.front()
+        } else {
+            self.queue.peek().map(|Reverse(ev)| ev)
+        };
+        if self.halted || next?.at > deadline || self.delivered >= self.max_events {
+            return None;
+        }
+        if from_lane {
+            self.lane.pop_front()
+        } else {
+            self.queue.pop().map(|Reverse(ev)| ev)
+        }
     }
 
     /// The one way into the trace: `detail` is rendered only when the
@@ -566,11 +595,7 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
     pub fn run_until(&mut self, deadline: u64) -> u64 {
         self.ensure_started();
         let mut processed = 0;
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if self.halted || ev.at > deadline || self.delivered >= self.max_events {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
+        while let Some(ev) = self.pop_due(deadline) {
             self.now = ev.at;
             processed += 1;
             self.delivered += 1;
@@ -725,7 +750,7 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
 
     /// True if no further events are scheduled.
     pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
+        self.queue.is_empty() && self.lane.is_empty()
     }
 }
 
@@ -735,6 +760,7 @@ mod tests {
     use crate::metrics::Mechanism;
     use bytes::{Bytes, BytesMut};
     use crew_storage::CodecError;
+    use proptest::prelude::*;
     use std::any::Any;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -1304,5 +1330,179 @@ mod tests {
         assert_eq!(run(3).0, 5, "faults never change the logical count");
         assert_eq!(run(3).3, 3);
         assert_eq!(run(9).0, 5);
+    }
+
+    /// What a [`Journal`] node saw, in delivery order across all nodes.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Seen {
+        Msg(NodeId, Ping),
+        Timer(u64),
+    }
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<(u64, NodeId, Seen)>>>;
+
+    /// Logs every delivery into a log shared by all nodes. On `Ping(n)` it
+    /// arms a timer `n % 4` ticks out when `n % 3 == 0`, and relays
+    /// `Pong(n)` to `peer` when `n % 3 == 1` — node-made events that land
+    /// in the heap between the lane's arrivals.
+    struct Journal {
+        peer: NodeId,
+        log: Log,
+    }
+    impl Node<Ping> for Journal {
+        fn on_message(&mut self, from: NodeId, msg: Ping, ctx: &mut Ctx<Ping>) {
+            let me = ctx.self_id;
+            self.log
+                .borrow_mut()
+                .push((ctx.now, me, Seen::Msg(from, msg.clone())));
+            if let Ping::Ping(n) = msg {
+                match n % 3 {
+                    0 => ctx.set_timer(u64::from(n % 4), TimerId(u64::from(n))),
+                    1 => ctx.send(self.peer, Ping::Pong(n)),
+                    _ => {}
+                }
+            }
+        }
+        fn on_timer(&mut self, t: TimerId, ctx: &mut Ctx<Ping>) {
+            let me = ctx.self_id;
+            self.log.borrow_mut().push((ctx.now, me, Seen::Timer(t.0)));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// The simulator's schedule, written as one flat list: every scheduled
+    /// event gets the next sequence number, and the next to run is the
+    /// smallest `(at, seq)`. [`Journal`]'s reactions are modelled with
+    /// unit latency and per-channel FIFO.
+    #[derive(Default)]
+    struct Reference {
+        pending: Vec<(u64, u64, NodeId, Seen)>,
+        seq: u64,
+        now: u64,
+        fifo: std::collections::BTreeMap<(NodeId, NodeId), u64>,
+        log: Vec<(u64, NodeId, Seen)>,
+    }
+    impl Reference {
+        fn schedule(&mut self, at: u64, to: NodeId, what: Seen) {
+            self.pending
+                .push((at.max(self.now + 1), self.seq, to, what));
+            self.seq += 1;
+        }
+        fn run_until(&mut self, deadline: u64) {
+            while let Some(i) = (0..self.pending.len())
+                .min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+                .filter(|&i| self.pending[i].0 <= deadline)
+            {
+                let (at, _, to, what) = self.pending.remove(i);
+                self.now = at;
+                if let Seen::Msg(_, Ping::Ping(n)) = what {
+                    let peer = NodeId(1 - to.0);
+                    match n % 3 {
+                        0 => self.schedule(at + u64::from(n % 4), to, Seen::Timer(u64::from(n))),
+                        1 => {
+                            let last = self.fifo.entry((to, peer)).or_insert(0);
+                            let arrive = (at + 1).max(*last + 1);
+                            *last = arrive;
+                            self.schedule(arrive, peer, Seen::Msg(to, Ping::Pong(n)));
+                        }
+                        _ => {}
+                    }
+                }
+                self.log.push((at, to, what));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// External sends at random ticks — repeats, ticks below the lane's
+        /// tail, batches injected between `run_until` calls — interleaved
+        /// with the timers and relays the nodes schedule while handling
+        /// them, arrive exactly in the reference's `(at, seq)` order.
+        #[test]
+        fn lane_and_heap_deliver_in_reference_order(
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u32..2, 0u64..40), 0..12),
+                1..5,
+            ),
+            gaps in proptest::collection::vec(0u64..15, 5),
+        ) {
+            let log = Log::default();
+            let mut sim = Simulation::new(3).with_latency(LatencyModel { base: 1, jitter: 0 });
+            for peer in [1, 0] {
+                sim.add_node(Journal { peer: NodeId(peer), log: log.clone() });
+            }
+            let mut reference = Reference::default();
+            let mut n = 0;
+            let mut deadline = 0;
+            for (batch, gap) in batches.iter().zip(&gaps) {
+                for &(to, at) in batch {
+                    sim.send_external_at(NodeId(to), Ping::Ping(n), at);
+                    reference.schedule(at, NodeId(to), Seen::Msg(NodeId::EXTERNAL, Ping::Ping(n)));
+                    n += 1;
+                }
+                deadline += gap;
+                sim.run_until(deadline);
+                reference.run_until(deadline);
+                prop_assert_eq!(sim.now(), reference.now);
+            }
+            sim.run();
+            reference.run_until(u64::MAX);
+            prop_assert!(sim.is_quiescent());
+            prop_assert_eq!(&*log.borrow(), &reference.log);
+        }
+    }
+
+    #[test]
+    fn run_until_leaves_a_lane_event_pending() {
+        let log = Log::default();
+        let mut sim = Simulation::new(1);
+        let a = sim.add_node(Journal {
+            peer: NodeId(0),
+            log: log.clone(),
+        });
+        sim.send_external_at(a, Ping::Ping(2), 5);
+        sim.send_external_at(a, Ping::Ping(5), 20);
+        assert!(sim.queue.is_empty(), "an in-order train waits in the lane");
+        assert!(!sim.is_quiescent(), "the lane alone holds events");
+        sim.run_until(10);
+        assert_eq!(sim.now(), 5);
+        assert_eq!(log.borrow().len(), 1);
+        assert!(!sim.is_quiescent(), "the arrival at 20 is still pending");
+        sim.run_until(19);
+        assert_eq!(log.borrow().len(), 1);
+        sim.run_until(20);
+        assert_eq!(log.borrow().len(), 2);
+        assert!(sim.is_quiescent());
+    }
+
+    #[test]
+    fn an_early_mid_run_send_arrives_at_its_own_tick() {
+        let log = Log::default();
+        let mut sim = Simulation::new(1);
+        let a = sim.add_node(Journal {
+            peer: NodeId(0),
+            log: log.clone(),
+        });
+        for (n, at) in [(2, 10), (5, 30), (8, 50)] {
+            sim.send_external_at(a, Ping::Ping(n), at);
+        }
+        sim.run_until(15);
+        // Earlier than the lane's tail (50), so it goes to the heap.
+        sim.send_external_at(a, Ping::Ping(11), 20);
+        assert_eq!((sim.queue.len(), sim.lane.len()), (1, 2));
+        sim.run();
+        let got: Vec<(u64, Seen)> = log
+            .borrow()
+            .iter()
+            .map(|(t, _, s)| (*t, s.clone()))
+            .collect();
+        let ext = |n| Seen::Msg(NodeId::EXTERNAL, Ping::Ping(n));
+        assert_eq!(
+            got,
+            vec![(10, ext(2)), (20, ext(11)), (30, ext(5)), (50, ext(8))]
+        );
     }
 }

@@ -72,6 +72,7 @@ pub trait Decode: Sized {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError>;
 }
 
+#[inline]
 fn need(buf: &Bytes, n: usize) -> Result<(), CodecError> {
     if buf.remaining() < n {
         Err(CodecError::Truncated)
@@ -83,11 +84,13 @@ fn need(buf: &Bytes, n: usize) -> Result<(), CodecError> {
 // ---- primitives ----------------------------------------------------------
 
 impl Encode for u8 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(*self);
     }
 }
 impl Decode for u8 {
+    #[inline]
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         need(buf, 1)?;
         Ok(buf.get_u8())
@@ -95,11 +98,13 @@ impl Decode for u8 {
 }
 
 impl Encode for u16 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u16_le(*self);
     }
 }
 impl Decode for u16 {
+    #[inline]
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         need(buf, 2)?;
         Ok(buf.get_u16_le())
@@ -107,11 +112,13 @@ impl Decode for u16 {
 }
 
 impl Encode for u32 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32_le(*self);
     }
 }
 impl Decode for u32 {
+    #[inline]
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         need(buf, 4)?;
         Ok(buf.get_u32_le())
@@ -119,11 +126,13 @@ impl Decode for u32 {
 }
 
 impl Encode for u64 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64_le(*self);
     }
 }
 impl Decode for u64 {
+    #[inline]
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         need(buf, 8)?;
         Ok(buf.get_u64_le())
@@ -131,11 +140,13 @@ impl Decode for u64 {
 }
 
 impl Encode for i64 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_i64_le(*self);
     }
 }
 impl Decode for i64 {
+    #[inline]
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         need(buf, 8)?;
         Ok(buf.get_i64_le())
@@ -143,11 +154,13 @@ impl Decode for i64 {
 }
 
 impl Encode for f64 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_f64_le(*self);
     }
 }
 impl Decode for f64 {
+    #[inline]
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         need(buf, 8)?;
         Ok(buf.get_f64_le())
@@ -155,11 +168,13 @@ impl Decode for f64 {
 }
 
 impl Encode for bool {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(u8::from(*self));
     }
 }
 impl Decode for bool {
+    #[inline]
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
             0 => Ok(false),
