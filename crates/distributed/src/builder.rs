@@ -221,7 +221,12 @@ mod tests {
         use crew_simnet::Mechanism;
         // Normal messages: WorkflowStart (frontend→coord), 3 StepExecute,
         // 1 StepCompleted, 1 WorkflowCommitted (coord→frontend).
-        assert_eq!(m.messages(Mechanism::Normal), 6, "by_kind: {:?}", m.by_kind);
+        assert_eq!(
+            m.messages(Mechanism::Normal),
+            6,
+            "by_kind: {:?}",
+            m.by_kind()
+        );
         assert_eq!(m.messages(Mechanism::FailureHandling), 0);
     }
 }

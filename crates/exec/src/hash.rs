@@ -6,9 +6,10 @@
 //! never from global RNG state. We use the SplitMix64 finalizer, which is
 //! tiny, fast and well distributed.
 
-/// SplitMix64 finalization step.
+/// SplitMix64 finalization step. `const`, so a fixed salt can be mixed
+/// at compile time.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+pub const fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -16,6 +17,9 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// Combine a seed with a sequence of parts into one well-mixed word.
+/// `combine(seed, [a, b, c])` is `mix64(combine(seed, [a, b]) ^ mix64(c))`,
+/// so callers that draw several keys sharing a prefix can mix it once.
+#[inline]
 pub fn combine(seed: u64, parts: &[u64]) -> u64 {
     let mut acc = mix64(seed);
     for &p in parts {
@@ -24,13 +28,20 @@ pub fn combine(seed: u64, parts: &[u64]) -> u64 {
     acc
 }
 
+/// The uniform double in `[0, 1)` that a mixed word's 53 high bits make.
+#[inline]
+pub fn unit(word: u64) -> f64 {
+    (word >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// A deterministic draw in `[0, 1)` keyed by `seed` and `parts`.
+#[inline]
 pub fn unit_draw(seed: u64, parts: &[u64]) -> f64 {
-    // 53 high bits → uniform double in [0,1).
-    (combine(seed, parts) >> 11) as f64 / (1u64 << 53) as f64
+    unit(combine(seed, parts))
 }
 
 /// Deterministic boolean with probability `p`, keyed by `seed`/`parts`.
+#[inline]
 pub fn draw(seed: u64, parts: &[u64], p: f64) -> bool {
     p > 0.0 && unit_draw(seed, parts) < p
 }

@@ -29,6 +29,6 @@ pub mod trace;
 pub use metrics::{Classify, Mechanism, Metrics, TransportStats};
 pub use netfault::{LinkCut, NetFaultPlan};
 pub use node::{Ctx, Node, NodeId, TimerId};
-pub use reliable::{Endpoint, Frame, OutboxLog, RetransmitConfig, VolatileOutbox, WalOutbox};
+pub use reliable::{Endpoint, Frame, OutboxLog, RetransmitConfig, WalOutbox};
 pub use sim::{LatencyModel, Simulation};
 pub use trace::{Trace, TraceEntry};

@@ -133,13 +133,24 @@ impl TransportStats {
     }
 }
 
+/// One row of [`Metrics`]' per-kind table.
+#[derive(Debug, Clone, Copy)]
+struct KindCount {
+    kind: &'static str,
+    mechanism: Mechanism,
+    count: u64,
+}
+
 /// Aggregated counters for one run.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    /// Messages by (kind, mechanism).
-    pub by_kind: BTreeMap<(&'static str, Mechanism), u64>,
-    /// Messages by mechanism.
-    pub by_mechanism: BTreeMap<Mechanism, u64>,
+    /// Messages per (kind, mechanism), found by the kind's address rather
+    /// than its text: a run sends a handful of static kinds, so a short
+    /// scan of pointer compares finds the row. Rows that are hit move
+    /// towards the front. Read through [`Metrics::by_kind`].
+    kinds: Vec<KindCount>,
+    /// Messages per mechanism, indexed by `Mechanism as usize`.
+    by_mechanism: [u64; Mechanism::ALL.len()],
     /// Abstract instructions charged per node.
     pub load_by_node: BTreeMap<NodeId, u64>,
     /// Messages handled per node.
@@ -161,11 +172,42 @@ impl Metrics {
         size: usize,
         to: NodeId,
     ) {
-        *self.by_kind.entry((kind, mechanism)).or_default() += 1;
-        *self.by_mechanism.entry(mechanism).or_default() += 1;
+        self.count_kind(kind, mechanism, 1);
+        self.by_mechanism[mechanism as usize] += 1;
         *self.handled_by_node.entry(to).or_default() += 1;
         self.total_messages += 1;
         self.total_bytes += size as u64;
+    }
+
+    /// Add `n` to the row of (`kind`, `mechanism`), swapping a row that is
+    /// hit one place towards the front. Two copies of one kind's text at
+    /// different addresses get a row each; [`Metrics::by_kind`] sums them.
+    fn count_kind(&mut self, kind: &'static str, mechanism: Mechanism, n: u64) {
+        let row = self
+            .kinds
+            .iter()
+            .position(|r| std::ptr::eq(r.kind, kind) && r.mechanism == mechanism);
+        match row {
+            Some(0) => self.kinds[0].count += n,
+            Some(i) => {
+                self.kinds[i].count += n;
+                self.kinds.swap(i - 1, i);
+            }
+            None => self.kinds.push(KindCount {
+                kind,
+                mechanism,
+                count: n,
+            }),
+        }
+    }
+
+    /// Messages by (kind, mechanism).
+    pub fn by_kind(&self) -> BTreeMap<(&'static str, Mechanism), u64> {
+        let mut table = BTreeMap::new();
+        for r in &self.kinds {
+            *table.entry((r.kind, r.mechanism)).or_default() += r.count;
+        }
+        table
     }
 
     /// Charge load to a node.
@@ -177,7 +219,7 @@ impl Metrics {
 
     /// Messages attributed to `mechanism`.
     pub fn messages(&self, mechanism: Mechanism) -> u64 {
-        self.by_mechanism.get(&mechanism).copied().unwrap_or(0)
+        self.by_mechanism[mechanism as usize]
     }
 
     /// Mean messages per instance for `mechanism` over `instances` runs.
@@ -211,11 +253,11 @@ impl Metrics {
 
     /// Fold another metrics object into this one.
     pub fn merge(&mut self, other: &Metrics) {
-        for (&k, &v) in &other.by_kind {
-            *self.by_kind.entry(k).or_default() += v;
+        for r in &other.kinds {
+            self.count_kind(r.kind, r.mechanism, r.count);
         }
-        for (&k, &v) in &other.by_mechanism {
-            *self.by_mechanism.entry(k).or_default() += v;
+        for (mine, theirs) in self.by_mechanism.iter_mut().zip(other.by_mechanism) {
+            *mine += theirs;
         }
         for (&k, &v) in &other.load_by_node {
             *self.load_by_node.entry(k).or_default() += v;
@@ -264,8 +306,38 @@ mod tests {
         b.record_load(NodeId(1), 5);
         a.merge(&b);
         assert_eq!(a.total_messages, 2);
-        assert_eq!(a.by_kind[&("X", Mechanism::Normal)], 2);
+        assert_eq!(a.by_kind()[&("X", Mechanism::Normal)], 2);
         assert_eq!(a.load_by_node[&NodeId(1)], 5);
+    }
+
+    #[test]
+    fn kinds_are_found_by_address_and_read_by_text() {
+        let mut m = Metrics::default();
+        // The same text at a second address, as another crate's copy of a
+        // kind literal may be.
+        let twin: &'static str = String::from("StepExecute").leak();
+        for (kind, mechanism) in [
+            ("StepExecute", Mechanism::Normal),
+            ("HaltThread", Mechanism::FailureHandling),
+            (twin, Mechanism::Normal),
+            ("HaltThread", Mechanism::FailureHandling),
+            ("StepExecute", Mechanism::Abort),
+            ("HaltThread", Mechanism::FailureHandling),
+        ] {
+            m.record_message(kind, mechanism, 1, NodeId(0));
+        }
+        let expect = BTreeMap::from([
+            (("HaltThread", Mechanism::FailureHandling), 3),
+            (("StepExecute", Mechanism::Normal), 2),
+            (("StepExecute", Mechanism::Abort), 1),
+        ]);
+        assert_eq!(m.by_kind(), expect);
+        let mut merged = Metrics::default();
+        merged.merge(&m);
+        merged.merge(&m);
+        let doubled: BTreeMap<_, _> = expect.iter().map(|(&k, &v)| (k, 2 * v)).collect();
+        assert_eq!(merged.by_kind(), doubled);
+        assert_eq!(merged.messages(Mechanism::FailureHandling), 6);
     }
 
     #[test]

@@ -12,15 +12,19 @@
 //! where the wire-frame counter numbers physical transmissions on a
 //! directed link from 1 — retransmissions of a dropped frame get fresh
 //! draws, so a lossy link cannot deterministically swallow the same message
-//! forever.
+//! forever. The draws of one frame share the key prefix, so
+//! [`NetFaultPlan::frame`] mixes it once and each salt adds one round.
 
 use crate::node::NodeId;
 use crew_exec::hash;
 use std::collections::BTreeSet;
 
-const SALT_DROP: u64 = 0x4E7D;
-const SALT_DUP: u64 = 0x4E7A;
-const SALT_REORDER: u64 = 0x4E70;
+// Each fault class's salt, mixed as `hash::combine` mixes a key part.
+const SALT_DROP: u64 = hash::mix64(0x4E7D);
+const SALT_DUP: u64 = hash::mix64(0x4E7A);
+const SALT_REORDER: u64 = hash::mix64(0x4E70);
+/// Keys the reorder delay, once the reorder draw has hit.
+const SALT_REORDER_DELAY: u64 = hash::mix64(0x4E70 ^ 0xFF);
 
 /// A scripted link partition: frames on the (bidirectional) link between
 /// `a` and `b` are dropped while `from_tick <= now < until_tick`.
@@ -119,50 +123,21 @@ impl NetFaultPlan {
         self
     }
 
-    fn parts(from: NodeId, to: NodeId, wire_frame: u64, salt: u64) -> [u64; 4] {
-        [from.0 as u64, to.0 as u64, wire_frame, salt]
-    }
-
     /// Is the link `from → to` partitioned at `now`?
     pub fn partitioned(&self, from: NodeId, to: NodeId, now: u64) -> bool {
         self.cuts.iter().any(|c| c.covers(from, to, now))
     }
 
-    /// Should the `wire_frame`-th transmission on `from → to` be dropped?
-    pub fn drops(&self, from: NodeId, to: NodeId, wire_frame: u64) -> bool {
-        self.scripted_drops.contains(&(from.0, to.0, wire_frame))
-            || hash::draw(
-                self.seed,
-                &Self::parts(from, to, wire_frame, SALT_DROP),
-                self.p_drop,
-            )
-    }
-
-    /// Should this transmission be duplicated?
-    pub fn duplicates(&self, from: NodeId, to: NodeId, wire_frame: u64) -> bool {
-        hash::draw(
-            self.seed,
-            &Self::parts(from, to, wire_frame, SALT_DUP),
-            self.p_dup,
-        )
-    }
-
-    /// Extra delay (0 = not reordered) injected into this transmission.
-    pub fn reorder_delay(&self, from: NodeId, to: NodeId, wire_frame: u64) -> u64 {
-        if self.reorder_extra == 0
-            || !hash::draw(
-                self.seed,
-                &Self::parts(from, to, wire_frame, SALT_REORDER),
-                self.p_reorder,
-            )
-        {
-            return 0;
+    /// The fault draws of the `wire_frame`-th transmission on the directed
+    /// link `from → to`.
+    pub fn frame(&self, from: NodeId, to: NodeId, wire_frame: u64) -> FrameFaults<'_> {
+        FrameFaults {
+            plan: self,
+            from,
+            to,
+            wire_frame,
+            key: hash::combine(self.seed, &[from.0 as u64, to.0 as u64, wire_frame]),
         }
-        let h = hash::combine(
-            self.seed,
-            &Self::parts(from, to, wire_frame, SALT_REORDER ^ 0xFF),
-        );
-        1 + h % self.reorder_extra
     }
 
     /// True when the plan can never perturb a frame (no probabilities, no
@@ -176,6 +151,52 @@ impl NetFaultPlan {
     }
 }
 
+/// The fault draws of one wire frame. `key` is
+/// `combine(seed, [from, to, wire_frame])`; a salted draw is
+/// `mix64(key ^ mix64(salt))`, which is `combine(seed, [from, to,
+/// wire_frame, salt])` bit for bit, at one mixing round instead of nine
+/// (the salts are mixed at compile time).
+#[derive(Debug)]
+pub struct FrameFaults<'a> {
+    plan: &'a NetFaultPlan,
+    from: NodeId,
+    to: NodeId,
+    wire_frame: u64,
+    key: u64,
+}
+
+impl FrameFaults<'_> {
+    /// The frame's draw under `salt`, with probability `p`.
+    fn hits(&self, salt: u64, p: f64) -> bool {
+        p > 0.0 && hash::unit(self.salted(salt)) < p
+    }
+
+    /// The frame's key word under an already-mixed `salt`.
+    fn salted(&self, salt: u64) -> u64 {
+        hash::mix64(self.key ^ salt)
+    }
+
+    /// Should the frame be dropped?
+    pub fn drops(&self) -> bool {
+        let link = (self.from.0, self.to.0, self.wire_frame);
+        self.plan.scripted_drops.contains(&link) || self.hits(SALT_DROP, self.plan.p_drop)
+    }
+
+    /// Should the frame be duplicated?
+    pub fn duplicates(&self) -> bool {
+        self.hits(SALT_DUP, self.plan.p_dup)
+    }
+
+    /// Extra delay (0 = not reordered) injected into the frame.
+    pub fn reorder_delay(&self) -> u64 {
+        let extra = self.plan.reorder_extra;
+        if extra == 0 || !self.hits(SALT_REORDER, self.plan.p_reorder) {
+            return 0;
+        }
+        1 + self.salted(SALT_REORDER_DELAY) % extra
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,9 +206,9 @@ mod tests {
         let p = NetFaultPlan::none();
         assert!(p.is_quiet());
         for w in 1..200 {
-            assert!(!p.drops(NodeId(0), NodeId(1), w));
-            assert!(!p.duplicates(NodeId(0), NodeId(1), w));
-            assert_eq!(p.reorder_delay(NodeId(0), NodeId(1), w), 0);
+            assert!(!p.frame(NodeId(0), NodeId(1), w).drops());
+            assert!(!p.frame(NodeId(0), NodeId(1), w).duplicates());
+            assert_eq!(p.frame(NodeId(0), NodeId(1), w).reorder_delay(), 0);
         }
         assert!(!p.partitioned(NodeId(0), NodeId(1), 5));
     }
@@ -196,9 +217,12 @@ mod tests {
     fn scripted_drop_fires_exactly_once_per_frame() {
         let p = NetFaultPlan::none().drop_frame(NodeId(2), NodeId(3), 1);
         assert!(!p.is_quiet());
-        assert!(p.drops(NodeId(2), NodeId(3), 1));
-        assert!(!p.drops(NodeId(2), NodeId(3), 2), "retransmission survives");
-        assert!(!p.drops(NodeId(3), NodeId(2), 1), "directed link");
+        assert!(p.frame(NodeId(2), NodeId(3), 1).drops());
+        assert!(
+            !p.frame(NodeId(2), NodeId(3), 2).drops(),
+            "retransmission survives"
+        );
+        assert!(!p.frame(NodeId(3), NodeId(2), 1).drops(), "directed link");
     }
 
     #[test]
@@ -216,13 +240,13 @@ mod tests {
         let p = NetFaultPlan::probabilistic(11, 0.1, 0.05, 0.2);
         let n = 4000u64;
         let drops = (1..=n)
-            .filter(|&w| p.drops(NodeId(0), NodeId(1), w))
+            .filter(|&w| p.frame(NodeId(0), NodeId(1), w).drops())
             .count();
         let dups = (1..=n)
-            .filter(|&w| p.duplicates(NodeId(0), NodeId(1), w))
+            .filter(|&w| p.frame(NodeId(0), NodeId(1), w).duplicates())
             .count();
         let reorders = (1..=n)
-            .filter(|&w| p.reorder_delay(NodeId(0), NodeId(1), w) > 0)
+            .filter(|&w| p.frame(NodeId(0), NodeId(1), w).reorder_delay() > 0)
             .count();
         assert!((250..550).contains(&drops), "p_drop {drops}");
         assert!((100..320).contains(&dups), "p_dup {dups}");
@@ -234,13 +258,14 @@ mod tests {
         let p = NetFaultPlan::probabilistic(7, 0.5, 0.5, 0.5);
         for w in 1..100 {
             assert_eq!(
-                p.drops(NodeId(1), NodeId(2), w),
-                p.drops(NodeId(1), NodeId(2), w)
+                p.frame(NodeId(1), NodeId(2), w).drops(),
+                p.frame(NodeId(1), NodeId(2), w).drops()
             );
         }
         // Different frames on the same link draw independently.
-        let distinct: std::collections::BTreeSet<bool> =
-            (1..40).map(|w| p.drops(NodeId(1), NodeId(2), w)).collect();
+        let distinct: std::collections::BTreeSet<bool> = (1..40)
+            .map(|w| p.frame(NodeId(1), NodeId(2), w).drops())
+            .collect();
         assert_eq!(distinct.len(), 2, "both outcomes occur");
     }
 
@@ -248,8 +273,52 @@ mod tests {
     fn reorder_delay_bounded() {
         let p = NetFaultPlan::probabilistic(3, 0.0, 0.0, 1.0).with_reorder_extra(4);
         for w in 1..200 {
-            let d = p.reorder_delay(NodeId(0), NodeId(1), w);
+            let d = p.frame(NodeId(0), NodeId(1), w).reorder_delay();
             assert!((1..=4).contains(&d), "delay {d} within window");
         }
+    }
+
+    /// The keyed draws equal the four-part `hash` draws a frame's faults
+    /// are specified by, over a grid of links and wire frames and a spread
+    /// of plans.
+    #[test]
+    fn keyed_draws_equal_the_four_part_draws() {
+        let plans = [
+            NetFaultPlan::probabilistic(42, 0.05, 0.05, 0.1),
+            NetFaultPlan::probabilistic(7, 0.5, 0.3, 0.9).with_reorder_extra(11),
+            NetFaultPlan::probabilistic(u64::MAX, 1.0, 1.0, 1.0).with_reorder_extra(1),
+            NetFaultPlan::probabilistic(3, 0.2, 0.0, 0.4).with_reorder_extra(0),
+        ];
+        let nodes = [0, 1, 2, 5, u32::MAX];
+        let mut hits = [0; 3];
+        for plan in &plans {
+            for from in nodes {
+                for to in nodes {
+                    for wf in (1..60).chain([u64::MAX]) {
+                        let key = |salt| [from as u64, to as u64, wf, salt];
+                        let drops = hash::draw(plan.seed, &key(0x4E7D), plan.p_drop);
+                        let dups = hash::draw(plan.seed, &key(0x4E7A), plan.p_dup);
+                        let delay = if plan.reorder_extra == 0
+                            || !hash::draw(plan.seed, &key(0x4E70), plan.p_reorder)
+                        {
+                            0
+                        } else {
+                            1 + hash::combine(plan.seed, &key(0x4E70 ^ 0xFF)) % plan.reorder_extra
+                        };
+                        let f = plan.frame(NodeId(from), NodeId(to), wf);
+                        assert_eq!(
+                            (f.drops(), f.duplicates(), f.reorder_delay()),
+                            (drops, dups, delay),
+                            "seed {} link {from} -> {to} frame {wf}",
+                            plan.seed
+                        );
+                        hits[0] += usize::from(drops);
+                        hits[1] += usize::from(dups);
+                        hits[2] += usize::from(delay > 1);
+                    }
+                }
+            }
+        }
+        assert!(hits.iter().all(|&n| n > 100), "every draw hits: {hits:?}");
     }
 }

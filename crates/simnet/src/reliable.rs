@@ -11,7 +11,9 @@
 //! - **Cumulative acks** — the receiver acknowledges the highest seq it has
 //!   delivered contiguously; one ack covers everything before it.
 //! - **Retransmission** — unacked frames are re-sent on a timer with capped
-//!   exponential backoff (go-back-N with a burst cap).
+//!   exponential backoff (go-back-N with a burst cap). An unacked message
+//!   is held once, as the bytes its log record was made from, and a
+//!   retransmission decodes it from them.
 //! - **Duplicate suppression / resequencing** — the receiver delivers each
 //!   seq exactly once, in order, buffering out-of-order arrivals.
 //! - **Durability** — the sender's outbox and the receiver's delivery
@@ -23,9 +25,10 @@
 //! owns all scheduling, so runs stay deterministic.
 
 use crate::node::NodeId;
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use crew_storage::{wire, Decode, Encode, MemStore, Wal};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 wire! { struct NodeId(id) }
 
@@ -141,33 +144,24 @@ impl<M> Default for PersistedChannelState<M> {
     }
 }
 
-/// Durability backend of one endpoint. The log must survive the node's
+/// Durability backend of one endpoint, and the one place an unacked
+/// message is held: the endpoint keeps sequence numbers only and asks the
+/// log for a payload when it retransmits. The log must survive the node's
 /// fail-stop crash (its store lives outside the node's volatile state, like
 /// the AGDB).
 pub trait OutboxLog<M> {
-    /// Record a staged send.
+    /// Record a staged send. Sends to one peer are numbered consecutively
+    /// from 1.
     fn log_send(&mut self, to: NodeId, seq: u64, payload: &M);
     /// Record an ack trim.
     fn log_ack(&mut self, peer: NodeId, cum: u64);
     /// Record a delivery-cursor advance.
     fn log_delivered(&mut self, peer: NodeId, cum: u64);
+    /// The unacked message `seq` staged for `to`, for a retransmission.
+    /// Panics if that message was never sent or is already acked.
+    fn unacked(&self, to: NodeId, seq: u64) -> M;
     /// Rebuild channel state after a crash.
     fn replay(&mut self) -> PersistedChannelState<M>;
-}
-
-/// No durability: channel state dies with the node, so a crashed endpoint
-/// loses its outbox *and* its dedup cursors. The fake the endpoint's unit
-/// tests substitute for a [`WalOutbox`]; the simulator never installs it.
-#[derive(Debug, Default)]
-pub struct VolatileOutbox;
-
-impl<M> OutboxLog<M> for VolatileOutbox {
-    fn log_send(&mut self, _to: NodeId, _seq: u64, _payload: &M) {}
-    fn log_ack(&mut self, _peer: NodeId, _cum: u64) {}
-    fn log_delivered(&mut self, _peer: NodeId, _cum: u64) {}
-    fn replay(&mut self) -> PersistedChannelState<M> {
-        PersistedChannelState::default()
-    }
 }
 
 /// Fold a channel log into the state it describes. A
@@ -218,6 +212,24 @@ impl Encode for Encoded<'_> {
     }
 }
 
+/// What a [`WalOutbox`] holds for one destination peer. Sends are numbered
+/// consecutively and acks are cumulative, so the unacked seqs are always
+/// the run `next_seq - live.len() .. next_seq`: an ack pops a prefix of
+/// `live`, and a seq is an index into it.
+struct PeerLog {
+    /// Next sequence number to assign.
+    next_seq: u64,
+    /// The unacked payloads, encoded, oldest first.
+    live: VecDeque<Box<[u8]>>,
+}
+
+impl PeerLog {
+    /// Lowest unacked seq (`next_seq` when nothing is unacked).
+    fn first(&self) -> u64 {
+        self.next_seq - self.live.len() as u64
+    }
+}
+
 /// WAL-backed durability over the in-memory store (simulation durability:
 /// the log outlives the node's volatile state across crash/recover).
 ///
@@ -229,17 +241,19 @@ impl Encode for Encoded<'_> {
 ///
 /// The state the log describes — what `fold_records` would make of it —
 /// is mirrored as it is logged, so compaction writes the snapshot from
-/// memory: the live path never reads the log back or decodes a record.
+/// memory: the live path never reads the log back. The mirror is also the
+/// only copy of an unacked message: `log_send` encodes it once, for the
+/// record and the mirror both, and [`OutboxLog::unacked`] decodes a
+/// retransmission from those bytes.
 pub struct WalOutbox<M: Encode + Decode> {
     wal: Wal<ChanRec<M>, MemStore>,
-    /// Unacked sends by `(destination peer, seq)`, each with its encoded
-    /// payload (encoded once, for the log and the mirror both).
-    live: BTreeMap<(NodeId, u64), Box<[u8]>>,
+    /// Next seq and unacked payloads per destination peer.
+    peers: BTreeMap<NodeId, PeerLog>,
+    /// Unacked payloads over all peers.
+    live: usize,
     /// Where `log_send` encodes a payload before copying it out at its
     /// exact size.
     scratch: BytesMut,
-    /// Next sequence number per destination peer.
-    next_seq: BTreeMap<NodeId, u64>,
     /// Delivery cursor per sending peer.
     delivered: BTreeMap<NodeId, u64>,
     checkpointing: bool,
@@ -250,9 +264,9 @@ impl<M: Encode + Decode> WalOutbox<M> {
     pub fn new() -> Self {
         WalOutbox {
             wal: Wal::in_memory(),
-            live: BTreeMap::new(),
+            peers: BTreeMap::new(),
+            live: 0,
             scratch: BytesMut::new(),
-            next_seq: BTreeMap::new(),
             delivered: BTreeMap::new(),
             checkpointing: true,
         }
@@ -279,18 +293,22 @@ impl<M: Encode + Decode> WalOutbox<M> {
             return;
         }
         let len = self.wal.appended();
-        if len < CHECKPOINT_MIN_RECORDS || len < 4 * self.live.len() as u64 {
+        if len < CHECKPOINT_MIN_RECORDS || len < 4 * self.live as u64 {
             return;
         }
         self.wal.reset().expect("MemStore truncate cannot fail");
         let snapshot = ChanRec::Checkpoint {
-            next_seq: self.next_seq.iter().map(|(&p, &s)| (p, s)).collect(),
+            next_seq: self.peers.iter().map(|(&p, l)| (p, l.next_seq)).collect(),
             delivered: self.delivered.iter().map(|(&p, &c)| (p, c)).collect(),
         };
-        let restaged = self.live.iter().map(|(&(to, seq), payload)| ChanRec::Sent {
-            to,
-            seq,
-            payload: Encoded(payload),
+        let restaged = self.peers.iter().flat_map(|(&to, l)| {
+            (l.first()..)
+                .zip(&l.live)
+                .map(move |(seq, payload)| ChanRec::Sent {
+                    to,
+                    seq,
+                    payload: Encoded(payload),
+                })
         });
         self.wal
             .append_batch(std::iter::once(snapshot).chain(restaged))
@@ -306,6 +324,14 @@ impl<M: Encode + Decode> Default for WalOutbox<M> {
 
 impl<M: Encode + Decode> OutboxLog<M> for WalOutbox<M> {
     fn log_send(&mut self, to: NodeId, seq: u64, payload: &M) {
+        let peer = self.peers.entry(to).or_insert_with(|| PeerLog {
+            next_seq: 1,
+            live: VecDeque::new(),
+        });
+        assert_eq!(
+            seq, peer.next_seq,
+            "sends to {to} are numbered consecutively"
+        );
         self.scratch.clear();
         payload.encode(&mut self.scratch);
         let payload: Box<[u8]> = self.scratch[..].into();
@@ -316,16 +342,21 @@ impl<M: Encode + Decode> OutboxLog<M> for WalOutbox<M> {
                 payload: Encoded(&payload),
             })
             .expect("MemStore append cannot fail");
-        self.live.insert((to, seq), payload);
-        let next = self.next_seq.entry(to).or_insert(1);
-        *next = (*next).max(seq + 1);
+        peer.live.push_back(payload);
+        peer.next_seq += 1;
+        self.live += 1;
     }
     fn log_ack(&mut self, peer: NodeId, cum: u64) {
         self.wal
             .append(&ChanRec::<M>::Acked { peer, cum })
             .expect("MemStore append cannot fail");
-        while let Some((&key, _)) = self.live.range((peer, 0)..=(peer, cum)).next() {
-            self.live.remove(&key);
+        if let Some(log) = self.peers.get_mut(&peer) {
+            let first = log.first();
+            if cum >= first {
+                let acked = (cum - first).saturating_add(1).min(log.live.len() as u64);
+                log.live.drain(..acked as usize);
+                self.live -= acked as usize;
+            }
         }
         self.maybe_checkpoint();
     }
@@ -337,38 +368,64 @@ impl<M: Encode + Decode> OutboxLog<M> for WalOutbox<M> {
         *cursor = (*cursor).max(cum);
         self.maybe_checkpoint();
     }
+    fn unacked(&self, to: NodeId, seq: u64) -> M {
+        let log = &self.peers[&to];
+        let payload = &log.live[(seq - log.first()) as usize];
+        M::decode(&mut Bytes::from(&payload[..])).expect("the log encoded this payload")
+    }
     fn replay(&mut self) -> PersistedChannelState<M> {
         let state = fold_records(self.wal.recover().expect("MemStore read cannot fail"));
         // Rebuild the mirror: the log handle itself may be older than the
         // state it describes (it survives the owning node's crash).
-        self.live.clear();
-        for (&peer, outbox) in &state.outbox {
-            for (&seq, payload) in outbox {
-                self.live.insert((peer, seq), payload.to_bytes()[..].into());
-            }
+        self.peers.clear();
+        self.live = 0;
+        for (&peer, &next_seq) in &state.next_seq {
+            let unacked = state.outbox.get(&peer).into_iter().flatten();
+            let live: VecDeque<Box<[u8]>> = unacked
+                .map(|(_, payload)| payload.to_bytes()[..].into())
+                .collect();
+            let log = PeerLog { next_seq, live };
+            debug_assert!(
+                state
+                    .outbox
+                    .get(&peer)
+                    .into_iter()
+                    .flatten()
+                    .map(|(&s, _)| s)
+                    .eq(log.first()..next_seq),
+                "the unacked seqs to {peer} are the run before next_seq"
+            );
+            self.live += log.live.len();
+            self.peers.insert(peer, log);
         }
-        self.next_seq = state.next_seq.clone();
         self.delivered = state.delivered.clone();
         state
     }
 }
 
+/// Sender state toward one peer. The unacked seqs are the run
+/// `first .. next_seq`; their payloads live in the endpoint's log.
 #[derive(Debug)]
-struct PeerOut<M> {
+struct PeerOut {
     next_seq: u64,
-    unacked: BTreeMap<u64, M>,
+    /// Lowest unacked seq (`next_seq` when nothing is unacked).
+    first: u64,
     rto: u64,
     next_retry_at: Option<u64>,
 }
 
-impl<M> PeerOut<M> {
+impl PeerOut {
     fn new(base_rto: u64) -> Self {
         PeerOut {
             next_seq: 1,
-            unacked: BTreeMap::new(),
+            first: 1,
             rto: base_rto,
             next_retry_at: None,
         }
+    }
+
+    fn idle(&self) -> bool {
+        self.first == self.next_seq
     }
 }
 
@@ -390,23 +447,71 @@ impl<M> Default for PeerIn<M> {
     }
 }
 
+/// The messages one `Data` frame releases, in delivery order: the frame's
+/// own payload when it was the next in sequence, then the buffered frames
+/// its arrival unblocked. The common case, one message, allocates nothing.
+#[derive(Debug)]
+pub struct Released<M> {
+    first: Option<M>,
+    rest: Vec<M>,
+}
+
+impl<M> Released<M> {
+    fn none() -> Self {
+        Released {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+
+    /// How many messages the frame released.
+    pub fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    /// True for a duplicate or a frame that opened or widened a gap.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+}
+
+impl<M> IntoIterator for Released<M> {
+    type Item = M;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<M>, std::vec::IntoIter<M>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
 /// Outcome of processing one `Data` frame.
 #[derive(Debug)]
 pub struct DataOutcome<M> {
     /// Messages to hand to the application, in order (possibly several when
     /// a gap fill releases buffered frames; empty for duplicates and gaps).
-    pub deliver: Vec<M>,
+    pub deliver: Released<M>,
     /// True when the frame had already been delivered (or buffered) before.
     pub duplicate: bool,
     /// Cumulative ack to report back to the sender.
     pub cum: u64,
 }
 
+/// The state toward `peer` in a table indexed by node, grown on first use.
+fn slot<T>(table: &mut Vec<T>, peer: NodeId, fresh: impl Fn() -> T) -> &mut T {
+    let i = peer.index();
+    if table.len() <= i {
+        table.resize_with(i + 1, &fresh);
+    }
+    &mut table[i]
+}
+
 /// Per-node channel endpoint: sender outboxes and receiver cursors toward
 /// every peer.
 pub struct Endpoint<M> {
-    out: BTreeMap<NodeId, PeerOut<M>>,
-    inn: BTreeMap<NodeId, PeerIn<M>>,
+    /// Sender state per peer, indexed by node.
+    out: Vec<PeerOut>,
+    /// Receiver state per peer, indexed by node.
+    inn: Vec<PeerIn<M>>,
     log: Box<dyn OutboxLog<M>>,
     cfg: RetransmitConfig,
     /// Due-peer index: `(next_retry_at, peer)` for every armed peer, so
@@ -419,12 +524,12 @@ pub struct Endpoint<M> {
     pub(crate) armed: Option<u64>,
 }
 
-impl<M: Clone> Endpoint<M> {
+impl<M> Endpoint<M> {
     /// A fresh endpoint over `log`.
     pub fn new(log: Box<dyn OutboxLog<M>>, cfg: RetransmitConfig) -> Self {
         Endpoint {
-            out: BTreeMap::new(),
-            inn: BTreeMap::new(),
+            out: Vec::new(),
+            inn: Vec::new(),
             log,
             cfg,
             due: BTreeSet::new(),
@@ -437,7 +542,7 @@ impl<M: Clone> Endpoint<M> {
     fn set_retry(
         due: &mut BTreeSet<(u64, NodeId)>,
         peer: NodeId,
-        state: &mut PeerOut<M>,
+        state: &mut PeerOut,
         at: Option<u64>,
     ) {
         if let Some(old) = state.next_retry_at.take() {
@@ -450,14 +555,14 @@ impl<M: Clone> Endpoint<M> {
     }
 
     /// Stage a message for `to`: assign a sequence number, persist it, arm
-    /// the retry clock. Returns the assigned seq.
-    pub fn stage(&mut self, to: NodeId, msg: M, now: u64) -> u64 {
+    /// the retry clock. Returns the assigned seq. The log keeps the only
+    /// copy, so the caller keeps `msg` for the first transmission.
+    pub fn stage(&mut self, to: NodeId, msg: impl Borrow<M>, now: u64) -> u64 {
         let base = self.cfg.base_rto;
-        let peer = self.out.entry(to).or_insert_with(|| PeerOut::new(base));
+        let peer = slot(&mut self.out, to, || PeerOut::new(base));
         let seq = peer.next_seq;
         peer.next_seq += 1;
-        self.log.log_send(to, seq, &msg);
-        peer.unacked.insert(seq, msg);
+        self.log.log_send(to, seq, msg.borrow());
         if peer.next_retry_at.is_none() {
             let at = now + peer.rto;
             Self::set_retry(&mut self.due, to, peer, Some(at));
@@ -467,22 +572,17 @@ impl<M: Clone> Endpoint<M> {
 
     /// Process a cumulative ack from `peer`.
     pub fn on_ack(&mut self, peer: NodeId, cum: u64, now: u64) {
-        let Some(out) = self.out.get_mut(&peer) else {
+        let Some(out) = self.out.get_mut(peer.index()) else {
             return;
         };
-        let before = out.unacked.len();
-        out.unacked.retain(|&s, _| s > cum);
-        if out.unacked.len() < before {
+        if !out.idle() && out.first <= cum {
             self.log.log_ack(peer, cum);
+            out.first = cum.min(out.next_seq - 1) + 1;
             // Progress: reset the backoff.
             out.rto = self.cfg.base_rto;
-            let at = if out.unacked.is_empty() {
-                None
-            } else {
-                Some(now + out.rto)
-            };
+            let at = (!out.idle()).then_some(now + out.rto);
             Self::set_retry(&mut self.due, peer, out, at);
-        } else if out.unacked.is_empty() {
+        } else if out.idle() {
             // Duplicate/stale cumulative ack with nothing in flight: make
             // sure the retry clock is not left armed for an empty outbox.
             Self::set_retry(&mut self.due, peer, out, None);
@@ -491,10 +591,10 @@ impl<M: Clone> Endpoint<M> {
 
     /// Process a `Data` frame from `peer`.
     pub fn on_data(&mut self, peer: NodeId, seq: u64, payload: M) -> DataOutcome<M> {
-        let inn = self.inn.entry(peer).or_default();
+        let inn = slot(&mut self.inn, peer, PeerIn::default);
         if seq <= inn.cum || inn.pending.contains_key(&seq) {
             return DataOutcome {
-                deliver: Vec::new(),
+                deliver: Released::none(),
                 duplicate: true,
                 cum: inn.cum,
             };
@@ -502,30 +602,33 @@ impl<M: Clone> Endpoint<M> {
         if seq != inn.cum + 1 {
             inn.pending.insert(seq, payload);
             return DataOutcome {
-                deliver: Vec::new(),
+                deliver: Released::none(),
                 duplicate: false,
                 cum: inn.cum,
             };
         }
-        let mut deliver = vec![payload];
         inn.cum += 1;
+        let mut rest = Vec::new();
         while let Some(next) = inn.pending.remove(&(inn.cum + 1)) {
-            deliver.push(next);
+            rest.push(next);
             inn.cum += 1;
         }
         let cum = inn.cum;
         self.log.log_delivered(peer, cum);
         DataOutcome {
-            deliver,
+            deliver: Released {
+                first: Some(payload),
+                rest,
+            },
             duplicate: false,
             cum,
         }
     }
 
     /// Frames due for retransmission at `now`: up to `burst` lowest unacked
-    /// frames per due peer (go-back-N). Backs off the due peers. Cost is
-    /// O(due peers), not O(all peers): only the due-index prefix up to
-    /// `now` is visited.
+    /// frames per due peer (go-back-N), each decoded from the log. Backs
+    /// off the due peers. Cost is O(due peers), not O(all peers): only the
+    /// due-index prefix up to `now` is visited.
     pub fn due_retransmits(&mut self, now: u64) -> Vec<(NodeId, u64, M)> {
         let mut out = Vec::new();
         let due_now: Vec<(u64, NodeId)> = self
@@ -533,20 +636,16 @@ impl<M: Clone> Endpoint<M> {
             .range(..=(now, NodeId(u32::MAX)))
             .copied()
             .collect();
-        for (at, peer) in due_now {
-            let Some(state) = self.out.get_mut(&peer) else {
-                self.due.remove(&(at, peer));
-                continue;
-            };
-            if state.unacked.is_empty() {
+        for (_, peer) in due_now {
+            let state = &mut self.out[peer.index()];
+            if state.idle() {
                 // Nothing left to resend: disarm instead of leaving a
                 // stale deadline that `next_wakeup` keeps reporting.
                 Self::set_retry(&mut self.due, peer, state, None);
                 continue;
             }
-            for (&seq, msg) in state.unacked.iter().take(self.cfg.burst) {
-                out.push((peer, seq, msg.clone()));
-            }
+            let window = state.first..state.next_seq.min(state.first + self.cfg.burst as u64);
+            out.extend(window.map(|seq| (peer, seq, self.log.unacked(peer, seq))));
             state.rto = (state.rto * 2).min(self.cfg.max_rto);
             Self::set_retry(&mut self.due, peer, state, Some(now + state.rto));
         }
@@ -574,40 +673,27 @@ impl<M: Clone> Endpoint<M> {
     /// recovering with a large outbox does not flood the network.
     pub fn on_recover(&mut self, now: u64) -> Vec<(NodeId, u64, M)> {
         let state = self.log.replay();
+        let base = self.cfg.base_rto;
         let mut resend = Vec::new();
         self.out.clear();
         self.inn.clear();
         self.due.clear();
-        for (peer, unacked) in state.outbox {
-            let next_seq = state.next_seq.get(&peer).copied().unwrap_or(1);
-            for (&seq, msg) in unacked.iter().take(self.cfg.burst) {
-                resend.push((peer, seq, msg.clone()));
-            }
-            let mut po = PeerOut {
-                next_seq,
-                unacked,
-                rto: self.cfg.base_rto,
-                next_retry_at: None,
-            };
-            if !po.unacked.is_empty() {
-                Self::set_retry(&mut self.due, peer, &mut po, Some(now + self.cfg.base_rto));
-            }
-            self.out.insert(peer, po);
+        for (&peer, &next_seq) in &state.next_seq {
+            let po = slot(&mut self.out, peer, || PeerOut::new(base));
+            po.next_seq = next_seq;
+            po.first = next_seq;
         }
-        for (&peer, next) in &state.next_seq {
-            self.out
-                .entry(peer)
-                .or_insert_with(|| PeerOut::new(self.cfg.base_rto))
-                .next_seq = *next;
+        for (peer, unacked) in state.outbox {
+            let po = slot(&mut self.out, peer, || PeerOut::new(base));
+            po.first = po.next_seq - unacked.len() as u64;
+            if !po.idle() {
+                Self::set_retry(&mut self.due, peer, po, Some(now + base));
+            }
+            let window = unacked.into_iter().take(self.cfg.burst);
+            resend.extend(window.map(|(seq, msg)| (peer, seq, msg)));
         }
         for (peer, cum) in state.delivered {
-            self.inn.insert(
-                peer,
-                PeerIn {
-                    cum,
-                    pending: BTreeMap::new(),
-                },
-            );
+            slot(&mut self.inn, peer, PeerIn::default).cum = cum;
         }
         resend
     }
@@ -624,16 +710,20 @@ mod tests {
         )
     }
 
+    fn released(o: DataOutcome<u64>) -> Vec<u64> {
+        o.deliver.into_iter().collect()
+    }
+
     #[test]
     fn in_order_delivery_and_acks() {
         let mut ep = endpoint();
         let o = ep.on_data(NodeId(1), 1, 10);
-        assert_eq!(o.deliver, vec![10]);
         assert_eq!(o.cum, 1);
         assert!(!o.duplicate);
+        assert_eq!(released(o), vec![10]);
         let o = ep.on_data(NodeId(1), 2, 20);
-        assert_eq!(o.deliver, vec![20]);
         assert_eq!(o.cum, 2);
+        assert_eq!(released(o), vec![20]);
     }
 
     #[test]
@@ -655,8 +745,9 @@ mod tests {
         let o = ep.on_data(NodeId(1), 2, 20);
         assert!(o.deliver.is_empty());
         let o = ep.on_data(NodeId(1), 1, 10);
-        assert_eq!(o.deliver, vec![10, 20, 30], "gap fill releases in order");
         assert_eq!(o.cum, 3);
+        assert_eq!(o.deliver.len(), 3);
+        assert_eq!(released(o), vec![10, 20, 30], "gap fill releases in order");
     }
 
     #[test]
@@ -718,15 +809,6 @@ mod tests {
         let o = ep.on_data(NodeId(4), 2, 42);
         assert!(o.duplicate);
         assert_eq!(o.cum, 2);
-    }
-
-    #[test]
-    fn volatile_outbox_loses_everything() {
-        let mut ep: Endpoint<u64> =
-            Endpoint::new(Box::new(VolatileOutbox), RetransmitConfig::default());
-        ep.stage(NodeId(2), 100, 0);
-        ep.on_crash();
-        assert!(ep.on_recover(10).is_empty());
     }
 
     #[test]
@@ -792,8 +874,8 @@ mod tests {
         let mut ep = endpoint();
         ep.stage(NodeId(2), 100, 0);
         // Force the pathological armed-but-empty state directly.
-        let state = ep.out.get_mut(&NodeId(2)).unwrap();
-        state.unacked.clear();
+        let state = &mut ep.out[2];
+        state.first = state.next_seq;
         assert_eq!(ep.next_wakeup(), Some(16));
         assert!(ep.due_retransmits(16).is_empty());
         assert_eq!(
@@ -810,8 +892,8 @@ mod tests {
         // leave the clock armed over an empty outbox.
         let mut ep = endpoint();
         ep.stage(NodeId(2), 100, 0);
-        let state = ep.out.get_mut(&NodeId(2)).unwrap();
-        state.unacked.clear();
+        let state = &mut ep.out[2];
+        state.first = state.next_seq;
         assert_eq!(ep.next_wakeup(), Some(16));
         // Stale ack: cum 1 trims nothing (outbox already empty).
         ep.on_ack(NodeId(2), 1, 5);

@@ -133,23 +133,37 @@ struct Transport<M> {
     cfg: RetransmitConfig,
     /// Channel endpoint per node, grown lazily (indexed like `nodes`).
     endpoints: Vec<Endpoint<M>>,
-    /// Wire-frame counter per directed link, numbering physical
-    /// transmissions (data, retransmissions, and acks) from 1 — the key of
-    /// every fault draw.
-    wire: std::collections::BTreeMap<(NodeId, NodeId), u64>,
+    /// Wire-frame counter per directed link, `wire[from][to]`, numbering
+    /// physical transmissions (data, retransmissions, and acks) from 1 —
+    /// the key of every fault draw. Grown lazily like `endpoints`.
+    wire: Vec<Vec<u64>>,
     /// Builds each endpoint's durability backend (a fresh `WalOutbox`); a
     /// function pointer because only `enable_net_faults` knows `M` has a
     /// codec.
     make: fn() -> Box<dyn OutboxLog<M>>,
 }
 
-impl<M: Clone> Transport<M> {
+impl<M> Transport<M> {
     fn endpoint_mut(&mut self, node: NodeId) -> &mut Endpoint<M> {
         let i = node.index();
         while self.endpoints.len() <= i {
             self.endpoints.push(Endpoint::new((self.make)(), self.cfg));
         }
         &mut self.endpoints[i]
+    }
+
+    /// Number the next transmission on `from → to`.
+    fn next_wire_frame(&mut self, from: NodeId, to: NodeId) -> u64 {
+        let (i, j) = (from.index(), to.index());
+        if self.wire.len() <= i {
+            self.wire.resize_with(i + 1, Vec::new);
+        }
+        let link = &mut self.wire[i];
+        if link.len() <= j {
+            link.resize(j + 1, 0);
+        }
+        link[j] += 1;
+        link[j]
     }
 }
 
@@ -250,7 +264,7 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
             plan,
             cfg: RetransmitConfig::default(),
             endpoints: Vec::new(),
-            wire: std::collections::BTreeMap::new(),
+            wire: Vec::new(),
             make: || Box::new(WalOutbox::<M>::new()),
         });
     }
@@ -411,7 +425,7 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
     /// Stage a logical message on `from`'s channel to `to` and put its
     /// first transmission on the wire.
     fn channel_send(&mut self, t: &mut Transport<M>, from: NodeId, to: NodeId, msg: M) {
-        let seq = t.endpoint_mut(from).stage(to, msg.clone(), self.now);
+        let seq = t.endpoint_mut(from).stage(to, &msg, self.now);
         self.metrics.transport.data_frames += 1;
         self.transmit(
             t,
@@ -429,9 +443,7 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
     /// Put one frame on the lossy wire: number it, apply the fault plan
     /// (partition, drop, reorder, duplicate), schedule surviving copies.
     fn transmit(&mut self, t: &mut Transport<M>, from: NodeId, to: NodeId, frame: Frame<M>) {
-        let wire = t.wire.entry((from, to)).or_insert(0);
-        *wire += 1;
-        let wf = *wire;
+        let wf = t.next_wire_frame(from, to);
         if t.plan.partitioned(from, to, self.now) {
             self.metrics.transport.partition_drops += 1;
             self.trace_event(from, to, crate::trace::NET_CUT, || {
@@ -439,7 +451,8 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
             });
             return;
         }
-        if t.plan.drops(from, to, wf) {
+        let faults = t.plan.frame(from, to, wf);
+        if faults.drops() {
             self.metrics.transport.drops_injected += 1;
             if matches!(frame, Frame::Data { .. }) {
                 self.metrics.transport.data_drops_injected += 1;
@@ -449,14 +462,14 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
             });
             return;
         }
-        let extra = t.plan.reorder_delay(from, to, wf);
+        let extra = faults.reorder_delay();
         if extra > 0 {
             self.metrics.transport.reorders_injected += 1;
             self.trace_event(from, to, crate::trace::NET_REORDER, || {
                 format!("frame {wf} held back {extra}")
             });
         }
-        let dup = t.plan.duplicates(from, to, wf);
+        let dup = faults.duplicates();
         let lat = self.latency.sample(self.seed, from, to, self.seq).max(1) + extra;
         if dup {
             self.metrics.transport.dups_injected += 1;

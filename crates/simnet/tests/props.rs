@@ -1,11 +1,19 @@
 //! Property tests over the simulator: per-channel FIFO delivery and
-//! seed-determinism under arbitrary fan-outs; and over the channel log:
-//! compaction never changes the state the log describes.
+//! seed-determinism under arbitrary fan-outs; over the channel log:
+//! compaction never changes the state the log describes; and over the
+//! channel endpoint: its sequence-indexed outboxes answer exactly as a
+//! reference endpoint that keeps every unacked message in a `BTreeMap`.
 
 use crew_simnet::reliable::PersistedChannelState;
-use crew_simnet::{Classify, Ctx, Mechanism, Node, NodeId, OutboxLog, Simulation, WalOutbox};
+use crew_simnet::{
+    Classify, Ctx, Endpoint, Mechanism, Node, NodeId, OutboxLog, RetransmitConfig, Simulation,
+    WalOutbox,
+};
 use proptest::prelude::*;
 use std::any::Any;
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 #[derive(Debug, Clone)]
 struct Seq(u32);
@@ -74,8 +82,287 @@ fn comparable(state: PersistedChannelState<u64>) -> Comparable {
     )
 }
 
+/// The channel endpoint as it was before its outboxes became
+/// sequence-indexed: every unacked message held in a `BTreeMap` per peer,
+/// trimmed with `retain`, cloned for each retransmission. The reference
+/// the endpoint proptest compares against. Its log never compacts, so its
+/// recovery folds every record ever written and owes nothing to the
+/// mirror a checkpoint is written from.
+struct ReferenceEndpoint {
+    out: BTreeMap<NodeId, RefPeerOut>,
+    inn: BTreeMap<NodeId, (u64, BTreeMap<u64, u64>)>,
+    log: WalOutbox<u64>,
+    cfg: RetransmitConfig,
+    due: BTreeSet<(u64, NodeId)>,
+}
+
+struct RefPeerOut {
+    next_seq: u64,
+    unacked: BTreeMap<u64, u64>,
+    rto: u64,
+    next_retry_at: Option<u64>,
+}
+
+impl RefPeerOut {
+    fn new(base_rto: u64) -> Self {
+        RefPeerOut {
+            next_seq: 1,
+            unacked: BTreeMap::new(),
+            rto: base_rto,
+            next_retry_at: None,
+        }
+    }
+}
+
+type Resend = Vec<(NodeId, u64, u64)>;
+
+impl ReferenceEndpoint {
+    fn new(cfg: RetransmitConfig) -> Self {
+        ReferenceEndpoint {
+            out: BTreeMap::new(),
+            inn: BTreeMap::new(),
+            log: WalOutbox::without_checkpointing(),
+            cfg,
+            due: BTreeSet::new(),
+        }
+    }
+
+    fn set_retry(
+        due: &mut BTreeSet<(u64, NodeId)>,
+        peer: NodeId,
+        state: &mut RefPeerOut,
+        at: Option<u64>,
+    ) {
+        if let Some(old) = state.next_retry_at.take() {
+            due.remove(&(old, peer));
+        }
+        if let Some(t) = at {
+            state.next_retry_at = Some(t);
+            due.insert((t, peer));
+        }
+    }
+
+    fn stage(&mut self, to: NodeId, msg: u64, now: u64) -> u64 {
+        let base = self.cfg.base_rto;
+        let peer = self.out.entry(to).or_insert_with(|| RefPeerOut::new(base));
+        let seq = peer.next_seq;
+        peer.next_seq += 1;
+        self.log.log_send(to, seq, &msg);
+        peer.unacked.insert(seq, msg);
+        if peer.next_retry_at.is_none() {
+            let at = now + peer.rto;
+            Self::set_retry(&mut self.due, to, peer, Some(at));
+        }
+        seq
+    }
+
+    fn on_ack(&mut self, peer: NodeId, cum: u64, now: u64) {
+        let Some(out) = self.out.get_mut(&peer) else {
+            return;
+        };
+        let before = out.unacked.len();
+        out.unacked.retain(|&s, _| s > cum);
+        if out.unacked.len() < before {
+            self.log.log_ack(peer, cum);
+            out.rto = self.cfg.base_rto;
+            let at = if out.unacked.is_empty() {
+                None
+            } else {
+                Some(now + out.rto)
+            };
+            Self::set_retry(&mut self.due, peer, out, at);
+        } else if out.unacked.is_empty() {
+            Self::set_retry(&mut self.due, peer, out, None);
+        }
+    }
+
+    /// `(delivered, duplicate, cum)`.
+    fn on_data(&mut self, peer: NodeId, seq: u64, payload: u64) -> (Vec<u64>, bool, u64) {
+        let (cum, pending) = self.inn.entry(peer).or_default();
+        if seq <= *cum || pending.contains_key(&seq) {
+            return (Vec::new(), true, *cum);
+        }
+        if seq != *cum + 1 {
+            pending.insert(seq, payload);
+            return (Vec::new(), false, *cum);
+        }
+        let mut deliver = vec![payload];
+        *cum += 1;
+        while let Some(next) = pending.remove(&(*cum + 1)) {
+            deliver.push(next);
+            *cum += 1;
+        }
+        let cum = *cum;
+        self.log.log_delivered(peer, cum);
+        (deliver, false, cum)
+    }
+
+    fn due_retransmits(&mut self, now: u64) -> Resend {
+        let mut out = Vec::new();
+        let due_now: Vec<(u64, NodeId)> = self
+            .due
+            .range(..=(now, NodeId(u32::MAX)))
+            .copied()
+            .collect();
+        for (at, peer) in due_now {
+            let Some(state) = self.out.get_mut(&peer) else {
+                self.due.remove(&(at, peer));
+                continue;
+            };
+            if state.unacked.is_empty() {
+                Self::set_retry(&mut self.due, peer, state, None);
+                continue;
+            }
+            for (&seq, &msg) in state.unacked.iter().take(self.cfg.burst) {
+                out.push((peer, seq, msg));
+            }
+            state.rto = (state.rto * 2).min(self.cfg.max_rto);
+            Self::set_retry(&mut self.due, peer, state, Some(now + state.rto));
+        }
+        out
+    }
+
+    fn next_wakeup(&self) -> Option<u64> {
+        self.due.iter().next().map(|&(t, _)| t)
+    }
+
+    fn on_crash(&mut self) {
+        self.out.clear();
+        self.inn.clear();
+        self.due.clear();
+    }
+
+    fn on_recover(&mut self, now: u64) -> Resend {
+        let state = self.log.replay();
+        let mut resend = Vec::new();
+        for (peer, unacked) in state.outbox {
+            let next_seq = state.next_seq.get(&peer).copied().unwrap_or(1);
+            for (&seq, &msg) in unacked.iter().take(self.cfg.burst) {
+                resend.push((peer, seq, msg));
+            }
+            let mut po = RefPeerOut {
+                next_seq,
+                unacked,
+                rto: self.cfg.base_rto,
+                next_retry_at: None,
+            };
+            if !po.unacked.is_empty() {
+                Self::set_retry(&mut self.due, peer, &mut po, Some(now + self.cfg.base_rto));
+            }
+            self.out.insert(peer, po);
+        }
+        for (&peer, next) in &state.next_seq {
+            self.out
+                .entry(peer)
+                .or_insert_with(|| RefPeerOut::new(self.cfg.base_rto))
+                .next_seq = *next;
+        }
+        for (peer, cum) in state.delivered {
+            self.inn.insert(peer, (cum, BTreeMap::new()));
+        }
+        resend
+    }
+}
+
+/// A `WalOutbox` that notes when a checkpoint shortened its log.
+struct Watched {
+    log: WalOutbox<u64>,
+    compacted: Rc<Cell<bool>>,
+}
+
+impl Watched {
+    fn watch(&mut self, before: u64) {
+        if self.log.log_len() <= before {
+            self.compacted.set(true);
+        }
+    }
+}
+
+impl OutboxLog<u64> for Watched {
+    fn log_send(&mut self, to: NodeId, seq: u64, payload: &u64) {
+        self.log.log_send(to, seq, payload);
+    }
+    fn log_ack(&mut self, peer: NodeId, cum: u64) {
+        let before = self.log.log_len();
+        self.log.log_ack(peer, cum);
+        self.watch(before);
+    }
+    fn log_delivered(&mut self, peer: NodeId, cum: u64) {
+        let before = self.log.log_len();
+        self.log.log_delivered(peer, cum);
+        self.watch(before);
+    }
+    fn unacked(&self, to: NodeId, seq: u64) -> u64 {
+        self.log.unacked(to, seq)
+    }
+    fn replay(&mut self) -> PersistedChannelState<u64> {
+        self.log.replay()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The endpoint and the reference endpoint give the same answer to
+    /// every call — assigned seqs, deliveries, duplicate flags, acks,
+    /// retransmissions, recovery resends — and the same `next_wakeup`
+    /// after it, over random sequences of stages, data frames, acks, retry
+    /// firings and crash/recovery toward three peers. Acks trail the
+    /// newest seq by a few, so outboxes drain and the log compacts.
+    #[test]
+    fn endpoint_answers_as_the_btreemap_reference(
+        ops in proptest::collection::vec((0u8..12, 0u32..3, 0u64..6, 0u64..24), 1..400),
+        burst in 1usize..5,
+    ) {
+        let cfg = RetransmitConfig { base_rto: 4, max_rto: 64, burst };
+        let compacted = Rc::new(Cell::new(false));
+        let log = Watched { log: WalOutbox::new(), compacted: compacted.clone() };
+        let mut ep: Endpoint<u64> = Endpoint::new(Box::new(log), cfg);
+        let mut reference = ReferenceEndpoint::new(cfg);
+        let mut now = 0;
+        // Newest seq staged toward, and delivery cursor from, each peer.
+        let mut staged = [0u64; 3];
+        let mut cum = [0u64; 3];
+        for (n, &(kind, p, a, dt)) in ops.iter().enumerate() {
+            now += dt;
+            let peer = NodeId(p);
+            let i = p as usize;
+            match kind {
+                0..=2 => {
+                    let msg = n as u64;
+                    let seq = ep.stage(peer, msg, now);
+                    prop_assert_eq!(seq, reference.stage(peer, msg, now));
+                    staged[i] = seq;
+                }
+                3..=5 => {
+                    // `a` = 0 repeats the cursor, 1 is next, more opens a gap.
+                    let seq = (cum[i] + a).max(1);
+                    let payload = 1000 * u64::from(p) + seq;
+                    let got = ep.on_data(peer, seq, payload);
+                    let (deliver, duplicate, c) = reference.on_data(peer, seq, payload);
+                    prop_assert_eq!(got.deliver.len(), deliver.len());
+                    prop_assert_eq!((got.duplicate, got.cum), (duplicate, c));
+                    prop_assert_eq!(got.deliver.into_iter().collect::<Vec<_>>(), deliver);
+                    cum[i] = c;
+                }
+                6..=8 => {
+                    let ack = (staged[i] + 1).saturating_sub(a);
+                    ep.on_ack(peer, ack, now);
+                    reference.on_ack(peer, ack, now);
+                }
+                9 | 10 => prop_assert_eq!(ep.due_retransmits(now), reference.due_retransmits(now)),
+                _ => {
+                    ep.on_crash();
+                    reference.on_crash();
+                    prop_assert_eq!(ep.next_wakeup(), None);
+                    now += a;
+                    prop_assert_eq!(ep.on_recover(now), reference.on_recover(now));
+                }
+            }
+            prop_assert_eq!(ep.next_wakeup(), reference.next_wakeup(), "after op {}", n);
+        }
+        prop_assert!(compacted.get() || ops.len() < 300, "{} ops never compacted", ops.len());
+    }
 
     /// The self-compacting log and its never-compacting twin replay to the
     /// same state after any sequence of sends, acks and cursor advances —

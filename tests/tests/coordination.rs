@@ -253,7 +253,7 @@ fn rollback_dependency_cycle_is_one_level_at_any_placement() {
             assert_eq!(log.count(ib, StepId(1)), 2, "{case}: WF2.S1 runs");
             let rollbacks: u64 = report
                 .metrics
-                .by_kind
+                .by_kind()
                 .iter()
                 .filter(|((kind, _), _)| *kind == "WorkflowRollback")
                 .map(|(_, n)| n)

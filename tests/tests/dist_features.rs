@@ -100,7 +100,7 @@ fn purge_broadcast_drops_committed_state() {
     assert!(
         run.sim.metrics.messages(Mechanism::Control) > 0,
         "purge broadcast expected: {:?}",
-        run.sim.metrics.by_kind
+        run.sim.metrics.by_kind()
     );
     // Execution agents dropped the instance; the coordination agent keeps
     // the summary for front-end status queries.

@@ -133,7 +133,7 @@ fn runs_are_deterministic() {
         let report = system.run(scenario);
         (
             report.metrics.total_messages,
-            report.metrics.by_kind.clone(),
+            report.metrics.by_kind(),
             report.virtual_time,
         )
     };

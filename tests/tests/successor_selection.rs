@@ -42,7 +42,7 @@ fn load_balanced_mode_commits_and_costs_polls() {
         assert_eq!(report.committed(), 6, "{mode:?}");
         let polls = report
             .metrics
-            .by_kind
+            .by_kind()
             .iter()
             .filter(|((k, _), _)| *k == "StateInformation" || *k == "StateInformationReply")
             .map(|(_, v)| *v)
