@@ -564,6 +564,7 @@ impl Engine {
         self.nav_load(ctx);
         let nav = &mut self.inst(instance).nav;
         nav.parent = parent;
+        nav.reserve_for(&schema, inputs.len());
         nav.rules.add_rules(template.iter().map(|t| &t.rule));
         for (k, v) in inputs {
             nav.data.set(k, v);

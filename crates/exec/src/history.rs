@@ -47,6 +47,11 @@ impl InstanceHistory {
         Self::default()
     }
 
+    /// Make room for `n` more steps in one allocation.
+    pub fn reserve(&mut self, n: usize) {
+        self.steps.reserve(n);
+    }
+
     /// `step`'s entry, opened empty on first use.
     fn entry(&mut self, step: StepId) -> &mut (u32, Option<StepRecord>) {
         self.steps.entry(step).or_insert((0, None))

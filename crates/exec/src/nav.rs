@@ -81,6 +81,22 @@ pub struct InstanceNav {
 }
 
 impl InstanceNav {
+    /// Size the instance's tables once, from its schema, before it runs:
+    /// the history to a row per step, the event table to a kind per step
+    /// plus `workflow.start`, the data table to the `inputs` plus every
+    /// step's output slots, and the incoming weights to a slot per arc
+    /// plus the initial token. The engine calls it at instantiation; a
+    /// distributed agent holds a slice of an instance and keeps its
+    /// tables exact-fit instead (DESIGN.md §6j).
+    pub fn reserve_for(&mut self, schema: &WorkflowSchema, inputs: usize) {
+        let steps = schema.step_count();
+        let outputs: usize = schema.steps().map(|s| usize::from(s.output_slots)).sum();
+        self.history.reserve(steps);
+        self.rules.reserve_events(steps + 1);
+        self.data.reserve(inputs + outputs);
+        self.weight_in.reserve(schema.arcs().len() + 1);
+    }
+
     // ---- rules -----------------------------------------------------------
 
     /// One sweep of the rule table over the current data: the steps the

@@ -200,6 +200,11 @@ impl DataEnv {
         self.items.reserve_missing(incoming.items.keys());
     }
 
+    /// Make room for `n` more items in one allocation.
+    pub fn reserve(&mut self, n: usize) {
+        self.items.reserve(n);
+    }
+
     /// Merge another environment into this one, later writes winning. This
     /// is how a distributed agent folds the data carried by an arriving
     /// workflow packet into its local instance table.

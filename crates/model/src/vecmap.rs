@@ -95,6 +95,13 @@ impl<K: Ord, V> VecMap<K, V> {
         self.entries.reserve_exact(missing);
     }
 
+    /// Make room for `n` more entries in one allocation, exactly: for a
+    /// table whose final size is known before it fills, such as an
+    /// instance's tables sized from its schema.
+    pub fn reserve(&mut self, n: usize) {
+        self.entries.reserve_exact(n);
+    }
+
     /// Keep only the entries `keep` accepts.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| keep(k, v));
@@ -384,5 +391,18 @@ mod tests {
         assert_eq!(map.capacity(), map.len());
         map.reserve_missing(&batch);
         assert_eq!(map.capacity(), 5, "nothing missing, nothing reserved");
+    }
+
+    #[test]
+    fn a_reserved_table_fills_without_growing() {
+        let mut map: VecMap<u8, u64> = VecMap::new();
+        map.reserve(4);
+        assert_eq!(map.capacity(), 4);
+        let room = map.entries.as_ptr();
+        for k in [4, 2, 3] {
+            map.insert(k, 0);
+        }
+        assert_eq!(map.entries.as_ptr(), room, "no insert reallocated");
+        assert_eq!(map.capacity(), 4);
     }
 }

@@ -10,7 +10,10 @@
 //! The rule engine is deliberately host-agnostic: it knows nothing about
 //! agents, engines or messages. Hosts post events, call
 //! [`RuleSet::fire_ready`] and start the step each returned [`Action`]
-//! names. The centralized engine holds one complete `RuleSet` per instance;
+//! names; a sweep checks only the rules that what was posted since can
+//! have made ready ([`ruleset`] says which, and why that fires the same
+//! rules as checking all of them). The centralized engine holds one
+//! complete `RuleSet` per instance;
 //! a distributed agent holds, per instance, the slice of the template for
 //! the steps it is responsible for.
 

@@ -55,6 +55,10 @@ pub struct Rule {
     pub guard: Option<Arc<Expr>>,
     /// Action taken when the rule fires.
     pub action: Action,
+    /// Set when an event, a revalidation or a cleared mark may have made
+    /// the rule ready since a sweep last found it not ready or fired it:
+    /// a sweep visits only woken rules. It sits in the struct's padding.
+    pub(crate) woken: bool,
 }
 
 impl Rule {
@@ -65,6 +69,7 @@ impl Rule {
             trigger: trigger.into_iter().map(unfired).collect(),
             guard: None,
             action,
+            woken: true,
         }
     }
 

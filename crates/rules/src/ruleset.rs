@@ -10,6 +10,21 @@
 //! participates in, holding only the rules for the steps it is responsible
 //! for. In centralized control the engine keeps the complete rule set of
 //! each instance.
+//!
+//! A sweep ([`RuleSet::fire_ready`]) visits only the *woken* rules, in
+//! install order. A rule starts woken; an event it triggers on wakes it
+//! when the event occurs, advances or is revalidated, and `refire` wakes
+//! the rules whose marks it clears. A sweep puts a rule back to sleep once
+//! it finds its triggers not fresh, or fires it. Those are the only ways a
+//! rule's triggers can turn fresh, so every rule a full sweep would fire
+//! is woken, and each sweep returns exactly what the full sweep returns.
+//! Two cases need care:
+//! - a rule held back only by its guard stays woken, because data changes
+//!   post no event;
+//! - `invalidate_event` clears marks but wakes nothing: a rule on the
+//!   invalidated kind cannot be ready until the kind is present again, and
+//!   every way back (`add_event`, `merge_event`, `revalidate_event`) wakes
+//!   it.
 
 use crate::event::{EventKind, EventState};
 use crate::rule::{Action, Rule, Trigger};
@@ -82,6 +97,16 @@ impl RuleSet {
         self.rules.extend(rules.into_iter().cloned());
     }
 
+    /// Wake every rule that triggers on `kind`: an occurrence of it may
+    /// have made them ready.
+    fn wake(&mut self, kind: EventKind) {
+        for rule in &mut self.rules {
+            if rule.triggers_on(kind) {
+                rule.woken = true;
+            }
+        }
+    }
+
     /// Clear the firing marks of the rules that start `step`, so they can
     /// fire again on the events they already consumed — used when a
     /// rollback re-executes the step without re-delivering its (still
@@ -90,6 +115,7 @@ impl RuleSet {
         for rule in &mut self.rules {
             if rule.action == Action::StartStep(step) {
                 rule.clear_marks();
+                rule.woken = true;
             }
         }
     }
@@ -102,6 +128,7 @@ impl RuleSet {
         let st = self.events.entry(kind).or_default();
         st.generation += 1;
         st.valid = true;
+        self.wake(kind);
     }
 
     /// Merge an event occurrence carried by a workflow packet: occurrences
@@ -113,7 +140,7 @@ impl RuleSet {
     /// advanced.
     pub fn merge_event(&mut self, kind: EventKind, generation: u32) -> bool {
         let st = self.events.entry(kind).or_default();
-        if generation > st.generation {
+        let advanced = if generation > st.generation {
             st.generation = generation;
             st.valid = true;
             true
@@ -126,7 +153,11 @@ impl RuleSet {
             true
         } else {
             false
+        };
+        if advanced {
+            self.wake(kind);
         }
+        advanced
     }
 
     /// Merge every occurrence a workflow packet carries ([`merge_event`]
@@ -149,6 +180,7 @@ impl RuleSet {
         match self.events.get_mut(&kind) {
             Some(st) if st.generation > 0 && !st.valid => {
                 st.valid = true;
+                self.wake(kind);
                 true
             }
             _ => false,
@@ -166,6 +198,13 @@ impl RuleSet {
     }
 
     // ---- event table -----------------------------------------------------
+
+    /// Make room for `n` more event kinds in one allocation — what a host
+    /// that knows the schema does at instantiation, so the table does not
+    /// grow one kind at a time.
+    pub fn reserve_events(&mut self, n: usize) {
+        self.events.reserve(n);
+    }
 
     /// The event table: every kind seen, with its state.
     pub fn events(&self) -> &VecMap<EventKind, EventState> {
@@ -210,6 +249,10 @@ impl RuleSet {
     /// consumed generations (so one occurrence fires a rule at most once)
     /// and their actions are returned in install order.
     ///
+    /// Only woken rules are checked (see the module docs): a rule whose
+    /// triggers are not fresh, and a rule that fires, go back to sleep; a
+    /// rule whose guard alone holds it back stays woken.
+    ///
     /// Guard evaluation errors count as `false`: a branch condition over
     /// data that is absent simply does not select that branch.
     pub fn fire_ready(&mut self, env: &DataEnv) -> Vec<Firing> {
@@ -218,13 +261,18 @@ impl RuleSet {
         let mut fired = Vec::new();
         // A firing posts no event, so no rule's readiness depends on the
         // rules swept before it.
-        for rule in &mut self.rules {
-            if !is_ready_ignoring_guard(events, rule) || !rule.guard.as_deref().is_none_or(holds) {
+        for rule in self.rules.iter_mut().filter(|rule| rule.woken) {
+            if !is_ready_ignoring_guard(events, rule) {
+                rule.woken = false;
+                continue;
+            }
+            if !rule.guard.as_deref().is_none_or(holds) {
                 continue;
             }
             for t in &mut rule.trigger {
                 t.mark = events[&t.event].generation;
             }
+            rule.woken = false;
             fired.push(Firing {
                 action: rule.action.clone(),
             });
@@ -242,6 +290,38 @@ mod tests {
         let mut e = DataEnv::new();
         e.set(ItemKey::input(slot), Value::Int(v));
         e
+    }
+
+    /// The woken flag fits in a rule's padding.
+    #[test]
+    fn a_rule_is_five_words_and_a_rule_set_six() {
+        assert_eq!(std::mem::size_of::<Rule>(), 40);
+        assert_eq!(std::mem::size_of::<RuleSet>(), 48);
+    }
+
+    /// A sweep puts a rule whose triggers are not fresh to sleep and an
+    /// event it triggers on wakes it; a guard-blocked rule stays woken.
+    #[test]
+    fn a_sweep_visits_the_rules_an_event_woke() {
+        let mut rs = RuleSet::new();
+        let done = |s| EventKind::StepDone(StepId(s));
+        rs.add_rule(Rule::new(vec![done(1)], Action::StartStep(StepId(2))));
+        rs.add_rule(
+            Rule::new(vec![done(3)], Action::StartStep(StepId(4)))
+                .with_guard(Expr::gt(Expr::item(ItemKey::input(1)), Expr::lit(0))),
+        );
+        let woken = |rs: &RuleSet| rs.rules.iter().map(|r| r.woken).collect::<Vec<_>>();
+        assert_eq!(woken(&rs), [true, true], "a new rule starts woken");
+        assert!(rs.fire_ready(&DataEnv::new()).is_empty());
+        assert_eq!(woken(&rs), [false, false]);
+        rs.add_event(done(3));
+        assert_eq!(woken(&rs), [false, true]);
+        assert!(rs.fire_ready(&DataEnv::new()).is_empty());
+        assert_eq!(woken(&rs), [false, true], "held back by its guard only");
+        assert_eq!(rs.fire_ready(&env_with(1, 1)).len(), 1);
+        assert_eq!(woken(&rs), [false, false], "a fired rule sleeps");
+        rs.refire(StepId(4));
+        assert_eq!(woken(&rs), [false, true]);
     }
 
     #[test]

@@ -29,6 +29,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use crew_storage::{wire, Decode, Encode, MemStore, Wal};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::marker::PhantomData;
 
 wire! { struct NodeId(id) }
 
@@ -212,6 +213,29 @@ impl Encode for Encoded<'_> {
     }
 }
 
+/// A payload read back from the log, still encoded: a view of the
+/// recovered log image, taken without decoding `M`. The payload is the
+/// last field of the one record that carries it (`Sent`), so it decodes
+/// as the rest of its record.
+struct Logged(Bytes);
+
+impl Encode for Logged {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_slice(&self.0);
+    }
+}
+
+impl Decode for Logged {
+    fn decode(buf: &mut Bytes) -> Result<Self, crew_storage::CodecError> {
+        Ok(Logged(buf.split_to(buf.len())))
+    }
+}
+
+/// Decode the message `payload` holds.
+fn decode_payload<M: Decode>(mut payload: Bytes) -> M {
+    M::decode(&mut payload).expect("the log encoded this payload")
+}
+
 /// What a [`WalOutbox`] holds for one destination peer. Sends are numbered
 /// consecutively and acks are cumulative, so the unacked seqs are always
 /// the run `next_seq - live.len() .. next_seq`: an ack pops a prefix of
@@ -246,7 +270,9 @@ impl PeerLog {
 /// record and the mirror both, and [`OutboxLog::unacked`] decodes a
 /// retransmission from those bytes.
 pub struct WalOutbox<M: Encode + Decode> {
-    wal: Wal<ChanRec<M>, MemStore>,
+    /// Read back with payloads left encoded: a recovery decodes only the
+    /// unacked ones.
+    wal: Wal<ChanRec<Logged>, MemStore>,
     /// Next seq and unacked payloads per destination peer.
     peers: BTreeMap<NodeId, PeerLog>,
     /// Unacked payloads over all peers.
@@ -257,6 +283,8 @@ pub struct WalOutbox<M: Encode + Decode> {
     /// Delivery cursor per sending peer.
     delivered: BTreeMap<NodeId, u64>,
     checkpointing: bool,
+    /// The message type the logged payloads encode.
+    message: PhantomData<M>,
 }
 
 impl<M: Encode + Decode> WalOutbox<M> {
@@ -269,6 +297,7 @@ impl<M: Encode + Decode> WalOutbox<M> {
             scratch: BytesMut::new(),
             delivered: BTreeMap::new(),
             checkpointing: true,
+            message: PhantomData,
         }
     }
 
@@ -348,7 +377,7 @@ impl<M: Encode + Decode> OutboxLog<M> for WalOutbox<M> {
     }
     fn log_ack(&mut self, peer: NodeId, cum: u64) {
         self.wal
-            .append(&ChanRec::<M>::Acked { peer, cum })
+            .append(&ChanRec::Acked { peer, cum })
             .expect("MemStore append cannot fail");
         if let Some(log) = self.peers.get_mut(&peer) {
             let first = log.first();
@@ -362,7 +391,7 @@ impl<M: Encode + Decode> OutboxLog<M> for WalOutbox<M> {
     }
     fn log_delivered(&mut self, peer: NodeId, cum: u64) {
         self.wal
-            .append(&ChanRec::<M>::Delivered { peer, cum })
+            .append(&ChanRec::Delivered { peer, cum })
             .expect("MemStore append cannot fail");
         let cursor = self.delivered.entry(peer).or_insert(0);
         *cursor = (*cursor).max(cum);
@@ -370,36 +399,43 @@ impl<M: Encode + Decode> OutboxLog<M> for WalOutbox<M> {
     }
     fn unacked(&self, to: NodeId, seq: u64) -> M {
         let log = &self.peers[&to];
-        let payload = &log.live[(seq - log.first()) as usize];
-        M::decode(&mut Bytes::from(&payload[..])).expect("the log encoded this payload")
+        decode_payload(Bytes::from(&log.live[(seq - log.first()) as usize][..]))
     }
     fn replay(&mut self) -> PersistedChannelState<M> {
-        let state = fold_records(self.wal.recover().expect("MemStore read cannot fail"));
-        // Rebuild the mirror: the log handle itself may be older than the
-        // state it describes (it survives the owning node's crash).
+        let logged = fold_records(self.wal.recover().expect("MemStore read cannot fail"));
+        // Rebuild the mirror from the logged bytes: the log handle itself
+        // may be older than the state it describes (it survives the owning
+        // node's crash).
         self.peers.clear();
         self.live = 0;
-        for (&peer, &next_seq) in &state.next_seq {
-            let unacked = state.outbox.get(&peer).into_iter().flatten();
-            let live: VecDeque<Box<[u8]>> = unacked
-                .map(|(_, payload)| payload.to_bytes()[..].into())
-                .collect();
-            let log = PeerLog { next_seq, live };
+        for (&peer, &next_seq) in &logged.next_seq {
+            let live = VecDeque::new();
+            self.peers.insert(peer, PeerLog { next_seq, live });
+        }
+        let mut outbox = BTreeMap::new();
+        for (peer, unacked) in logged.outbox {
+            let log = self
+                .peers
+                .get_mut(&peer)
+                .expect("every peer sent to has a next seq");
+            let mut decoded = BTreeMap::new();
+            for (seq, Logged(payload)) in unacked {
+                log.live.push_back(payload[..].into());
+                decoded.insert(seq, decode_payload(payload));
+            }
             debug_assert!(
-                state
-                    .outbox
-                    .get(&peer)
-                    .into_iter()
-                    .flatten()
-                    .map(|(&s, _)| s)
-                    .eq(log.first()..next_seq),
+                decoded.keys().copied().eq(log.first()..log.next_seq),
                 "the unacked seqs to {peer} are the run before next_seq"
             );
             self.live += log.live.len();
-            self.peers.insert(peer, log);
+            outbox.insert(peer, decoded);
         }
-        self.delivered = state.delivered.clone();
-        state
+        self.delivered = logged.delivered.clone();
+        PersistedChannelState {
+            outbox,
+            next_seq: logged.next_seq,
+            delivered: logged.delivered,
+        }
     }
 }
 

@@ -225,7 +225,9 @@ fn live_state_per_instance_stays_inside_its_budget() {
     // terminal tick and its share of the summary log and of what the
     // compacted command log still holds (it read 4 096 B / 40.6 blocks
     // while the engine kept every navigator, 1 113 B / 0.4 blocks while
-    // it kept every command). The distributed row read 12 223 B / 109.4
+    // it kept every command); its run read 214.6 calls while the engine
+    // grew an instance's tables one entry at a time instead of sizing them
+    // from the schema. The distributed row read 12 223 B / 109.4
     // blocks while rules carried ids and labels and every navigator kept a
     // per-step index of them, 11 100 B / 98.5 blocks while each agent
     // journaled an instance-creation record and every step output twice,
@@ -234,7 +236,7 @@ fn live_state_per_instance_stays_inside_its_budget() {
     // a packet merge grew each table once per item. The teardown calls are
     // the blocks a run leaves to free: teardown time scales with them.
     let rows = [
-        ("central", central(), (327.0, 0.4, 214.6, 0.7)),
+        ("central", central(), (327.0, 0.4, 191.6, 0.7)),
         ("distributed", distributed(), (10_402.0, 62.1, 214.6, 62.4)),
     ];
     for (control, f, _) in rows {
