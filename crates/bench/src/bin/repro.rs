@@ -630,7 +630,6 @@ fn fig7() {
         target_step: StepId(3),
         source_step: Some(StepId(2)),
         executor: None,
-        epoch: 0,
         data,
         events: vec![
             (crew_rules::EventKind::WorkflowStart, 1),

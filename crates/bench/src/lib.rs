@@ -238,8 +238,8 @@ mod tests {
             ),
             (
                 Architecture::Distributed { agents },
-                ["45.875", "0.042", "0.000", "16.583", "12.417"],
-                ("204.2", "499.0"),
+                ["48.458", "0.042", "0.000", "20.875", "12.708"],
+                ("220.3", "511.5"),
             ),
         ];
         for (arch, msgs, (mean_load, max_load)) in pinned {

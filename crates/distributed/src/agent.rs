@@ -15,14 +15,18 @@
 //!   `StateInformation` two-phase selection exists for the ablation).
 //! - **Commit**: weighted thread accounting (see [`crate::weight`]).
 //! - **Rollback** (§5.2): `WorkflowRollback` reaches the origin's agent,
-//!   which bumps the instance's *epoch*, applies
+//!   which numbers the rollback among that origin's rollbacks, applies
 //!   [`InstanceNav::roll_back`] (what is invalidated, re-fired and
 //!   unparked, which dependents follow — decided in [`crew_exec::recovery`])
-//!   and sends `HaltThread` probes along exactly the channels earlier
-//!   packets used — FIFO delivery therefore guarantees every agent sees the
-//!   halt before any same-epoch re-execution packet, which is the
-//!   race-freedom the paper's invalidation strategy claims. A halted agent
-//!   applies the same rollback to the steps downstream of the origin.
+//!   and sends `HaltThread` probes, carrying the origin and the number,
+//!   along exactly the channels earlier packets used. A halt and a packet
+//!   of the re-execution take different paths, so either may arrive first:
+//!   the number is a `rollback` event of the origin, which packets carry
+//!   like any other, and an agent applies a rollback it has not applied
+//!   yet — from the halt or from the packet, whichever comes first — before
+//!   it merges the packet. A rollback voids only what its origin and the
+//!   steps downstream of it produced ([`crew_exec::voids`]); a packet from
+//!   a branch it did not touch merges whole.
 //! - **OCR** (Figure 5): on re-visit the agent asks
 //!   [`InstanceNav::revisit`] from the schema's vantage; a compensation
 //!   dependent set is undone by a `CompensateSet` chain and an abandoned
@@ -55,9 +59,9 @@ use crate::runtime::{POLL_PERIOD, POLL_TIMEOUT};
 use crate::weight::Weight;
 use crew_exec::coord::{mutex_grant, ro_guard};
 use crew_exec::{
-    declared_outputs, designated_agent, ro_canonical, ro_side, ro_steps, Abort, FailureVerdict,
-    Gate, InstanceHistory, InstanceNav, MutexQueue, Refire, Request, Revisit, RoArbiter, RoLeader,
-    StepExecutor, StepOutcome, StepState, Vantage, Verdict, Wake, NAV_LOAD,
+    declared_outputs, designated_agent, ro_canonical, ro_side, ro_steps, voids, Abort,
+    FailureVerdict, Gate, InstanceHistory, InstanceNav, MutexQueue, Refire, Request, Revisit,
+    RoArbiter, RoLeader, StepExecutor, StepOutcome, StepState, Vantage, Verdict, Wake, NAV_LOAD,
 };
 use crew_model::{
     DataEnv, InstanceId, ItemKey, SchemaStep, StepId, Value, VecMap, VecSet, WorkflowSchema,
@@ -74,15 +78,13 @@ const TIMER_PURGE: TimerId = TimerId(2);
 
 /// Volatile per-instance state at one agent (rebuilt from the AGDB on
 /// recovery): the shared navigator over the slice of the instance this
-/// agent holds, plus what only packet-passing agents need — the rollback
-/// epoch, the channels packets went down, and the stall-detection /
-/// takeover bookkeeping.
+/// agent holds, plus what only packet-passing agents need — the channels
+/// packets went down, and the stall-detection / takeover bookkeeping.
 #[derive(Debug, Default)]
 struct InstState {
     /// Rules are installed for the locally-designated steps only; the
     /// terminal-weight account is meaningful at the coordination agent.
     nav: InstanceNav,
-    epoch: u32,
     instantiated: bool,
     /// (local step, successor step) pairs we already forwarded packets
     /// along (the halt probes retrace these channels).
@@ -367,18 +369,28 @@ impl DistAgent {
 
     // ---- packet handling ---------------------------------------------------
 
-    fn on_packet(&mut self, packet: WorkflowPacket, ctx: &mut Ctx<DistMsg>) {
+    fn on_packet(&mut self, mut packet: WorkflowPacket, ctx: &mut Ctx<DistMsg>) {
         let instance = packet.instance;
         self.ensure_instantiated(instance, ctx);
-        {
-            let st = self.inst(instance);
-            if packet.epoch < st.epoch {
-                return; // stale pre-rollback packet
+        // A rollback the sender applied and this agent has not (its halt
+        // is still on the way) comes first: the packet's facts follow it.
+        for &(kind, number) in &packet.events {
+            if let EventKind::Rollback(origin) = kind {
+                self.apply_rollback(instance, origin, number, ctx);
             }
-            st.epoch = st.epoch.max(packet.epoch);
-            if let Some(chosen) = packet.executor {
-                st.chosen_executor.insert(packet.target_step, chosen);
-            }
+        }
+        // What a rollback applied here voided, the sender still held: the
+        // packet's facts from that origin and downstream of it are stale.
+        let schema = self.schema(instance);
+        let st = self.inst(instance);
+        let voided = st.nav.voided_since(&schema, &packet.events);
+        for &step in &voided {
+            packet.data.clear_step_outputs(step);
+        }
+        let stale = |k: &EventKind| matches!(k, EventKind::StepDone(s) if voided.contains(s));
+        packet.events.retain(|(kind, _)| !stale(kind));
+        if let Some(chosen) = packet.executor {
+            st.chosen_executor.insert(packet.target_step, chosen);
         }
         self.nav_load(ctx);
 
@@ -393,7 +405,6 @@ impl DistAgent {
         // fresh occurrences re-trigger rules).
         self.inst(instance).nav.rules.merge_events(&packet.events);
         // Weight accounting at the executor of the target step.
-        let schema = self.schema(instance);
         let am_executor = self.is_executor(instance, &schema, packet.target_step);
         if !am_executor && self.shared.config.enable_status_polling {
             let now = ctx.now;
@@ -403,7 +414,7 @@ impl DistAgent {
                 st.awaiting_remote.entry(packet.target_step).or_insert(now);
             }
         }
-        if am_executor {
+        if am_executor && !packet.source_step.is_some_and(|s| voided.contains(&s)) {
             let nav = &mut self.inst(instance).nav;
             nav.accept_weight(
                 &schema,
@@ -534,7 +545,7 @@ impl DistAgent {
         let nav = &mut self.instances.entry(instance).or_default().nav;
         match nav.revisit(&self.shared.deployment, instance, step, Vantage::Schema) {
             // Previous results suffice: re-assert step.done directly.
-            Revisit::Reuse => self.after_step_done(instance, step, false, ctx),
+            Revisit::Reuse => self.after_step_done(instance, step, ctx),
             Revisit::Execute => self.execute_now(instance, def, ctx),
             // Later members of the step's dependent set are undone first by
             // the CompensateSet chain, which re-executes it at its end (§5.2).
@@ -571,7 +582,7 @@ impl DistAgent {
             } => {
                 ctx.add_load(cost);
                 self.log_step(instance, def.id, StepState::Done, attempt, outputs);
-                self.after_step_done(instance, def.id, true, ctx);
+                self.after_step_done(instance, def.id, ctx);
             }
             StepOutcome::Failed { attempt, .. } => {
                 self.log_step(instance, def.id, StepState::Failed, attempt, vec![]);
@@ -611,25 +622,14 @@ impl DistAgent {
     /// Everything that happens once a step's effects are (re)established:
     /// post `step.done`, run coordination notifications, detect branch
     /// switches, forward packets, report terminal completions.
-    fn after_step_done(
-        &mut self,
-        instance: InstanceId,
-        step: StepId,
-        freshly_executed: bool,
-        ctx: &mut Ctx<DistMsg>,
-    ) {
+    fn after_step_done(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<DistMsg>) {
         let schema = self.schema(instance);
-        let rules = &mut self.inst(instance).nav.rules;
-        // A new execution is a new occurrence. OCR reuse: the previous
-        // completion stands — re-validate without minting a new occurrence,
-        // so downstream rules (whose marks were cleared by the halt) fire
-        // exactly once and re-delivery cascades do not amplify.
-        if freshly_executed
-            || !(rules.revalidate_event(EventKind::StepDone(step))
-                || rules.has_event(EventKind::StepDone(step)))
-        {
-            rules.add_event(EventKind::StepDone(step));
-        }
+        // A new execution and an OCR reuse alike post a new occurrence,
+        // which the steps downstream fire on.
+        self.inst(instance)
+            .nav
+            .rules
+            .add_event(EventKind::StepDone(step));
 
         // Coordination: the releases the step owes lagging partners, and
         // its grants back to their managers.
@@ -698,7 +698,6 @@ impl DistAgent {
                 target_step: target,
                 source_step: Some(step),
                 executor: None,
-                epoch: st.epoch,
                 data: st.nav.data.clone(),
                 events: st.nav.rules.present_events_with_gens(),
                 weight,
@@ -1052,7 +1051,7 @@ impl DistAgent {
 
     // ---- rollback --------------------------------------------------------------
 
-    /// At the rollback origin's agent: bump the epoch, invalidate the
+    /// At the rollback origin's agent: number the rollback, invalidate the
     /// downstream `step.done` facts, send the halt probes along the
     /// forwarded channels, honor rollback dependencies, and re-fire the
     /// origin's rule so OCR re-execution starts.
@@ -1066,15 +1065,12 @@ impl DistAgent {
         self.ensure_instantiated(instance, ctx);
         self.nav_load(ctx);
         let dep = self.shared.deployment.clone();
-        let st = self.inst(instance);
-        st.epoch += 1;
-        let epoch = st.epoch;
-        // Packets re-deliver the triggers of the steps rolled back here at
-        // generations their rules already consumed, so all of them re-fire.
-        let refire = Refire::OriginAndDownstream;
-        let rollback = (st.nav).roll_back(&dep, instance, origin, refire, !from_dependency);
-        // Halt probes retrace the packet channels (FIFO ⇒ race-free).
-        self.propagate_halt(instance, origin, epoch, ctx);
+        let nav = &mut self.inst(instance).nav;
+        // The rollback's number: a new occurrence of the origin's event.
+        let number = nav.rules.add_event(EventKind::Rollback(origin));
+        let rollback = nav.roll_back(&dep, instance, origin, Refire::Origin, !from_dependency);
+        // Halt probes retrace the packet channels.
+        self.propagate_halt(instance, origin, number, ctx);
         // Linked dependents roll back too, marked so they go no further.
         for (partner, origin) in rollback.dependents {
             let target = self.node_of_step(partner, &self.schema(partner), origin);
@@ -1096,7 +1092,7 @@ impl DistAgent {
         &self,
         instance: InstanceId,
         origin: StepId,
-        epoch: u32,
+        rollback: u32,
         ctx: &mut Ctx<DistMsg>,
     ) {
         let schema = self.schema(instance);
@@ -1110,7 +1106,7 @@ impl DistAgent {
                     let halt = DistMsg::HaltThread {
                         instance,
                         origin,
-                        epoch,
+                        rollback,
                     };
                     ctx.send(node, halt);
                 }
@@ -1118,26 +1114,33 @@ impl DistAgent {
         }
     }
 
-    /// `HaltThread` at a downstream agent: adopt the epoch, invalidate, and
-    /// keep propagating along our own forwarded channels.
-    fn on_halt_thread(
+    /// Rollback `number` of `origin` at an agent downstream of it, from a
+    /// `HaltThread` or a packet that follows it: invalidate, and keep
+    /// propagating along our own forwarded channels. A rollback applied
+    /// here already (a halt that came another way, or after a packet
+    /// brought it) changes nothing. Returns whether it was new here.
+    fn apply_rollback(
         &mut self,
         instance: InstanceId,
         origin: StepId,
-        epoch: u32,
+        number: u32,
         ctx: &mut Ctx<DistMsg>,
-    ) {
-        self.ensure_instantiated(instance, ctx);
-        let dep = self.shared.deployment.clone();
-        let st = self.inst(instance);
-        if epoch <= st.epoch {
-            return; // duplicate probe via another path
+    ) -> bool {
+        let (dep, schema) = (self.shared.deployment.clone(), self.schema(instance));
+        let nav = &mut self.inst(instance).nav;
+        if !nav.rules.merge_event(EventKind::Rollback(origin), number) {
+            return false;
         }
-        st.epoch = epoch;
-        // Downstream of the origin: only the invalidated steps re-run here.
-        (st.nav).roll_back(&dep, instance, origin, Refire::Downstream, false);
-        self.nav_load(ctx);
-        self.propagate_halt(instance, origin, epoch, ctx);
+        // An agent that holds no completion of the origin or of a step
+        // downstream of it has nothing to void and no channel to halt.
+        let held =
+            |k: &EventKind| matches!(*k, EventKind::StepDone(s) if voids(&schema, origin, s));
+        if !nav.rules.events().keys().any(held) {
+            return true;
+        }
+        nav.roll_back(&dep, instance, origin, Refire::Downstream, false);
+        self.propagate_halt(instance, origin, number, ctx);
+        true
     }
 
     // ---- coordinator role --------------------------------------------------------
@@ -1244,7 +1247,7 @@ impl DistAgent {
         let nav = &mut self.inst(parent).nav;
         let attempt = nav.record_child_done(def, outputs.clone());
         self.log_step(parent, parent_step, StepState::Done, attempt, outputs);
-        self.after_step_done(parent, parent_step, true, ctx);
+        self.after_step_done(parent, parent_step, ctx);
     }
 
     fn launch_nested(
@@ -1309,11 +1312,11 @@ impl DistAgent {
                 self.tell(node, DistMsg::StepCompensate { instance, step }, ctx);
             }
         }
-        // Halt the threads of execution starting from the first step.
-        let st = self.inst(instance);
-        st.epoch += 1;
-        let epoch = st.epoch;
-        self.propagate_halt(instance, schema.start_step(), epoch, ctx);
+        // Halt the threads of execution starting from the first step, as a
+        // rollback to it.
+        let start = EventKind::Rollback(schema.start_step());
+        let number = self.inst(instance).nav.rules.add_event(start);
+        self.propagate_halt(instance, schema.start_step(), number, ctx);
         ctx.send(
             self.shared.directory.frontend,
             DistMsg::WorkflowAborted { instance },
@@ -1624,8 +1627,15 @@ impl DistAgent {
             DistMsg::HaltThread {
                 instance,
                 origin,
-                epoch,
-            } => self.on_halt_thread(instance, origin, epoch, ctx),
+                rollback,
+            } => {
+                self.ensure_instantiated(instance, ctx);
+                // A packet that brings the rollback pays for it in its own
+                // navigation load.
+                if self.apply_rollback(instance, origin, rollback, ctx) {
+                    self.nav_load(ctx);
+                }
+            }
             DistMsg::StepCompensate { instance, step } => {
                 let compensated = self.compensate_local(instance, step, false, ctx);
                 // The coordination agent does not ack itself.
@@ -2064,7 +2074,6 @@ mod tests {
             target_step: StepId(2),
             source_step: Some(StepId(1)),
             executor: None,
-            epoch: 0,
             data,
             events,
             weight: Weight::ONE,

@@ -30,6 +30,10 @@ fn encode_events(events: &[(EventKind, u32)], buf: &mut BytesMut) {
                 1u8.encode(buf);
                 s.encode(buf);
             }
+            EventKind::Rollback(s) => {
+                7u8.encode(buf);
+                s.encode(buf);
+            }
         }
         gen.encode(buf);
     }
@@ -42,6 +46,7 @@ fn decode_events(buf: &mut Bytes) -> Result<Vec<(EventKind, u32)>, CodecError> {
         let e = match u8::decode(buf)? {
             0 => EventKind::WorkflowStart,
             1 => EventKind::StepDone(Decode::decode(buf)?),
+            7 => EventKind::Rollback(Decode::decode(buf)?),
             tag => {
                 return Err(CodecError::BadTag {
                     context: "EventKind",
@@ -101,7 +106,6 @@ wire! {
         target_step,
         source_step,
         executor,
-        epoch,
         data,
         events via (encode_events, decode_events),
         weight via (encode_weight, decode_weight),
@@ -112,8 +116,10 @@ wire! {
 // with one fails to decode instead of being misread: 7 is `StepExecute`
 // whose packet carried relative-order tags, 24 `AddPrecondition`, a
 // message form of those tags (every agent now wires the ordering guards at
-// instantiation), and 20 `StepStatusReply` with a four-value status of its
-// own (its row now carries the step's `StepState`).
+// instantiation), 20 `StepStatusReply` with a four-value status of its
+// own (its row now carries the step's `StepState`), 27 `StepExecute` whose
+// packet carried the instance's rollback epoch, and 14 `HaltThread` with
+// that epoch where its row now numbers the rollback among its origin's.
 wire! {
     enum DistMsg {
         0 => WorkflowStart { instance, inputs, parent },
@@ -129,7 +135,6 @@ wire! {
         11 => NestedCompleted { parent, parent_step, child, outputs },
         12 => InputsChanged { instance, origin, new_inputs },
         13 => WorkflowRollback { instance, origin, from_dependency },
-        14 => HaltThread { instance, origin, epoch },
         15 => StepCompensate { instance, step },
         16 => StepCompensateAck { instance, step, compensated },
         17 => CompensateSet { instance, origin, steps },
@@ -140,8 +145,9 @@ wire! {
         23 => AddEvent { instance, tag },
         25 => PurgeBroadcast { instances },
         26 => StepRetry { instance, step },
-        27 => StepExecute { packet },
         28 => StepStatusReply { instance, step, status },
+        29 => StepExecute { packet },
+        30 => HaltThread { instance, origin, rollback },
     }
 }
 
@@ -172,11 +178,11 @@ mod tests {
             target_step: StepId(3),
             source_step: Some(StepId(2)),
             executor: Some(crew_model::AgentId(5)),
-            epoch: 7,
             data,
             events: vec![
                 (EventKind::WorkflowStart, 1),
                 (EventKind::StepDone(StepId(1)), 2),
+                (EventKind::Rollback(StepId(1)), 7),
             ],
             weight: Weight::new(3, 8),
         }
@@ -237,7 +243,7 @@ mod tests {
             DistMsg::HaltThread {
                 instance: inst(1),
                 origin: StepId(1),
-                epoch: 2,
+                rollback: 2,
             },
             DistMsg::StepCompensate {
                 instance: inst(1),
@@ -348,8 +354,10 @@ mod tests {
         // packet of WF2 #1, with its two empty tag lists; AddRule of a
         // RoNotify that still named the tag and the lagging step; StepExecute
         // of a packet whose event list still held `S2.F` (tag 2) and the
-        // other retired event kinds; StepStatusReply { WF2 #1, S2, Done }
-        // under its old tag.
+        // other retired event kinds (re-framed under today's StepExecute
+        // row, which carries no epoch); StepStatusReply { WF2 #1, S2, Done }
+        // under its old tag; StepExecute of the rich golden packet with
+        // rollback epoch 7; HaltThread { WF2 #1, S1, epoch 2 }.
         let samples = [
             ("180200000001000000020000000400000000000000", "DistMsg", 24),
             (
@@ -365,7 +373,7 @@ mod tests {
                 3,
             ),
             (
-                "1b02000000040000000300000001020000000105000000070000000200000000\
+                "1d020000000400000003000000010200000001050000000200000000\
                  0100005a000000000000000101000000020002060000004761736b6574070000\
                  0000010000000101000000020000000202000000010000000302000000010000\
                  000401000000050100000006efbe000000000000030000000300000000000000\
@@ -374,6 +382,14 @@ mod tests {
                 2,
             ),
             ("1402000000010000000200000002", "DistMsg", 20),
+            (
+                "1b020000000400000003000000010200000001050000000700000002000000\
+                 000100005a000000000000000101000000020002060000004761736b65740200\
+                 0000000100000001010000000200000003000000000000000800000000000000",
+                "DistMsg",
+                27,
+            ),
+            ("0e02000000010000000100000002000000", "DistMsg", 14),
         ];
         for (hex, context, tag) in samples {
             let bytes: Vec<u8> = (0..hex.len())

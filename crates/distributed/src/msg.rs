@@ -151,12 +151,14 @@ pub enum DistMsg {
         origin: StepId,
         from_dependency: bool,
     },
-    /// Halt probe: quiesce control flow downstream of `origin`, adopting
-    /// `epoch` (§5.2).
+    /// Halt probe: quiesce control flow downstream of `origin` (§5.2).
+    /// `rollback` numbers the rollback among `origin`'s, so a receiver that
+    /// applied it already — from another halt, or from a packet that
+    /// overtook this one — ignores it.
     HaltThread {
         instance: InstanceId,
         origin: StepId,
-        epoch: u32,
+        rollback: u32,
     },
     /// Compensate one step (coordination agent → executing agent on user
     /// abort).
@@ -321,7 +323,7 @@ mod tests {
                 DistMsg::HaltThread {
                     instance: inst(),
                     origin: StepId(2),
-                    epoch: 1,
+                    rollback: 1,
                 },
                 FailureHandling,
             ),
@@ -383,7 +385,7 @@ mod tests {
             DistMsg::HaltThread {
                 instance: inst(),
                 origin: StepId(1),
-                epoch: 0
+                rollback: 1
             }
             .kind(),
             "HaltThread"

@@ -33,16 +33,16 @@ pub struct WorkflowPacket {
     /// to execute `target_step` (overrides the deterministic designation
     /// at every receiver). `None` under the default rendezvous scheme.
     pub executor: Option<AgentId>,
-    /// Rollback epoch — bumped by each `WorkflowRollback`; packets from a
-    /// previous epoch are stale and ignored (the event-invalidation
-    /// strategy of §5.2 realized race-free).
-    pub epoch: u32,
     /// Accumulated data items (the state information).
     pub data: DataEnv,
     /// Accumulated events with occurrence generations (for rule-based
     /// navigation at the receiver; generations make packet merges
     /// idempotent yet able to deliver fresh occurrences after rollback and
-    /// across loop iterations).
+    /// across loop iterations). The `step.rollback` events say which
+    /// rollbacks the sender had applied: a receiver applies those it has
+    /// not before it merges the rest, and drops what the packet holds of
+    /// the steps a rollback it applied and the sender had not voids (the
+    /// event-invalidation strategy of §5.2, per rollback origin).
     pub events: Vec<(EventKind, u32)>,
     /// Thread-accounting weight (see [`crate::weight`]).
     pub weight: Weight,
@@ -56,7 +56,6 @@ impl WorkflowPacket {
             target_step: start,
             source_step: None,
             executor: None,
-            epoch: 0,
             data,
             events: vec![(EventKind::WorkflowStart, 1)],
             weight: Weight::ONE,
@@ -84,7 +83,7 @@ impl WorkflowPacket {
     /// Approximate wire size in bytes (for the packet-growth ablation):
     /// ids + per-item and per-event costs.
     pub fn approx_size(&self) -> usize {
-        let mut n = 32; // headers: ids, epoch, weight, action
+        let mut n = 28; // headers: ids, weight, action
         for (_, v) in self.data.iter() {
             n += 8 // key
                 + match v {
@@ -119,7 +118,6 @@ mod tests {
             target_step: StepId(3),
             source_step: Some(StepId(2)),
             executor: None,
-            epoch: 0,
             data,
             events: vec![
                 (EventKind::WorkflowStart, 1),
@@ -150,7 +148,6 @@ mod tests {
         let inst = InstanceId::new(SchemaId(1), 1);
         let p = WorkflowPacket::initial(inst, StepId(1), DataEnv::new());
         assert_eq!(p.events, vec![(EventKind::WorkflowStart, 1)]);
-        assert_eq!(p.epoch, 0);
         assert!(p.weight.is_one());
     }
 

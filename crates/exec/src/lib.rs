@@ -42,7 +42,7 @@ pub use executor::{ExecError, StepExecutor, StepOutcome};
 pub use failure::FailurePlan;
 pub use history::{InstanceHistory, StepRecord};
 pub use nav::{
-    declared_outputs, designated_agent, nested_instance_serial, FailureVerdict, InstanceNav,
+    declared_outputs, designated_agent, nested_instance_serial, voids, FailureVerdict, InstanceNav,
     DEFAULT_MAX_ROLLBACKS,
 };
 pub use ocr::{decide as ocr_decide, OcrDecision, INCREMENTAL_FRACTION};

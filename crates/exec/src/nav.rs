@@ -274,19 +274,21 @@ impl InstanceNav {
     }
 
     /// Apply a rollback to `origin`: every step downstream of it loses its
-    /// `step.done` fact and its incoming weights, and awaits a revisit.
-    /// Returns the invalidated steps.
+    /// `step.done` fact and awaits a revisit, and every weight the origin or
+    /// an invalidated step sent is void. A weight a branch the rollback did
+    /// not touch sent into an invalidated join stands. Returns the
+    /// invalidated steps.
     pub(crate) fn invalidate_from(
         &mut self,
         schema: &WorkflowSchema,
         origin: StepId,
     ) -> BTreeSet<StepId> {
         let invalidated = schema.invalidation_set(origin);
+        self.weight_in
+            .retain(|(_, from), _| !voids(schema, origin, *from));
         for &s in &invalidated {
             self.rules.invalidate_event(EventKind::StepDone(s));
         }
-        self.weight_in
-            .retain(|(to, _), _| !invalidated.contains(to));
         self.revisit_pending.extend(invalidated.iter().copied());
         invalidated
     }
@@ -359,6 +361,13 @@ impl InstanceNav {
         self.history.record_done(def.id, attempt, vec![], outputs);
         attempt
     }
+}
+
+/// Whether a rollback to `origin` voids the facts and weights `step`
+/// produced: it does for the origin and its invalidation set. What a branch
+/// the rollback did not touch produced stands, wherever it is held.
+pub fn voids(schema: &WorkflowSchema, origin: StepId, step: StepId) -> bool {
+    step == origin || schema.is_ancestor(origin, step)
 }
 
 fn sum<'a>(weights: impl Iterator<Item = &'a Weight>) -> Weight {

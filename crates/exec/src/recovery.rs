@@ -17,25 +17,25 @@
 
 use crate::coord::Request;
 use crate::deploy::Deployment;
-use crate::nav::{input_change_origin, InstanceNav};
+use crate::nav::{input_change_origin, voids, InstanceNav};
 use crate::ocr::OcrDecision;
 use crew_model::{InstanceId, ItemKey, SplitKind, StepId, Value, WorkflowSchema};
+use crew_rules::EventKind;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
-/// Whose past rule firings a rollback voids at the node applying it, so
-/// that they fire again, as revisits, on events they already consumed.
+/// Whose past rule firing a rollback voids at the node applying it, so
+/// that it fires again, as a revisit, on the events it already consumed.
+/// Only the origin's: every re-execution and every reuse posts a fresh
+/// `step.done` occurrence, which the steps downstream fire on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Refire {
-    /// The origin's alone: every re-execution posts a fresh `step.done`
-    /// occurrence, which the steps downstream fire on (an engine).
+    /// The origin is here (an engine, or the origin's agent): its rule
+    /// fires again.
     Origin,
-    /// The origin's and those of the invalidated steps held here: packets
-    /// re-deliver triggers at generations the rules already consumed (the
-    /// origin's agent).
-    OriginAndDownstream,
-    /// Those of the invalidated steps held here; the origin is elsewhere
-    /// (an agent a `HaltThread` probe reached).
+    /// The origin is elsewhere (an agent a `HaltThread` probe, or a packet
+    /// that follows the rollback, reached): no rule fires again here until
+    /// a fresh occurrence arrives.
     Downstream,
 }
 
@@ -110,14 +110,10 @@ impl InstanceNav {
         dependents: bool,
     ) -> Rollback {
         let invalidated = self.invalidate_from(dep.expect_schema(instance.schema), origin);
-        let here = (refire != Refire::Downstream).then_some(origin);
-        let rolled_back = invalidated.iter().copied().chain(here);
-        match refire {
-            Refire::Origin => self.refire([origin]),
-            _ => self.refire(rolled_back.clone()),
-        }
+        let here = (refire == Refire::Origin).then_some(origin);
+        self.refire(here);
         if let Some(gate) = self.gate.as_deref_mut() {
-            gate.unpark(rolled_back);
+            gate.unpark(invalidated.iter().copied().chain(here));
         }
         let dependents = if dependents {
             (dep.rollback_dependents(instance, origin, &invalidated)).collect()
@@ -128,6 +124,30 @@ impl InstanceNav {
             invalidated,
             dependents,
         }
+    }
+
+    /// What is stale of a packet whose sender had applied the rollbacks
+    /// its `events` number: the steps a rollback applied here, and not by
+    /// the sender, [`voids`]. Their facts, outputs and weights in the
+    /// packet are void. Empty when the sender follows every rollback
+    /// applied here, as in a fault-free run.
+    pub fn voided_since(
+        &self,
+        schema: &WorkflowSchema,
+        events: &[(EventKind, u32)],
+    ) -> BTreeSet<StepId> {
+        let mut voided = BTreeSet::new();
+        for (&kind, here) in self.rules.events().iter() {
+            let EventKind::Rollback(origin) = kind else {
+                continue;
+            };
+            let sent = events.iter().find(|(k, _)| *k == kind);
+            if sent.map_or(0, |&(_, n)| n) < here.generation {
+                let steps = schema.steps().map(|d| d.id);
+                voided.extend(steps.filter(|&s| voids(schema, origin, s)));
+            }
+        }
+        voided
     }
 
     /// How `step`, whose rule fired, re-establishes its effects: OCR's
@@ -338,19 +358,14 @@ mod tests {
         let (dep, s) = fixture();
         let cases = [
             (
-                "an engine re-fires the origin alone",
+                "an engine or the origin's agent re-fires the origin alone",
                 (s[1], Origin, true),
                 "invalidated S3 S4 S5 S6; refire S2; unpark S2 S4 S6; dependents WF2#1 to S1",
             ),
             (
-                "the origin's agent re-fires what it rolled back",
-                (s[1], OriginAndDownstream, true),
-                "invalidated S3 S4 S5 S6; refire S2 S3 S4 S5 S6; unpark S2 S4 S6; dependents WF2#1 to S1",
-            ),
-            (
-                "a halted agent re-fires and unparks downstream only",
+                "a halted agent re-fires nothing and unparks downstream only",
                 (s[1], Downstream, false),
-                "invalidated S3 S4 S5 S6; refire S3 S4 S5 S6; unpark S4 S6; dependents -",
+                "invalidated S3 S4 S5 S6; refire -; unpark S4 S6; dependents -",
             ),
             (
                 "a rollback a dependency caused drags no one back",
@@ -408,6 +423,36 @@ mod tests {
                 },
             );
             assert_eq!(got, want, "{what}");
+        }
+    }
+
+    #[test]
+    fn voided_since_decisions() {
+        let (dep, s) = fixture();
+        let schema = dep.expect_schema(SchemaId(1));
+        let rollback = |step: StepId, n| (EventKind::Rollback(step), n);
+        // (rollbacks applied here, the packet's events, steps void in it)
+        type Case<'a> = (&'a [(EventKind, u32)], &'a [(EventKind, u32)], &'a str);
+        let cases: [Case; 6] = [
+            (&[], &[], "-"),
+            (&[rollback(s[2], 1)], &[], "S3 S4 S6"),
+            (&[rollback(s[2], 1)], &[rollback(s[2], 1)], "-"),
+            (&[rollback(s[2], 2)], &[rollback(s[2], 1)], "S3 S4 S6"),
+            // Only the rollback the sender missed voids anything.
+            (
+                &[rollback(s[1], 1), rollback(s[4], 1)],
+                &[rollback(s[1], 1), (EventKind::StepDone(s[4]), 3)],
+                "S5 S6",
+            ),
+            // A sender ahead of this node: the shell applies its rollback
+            // first, so nothing here is newer than the packet.
+            (&[rollback(s[2], 1)], &[rollback(s[2], 2)], "-"),
+        ];
+        for (here, sent, want) in cases {
+            let mut nav = InstanceNav::default();
+            nav.rules.merge_events(here);
+            let got: Vec<StepId> = nav.voided_since(schema, sent).into_iter().collect();
+            assert_eq!(render(&got), want, "{here:?} vs {sent:?}");
         }
     }
 

@@ -1,8 +1,10 @@
 //! Workflow events.
 //!
 //! The rule-based run-time is driven by events (§3). A compiled rule waits
-//! only on `workflow.start` and `step.done`, so those are the two kinds an
-//! event table holds. The paper's `step.fail`, `step.compensate`,
+//! only on `workflow.start` and `step.done`. The one other kind an event
+//! table holds, `step.rollback`, triggers no rule: it numbers a rollback
+//! origin's rollbacks, so that a workflow packet says which of them its
+//! sender had applied. The paper's `step.fail`, `step.compensate`,
 //! `workflow.done` and `workflow.abort` trigger no rule here: failures and
 //! compensations are `crew_exec::recovery`'s decisions, and commit and
 //! abort are status rows.
@@ -23,6 +25,9 @@ pub enum EventKind {
     WorkflowStart,
     /// A step completed successfully (`step.done`).
     StepDone(StepId),
+    /// The instance was rolled back to this step (`step.rollback`): its
+    /// generation is the number of the latest rollback to it.
+    Rollback(StepId),
 }
 
 impl EventKind {
@@ -32,6 +37,7 @@ impl EventKind {
         match self {
             EventKind::WorkflowStart => "WF.S".to_owned(),
             EventKind::StepDone(s) => format!("{s}.D"),
+            EventKind::Rollback(s) => format!("{s}.R"),
         }
     }
 }
@@ -47,20 +53,12 @@ impl fmt::Display for EventKind {
 pub struct EventState {
     /// How many times the event has occurred (0 = never).
     pub generation: u32,
-    /// `false` after rollback invalidated the occurrence; a fresh
-    /// occurrence revalidates.
+    /// `false` after rollback invalidated the occurrence; only a fresh
+    /// occurrence (a higher generation) makes the event valid again.
     pub valid: bool,
 }
 
 impl EventState {
-    /// An event that has occurred `generation` times and is valid.
-    pub fn occurred(generation: u32) -> Self {
-        EventState {
-            generation,
-            valid: generation > 0,
-        }
-    }
-
     /// True if the event is present for rule-triggering purposes.
     pub fn is_present(&self) -> bool {
         self.valid && self.generation > 0
@@ -75,14 +73,15 @@ mod tests {
     fn codes_match_packet_notation() {
         assert_eq!(EventKind::WorkflowStart.code(), "WF.S");
         assert_eq!(EventKind::StepDone(StepId(2)).code(), "S2.D");
+        assert_eq!(EventKind::Rollback(StepId(3)).code(), "S3.R");
     }
 
     #[test]
     fn presence_requires_valid_and_occurred() {
+        let state = |generation, valid| EventState { generation, valid };
         assert!(!EventState::default().is_present());
-        assert!(EventState::occurred(1).is_present());
-        let mut s = EventState::occurred(2);
-        s.valid = false;
-        assert!(!s.is_present());
+        assert!(state(1, true).is_present());
+        assert!(!state(2, false).is_present());
+        assert!(!state(0, true).is_present());
     }
 }

@@ -55,7 +55,7 @@ pub struct Rule {
     pub guard: Option<Arc<Expr>>,
     /// Action taken when the rule fires.
     pub action: Action,
-    /// Set when an event, a revalidation or a cleared mark may have made
+    /// Set when an event occurrence or a cleared mark may have made
     /// the rule ready since a sweep last found it not ready or fired it:
     /// a sweep visits only woken rules. It sits in the struct's padding.
     pub(crate) woken: bool,

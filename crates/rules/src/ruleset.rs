@@ -13,8 +13,8 @@
 //!
 //! A sweep ([`RuleSet::fire_ready`]) visits only the *woken* rules, in
 //! install order. A rule starts woken; an event it triggers on wakes it
-//! when the event occurs, advances or is revalidated, and `refire` wakes
-//! the rules whose marks it clears. A sweep puts a rule back to sleep once
+//! when the event occurs or advances, and `refire` wakes the rules whose
+//! marks it clears. A sweep puts a rule back to sleep once
 //! it finds its triggers not fresh, or fires it. Those are the only ways a
 //! rule's triggers can turn fresh, so every rule a full sweep would fire
 //! is woken, and each sweep returns exactly what the full sweep returns.
@@ -23,8 +23,7 @@
 //!   post no event;
 //! - `invalidate_event` clears marks but wakes nothing: a rule on the
 //!   invalidated kind cannot be ready until the kind is present again, and
-//!   every way back (`add_event`, `merge_event`, `revalidate_event`) wakes
-//!   it.
+//!   both ways back (`add_event`, an advancing `merge_event`) wake it.
 
 use crate::event::{EventKind, EventState};
 use crate::rule::{Action, Rule, Trigger};
@@ -123,12 +122,13 @@ impl RuleSet {
     // ---- AddEvent() ------------------------------------------------------
 
     /// Post an occurrence of `kind` (the `AddEvent()` primitive): bumps the
-    /// generation and (re)validates the event.
-    pub fn add_event(&mut self, kind: EventKind) {
+    /// generation and (re)validates the event. Returns the new generation.
+    pub fn add_event(&mut self, kind: EventKind) -> u32 {
+        self.wake(kind);
         let st = self.events.entry(kind).or_default();
         st.generation += 1;
         st.valid = true;
-        self.wake(kind);
+        st.generation
     }
 
     /// Merge an event occurrence carried by a workflow packet: occurrences
@@ -136,25 +136,15 @@ impl RuleSet {
     /// eligible-agent broadcast yet still delivers *fresh* occurrences —
     /// which is what re-fires downstream rules after a rollback
     /// re-executes (or reuses) upstream steps, and what drives loop
-    /// iterations across agents. Returns `true` if the local table
-    /// advanced.
+    /// iterations across agents. Only a higher generation advances the
+    /// table: an occurrence a rollback invalidated stays void when a
+    /// packet re-delivers it. Returns `true` if the local table advanced.
     pub fn merge_event(&mut self, kind: EventKind, generation: u32) -> bool {
         let st = self.events.entry(kind).or_default();
-        let advanced = if generation > st.generation {
+        let advanced = generation > st.generation;
+        if advanced {
             st.generation = generation;
             st.valid = true;
-            true
-        } else if generation == st.generation && st.generation > 0 && !st.valid {
-            // Re-delivery of an occurrence we invalidated during rollback:
-            // the fact is re-established without minting a new occurrence
-            // (rules affected by the invalidation had their marks cleared,
-            // so they fire exactly once on the revalidated generation).
-            st.valid = true;
-            true
-        } else {
-            false
-        };
-        if advanced {
             self.wake(kind);
         }
         advanced
@@ -170,20 +160,6 @@ impl RuleSet {
             .reserve_missing(events.iter().map(|(kind, _)| kind));
         for &(kind, generation) in events {
             self.merge_event(kind, generation);
-        }
-    }
-
-    /// Re-validate an event occurrence without minting a new one — the
-    /// OCR *reuse* outcome: the step's previous completion stands. Returns
-    /// `true` if the event was invalid and is now valid again.
-    pub fn revalidate_event(&mut self, kind: EventKind) -> bool {
-        match self.events.get_mut(&kind) {
-            Some(st) if st.generation > 0 && !st.valid => {
-                st.valid = true;
-                self.wake(kind);
-                true
-            }
-            _ => false,
         }
     }
 
@@ -409,7 +385,7 @@ mod tests {
         rs.invalidate_event(EventKind::StepDone(StepId(1)));
         assert!(!rs.has_event(EventKind::StepDone(StepId(1))));
         assert!(rs.fire_ready(&DataEnv::new()).is_empty());
-        // Re-execution of S1 revalidates and re-triggers S2's rule.
+        // Re-execution of S1 posts a fresh occurrence and re-triggers S2's rule.
         rs.add_event(EventKind::StepDone(StepId(1)));
         assert_eq!(rs.fire_ready(&DataEnv::new()).len(), 1);
     }
@@ -468,12 +444,16 @@ mod tests {
         rs.add_event(x);
         assert_eq!(fires(&mut rs), 1);
 
-        // Invalidating one trigger voids the firing: once the fact is
-        // re-established (same generation), the rule fires on the other
-        // triggers' already-consumed occurrences.
+        // Invalidating one trigger voids the firing: a re-delivery of the
+        // voided occurrence does not re-establish it, and once a fresh one
+        // occurs the rule fires on the other triggers' already-consumed
+        // occurrences.
         rs.invalidate_event(b);
         assert_eq!(fires(&mut rs), 0);
-        assert!(rs.revalidate_event(b));
+        let voided = rs.event_state(b).generation;
+        assert!(!rs.merge_event(b, voided));
+        assert_eq!(fires(&mut rs), 0);
+        assert!(rs.merge_event(b, voided + 1));
         assert_eq!(fires(&mut rs), 1);
         assert_eq!(fires(&mut rs), 0);
 

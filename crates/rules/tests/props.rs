@@ -54,8 +54,9 @@ proptest! {
         }
     }
 
-    /// Invalidate/revalidate round trip: after invalidation the event is
-    /// absent; a merge at the same generation re-establishes it and lets
+    /// Invalidate, then merge: after invalidation the event is absent; a
+    /// packet re-delivering the voided generation (or an older one) leaves
+    /// it absent, and only a higher generation re-establishes it and lets
     /// dependent rules fire exactly once more.
     #[test]
     fn invalidate_then_merge_fires_once(gen in 1u32..5) {
@@ -69,8 +70,12 @@ proptest! {
         rs.invalidate_event(ev(0));
         prop_assert!(!rs.has_event(ev(0)));
         prop_assert!(rs.fire_ready(&DataEnv::new()).is_empty());
-        // Re-establish at the same generation (a packet re-delivery).
-        prop_assert!(rs.merge_event(ev(0), gen));
+        for stale in 1..=gen {
+            prop_assert!(!rs.merge_event(ev(0), stale));
+        }
+        prop_assert!(!rs.has_event(ev(0)));
+        prop_assert!(rs.fire_ready(&DataEnv::new()).is_empty());
+        prop_assert!(rs.merge_event(ev(0), gen + 1));
         prop_assert_eq!(rs.fire_ready(&DataEnv::new()).len(), 1);
         prop_assert!(rs.fire_ready(&DataEnv::new()).is_empty());
     }
@@ -129,7 +134,6 @@ enum Op {
     AddEvent(u8),
     MergeEvent(u8, u32),
     MergeEvents(Vec<(u8, u32)>),
-    Revalidate(u8),
     Invalidate(u8),
     Refire(u32),
     /// Set `I1` (`None`: remove it), which flips guards without an event.
@@ -152,16 +156,15 @@ fn rule_spec() -> impl Strategy<Value = RuleSpec> {
 fn op() -> impl Strategy<Value = Op> {
     let args = (0u8..4, 0u32..4, -2i64..2);
     let packet = proptest::collection::vec((0u8..4, 0u32..4), 0..4);
-    (0u8..22, args, rule_spec(), packet).prop_map(
+    (0u8..20, args, rule_spec(), packet).prop_map(
         |(select, (k, g, v), spec, packet)| match select {
             0 => Op::AddRule(spec),
             1..=3 => Op::AddEvent(k),
             4..=6 => Op::MergeEvent(k, g),
             7 => Op::MergeEvents(packet),
-            8 | 9 => Op::Revalidate(k),
-            10 | 11 => Op::Invalidate(k),
-            12 | 13 => Op::Refire(g % 3 + 1),
-            14 | 15 => Op::SetData((v >= -1).then_some(v)),
+            8 | 9 => Op::Invalidate(k),
+            10 | 11 => Op::Refire(g % 3 + 1),
+            12 | 13 => Op::SetData((v >= -1).then_some(v)),
             _ => Op::Fire,
         },
     )
@@ -211,26 +214,12 @@ impl FullSweep {
 
     fn merge_event(&mut self, kind: EventKind, generation: u32) -> bool {
         let st = self.events.entry(kind).or_default();
-        if generation > st.generation {
+        let advanced = generation > st.generation;
+        if advanced {
             st.generation = generation;
             st.valid = true;
-            true
-        } else if generation == st.generation && st.generation > 0 && !st.valid {
-            st.valid = true;
-            true
-        } else {
-            false
         }
-    }
-
-    fn revalidate_event(&mut self, kind: EventKind) -> bool {
-        match self.events.get_mut(&kind) {
-            Some(st) if st.generation > 0 && !st.valid => {
-                st.valid = true;
-                true
-            }
-            _ => false,
-        }
+        advanced
     }
 
     fn invalidate_event(&mut self, kind: EventKind) {
@@ -303,12 +292,6 @@ impl Twins {
                     self.full.merge_event(k, g);
                 }
             }
-            Op::Revalidate(k) => {
-                prop_assert_eq!(
-                    self.woken.revalidate_event(kind(*k)),
-                    self.full.revalidate_event(kind(*k))
-                );
-            }
             Op::Invalidate(k) => {
                 self.woken.invalidate_event(kind(*k));
                 self.full.invalidate_event(kind(*k));
@@ -364,8 +347,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Every sweep of the woken rules fires what a sweep of every rule
-    /// fires, in install order, whatever events, merges, revalidations,
-    /// invalidations, re-arms, guard flips and new rules came before it.
+    /// fires, in install order, whatever events, merges, invalidations,
+    /// re-arms, guard flips and new rules came before it.
     #[test]
     fn a_woken_sweep_fires_what_the_full_sweep_fires(
         rules in proptest::collection::vec(rule_spec(), 1..6),

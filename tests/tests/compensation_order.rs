@@ -125,9 +125,8 @@ fn abandoned_branch_compensates_newest_first() {
         b.on_failure_rollback_to(s4, s2);
         // S3a runs with S2 and S4 with S3b, so the rollback's `HaltThread`
         // reaches S4's agent one hop before the bottom branch's packet
-        // can. A packet of the new epoch that arrives first makes the
-        // agent drop the halt as a duplicate, and the instance stalls
-        // under distributed control; this test is about the unwinding.
+        // can. `stalls.rs` holds the placement where the packet arrives
+        // first (row (j)); this test is about the unwinding.
         for (s, agent) in [(s1, 0), (s2, 1), (s3a, 1), (s3b, 2), (s5, 3), (s4, 2)] {
             b.configure(s, |d| {
                 d.eligible_agents = vec![AgentId(agent)];

@@ -86,11 +86,11 @@ fn rich_packet() -> WorkflowPacket {
         target_step: StepId(3),
         source_step: Some(StepId(2)),
         executor: Some(AgentId(5)),
-        epoch: 7,
         data: data_env(),
         events: vec![
             (EventKind::WorkflowStart, 1),
             (EventKind::StepDone(StepId(1)), 2),
+            (EventKind::Rollback(StepId(1)), 7),
         ],
         weight: Weight::new(3, 8),
     }
@@ -493,7 +493,7 @@ fn dist_samples(c: &mut Checker) {
             DistMsg::HaltThread {
                 instance,
                 origin: StepId(1),
-                epoch: 2,
+                rollback: 2,
             },
         ),
         ("StepCompensate", DistMsg::StepCompensate { instance, step }),
