@@ -25,13 +25,13 @@ wire! {
 
 // Retired tags are left unused and never reused: 5 `StateProbe` with a
 // token, 7 `ExecResult` with an error string and 8 `StateProbeReply` with
-// a token and a load, fields no handler read.
+// a token and a load, fields no handler read; 3 `WorkflowStatus`, a
+// request no one sent (the admin tool reads the WFDB summary directly).
 wire! {
     enum CentralMsg {
         0 => WorkflowStart { instance, inputs },
         1 => WorkflowChangeInputs { instance, new_inputs },
         2 => WorkflowAbort { instance },
-        3 => WorkflowStatus { instance },
         4 => ExecRequest { instance, step, program, inputs, attempt, cost },
         6 => CompensateRequest { instance, step, program, partial, for_abort },
         9 => CompensateResult { instance, step, for_abort },
@@ -83,7 +83,6 @@ mod tests {
             new_inputs: vec![(ItemKey::output(StepId(3), 0), Value::Str("x".into()))],
         });
         round_trip(CentralMsg::WorkflowAbort { instance: inst(3) });
-        round_trip(CentralMsg::WorkflowStatus { instance: inst(4) });
         round_trip(CentralMsg::ExecRequest {
             instance: inst(5),
             step: StepId(2),
@@ -203,7 +202,8 @@ mod tests {
     fn retired_tag_does_not_decode() {
         // Golden bytes from before the retirement: StateProbe { token
         // u64::MAX }, ExecResult { WF2 #7, S3, attempt 1, outputs [1],
-        // error None } and StateProbeReply { token 4, load 1000 }.
+        // error None }, StateProbeReply { token 4, load 1000 } and
+        // WorkflowStatus { WF2 #4 }.
         let samples = [
             ("05ffffffffffffffff", 5),
             (
@@ -211,6 +211,7 @@ mod tests {
                 7,
             ),
             ("080400000000000000e803000000000000", 8),
+            ("030200000004000000", 3),
         ];
         for (hex, tag) in samples {
             let bytes: Vec<u8> = (0..hex.len())

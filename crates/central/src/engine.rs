@@ -21,6 +21,15 @@
 //! execution history, so it asks from [`Vantage::History`], queues the
 //! compensations each answer names, newest first, and sends them to the
 //! application agents one at a time.
+//!
+//! The engine is a deterministic state machine over the inputs it
+//! journals, so it rebuilds state one way: it replays recorded inputs into
+//! a fresh engine, which is what a fail-stop crash leaves. Crash recovery
+//! replays the command log and takes the fresh engine over, keeping only
+//! the WFDB logs and the instrumentation; a live-migration install replays
+//! the instance's slice into a fresh engine that owns no instance and
+//! manages no requirement, and adopts the instance from it. No handler
+//! knows whether it is being replayed.
 
 use crate::msg::{CentralMsg, CoordMsg};
 use crate::topology::Topology;
@@ -86,7 +95,8 @@ pub struct Engine {
     /// Virtual tick at which each instance first reached a terminal status
     /// (measurement instrumentation for the throughput/latency harness —
     /// not part of the recovered state machine, so it survives fail-stop
-    /// crashes and is never written during replay).
+    /// crashes, and what a replay stamps is dropped with the engine it was
+    /// replayed into).
     pub terminal_times: BTreeMap<InstanceId, u64>,
     /// Virtual time of the message being handled (instrumentation only;
     /// the state machine itself never reads the clock).
@@ -115,12 +125,6 @@ pub struct Engine {
     pub migrations_in_with_mutex: u64,
     /// Messages delivered to this engine (handled, not forwarded).
     pub delivered_msgs: u64,
-    /// `MigrateAck`s received for instances this engine exported.
-    pub migrations_acked: u64,
-    /// Set to the instance being installed while a `MigrateState` slice
-    /// replays, so cross-instance effects of the replay are routed as
-    /// (discarded) sends instead of re-applied to live co-hosted state.
-    installing: Option<InstanceId>,
     // ---- WFDB (persistence) ----
     /// The WFDB write-ahead log: one [`DbOp::EngineInput`] command per
     /// delivered message, journaled *before* it is handled, and nothing
@@ -153,13 +157,6 @@ pub struct Engine {
     /// compaction of `wal`. Recovery reads it first, so the replay of
     /// `wal` can skip every command of an instance that had retired.
     summary: Wal<DbOp, MemStore>,
-    /// True while `on_recover` re-drives journaled commands:
-    /// `terminal_times` is instrumentation of the live run and must not be
-    /// stamped with the replay's clock, and a retirement the replay
-    /// re-derives is already in `summary`. (A `MigrateState` install needs
-    /// no such guard: only executing instances migrate, and one that was
-    /// ever terminal never executes again.)
-    replaying: bool,
     /// Set when WAL recovery fails: the node goes silent (fail-stop
     /// becomes fail-silent) instead of taking down the run.
     halted: bool,
@@ -186,14 +183,11 @@ impl Engine {
             migrations_in: 0,
             migrations_in_with_mutex: 0,
             delivered_msgs: 0,
-            migrations_acked: 0,
-            installing: None,
             wal: Wal::in_memory(),
             wal_index: Vec::new(),
             compacted_kept: 0,
             wal_dropped: 0,
             summary: Wal::in_memory(),
-            replaying: false,
             halted: false,
         }
     }
@@ -225,16 +219,14 @@ impl Engine {
             // Terminal instances never migrate, so their command log —
             // kept only to feed a future MigrateState export — can go.
             self.cmd_log.remove(&instance);
-            if !self.replaying {
-                // First terminal transition wins: re-executions after an
-                // input change must not move the completion time.
-                self.terminal_times.entry(instance).or_insert(self.clock);
-            }
+            // First terminal transition wins: re-executions after an
+            // input change must not move the completion time.
+            self.terminal_times.entry(instance).or_insert(self.clock);
         }
     }
 
-    /// Instance status (the administrative `WorkflowStatus` interface; the
-    /// admin tool reads the WFDB summary directly in this architecture).
+    /// Instance status: the admin tool reads the WFDB summary directly in
+    /// this architecture.
     pub fn status_of(&self, instance: InstanceId) -> Option<InstanceStatus> {
         self.statuses.get(&instance).copied()
     }
@@ -356,22 +348,18 @@ impl Engine {
 
     /// After an input's handler returned: retire each instance it was about
     /// that has [`Self::finished`] — drop the navigator and journal the
-    /// final status, once, to the summary log. A replay re-deriving a
-    /// retirement journals nothing. Only whole inputs reach here, so never
-    /// while a `MigrateState` slice installs.
+    /// final status, once, to the summary log. (A replay journals to the
+    /// summary log of the fresh engine it runs in, which is dropped.)
     fn retire_finished(&mut self, subjects: [Option<InstanceId>; 2]) {
-        debug_assert!(self.installing.is_none());
         for instance in subjects.into_iter().flatten() {
             if !self.finished(instance) {
                 continue;
             }
             self.instances.remove(&instance);
-            if !self.replaying {
-                let status = self.statuses[&instance];
-                self.summary
-                    .append(&DbOp::StatusChanged { instance, status })
-                    .expect("in-memory WAL append cannot fail");
-            }
+            let status = self.statuses[&instance];
+            self.summary
+                .append(&DbOp::StatusChanged { instance, status })
+                .expect("in-memory WAL append cannot fail");
         }
     }
 
@@ -437,17 +425,7 @@ impl Engine {
     /// a direct call (hosted here, or about to be created here), otherwise
     /// the engine node to send to — the placement owner, or the forward
     /// target if the instance migrated away.
-    ///
-    /// While a `MigrateState` slice replays, effects on instances other
-    /// than the one being installed already happened at the source, so
-    /// they are routed as sends for the replay sink to discard.
     fn route(&self, instance: InstanceId) -> Option<NodeId> {
-        if let Some(focus) = self.installing {
-            if instance == focus {
-                return None;
-            }
-            return Some(self.topo.engine_node(self.index));
-        }
         if self.instances.contains_key(&instance) {
             return None;
         }
@@ -510,16 +488,15 @@ impl Engine {
     /// or — hosted here — a direct call of the handler a self-send would
     /// reach. The direct call is recorded against the hosted instances the
     /// message mentions, so an export replays the interaction at the
-    /// target (an incoming slice already carries these records). Nothing is
-    /// sent and nothing is charged for it — non-migrating runs behave
-    /// identically.
+    /// target. Nothing is sent and nothing is charged for it —
+    /// non-migrating runs behave identically. During a replay the sends go
+    /// to a detached context, which drops them: the other side saw them
+    /// before the crash or at the source.
     fn tell(&mut self, instance: InstanceId, msg: CentralMsg, ctx: &mut Ctx<CentralMsg>) {
         match self.route(instance) {
             Some(node) => ctx.send(node, msg),
             None => {
-                if self.installing.is_none() {
-                    self.ingest_cmd(ctx.self_id.0, &msg, &encode_cmd(&msg));
-                }
+                self.ingest_cmd(ctx.self_id.0, &msg, &encode_cmd(&msg));
                 self.handle(ctx.self_id, msg, ctx);
             }
         }
@@ -528,12 +505,10 @@ impl Engine {
     /// Deliver `msg` to requirement `req`'s manager, engine `req % e`: a
     /// send, or — this engine manages `req` — a direct call of the handler.
     /// Nothing is journaled for the direct call: manager state belongs to
-    /// no instance and never migrates. While a `MigrateState` slice
-    /// replays, the manager already heard from the source, so the message
-    /// is sent for the replay sink to discard, wherever the manager is.
+    /// no instance and never migrates.
     fn tell_manager(&mut self, req: u32, msg: CoordMsg, ctx: &mut Ctx<CentralMsg>) {
         let manager = req % self.topo.engines;
-        if self.index != manager || self.installing.is_some() {
+        if self.index != manager {
             ctx.send(self.topo.engine_node(manager), CentralMsg::Coord(msg));
         } else {
             self.on_coord(msg, ctx);
@@ -1141,7 +1116,7 @@ impl Engine {
     }
 
     /// The actual message handler. [`Node::on_message`] journals the input
-    /// and delegates here; [`Node::on_recover`] replays journalled inputs
+    /// and delegates here; [`Self::replay`] re-drives recorded inputs
     /// through here with a detached context.
     fn handle(&mut self, from: NodeId, msg: CentralMsg, ctx: &mut Ctx<CentralMsg>) {
         // Every input left for a retired instance is one its handler would
@@ -1165,10 +1140,6 @@ impl Engine {
                 new_inputs,
             } => self.change_inputs(instance, new_inputs, ctx),
             CentralMsg::WorkflowAbort { instance } => self.abort_instance(instance, ctx),
-            CentralMsg::WorkflowStatus { .. } => {
-                // The admin tool reads the WFDB summary (self.statuses)
-                // directly in this architecture.
-            }
             CentralMsg::ExecResult {
                 instance,
                 step,
@@ -1181,9 +1152,10 @@ impl Engine {
                 self.pump_comp_queue(instance, ctx);
                 self.fire_rules(instance, ctx);
             }
-            CentralMsg::StateProbeReply => {
+            CentralMsg::StateProbeReply | CentralMsg::MigrateAck { .. } => {
                 // The gather half of the §6 scatter-gather: the
-                // deterministic chooser reads nothing from it.
+                // deterministic chooser reads nothing from it. The source
+                // of a migration let the instance go when it sent the slice.
             }
             CentralMsg::Coord(c) => self.on_coord(c, ctx),
             CentralMsg::ChildStart {
@@ -1203,9 +1175,6 @@ impl Engine {
             CentralMsg::MigrateState { instance, records } => {
                 self.on_migrate_state(from, instance, records, ctx)
             }
-            CentralMsg::MigrateAck { .. } => {
-                self.migrations_acked += 1;
-            }
             CentralMsg::OwnerChanged { instance, owner } => {
                 if self.instances.contains_key(&instance) || owner == self.index {
                     self.forwards.remove(&instance);
@@ -1220,6 +1189,47 @@ impl Engine {
                 // routing bug surfaced by tests.
             }
         }
+    }
+
+    // ---- replay ---------------------------------------------------------------
+
+    /// An engine with nothing but its identity: what a fail-stop crash
+    /// leaves, and what a replay runs in.
+    fn fresh(&self, index: u32) -> Engine {
+        Engine::new(index, self.deployment.clone(), self.topo)
+    }
+
+    /// Re-drive `(from, payload)` command records through the handlers of
+    /// this engine, which is fresh: count and index each one, add it to its
+    /// instance's slice, handle it with a detached context — sends, timers
+    /// and load were emitted when it was first handled — and retire what
+    /// finished. A record that does not decode halts the engine.
+    fn replay(&mut self, records: impl Iterator<Item = (u32, Bytes)>, ctx: &Ctx<CentralMsg>) {
+        for (from, payload) in records {
+            let Ok(msg) = CentralMsg::decode(&mut payload.clone()) else {
+                self.halted = true;
+                return;
+            };
+            self.delivered_msgs += 1;
+            self.wal_index.push(Indexed::of(&msg));
+            self.ingest_cmd(from, &msg, &payload);
+            let subjects = subjects(&msg);
+            self.handle(NodeId(from), msg, &mut Ctx::detached(ctx.now, ctx.self_id));
+            self.retire_finished(subjects);
+        }
+    }
+
+    /// Become `fresh`, keeping what survives a fail-stop crash: the WFDB
+    /// (command and summary logs), the instrumentation (`terminal_times`,
+    /// `clock`), and whether recovery ever failed. Whatever a replay into
+    /// `fresh` stamped or journaled is dropped with it.
+    fn take_over(&mut self, fresh: Engine) {
+        let old = std::mem::replace(self, fresh);
+        self.wal = old.wal;
+        self.summary = old.summary;
+        self.terminal_times = old.terminal_times;
+        self.clock = old.clock;
+        self.halted |= old.halted;
     }
 
     // ---- migration protocol (crew-shard) -----------------------------------
@@ -1252,10 +1262,16 @@ impl Engine {
         );
     }
 
-    /// Target side: replay the exported command slice through the normal
-    /// handlers to rebuild the instance's volatile state, then ack the
-    /// source and advertise the new placement. Per-channel FIFO guarantees
-    /// the slice lands before any traffic the source forwards afterwards.
+    /// Target side: replay the exported command slice into a fresh engine
+    /// to rebuild the instance's volatile state, adopt what it built, then
+    /// ack the source and advertise the new placement. Per-channel FIFO
+    /// guarantees the slice lands before any traffic the source forwards
+    /// afterwards.
+    ///
+    /// The fresh engine has index `engines`, so it owns no instance and
+    /// manages no requirement: every effect of the replay on another
+    /// instance or on a manager is a send, which the replay's detached
+    /// context drops — the source and the managers saw the originals.
     fn on_migrate_state(
         &mut self,
         from: NodeId,
@@ -1264,34 +1280,29 @@ impl Engine {
         ctx: &mut Ctx<CentralMsg>,
     ) {
         self.forwards.remove(&instance);
-        self.installing = Some(instance);
-        for (src, payload) in &records {
-            let mut buf = Bytes::from(payload.clone());
-            match CentralMsg::decode(&mut buf) {
-                Ok(msg) => {
-                    let mut sink = Ctx::detached(ctx.now, ctx.self_id);
-                    self.handle(NodeId(*src), msg, &mut sink);
-                }
-                Err(_) => {
-                    self.halted = true;
-                    break;
-                }
-            }
-        }
-        self.installing = None;
-        if self.halted {
+        let mut fresh = self.fresh(self.topo.engines);
+        // Lent, so no install compiles rules the target already has.
+        fresh.templates = std::mem::take(&mut self.templates);
+        let slice = records
+            .iter()
+            .map(|(src, cmd)| (*src, Bytes::from(cmd.clone())));
+        fresh.replay(slice, ctx);
+        self.templates = std::mem::take(&mut fresh.templates);
+        if fresh.halted {
+            self.halted = true;
             return;
         }
-        let gate = self
-            .instances
-            .get(&instance)
-            .and_then(|st| st.nav.gate.as_deref());
-        let holds_mutex = gate.is_some_and(Gate::holds_grant);
-        self.cmd_log.insert(instance, records);
-        self.migrations_in += 1;
-        if holds_mutex {
-            self.migrations_in_with_mutex += 1;
+        if let Some(st) = fresh.instances.remove(&instance) {
+            if st.nav.gate.as_deref().is_some_and(Gate::holds_grant) {
+                self.migrations_in_with_mutex += 1;
+            }
+            self.instances.insert(instance, st);
         }
+        self.cmd_log.insert(instance, records);
+        if let Some(&status) = fresh.statuses.get(&instance) {
+            self.set_status(instance, status);
+        }
+        self.migrations_in += 1;
         ctx.send(from, CentralMsg::MigrateAck { instance });
         // Advertise the new placement fleet-wide. Peers route
         // instance-bound traffic (manager decisions, ChildDone from child
@@ -1436,24 +1447,7 @@ impl Node<CentralMsg> for Engine {
 
     fn on_crash(&mut self) {
         // Fail-stop: everything not on the WAL is gone.
-        self.instances.clear();
-        self.templates.clear();
-        self.statuses.clear();
-        self.executing.clear();
-        self.ro = RoArbiter::default();
-        self.mutexes.clear();
-        self.cmd_log.clear();
-        self.forwards.clear();
-        self.forwarded_msgs = 0;
-        self.migrations_out = 0;
-        self.migrations_in = 0;
-        self.migrations_in_with_mutex = 0;
-        self.migrations_acked = 0;
-        self.delivered_msgs = 0;
-        self.installing = None;
-        self.wal_index.clear();
-        self.compacted_kept = 0;
-        self.wal_dropped = 0;
+        self.take_over(self.fresh(self.index));
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<CentralMsg>) {
@@ -1464,50 +1458,31 @@ impl Node<CentralMsg> for Engine {
             self.halted = true;
             return;
         };
+        let mut fresh = self.fresh(self.index);
         // The summary log first: with their final rows back, the retired
         // instances are what the guard in `handle` skips, and the commands
         // compaction dropped are counted without being read.
         for record in retired {
             match record {
                 DbOp::StatusChanged { instance, status } => {
-                    self.statuses.insert(instance, status);
+                    fresh.statuses.insert(instance, status);
                 }
                 DbOp::CommandsDropped { records, installs } => {
-                    self.delivered_msgs += records;
-                    self.migrations_in += installs;
-                    self.wal_dropped += records;
+                    fresh.delivered_msgs += records;
+                    fresh.migrations_in += installs;
+                    fresh.wal_dropped += records;
                 }
                 _ => {}
             }
         }
-        self.replaying = true;
-        for record in records {
-            let DbOp::EngineInput { from, payload } = record else {
-                // An engine journals nothing else; a foreign record
-                // carries no command to re-drive.
-                self.wal_index.push(Indexed::KEEP);
-                continue;
-            };
-            let payload = Bytes::from(payload);
-            match CentralMsg::decode(&mut payload.clone()) {
-                Ok(msg) => {
-                    // Sends, timers and load were already emitted before the
-                    // crash; replay must rebuild state without repeating them.
-                    self.delivered_msgs += 1;
-                    self.wal_index.push(Indexed::of(&msg));
-                    self.ingest_cmd(from, &msg, &payload);
-                    let mut sink = Ctx::detached(ctx.now, ctx.self_id);
-                    let subjects = subjects(&msg);
-                    self.handle(NodeId(from), msg, &mut sink);
-                    self.retire_finished(subjects);
-                }
-                Err(_) => {
-                    self.halted = true;
-                    break;
-                }
-            }
-        }
-        self.replaying = false;
+        // An engine journals nothing else: a foreign record carries no
+        // command, so it reads as one that does not decode.
+        let commands = records.into_iter().map(|record| match record {
+            DbOp::EngineInput { from, payload } => (from, Bytes::from(payload)),
+            _ => (0, Bytes::new()),
+        });
+        fresh.replay(commands, ctx);
+        self.take_over(fresh);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -2006,6 +1981,83 @@ mod tests {
             saw_holder_migration,
             "no migration tick caught the instance holding the mutex"
         );
+    }
+
+    /// A slice can hold a manager-bound record of the migrating instance:
+    /// an acquire the instance's earlier host sent to engine 0 arrived
+    /// after the instance had moved to engine 0, which manages the mutex,
+    /// so engine 0 recorded the acquire and then the grant it answered
+    /// with. Installing that slice at engine 1 rebuilds the instance —
+    /// holding the grant, its second step dispatched — and leaves engine
+    /// 1's own managers and instance table as they were.
+    #[test]
+    fn an_install_leaves_the_target_managers_alone() {
+        let mut deployment = Deployment::new([linear(1, 3)]);
+        deployment.coordination = CoordinationSpec {
+            mutual_exclusions: vec![MutualExclusion {
+                id: 0,
+                resource: "booth".into(),
+                members: vec![SchemaStep::new(SchemaId(1), StepId(2))],
+            }],
+            ..CoordinationSpec::default()
+        };
+        let topo = Topology::new(1, 2);
+        let mut target = Engine::new(1, Arc::new(deployment), topo);
+        let inst = InstanceId::new(SchemaId(1), 1);
+        let (req, step) = (0, StepId(2));
+        let source = topo.engine_node(0);
+        let records = [
+            (
+                NodeId::EXTERNAL,
+                CentralMsg::WorkflowStart {
+                    instance: inst,
+                    inputs: vec![(ItemKey::input(1), Value::Int(5))],
+                },
+            ),
+            (topo.agent_node(AgentId(0)), result(inst, 1)),
+            (
+                topo.engine_node(1),
+                CentralMsg::Coord(CoordMsg::MutexAcquire {
+                    req,
+                    instance: inst,
+                    step,
+                }),
+            ),
+            (
+                source,
+                CentralMsg::Coord(CoordMsg::MutexGrant {
+                    req,
+                    instance: inst,
+                    step,
+                }),
+            ),
+        ]
+        .map(|(from, msg)| (from.0, encode_cmd(&msg)))
+        .to_vec();
+        let install = CentralMsg::MigrateState {
+            instance: inst,
+            records: records.clone(),
+        };
+        target.on_message(source, install, &mut Ctx::detached(5, topo.engine_node(1)));
+
+        assert!(!target.is_halted());
+        assert_eq!(target.status_of(inst), Some(InstanceStatus::Executing));
+        assert_eq!(target.movable_instances(), vec![inst]);
+        let st = &target.instances[&inst];
+        assert_eq!(st.pending_exec, VecMap::from_iter([(step, 1)]));
+        assert_eq!(st.nav.history.attempts(StepId(1)), 1);
+        assert!(st.nav.gate.as_deref().is_some_and(Gate::holds_grant));
+        assert_eq!(target.cmd_log[&inst], records);
+        assert_eq!(
+            (target.migrations_in, target.migrations_in_with_mutex),
+            (1, 1)
+        );
+        target.check_executing_index();
+
+        assert!(target.instances.keys().eq([&inst]), "no other instance");
+        assert!(target.mutexes.is_empty(), "{:?}", target.mutexes);
+        let ro = |a: &RoArbiter| format!("{a:?}");
+        assert_eq!(ro(&target.ro), ro(&RoArbiter::default()));
     }
 
     #[test]

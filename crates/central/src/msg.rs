@@ -77,9 +77,6 @@ pub enum CentralMsg {
     WorkflowAbort {
         instance: InstanceId,
     },
-    WorkflowStatus {
-        instance: InstanceId,
-    },
 
     // ---- engine → agent ----
     /// Execute a step's program.
@@ -180,7 +177,6 @@ impl CentralMsg {
             CentralMsg::WorkflowStart { instance, .. }
             | CentralMsg::WorkflowChangeInputs { instance, .. }
             | CentralMsg::WorkflowAbort { instance }
-            | CentralMsg::WorkflowStatus { instance }
             | CentralMsg::ExecRequest { instance, .. }
             | CentralMsg::CompensateRequest { instance, .. }
             | CentralMsg::ExecResult { instance, .. }
@@ -245,7 +241,6 @@ impl Classify for CentralMsg {
     fn mechanism(&self) -> Mechanism {
         match self {
             CentralMsg::WorkflowStart { .. }
-            | CentralMsg::WorkflowStatus { .. }
             | CentralMsg::ExecRequest { .. }
             | CentralMsg::StateProbe
             | CentralMsg::ExecResult { .. }

@@ -30,5 +30,5 @@ pub use metrics::{Classify, Mechanism, Metrics, TransportStats};
 pub use netfault::{LinkCut, NetFaultPlan};
 pub use node::{Ctx, Node, NodeId, TimerId};
 pub use reliable::{Endpoint, Frame, OutboxLog, RetransmitConfig, WalOutbox};
-pub use sim::{LatencyModel, Simulation};
+pub use sim::Simulation;
 pub use trace::{Trace, TraceEntry};

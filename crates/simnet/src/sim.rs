@@ -92,30 +92,16 @@ impl<M> Ord for Event<M> {
     }
 }
 
-/// Deterministic message latency: `base` plus a seeded jitter in
-/// `[0, jitter]` keyed by (seed, from, to, seq).
-#[derive(Debug, Clone, Copy)]
-pub struct LatencyModel {
-    /// Base.
-    pub base: u64,
-    /// Jitter.
-    pub jitter: u64,
-}
+/// Message latency in ticks: at least this…
+const LATENCY_BASE: u64 = 1;
+/// …plus a seeded jitter of at most this.
+const LATENCY_JITTER: u64 = 3;
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel { base: 1, jitter: 3 }
-    }
-}
-
-impl LatencyModel {
-    fn sample(&self, seed: u64, from: NodeId, to: NodeId, seq: u64) -> u64 {
-        if self.jitter == 0 {
-            return self.base;
-        }
-        let h = crew_exec::hash::combine(seed, &[from.0 as u64, to.0 as u64, seq]);
-        self.base + h % (self.jitter + 1)
-    }
+/// Deterministic message latency: [`LATENCY_BASE`] plus a jitter in
+/// `[0, LATENCY_JITTER]` keyed by (seed, from, to, seq).
+fn latency(seed: u64, from: NodeId, to: NodeId, seq: u64) -> u64 {
+    let h = crew_exec::hash::combine(seed, &[from.0 as u64, to.0 as u64, seq]);
+    LATENCY_BASE + h % (LATENCY_JITTER + 1)
 }
 
 struct NodeSlot<M> {
@@ -179,7 +165,6 @@ pub struct Simulation<M> {
     now: u64,
     seq: u64,
     seed: u64,
-    latency: LatencyModel,
     /// Metrics.
     pub metrics: Metrics,
     /// Trace.
@@ -216,7 +201,6 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
             now: 0,
             seq: 0,
             seed,
-            latency: LatencyModel::default(),
             metrics: Metrics::default(),
             trace: Trace::disabled(),
             started: false,
@@ -240,12 +224,6 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
         } else {
             self.service.insert(node, ticks);
         }
-    }
-
-    /// Replace the latency model (before or between runs).
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
-        self
     }
 
     /// Enable message tracing (used by the figure reproductions).
@@ -411,8 +389,7 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
             self.channel_send(&mut t, from, to, msg);
             self.transport = Some(t);
         } else {
-            let lat = self.latency.sample(self.seed, from, to, self.seq);
-            let mut at = self.now + lat.max(1);
+            let mut at = self.now + latency(self.seed, from, to, self.seq);
             // FIFO per (sender, receiver): never schedule an arrival before
             // an earlier send on the same channel.
             let last = self.fifo.entry((from, to)).or_insert(0);
@@ -470,7 +447,7 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
             });
         }
         let dup = faults.duplicates();
-        let lat = self.latency.sample(self.seed, from, to, self.seq).max(1) + extra;
+        let lat = latency(self.seed, from, to, self.seq) + extra;
         if dup {
             self.metrics.transport.dups_injected += 1;
             self.trace_event(from, to, crate::trace::NET_DUP, || {
@@ -484,7 +461,7 @@ impl<M: Classify + Clone + std::fmt::Debug + 'static> Simulation<M> {
                     frame: frame.clone(),
                 },
             );
-            let lat2 = self.latency.sample(self.seed, from, to, self.seq).max(1);
+            let lat2 = latency(self.seed, from, to, self.seq);
             self.push(self.now + lat2, EventKind::Frame { from, to, frame });
         } else {
             self.push(self.now + lat, EventKind::Frame { from, to, frame });
@@ -925,7 +902,7 @@ mod tests {
                 self
             }
         }
-        let mut sim = Simulation::new(1).with_latency(LatencyModel { base: 1, jitter: 0 });
+        let mut sim = Simulation::new(1);
         let c = sim.add_node(Collector {
             got: vec![],
             crashes: 0,
@@ -1016,11 +993,10 @@ mod tests {
 
     #[test]
     fn latency_is_deterministic_per_seed() {
-        let lm = LatencyModel { base: 2, jitter: 5 };
-        let a = lm.sample(9, NodeId(1), NodeId(2), 3);
-        let b = lm.sample(9, NodeId(1), NodeId(2), 3);
+        let a = latency(9, NodeId(1), NodeId(2), 3);
+        let b = latency(9, NodeId(1), NodeId(2), 3);
         assert_eq!(a, b);
-        assert!((2..=7).contains(&a));
+        assert!((LATENCY_BASE..=LATENCY_BASE + LATENCY_JITTER).contains(&a));
     }
 
     #[test]
@@ -1142,7 +1118,7 @@ mod tests {
                 self
             }
         }
-        let mut sim = Simulation::new(1).with_latency(LatencyModel { base: 1, jitter: 0 });
+        let mut sim = Simulation::new(1);
         let c = sim.add_node(Collector { got: vec![] });
         let _s = sim.add_node(Burst { peer: c });
         sim.enable_net_faults(NetFaultPlan::none());
@@ -1276,7 +1252,7 @@ mod tests {
 
     #[test]
     fn service_cost_serializes_handling_and_counts_once() {
-        let mut sim = Simulation::new(1).with_latency(LatencyModel { base: 1, jitter: 0 });
+        let mut sim = Simulation::new(1);
         let c = sim.add_node(Ponger { seen: 0 });
         let s = sim.add_node(Starter { peer: None });
         sim.set_service_cost(c, 10);
@@ -1387,7 +1363,7 @@ mod tests {
     /// The simulator's schedule, written as one flat list: every scheduled
     /// event gets the next sequence number, and the next to run is the
     /// smallest `(at, seq)`. [`Journal`]'s reactions are modelled with
-    /// unit latency and per-channel FIFO.
+    /// the simulator's latency draw and per-channel FIFO.
     #[derive(Default)]
     struct Reference {
         pending: Vec<(u64, u64, NodeId, Seen)>,
@@ -1415,7 +1391,8 @@ mod tests {
                         0 => self.schedule(at + u64::from(n % 4), to, Seen::Timer(u64::from(n))),
                         1 => {
                             let last = self.fifo.entry((to, peer)).or_insert(0);
-                            let arrive = (at + 1).max(*last + 1);
+                            let lat = latency(3, to, peer, self.seq);
+                            let arrive = (at + lat).max(*last + 1);
                             *last = arrive;
                             self.schedule(arrive, peer, Seen::Msg(to, Ping::Pong(n)));
                         }
@@ -1443,7 +1420,7 @@ mod tests {
             gaps in proptest::collection::vec(0u64..15, 5),
         ) {
             let log = Log::default();
-            let mut sim = Simulation::new(3).with_latency(LatencyModel { base: 1, jitter: 0 });
+            let mut sim = Simulation::new(3);
             for peer in [1, 0] {
                 sim.add_node(Journal { peer: NodeId(peer), log: log.clone() });
             }

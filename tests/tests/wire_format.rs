@@ -272,10 +272,6 @@ fn central_samples(c: &mut Checker) {
             CentralMsg::WorkflowAbort { instance: inst(3) },
         ),
         (
-            "WorkflowStatus",
-            CentralMsg::WorkflowStatus { instance: inst(4) },
-        ),
-        (
             "ExecRequest",
             CentralMsg::ExecRequest {
                 instance: inst(5),
