@@ -70,11 +70,38 @@ use crew_rules::{compile_schema, EventKind};
 use crew_simnet::{Ctx, Node, NodeId, TimerId};
 use crew_storage::{recover_for_node, DbOp, InstanceStatus, MemStore, Wal};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 const TIMER_POLL: TimerId = TimerId(1);
 const TIMER_PURGE: TimerId = TimerId(2);
+
+/// A per-node table keyed by instance: it grows with the run and handlers
+/// read it several times per message, so one hash probe finds an entry.
+/// The hasher is fixed, so the iteration order repeats run to run; a read
+/// that needs key order sorts what it collects (DESIGN.md §6j). It needs
+/// no collision resistance: the front end numbers instances, not a user.
+type ByInstance<V> = HashMap<InstanceId, V, BuildHasherDefault<InstanceHasher>>;
+
+/// Multiplicative hash over an [`InstanceId`]'s two words, `schema` and
+/// `serial` (the golden-ratio multiplier of FxHash).
+#[derive(Default)]
+struct InstanceHasher(u64);
+
+impl Hasher for InstanceHasher {
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(b.into()));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Volatile per-instance state at one agent (rebuilt from the AGDB on
 /// recovery): the shared navigator over the slice of the instance this
@@ -117,7 +144,9 @@ pub struct DistAgent {
     pub agent_id: crew_model::AgentId,
     shared: SharedCtx,
     executor: StepExecutor,
-    instances: BTreeMap<InstanceId, Box<InstState>>,
+    /// Every instance this agent has touched and not purged. Boxed, so a
+    /// table that grows moves pointers, not states.
+    instances: ByInstance<Box<InstState>>,
     /// Compiled rule templates per schema (lazily built): only the rows
     /// of steps this agent is eligible for, the others it never installs.
     templates: BTreeMap<crew_model::SchemaId, Arc<Vec<crew_rules::TemplateRule>>>,
@@ -126,7 +155,7 @@ pub struct DistAgent {
     pub(crate) wal: Wal<DbOp, MemStore>,
     /// Coordination instance summary table — the one AGDB table read
     /// live (`WorkflowStatus`), so it is kept beside the log.
-    statuses: BTreeMap<InstanceId, InstanceStatus>,
+    statuses: ByInstance<InstanceStatus>,
     /// Relative-order decisions of the pairs this agent arbitrates.
     ro: RoArbiter,
     /// The mutual exclusions this agent manages, by requirement.
@@ -165,10 +194,10 @@ impl DistAgent {
             agent_id,
             shared,
             executor,
-            instances: BTreeMap::new(),
+            instances: ByInstance::default(),
             templates: BTreeMap::new(),
             wal: Wal::in_memory(),
-            statuses: BTreeMap::new(),
+            statuses: ByInstance::default(),
             ro: RoArbiter::default(),
             mutexes: BTreeMap::new(),
             purge_queue: Vec::new(),
@@ -317,7 +346,7 @@ impl DistAgent {
 
     /// Install the navigation rules for the locally-designated steps of an
     /// instance (first packet contact), and wire its coordination gate.
-    fn ensure_instantiated(&mut self, instance: InstanceId, ctx: &mut Ctx<DistMsg>) {
+    fn ensure_instantiated(&mut self, instance: InstanceId) {
         if self
             .instances
             .get(&instance)
@@ -352,7 +381,6 @@ impl DistAgent {
             }
         }
         self.wire_gate(instance);
-        self.arm_poll(ctx);
     }
 
     /// Wire `instance`'s gate over the steps designated here, on first
@@ -371,7 +399,7 @@ impl DistAgent {
 
     fn on_packet(&mut self, mut packet: WorkflowPacket, ctx: &mut Ctx<DistMsg>) {
         let instance = packet.instance;
-        self.ensure_instantiated(instance, ctx);
+        self.ensure_instantiated(instance);
         // A rollback the sender applied and this agent has not (its halt
         // is still on the way) comes first: the packet's facts follow it.
         for &(kind, number) in &packet.events {
@@ -412,6 +440,7 @@ impl DistAgent {
             let done = EventKind::StepDone(packet.target_step);
             if !st.nav.rules.has_event(done) {
                 st.awaiting_remote.entry(packet.target_step).or_insert(now);
+                self.arm_poll(ctx);
             }
         }
         if am_executor && !packet.source_step.is_some_and(|s| voided.contains(&s)) {
@@ -1035,7 +1064,7 @@ impl DistAgent {
         mut steps: Vec<StepId>,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        self.ensure_instantiated(instance, ctx);
+        self.ensure_instantiated(instance);
         self.nav_load(ctx);
         let Some(step) = steps.pop() else { return };
         self.compensate_local(instance, step, false, ctx);
@@ -1062,7 +1091,7 @@ impl DistAgent {
         from_dependency: bool,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        self.ensure_instantiated(instance, ctx);
+        self.ensure_instantiated(instance);
         self.nav_load(ctx);
         let dep = self.shared.deployment.clone();
         let nav = &mut self.inst(instance).nav;
@@ -1153,7 +1182,7 @@ impl DistAgent {
         ctx: &mut Ctx<DistMsg>,
     ) {
         let schema = self.schema(instance);
-        self.ensure_instantiated(instance, ctx);
+        self.ensure_instantiated(instance);
         self.nav_load(ctx);
         {
             let st = self.inst(instance);
@@ -1240,7 +1269,7 @@ impl DistAgent {
         outputs: Vec<Value>,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        self.ensure_instantiated(parent, ctx);
+        self.ensure_instantiated(parent);
         self.nav_load(ctx);
         let schema = self.schema(parent);
         let def = schema.expect_step(parent_step);
@@ -1277,7 +1306,7 @@ impl DistAgent {
     }
 
     fn on_workflow_abort(&mut self, instance: InstanceId, ctx: &mut Ctx<DistMsg>) {
-        self.ensure_instantiated(instance, ctx);
+        self.ensure_instantiated(instance);
         self.nav_load(ctx);
         let dep = self.shared.deployment.clone();
         let (releases, undo) = match self
@@ -1329,7 +1358,7 @@ impl DistAgent {
         new_inputs: Vec<(ItemKey, Value)>,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        self.ensure_instantiated(instance, ctx);
+        self.ensure_instantiated(instance);
         self.nav_load(ctx);
         let schema = self.schema(instance);
         let Some(origin) = self.inst(instance).nav.input_change(&schema, &new_inputs) else {
@@ -1354,7 +1383,7 @@ impl DistAgent {
         new_inputs: Vec<(ItemKey, Value)>,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        self.ensure_instantiated(instance, ctx);
+        self.ensure_instantiated(instance);
         for (key, value) in new_inputs {
             let value = self.log_write(instance, key, value);
             self.inst(instance).nav.data.set(key, value);
@@ -1371,21 +1400,27 @@ impl DistAgent {
         }
     }
 
+    /// Scan the instances held here for overdue remote steps: poll them,
+    /// escalate polls that met silence, and re-arm only while a wait is
+    /// left that a later scan can act on (an unpolled step or an
+    /// outstanding poll), so a run with polling on still quiesces.
     fn on_poll_timer(&mut self, ctx: &mut Ctx<DistMsg>) {
+        self.poll_armed = false;
         let now = ctx.now;
         let mut polls: Vec<(InstanceId, StepId)> = Vec::new();
         let mut takeovers: Vec<(InstanceId, StepId)> = Vec::new();
-        let mut live_instances = false;
-        for (&instance, st) in &mut self.instances {
+        let mut waiting = false;
+        for (&instance, st) in self.instances.iter_mut() {
             if st.nav.committed || st.nav.aborted {
                 continue;
             }
-            live_instances = true;
             // Drop stall records for steps that completed meanwhile.
             st.awaiting_remote
                 .retain(|&s, _| !st.nav.rules.has_event(EventKind::StepDone(s)));
             st.poll_pending
                 .retain(|&s, _| !st.nav.rules.has_event(EventKind::StepDone(s)));
+            waiting |= !st.poll_pending.is_empty()
+                || st.awaiting_remote.keys().any(|s| !st.polled.contains(s));
             // Overdue remote steps → poll their eligible agents.
             for (&step, &since) in &st.awaiting_remote {
                 if now.saturating_sub(since) >= POLL_TIMEOUT && !st.polled.contains(&step) {
@@ -1399,6 +1434,9 @@ impl DistAgent {
                 }
             }
         }
+        // The table's order is its hasher's: go out in instance order.
+        polls.sort_unstable();
+        takeovers.sort_unstable();
         for (instance, step) in polls {
             {
                 let st = self.inst(instance);
@@ -1418,8 +1456,7 @@ impl DistAgent {
             self.inst(instance).poll_pending.remove(&step);
             self.try_takeover(instance, step, ctx);
         }
-        self.poll_armed = false;
-        if live_instances {
+        if waiting {
             self.arm_poll(ctx);
         }
     }
@@ -1484,7 +1521,7 @@ impl DistAgent {
     }
 
     fn on_execute_request(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<DistMsg>) {
-        self.ensure_instantiated(instance, ctx);
+        self.ensure_instantiated(instance);
         let schema = self.schema(instance);
         let def = schema.expect_step(step).clone();
         {
@@ -1629,7 +1666,7 @@ impl DistAgent {
                 origin,
                 rollback,
             } => {
-                self.ensure_instantiated(instance, ctx);
+                self.ensure_instantiated(instance);
                 // A packet that brings the rollback pays for it in its own
                 // navigation load.
                 if self.apply_rollback(instance, origin, rollback, ctx) {
@@ -2333,5 +2370,93 @@ mod tests {
                 (EventKind::StepDone(s2), 1),
             ]
         );
+    }
+
+    /// Records the `StepStatus` polls it receives and never answers.
+    #[derive(Default)]
+    struct PollSink(Vec<(InstanceId, StepId)>);
+
+    impl Node<DistMsg> for PollSink {
+        fn on_message(&mut self, _from: NodeId, msg: DistMsg, _ctx: &mut Ctx<DistMsg>) {
+            if let DistMsg::StepStatus { instance, step } = msg {
+                self.0.push((instance, step));
+            }
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// The poll timer scans a hashed table, so it sorts what it collects:
+    /// `StepStatus` polls go out in instance order, whatever the order the
+    /// table iterates in and whatever order the instances arrived in.
+    #[test]
+    fn status_polls_go_out_in_instance_order() {
+        // S1 → S2, an update step (silence is never escalated) eligible at
+        // agents 0 and 1; agent 0 holds the packets and polls agent 1.
+        let mut b = SchemaBuilder::new(SchemaId(1), "polls");
+        let s1 = b.add_step("S1", "passthrough");
+        let s2 = b.add_step("S2", "passthrough");
+        b.seq(s1, s2);
+        b.configure(s1, |d| d.eligible_agents = vec![AgentId(1)]);
+        b.configure(s2, |d| d.eligible_agents = vec![AgentId(0), AgentId(1)]);
+        let deployment = Arc::new(Deployment::new([b.build().unwrap()]));
+        let schema = deployment.expect_schema(SchemaId(1)).clone();
+        let seed = deployment.seed;
+
+        // Two instances whose S2 agent 1 runs, contacted in descending
+        // order, that a table fed in that order iterates in that order.
+        let remote = (1..64)
+            .map(|n| InstanceId::new(SchemaId(1), n))
+            .filter(|&i| designated_agent(seed, i, schema.expect_step(s2)) == AgentId(1))
+            .collect::<Vec<_>>();
+        let iterated = |contacts: [InstanceId; 2]| {
+            let mut table = ByInstance::default();
+            for i in contacts {
+                table.insert(i, ());
+            }
+            table.into_keys().collect::<Vec<_>>()
+        };
+        let contacts = remote
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &hi)| remote[..k].iter().map(move |&lo| [hi, lo]))
+            .find(|&pair| iterated(pair) == pair)
+            .expect("two keys the hasher orders against key order");
+
+        let shared = SharedCtx {
+            deployment,
+            directory: Directory::new(2),
+            config: DistConfig {
+                enable_status_polling: true,
+                ..DistConfig::default()
+            },
+        };
+        let mut sim = crew_simnet::Simulation::new(seed);
+        let agent = sim.add_node(DistAgent::new(AgentId(0), shared));
+        let sink = sim.add_node(PollSink::default());
+        for instance in contacts {
+            let packet = WorkflowPacket {
+                instance,
+                target_step: s2,
+                source_step: Some(s1),
+                executor: None,
+                data: DataEnv::default(),
+                events: vec![(EventKind::StepDone(s1), 1)],
+                weight: Weight::ONE,
+            };
+            sim.send_external_at(agent, DistMsg::StepExecute { packet }, 10);
+        }
+        sim.run_until(10 + 2 * POLL_TIMEOUT);
+
+        let held = sim.node_as::<DistAgent>(agent).unwrap();
+        let held = held.instances.keys().copied().collect::<Vec<_>>();
+        assert_eq!(
+            held, contacts,
+            "the agent's table iterates against key order"
+        );
+        let polls = &sim.node_as::<PollSink>(sink).unwrap().0;
+        assert_eq!(polls, &[(contacts[1], s2), (contacts[0], s2)]);
     }
 }

@@ -65,9 +65,11 @@ pub const POLL_TIMEOUT: u64 = 100;
 #[derive(Debug, Clone, Default)]
 pub struct DistConfig {
     /// Enable the pending-rule timeout + `StepStatus` polling protocol
-    /// (predecessor-failure recovery, §5.2). Off by default because the
-    /// periodic timer keeps the simulation from quiescing early in
-    /// happy-path experiments.
+    /// (predecessor-failure recovery, §5.2). Off by default: with it on,
+    /// an agent that holds a packet for a step designated elsewhere polls
+    /// that step's eligible agents once it is overdue, which adds messages
+    /// to fault-free runs. The poll timer runs only while such a wait is
+    /// open, so a run with polling on still quiesces.
     pub enable_status_polling: bool,
     /// If set, coordination agents broadcast committed-instance purges with
     /// this period (§4.2).

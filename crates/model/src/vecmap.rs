@@ -8,7 +8,8 @@
 //! and [`VecSet`] keep the entries in one key-ordered `Vec` sized to what
 //! it holds: the same iteration order, the `BTreeMap` / `BTreeSet` method
 //! subset the run-times use, one allocation per table. Tables that grow
-//! with instances, nodes or requirements stay B-trees (DESIGN.md §6j).
+//! with instances, nodes or requirements are B-trees, or hash tables where
+//! a distributed agent reads them per message (DESIGN.md §6j).
 
 /// A map kept as a `Vec` of entries in ascending key order.
 #[derive(Debug, Clone, PartialEq)]

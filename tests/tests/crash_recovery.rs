@@ -83,6 +83,38 @@ fn crashed_predecessor_query_step_rerouted() {
     // single execution above, achieved without the crashed agent.
 }
 
+/// Polling on and no fault: every wait a poll ends, so the run quiesces
+/// once the last instance commits. While the poll timer re-armed for as
+/// long as an agent held an instance it did not know to have committed,
+/// this run ticked on to the simulator's horizon (999 975 ticks, 182 158
+/// events), scanning every instance every 50 ticks.
+#[test]
+fn a_fault_free_polling_run_quiesces() {
+    let setup = crew_workload::SetupParams {
+        z: 12,
+        seed: 42,
+        ..crew_workload::SetupParams::small()
+    };
+    let deployment = crew_workload::build_deployment(&setup, false);
+    let schemas: Vec<SchemaId> = deployment.schemas.keys().copied().collect();
+    let mut system =
+        WorkflowSystem::with_deployment(deployment, Architecture::Distributed { agents: 12 });
+    system.dist_config.enable_status_polling = true;
+    let mut scenario = Scenario::new();
+    // The steady workloads' shape L at their 200 arrivals per 1 000 ticks.
+    for k in 0..100u64 {
+        let inputs = vec![(1, Value::Int(5)), (2, Value::Int(1))];
+        scenario.start_at(schemas[k as usize % schemas.len()], inputs, (k + 1) * 5);
+    }
+    let report = system.run(scenario);
+    assert_eq!(report.committed(), 100);
+    assert!(
+        report.virtual_time < 10_000,
+        "quiesced at tick {}",
+        report.virtual_time
+    );
+}
+
 /// Predecessor crash with an *update* step: the paper mandates waiting for
 /// the failed agent. With no recovery the run stalls (documented
 /// behaviour); with recovery it completes.

@@ -233,11 +233,15 @@ fn live_state_per_instance_stays_inside_its_budget() {
     // journaled an instance-creation record and every step output twice,
     // and 10 709 B / 98.5 blocks (311.4 + 98.9 calls; central 221.6 + 0.7)
     // while every copy of a string value was an allocation of its own and
-    // a packet merge grew each table once per item. The teardown calls are
-    // the blocks a run leaves to free: teardown time scales with them.
+    // a packet merge grew each table once per item; 10 406 B / 62.1 blocks
+    // (214.6 + 62.4 calls) while each agent kept its instances and summary
+    // rows in B-trees, whose leaves are blocks of their own (the hash
+    // tables read 10 420 B: their buckets are sized in powers of two, so
+    // the bytes budget stays where it was). The teardown calls are the
+    // blocks a run leaves to free: teardown time scales with them.
     let rows = [
         ("central", central(), (327.0, 0.4, 191.6, 0.7)),
-        ("distributed", distributed(), (10_402.0, 62.1, 214.6, 62.4)),
+        ("distributed", distributed(), (10_402.0, 60.7, 213.6, 61.0)),
     ];
     for (control, f, _) in rows {
         println!(

@@ -17,6 +17,12 @@
 //!   run. While every recovery replayed the whole command log the ratio
 //!   was 66–72× (1.65 s at 8 000 instances); with the log compacted to
 //!   what is live it is 10–18× (0.29–0.34 s). The limit is 40×.
+//! - `dist_steady`: shape L under distributed control, 12 agents, 200
+//!   arrivals per 1 000 ticks. Each agent holds the tables of every
+//!   instance it touched (§4.2), so a per-message lookup that costs more
+//!   as an agent holds more shows here. With those tables in B-trees the
+//!   ratio was 15–20× (0.57–0.79 s at 8 000 instances); hashed, it is
+//!   15–20× (0.38–0.53 s). The limit is 30×.
 //!
 //! Timing, so `#[ignore]`: CI runs it in release, alone, with
 //! `--ignored --nocapture`.
@@ -93,16 +99,20 @@ fn parallel_coord(instances: u32) -> Duration {
     timed(system, scenario, instances)
 }
 
+/// Shape L on 12 agents: the schemas of the steady and crash workloads.
+fn shape_l() -> SetupParams {
+    SetupParams {
+        z: 12,
+        seed: 42,
+        ..SetupParams::small()
+    }
+}
+
 /// `central_crash`, made run-length-proportional: 200 arrivals per 1000
 /// ticks, and engine 0 down for 200 ticks at every 1000th tick of the
 /// arrival train.
 fn central_crash(instances: u32) -> Duration {
-    let setup = SetupParams {
-        z: 12,
-        seed: 42,
-        ..SetupParams::small()
-    };
-    let deployment = build_deployment(&setup, false);
+    let deployment = build_deployment(&shape_l(), false);
     let schemas: Vec<SchemaId> = deployment.schemas.keys().copied().collect();
     let mut scenario = Scenario::new();
     arrivals(&mut scenario, &schemas, instances, 5);
@@ -111,6 +121,18 @@ fn central_crash(instances: u32) -> Duration {
         scenario.crash(CrashWindow::engine(0, at, Some(200)));
     }
     let system = WorkflowSystem::with_deployment(deployment, Architecture::Central { agents: 12 });
+    timed(system, scenario, instances)
+}
+
+/// `dist_steady`: the steady workloads' shape L and arrival rate under
+/// distributed control, run to quiescence.
+fn dist_steady(instances: u32) -> Duration {
+    let deployment = build_deployment(&shape_l(), false);
+    let schemas: Vec<SchemaId> = deployment.schemas.keys().copied().collect();
+    let mut scenario = Scenario::new();
+    arrivals(&mut scenario, &schemas, instances, 5);
+    let system =
+        WorkflowSystem::with_deployment(deployment, Architecture::Distributed { agents: 12 });
     timed(system, scenario, instances)
 }
 
@@ -151,4 +173,10 @@ fn parallel_coord_wall_grows_with_the_run_not_its_square() {
 #[ignore = "timing: release build, run alone (see CI)"]
 fn central_crash_wall_grows_with_the_run_not_its_square() {
     assert_scales("central_crash", central_crash, 40.0);
+}
+
+#[test]
+#[ignore = "timing: release build, run alone (see CI)"]
+fn dist_steady_wall_grows_with_the_run_not_its_square() {
+    assert_scales("dist_steady", dist_steady, 30.0);
 }
