@@ -51,6 +51,11 @@
 //!   `DistAgent::tell`, which calls the message's handler when the role
 //!   is played here and sends otherwise, so a co-located and a remote
 //!   partner run the same code.
+//! - **Recovery** (§4.1): a fail-stop crash puts a fresh agent in this
+//!   one's place, and `DistAgent::take_over` names what survives (the
+//!   AGDB, the halted flag, outstanding load-balanced forwards and the
+//!   load), each with its reason. `on_recover` folds the AGDB back into
+//!   the instance entries; rules and gates are rebuilt as packets arrive.
 
 use crate::msg::{CoordRule, DistMsg, WorkflowStatusKind};
 use crate::packet::WorkflowPacket;
@@ -103,10 +108,11 @@ impl Hasher for InstanceHasher {
     }
 }
 
-/// Volatile per-instance state at one agent (rebuilt from the AGDB on
-/// recovery): the shared navigator over the slice of the instance this
-/// agent holds, plus what only packet-passing agents need — the channels
-/// packets went down, and the stall-detection / takeover bookkeeping.
+/// Volatile per-instance state at one agent (its data, step history and
+/// summary row are rebuilt from the AGDB on recovery): the shared
+/// navigator over the slice of the instance this agent holds, plus what
+/// only packet-passing agents need — the channels packets went down, and
+/// the stall-detection / takeover bookkeeping.
 #[derive(Debug, Default)]
 struct InstState {
     /// Rules are installed for the locally-designated steps only; the
@@ -119,23 +125,48 @@ struct InstState {
     /// Steps whose re-execution is deferred until a `CompensateSet` chain
     /// returns.
     awaiting_compset: VecSet<StepId>,
-    /// Steps designated at another agent whose packet we hold but whose
-    /// `step.done` has not appeared: step → first-seen time. The alternate
-    /// eligible agent is the natural stall detector — it is the only node
-    /// that already holds the state needed for a takeover.
-    awaiting_remote: VecMap<StepId, u64>,
-    /// Outstanding `StepStatus` polls: step → sent time. A poll answered
-    /// only by silence (the designated executor crashed) escalates to a
-    /// takeover after a second timeout.
-    poll_pending: VecMap<StepId, u64>,
-    /// Steps already polled/rerouted, to avoid duplicate takeovers.
-    polled: VecSet<StepId>,
+    /// Steps designated at another agent whose packet we hold, and how far
+    /// the wait for their `step.done` has got. The alternate eligible agent
+    /// is the natural stall detector — it is the only node that already
+    /// holds the state needed for a takeover.
+    waits: VecMap<StepId, RemoteWait>,
     /// Steps this agent executes despite not being designated (takeover).
     overrides: VecSet<StepId>,
     /// Load-balanced executor choices received via packets: step → agent.
     chosen_executor: VecMap<StepId, crew_model::AgentId>,
-    /// This agent plays the coordination-agent role for the instance.
+    /// This agent plays the coordination-agent role for the instance: an
+    /// entry that keeps it survives a purge.
     is_coordinator: bool,
+    /// The instance's row in the coordination instance summary table — the
+    /// one AGDB table read live (`WorkflowStatus`). Not derived from
+    /// `is_coordinator`: `on_workflow_abort` can journal `Aborted` at an
+    /// agent that never saw the start.
+    status: Option<InstanceStatus>,
+}
+
+/// How far the wait for a remote step's `step.done` has got.
+#[derive(Debug, Clone, Copy)]
+enum RemoteWait {
+    /// A packet for the step arrived at this tick; unpolled.
+    Since(u64),
+    /// `StepStatus` polls went out at this tick. A poll answered only by
+    /// silence (the designated executor crashed) escalates to a takeover
+    /// after a second timeout.
+    Polled(u64),
+    /// Polled and answered, escalated or completed: never polled again.
+    Settled,
+}
+
+impl RemoteWait {
+    /// The step completed, or a poll reply reports progress: a polled wait
+    /// becomes `Settled` and stays (true); an unpolled one is dropped
+    /// (false), so a later packet opens it again.
+    fn settle(&mut self) -> bool {
+        !matches!(
+            std::mem::replace(self, RemoteWait::Settled),
+            RemoteWait::Since(_)
+        )
+    }
 }
 
 /// The distributed agent node.
@@ -150,22 +181,22 @@ pub struct DistAgent {
     /// Compiled rule templates per schema (lazily built): only the rows
     /// of steps this agent is eligible for, the others it never installs.
     templates: BTreeMap<crew_model::SchemaId, Arc<Vec<crew_rules::TemplateRule>>>,
-    /// AGDB: the write-ahead log. The navigators hold the only copy of
-    /// its tables; `on_recover` folds the log straight back into them.
+    /// AGDB: the write-ahead log. The instance entries hold the only copy
+    /// of its tables; `on_recover` folds the log straight back into them.
     pub(crate) wal: Wal<DbOp, MemStore>,
-    /// Coordination instance summary table — the one AGDB table read
-    /// live (`WorkflowStatus`), so it is kept beside the log.
-    statuses: ByInstance<InstanceStatus>,
     /// Relative-order decisions of the pairs this agent arbitrates.
     ro: RoArbiter,
     /// The mutual exclusions this agent manages, by requirement.
     mutexes: BTreeMap<u32, MutexQueue>,
     /// Instances committed locally-known (purge batching).
     purge_queue: Vec<InstanceId>,
-    /// Cumulative navigation load (served via `StateInformation`).
+    /// Cumulative navigation load (served via `StateInformation`);
+    /// survives a crash (`take_over`).
     load: u64,
+    /// The poll timer is set; a crash drops it with the instances.
     poll_armed: bool,
-    /// Outstanding load-balanced forwards: token → deferred packet fan-out.
+    /// Outstanding load-balanced forwards: token → deferred packet
+    /// fan-out. Survives a crash with `next_token` (`take_over`).
     pending_forwards: BTreeMap<u64, PendingForward>,
     next_token: u64,
     /// Set when AGDB recovery failed: the node degrades to fail-silent
@@ -197,7 +228,6 @@ impl DistAgent {
             instances: ByInstance::default(),
             templates: BTreeMap::new(),
             wal: Wal::in_memory(),
-            statuses: ByInstance::default(),
             ro: RoArbiter::default(),
             mutexes: BTreeMap::new(),
             purge_queue: Vec::new(),
@@ -207,6 +237,31 @@ impl DistAgent {
             next_token: 0,
             halted: false,
         }
+    }
+
+    /// Become `fresh`, keeping what survives a fail-stop crash. The rest —
+    /// instances, gates, managers, rule templates, the armed timers — is
+    /// lost, and so is the purge queue: its timer, due while the node is
+    /// down, is dropped, and the next commit arms one again. The
+    /// survivors, and why (the counts are of
+    /// `crash_recovery::load_balanced_agent_crash_sweep`, 320 runs per
+    /// outage length, with the survivor dropped):
+    /// - `wal`: the AGDB, which `on_recover` folds back in;
+    /// - `halted`: a node whose recovery once failed stays fail-silent;
+    /// - `pending_forwards`, `next_token`: a load-balanced forward's
+    ///   `StateInformation` polls are in the durable channel outbox and
+    ///   their replies arrive after recovery; a forward a fresh table
+    ///   dropped never sends its packet (52 of 320 runs stalled);
+    /// - `load`: reset, a recovered forwarder reads as the least loaded
+    ///   and picks itself, and a recovered agent re-runs steps its AGDB
+    ///   records `Done` (ROADMAP row (m); 32 of 320 runs ran a step twice).
+    fn take_over(&mut self, fresh: DistAgent) {
+        let old = std::mem::replace(self, fresh);
+        self.wal = old.wal;
+        self.halted = old.halted;
+        self.pending_forwards = old.pending_forwards;
+        self.next_token = old.next_token;
+        self.load = old.load;
     }
 
     /// True when AGDB recovery failed and the node went fail-silent.
@@ -319,7 +374,7 @@ impl DistAgent {
     /// Journal a summary-table change and apply it.
     fn set_status(&mut self, instance: InstanceId, status: InstanceStatus) {
         self.log(&DbOp::StatusChanged { instance, status });
-        self.statuses.insert(instance, status);
+        self.inst(instance).status = Some(status);
     }
 
     /// Instance state, creating an empty shell on first contact.
@@ -435,11 +490,10 @@ impl DistAgent {
         // Weight accounting at the executor of the target step.
         let am_executor = self.is_executor(instance, &schema, packet.target_step);
         if !am_executor && self.shared.config.enable_status_polling {
-            let now = ctx.now;
+            let (step, wait) = (packet.target_step, RemoteWait::Since(ctx.now));
             let st = self.inst(instance);
-            let done = EventKind::StepDone(packet.target_step);
-            if !st.nav.rules.has_event(done) {
-                st.awaiting_remote.entry(packet.target_step).or_insert(now);
+            if !st.nav.rules.has_event(EventKind::StepDone(step)) {
+                st.waits.entry(step).or_insert(wait);
                 self.arm_poll(ctx);
             }
         }
@@ -845,14 +899,11 @@ impl DistAgent {
         from: NodeId,
         ctx: &mut Ctx<DistMsg>,
     ) {
-        let done = match self.pending_forwards.get_mut(&token) {
-            None => return,
-            Some(pf) => {
-                pf.replies.insert(from, load);
-                pf.replies.len() >= pf.expected
-            }
+        let Some(pf) = self.pending_forwards.get_mut(&token) else {
+            return;
         };
-        if done {
+        pf.replies.insert(from, load);
+        if pf.replies.len() >= pf.expected {
             let pf = self.pending_forwards.remove(&token).expect("present");
             self.finish_load_balanced_forward(pf, ctx);
         }
@@ -1410,39 +1461,32 @@ impl DistAgent {
         let mut polls: Vec<(InstanceId, StepId)> = Vec::new();
         let mut takeovers: Vec<(InstanceId, StepId)> = Vec::new();
         let mut waiting = false;
+        let overdue = |t: u64| now.saturating_sub(t) >= POLL_TIMEOUT;
         for (&instance, st) in self.instances.iter_mut() {
             if st.nav.committed || st.nav.aborted {
                 continue;
             }
-            // Drop stall records for steps that completed meanwhile.
-            st.awaiting_remote
-                .retain(|&s, _| !st.nav.rules.has_event(EventKind::StepDone(s)));
-            st.poll_pending
-                .retain(|&s, _| !st.nav.rules.has_event(EventKind::StepDone(s)));
-            waiting |= !st.poll_pending.is_empty()
-                || st.awaiting_remote.keys().any(|s| !st.polled.contains(s));
-            // Overdue remote steps → poll their eligible agents.
-            for (&step, &since) in &st.awaiting_remote {
-                if now.saturating_sub(since) >= POLL_TIMEOUT && !st.polled.contains(&step) {
-                    polls.push((instance, step));
+            // Settle the waits for steps that completed meanwhile.
+            let rules = &st.nav.rules;
+            st.waits
+                .retain(|&s, w| !rules.has_event(EventKind::StepDone(s)) || w.settle());
+            for (&step, wait) in &st.waits {
+                match *wait {
+                    // Overdue remote step → poll its eligible agents.
+                    RemoteWait::Since(t) if overdue(t) => polls.push((instance, step)),
+                    // A poll answered only by silence → escalate.
+                    RemoteWait::Polled(t) if overdue(t) => takeovers.push((instance, step)),
+                    _ => {}
                 }
-            }
-            // Polls answered only by silence (crashed designee) → escalate.
-            for (&step, &sent) in &st.poll_pending {
-                if now.saturating_sub(sent) >= POLL_TIMEOUT {
-                    takeovers.push((instance, step));
-                }
+                waiting |= !matches!(wait, RemoteWait::Settled);
             }
         }
         // The table's order is its hasher's: go out in instance order.
         polls.sort_unstable();
         takeovers.sort_unstable();
+        let polled = RemoteWait::Polled(now);
         for (instance, step) in polls {
-            {
-                let st = self.inst(instance);
-                st.polled.insert(step);
-                st.poll_pending.insert(step, now);
-            }
+            self.inst(instance).waits.insert(step, polled);
             let schema = self.schema(instance);
             let def = schema.expect_step(step);
             for agent in &def.eligible_agents {
@@ -1453,7 +1497,7 @@ impl DistAgent {
             }
         }
         for (instance, step) in takeovers {
-            self.inst(instance).poll_pending.remove(&step);
+            self.inst(instance).waits.insert(step, RemoteWait::Settled);
             self.try_takeover(instance, step, ctx);
         }
         if waiting {
@@ -1493,14 +1537,12 @@ impl DistAgent {
     ) {
         let history = self.instances.get(&instance).map(|st| &st.nav.history);
         let status = history.map_or(StepState::NotExecuted, |h| h.state(step));
-        ctx.send(
-            from,
-            DistMsg::StepStatusReply {
-                instance,
-                step,
-                status,
-            },
-        );
+        let reply = DistMsg::StepStatusReply {
+            instance,
+            step,
+            status,
+        };
+        ctx.send(from, reply);
     }
 
     fn on_step_status_reply(
@@ -1515,9 +1557,8 @@ impl DistAgent {
         }
         // Someone made (or is making) progress: keep waiting; the packet /
         // failure protocol will reach us.
-        let st = self.inst(instance);
-        st.poll_pending.remove(&step);
-        st.awaiting_remote.remove(&step);
+        let waits = &mut self.inst(instance).waits;
+        waits.retain(|&s, w| s != step || w.settle());
     }
 
     fn on_execute_request(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<DistMsg>) {
@@ -1589,7 +1630,7 @@ impl DistAgent {
 
     /// Status of an instance as this agent knows it.
     pub fn instance_status(&self, instance: InstanceId) -> Option<InstanceStatus> {
-        self.statuses.get(&instance).copied()
+        self.instances.get(&instance)?.status
     }
 
     /// The instance's data table at this agent.
@@ -1634,13 +1675,8 @@ impl DistAgent {
                 weight,
             } => self.on_step_completed(instance, step, weight, ctx),
             DistMsg::StateInformation { token } => {
-                ctx.send(
-                    from,
-                    DistMsg::StateInformationReply {
-                        token,
-                        load: self.load,
-                    },
-                );
+                let load = self.load;
+                ctx.send(from, DistMsg::StateInformationReply { token, load });
             }
             DistMsg::StateInformationReply { token, load } => {
                 self.on_state_information_reply(token, load, from, ctx)
@@ -1739,24 +1775,16 @@ impl Node<DistMsg> for DistAgent {
     }
 
     fn on_crash(&mut self) {
-        // Fail-stop: volatile state is lost; the AGDB (WAL) survives.
-        self.instances.clear();
-        self.statuses.clear();
-        self.templates.clear();
-        self.ro = RoArbiter::default();
-        self.mutexes.clear();
-        // A purge timer due while the node is down is dropped, so the
-        // queue goes too: the next commit arms a timer again.
-        self.purge_queue.clear();
-        self.poll_armed = false;
+        // Fail-stop: everything `take_over` does not name is gone.
+        self.take_over(DistAgent::new(self.agent_id, self.shared.clone()));
     }
 
     fn on_recover(&mut self, _ctx: &mut Ctx<DistMsg>) {
         // Forward recovery: fold the AGDB journal, in log order, straight
-        // into the navigators and the summary table. Volatile navigation
-        // state (rule sets, gates) is rebuilt lazily as packets arrive;
-        // completed-step facts are restored here so StepStatus polls
-        // answer correctly.
+        // into the instance entries (navigators and summary rows).
+        // Volatile navigation state (rule sets, gates) is rebuilt lazily
+        // as packets arrive; completed-step facts are restored here so
+        // StepStatus polls answer correctly.
         let Some(ops) = recover_for_node(&mut self.wal) else {
             // Unreadable AGDB: degrade to a halted node rather than serving
             // from amnesia — peers observe a silent agent and route around
@@ -1807,7 +1835,7 @@ impl Node<DistMsg> for DistAgent {
                     st.is_coordinator = true;
                     st.nav.committed = status == InstanceStatus::Committed;
                     st.nav.aborted = status == InstanceStatus::Aborted;
-                    self.statuses.insert(instance, status);
+                    st.status = Some(status);
                 }
                 DbOp::InstancePurged { instance } => {
                     self.instances.remove(&instance);

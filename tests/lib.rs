@@ -132,3 +132,45 @@ pub fn linear_logged_schema(
     }
     b.build().expect("valid linear schema")
 }
+
+/// A linear schema of `steps` steps running the instrumented program
+/// `log`, step `i` (from 0) on agent `(agent_base + i) % 6`, each with a
+/// `passthrough` compensation: two instances on bases 0 and 3 meet on
+/// every agent of a six-agent system.
+pub fn logged_linear(id: u32, steps: u32, agent_base: u32) -> crew_model::WorkflowSchema {
+    use crew_model::{AgentId, SchemaBuilder, SchemaId};
+    let mut b = SchemaBuilder::new(SchemaId(id), format!("wf{id}")).inputs(1);
+    let ids: Vec<_> = (0..steps)
+        .map(|i| b.add_step(format!("S{}", i + 1), "log"))
+        .collect();
+    for w in ids.windows(2) {
+        b.seq(w[0], w[1]);
+    }
+    for (i, s) in ids.iter().enumerate() {
+        b.configure(*s, |d| {
+            d.eligible_agents = vec![AgentId((agent_base + i as u32) % 6)];
+            d.compensation_program = Some("passthrough".into());
+        });
+    }
+    b.build().unwrap()
+}
+
+/// A → B → C → D running `log`: A on agent 0, and each later step
+/// eligible on agents 1, 2 and 3, so load-balanced selection has a choice
+/// at every forward.
+pub fn multi_eligible_schema() -> crew_model::WorkflowSchema {
+    use crew_model::{AgentId, SchemaBuilder, SchemaId};
+    let mut b = SchemaBuilder::new(SchemaId(1), "lb").inputs(1);
+    let s1 = b.add_step("A", "log");
+    let s2 = b.add_step("B", "log");
+    let s3 = b.add_step("C", "log");
+    let s4 = b.add_step("D", "log");
+    b.seq(s1, s2).seq(s2, s3).seq(s3, s4);
+    b.configure(s1, |d| d.eligible_agents = vec![AgentId(0)]);
+    for s in [s2, s3, s4] {
+        b.configure(s, |d| {
+            d.eligible_agents = vec![AgentId(1), AgentId(2), AgentId(3)]
+        });
+    }
+    b.build().unwrap()
+}

@@ -2,7 +2,7 @@
 //! relative ordering (Figure 2), mutual exclusion, rollback dependencies.
 
 use crew_core::{Architecture, Scenario, WorkflowSystem};
-use crew_integration_tests::ExecLog;
+use crew_integration_tests::{logged_linear, ExecLog};
 use crew_model::{
     AgentId, CoordinationSpec, Expr, ItemKey, MutualExclusion, RelativeOrder, RollbackDependency,
     SchemaBuilder, SchemaId, SchemaStep, StepId, Value,
@@ -17,23 +17,6 @@ const ALL_ARCHS: [Architecture; 3] = [
     },
     Architecture::Distributed { agents: 6 },
 ];
-
-fn logged_linear(id: u32, steps: u32, agent_base: u32) -> crew_model::WorkflowSchema {
-    let mut b = SchemaBuilder::new(SchemaId(id), format!("wf{id}")).inputs(1);
-    let ids: Vec<_> = (0..steps)
-        .map(|i| b.add_step(format!("S{}", i + 1), "log"))
-        .collect();
-    for w in ids.windows(2) {
-        b.seq(w[0], w[1]);
-    }
-    for (i, s) in ids.iter().enumerate() {
-        b.configure(*s, |d| {
-            d.eligible_agents = vec![AgentId((agent_base + i as u32) % 6)];
-            d.compensation_program = Some("passthrough".into());
-        });
-    }
-    b.build().unwrap()
-}
 
 /// Figure 2: two workflows with two conflicting step pairs. Whatever order
 /// the first pair executes in, the second pair must follow the same

@@ -7,9 +7,14 @@
 //! across the outage).
 
 use crew_core::{Architecture, CrashWindow, Scenario, WorkflowSystem};
-use crew_integration_tests::{linear_logged_schema, ExecLog};
-use crew_model::{AgentId, SchemaBuilder, SchemaId, StepKind, Value};
+use crew_distributed::SuccessorSelection;
+use crew_integration_tests::{linear_logged_schema, logged_linear, multi_eligible_schema, ExecLog};
+use crew_model::{
+    AgentId, MutualExclusion, RelativeOrder, SchemaBuilder, SchemaId, SchemaStep, StepId, StepKind,
+    Value,
+};
 use crew_storage::{DbOp, InstanceStatus, Wal};
+use std::collections::BTreeMap;
 
 /// A successor agent is down when the packet arrives: the persistent
 /// substrate buffers it; on recovery the workflow continues and commits.
@@ -272,6 +277,192 @@ fn crash_isolates_to_dependent_instances() {
         2,
         "both commit; WF2 unaffected by the crash"
     );
+}
+
+// ---- agent crash sweeps ------------------------------------------------------
+
+/// What went wrong in a run: how many instances did not commit, and
+/// whether some `(instance, step)` ran more than once.
+fn damage(report: &crew_core::RunReport, log: &ExecLog) -> (usize, bool) {
+    let mut runs = BTreeMap::new();
+    for (instance, step, _) in log.entries() {
+        *runs.entry((instance, step)).or_insert(0u32) += 1;
+    }
+    let uncommitted = report.outcomes.len() - report.committed();
+    (uncommitted, runs.values().any(|&n| n > 1))
+}
+
+/// The coordination a row (l) sweep runs under.
+#[derive(Debug, Clone, Copy)]
+enum Coordination {
+    None,
+    /// A mutual exclusion over both schemas' S3.
+    MutexOnS3,
+    /// A relative order over the pairs (S2, S2) and (S4, S4).
+    OrderOnS2S4,
+}
+
+/// Three linked pairs of `logged_linear` instances (bases 0 and 3) on six
+/// agents, with `agent` down for 30 ticks from tick `at`: is the run bad?
+fn linked_pairs_crash_is_bad(coordination: Coordination, agent: u32, at: u64) -> bool {
+    let log = ExecLog::new();
+    let (wf1, wf2) = (logged_linear(1, 5, 0), logged_linear(2, 5, 3));
+    let mut system = WorkflowSystem::new([wf1, wf2], Architecture::Distributed { agents: 6 });
+    log.register(&mut system.deployment.registry, "log");
+    let step = |schema, s| SchemaStep::new(SchemaId(schema), StepId(s));
+    let spec = &mut system.deployment.coordination;
+    match coordination {
+        Coordination::None => {}
+        Coordination::MutexOnS3 => spec.mutual_exclusions.push(MutualExclusion {
+            id: 0,
+            resource: "booth".into(),
+            members: vec![step(1, 3), step(2, 3)],
+        }),
+        Coordination::OrderOnS2S4 => spec.relative_orders.push(RelativeOrder {
+            id: 0,
+            conflict: "parts".into(),
+            pairs: vec![(step(1, 2), step(2, 2)), (step(1, 4), step(2, 4))],
+        }),
+    }
+    let mut scenario = Scenario::new();
+    for k in 0..3 {
+        let a = scenario.start(SchemaId(1), vec![(1, Value::Int(k))]);
+        let b = scenario.start(SchemaId(2), vec![(1, Value::Int(k))]);
+        scenario.link(a, b);
+    }
+    scenario.crash(CrashWindow::agent(agent, at, Some(30)));
+    let report = system.run(scenario);
+    damage(&report, &log) != (0, false)
+}
+
+/// ROADMAP row (l), an agent crash × coordination: each of the six agents
+/// down for 30 ticks from each tick 0–79 (1 440 runs). A bad run leaves an
+/// instance uncommitted or runs a step twice. Without coordination no run
+/// is bad. With it, the bad runs per crashed agent are pinned as KNOWN:
+/// an agent's managers and gates are volatile and its AGDB journals none
+/// of them, so a crash at an agent that holds a member step or runs a
+/// manager can wedge an instance (ROADMAP item 3). The fix moves these
+/// rows to zero.
+#[test]
+fn agent_crash_sweep_over_linked_pairs() {
+    const KNOWN_MUTEX: [usize; 6] = [0, 0, 11, 0, 0, 17];
+    const KNOWN_ORDER: [usize; 6] = [4, 9, 0, 10, 7, 0];
+    let sweep = |coordination| {
+        (0..6u32)
+            .map(|agent| {
+                (0..80)
+                    .filter(|&at| linked_pairs_crash_is_bad(coordination, agent, at))
+                    .count()
+            })
+            .collect::<Vec<_>>()
+    };
+    let none = sweep(Coordination::None);
+    let mutex = sweep(Coordination::MutexOnS3);
+    let order = sweep(Coordination::OrderOnS2S4);
+    assert_eq!(none, [0; 6], "uncoordinated");
+    assert_eq!(mutex, KNOWN_MUTEX, "mutex on S3");
+    assert_eq!(order, KNOWN_ORDER, "relative order on (S2, S4)");
+}
+
+/// Load-balanced successor selection under agent crashes:
+/// `multi_eligible_schema`, six instances on four agents, each agent down
+/// for 30 or 5 ticks from each tick 0–79 (640 runs). Every instance
+/// commits and no step runs twice. A crash that dropped the agent's
+/// outstanding forwards, or reset its load, would make runs bad here
+/// (`DistAgent::take_over` keeps both).
+#[test]
+fn load_balanced_agent_crash_sweep() {
+    let mut bad = Vec::new();
+    for down_for in [30, 5] {
+        for agent in 0..4 {
+            for at in 0..80 {
+                let log = ExecLog::new();
+                let mut system = WorkflowSystem::new(
+                    [multi_eligible_schema()],
+                    Architecture::Distributed { agents: 4 },
+                );
+                log.register(&mut system.deployment.registry, "log");
+                system.dist_config.successor_selection = SuccessorSelection::LoadBalanced;
+                let mut scenario = Scenario::new();
+                for k in 0..6 {
+                    scenario.start(SchemaId(1), vec![(1, Value::Int(k))]);
+                }
+                scenario.crash(CrashWindow::agent(agent, at, Some(down_for)));
+                let report = system.run(scenario);
+                let damage = damage(&report, &log);
+                if damage != (0, false) {
+                    bad.push((down_for, agent, at, damage));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        bad,
+        [],
+        "(down for, agent, crash tick, (uncommitted, a step ran twice))"
+    );
+}
+
+/// A → B → C on two agents, A and B on agents 0 and 1 and C eligible on
+/// `c_on`, with `crashed` down for 30 ticks from tick `at`: how often each
+/// step ran, and how many instances committed.
+fn recovered_rerun(
+    c_on: &[u32],
+    crashed: u32,
+    at: u64,
+    selection: SuccessorSelection,
+) -> (Vec<usize>, usize) {
+    let log = ExecLog::new();
+    let mut b = SchemaBuilder::new(SchemaId(1), "rerun").inputs(1);
+    let steps = ["A", "B", "C"].map(|name| b.add_step(name, "log"));
+    b.seq(steps[0], steps[1]).seq(steps[1], steps[2]);
+    for (s, agents) in steps.into_iter().zip([&[0][..], &[1], c_on]) {
+        b.configure(s, |d| {
+            d.eligible_agents = agents.iter().map(|&a| AgentId(a)).collect()
+        });
+    }
+    let mut system = WorkflowSystem::new(
+        [b.build().unwrap()],
+        Architecture::Distributed { agents: 2 },
+    );
+    log.register(&mut system.deployment.registry, "log");
+    system.dist_config.successor_selection = selection;
+    let mut scenario = Scenario::new();
+    let idx = scenario.start(SchemaId(1), vec![(1, Value::Int(5))]);
+    let inst = scenario.instance_id(idx);
+    scenario.crash(CrashWindow::agent(crashed, at, Some(30)));
+    let report = system.run(scenario);
+    let runs = steps.iter().map(|&s| log.count(inst, s)).collect();
+    (runs, report.committed())
+}
+
+/// KNOWN, ROADMAP row (m): a recovered agent re-runs steps its AGDB
+/// records `Done`. A@0 → B@1 → C@0, agent 0 down for 30 ticks from tick
+/// 4, 5 or 6 (A ran at tick 3, B runs at 4): on recovery the packet for C
+/// carries `workflow.start` and `A.done`, the agent installs its rules
+/// fresh with no marks, and A's rule fires again, so A, B and C each run
+/// twice. The instance still commits. Under load-balanced selection with
+/// C eligible on both agents and agent 1 down from tick 5–8, B's forward
+/// of C is outstanding across the crash: on recovery the reply completes
+/// it, agent 1 picks itself, and its self-delivered packet fires B and C
+/// on fresh rules, and B's re-run fires C again;
+/// `finish_load_balanced_forward`'s tail `start_step` runs C a third
+/// time, and B's re-run forwards C to agent 0, which runs it a fourth.
+/// The fix moves both to one run of each step.
+#[test]
+fn known_recovered_agent_reruns_done_steps() {
+    for at in [4, 5, 6] {
+        let hashed = recovered_rerun(&[0], 0, at, SuccessorSelection::DesignatedHash);
+        assert_eq!(hashed, (vec![2, 2, 2], 1), "agent 0 down from {at}");
+    }
+    for at in 5..=8 {
+        let balanced = recovered_rerun(&[0, 1], 1, at, SuccessorSelection::LoadBalanced);
+        assert_eq!(
+            balanced,
+            (vec![1, 2, 4], 1),
+            "load-balanced, agent 1 down from {at}"
+        );
+    }
 }
 
 // ---- engine crashes under central / parallel control -----------------------

@@ -237,11 +237,14 @@ fn live_state_per_instance_stays_inside_its_budget() {
     // (214.6 + 62.4 calls) while each agent kept its instances and summary
     // rows in B-trees, whose leaves are blocks of their own (the hash
     // tables read 10 420 B: their buckets are sized in powers of two, so
-    // the bytes budget stays where it was). The teardown calls are the
+    // the bytes budget stayed at 10 402 B); and 10 420 B / 60.7 blocks
+    // (213.6 + 61.0 calls) while each agent kept its summary rows in a
+    // hashed table of their own beside its instances, and every instance
+    // entry three polling tables for one wait. The teardown calls are the
     // blocks a run leaves to free: teardown time scales with them.
     let rows = [
         ("central", central(), (327.0, 0.4, 191.6, 0.7)),
-        ("distributed", distributed(), (10_402.0, 60.7, 213.6, 61.0)),
+        ("distributed", distributed(), (10_033.0, 60.7, 213.5, 61.0)),
     ];
     for (control, f, _) in rows {
         println!(

@@ -3,26 +3,9 @@
 
 use crew_core::{Architecture, Scenario, WorkflowSystem};
 use crew_distributed::SuccessorSelection;
-use crew_integration_tests::ExecLog;
+use crew_integration_tests::{multi_eligible_schema, ExecLog};
 use crew_model::{AgentId, SchemaBuilder, SchemaId, Value};
 use crew_simnet::Mechanism;
-
-fn multi_eligible_schema() -> crew_model::WorkflowSchema {
-    let mut b = SchemaBuilder::new(SchemaId(1), "lb").inputs(1);
-    let s1 = b.add_step("A", "log");
-    let s2 = b.add_step("B", "log");
-    let s3 = b.add_step("C", "log");
-    let s4 = b.add_step("D", "log");
-    b.seq(s1, s2).seq(s2, s3).seq(s3, s4);
-    b.configure(s1, |d| d.eligible_agents = vec![AgentId(0)]);
-    // Every later step can run on any of three agents.
-    for s in [s2, s3, s4] {
-        b.configure(s, |d| {
-            d.eligible_agents = vec![AgentId(1), AgentId(2), AgentId(3)]
-        });
-    }
-    b.build().unwrap()
-}
 
 #[test]
 fn load_balanced_mode_commits_and_costs_polls() {
