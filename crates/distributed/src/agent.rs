@@ -79,6 +79,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
+mod paged;
+
+use paged::Paged;
+
 const TIMER_POLL: TimerId = TimerId(1);
 const TIMER_PURGE: TimerId = TimerId(2);
 
@@ -122,6 +126,23 @@ struct InstState {
     /// (local step, successor step) pairs we already forwarded packets
     /// along (the halt probes retrace these channels).
     forwarded: VecSet<(StepId, StepId)>,
+    /// The tables a fault-free run under designated executors never
+    /// writes, allocated on first write (DESIGN.md §6j).
+    cold: Option<Box<Cold>>,
+    /// This agent plays the coordination-agent role for the instance: an
+    /// entry that keeps it survives a purge.
+    is_coordinator: bool,
+    /// The instance's row in the coordination instance summary table — the
+    /// one AGDB table read live (`WorkflowStatus`). Not derived from
+    /// `is_coordinator`: `on_workflow_abort` can journal `Aborted` at an
+    /// agent that never saw the start.
+    status: Option<InstanceStatus>,
+}
+
+/// An entry's rarely written tables: a `CompensateSet` chain, status
+/// polling, a takeover or a load-balanced choice writes them.
+#[derive(Debug, Default)]
+struct Cold {
     /// Steps whose re-execution is deferred until a `CompensateSet` chain
     /// returns.
     awaiting_compset: VecSet<StepId>,
@@ -134,14 +155,18 @@ struct InstState {
     overrides: VecSet<StepId>,
     /// Load-balanced executor choices received via packets: step → agent.
     chosen_executor: VecMap<StepId, crew_model::AgentId>,
-    /// This agent plays the coordination-agent role for the instance: an
-    /// entry that keeps it survives a purge.
-    is_coordinator: bool,
-    /// The instance's row in the coordination instance summary table — the
-    /// one AGDB table read live (`WorkflowStatus`). Not derived from
-    /// `is_coordinator`: `on_workflow_abort` can journal `Aborted` at an
-    /// agent that never saw the start.
-    status: Option<InstanceStatus>,
+}
+
+impl InstState {
+    /// The rarely written tables, if one was ever written.
+    fn cold(&self) -> Option<&Cold> {
+        self.cold.as_deref()
+    }
+
+    /// The rarely written tables, allocated on first use.
+    fn cold_mut(&mut self) -> &mut Cold {
+        self.cold.get_or_insert_with(Box::default)
+    }
 }
 
 /// How far the wait for a remote step's `step.done` has got.
@@ -175,9 +200,10 @@ pub struct DistAgent {
     pub agent_id: crew_model::AgentId,
     shared: SharedCtx,
     executor: StepExecutor,
-    /// Every instance this agent has touched and not purged. Boxed, so a
-    /// table that grows moves pointers, not states.
-    instances: ByInstance<Box<InstState>>,
+    /// Every instance this agent has touched and not purged, in pages: a
+    /// table that grows moves slot numbers, not states, and a page is one
+    /// block for many entries.
+    instances: Paged<InstState>,
     /// Compiled rule templates per schema (lazily built): only the rows
     /// of steps this agent is eligible for, the others it never installs.
     templates: BTreeMap<crew_model::SchemaId, Arc<Vec<crew_rules::TemplateRule>>>,
@@ -225,7 +251,7 @@ impl DistAgent {
             agent_id,
             shared,
             executor,
-            instances: ByInstance::default(),
+            instances: Paged::default(),
             templates: BTreeMap::new(),
             wal: Wal::in_memory(),
             ro: RoArbiter::default(),
@@ -297,10 +323,9 @@ impl DistAgent {
     /// step belongs to *nobody* — executing on the designation fallback
     /// would race the selection and double-execute.
     fn is_executor(&mut self, instance: InstanceId, schema: &WorkflowSchema, step: StepId) -> bool {
-        if let Some(st) = self.instances.get(&instance) {
-            if let Some(&chosen) = st.chosen_executor.get(&step) {
-                return chosen == self.agent_id;
-            }
+        let cold = self.instances.get(&instance).and_then(InstState::cold);
+        if let Some(&chosen) = cold.and_then(|c| c.chosen_executor.get(&step)) {
+            return chosen == self.agent_id;
         }
         if self.selectable(schema, step) {
             return false; // await the selection's executor stamp
@@ -379,7 +404,7 @@ impl DistAgent {
 
     /// Instance state, creating an empty shell on first contact.
     fn inst(&mut self, instance: InstanceId) -> &mut InstState {
-        self.instances.entry(instance).or_default()
+        self.instances.get_or_default(instance)
     }
 
     /// Deliver `msg` to the agent at `node`: a send to a peer, or — `node`
@@ -424,7 +449,7 @@ impl DistAgent {
         let seed = self.seed();
         let load_balanced =
             self.shared.config.successor_selection == SuccessorSelection::LoadBalanced;
-        let st = self.instances.entry(instance).or_default();
+        let st = self.instances.get_or_default(instance);
         st.instantiated = true;
         for t in template.iter() {
             // Under load balancing the executor is chosen dynamically, so
@@ -473,7 +498,9 @@ impl DistAgent {
         let stale = |k: &EventKind| matches!(k, EventKind::StepDone(s) if voided.contains(s));
         packet.events.retain(|(kind, _)| !stale(kind));
         if let Some(chosen) = packet.executor {
-            st.chosen_executor.insert(packet.target_step, chosen);
+            st.cold_mut()
+                .chosen_executor
+                .insert(packet.target_step, chosen);
         }
         self.nav_load(ctx);
 
@@ -493,7 +520,7 @@ impl DistAgent {
             let (step, wait) = (packet.target_step, RemoteWait::Since(ctx.now));
             let st = self.inst(instance);
             if !st.nav.rules.has_event(EventKind::StepDone(step)) {
-                st.waits.entry(step).or_insert(wait);
+                st.cold_mut().waits.entry(step).or_insert(wait);
                 self.arm_poll(ctx);
             }
         }
@@ -607,12 +634,13 @@ impl DistAgent {
 
     fn start_step(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<DistMsg>) {
         let schema = self.schema(instance);
-        if !self.is_executor(instance, &schema, step)
-            && !self.inst(instance).overrides.contains(&step)
-        {
+        let cold = self.inst(instance).cold();
+        let overridden = cold.is_some_and(|c| c.overrides.contains(&step));
+        let deferred = cold.is_some_and(|c| c.awaiting_compset.contains(&step));
+        if !overridden && !self.is_executor(instance, &schema, step) {
             return;
         }
-        if self.inst(instance).awaiting_compset.contains(&step) {
+        if deferred {
             return; // a CompensateSet chain will restart it
         }
         if !self.pass_gate(instance, step, ctx) {
@@ -625,7 +653,7 @@ impl DistAgent {
         }
 
         let def = schema.expect_step(step);
-        let nav = &mut self.instances.entry(instance).or_default().nav;
+        let nav = &mut self.instances.get_or_default(instance).nav;
         match nav.revisit(&self.shared.deployment, instance, step, Vantage::Schema) {
             // Previous results suffice: re-assert step.done directly.
             Revisit::Reuse => self.after_step_done(instance, step, ctx),
@@ -634,7 +662,7 @@ impl DistAgent {
             // the CompensateSet chain, which re-executes it at its end (§5.2).
             Revisit::Compensate { mut undo, .. } if undo.len() > 1 => {
                 undo.reverse();
-                self.inst(instance).awaiting_compset.insert(step);
+                self.inst(instance).cold_mut().awaiting_compset.insert(step);
                 self.pass_chain(instance, Some(step), undo, ctx);
             }
             Revisit::Compensate { partial, .. } => {
@@ -881,7 +909,7 @@ impl DistAgent {
         // The sender records the choice too (it may itself be eligible
         // for the target step).
         let st = self.inst(instance);
-        st.chosen_executor.insert(target_step, chosen);
+        st.cold_mut().chosen_executor.insert(target_step, chosen);
         self.broadcast_packet(packet, &pf.candidates, ctx);
         // If we chose ourselves, the navigation rule already fired (and
         // skipped) while the choice was outstanding — drive the step
@@ -1123,7 +1151,9 @@ impl DistAgent {
             self.pass_chain(instance, origin, steps, ctx);
         } else if let Some(origin) = origin {
             debug_assert_eq!(step, origin);
-            self.inst(instance).awaiting_compset.remove(&origin);
+            if let Some(cold) = self.inst(instance).cold.as_deref_mut() {
+                cold.awaiting_compset.remove(&origin);
+            }
             let def = self.schema(instance).expect_step(origin).clone();
             self.execute_now(instance, &def, ctx);
         }
@@ -1462,15 +1492,18 @@ impl DistAgent {
         let mut takeovers: Vec<(InstanceId, StepId)> = Vec::new();
         let mut waiting = false;
         let overdue = |t: u64| now.saturating_sub(t) >= POLL_TIMEOUT;
-        for (&instance, st) in self.instances.iter_mut() {
+        self.instances.for_each_mut(|instance, st| {
+            let Some(cold) = st.cold.as_deref_mut() else {
+                return;
+            };
             if st.nav.committed || st.nav.aborted {
-                continue;
+                return;
             }
             // Settle the waits for steps that completed meanwhile.
             let rules = &st.nav.rules;
-            st.waits
+            cold.waits
                 .retain(|&s, w| !rules.has_event(EventKind::StepDone(s)) || w.settle());
-            for (&step, wait) in &st.waits {
+            for (&step, wait) in &cold.waits {
                 match *wait {
                     // Overdue remote step → poll its eligible agents.
                     RemoteWait::Since(t) if overdue(t) => polls.push((instance, step)),
@@ -1480,13 +1513,13 @@ impl DistAgent {
                 }
                 waiting |= !matches!(wait, RemoteWait::Settled);
             }
-        }
+        });
         // The table's order is its hasher's: go out in instance order.
         polls.sort_unstable();
         takeovers.sort_unstable();
         let polled = RemoteWait::Polled(now);
         for (instance, step) in polls {
-            self.inst(instance).waits.insert(step, polled);
+            self.inst(instance).cold_mut().waits.insert(step, polled);
             let schema = self.schema(instance);
             let def = schema.expect_step(step);
             for agent in &def.eligible_agents {
@@ -1497,7 +1530,8 @@ impl DistAgent {
             }
         }
         for (instance, step) in takeovers {
-            self.inst(instance).waits.insert(step, RemoteWait::Settled);
+            let waits = &mut self.inst(instance).cold_mut().waits;
+            waits.insert(step, RemoteWait::Settled);
             self.try_takeover(instance, step, ctx);
         }
         if waiting {
@@ -1557,8 +1591,9 @@ impl DistAgent {
         }
         // Someone made (or is making) progress: keep waiting; the packet /
         // failure protocol will reach us.
-        let waits = &mut self.inst(instance).waits;
-        waits.retain(|&s, w| s != step || w.settle());
+        if let Some(cold) = self.inst(instance).cold.as_deref_mut() {
+            cold.waits.retain(|&s, w| s != step || w.settle());
+        }
     }
 
     fn on_execute_request(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<DistMsg>) {
@@ -1570,7 +1605,7 @@ impl DistAgent {
             if st.nav.history.state(step) != StepState::NotExecuted {
                 return; // executed / executing here already
             }
-            st.overrides.insert(step);
+            st.cold_mut().overrides.insert(step);
         }
         // Take over: rules for this step were not installed locally (we are
         // not designated), so drive the execution directly from the packet
@@ -2057,13 +2092,10 @@ mod tests {
         assert_eq!(kinds(standby), [2, 0, 0]);
     }
 
-    /// Values are immutable once a program returns them, so a string
-    /// output is one allocation wherever it travels: in the executor's
-    /// step record and in the data table of every agent a packet carried
-    /// it to. Six `stamp` steps in sequence, two eligible agents each over
-    /// four agents — the benchmark's L shape, made small.
-    #[test]
-    fn a_string_output_is_shared_by_every_agent_that_holds_it() {
+    /// The benchmark's L shape, made small: six `stamp` steps in
+    /// sequence, two eligible agents each over four agents. `policies`
+    /// adds failure policies before the schema is built.
+    fn small_l(policies: impl FnOnce(&mut SchemaBuilder, &[StepId])) -> (Deployment, Vec<StepId>) {
         let mut b = SchemaBuilder::new(SchemaId(1), "L").inputs(1);
         let steps: Vec<StepId> = (1..=6)
             .map(|k| b.add_step(format!("S{k}"), "stamp"))
@@ -2077,7 +2109,17 @@ mod tests {
                 d.eligible_agents = vec![AgentId(k % 4), AgentId((k + 1) % 4)];
             });
         }
-        let deployment = Deployment::new([b.build().unwrap()]);
+        policies(&mut b, &steps);
+        (Deployment::new([b.build().unwrap()]), steps)
+    }
+
+    /// Values are immutable once a program returns them, so a string
+    /// output is one allocation wherever it travels: in the executor's
+    /// step record and in the data table of every agent a packet carried
+    /// it to.
+    #[test]
+    fn a_string_output_is_shared_by_every_agent_that_holds_it() {
+        let (deployment, steps) = small_l(|_, _| {});
         let mut run = crate::DistRun::new(deployment, 4, DistConfig::default());
         let instance = run.start_instance(SchemaId(1), vec![(1, Value::Int(5))]);
         run.run();
@@ -2486,5 +2528,160 @@ mod tests {
         );
         let polls = &sim.node_as::<PollSink>(sink).unwrap().0;
         assert_eq!(polls, &[(contacts[1], s2), (contacts[0], s2)]);
+    }
+
+    /// What `agent` holds per instance: every entry, and the rarely
+    /// written tables of those that allocated them.
+    fn cold_tables(agent: &DistAgent) -> (usize, Vec<&Cold>) {
+        let held = agent.instances.keys();
+        let cold = held.filter_map(|i| agent.instances[i].cold());
+        (agent.instances.keys().count(), cold.collect())
+    }
+
+    /// An entry is 320 bytes since its four rarely written tables moved
+    /// behind one pointer (408 before): a field added here is paid by
+    /// every agent-instance, 7.5 per workflow instance in the L shape.
+    #[test]
+    fn an_instance_entry_stays_small() {
+        assert_eq!(std::mem::size_of::<InstState>(), 320);
+    }
+
+    /// The cold half stays cold: a fault-free run and a run whose steps
+    /// fail, retry and roll back (first attempts only, as
+    /// `dist_failures` scripts them) leave no entry with its rarely
+    /// written tables allocated.
+    #[test]
+    fn fault_free_and_failing_runs_leave_the_cold_half_unallocated() {
+        const INSTANCES: u32 = 24;
+        for failing in [false, true] {
+            let (mut deployment, steps) = small_l(|b, steps| {
+                b.configure(steps[1], |d| d.retry = Some(1));
+                b.on_failure_rollback_to(steps[4], steps[2]);
+            });
+            if failing {
+                let mut plan = FailurePlan::none();
+                for serial in (1..=INSTANCES).filter(|n| n % 3 == 0) {
+                    let instance = InstanceId::new(SchemaId(1), serial);
+                    for step in [steps[1], steps[3], steps[4]] {
+                        plan = plan.fail_step(instance, step, 1);
+                    }
+                }
+                deployment.plan = plan;
+            }
+            let mut run = crate::DistRun::new(deployment, 4, DistConfig::default());
+            for k in 0..INSTANCES {
+                run.start_instance_at(SchemaId(1), vec![(1, Value::Int(5))], u64::from(k) * 5);
+            }
+            run.run();
+            let outcomes = run.outcomes();
+            assert!(outcomes.values().all(|o| *o == crate::Outcome::Committed));
+            let agents: Vec<&DistAgent> = (0..4).map(|a| run.agent(AgentId(a))).collect();
+            let retried = outcomes.keys().any(|&i| {
+                let attempts = |a: &&DistAgent| a.history_of(i).map(|h| h.attempts(steps[4]));
+                agents.iter().filter_map(attempts).any(|n| n > 1)
+            });
+            assert_eq!(retried, failing, "failures ran only where scripted");
+            for agent in agents {
+                let (held, cold) = cold_tables(agent);
+                assert!(held > 0);
+                assert!(cold.is_empty(), "failing {failing}: {cold:?}");
+            }
+        }
+    }
+
+    /// Under load-balanced selection an entry allocates its rarely written
+    /// tables where it holds an executor choice, and only there. The
+    /// schema is `successor_selection.rs`'s: A at agent 0, then B, C and
+    /// D each eligible at agents 1, 2 and 3 (its `log` steps are
+    /// `passthrough` here, which this crate's registry holds).
+    #[test]
+    fn load_balanced_choices_alone_warm_the_cold_half() {
+        let mut b = SchemaBuilder::new(SchemaId(1), "lb").inputs(1);
+        let steps = ["A", "B", "C", "D"].map(|name| b.add_step(name, "passthrough"));
+        for pair in steps.windows(2) {
+            b.seq(pair[0], pair[1]);
+        }
+        b.configure(steps[0], |d| d.eligible_agents = vec![AgentId(0)]);
+        for &s in &steps[1..] {
+            b.configure(s, |d| {
+                d.eligible_agents = vec![AgentId(1), AgentId(2), AgentId(3)]
+            });
+        }
+        let deployment = Deployment::new([b.build().unwrap()]);
+        let config = DistConfig {
+            successor_selection: SuccessorSelection::LoadBalanced,
+            ..DistConfig::default()
+        };
+        let mut run = crate::DistRun::new(deployment, 4, config);
+        for k in 0..8 {
+            run.start_instance_at(
+                SchemaId(1),
+                vec![(1, Value::Int(k))],
+                u64::from(k as u32) * 5,
+            );
+        }
+        run.run();
+        assert!(run
+            .outcomes()
+            .values()
+            .all(|o| *o == crate::Outcome::Committed));
+        let mut warm = 0;
+        for a in 0..4 {
+            let (held, cold) = cold_tables(run.agent(AgentId(a)));
+            assert!(held > 0);
+            for c in &cold {
+                assert!(!c.chosen_executor.is_empty(), "agent {a}: {c:?}");
+                assert!(c.awaiting_compset.is_empty() && c.waits.is_empty());
+                assert!(c.overrides.is_empty());
+            }
+            warm += cold.len();
+        }
+        assert!(warm > 0, "no executor choice was held");
+    }
+
+    /// A purge frees its entry's slot, and the next instance the agent
+    /// meets takes that slot with none of the purged instance's facts: no
+    /// data, no history, no forwarded channel, no rarely written table.
+    #[test]
+    fn a_purged_entrys_slot_is_reused_empty() {
+        let [purged, next] = [1, 2].map(|n| InstanceId::new(SchemaId(1), n));
+        let mut a = agent();
+        let mut ctx = Ctx::detached(0, NodeId(0));
+        let data: DataEnv = [(ItemKey::input(1), Value::Int(5))].into_iter().collect();
+        let packet = WorkflowPacket::initial(purged, StepId(1), data);
+        a.on_message(NodeId(0), DistMsg::StepExecute { packet }, &mut ctx);
+        a.inst(purged).cold_mut().overrides.insert(StepId(2));
+        let st = &a.instances[&purged];
+        assert!(!st.nav.data.is_empty() && !st.forwarded.is_empty());
+        let slot: *const InstState = st;
+        let instances = vec![purged];
+        a.on_message(NodeId(0), DistMsg::PurgeBroadcast { instances }, &mut ctx);
+        assert!(a.instances.get(&purged).is_none());
+
+        let st = a.inst(next);
+        assert!(std::ptr::eq(slot, st), "the purged slot was not reused");
+        assert!(st.nav.data.is_empty() && st.nav.history.record(StepId(1)).is_none());
+        assert!(st.forwarded.is_empty() && st.cold.is_none() && !st.instantiated);
+        assert_eq!(a.instances.pages(), 1);
+    }
+
+    /// A crash leaves the agent an empty table: `take_over` keeps no entry
+    /// and no page.
+    #[test]
+    fn take_over_starts_from_an_empty_table() {
+        let mut a = agent();
+        let mut ctx = Ctx::detached(0, NodeId(0));
+        for n in 1..=3 {
+            let start = DistMsg::WorkflowStart {
+                instance: InstanceId::new(SchemaId(1), n),
+                inputs: vec![(ItemKey::input(1), Value::Int(5))],
+                parent: None,
+            };
+            a.on_message(NodeId::EXTERNAL, start, &mut ctx);
+        }
+        assert_eq!((a.instances.keys().count(), a.instances.pages()), (3, 1));
+        a.on_crash();
+        assert!(a.instances.is_empty());
+        assert_eq!(a.instances.pages(), 0);
     }
 }

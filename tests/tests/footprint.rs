@@ -240,11 +240,15 @@ fn live_state_per_instance_stays_inside_its_budget() {
     // the bytes budget stayed at 10 402 B); and 10 420 B / 60.7 blocks
     // (213.6 + 61.0 calls) while each agent kept its summary rows in a
     // hashed table of their own beside its instances, and every instance
-    // entry three polling tables for one wait. The teardown calls are the
-    // blocks a run leaves to free: teardown time scales with them.
+    // entry three polling tables for one wait; and 10 033 B / 60.7 blocks
+    // (213.5 + 61.0 calls) while each agent kept every instance entry in a
+    // block of its own, with four tables no fault-free run writes inline in
+    // each (they are now boxed on first write, and the entries sit 64 to a
+    // page). The teardown calls are the blocks a run leaves to free:
+    // teardown time scales with them, about one cache miss per block.
     let rows = [
         ("central", central(), (327.0, 0.4, 191.6, 0.7)),
-        ("distributed", distributed(), (10_033.0, 60.7, 213.5, 61.0)),
+        ("distributed", distributed(), (9_370.0, 53.3, 206.1, 53.7)),
     ];
     for (control, f, _) in rows {
         println!(

@@ -24,8 +24,12 @@
 //!   arrivals per 1 000 ticks. Each agent holds the tables of every
 //!   instance it touched (§4.2), so a per-message lookup that costs more
 //!   as an agent holds more shows here. With those tables in B-trees the
-//!   ratio was 15–20× (0.57–0.79 s at 8 000 instances); hashed, it is
-//!   15–20× (0.38–0.53 s). The limit is 30×.
+//!   ratio was 15–20× (0.57–0.79 s at 8 000 instances); hashed, it was
+//!   15–20× (0.38–0.53 s). With an agent's instance entries 64 to a page
+//!   it reads 14–20× (0.27–0.37 s) in five runs alternating with the
+//!   hashed boxes' 17–20× (0.32–0.36 s); one of three runs of all three
+//!   rows read 27.5× (0.42 s) on a shared 2-core host, so this row, too,
+//!   can come close to its limit. The limit is 30×.
 //!
 //! Timing, so `#[ignore]`: CI runs it in release, alone, with
 //! `--ignored --nocapture`.
