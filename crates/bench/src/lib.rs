@@ -233,8 +233,8 @@ mod tests {
             ),
             (
                 Architecture::Parallel { agents, engines },
-                ["72.333", "0.000", "0.000", "2.625", "9.958"],
-                ("1404.2", "2195.8"),
+                ["72.167", "0.000", "0.000", "2.625", "9.958"],
+                ("1403.1", "2191.7"),
             ),
             (
                 Architecture::Distributed { agents },

@@ -21,9 +21,16 @@ pub struct AppAgent {
 }
 
 impl AppAgent {
+    /// An agent over `registry`'s programs under `plan` alone.
     pub fn new(registry: ProgramRegistry, plan: FailurePlan, seed: u64) -> Self {
+        Self::of(StepExecutor::new(registry, plan, seed))
+    }
+
+    /// An agent running `executor`; every agent of a run shares the run's
+    /// one deployment ([`StepExecutor::of`]).
+    pub fn of(executor: StepExecutor) -> Self {
         AppAgent {
-            executor: StepExecutor::new(registry, plan, seed),
+            executor,
             executed: 0,
             compensated: 0,
         }
@@ -32,7 +39,7 @@ impl AppAgent {
 
 impl Node<CentralMsg> for AppAgent {
     fn on_message(&mut self, from: NodeId, msg: CentralMsg, ctx: &mut Ctx<CentralMsg>) {
-        let seed = self.executor.seed;
+        let seed = self.executor.seed();
         match msg {
             CentralMsg::ExecRequest {
                 instance,

@@ -5,7 +5,7 @@ use crate::appagent::AppAgent;
 use crate::engine::Engine;
 use crate::msg::CentralMsg;
 use crate::topology::{PlacementStrategy, Topology};
-use crew_exec::Deployment;
+use crew_exec::{Deployment, StepExecutor};
 use crew_model::{AgentId, InstanceId, ItemKey, SchemaId, Value};
 use crew_shard::{plan_migrations, BalancerConfig, EngineLoad, Params};
 use crew_simnet::{NodeId, Simulation};
@@ -41,11 +41,7 @@ impl CentralRun {
         let topo = Topology::with_placement(agents, engines, strategy, deployment.seed);
         let mut sim = Simulation::new(deployment.seed);
         for _ in 0..agents {
-            sim.add_node(AppAgent::new(
-                deployment.registry.clone(),
-                deployment.plan.clone(),
-                deployment.seed,
-            ));
+            sim.add_node(AppAgent::of(StepExecutor::of(deployment.clone())));
         }
         for e in 0..engines {
             sim.add_node(Engine::new(e, deployment.clone(), topo));

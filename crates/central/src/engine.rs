@@ -69,8 +69,11 @@ struct EngineInst {
     /// dependent sets compensate in reverse execution order.
     comp_queue: VecDeque<CompItem>,
     comp_active: bool,
-    /// Origin to re-execute once the compensation queue drains.
-    reexec_after_comp: Option<StepId>,
+    /// Revisited steps to re-execute, in the order they were revisited,
+    /// once the compensation queue drains. More than one when a second
+    /// thread of the instance revisits a step before the first one's
+    /// compensations are done.
+    reexec_after_comp: Vec<StepId>,
 }
 
 /// The engine node.
@@ -629,8 +632,7 @@ impl Engine {
         self.tell_manager(req, msg, ctx);
     }
 
-    /// Hand `instance`'s gate to `answer` and carry out what it wakes:
-    /// retry the steps, send the releases owed, send the requests.
+    /// Hand `instance`'s gate to `answer` and carry out what it wakes.
     fn answer(
         &mut self,
         instance: InstanceId,
@@ -642,6 +644,12 @@ impl Engine {
             return;
         };
         let wake = answer(gate, &nav.history);
+        self.wake(instance, wake, ctx);
+    }
+
+    /// Carry out what `instance`'s gate woke: retry the steps, send the
+    /// releases owed, send the requests.
+    fn wake(&mut self, instance: InstanceId, wake: Wake, ctx: &mut Ctx<CentralMsg>) {
         for step in wake.retry {
             self.start_step(instance, step, ctx);
         }
@@ -697,7 +705,10 @@ impl Engine {
             Revisit::Execute => self.dispatch(instance, def, ctx),
             // Re-dispatched once the queue of compensations drains.
             Revisit::Compensate { undo, partial } => {
-                self.inst(instance).reexec_after_comp = Some(step);
+                let origins = &mut self.inst(instance).reexec_after_comp;
+                if !origins.contains(&step) {
+                    origins.push(step);
+                }
                 let partial = partial.then_some(step);
                 self.queue_compensations(instance, undo, partial, false, ctx);
             }
@@ -735,11 +746,11 @@ impl Engine {
                 st.comp_queue.pop_front()
             };
             let Some(item) = item else {
-                // Queue drained: re-execute the deferred origin, if any.
-                let origin = self.inst(instance).reexec_after_comp.take();
-                if let Some(origin) = origin {
-                    let def = self.schema(instance).expect_step(origin).clone();
-                    self.dispatch(instance, &def, ctx);
+                // Queue drained: re-execute the deferred origins.
+                let schema = self.schema(instance);
+                let origins = std::mem::take(&mut self.inst(instance).reexec_after_comp);
+                for origin in origins {
+                    self.dispatch(instance, schema.expect_step(origin), ctx);
                 }
                 return;
             };
@@ -860,20 +871,27 @@ impl Engine {
         }
     }
 
+    /// The instance is looked up once, and again only after a send that
+    /// may have reached it (a wake or a compensation).
     fn after_step_done(&mut self, instance: InstanceId, step: StepId, ctx: &mut Ctx<CentralMsg>) {
         let schema = self.schema(instance);
-        let nav = &mut self.inst(instance).nav;
+        let mut nav = &mut self.inst(instance).nav;
         nav.rules.add_event(EventKind::StepDone(step));
         // The releases the step owes lagging partners, and its grants back.
-        self.answer(instance, ctx, |gate, _| gate.done(step));
+        if let Some(wake) = nav.gate.as_deref_mut().map(|gate| gate.done(step)) {
+            if !wake.is_empty() {
+                self.wake(instance, wake, ctx);
+                nav = &mut self.inst(instance).nav;
+            }
+        }
         // A switched XOR split: undo the abandoned branch.
-        let undo = (self.inst(instance).nav).abandoned_branch(&schema, step, Vantage::History);
+        let undo = nav.abandoned_branch(&schema, step, Vantage::History);
         if !undo.is_empty() {
             self.queue_compensations(instance, undo, None, false, ctx);
+            nav = &mut self.inst(instance).nav;
         }
         // The engine holds both ends of every arc: the weights the step
         // forwards are accepted on the spot.
-        let nav = &mut self.inst(instance).nav;
         for (to, weight) in nav.outgoing_weights(&schema, step) {
             nav.accept_weight(&schema, Some(step), to, weight);
         }
@@ -882,15 +900,18 @@ impl Engine {
         if schema.terminal_steps().contains(&step) && !nav.loop_continues(&schema, step) {
             nav.set_terminal_weight(step, nav.flow_weight(step));
             if nav.commit_now() {
-                self.set_status(instance, InstanceStatus::Committed);
-                let nav = &self.inst(instance).nav;
-                if let Some((p, pstep)) = nav.parent {
+                let done = nav.parent.map(|(parent, parent_step)| {
+                    let outputs = nav.nested_outputs(&schema);
                     let done = CentralMsg::ChildDone {
-                        parent: p,
-                        parent_step: pstep,
-                        outputs: nav.nested_outputs(&schema),
+                        parent,
+                        parent_step,
+                        outputs,
                     };
-                    self.tell(p, done, ctx);
+                    (parent, done)
+                });
+                self.set_status(instance, InstanceStatus::Committed);
+                if let Some((parent, done)) = done {
+                    self.tell(parent, done, ctx);
                 }
             }
         }
@@ -951,9 +972,11 @@ impl Engine {
         // Only the origin's firing is reset: downstream rules re-fire on
         // the fresh `step.done` occurrences the re-execution posts.
         let rollback = (st.nav).roll_back(&dep, instance, origin, Refire::Origin, !from_dependency);
-        // Results of dispatches still in flight are stale.
+        // Results of dispatches still in flight are stale, and so are
+        // re-executions still waiting on compensations.
         let stale = |s: &StepId| *s == origin || rollback.invalidated.contains(s);
         st.pending_exec.retain(|s, _| !stale(s));
+        st.reexec_after_comp.retain(|s| !stale(s));
         for (partner, origin) in rollback.dependents {
             let msg = CentralMsg::Coord(CoordMsg::RollbackDep {
                 instance: partner,
@@ -977,8 +1000,13 @@ impl Engine {
         for request in releases {
             self.request(instance, request, ctx);
         }
+        // Release every lagger this instance leads: an aborted workflow
+        // imposes no order.
+        self.answer(instance, ctx, |gate, history| {
+            gate.owed_by_abort(|s| history.state(s) == StepState::Done)
+        });
         // Undo what ran, newest first; nothing re-executes.
-        self.inst(instance).reexec_after_comp = None;
+        self.inst(instance).reexec_after_comp.clear();
         self.queue_compensations(instance, undo, None, true, ctx);
     }
 
@@ -1601,6 +1629,57 @@ mod tests {
             e.instances[&inst].nav.rules.present_events_with_gens(),
             vec![(EventKind::WorkflowStart, 1)]
         );
+    }
+
+    /// A rollback drops the re-executions it invalidates that still wait
+    /// on compensations, as it drops their dispatches in flight: S1 → S2 →
+    /// S3, S1 and S2 always re-executing, S3 failing back to S2. While S2's
+    /// compensation runs, an input change rolls back to S1, which
+    /// invalidates S2. When the compensations drain, S1 alone is
+    /// dispatched; S2 runs again only once S1's re-execution reaches it.
+    #[test]
+    fn a_rollback_drops_the_reexecutions_it_invalidates() {
+        let mut b = SchemaBuilder::new(SchemaId(1), "wf1").inputs(1);
+        let [s1, s2, s3] = ["S1", "S2", "S3"].map(|name| b.add_step(name, "passthrough"));
+        b.seq(s1, s2).seq(s2, s3);
+        b.read(s1, ItemKey::input(1));
+        b.on_failure_rollback_to(s3, s2);
+        for s in [s1, s2, s3] {
+            b.configure(s, |d| {
+                d.eligible_agents = vec![AgentId(0)];
+                d.compensation_program = Some("passthrough".into());
+                d.reexec = crew_model::ReexecPolicy::Always;
+            });
+        }
+        let deployment = Deployment::new([b.build().unwrap()]);
+        let mut e = Engine::new(0, Arc::new(deployment), Topology::new(1, 1));
+        let inst = start(&mut e, 1);
+        deliver(&mut e, result(inst, 1));
+        deliver(&mut e, result(inst, 2));
+        let failed = CentralMsg::ExecResult {
+            instance: inst,
+            step: s3,
+            attempt: 1,
+            outputs: None,
+        };
+        deliver(&mut e, failed);
+        assert_eq!(e.instances[&inst].reexec_after_comp, [s2]);
+        let change = CentralMsg::WorkflowChangeInputs {
+            instance: inst,
+            new_inputs: vec![(ItemKey::input(1), Value::Int(6))],
+        };
+        deliver(&mut e, change);
+        assert_eq!(e.instances[&inst].reexec_after_comp, [s1]);
+        for step in [s2, s1] {
+            let done = CentralMsg::CompensateResult {
+                instance: inst,
+                step,
+                for_abort: false,
+            };
+            deliver(&mut e, done);
+        }
+        let dispatched: Vec<_> = e.instances[&inst].pending_exec.keys().copied().collect();
+        assert_eq!(dispatched, [s1]);
     }
 
     /// Deliver `msg` to `e` from agent node 0.

@@ -242,11 +242,7 @@ struct PendingForward {
 
 impl DistAgent {
     pub fn new(agent_id: crew_model::AgentId, shared: SharedCtx) -> Self {
-        let executor = StepExecutor::new(
-            shared.deployment.registry.clone(),
-            shared.deployment.plan.clone(),
-            shared.deployment.seed,
-        );
+        let executor = StepExecutor::of(shared.deployment.clone());
         DistAgent {
             agent_id,
             shared,
@@ -1990,6 +1986,20 @@ mod tests {
             let queue = &run.agent(AgentId(0)).purge_queue;
             assert!(queue.is_empty(), "{purge_period:?}: {queue:?} left queued");
         }
+    }
+
+    /// An agent's executor reads the run's one deployment, and so does
+    /// the fresh agent a crash puts in its place: neither copies the
+    /// failure plan or the program registry.
+    #[test]
+    fn a_crashed_agent_still_reads_the_runs_one_deployment() {
+        let instance = InstanceId::new(SchemaId(1), 1);
+        let mut a = agent_with(FailurePlan::none().fail_step(instance, StepId(1), 1));
+        let run = a.shared.deployment.clone();
+        assert!(Arc::ptr_eq(a.executor.deployment(), &run));
+        a.on_crash();
+        a.on_recover(&mut Ctx::detached(10, NodeId(0)));
+        assert!(Arc::ptr_eq(a.executor.deployment(), &run));
     }
 
     #[test]

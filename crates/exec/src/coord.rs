@@ -253,6 +253,13 @@ pub struct Wake {
     pub send: Vec<Request>,
 }
 
+impl Wake {
+    /// Nothing to do.
+    pub fn is_empty(&self) -> bool {
+        self.retry.is_empty() && self.emit.is_empty() && self.send.is_empty()
+    }
+}
+
 /// The coordination guard of one instance, over the steps a node holds.
 ///
 /// Three rules hold for every shell (DESIGN §6g):
@@ -281,6 +288,8 @@ pub struct Gate {
     waiting: VecMap<StepId, Wait>,
     /// Releases owed, per leading step, in the order they were learned.
     owed: Vec<(StepId, Obligation)>,
+    /// The instance aborted: what it owes is paid at once.
+    aborted: bool,
 }
 
 impl Gate {
@@ -443,7 +452,8 @@ impl Gate {
 
     /// The leader of `decision` owes the lagger the release of the pair
     /// whose leading step is `step`, once `step` completes: emitted at
-    /// once when the obligation is new and `step` already completed.
+    /// once when the obligation is new and `step` already completed or the
+    /// instance aborted.
     pub fn oblige(
         &mut self,
         order: &RelativeOrder,
@@ -468,7 +478,7 @@ impl Gate {
         let mut wake = Wake::default();
         if !self.owed.contains(&(step, owed)) {
             self.owed.push((step, owed));
-            if done(step) {
+            if self.aborted || done(step) {
                 wake.emit.push(owed);
             }
         }
@@ -503,15 +513,28 @@ impl Gate {
         }
     }
 
-    /// The instance aborted: nothing waits any more and no grant is held
-    /// (the shell withdraws the instance from every mutex it names).
+    /// The instance aborted: nothing waits any more, no grant is held (the
+    /// shell withdraws the instance from every mutex it names), and every
+    /// release owed is paid now or, when learned later, at once
+    /// ([`Self::owed_by_abort`]): an aborted workflow imposes no order.
     pub fn abort(&mut self) {
+        self.aborted = true;
         self.waiting.clear();
         self.asked.clear();
         for guard in self.guards.values().flatten() {
             if matches!(guard.kind, Kind::Grant(_)) {
                 self.met.remove(&guard.tag);
             }
+        }
+    }
+
+    /// The releases an aborted instance pays: those owed by leading steps
+    /// that did not complete (a completed one paid when it completed).
+    pub fn owed_by_abort(&self, done: impl Fn(StepId) -> bool) -> Wake {
+        let unpaid = self.owed.iter().filter(|(step, _)| !done(*step));
+        Wake {
+            emit: unpaid.map(|&(_, owed)| owed).collect(),
+            ..Wake::default()
         }
     }
 
@@ -751,6 +774,8 @@ mod tests {
         Oblige(u32, bool),
         Satisfy(u64),
         Abort,
+        /// What the aborted gate pays, these steps completed.
+        OwedByAbort(&'static [u32]),
     }
 
     fn render_wake(w: Wake) -> String {
@@ -820,6 +845,9 @@ mod tests {
                 GateOp::Abort => {
                     gate.abort();
                     "-".into()
+                }
+                GateOp::OwedByAbort(done) => {
+                    render_wake(gate.owed_by_abort(|s| done.contains(&s.0)))
                 }
             })
             .collect()
@@ -912,6 +940,16 @@ mod tests {
                 "an obligation installed after its step completed is emitted at once",
                 vec![Oblige(2, true), Oblige(2, true), Oblige(1, false), Done(1)],
                 vec!["emit S2", "-", "-", "emit S1"],
+            ),
+            (
+                "an aborted leader pays what its uncompleted steps owe",
+                vec![Decide(0), Done(1), Abort, OwedByAbort(&[1])],
+                vec!["-", "emit S1", "-", "emit S2"],
+            ),
+            (
+                "an obligation an aborted leader learns is paid at once",
+                vec![Abort, Decide(0), Oblige(1, false)],
+                vec!["-", "emit S1, emit S2", "-"],
             ),
             (
                 "satisfying a parked step's order guard retries it; a tag no guard has does nothing",

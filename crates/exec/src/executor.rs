@@ -10,12 +10,19 @@
 //! parallel control run only the program half ([`StepExecutor::attempt`]
 //! and [`StepExecutor::run_compensation`]); their engine records the
 //! outcome.
+//!
+//! The registry and the plan describe the run, not a node: an executor
+//! reads them from the run's one [`Deployment`], which every node of the
+//! run shares, so a node holds no copy of either.
 
+use crate::deploy::{Deployment, RelOrderLinks};
 use crate::failure::FailurePlan;
 use crate::history::InstanceHistory;
 use crate::nav::declared_outputs;
 use crate::program::{Program, ProgramCtx, ProgramRegistry, StepFailure};
-use crew_model::{DataEnv, InstanceId, StepDef, Value};
+use crew_model::{CoordinationSpec, DataEnv, InstanceId, StepDef, Value};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The result of one step execution attempt.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,30 +70,46 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Stateless executor bundling the program registry and failure plan.
+/// Stateless executor over a run's deployment: it runs the programs of
+/// [`Deployment::registry`] under [`Deployment::plan`] and forwards
+/// [`Deployment::seed`] to them.
 #[derive(Debug, Clone)]
 pub struct StepExecutor {
-    /// Registry.
-    pub registry: ProgramRegistry,
-    /// Plan.
-    pub plan: FailurePlan,
-    /// Run seed forwarded to programs.
-    pub seed: u64,
+    deployment: Arc<Deployment>,
 }
 
 impl StepExecutor {
-    /// Create a new, empty value.
+    /// The executor of a node of the run whose deployment is `deployment`.
+    pub fn of(deployment: Arc<Deployment>) -> Self {
+        StepExecutor { deployment }
+    }
+
+    /// An executor of `registry`'s programs under `plan` alone: a
+    /// deployment with no schemas.
     pub fn new(registry: ProgramRegistry, plan: FailurePlan, seed: u64) -> Self {
-        StepExecutor {
+        Self::of(Arc::new(Deployment {
+            schemas: BTreeMap::new(),
+            coordination: CoordinationSpec::default(),
+            ro_links: RelOrderLinks::new(),
             registry,
             plan,
             seed,
-        }
+        }))
+    }
+
+    /// The run seed forwarded to programs.
+    pub fn seed(&self) -> u64 {
+        self.deployment.seed
+    }
+
+    /// The deployment this executor reads.
+    pub fn deployment(&self) -> &Arc<Deployment> {
+        &self.deployment
     }
 
     /// The registered program `name`.
     pub fn program(&self, name: &str) -> Result<&dyn Program, ExecError> {
-        match self.registry.get(name) {
+        match self.deployment.registry.get(name) {
             Some(program) => Ok(program.as_ref()),
             None => Err(ExecError::UnknownProgram(name.to_owned())),
         }
@@ -99,7 +122,11 @@ impl StepExecutor {
         program: &dyn Program,
         ctx: &ProgramCtx,
     ) -> Result<Vec<Value>, StepFailure> {
-        if self.plan.step_fails(ctx.instance, ctx.step, ctx.attempt) {
+        if self
+            .deployment
+            .plan
+            .step_fails(ctx.instance, ctx.step, ctx.attempt)
+        {
             return Err(StepFailure::new("injected logical failure"));
         }
         program.run(ctx)
@@ -109,7 +136,7 @@ impl StepExecutor {
     /// not hold: its `compensate`, then its side-effect `run` with the
     /// output dropped. `ctx` is built only for a program that runs.
     pub fn run_compensation(&self, name: Option<&str>, ctx: impl FnOnce() -> ProgramCtx) {
-        if let Some(program) = name.and_then(|name| self.registry.get(name)) {
+        if let Some(program) = name.and_then(|name| self.deployment.registry.get(name)) {
             let ctx = ctx();
             program.compensate(&ctx);
             let _ = program.run(&ctx);
@@ -133,7 +160,7 @@ impl StepExecutor {
             instance,
             step: def.id,
             attempt,
-            seed: self.seed,
+            seed: self.seed(),
             inputs: env.project(&def.inputs),
         };
         match self.attempt(program, &ctx) {
@@ -170,7 +197,7 @@ impl StepExecutor {
             instance,
             step: def.id,
             attempt: history.attempts(def.id),
-            seed: self.seed,
+            seed: self.seed(),
             inputs: env.project(&def.inputs),
         });
         env.clear_step_outputs(def.id);

@@ -1,7 +1,7 @@
 //! Coordinated-execution requirements across concurrent workflows:
 //! relative ordering (Figure 2), mutual exclusion, rollback dependencies.
 
-use crew_core::{Architecture, Scenario, WorkflowSystem};
+use crew_core::{Architecture, InstanceOutcome, Scenario, WorkflowSystem};
 use crew_integration_tests::{logged_linear, ExecLog};
 use crew_model::{
     AgentId, CoordinationSpec, Expr, ItemKey, MutualExclusion, RelativeOrder, RollbackDependency,
@@ -72,6 +72,54 @@ fn relative_order_preserved_across_pairs() {
                  pair1 {p2a}/{p2b}, pair2 {p4a}/{p4b}"
             );
         }
+    }
+}
+
+/// An aborted workflow imposes no order (DESIGN §6g, FAILURE_MODES F11): a
+/// relative order on (S2, S4) of a linked pair, one of the two aborted at
+/// each tick 0–59. No run leaves an instance unfinished. Where the aborted
+/// instance led — its S2 ran first — and aborted before its S4, its lagger
+/// still runs S4 and commits: the abort pays the release the leader owed.
+#[test]
+fn an_aborted_leader_releases_its_lagger() {
+    let step = |schema, s| SchemaStep::new(SchemaId(schema), StepId(s));
+    let ro = RelativeOrder {
+        id: 0,
+        conflict: "parts".into(),
+        pairs: vec![(step(1, 2), step(2, 2)), (step(1, 4), step(2, 4))],
+    };
+    for arch in &ALL_ARCHS[..2] {
+        let mut led_then_aborted = 0;
+        for k in [0, 1] {
+            for at in 0..60 {
+                let log = ExecLog::new();
+                let (wf1, wf2) = (logged_linear(1, 5, 0), logged_linear(2, 5, 3));
+                let mut system = WorkflowSystem::new([wf1, wf2], *arch);
+                system.deployment.coordination.relative_orders = vec![ro.clone()];
+                log.register(&mut system.deployment.registry, "log");
+                let mut scenario = Scenario::new();
+                let ids =
+                    [1, 2].map(|schema| scenario.start(SchemaId(schema), vec![(1, Value::Int(1))]));
+                scenario.link(ids[0], ids[1]);
+                scenario.abort_at(ids[k], at);
+                let [aborted, partner] = [k, 1 - k].map(|k| scenario.instance_id(ids[k]));
+                let report = system.run(scenario);
+                let outcomes = report.outcomes.values();
+                let stalled = outcomes.filter(|o| **o == InstanceOutcome::Stalled).count();
+                assert_eq!(stalled, 0, "{arch:?}: {aborted} aborted at tick {at}");
+                let s2 = |i| log.position(i, StepId(2));
+                let led = matches!((s2(aborted), s2(partner)), (Some(x), Some(y)) if x < y);
+                if led && log.position(aborted, StepId(4)).is_none() {
+                    led_then_aborted += 1;
+                    let outcome = report.outcomes[&partner];
+                    assert_eq!(outcome, InstanceOutcome::Committed, "{arch:?}: tick {at}");
+                }
+            }
+        }
+        assert!(
+            led_then_aborted > 0,
+            "{arch:?}: no leader aborted between its S2 and S4"
+        );
     }
 }
 

@@ -303,11 +303,15 @@ enum Coordination {
 }
 
 /// Three linked pairs of `logged_linear` instances (bases 0 and 3) on six
-/// agents, with `agent` down for 30 ticks from tick `at`: is the run bad?
-fn linked_pairs_crash_is_bad(coordination: Coordination, agent: u32, at: u64) -> bool {
+/// agents under `arch`, with the node of `crash` down: is the run bad?
+fn linked_pairs_crash_is_bad(
+    coordination: Coordination,
+    arch: Architecture,
+    crash: CrashWindow,
+) -> bool {
     let log = ExecLog::new();
     let (wf1, wf2) = (logged_linear(1, 5, 0), logged_linear(2, 5, 3));
-    let mut system = WorkflowSystem::new([wf1, wf2], Architecture::Distributed { agents: 6 });
+    let mut system = WorkflowSystem::new([wf1, wf2], arch);
     log.register(&mut system.deployment.registry, "log");
     let step = |schema, s| SchemaStep::new(SchemaId(schema), StepId(s));
     let spec = &mut system.deployment.coordination;
@@ -330,7 +334,7 @@ fn linked_pairs_crash_is_bad(coordination: Coordination, agent: u32, at: u64) ->
         let b = scenario.start(SchemaId(2), vec![(1, Value::Int(k))]);
         scenario.link(a, b);
     }
-    scenario.crash(CrashWindow::agent(agent, at, Some(30)));
+    scenario.crash(crash);
     let report = system.run(scenario);
     damage(&report, &log) != (0, false)
 }
@@ -347,11 +351,15 @@ fn linked_pairs_crash_is_bad(coordination: Coordination, agent: u32, at: u64) ->
 fn agent_crash_sweep_over_linked_pairs() {
     const KNOWN_MUTEX: [usize; 6] = [0, 0, 11, 0, 0, 17];
     const KNOWN_ORDER: [usize; 6] = [4, 9, 0, 10, 7, 0];
+    let arch = Architecture::Distributed { agents: 6 };
     let sweep = |coordination| {
         (0..6u32)
             .map(|agent| {
                 (0..80)
-                    .filter(|&at| linked_pairs_crash_is_bad(coordination, agent, at))
+                    .filter(|&at| {
+                        let crash = CrashWindow::agent(agent, at, Some(30));
+                        linked_pairs_crash_is_bad(coordination, arch, crash)
+                    })
                     .count()
             })
             .collect::<Vec<_>>()
@@ -362,6 +370,29 @@ fn agent_crash_sweep_over_linked_pairs() {
     assert_eq!(none, [0; 6], "uncoordinated");
     assert_eq!(mutex, KNOWN_MUTEX, "mutex on S3");
     assert_eq!(order, KNOWN_ORDER, "relative order on (S2, S4)");
+}
+
+/// Row (l)'s parallel column: the same linked pairs under parallel control
+/// on three engines, each engine down for 30 ticks from each tick 0–79,
+/// under the mutex on S3 and under the relative order on (S2, S4) (480
+/// runs). No run is bad: an engine's managers and gates are rebuilt by
+/// the replay of its command log.
+#[test]
+fn engine_crash_sweep_over_linked_pairs() {
+    let arch = Architecture::Parallel {
+        agents: 6,
+        engines: 3,
+    };
+    for coordination in [Coordination::MutexOnS3, Coordination::OrderOnS2S4] {
+        let crashes = (0..3).flat_map(|engine| (0..80).map(move |at| (engine, at)));
+        let bad: Vec<_> = crashes
+            .filter(|&(engine, at)| {
+                let crash = CrashWindow::engine(engine, at, Some(30));
+                linked_pairs_crash_is_bad(coordination, arch, crash)
+            })
+            .collect();
+        assert_eq!(bad, [], "{coordination:?}: (engine, crash tick)");
+    }
 }
 
 /// Load-balanced successor selection under agent crashes:

@@ -138,6 +138,52 @@ fn compensation_set_unwinds_in_reverse_order() {
     }
 }
 
+/// Two threads of one instance revisit a step each while the other's
+/// compensation is still running: S1 → AND{A1 → A2, B1 → B2} → J, A2 and
+/// B2 failing once and rolling back to A1 and B1, which always compensate
+/// and re-execute. Both re-execute once their compensations are done, and
+/// the instance commits. (The engine once kept one step to re-execute per
+/// instance, so the second revisit dropped the first: A1 stayed
+/// compensated, and a mutex grant it held was never released.)
+#[test]
+fn overlapping_revisits_both_reexecute() {
+    for arch in ALL_ARCHS {
+        let log = ExecLog::new();
+        let mut b = SchemaBuilder::new(SchemaId(1), "revisits").inputs(1);
+        let s1 = b.add_step("S1", "log");
+        let [a1, b1] = ["A1", "B1"].map(|name| b.add_step(name, "log"));
+        let [a2, b2] = ["A2", "B2"].map(|name| b.add_step(name, "flaky"));
+        let j = b.add_step("J", "log");
+        b.and_split(s1, vec![a1, b1]);
+        b.seq(a1, a2).seq(b1, b2);
+        b.and_join(vec![a2, b2], j);
+        b.on_failure_rollback_to(a2, a1);
+        b.on_failure_rollback_to(b2, b1);
+        for (s, agent) in [(s1, 0), (a1, 1), (b1, 2), (a2, 3), (b2, 3), (j, 0)] {
+            b.configure(s, |d| {
+                d.eligible_agents = vec![AgentId(agent)];
+                d.compensation_program = Some("passthrough".into());
+                d.reexec = ReexecPolicy::Always;
+            });
+        }
+        let schema = b.build().unwrap();
+
+        let mut system = WorkflowSystem::new([schema], arch);
+        log.register(&mut system.deployment.registry, "log");
+        log.register_flaky(&mut system.deployment.registry, "flaky");
+
+        let mut scenario = Scenario::new();
+        let idx = scenario.start(SchemaId(1), vec![(1, Value::Int(5))]);
+        let inst = scenario.instance_id(idx);
+        let report = system.run(scenario);
+
+        assert_eq!(report.committed(), 1, "{arch:?}");
+        for (step, runs) in [(s1, 1), (a1, 2), (b1, 2), (a2, 2), (b2, 2), (j, 1)] {
+            assert_eq!(log.count(inst, step), runs, "{arch:?}: {step}");
+        }
+    }
+}
+
 /// Figure 3: re-execution takes a different if-then-else branch; the steps
 /// of the abandoned branch are compensated and the new branch executes.
 #[test]

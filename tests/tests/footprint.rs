@@ -14,11 +14,13 @@
 //! run returns every byte. Under central control every instance has
 //! retired by then, so the engine must host no navigator at all. The
 //! simulation is single-threaded and deterministic, so the counts repeat
-//! exactly.
+//! exactly. It also checks that a run holds its failure plan once, however
+//! many agents read it.
 
 use crew_central::CentralRun;
 use crew_distributed::{DistConfig, DistRun, Outcome};
-use crew_model::{SchemaId, Value};
+use crew_exec::{Deployment, FailurePlan};
+use crew_model::{InstanceId, SchemaId, StepId, Value};
 use crew_storage::InstanceStatus;
 use crew_workload::{build_deployment, SetupParams};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -264,6 +266,55 @@ fn live_state_per_instance_stays_inside_its_budget() {
             measured.iter().zip(&budget).all(|(m, b)| m <= b),
             "{control}: per instance (live bytes, live blocks, run calls, teardown calls) \
              {measured:.1?} over the budget {budget:.1?}"
+        );
+    }
+}
+
+/// The live bytes `build` leaves, dropped before returning.
+fn bytes_held<R>(build: impl FnOnce() -> R) -> isize {
+    let before = ledger().bytes;
+    let held = build();
+    let bytes = ledger().bytes - before;
+    drop(held);
+    bytes
+}
+
+/// A run holds its failure plan and program registry once, in its one
+/// deployment, however many nodes read them: 38 more agents over a plan
+/// that scripts 2 000 failures add less than one copy of the plan under
+/// central and under distributed control. (While every agent's executor
+/// held a copy of its own, they added 38.)
+#[test]
+fn a_run_holds_its_plan_once() {
+    let plan = (1..=2_000).fold(FailurePlan::none(), |plan, serial| {
+        plan.fail_step(InstanceId::new(SchemaId(1), serial), StepId(1), 1)
+    });
+    let plan_bytes = bytes_held(|| plan.clone());
+    let deployment = || Deployment {
+        plan: plan.clone(),
+        ..build_deployment(&shape_l(), false)
+    };
+    type Build<'a> = &'a dyn Fn(Deployment, u32) -> Box<dyn std::any::Any>;
+    let builds: [(&str, Build); 2] = [
+        ("central", &|d, agents| {
+            Box::new(CentralRun::new(d, agents, 1))
+        }),
+        ("distributed", &|d, agents| {
+            Box::new(DistRun::new(d, agents, DistConfig::default()))
+        }),
+    ];
+    for (control, build) in builds {
+        let [few, many] = [AGENTS, 50].map(|agents| {
+            let d = deployment();
+            bytes_held(|| build(d, agents))
+        });
+        println!(
+            "plan {control:11} {plan_bytes} bytes; {AGENTS} agents hold {few}, 50 agents {many}"
+        );
+        assert!(
+            many - few < plan_bytes,
+            "{control}: 38 more agents hold {} more bytes, a plan is {plan_bytes}",
+            many - few
         );
     }
 }
