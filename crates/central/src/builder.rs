@@ -272,10 +272,8 @@ impl CentralRun {
     pub fn statuses(&self) -> BTreeMap<InstanceId, InstanceStatus> {
         let mut out = BTreeMap::new();
         for e in 0..self.topo.engines {
-            self.engine(e).check_executing_index();
-            for (&i, &s) in &self.engine(e).statuses {
-                out.insert(i, s);
-            }
+            self.engine(e).check_tables();
+            out.extend(self.engine(e).statuses());
         }
         out
     }
@@ -346,7 +344,7 @@ mod tests {
         }
         // More than one engine did work.
         let engines_with_work = (0..4)
-            .filter(|&e| !run.engine(e).statuses.is_empty())
+            .filter(|&e| run.engine(e).statuses().next().is_some())
             .count();
         assert!(engines_with_work > 1);
     }
@@ -429,7 +427,7 @@ mod tests {
             assert_eq!(statuses.get(i), Some(&InstanceStatus::Committed), "{i}");
         }
         let engines_with_work = (0..4)
-            .filter(|&e| !run.engine(e).statuses.is_empty())
+            .filter(|&e| run.engine(e).statuses().next().is_some())
             .count();
         assert!(engines_with_work > 1, "load is shared across engines");
     }

@@ -45,7 +45,7 @@ use crew_rules::{compile_schema, EventKind};
 use crew_simnet::{Ctx, Node, NodeId};
 use crew_storage::{recover_for_node, DbOp, Decode, Encode, InstanceStatus, MemStore, Wal};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// One queued compensation. `for_abort` attributes its messages to the
@@ -57,12 +57,23 @@ struct CompItem {
     for_abort: bool,
 }
 
-/// Per-instance engine state: the shared navigator plus what only an
+/// Per-instance engine state: the shared navigator, the instance's row in
+/// the WFDB instance summary table and its command slice, plus what only an
 /// engine needs — dispatches in flight to application agents and the
 /// ordered compensation queue.
 #[derive(Debug, Default)]
 struct EngineInst {
     nav: InstanceNav,
+    /// The instance's summary row; `None` until its start arrives (an
+    /// answer can wire its gate first).
+    status: Option<InstanceStatus>,
+    /// The encoded `CentralMsg` inputs (real and synthesized) that mention
+    /// the instance, in delivery order, while it executes; empty once it is
+    /// terminal, since terminal instances never migrate. Replaying the slice
+    /// through `handle` on another engine rebuilds the instance there,
+    /// which is what `MigrateState` carries. Rebuilt from the WAL on
+    /// recovery, so it needs no separate persistence.
+    slice: Vec<(u32, Vec<u8>)>,
     /// Steps whose program execution is in flight: step → attempt.
     pending_exec: VecMap<StepId, u32>,
     /// Ordered compensation work; processed one item at a time so
@@ -82,19 +93,15 @@ pub struct Engine {
     pub index: u32,
     topo: Topology,
     deployment: Arc<Deployment>,
-    /// The navigators of the instances hosted here and not yet retired. An
-    /// instance retires once it is terminal, quiescent and standalone
-    /// ([`Self::finished`]); it then leaves only its `statuses` row and
-    /// its `terminal_times` tick, so this table is bounded by what is live.
+    /// The instances hosted here and not yet retired, each with everything
+    /// the engine knows of it. An instance retires once it is terminal,
+    /// quiescent and standalone ([`Self::finished`]); it then leaves only
+    /// its `retired` row and its `terminal_times` tick, so this table is
+    /// bounded by what is live.
     instances: BTreeMap<InstanceId, Box<EngineInst>>,
     templates: BTreeMap<crew_model::SchemaId, Arc<Vec<crew_rules::TemplateRule>>>,
-    /// Instance status summary (the WFDB instance summary table).
-    pub statuses: BTreeMap<InstanceId, InstanceStatus>,
-    /// The hosted instances whose status is `Executing`, maintained where
-    /// the status changes (`set_status`, migrate-out, `on_crash`) so the
-    /// balancer's load sample and candidate list cost what is live, not
-    /// what `statuses` has accumulated.
-    executing: BTreeSet<InstanceId>,
+    /// The final summary rows of the instances that retired here.
+    retired: BTreeMap<InstanceId, InstanceStatus>,
     /// Virtual tick at which each instance first reached a terminal status
     /// (measurement instrumentation for the throughput/latency harness —
     /// not part of the recovered state machine, so it survives fail-stop
@@ -110,13 +117,6 @@ pub struct Engine {
     /// The mutual exclusions this engine manages, by requirement.
     mutexes: BTreeMap<u32, MutexQueue>,
     // ---- live migration (crew-shard) ----
-    /// Per-instance command log: the encoded `CentralMsg` inputs (real and
-    /// synthesized) that mention each hosted instance, in delivery order.
-    /// Replaying this slice through `handle` on another engine rebuilds the
-    /// instance's volatile state there, which is what `MigrateState`
-    /// carries. Rebuilt from the WAL on recovery, so it needs no separate
-    /// persistence.
-    cmd_log: BTreeMap<InstanceId, Vec<(u32, Vec<u8>)>>,
     /// Instances migrated away: where to forward their traffic.
     forwards: BTreeMap<InstanceId, u32>,
     /// Messages forwarded on behalf of migrated-away instances.
@@ -134,7 +134,7 @@ pub struct Engine {
     /// else. The engine is a deterministic state machine over its input
     /// stream (it never reads the clock and all its hashing is seeded), so
     /// re-driving the commands with outputs discarded rebuilds every
-    /// structure — the instance summary (`statuses`), the data, step and
+    /// structure — the instance summary rows, the data, step and
     /// event tables (`nav.data`, `nav.history`, `nav.rules`), pending
     /// dispatches, compensation queues, OCR bookkeeping, and in-flight
     /// coordination state. Commands of retired instances are skipped on
@@ -173,13 +173,11 @@ impl Engine {
             deployment,
             instances: BTreeMap::new(),
             templates: BTreeMap::new(),
-            statuses: BTreeMap::new(),
-            executing: BTreeSet::new(),
+            retired: BTreeMap::new(),
             terminal_times: BTreeMap::new(),
             clock: 0,
             ro: RoArbiter::default(),
             mutexes: BTreeMap::new(),
-            cmd_log: BTreeMap::new(),
             forwards: BTreeMap::new(),
             forwarded_msgs: 0,
             migrations_out: 0,
@@ -212,16 +210,14 @@ impl Engine {
         self.instances.entry(instance).or_default()
     }
 
-    /// Update the instance summary table.
+    /// Update the instance's summary row.
     fn set_status(&mut self, instance: InstanceId, status: InstanceStatus) {
-        self.statuses.insert(instance, status);
-        if status == InstanceStatus::Executing {
-            self.executing.insert(instance);
-        } else {
-            self.executing.remove(&instance);
-            // Terminal instances never migrate, so their command log —
-            // kept only to feed a future MigrateState export — can go.
-            self.cmd_log.remove(&instance);
+        let st = self.inst(instance);
+        st.status = Some(status);
+        if status != InstanceStatus::Executing {
+            // Terminal instances never migrate, so their slice — kept only
+            // to feed a future MigrateState export — can go.
+            st.slice = Vec::new();
             // First terminal transition wins: re-executions after an
             // input change must not move the completion time.
             self.terminal_times.entry(instance).or_insert(self.clock);
@@ -231,7 +227,26 @@ impl Engine {
     /// Instance status: the admin tool reads the WFDB summary directly in
     /// this architecture.
     pub fn status_of(&self, instance: InstanceId) -> Option<InstanceStatus> {
-        self.statuses.get(&instance).copied()
+        match self.instances.get(&instance) {
+            Some(st) => st.status,
+            None => self.retired.get(&instance).copied(),
+        }
+    }
+
+    /// The WFDB instance summary table: the row of every started instance
+    /// hosted here, then the final row of every one that retired here.
+    pub fn statuses(&self) -> impl Iterator<Item = (InstanceId, InstanceStatus)> + '_ {
+        let hosted = self.instances.iter();
+        let hosted = hosted.filter_map(|(i, st)| Some((*i, st.status?)));
+        hosted.chain(self.retired.iter().map(|(i, s)| (*i, *s)))
+    }
+
+    /// The hosted instances whose status is `Executing`, in ascending id
+    /// order.
+    fn executing(&self) -> impl Iterator<Item = InstanceId> + '_ {
+        let hosted = self.instances.iter();
+        let executing = hosted.filter(|(_, st)| st.status == Some(InstanceStatus::Executing));
+        executing.map(|(i, _)| *i)
     }
 
     /// The instance's current data table (test introspection); `None` once
@@ -255,7 +270,7 @@ impl Engine {
 
     /// Live (non-terminal) instances currently hosted by this engine.
     pub fn live_instances(&self) -> u64 {
-        self.executing.len() as u64
+        self.executing().count() as u64
     }
 
     /// Navigators hosted here: live instances, plus finished ones that
@@ -264,42 +279,20 @@ impl Engine {
         self.instances.len() as u64
     }
 
-    /// Debug builds: the executing set is `statuses` filtered by
-    /// `Executing`, every member is hosted, and exactly the members keep a
-    /// command log; no hosted instance has finished without retiring (a
-    /// leak), and no retired one keeps a command log. Run-sized, so it is
-    /// called where runs are read out ([`crate::CentralRun::statuses`]),
-    /// not per message.
-    pub(crate) fn check_executing_index(&self) {
-        debug_assert!(
-            self.statuses
-                .iter()
-                .filter(|(_, s)| **s == InstanceStatus::Executing)
-                .map(|(i, _)| i)
-                .eq(&self.executing),
-            "engine {}: executing set diverged from the status table",
-            self.index
-        );
-        debug_assert!(
-            self.executing
-                .iter()
-                .all(|i| self.instances.contains_key(i)),
-            "engine {}: an executing instance is not hosted",
-            self.index
-        );
-        debug_assert!(
-            self.halted || self.cmd_log.keys().eq(&self.executing),
-            "engine {}: a command log without an executing instance, or the reverse",
-            self.index
-        );
+    /// Debug builds: no hosted instance has finished without retiring (a
+    /// leak), and no retired instance is hosted. Each hosted instance's row
+    /// and slice live in its entry, so nothing else can diverge. Run-sized,
+    /// so it is called where runs are read out
+    /// ([`crate::CentralRun::statuses`]), not per message.
+    pub(crate) fn check_tables(&self) {
         debug_assert!(
             self.halted || self.instances.keys().all(|i| !self.finished(*i)),
             "engine {}: a finished instance was never retired",
             self.index
         );
         debug_assert!(
-            self.cmd_log.keys().all(|i| !self.retired(*i)),
-            "engine {}: a retired instance keeps a command log",
+            self.retired.keys().all(|i| !self.instances.contains_key(i)),
+            "engine {}: a retired instance is hosted",
             self.index
         );
     }
@@ -311,21 +304,17 @@ impl Engine {
     /// lands, and no compensation); and standalone — no coordination gate,
     /// no relative-order or rollback-dependency partner, no parent, no
     /// nested step — so every input that can still name it is one the
-    /// handlers ignore. Most inputs are about a live instance, so the small
-    /// executing set answers first.
+    /// handlers ignore.
     fn finished(&self, instance: InstanceId) -> bool {
-        if self.executing.contains(&instance) {
-            return false;
-        }
         let Some(st) = self.instances.get(&instance) else {
             return false;
         };
-        st.nav.gate.is_none()
+        st.status.is_some_and(|s| s != InstanceStatus::Executing)
+            && st.nav.gate.is_none()
             && st.nav.parent.is_none()
             && st.pending_exec.is_empty()
             && st.comp_queue.is_empty()
             && !st.comp_active
-            && self.terminal(instance)
             && (self.deployment.ro_links.partners_of(instance))
                 .next()
                 .is_none()
@@ -334,32 +323,24 @@ impl Engine {
                 .is_empty()
     }
 
-    /// Whether `instance`'s summary row is `Committed` or `Aborted`.
-    fn terminal(&self, instance: InstanceId) -> bool {
-        let status = self.statuses.get(&instance);
-        status.is_some_and(|s| *s != InstanceStatus::Executing)
-    }
-
-    /// Whether `instance` retired here: its summary row is terminal and no
-    /// navigator is hosted for it. (An instance that migrated away left no
-    /// row.) The executing set answers first, as in [`Self::finished`].
+    /// Whether `instance` retired here. (An instance that migrated away left
+    /// no row.)
     fn retired(&self, instance: InstanceId) -> bool {
-        !self.executing.contains(&instance)
-            && self.terminal(instance)
-            && !self.instances.contains_key(&instance)
+        self.retired.contains_key(&instance)
     }
 
     /// After an input's handler returned: retire each instance it was about
-    /// that has [`Self::finished`] — drop the navigator and journal the
-    /// final status, once, to the summary log. (A replay journals to the
+    /// that has [`Self::finished`] — drop its entry, keep its final row and
+    /// journal it, once, to the summary log. (A replay journals to the
     /// summary log of the fresh engine it runs in, which is dropped.)
     fn retire_finished(&mut self, subjects: [Option<InstanceId>; 2]) {
         for instance in subjects.into_iter().flatten() {
             if !self.finished(instance) {
                 continue;
             }
-            self.instances.remove(&instance);
-            let status = self.statuses[&instance];
+            let st = self.instances.remove(&instance);
+            let status = st.and_then(|st| st.status).expect("finished is terminal");
+            self.retired.insert(instance, status);
             self.summary
                 .append(&DbOp::StatusChanged { instance, status })
                 .expect("in-memory WAL append cannot fail");
@@ -420,7 +401,7 @@ impl Engine {
     /// Instances hosted here and still executing — the candidates a
     /// balancer driver can order moved, in ascending id order.
     pub fn movable_instances(&self) -> Vec<InstanceId> {
-        self.executing.iter().copied().collect()
+        self.executing().collect()
     }
 
     /// Where an instance lives right now, for the local-vs-remote decision
@@ -443,12 +424,12 @@ impl Engine {
         }
     }
 
-    /// Record a delivered (or locally synthesized) command against every
-    /// hosted instance it mentions. The per-instance command log is what a
-    /// `MigrateState` export carries: replaying it through [`Self::handle`]
-    /// on another engine rebuilds the instance's volatile state there. The
-    /// log is itself volatile — crash recovery rebuilds it by re-driving
-    /// the WAL through this same path.
+    /// Record a delivered (or locally synthesized) command in the slice of
+    /// every executing instance it mentions, and of the one it starts. The
+    /// slice is what a `MigrateState` export carries: replaying it through
+    /// [`Self::handle`] on another engine rebuilds the instance's volatile
+    /// state there. The slice is itself volatile — crash recovery rebuilds
+    /// it by re-driving the WAL through this same path.
     fn ingest_cmd(&mut self, from: u32, msg: &CentralMsg, payload: &[u8]) {
         if matches!(
             msg,
@@ -463,27 +444,24 @@ impl Engine {
             return;
         }
         // A duplicate start of a terminal instance creates nothing
-        // (`start_instance` ignores it), and a log opened here would never
+        // (`start_instance` ignores it), and a slice opened here would never
         // be dropped: `set_status` only runs on a transition.
         let creates = match msg {
             CentralMsg::WorkflowStart { instance, .. } => Some(*instance),
             CentralMsg::ChildStart { child, .. } => Some(*child),
             _ => None,
         }
-        .filter(|i| {
-            self.statuses
-                .get(i)
-                .is_none_or(|s| *s == InstanceStatus::Executing)
-        });
+        .filter(|i| (self.status_of(*i)).is_none_or(|s| s == InstanceStatus::Executing));
         for inst in msg.mentions().into_iter().flatten() {
-            if creates == Some(inst) {
-                self.cmd_log
-                    .entry(inst)
-                    .or_default()
-                    .push((from, payload.to_vec()));
-            } else if let Some(log) = self.cmd_log.get_mut(&inst) {
-                log.push((from, payload.to_vec()));
-            }
+            let st = if creates == Some(inst) {
+                self.instances.entry(inst).or_default()
+            } else {
+                match self.instances.get_mut(&inst) {
+                    Some(st) if st.status == Some(InstanceStatus::Executing) => st,
+                    _ => continue,
+                }
+            };
+            st.slice.push((from, payload.to_vec()));
         }
     }
 
@@ -527,7 +505,7 @@ impl Engine {
         parent: Option<(InstanceId, StepId)>,
         ctx: &mut Ctx<CentralMsg>,
     ) {
-        if self.statuses.contains_key(&instance) {
+        if self.status_of(instance).is_some() {
             // Duplicate start (e.g. a replayed ChildStart for an instance
             // that already lives here): compiling the rules twice would
             // double-fire every step.
@@ -1270,15 +1248,12 @@ impl Engine {
     fn on_migrate_request(&mut self, instance: InstanceId, target: u32, ctx: &mut Ctx<CentralMsg>) {
         if target == self.index
             || target >= self.topo.engines
-            || !self.instances.contains_key(&instance)
             || self.status_of(instance) != Some(InstanceStatus::Executing)
         {
             return;
         }
-        let records = self.cmd_log.remove(&instance).unwrap_or_default();
-        self.instances.remove(&instance);
-        self.statuses.remove(&instance);
-        self.executing.remove(&instance);
+        // The slice leaves with the entry.
+        let records = (self.instances.remove(&instance)).map_or_else(Vec::new, |st| st.slice);
         // The gate travels with the instance (rebuilt from the slice at the
         // target); manager-side holder state stays put — the manager role
         // is placement-independent and never migrates.
@@ -1320,15 +1295,19 @@ impl Engine {
             self.halted = true;
             return;
         }
-        if let Some(st) = fresh.instances.remove(&instance) {
+        if let Some(mut st) = fresh.instances.remove(&instance) {
             if st.nav.gate.as_deref().is_some_and(Gate::holds_grant) {
                 self.migrations_in_with_mutex += 1;
             }
+            // The shipped records, not what the replay recorded: a
+            // manager-bound record answered on the spot in `fresh`, which
+            // recorded the grant it synthesized.
+            st.slice = records;
+            let status = st.status;
             self.instances.insert(instance, st);
-        }
-        self.cmd_log.insert(instance, records);
-        if let Some(&status) = fresh.statuses.get(&instance) {
-            self.set_status(instance, status);
+            if let Some(status) = status {
+                self.set_status(instance, status);
+            }
         }
         self.migrations_in += 1;
         ctx.send(from, CentralMsg::MigrateAck { instance });
@@ -1493,7 +1472,7 @@ impl Node<CentralMsg> for Engine {
         for record in retired {
             match record {
                 DbOp::StatusChanged { instance, status } => {
-                    fresh.statuses.insert(instance, status);
+                    fresh.retired.insert(instance, status);
                 }
                 DbOp::CommandsDropped { records, installs } => {
                     fresh.delivered_msgs += records;
@@ -1708,27 +1687,28 @@ mod tests {
 
     /// A duplicate `WorkflowStart` for a finished instance (a retried
     /// front-end request) is journaled like every input, but finds the
-    /// instance retired: it re-creates no navigator and re-opens no command
-    /// log — nothing would ever drop either again.
+    /// instance retired: it re-creates no entry and re-opens no slice —
+    /// nothing would ever drop either again.
     #[test]
     fn duplicate_start_of_a_finished_instance_leaves_no_command_log() {
         let mut e = engine();
         let inst = start(&mut e, 1);
-        assert!(e.cmd_log.contains_key(&inst));
+        let slice = |e: &Engine| e.instances.get(&inst).map(|st| st.slice.len());
+        assert_eq!(slice(&e), Some(1), "the start");
         assert_eq!(e.movable_instances(), vec![inst]);
         deliver(&mut e, result(inst, 1));
         assert_eq!(e.status_of(inst), Some(InstanceStatus::Committed));
-        assert!(!e.cmd_log.contains_key(&inst));
+        assert_eq!(slice(&e), None);
         assert!(!e.instances.contains_key(&inst), "retired on commit");
 
         let journaled = e.wal_appended();
         assert_eq!(start(&mut e, 1), inst);
         assert_eq!(e.wal_appended(), journaled + 1, "journaled");
         assert_eq!(e.delivered_msgs, journaled + 1, "and counted");
-        assert!(!e.cmd_log.contains_key(&inst), "a log nothing will drop");
+        assert_eq!(slice(&e), None, "a slice nothing will drop");
         assert!(
             !e.instances.contains_key(&inst),
-            "a navigator nothing will drop"
+            "an entry nothing will drop"
         );
         assert_eq!(e.status_of(inst), Some(InstanceStatus::Committed));
         assert!(e.movable_instances().is_empty());
@@ -1737,7 +1717,7 @@ mod tests {
             summary(&mut e),
             vec![retired(inst, InstanceStatus::Committed)]
         );
-        e.check_executing_index();
+        e.check_tables();
     }
 
     /// A live instance with nothing in flight (a stall) has not finished:
@@ -1763,7 +1743,7 @@ mod tests {
         assert_eq!(e.status_of(inst), Some(InstanceStatus::Aborted));
         assert!(e.instances.contains_key(&inst), "its result is still due");
         assert!(summary(&mut e).is_empty());
-        e.check_executing_index();
+        e.check_tables();
 
         deliver(&mut e, result(inst, 1));
         assert_eq!(
@@ -1776,7 +1756,7 @@ mod tests {
             summary(&mut e),
             vec![retired(inst, InstanceStatus::Committed)]
         );
-        e.check_executing_index();
+        e.check_tables();
     }
 
     /// An abort compensates one step at a time; the instance retires with
@@ -1805,7 +1785,7 @@ mod tests {
         for step in [2, 1] {
             assert!(e.instances.contains_key(&inst), "S{step} compensates");
             assert!(e.instances[&inst].comp_active);
-            e.check_executing_index();
+            e.check_tables();
             deliver(
                 &mut e,
                 CentralMsg::CompensateResult {
@@ -1821,7 +1801,7 @@ mod tests {
             summary(&mut e),
             vec![retired(inst, InstanceStatus::Aborted)]
         );
-        e.check_executing_index();
+        e.check_tables();
     }
 
     /// Instances whose late inputs still need their state stay hosted
@@ -1926,7 +1906,7 @@ mod tests {
                 vec![retired(done, InstanceStatus::Committed)],
                 "crash {crash}"
             );
-            e.check_executing_index();
+            e.check_tables();
         }
     }
 
@@ -1985,8 +1965,9 @@ mod tests {
             run.engine(dst).terminal_times.contains_key(&inst),
             "completion is recorded at the target"
         );
-        assert!(
-            !run.engine(src).statuses.contains_key(&inst),
+        assert_eq!(
+            run.engine(src).status_of(inst),
+            None,
             "the source forgets the instance"
         );
     }
@@ -2126,17 +2107,86 @@ mod tests {
         assert_eq!(st.pending_exec, VecMap::from_iter([(step, 1)]));
         assert_eq!(st.nav.history.attempts(StepId(1)), 1);
         assert!(st.nav.gate.as_deref().is_some_and(Gate::holds_grant));
-        assert_eq!(target.cmd_log[&inst], records);
+        assert_eq!(st.slice, records, "the shipped records, not the replay's");
         assert_eq!(
             (target.migrations_in, target.migrations_in_with_mutex),
             (1, 1)
         );
-        target.check_executing_index();
+        target.check_tables();
 
         assert!(target.instances.keys().eq([&inst]), "no other instance");
         assert!(target.mutexes.is_empty(), "{:?}", target.mutexes);
         let ro = |a: &RoArbiter| format!("{a:?}");
         assert_eq!(ro(&target.ro), ro(&RoArbiter::default()));
+    }
+
+    /// Where `e`'s tables must agree on `inst`: its summary row (`want`),
+    /// the summary table, the live count, the balancer's candidates, and the
+    /// slice, which is held exactly while the instance executes.
+    fn agree(e: &Engine, inst: InstanceId, want: Option<InstanceStatus>, when: &str) {
+        e.check_tables();
+        let executing = want == Some(InstanceStatus::Executing);
+        assert_eq!(e.status_of(inst), want, "{when}");
+        let rows: Vec<_> = e.statuses().collect();
+        assert_eq!(rows, Vec::from_iter(want.map(|s| (inst, s))), "{when}");
+        assert_eq!(e.live_instances(), u64::from(executing), "{when}");
+        let movable = e.movable_instances();
+        assert_eq!(movable, Vec::from_iter(executing.then_some(inst)), "{when}");
+        if let Some(st) = e.instances.get(&inst) {
+            assert_eq!(st.status, want, "{when}");
+            assert_eq!(st.slice.is_empty(), !executing, "{when}: the slice");
+        }
+    }
+
+    /// One instance's facts live in one entry: through start, migrate-out,
+    /// install, abort with a step in flight, the late result that commits
+    /// it, retirement, and a crash with recovery on either side of it,
+    /// every view of the summary table agrees, the source keeps only a
+    /// forward, and a terminal instance holds no slice.
+    #[test]
+    fn an_instance_keeps_its_row_and_slice_in_its_entry() {
+        let deployment = Arc::new(Deployment::new([linear(1, 2)]));
+        let topo = Topology::new(1, 2);
+        let [mut source, mut target] = [0, 1].map(|e| Engine::new(e, deployment.clone(), topo));
+        let inst = start(&mut source, 1);
+        agree(&source, inst, Some(InstanceStatus::Executing), "started");
+
+        let records = source.instances[&inst].slice.clone();
+        let request = CentralMsg::MigrateRequest {
+            instance: inst,
+            target: 1,
+        };
+        source.on_message(NodeId::EXTERNAL, request, &mut Ctx::detached(2, NodeId(1)));
+        agree(&source, inst, None, "migrated out");
+        assert!(source.instances.is_empty() && source.retired.is_empty());
+        assert_eq!(source.forwards, BTreeMap::from([(inst, 1)]));
+
+        let install = CentralMsg::MigrateState {
+            instance: inst,
+            records: records.clone(),
+        };
+        let from = topo.engine_node(0);
+        target.on_message(from, install, &mut Ctx::detached(3, topo.engine_node(1)));
+        agree(&target, inst, Some(InstanceStatus::Executing), "installed");
+        assert_eq!(target.instances[&inst].slice, records);
+        target.on_crash();
+        target.on_recover(&mut Ctx::detached(4, topo.engine_node(1)));
+        agree(&target, inst, Some(InstanceStatus::Executing), "recovered");
+        assert_eq!(target.instances[&inst].slice, records);
+
+        deliver(&mut target, result(inst, 1));
+        deliver(&mut target, CentralMsg::WorkflowAbort { instance: inst });
+        agree(&target, inst, Some(InstanceStatus::Aborted), "aborted");
+        assert!(target.instances.contains_key(&inst), "S2's result is due");
+
+        deliver(&mut target, result(inst, 2));
+        agree(&target, inst, Some(InstanceStatus::Committed), "retired");
+        assert!(!target.instances.contains_key(&inst));
+        target.on_crash();
+        target.on_recover(&mut Ctx::detached(10, topo.engine_node(1)));
+        assert!(!target.is_halted());
+        agree(&target, inst, Some(InstanceStatus::Committed), "recovered");
+        assert!(target.instances.is_empty());
     }
 
     #[test]
@@ -2221,7 +2271,7 @@ mod tests {
 
     /// Everything recovery must rebuild, `e` against its uncrashed twin.
     fn assert_same(e: &Engine, twin: &Engine, when: &str) {
-        assert_eq!(e.statuses, twin.statuses, "{when}");
+        assert!(e.statuses().eq(twin.statuses()), "{when}");
         assert!(e.instances.keys().eq(twin.instances.keys()), "{when}");
         for (i, st) in &e.instances {
             let t = &twin.instances[i];
@@ -2294,10 +2344,10 @@ mod tests {
         assert_eq!(records, e.wal_dropped());
         assert_eq!(installs, 1, "the retired install was dropped");
         assert_eq!(e.migrations_in, 1);
-        assert_eq!(e.statuses[&moved], InstanceStatus::Committed);
+        assert_eq!(e.status_of(moved), Some(InstanceStatus::Committed));
         assert!(pair
             .iter()
-            .all(|p| e.statuses[p] == InstanceStatus::Committed));
+            .all(|p| e.status_of(*p) == Some(InstanceStatus::Committed)));
         assert_eq!(
             e.hosted_instances(),
             3,
@@ -2315,7 +2365,7 @@ mod tests {
             e.on_crash();
             e.on_recover(&mut Ctx::detached(10, NodeId(1)));
             assert!(!e.is_halted());
-            e.check_executing_index();
+            e.check_tables();
             assert_same(e, twin, &format!("after crash {crash}"));
         }
     }

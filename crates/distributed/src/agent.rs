@@ -146,6 +146,9 @@ struct Cold {
     /// Steps whose re-execution is deferred until a `CompensateSet` chain
     /// returns.
     awaiting_compset: VecSet<StepId>,
+    /// Steps whose rule fired on a trigger that outran their own packet:
+    /// started once that packet brings their weight (DESIGN.md §6l F10).
+    awaiting_weight: VecSet<StepId>,
     /// Steps designated at another agent whose packet we hold, and how far
     /// the wait for their `step.done` has got. The alternate eligible agent
     /// is the natural stall detector — it is the only node that already
@@ -511,9 +514,14 @@ impl DistAgent {
         // fresh occurrences re-trigger rules).
         self.inst(instance).nav.rules.merge_events(&packet.events);
         // Weight accounting at the executor of the target step.
-        let am_executor = self.is_executor(instance, &schema, packet.target_step);
-        if !am_executor && self.shared.config.enable_status_polling {
-            let (step, wait) = (packet.target_step, RemoteWait::Since(ctx.now));
+        let step = packet.target_step;
+        let am_executor = self.is_executor(instance, &schema, step);
+        // Only a query step can be taken over, so only its wait is polled.
+        if self.shared.config.enable_status_polling
+            && !am_executor
+            && schema.expect_step(step).kind == crew_model::StepKind::Query
+        {
+            let wait = RemoteWait::Since(ctx.now);
             let st = self.inst(instance);
             if !st.nav.rules.has_event(EventKind::StepDone(step)) {
                 st.cold_mut().waits.entry(step).or_insert(wait);
@@ -521,13 +529,16 @@ impl DistAgent {
             }
         }
         if am_executor && !packet.source_step.is_some_and(|s| voided.contains(&s)) {
-            let nav = &mut self.inst(instance).nav;
-            nav.accept_weight(
-                &schema,
-                packet.source_step,
-                packet.target_step,
-                packet.weight,
-            );
+            let st = self.inst(instance);
+            (st.nav).accept_weight(&schema, packet.source_step, step, packet.weight);
+            // The step's rule fired ahead of this packet: fire it again.
+            let cold = st.cold.as_deref_mut();
+            if let Some(awaiting) = cold.map(|c| &mut c.awaiting_weight) {
+                if awaiting.contains(&step) && !st.nav.lacks_weight(&schema, step) {
+                    awaiting.remove(&step);
+                    st.nav.rules.refire(step);
+                }
+            }
         }
         self.fire_rules(instance, ctx);
     }
@@ -638,6 +649,11 @@ impl DistAgent {
         }
         if deferred {
             return; // a CompensateSet chain will restart it
+        }
+        // A trigger in another step's packet: wait for this step's own.
+        if !overridden && self.inst(instance).nav.lacks_weight(&schema, step) {
+            self.inst(instance).cold_mut().awaiting_weight.insert(step);
+            return;
         }
         if !self.pass_gate(instance, step, ctx) {
             return;
@@ -2468,22 +2484,66 @@ mod tests {
         }
     }
 
-    /// The poll timer scans a hashed table, so it sorts what it collects:
-    /// `StepStatus` polls go out in instance order, whatever the order the
-    /// table iterates in and whatever order the instances arrived in.
-    #[test]
-    fn status_polls_go_out_in_instance_order() {
-        // S1 → S2, an update step (silence is never escalated) eligible at
-        // agents 0 and 1; agent 0 holds the packets and polls agent 1.
+    /// S1 → S2, S2 a step of `kind` eligible at agents 0 and 1, and a
+    /// simulation with status polling on in which agent 0 is a standby for
+    /// S2 and a `PollSink` stands where agent 1 would be. Returns the
+    /// deployment, the simulation, and the standby's and the sink's nodes.
+    fn standby(
+        kind: crew_model::StepKind,
+    ) -> (
+        Arc<Deployment>,
+        crew_simnet::Simulation<DistMsg>,
+        NodeId,
+        NodeId,
+    ) {
         let mut b = SchemaBuilder::new(SchemaId(1), "polls");
         let s1 = b.add_step("S1", "passthrough");
         let s2 = b.add_step("S2", "passthrough");
         b.seq(s1, s2);
         b.configure(s1, |d| d.eligible_agents = vec![AgentId(1)]);
-        b.configure(s2, |d| d.eligible_agents = vec![AgentId(0), AgentId(1)]);
+        b.configure(s2, |d| {
+            d.eligible_agents = vec![AgentId(0), AgentId(1)];
+            d.kind = kind;
+        });
         let deployment = Arc::new(Deployment::new([b.build().unwrap()]));
+        let shared = SharedCtx {
+            deployment: deployment.clone(),
+            directory: Directory::new(2),
+            config: DistConfig {
+                enable_status_polling: true,
+                ..DistConfig::default()
+            },
+        };
+        let mut sim = crew_simnet::Simulation::new(deployment.seed);
+        let agent = sim.add_node(DistAgent::new(AgentId(0), shared));
+        let sink = sim.add_node(PollSink::default());
+        (deployment, sim, agent, sink)
+    }
+
+    /// S2's packet from S1, as agent 1 would broadcast it.
+    fn s2_packet(instance: InstanceId) -> DistMsg {
+        let packet = WorkflowPacket {
+            instance,
+            target_step: StepId(2),
+            source_step: Some(StepId(1)),
+            executor: None,
+            data: DataEnv::default(),
+            events: vec![(EventKind::StepDone(StepId(1)), 1)],
+            weight: Weight::ONE,
+        };
+        DistMsg::StepExecute { packet }
+    }
+
+    /// The poll timer scans a hashed table, so it sorts what it collects:
+    /// `StepStatus` polls go out in instance order, whatever the order the
+    /// table iterates in and whatever order the instances arrived in.
+    #[test]
+    fn status_polls_go_out_in_instance_order() {
+        // A query step, so the standby polls for it; agent 0 holds the
+        // packets and polls agent 1.
+        let (deployment, mut sim, agent, sink) = standby(crew_model::StepKind::Query);
         let schema = deployment.expect_schema(SchemaId(1)).clone();
-        let seed = deployment.seed;
+        let (seed, s2) = (deployment.seed, StepId(2));
 
         // Two instances whose S2 agent 1 runs, contacted in descending
         // order, that a table fed in that order iterates in that order.
@@ -2505,30 +2565,12 @@ mod tests {
             .find(|&pair| iterated(pair) == pair)
             .expect("two keys the hasher orders against key order");
 
-        let shared = SharedCtx {
-            deployment,
-            directory: Directory::new(2),
-            config: DistConfig {
-                enable_status_polling: true,
-                ..DistConfig::default()
-            },
-        };
-        let mut sim = crew_simnet::Simulation::new(seed);
-        let agent = sim.add_node(DistAgent::new(AgentId(0), shared));
-        let sink = sim.add_node(PollSink::default());
         for instance in contacts {
-            let packet = WorkflowPacket {
-                instance,
-                target_step: s2,
-                source_step: Some(s1),
-                executor: None,
-                data: DataEnv::default(),
-                events: vec![(EventKind::StepDone(s1), 1)],
-                weight: Weight::ONE,
-            };
-            sim.send_external_at(agent, DistMsg::StepExecute { packet }, 10);
+            sim.send_external_at(agent, s2_packet(instance), 10);
         }
-        sim.run_until(10 + 2 * POLL_TIMEOUT);
+        // The polls go out one timeout after the packets; the run ends
+        // before a second timeout escalates the silence to a takeover.
+        sim.run_until(10 + POLL_TIMEOUT + POLL_PERIOD);
 
         let held = sim.node_as::<DistAgent>(agent).unwrap();
         let held = held.instances.keys().copied().collect::<Vec<_>>();
@@ -2538,6 +2580,26 @@ mod tests {
         );
         let polls = &sim.node_as::<PollSink>(sink).unwrap().0;
         assert_eq!(polls, &[(contacts[1], s2), (contacts[0], s2)]);
+    }
+
+    /// Only a query step can be taken over (`try_takeover`), so a standby
+    /// polls for nothing else: holding an update step's packet with polling
+    /// on, it opens no wait, leaves the cold half unallocated and sends no
+    /// `StepStatus`.
+    #[test]
+    fn a_standby_does_not_poll_for_an_update_step() {
+        let (deployment, mut sim, agent, sink) = standby(crew_model::StepKind::Update);
+        let s2 = deployment.expect_schema(SchemaId(1)).expect_step(StepId(2));
+        let remote = (1..64).map(|n| InstanceId::new(SchemaId(1), n));
+        let remote = remote.filter(|&i| designated_agent(deployment.seed, i, s2) == AgentId(1));
+        for instance in remote.take(4) {
+            sim.send_external_at(agent, s2_packet(instance), 10);
+        }
+        sim.run_until(10 + 4 * POLL_TIMEOUT);
+        let (held, cold) = cold_tables(sim.node_as::<DistAgent>(agent).unwrap());
+        assert_eq!(held, 4);
+        assert!(cold.is_empty(), "{cold:?}");
+        assert!(sim.node_as::<PollSink>(sink).unwrap().0.is_empty());
     }
 
     /// What `agent` holds per instance: every entry, and the rarely

@@ -147,6 +147,22 @@ impl InstanceNav {
         }
     }
 
+    /// Whether `step`'s rule fired before its own weight arrived: some
+    /// forward predecessor's `step.done` is in the event table, but the
+    /// weight that predecessor sent is not. A host that holds a slice of the
+    /// instance sees this when the trigger outran the step's own packet
+    /// (DESIGN.md §6l F10). A loop back-edge's slot replaces the head's
+    /// others, so with one present nothing is missing; the start step has no
+    /// forward predecessor.
+    pub fn lacks_weight(&self, schema: &WorkflowSchema, step: StepId) -> bool {
+        let slot = |from: StepId| self.weight_in.contains_key(&(step, from));
+        let done = |from: StepId| self.rules.has_event(EventKind::StepDone(from));
+        schema
+            .forward_incoming(step)
+            .any(|a| done(a.from) && !slot(a.from))
+            && !schema.incoming(step).any(|a| a.loop_back && slot(a.from))
+    }
+
     /// The weight each successor of the completed `step` receives: an
     /// AND-split divides the flow among its branches, every other arc
     /// (sequence, XOR branch, loop back-edge) carries it whole.

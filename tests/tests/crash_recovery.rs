@@ -475,11 +475,13 @@ fn recovered_rerun(
 /// twice. The instance still commits. Under load-balanced selection with
 /// C eligible on both agents and agent 1 down from tick 5–8, B's forward
 /// of C is outstanding across the crash: on recovery the reply completes
-/// it, agent 1 picks itself, and its self-delivered packet fires B and C
-/// on fresh rules, and B's re-run fires C again;
-/// `finish_load_balanced_forward`'s tail `start_step` runs C a third
-/// time, and B's re-run forwards C to agent 0, which runs it a fourth.
-/// The fix moves both to one run of each step.
+/// it, agent 1 picks itself, and its self-delivered packet fires C on
+/// fresh rules; `finish_load_balanced_forward`'s tail `start_step` runs C
+/// a second time. The packet fires B's fresh rule too, on the `A.done` it
+/// carries, but that packet is C's, not B's: B lacks its own weight and
+/// waits for it (row (d), F10), so B runs once and no re-run of B forwards
+/// C again (before that fix the runs were 1 / 2 / 4). The fix moves both
+/// to one run of each step.
 #[test]
 fn known_recovered_agent_reruns_done_steps() {
     for at in [4, 5, 6] {
@@ -490,7 +492,7 @@ fn known_recovered_agent_reruns_done_steps() {
         let balanced = recovered_rerun(&[0, 1], 1, at, SuccessorSelection::LoadBalanced);
         assert_eq!(
             balanced,
-            (vec![1, 2, 4], 1),
+            (vec![1, 1, 2], 1),
             "load-balanced, agent 1 down from {at}"
         );
     }

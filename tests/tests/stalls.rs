@@ -12,10 +12,11 @@
 //!   that fixes the row moves the case to `FIXED`.
 //!
 //! The ignored `diamond_placement_sweep` runs every placement of the AND
-//! diamond on four agents with and without failures, and holds the count
-//! of placements a failure stalls under distributed control to a ceiling
-//! that may only fall (`cargo test --release -p crew-integration-tests
-//! --test stalls -- --ignored --nocapture`).
+//! diamond on four agents with and without failures, and of a three-branch
+//! join without them, and holds the count of placements that stall under
+//! distributed control to ceilings that may only fall (`cargo test
+//! --release -p crew-integration-tests --test stalls -- --ignored
+//! --nocapture`).
 
 use crew_core::{Architecture, InstanceOutcome, Scenario, WorkflowSystem};
 use crew_exec::{FailurePlan, FnProgram};
@@ -89,6 +90,26 @@ fn diamond(row: &'static str, agents: [u32; 6], fail: &[&'static str]) -> Case {
         flow: DIAMOND_FLOW,
         rollbacks: DIAMOND_ROLLBACKS,
         fail: fail.to_vec(),
+        join: "J",
+    }
+}
+
+/// S1 → AND{A1 → A2, B1, C1} → AND-join J: a three-branch join, one
+/// branch longer than the others.
+fn triple(agents: [u32; 6]) -> Case {
+    Case {
+        row: "three-branch join",
+        steps: ["S1", "A1", "B1", "C1", "A2", "J"]
+            .into_iter()
+            .zip(agents)
+            .collect(),
+        flow: &[
+            Flow::And("S1", &["A1", "B1", "C1"]),
+            Flow::Seq("A1", "A2"),
+            Flow::AndJoin(&["A2", "B1", "C1"], "J"),
+        ],
+        rollbacks: &[],
+        fail: vec![],
         join: "J",
     }
 }
@@ -247,36 +268,30 @@ fn fixed() -> Vec<Case> {
             [0, 1, 2, 1, 2, 3],
             &["A2"],
         ),
-    ]
-}
-
-/// Each known stall, with the architecture that stalls on it.
-fn known() -> Vec<(Case, Arch)> {
-    vec![
-        // Row (d): a step's trigger reaches its agent in a packet for
-        // another step, ahead of its own packet. The step runs with the
-        // whole thread's weight instead of its branch's, so the join counts
-        // 3/2 and never commits. Here both branch heads are at one agent,
-        // and the first packet starts both.
-        (
-            and_pair(
-                "(d) AND-split with both branches at one agent",
-                [0, 1, 1, 2],
-            ),
-            Arch::Distributed,
+        // Row (d), F10: a step's trigger reaches its agent in a packet for
+        // another step, ahead of its own packet. The step used to run with
+        // the whole thread's weight instead of its branch's, so the join
+        // counted 3/2 and never committed. Here both branch heads are at
+        // one agent, and the first packet used to start both.
+        and_pair(
+            "(d) AND-split with both branches at one agent",
+            [0, 1, 1, 2],
         ),
         // The same through the other branch: A1 runs beside S1, so B1's
         // packet carries A1's completion, and B2's packet brings it to A2's
         // agent before A1's own packet does.
-        (
-            diamond(
-                "(d) a branch's trigger in the other branch's packet",
-                [2, 2, 1, 0, 0, 0],
-                &[],
-            ),
-            Arch::Distributed,
+        diamond(
+            "(d) a branch's trigger in the other branch's packet",
+            [2, 2, 1, 0, 0, 0],
+            &[],
         ),
     ]
+}
+
+/// Each known stall, with the architecture that stalls on it. None is
+/// known at present; a newly found one is pinned here until it is fixed.
+fn known() -> Vec<(Case, Arch)> {
+    vec![]
 }
 
 #[test]
@@ -317,8 +332,18 @@ fn known_cases_stall_only_where_they_are_known_to() {
 /// the rollback epoch went; a fix lowers them, nothing may raise them.
 const DISTRIBUTED_FAILURE_STALLS: [usize; 3] = [0, 0, 0];
 
+/// The most placements of the diamond, and of the three-branch join, that
+/// stall fault-free under distributed control: 1 459 of the diamond's
+/// before a step waited for its own weight (row (d), F10).
+const DISTRIBUTED_FAULT_FREE_STALLS: [usize; 2] = [0, 0];
+
+/// Every placement of six steps on four agents.
+fn placements() -> impl Iterator<Item = [u32; 6]> {
+    (0..4u32.pow(6)).map(|p| std::array::from_fn(|k| p / 4u32.pow(k as u32) % 4))
+}
+
 #[test]
-#[ignore = "49 152 runs; run in release"]
+#[ignore = "61 440 runs; run in release"]
 fn diamond_placement_sweep() {
     let failures: [&[&str]; 4] = [&[], &["A2"], &["B2"], &["A2", "B2"]];
     let mut runs = 0;
@@ -327,8 +352,7 @@ fn diamond_placement_sweep() {
     let mut failure_stalls = [0usize; 3];
     let mut stalls = [[0usize; 4]; 3];
     let mut repeated_joins = 0;
-    for placement in 0..4u32.pow(6) {
-        let agents: [u32; 6] = std::array::from_fn(|k| placement / 4u32.pow(k as u32) % 4);
+    for agents in placements() {
         let mut committed = [[false; 4]; 3];
         for (f, fail) in failures.iter().enumerate() {
             let case = diamond("sweep", agents, fail);
@@ -349,7 +373,20 @@ fn diamond_placement_sweep() {
             failure_stalls[f - 1] += usize::from(dist[0] && !dist[f]);
         }
     }
-    println!("{runs} runs over {} placements", 4u32.pow(6));
+    // The second shape, fault-free: every placement of the three-branch
+    // join.
+    let mut triple_stalls = [0usize; 3];
+    for agents in placements() {
+        let case = triple(agents);
+        for (a, arch) in Arch::ALL.into_iter().enumerate() {
+            runs += 1;
+            let (outcome, joins) = case.run(arch);
+            let committed = outcome == InstanceOutcome::Committed;
+            repeated_joins += usize::from(committed && joins != 1);
+            triple_stalls[a] += usize::from(!committed);
+        }
+    }
+    println!("{runs} runs over {} placements of each shape", 4u32.pow(6));
     for (arch, row) in Arch::ALL.iter().zip(stalls) {
         println!("{arch:?}: non-committing placements (none, A2, B2, both) {row:?}");
     }
@@ -358,12 +395,21 @@ fn diamond_placement_sweep() {
          with A1 and B1 on one agent; {failure_stalls:?} commit fault-free but stall when \
          A2, B2 or both fail"
     );
+    println!("three-branch join, fault-free: non-committing placements {triple_stalls:?}");
     assert_eq!(
         repeated_joins, 0,
         "committed runs whose join ran more than once"
     );
     assert_eq!(stalls[0], [0; 4], "central control");
     assert_eq!(stalls[1], [0; 4], "parallel control");
+    assert_eq!(triple_stalls[..2], [0; 2], "central and parallel control");
+    let fault_free = [fault_free_stalls, triple_stalls[2]];
+    for (got, ceiling) in fault_free.iter().zip(DISTRIBUTED_FAULT_FREE_STALLS) {
+        assert!(
+            *got <= ceiling,
+            "{fault_free:?} over {DISTRIBUTED_FAULT_FREE_STALLS:?}"
+        );
+    }
     for (got, ceiling) in failure_stalls.iter().zip(DISTRIBUTED_FAILURE_STALLS) {
         assert!(
             *got <= ceiling,
